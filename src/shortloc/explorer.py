@@ -12,10 +12,10 @@ certification, except when periodicity closes the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import BadParams, InvariantViolation, LoewyTooLong, ResourceCapExceeded
-from .homology import DEFAULT_CAP, is_reflexive, is_torsionless, mho_step, syzygy
+from .homology import DEFAULT_CAP, MinimalResolution, is_reflexive, is_torsionless, mho_step
 from .modules import AModule, dim_vector, find_isomorphism, is_bipartite, simple_multiplicity
 from .numerics import defect
 
@@ -82,25 +82,35 @@ def describe_step(M: AModule, index: int) -> PathStep:
                     defect=delta, loewy=loewy)
 
 
+def _syzygy_walk(M: AModule, n: int, cap: int) -> tuple[list[AModule], Optional[str]]:
+    """M, Omega M, ..., Omega^n M read from one resolution.
+
+    The walk stops after the first zero module ("projective_reached") or
+    before the first syzygy whose cover exceeds the cap ("resource_cap").
+    """
+    res = MinimalResolution(M, cap=cap)
+    mods = [M]
+    while len(mods) <= n and mods[-1].dim:
+        try:
+            mods.append(res.syzygy_module(len(mods)))
+        except ResourceCapExceeded:
+            return mods, "resource_cap"
+    return mods, "projective_reached" if n and not mods[-1].dim else None
+
+
+def _first_period(M: AModule, syzygies: Iterable[AModule], seed: int) -> Optional[int]:
+    """Least p with the p-th of Omega^1 M, Omega^2 M, ... isomorphic to M, if found."""
+    for p, cand in enumerate(syzygies, start=1):
+        if cand.dim == M.dim and find_isomorphism(M, cand, seed=seed).found:
+            return p
+    return None
+
+
 def omega_path(M: AModule, n: int, cap: int = DEFAULT_CAP) -> PathRecord:
     """Record the invariants of M, Omega M, ..., Omega^n M."""
-    steps = [describe_step(M, 0)]
-    cur = M
-    reason = None
-    for i in range(1, n + 1):
-        if cur.dim == 0:
-            reason = "projective_reached"
-            break
-        try:
-            cur = syzygy(cur, cap=cap)
-        except ResourceCapExceeded:
-            reason = "resource_cap"
-            break
-        steps.append(describe_step(cur, i))
-        if cur.dim == 0:
-            reason = "projective_reached"
-            break
-    return PathRecord(direction="omega", steps=tuple(steps), terminated_reason=reason)
+    mods, reason = _syzygy_walk(M, n, cap)
+    steps = tuple(describe_step(mod, i) for i, mod in enumerate(mods))
+    return PathRecord(direction="omega", steps=steps, terminated_reason=reason)
 
 
 def mho_path(M: AModule, n: int, cap: int = DEFAULT_CAP) -> PathRecord:
@@ -136,12 +146,8 @@ def periodicity_detect(M: AModule, bound: int, seed: int = 0,
     """
     if bound < 1:
         raise BadParams("bound must be at least 1")
-    cur = M
-    for p in range(1, bound + 1):
-        cur = syzygy(cur, cap=cap)
-        if cur.dim == M.dim and find_isomorphism(M, cur, seed=seed).found:
-            return p
-    return None
+    res = MinimalResolution(M, cap=cap)
+    return _first_period(M, (res.syzygy_module(p) for p in range(1, bound + 1)), seed)
 
 
 @dataclass(frozen=True)
@@ -216,25 +222,12 @@ def classify_complex(M: AModule, back: int, fwd: int, seed: int = 0,
     alg = M.algebra
     a_defects = alg.a == alg.e - 1
 
-    back_mods = [M]
-    obstruction = None
-    for _ in range(back):
-        try:
-            nxt = syzygy(back_mods[-1], cap=cap)
-        except ResourceCapExceeded:
-            obstruction = "resource_cap"
-            break
-        if nxt.dim == 0:
-            obstruction = "projective resolution terminates"
-            break
-        back_mods.append(nxt)
-
-    period = None
-    for p in range(1, len(back_mods)):
-        cand = back_mods[p]
-        if cand.dim == M.dim and find_isomorphism(M, cand, seed=seed).found:
-            period = p
-            break
+    walk, reason = _syzygy_walk(M, back, cap)
+    # Only the last module of a walk can be zero; it is no image of the complex.
+    back_mods = [M] + [mod for mod in walk[1:] if mod.dim]
+    obstruction = "projective resolution terminates" if reason == "projective_reached" \
+        else reason
+    period = _first_period(M, back_mods[1:], seed)
 
     fwd_mods: list[AModule] = []
     forward_verified = True

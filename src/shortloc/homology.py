@@ -1,15 +1,20 @@
 """Projective covers, syzygies, approximations, duals, transpose and Ext.
 
 Everything here works with minimal constructions: projective covers lift a
-basis of the top, so kernels are first syzygies, Betti numbers are the
-ranks along the minimal resolution, and Ext groups are read off the
-Hom-complex of that resolution.
+basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
+is the single engine that walks syzygies: Betti numbers are the tops of its
+syzygies, syzygy powers and orbit walks read its modules, and Ext groups
+come from the Hom-complex of its boundaries.  It builds only what is read:
+a cover's kernel module is made when it is first needed, so Ext^i stops at
+the cover of the (i+1)-st syzygy and a Betti table at the n-th syzygy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from itertools import count, islice
+from typing import Iterator, Optional
 
 from .errors import InvariantViolation, ResourceCapExceeded
 from .linalg import Matrix, Subspace, kernel_basis, kernel_subspace, rref
@@ -26,13 +31,29 @@ DEFAULT_BOUND = 10
 
 @dataclass(frozen=True)
 class Presentation:
-    """A projective cover P -> M together with its kernel (first syzygy)."""
+    """A projective cover P -> M together with its kernel (first syzygy).
+
+    The kernel is held as a subspace of P; its module and embedding are
+    built on first read, so a caller that needs only the cover pays for
+    no induced actions.
+    """
 
     module: AModule
     cover_rank: int
     cover_map: ModuleMap
-    kernel: AModule
-    kernel_embedding: ModuleMap
+    _kernel_space: Subspace
+
+    @cached_property
+    def _kernel(self) -> tuple[AModule, ModuleMap]:
+        return module_from_subspace(self.cover_map.source, self._kernel_space, check=False)
+
+    @property
+    def kernel(self) -> AModule:
+        return self._kernel[0]
+
+    @property
+    def kernel_embedding(self) -> ModuleMap:
+        return self._kernel[1]
 
 
 @dataclass(frozen=True)
@@ -83,10 +104,7 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     for v in ker.basis:
         if any(v[k * alg.dim] for k in range(t)):
             raise InvariantViolation("cover kernel escapes the radical (not minimal)")
-    omega, embedding = module_from_subspace(P, ker, check=False)
-    cover_map = ModuleMap(P, M, cover)
-    return Presentation(module=M, cover_rank=t, cover_map=cover_map,
-                        kernel=omega, kernel_embedding=embedding)
+    return Presentation(M, t, ModuleMap(P, M, cover), ker)
 
 
 def syzygy(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
@@ -95,24 +113,21 @@ def syzygy(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
 
 
 def syzygy_power(M: AModule, n: int, cap: int = DEFAULT_CAP) -> AModule:
-    out = M
-    for _ in range(n):
-        out = syzygy(out, cap=cap)
-    return out
+    return MinimalResolution(M, cap=cap).syzygy_module(n)
 
 
 def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
     """Betti numbers t_0..t_n of M along the minimal resolution."""
-    values = [M.top_dim()]
-    cur = M
-    for _ in range(n):
-        cur = syzygy(cur, cap=cap)
-        values.append(cur.top_dim())
-    return BettiTable(module=M, values=tuple(values))
+    res = MinimalResolution(M, cap=cap)
+    return BettiTable(module=M, values=tuple(res.rank(i) for i in range(n + 1)))
 
 
 class MinimalResolution:
-    """Lazily extended minimal projective resolution of a module."""
+    """Lazily extended minimal projective resolution of a module.
+
+    Step i is the projective cover of the i-th syzygy; the kernel module
+    of a step is built only when a caller or the next step reads it.
+    """
 
     def __init__(self, M: AModule, cap: int = DEFAULT_CAP):
         self.module = M
@@ -122,12 +137,12 @@ class MinimalResolution:
     def extend_to(self, depth: int) -> None:
         """Ensure presentations of the syzygies up to index ``depth``."""
         while len(self.steps) <= depth:
-            cur = self.module if not self.steps else self.steps[-1].kernel
+            cur = self.syzygy_module(len(self.steps))
             self.steps.append(projective_cover(cur, cap=self.cap))
 
     def rank(self, i: int) -> int:
-        self.extend_to(i)
-        return self.steps[i].cover_rank
+        """t_i, the top dimension of the i-th syzygy (no cover of it needed)."""
+        return self.syzygy_module(i).top_dim()
 
     def syzygy_module(self, i: int) -> AModule:
         if i == 0:
@@ -156,23 +171,29 @@ class MinimalResolution:
 
 def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> Matrix:
     """Matrix of Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t."""
-    alg = res.module.algebra
     D = res.boundary_elements(j)
-    t_j = len(D)
     t_prev = res.steps[j - 1].cover_rank
-    dn = N.dim
-    blocks = []
-    for l in range(t_j):
-        row = [N.element_action(D[l][k]) for k in range(t_prev)]
-        blocks.append(row)
     rows = []
-    for l in range(t_j):
-        for r in range(dn):
-            line = []
-            for k in range(t_prev):
-                line.extend(blocks[l][k].data[r] if dn else [])
-            rows.append(line)
-    return Matrix(N.field, rows, cols=t_prev * dn)
+    for row in D:
+        blocks = [N.element_action(g).data for g in row]
+        rows.extend([x for b in blocks for x in b[r]] for r in range(N.dim))
+    return Matrix(N.field, rows, cols=t_prev * N.dim)
+
+
+def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
+    """dim Ext^0(M, N), dim Ext^1(M, N), ... from the Hom-complex of ``res``.
+
+    Ext^i = t_i dim N - rank d_{i+1}* - rank d_i*, so Ext^i reads the
+    resolution up to the cover of the (i+1)-st syzygy and no further.
+    """
+    prev = 0
+    for i in count():
+        cur = rref(_hom_complex_matrix(res, N, i + 1))[1]
+        val = res.rank(i) * N.dim - cur - prev
+        if val < 0:
+            raise InvariantViolation("negative Ext dimension; resolution is inconsistent")
+        yield val
+        prev = cur
 
 
 def ext_dims(M: AModule, N: AModule, imax: int, cap: int = DEFAULT_CAP) -> list[int]:
@@ -181,17 +202,7 @@ def ext_dims(M: AModule, N: AModule, imax: int, cap: int = DEFAULT_CAP) -> list[
         raise InvariantViolation("Ext requires modules over the same algebra")
     if M.dim == 0 or N.dim == 0:
         return [0] * (imax + 1)
-    res = MinimalResolution(M, cap=cap)
-    res.extend_to(imax + 1)
-    dn = N.dim
-    ranks = [rref(_hom_complex_matrix(res, N, j))[1] for j in range(1, imax + 2)]
-    out = [res.rank(0) * dn - ranks[0]]
-    for i in range(1, imax + 1):
-        val = res.rank(i) * dn - ranks[i] - ranks[i - 1]
-        if val < 0:
-            raise InvariantViolation("negative Ext dimension; resolution is inconsistent")
-        out.append(val)
-    return out
+    return list(islice(_ext_sequence(MinimalResolution(M, cap=cap), N), imax + 1))
 
 
 def ext_dim(M: AModule, N: AModule, i: int, cap: int = DEFAULT_CAP) -> int:
@@ -290,7 +301,6 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     if M.dim == 0:
         return zero_module(op)
     res = MinimalResolution(M, cap=cap)
-    res.extend_to(1)
     t0, t1 = res.rank(0), res.rank(1)
     if t1 == 0:
         return zero_module(op)
@@ -415,22 +425,9 @@ def is_semi_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -
         raise ValueError("bound must be at least 1")
     if M.dim == 0:
         return BoundedVerdict(True, bound)
-    reg = left_regular_module(M.algebra)
-    res = MinimalResolution(M, cap=cap)
-    dn = reg.dim
-    hranks: dict[int, int] = {}
-
-    def hrank(j: int) -> int:
-        if j not in hranks:
-            hranks[j] = rref(_hom_complex_matrix(res, reg, j))[1]
-        return hranks[j]
-
-    for i in range(1, bound + 1):
-        res.extend_to(i + 1)
-        val = res.rank(i) * dn - hrank(i + 1) - hrank(i)
-        if val < 0:
-            raise InvariantViolation("negative Ext dimension; resolution is inconsistent")
-        if val:
+    exts = _ext_sequence(MinimalResolution(M, cap=cap), left_regular_module(M.algebra))
+    for i, val in enumerate(islice(exts, bound + 1)):
+        if i and val:
             return BoundedVerdict(False, bound, failed_at=i)
     return BoundedVerdict(True, bound)
 

@@ -327,33 +327,17 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
-    """Basis of the right null space of ``m``.
-
-    Each basis vector carries the entry 1 at "its" free column and 0 at
-    every other free column, so the coordinates of any kernel vector in
-    this basis can be read off at the free columns.
-    """
-    rows, pivots = _rref_rows(m.field, [list(r) for r in m.data], m.cols)
-    zero, one = m.field.zero(), m.field.one()
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            if rows[r][fc]:
-                v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
+    """Basis of the right null space of ``m``: the basis of :func:`kernel_subspace`."""
+    return list(kernel_subspace(m).basis)
 
 
 def kernel_subspace(m: Matrix) -> "Subspace":
     """The right null space as a :class:`Subspace` without re-reduction.
 
-    The kernel basis vectors have unit entries at the free columns and
-    zeros at each other's free columns, so they already form a valid
-    pseudo-reduced basis with the free columns as pivots.
+    Each basis vector carries the entry 1 at "its" free column and 0 at
+    every other free column, so the vectors already form a valid
+    pseudo-reduced basis with the free columns as pivots, and the
+    coordinates of a kernel vector are its entries at the free columns.
     """
     rows, pivots = _rref_rows(m.field, [list(r) for r in m.data], m.cols)
     zero, one = m.field.zero(), m.field.one()

@@ -292,6 +292,22 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
     return M
 
 
+def _images(vectors: Sequence[Sequence], matrices: Sequence[Matrix]) -> list[tuple]:
+    """The non-zero images of the vectors under the matrices."""
+    out = []
+    for v in vectors:
+        for X in matrices:
+            img = X.apply(v)
+            if any(img):
+                out.append(img)
+    return out
+
+
+def _is_stable(M: AModule, space: Subspace) -> bool:
+    """True iff the generator actions of M map the subspace into itself."""
+    return all(space.contains(X.apply(v)) for X in M.actions for v in space.basis)
+
+
 def module_from_subspace(M: AModule, space: Subspace, check: bool = True) -> tuple[AModule, ModuleMap]:
     """An action-stable subspace as a module, with its embedding into M.
 
@@ -299,11 +315,8 @@ def module_from_subspace(M: AModule, space: Subspace, check: bool = True) -> tup
     vector are just its entries at the pivot columns; the induced action
     matrices are read off without solving any system.
     """
-    if check:
-        for X in M.actions:
-            for v in space.basis:
-                if not space.contains(X.apply(v)):
-                    raise BadParams("subspace is not stable under the module action")
+    if check and not _is_stable(M, space):
+        raise BadParams("subspace is not stable under the module action")
     acts = []
     for X in M.actions:
         cols = [space.coords(X.apply(v)) for v in space.basis]
@@ -323,22 +336,11 @@ def submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleM
 def generated_submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
     """The submodule generated by the vectors: their span closed under A."""
     vecs = [tuple(v) for v in vectors]
-    closure = list(vecs)
-    for v in vecs:
-        for X in M.actions:
-            img = X.apply(v)
-            if any(img):
-                closure.append(img)
-        for Y in M.w_actions():
-            img = Y.apply(v)
-            if any(img):
-                closure.append(img)
+    closure = vecs + _images(vecs, M.actions + M.w_actions())
     space = Subspace.from_vectors(M.field, M.dim, closure)
     # One closure round suffices: J*(Jv) lies in J^2 v and J^2*(Jv) = 0.
-    for X in M.actions:
-        for v in space.basis:
-            if not space.contains(X.apply(v)):
-                raise InvariantViolation("generated span failed to close")
+    if not _is_stable(M, space):
+        raise InvariantViolation("generated span failed to close")
     return module_from_subspace(M, space, check=False)
 
 
@@ -350,10 +352,8 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     """
     if not isinstance(sub, Subspace):
         sub = Subspace.from_vectors(M.field, M.dim, sub)
-    for X in M.actions:
-        for v in sub.basis:
-            if not sub.contains(X.apply(v)):
-                raise BadParams("subspace is not stable under the module action")
+    if not _is_stable(M, sub):
+        raise BadParams("subspace is not stable under the module action")
     pivset = set(sub.pivots)
     free = [c for c in range(M.dim) if c not in pivset]
     qdim = len(free)
@@ -451,26 +451,14 @@ def random_module(alg: ShortAlgebra, n_gens: int, n_rels: int, seed: int,
             vec.append(zero)
             vec.extend(rng.choice(elems) for _ in range(alg.dim - 1))
         rels.append(tuple(vec))
-    closure = list(rels)
-    for v in rels:
-        for X in F.actions:
-            img = X.apply(v)
-            if any(img):
-                closure.append(img)
-    space = Subspace.from_vectors(alg.field, F.dim, closure)
+    space = Subspace.from_vectors(alg.field, F.dim, rels + _images(rels, F.actions))
     Q, _ = quotient(F, space)
     return Q
 
 
 def mod_j_squared(M: AModule) -> AModule:
     """M / J^2 M, the largest Loewy-length <= 2 quotient of M."""
-    vecs = []
-    for X in M.actions:
-        for v in M.radical().basis:
-            img = X.apply(v)
-            if any(img):
-                vecs.append(img)
-    space = Subspace.from_vectors(M.field, M.dim, vecs)
+    space = Subspace.from_vectors(M.field, M.dim, _images(M.radical().basis, M.actions))
     Q, _ = quotient(M, space)
     return Q
 

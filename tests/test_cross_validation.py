@@ -1,16 +1,20 @@
 """Dual-route checks: recompute key invariants by independent methods.
 
 The resolution-based Ext is checked against a direct count of extension
-classes (cocycles modulo coboundaries on the action matrices), and the
-main constructions are exercised over a prime field as well as over Q.
+classes (cocycles modulo coboundaries on the action matrices) and against
+the cokernel of restriction to a syzygy, and the main constructions are
+exercised over a prime field as well as over Q.
 """
 
-from shortloc.homology import (a_dual, betti, ext_dim, is_reflexive, is_torsionless,
-                               left_regular_module, mho, syzygy)
-from shortloc.linalg import Field, Matrix, kernel_basis
-from shortloc.modules import (cyclic_submodule, dim_vector, hom_dim, is_isomorphic,
-                              m_alpha, mod_j_squared, quotient, random_module,
-                              simple_module)
+import pytest
+
+from shortloc.homology import (a_dual, betti, ext_dim, ext_dims, is_reflexive,
+                               is_torsionless, left_regular_module, mho, projective_cover,
+                               syzygy, syzygy_power)
+from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_basis
+from shortloc.modules import (cyclic_submodule, dim_vector, hom_basis, hom_dim,
+                              is_isomorphic, m_alpha, mod_j_squared, quotient,
+                              random_module, simple_module)
 from shortloc.presets import preset
 
 
@@ -88,6 +92,36 @@ def ext1_by_extension_classes(M, N):
     # is exactly Hom(M, N).
     coboundaries = dn * dm - hom_dim(M, N)
     return cocycles - coboundaries
+
+
+def ext_by_restriction(M, N, i):
+    """Ext^i(M, N), i >= 1, as the cokernel of Hom(P, N) -> Hom(Omega^i M, N).
+
+    P -> Omega^{i-1} M is a projective cover with kernel Omega^i M, so
+    Ext^i(M, N) = Ext^1(Omega^{i-1} M, N) is dim Hom(Omega^i M, N) minus the
+    rank of restriction along Omega^i M -> P.  No Hom-complex is formed.
+    """
+    pres = projective_cover(syzygy_power(M, i - 1))
+    emb = pres.kernel_embedding.matrix
+    restricted = [f.matrix * emb for f in hom_basis(pres.cover_map.source, N)]
+    flat = [tuple(x for row in r.data for x in row) for r in restricted]
+    image = Subspace.from_vectors(M.field, N.dim * emb.cols, flat)
+    return hom_dim(pres.kernel, N) - image.dim
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
+def test_ext_hom_complex_matches_restriction_route(field):
+    cases = [("lambda_c", {"c": 0}), ("qexterior", {}), ("ex15_1", {"e": 3, "a": 2})]
+    for name, kw in cases:
+        alg = preset(name, field=field, **kw)
+        coords = [0] * alg.dim
+        coords[1] = 1
+        S, Ax = simple_module(alg), cyclic_submodule(alg, coords)
+        for M in (S, Ax):
+            for N in (S, Ax, left_regular_module(alg)):
+                exts = ext_dims(M, N, 3)
+                for i in range(1, 4):
+                    assert exts[i] == ext_by_restriction(M, N, i), (alg.name, i)
 
 
 def _samples(alg, count=4):

@@ -1,5 +1,6 @@
 import pytest
 
+from shortloc import homology
 from shortloc.errors import ResourceCapExceeded
 from shortloc.homology import (BoundedVerdict, MinimalResolution, a_dual, betti,
                                dual_data, eval_map, ext_dim, ext_dims, is_gp,
@@ -352,3 +353,71 @@ def test_boundary_elements_lie_in_radical(conca32):
 def test_dual_data_actions_are_consistent(conca32):
     data = dual_data(cyclic_x(conca32))
     validate_module(data.module)
+
+
+# -- the resolution engine builds only what is read ---------------------------
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Arguments of each call the homology module makes to its two builders."""
+    seen = {"projective_cover": [], "module_from_subspace": []}
+    for name, log in seen.items():
+        def counted(*args, _original=getattr(homology, name), _log=log, **kwargs):
+            _log.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(homology, name, counted)
+    return seen
+
+
+def _take(calls) -> tuple[int, int]:
+    """(covers, kernel modules) built since the last take."""
+    counts = tuple(len(log) for log in calls.values())
+    for log in calls.values():
+        log.clear()
+    return counts
+
+
+def test_betti_covers_exactly_n_syzygies(calls, conca32, qext):
+    for M in (simple_module(conca32), cyclic_x(conca32), simple_module(qext)):
+        for n in range(6):
+            betti(M, n)
+            assert _take(calls) == (n, n)
+
+
+def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
+    # Ext^i reads d_{i+1}: the covers of Omega^0..Omega^{i+1} and the
+    # modules Omega^1..Omega^{i+1}, never Omega^{i+2}.
+    S = simple_module(conca32)
+    cases = [(S, left_regular_module(conca32)), (cyclic_x(conca32), S),
+             (m_alpha(lam0, 2), m_alpha(lam0, 1))]
+    for M, N in cases:
+        syzygy_dims = [syzygy_power(M, k).dim for k in range(1, 6)]
+        _take(calls)
+        for i in range(4):
+            ext_dims(M, N, i)
+            built = [space.dim for _, space in calls["module_from_subspace"]]
+            assert built == syzygy_dims[:i + 1]
+            assert _take(calls) == (i + 2, i + 1)
+
+
+def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
+    # The semi-GP scan reads Ext^0..Ext^bound, or stops at the first
+    # non-zero Ext^i; the transpose reads d_1; stable Hom reads one cover.
+    assert is_semi_gp(m_alpha(lam0, 2), 4).holds
+    assert _take(calls) == (6, 5)
+    assert is_semi_gp(simple_module(L2), 5).failed_at == 1
+    assert _take(calls) == (3, 2)
+    transpose(m_alpha(lam0, 1))
+    assert _take(calls) == (2, 1)
+    stable_hom_dim(m_alpha(lam0, 0), m_alpha(lam0, 1))
+    assert _take(calls) == (1, 0)
+
+
+def test_resolution_reuses_its_steps(calls, conca32):
+    S = simple_module(conca32)
+    res = MinimalResolution(S)
+    first = [res.syzygy_module(i) for i in range(4)]
+    assert [res.syzygy_module(i) for i in range(4)] == first
+    assert [res.rank(i) for i in range(4)] == list(betti(S, 3).values)
+    # Three covers and kernels for ``res``, three more for ``betti``'s own.
+    assert _take(calls) == (6, 6)
