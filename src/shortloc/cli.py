@@ -324,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("module", help="module spec or JSON file")
             p.add_argument("--algebra", help="preset spec (name[:k=v,..]) or JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=_default_cap(),
-                       help="dimension cap for intermediate modules")
+        p.add_argument("--cap", type=int, help="dimension cap for intermediate modules")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("-o", "--output", help="write result to a file")
 
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-paper", help="run the built-in verification suite")
     p_ver.add_argument("--suite", choices=("all", "fast"), default="all")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cap", type=int, default=_default_cap())
+    p_ver.add_argument("--cap", type=int)
     p_ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_ver.add_argument("--verbose", action="store_true")
     p_ver.add_argument("-o", "--output")
@@ -403,13 +402,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "bound", 1) < 1:
-        print("error: --bound must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "cap", 1) < 1:
-        print("error: --cap must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        cap = _default_cap()
+        if "cap" in args and args.cap is None:
+            args.cap = cap
+        if getattr(args, "bound", 1) < 1:
+            print("error: --bound must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
+        if getattr(args, "cap", 1) < 1:
+            print("error: --cap must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
         return args.fn(args)
     except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

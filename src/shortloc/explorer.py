@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import BadParams, InvariantViolation, LoewyTooLong, ResourceCapExceeded
-from .homology import DEFAULT_CAP, MinimalResolution, is_reflexive, is_torsionless, mho_step
+from .homology import DEFAULT_CAP, MinimalResolution, dual_data, is_torsionless
 from .modules import AModule, dim_vector, find_isomorphism, is_bipartite, simple_multiplicity
 from .numerics import defect
 
@@ -114,7 +114,11 @@ def omega_path(M: AModule, n: int, cap: int = DEFAULT_CAP) -> PathRecord:
 
 
 def mho_path(M: AModule, n: int, cap: int = DEFAULT_CAP) -> PathRecord:
-    """Iterate the cosyzygy while the module stays torsionless and short."""
+    """Iterate the cosyzygy while the module stays torsionless and short.
+
+    Each module's Hom(-, A) is solved once and serves both the torsionless
+    check and the cosyzygy step.
+    """
     steps = [describe_step(M, 0)]
     cur = M
     reason = None
@@ -122,14 +126,14 @@ def mho_path(M: AModule, n: int, cap: int = DEFAULT_CAP) -> PathRecord:
         if cur.loewy_length() > 2:
             reason = "loewy_too_long"
             break
-        if not is_torsionless(cur):
+        data = dual_data(cur)
+        if not data.torsionless:
             reason = "not_torsionless"
             break
         if cur.dim == 0:
             reason = "projective_reached"
             break
-        step = mho_step(cur)
-        cur = step.cokernel
+        cur = data.approximation.cokernel
         steps.append(describe_step(cur, i))
         if cur.dim == 0:
             reason = "projective_reached"
@@ -238,18 +242,14 @@ def classify_complex(M: AModule, back: int, fwd: int, seed: int = 0,
         else:
             cur = M
             for j in range(1, fwd + 1):
-                if not is_reflexive(cur):
+                # Reflexive implies torsionless, so the approximation is injective.
+                data = dual_data(cur)
+                if not data.reflexive:
                     forward_verified = False
                     if obstruction is None:
                         obstruction = f"reflexivity fails at forward step {j}"
                     break
-                step = mho_step(cur)
-                if not step.injective:
-                    forward_verified = False
-                    if obstruction is None:
-                        obstruction = f"approximation not injective at forward step {j}"
-                    break
-                cur = step.cokernel
+                cur = data.approximation.cokernel
                 if cur.loewy_length() > 2:
                     forward_verified = False
                     if obstruction is None:

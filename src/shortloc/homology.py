@@ -7,6 +7,10 @@ syzygies, syzygy powers and orbit walks read its modules, and Ext groups
 come from the Hom-complex of its boundaries.  It builds only what is read:
 a cover's kernel module is made when it is first needed, so Ext^i stops at
 the cover of the (i+1)-st syzygy and a Betti table at the n-th syzygy.
+:class:`DualData` is the single engine of the dual side: it solves Hom(M, A)
+once and serves the dual module, the torsionless and reflexive verdicts, the
+evaluation map and the minimal left approximation with its cokernel (the
+cosyzygy), each built on first read.
 """
 
 from __future__ import annotations
@@ -210,36 +214,109 @@ def ext_dim(M: AModule, N: AModule, i: int, cap: int = DEFAULT_CAP) -> int:
     return ext_dims(M, N, i, cap=cap)[i]
 
 
-# -- duals -------------------------------------------------------------
+# -- the dual side: Hom(M, A) and everything read from it ---------------
+
+
+@dataclass(frozen=True)
+class ApproximationData:
+    """A minimal left approximation u: M -> A^z and its cokernel."""
+
+    approximation: ModuleMap
+    rank: int
+    cokernel: AModule
+    injective: bool
 
 
 @dataclass(frozen=True)
 class DualData:
-    """Hom(M, A) as a left module over the opposite algebra.
+    """Hom(M, A) with its right A-action: the one engine of the dual side.
 
-    ``homs`` is the hom space whose basis the dual module's coordinates
-    refer to.
+    ``homs`` is Hom(M, A), solved once by :func:`dual_data`; the dual
+    module's coordinates refer to its basis.  The dual module, the
+    torsionless and reflexive verdicts, the evaluation map and the minimal
+    left approximation with its cokernel are built on first read.
     """
 
-    module: AModule
     homs: HomSpace
+
+    @cached_property
+    def module(self) -> AModule:
+        """M* = Hom(M, A) as a left module over the opposite algebra."""
+        alg = self.homs.source.algebra
+        z = self.homs.dim
+        if z == 0:
+            return zero_module(alg.opposite())
+        acts = []
+        for i in range(1, alg.e + 1):
+            R = alg.right_mult_matrix(alg.generator(i))
+            cols = [self.homs.coords(R * f.matrix) for f in self.homs.maps]
+            acts.append(Matrix(alg.field, list(zip(*cols)), cols=z))
+        return AModule(alg.opposite(), z, acts, check=False)
+
+    @cached_property
+    def torsionless(self) -> bool:
+        """The homomorphisms into A jointly separate points of M."""
+        if not self.homs.maps:
+            return self.homs.source.dim == 0
+        return not kernel_basis(Matrix.vstack([f.matrix for f in self.homs.maps]))
+
+    @cached_property
+    def evaluation(self) -> ModuleMap:
+        """The evaluation map M -> M**, ev(m)(f) = f(m)."""
+        M = self.homs.source
+        bidual = dual_data(self.module)
+        cols = []
+        for c in range(M.dim):
+            # ev(basis_c) in Hom(M*, A^op-regular): the matrix whose column
+            # j is f_j(basis_c).
+            mat_cols = [f.matrix.col(c) for f in self.homs.maps]
+            cols.append(bidual.homs.flat.coords(tuple(x for row in zip(*mat_cols) for x in row)))
+        target = AModule(M.algebra, bidual.module.dim, bidual.module.actions, check=False)
+        return ModuleMap(M, target, Matrix(M.field, list(zip(*cols)), cols=M.dim))
+
+    @property
+    def reflexive(self) -> bool:
+        """The evaluation map M -> M** is bijective."""
+        ev = self.evaluation
+        return ev.source.dim == ev.target.dim and ev.is_injective()
+
+    @cached_property
+    def approximation(self) -> ApproximationData:
+        """The minimal left approximation u: M -> A^z and its cokernel.
+
+        The rank z is the dimension of the top of M*; u stacks lifts of a
+        basis of that top.  A factoring certificate checks that every
+        homomorphism M -> A factors through u.
+        """
+        M = self.homs.source
+        alg = M.algebra
+        z = self.module.top_dim()
+        P = free_module(alg, z)
+        gs = []
+        for lam in self.module.top_lift():
+            acc = Matrix.zeros(M.field, alg.dim, M.dim)
+            for j, c in enumerate(lam):
+                if c:
+                    acc = acc + self.homs.maps[j].matrix.scale(c)
+            gs.append(acc)
+        u = ModuleMap(M, P, Matrix.vstack(gs) if gs else Matrix(M.field, [], cols=M.dim))
+        # Certificate: each f in the hom basis solves f = sum_k r(b) g_k.
+        factor_cols = []
+        for g in gs:
+            for bidx in range(alg.dim):
+                comp = alg.right_mult_matrix(alg.basis_vector(bidx)) * g
+                factor_cols.append(self.homs.flatten(comp))
+        factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)
+        if not factor_space.contains_space(self.homs.flat):
+            raise InvariantViolation("left approximation fails its factoring certificate")
+        img = u.image()
+        return ApproximationData(approximation=u, rank=z, cokernel=quotient(P, img)[0],
+                                 injective=img.dim == M.dim)
 
 
 def dual_data(M: AModule) -> DualData:
-    alg = M.algebra
-    op = alg.opposite()
-    reg = left_regular_module(alg)
-    homs = hom_space(M, reg)
-    z = homs.dim
-    if z == 0:
-        return DualData(zero_module(op), homs)
-    right_mults = [alg.right_mult_matrix(alg.generator(i)) for i in range(1, alg.e + 1)]
-    acts = []
-    for R in right_mults:
-        cols = [homs.coords(R * f.matrix) for f in homs.maps]
-        acts.append(Matrix(M.field, list(zip(*cols)), cols=z))
-    dual = AModule(op, z, acts, check=False)
-    return DualData(dual, homs)
+    """Solve Hom(M, A) once; everything on the dual side reads the result."""
+    return DualData(hom_space(M, left_regular_module(M.algebra)))
 
 
 def a_dual(M: AModule) -> AModule:
@@ -249,23 +326,7 @@ def a_dual(M: AModule) -> AModule:
 
 def eval_map(M: AModule) -> ModuleMap:
     """The evaluation map M -> M**, ev(m)(f) = f(m)."""
-    d1 = dual_data(M)
-    d2 = dual_data(d1.module)
-    ddim = d2.module.dim
-    cols = []
-    for c in range(M.dim):
-        # ev(basis_c) in Hom(M*, A^op-regular): the matrix whose column j
-        # is f_j(basis_c).
-        mat_cols = [f.matrix.col(c) for f in d1.homs.maps]
-        if not mat_cols:
-            cols.append(tuple())
-            continue
-        flat = tuple(x for row in zip(*mat_cols) for x in row)
-        cols.append(d2.homs.flat.coords(flat))
-    matrix = Matrix(M.field, list(zip(*cols)), cols=M.dim) if ddim else \
-        Matrix(M.field, [], cols=M.dim)
-    bidual_over_original = AModule(M.algebra, d2.module.dim, d2.module.actions, check=False)
-    return ModuleMap(M, bidual_over_original, matrix)
+    return dual_data(M).evaluation
 
 
 def is_torsionless(M: AModule) -> bool:
@@ -273,20 +334,27 @@ def is_torsionless(M: AModule) -> bool:
 
     Equivalently, the homomorphisms into A jointly separate points.
     """
-    if M.dim == 0:
-        return True
-    reg = left_regular_module(M.algebra)
-    fs = hom_basis(M, reg)
-    if not fs:
-        return False
-    stacked = Matrix.vstack([f.matrix for f in fs])
-    return len(kernel_basis(stacked)) == 0
+    return dual_data(M).torsionless
 
 
 def is_reflexive(M: AModule) -> bool:
     """True iff the evaluation map M -> M** is bijective."""
-    ev = eval_map(M)
-    return ev.source.dim == ev.target.dim and ev.is_injective()
+    return dual_data(M).reflexive
+
+
+def minimal_left_approximation(M: AModule) -> tuple[ModuleMap, int]:
+    """Left approximation of M into a minimal number of copies of A."""
+    step = dual_data(M).approximation
+    return step.approximation, step.rank
+
+
+def mho_step(M: AModule) -> ApproximationData:
+    """One cosyzygy step: cokernel of the minimal left approximation.
+
+    When M is torsionless the cokernel is the cosyzygy in the exact
+    sequence 0 -> M -> A^z -> mho M -> 0; otherwise ``injective`` is false.
+    """
+    return dual_data(M).approximation
 
 
 def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
@@ -312,84 +380,6 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
                                   [big.col(j) for j in range(big.cols)])
     tr, _ = quotient(F1, image)
     return tr
-
-
-# -- minimal left approximations and their cokernels -------------------
-
-
-@dataclass(frozen=True)
-class ApproximationData:
-    """A minimal left approximation u: M -> A^z and its cokernel."""
-
-    approximation: ModuleMap
-    rank: int
-    cokernel: AModule
-    injective: bool
-
-
-def minimal_left_approximation(M: AModule) -> tuple[ModuleMap, int]:
-    """Left approximation of M into a minimal number of copies of A.
-
-    The rank z is the dimension of the top of M* over the opposite
-    algebra; the map stacks lifts of a basis of that top.  A factoring
-    certificate checks that every homomorphism M -> A factors through it.
-    """
-    alg = M.algebra
-    data = dual_data(M)
-    dual = data.module
-    z = dual.top_dim()
-    P = free_module(alg, z)
-    if z == 0:
-        u = ModuleMap(M, P, Matrix(M.field, [], cols=M.dim))
-        return u, 0
-    gs = []
-    for lam in dual.top_lift():
-        acc = Matrix.zeros(M.field, alg.dim, M.dim)
-        for j, c in enumerate(lam):
-            if c:
-                acc = acc + data.homs.maps[j].matrix.scale(c)
-        gs.append(acc)
-    u = ModuleMap(M, P, Matrix.vstack(gs))
-    # Certificate: each f in the hom basis solves f = sum_k r(b) g_k.
-    factor_cols = []
-    for k in range(z):
-        for bidx in range(alg.dim):
-            R = alg.right_mult_matrix(alg.basis_vector(bidx))
-            comp = R * gs[k]
-            factor_cols.append(tuple(x for row in comp.data for x in row))
-    factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)
-    for f in data.homs.maps:
-        flat = tuple(x for row in f.matrix.data for x in row)
-        if not factor_space.contains(flat):
-            raise InvariantViolation("left approximation fails its factoring certificate")
-    return u, z
-
-
-def mho_step(M: AModule) -> ApproximationData:
-    """One cosyzygy step: cokernel of the minimal left approximation."""
-    u, z = minimal_left_approximation(M)
-    P = u.target
-    img = u.image()
-    coker, _ = quotient(P, img)
-    return ApproximationData(approximation=u, rank=z, cokernel=coker,
-                             injective=img.dim == M.dim)
-
-
-def mho(M: AModule) -> AModule:
-    """The cokernel of a minimal left approximation of M.
-
-    When M is torsionless this is the cosyzygy fitting in the exact
-    sequence 0 -> M -> A^z -> mho(M) -> 0; non-injectivity of the
-    approximation is reported by :func:`mho_step`.
-    """
-    return mho_step(M).cokernel
-
-
-def mho_power(M: AModule, n: int) -> AModule:
-    out = M
-    for _ in range(n):
-        out = mho(out)
-    return out
 
 
 # -- stable homs and Gorenstein-style predicates ------------------------

@@ -135,9 +135,6 @@ class Field:
             return Fp(num, p) / Fp(den, p)
         raise BadParams(f"cannot coerce {x!r} into F_{p}")
 
-    def format(self, x) -> str:
-        return str(x)
-
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
@@ -194,12 +191,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
-
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
 
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)

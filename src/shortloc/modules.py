@@ -33,10 +33,6 @@ class DimVec(tuple):
     def s(self) -> int:
         return self[1]
 
-    @property
-    def total(self) -> int:
-        return self[0] + self[1]
-
     def __repr__(self) -> str:
         return f"({self[0]},{self[1]})"
 
@@ -72,10 +68,6 @@ class AModule:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def generator_action(self, i: int) -> Matrix:
-        """Action matrix of v_i (1-based)."""
-        return self.actions[i - 1]
-
     def w_actions(self) -> tuple:
         """Derived action matrices of the J^2 basis elements."""
         if self._w_actions is None:
@@ -105,23 +97,6 @@ class AModule:
                 if u[1 + alg.e + m]:
                     acc = acc + Y.scale(u[1 + alg.e + m])
         return acc
-
-    def act(self, u: Sequence, vec: Sequence) -> tuple:
-        """Apply an algebra element to a module vector."""
-        alg = self.algebra
-        zero = self.field.zero()
-        out = [u[0] * x if u[0] else zero for x in vec]
-        for i in range(alg.e):
-            c = u[1 + i]
-            if c:
-                img = self.actions[i].apply(vec)
-                out = [s + c * x if x else s for s, x in zip(out, img)]
-        for m in range(alg.a):
-            c = u[1 + alg.e + m]
-            if c:
-                img = self.w_actions()[m].apply(vec)
-                out = [s + c * x if x else s for s, x in zip(out, img)]
-        return tuple(out)
 
     # -- structural subspaces -------------------------------------------
 
@@ -604,17 +579,21 @@ class IsoSearch:
         return self.found
 
 
+#: Seeded random combinations tried before the evaluation at integer points.
+_ISO_TRIES = 64
+
+
 def _invertible(mat: Matrix) -> bool:
     return mat.rows == mat.cols and rref(mat)[1] == mat.rows
 
 
-def find_isomorphism(M: AModule, N: AModule, seed: int = 0, tries: int = 64,
-                     det_points: Optional[int] = None) -> IsoSearch:
+def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     """Search for an invertible A-map M -> N.
 
     Tries each hom-basis element, then seeded random combinations with
     small coefficients, and over Q also a generic combination evaluated at
-    the integer points 1, 2, 3, ...; any hit certifies the isomorphism.
+    the integer points 1, 2, ..., 2 dim Hom + 8; any hit certifies the
+    isomorphism.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism between modules over different algebras")
@@ -633,7 +612,7 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0, tries: int = 64,
             return IsoSearch(True, True, witness=h)
     rng = random.Random(seed)
     elems = [M.field.of(x) for x in DEFAULT_POOL]
-    for _ in range(tries):
+    for _ in range(_ISO_TRIES):
         acc = Matrix.zeros(M.field, N.dim, M.dim)
         for h in fwd:
             c = rng.choice(elems)
@@ -642,8 +621,7 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0, tries: int = 64,
         if _invertible(acc):
             return IsoSearch(True, True, witness=ModuleMap(M, N, acc))
     if M.field.is_rationals:
-        bound = det_points if det_points is not None else 2 * len(fwd) + 8
-        for point in range(1, bound + 1):
+        for point in range(1, 2 * len(fwd) + 9):
             xval = M.field.of(point)
             acc = Matrix.zeros(M.field, N.dim, M.dim)
             power = M.field.one()

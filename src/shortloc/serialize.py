@@ -18,6 +18,13 @@ from .linalg import Field, Matrix
 from .modules import AModule
 
 
+def _require(d, what: str, *keys: str) -> None:
+    """Raise BadParams unless ``d`` is a JSON object holding every key."""
+    missing = [k for k in keys if not isinstance(d, dict) or k not in d]
+    if missing:
+        raise BadParams(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
 def field_to_dict(field: Field) -> dict:
     if field.is_rationals:
         return {"kind": "Q"}
@@ -29,6 +36,7 @@ def field_from_dict(d: dict) -> Field:
     if kind == "Q":
         return Field.rationals()
     if kind == "Fp":
+        _require(d, "prime field", "p")
         return Field.prime(int(d["p"]))
     raise BadParams(f"unknown field kind {kind!r}")
 
@@ -65,6 +73,7 @@ def _jsonable_tags(tags: dict) -> dict:
 
 
 def algebra_from_dict(d: dict) -> ShortAlgebra:
+    _require(d, "algebra", "field", "e", "a")
     field = field_from_dict(d["field"])
     structure = {}
     for entry in d.get("structure", []):
@@ -90,6 +99,7 @@ def module_to_dict(M: AModule, algebra: Optional[object] = None) -> dict:
 
 
 def module_from_dict(d: dict, base_dir: str = ".") -> AModule:
+    _require(d, "module", "algebra", "dim", "actions")
     alg_part = d["algebra"]
     if isinstance(alg_part, str):
         path = alg_part if os.path.isabs(alg_part) else os.path.join(base_dir, alg_part)

@@ -5,8 +5,6 @@ registry (the same code backing ``shortloc verify-paper``) and prints one
 PASS/FAIL line; all comparisons are exact equalities.
 """
 
-import pytest
-
 from shortloc.homology import DEFAULT_CAP
 from shortloc.verify import CLAIMS, Context, claim_by_id, run_claim
 

@@ -1,6 +1,6 @@
 import pytest
 
-from shortloc.algebra import ShortAlgebra, algebra_from_relations
+from shortloc.algebra import ShortAlgebra
 from shortloc.errors import BadParams, SurjectivityViolation
 from shortloc.homology import ext_dim, left_regular_module
 from shortloc.linalg import QQ, Field

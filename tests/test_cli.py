@@ -89,6 +89,30 @@ def test_resource_cap_env_override():
     assert res.returncode == 3
 
 
+def test_bad_cap_variable_is_a_usage_error():
+    for args in (("bseq", "--e", "2", "--a", "1", "--n", "3"),
+                 ("betti", "simple", "--algebra", "L:e=2", "--n", "2")):
+        res = run_cli(*args, env_extra={"SHORTLOC_CAP": "abc"})
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+
+def test_json_with_a_missing_key_is_a_usage_error(tmp_path):
+    res = run_cli("module", "make", "simple", "--algebra", "lambda_c", "--format", "json")
+    module = json.loads(res.stdout)
+    broken = [({k: v for k, v in module.items() if k != "actions"}, "'actions'"),
+              (dict(module, algebra={k: v for k, v in module["algebra"].items() if k != "e"}),
+               "'e'"),
+              (dict(module, algebra=dict(module["algebra"], field={"kind": "Fp"})), "'p'")]
+    for k, (payload, key) in enumerate(broken):
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps(payload))
+        res = run_cli("check", "torsionless", str(path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and key in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+
+
 def test_module_make_and_compute_from_file(tmp_path):
     mod = tmp_path / "m.json"
     res = run_cli("module", "make", "malpha:1", "--algebra", "lambda_c",

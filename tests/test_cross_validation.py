@@ -9,8 +9,8 @@ exercised over a prime field as well as over Q.
 import pytest
 
 from shortloc.homology import (a_dual, betti, ext_dim, ext_dims, is_reflexive,
-                               is_torsionless, left_regular_module, mho, projective_cover,
-                               syzygy, syzygy_power)
+                               is_torsionless, left_regular_module, mho_step,
+                               projective_cover, syzygy, syzygy_power)
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_basis
 from shortloc.modules import (cyclic_submodule, dim_vector, hom_basis, hom_dim,
                               is_isomorphic, m_alpha, mod_j_squared, quotient,
@@ -164,7 +164,29 @@ def test_mho_of_simple_is_regular_mod_socle(qext):
     S = simple_module(qext)
     reg = left_regular_module(qext)
     target, _ = quotient(reg, reg.socle())
-    assert is_isomorphic(mho(S), target)
+    assert is_isomorphic(mho_step(S).cokernel, target)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
+def test_dual_predicates_match_the_cosyzygy_route(field):
+    # The left approximation M -> A^z is injective iff M is torsionless,
+    # and a torsionless M is reflexive iff its cosyzygy is torsionless:
+    # the evaluation map M -> M** against the mho route.
+    cases = [("L", {"e": 2}), ("qexterior", {}), ("lambda_c", {"c": 0}),
+             ("ex15_1", {"e": 3, "a": 2})]
+    reflexive_verdicts = []
+    for name, kw in cases:
+        alg = preset(name, field=field, **kw)
+        for seed in range(8):
+            M = random_module(alg, 1 + seed % 2, 1 + seed % 3, seed=seed)
+            for N in (M, mod_j_squared(M)):
+                step = mho_step(N)
+                assert is_torsionless(N) == step.injective, (alg.name, seed)
+                if step.injective:
+                    reflexive = is_reflexive(N)
+                    assert reflexive == is_torsionless(step.cokernel), (alg.name, seed)
+                    reflexive_verdicts.append(reflexive)
+    assert reflexive_verdicts.count(True) >= 20 and reflexive_verdicts.count(False) >= 5
 
 
 # -- prime field coverage ---------------------------------------------------

@@ -1,18 +1,18 @@
 import pytest
 
-from shortloc import homology
+from shortloc import homology, modules
 from shortloc.errors import ResourceCapExceeded
+from shortloc.explorer import classify_complex, mho_path
 from shortloc.homology import (BoundedVerdict, MinimalResolution, a_dual, betti,
                                dual_data, eval_map, ext_dim, ext_dims, is_gp,
                                is_inf_torsionfree, is_reflexive, is_semi_gp,
-                               is_torsionless, mho, mho_power, mho_step,
+                               is_torsionless, mho_step,
                                minimal_left_approximation, projective_cover,
                                stable_hom_dim, syzygy, syzygy_power, transpose)
 from shortloc.modules import (cyclic_submodule, dim_vector, direct_sum, free_module,
-                              hom_dim, is_bipartite, is_isomorphic,
-                              left_regular_module, m_alpha, mod_j_squared,
-                              radical_module, random_module, simple_module,
-                              simple_multiplicity, validate_module, zero_module)
+                              hom_dim, is_isomorphic, left_regular_module, m_alpha,
+                              mod_j_squared, radical_module, random_module,
+                              simple_module, validate_module)
 from shortloc.presets import preset
 
 
@@ -150,13 +150,13 @@ def test_approximation_rank_on_reflexive_bipartite(conca32):
 def test_mho_examples(qext, lam0, conca32):
     # Over a self-injective algebra, mho(S) = A / soc.
     S = simple_module(qext)
-    m = mho(S)
+    m = mho_step(S).cokernel
     assert m.dim == qext.dim - 1
     assert dim_vector(m) == (1, 2)
     # mho of a projective vanishes.
-    assert mho(left_regular_module(lam0)).dim == 0
+    assert mho_step(left_regular_module(lam0)).cokernel.dim == 0
     # mho(Ax) keeps dimension vector (1, a) on the Conca family.
-    assert tuple(dim_vector(mho(cyclic_x(conca32)))) == (1, 2)
+    assert tuple(dim_vector(mho_step(cyclic_x(conca32)).cokernel)) == (1, 2)
 
 
 def test_mho_flags_non_torsionless(lam0):
@@ -166,7 +166,7 @@ def test_mho_flags_non_torsionless(lam0):
 
 def test_mho_power(conca32):
     Ax = cyclic_x(conca32)
-    assert tuple(dim_vector(mho_power(Ax, 2))) == (1, 2)
+    assert tuple(dim_vector(mho_step(mho_step(Ax).cokernel).cokernel)) == (1, 2)
 
 
 # -- evaluation, torsionless, reflexive ------------------------------------
@@ -421,3 +421,33 @@ def test_resolution_reuses_its_steps(calls, conca32):
     assert [res.rank(i) for i in range(4)] == list(betti(S, 3).values)
     # Three covers and kernels for ``res``, three more for ``betti``'s own.
     assert _take(calls) == (6, 6)
+
+
+# -- the dual engine solves Hom(M, A) once per module ------------------------
+
+@pytest.fixture
+def hom_into_a(monkeypatch):
+    """Sources of each Hom(-, A) solved, over A or over the opposite algebra."""
+    seen = []
+
+    def counted(M, N, _original=modules.hom_space):
+        if N.free_rank == 1:
+            seen.append(M)
+        return _original(M, N)
+    for mod in (modules, homology):
+        monkeypatch.setattr(mod, "hom_space", counted)
+    return seen
+
+
+def test_mho_path_solves_one_dual_per_module(hom_into_a, conca32):
+    record = mho_path(cyclic_x(conca32), 4)
+    assert record.terminated_reason is None
+    assert [M.dim for M in hom_into_a] == [s.dim for s in record.steps[:-1]]
+
+
+def test_forward_walk_solves_two_duals_per_step(hom_into_a, qext):
+    # One solve for the torsionless check on J, then Hom(M, A) and
+    # Hom(M*, A^op) for each module the forward walk steps through.
+    cls = classify_complex(radical_module(qext), 1, 3)
+    assert cls.forward_verified and cls.period is None
+    assert len(hom_into_a) == 1 + 2 * 3

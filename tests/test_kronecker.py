@@ -7,9 +7,9 @@ from shortloc.kronecker import (KroneckerRep, hom_decomposition_check,
                                 rep_as_module, rep_dual, sigma_reflection, tilde,
                                 verify_sigma_omega)
 from shortloc.linalg import QQ, Matrix
-from shortloc.modules import (cyclic_submodule, dim_vector, end_dim, hom_dim,
-                              is_isomorphic, left_regular_module, mod_j_squared,
-                              radical_module, random_module, simple_module)
+from shortloc.modules import (cyclic_submodule, dim_vector, end_dim, is_isomorphic,
+                              left_regular_module, mod_j_squared, radical_module,
+                              random_module, simple_module)
 from shortloc.numerics import q_form
 from shortloc.presets import preset
 
