@@ -261,7 +261,7 @@ def cmd_explore(args) -> int:
                                    values=record.as_dict())
         lines = _path_lines(record)
     elif args.walk == "mho":
-        record = mho_path(M, args.n, cap=args.cap)
+        record = mho_path(M, args.n)
         payload = serialize.report("explore/mho", {"module": args.module, "n": args.n},
                                    values=record.as_dict())
         lines = _path_lines(record)

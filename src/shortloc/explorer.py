@@ -113,7 +113,7 @@ def omega_path(M: AModule, n: int, cap: int = DEFAULT_CAP) -> PathRecord:
     return PathRecord(direction="omega", steps=steps, terminated_reason=reason)
 
 
-def mho_path(M: AModule, n: int, cap: int = DEFAULT_CAP) -> PathRecord:
+def mho_path(M: AModule, n: int) -> PathRecord:
     """Iterate the cosyzygy while the module stays torsionless and short.
 
     Each module's Hom(-, A) is solved once and serves both the torsionless

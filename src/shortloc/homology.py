@@ -3,14 +3,14 @@
 Everything here works with minimal constructions: projective covers lift a
 basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
 is the single engine that walks syzygies: Betti numbers are the tops of its
-syzygies, syzygy powers and orbit walks read its modules, and Ext groups
-come from the Hom-complex of its boundaries.  It builds only what is read:
-a cover's kernel module is made when it is first needed, so Ext^i stops at
-the cover of the (i+1)-st syzygy and a Betti table at the n-th syzygy.
+syzygies, syzygy powers and orbit walks read its modules, and Ext groups and
+the transpose (the cokernel of d_1^* into A) come from the Hom-complex of its
+boundaries.  It builds only what is read: a cover's kernel module is made
+when it is first needed, so Ext^i stops at the cover of the (i+1)-st syzygy.
 :class:`DualData` is the single engine of the dual side: it solves Hom(M, A)
 once and serves the dual module, the torsionless and reflexive verdicts, the
 evaluation map and the minimal left approximation with its cokernel (the
-cosyzygy), each built on first read.
+cosyzygy), each built on first read; the stable Hom reads its maps too.
 """
 
 from __future__ import annotations
@@ -163,13 +163,14 @@ class MinimalResolution:
         if j < 1:
             raise ValueError("boundaries start at index 1")
         self.extend_to(j)
-        alg = self.module.algebra
-        d = self.steps[j - 1].kernel_embedding.compose(self.steps[j].cover_map)
+        n = self.module.algebra.dim
+        emb = self.steps[j - 1].kernel_embedding
         t_prev = self.steps[j - 1].cover_rank
         out = []
-        for l in range(self.steps[j].cover_rank):
-            col = d.matrix.col(l * alg.dim)
-            out.append([tuple(col[k * alg.dim:(k + 1) * alg.dim]) for k in range(t_prev)])
+        # The cover P_j -> Omega^j sends unit_l to the l-th top lift.
+        for m in self.steps[j].module.top_lift():
+            col = emb.apply(m)
+            out.append([tuple(col[k * n:(k + 1) * n]) for k in range(t_prev)])
         return out
 
 
@@ -361,20 +362,18 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     """The transpose: cokernel of the dualized minimal presentation.
 
     From the minimal presentation A^{t_1} -> A^{t_0} -> M -> 0, dualizing
-    gives a map of free right modules; the transpose is its cokernel,
-    realized as a left module over the opposite algebra.
+    gives d_1^*: Hom(A^{t_0}, A) -> Hom(A^{t_1}, A) of the Hom-complex; the
+    transpose is its cokernel, realized as a module over the opposite algebra.
     """
     alg = M.algebra
     op = alg.opposite()
     if M.dim == 0:
         return zero_module(op)
     res = MinimalResolution(M, cap=cap)
-    t0, t1 = res.rank(0), res.rank(1)
+    t1 = res.rank(1)
     if t1 == 0:
         return zero_module(op)
-    D = res.boundary_elements(1)
-    blocks = [[alg.left_mult_matrix(D[l][k]) for k in range(t0)] for l in range(t1)]
-    big = Matrix.vstack([Matrix.hstack(row) for row in blocks])
+    big = _hom_complex_matrix(res, left_regular_module(alg), 1)
     F1 = free_module(op, t1)
     image = Subspace.from_vectors(M.field, F1.dim,
                                   [big.col(j) for j in range(big.cols)])
@@ -389,18 +388,20 @@ def stable_hom_dim(M: AModule, N: AModule, cap: int = DEFAULT_CAP) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective.
 
     A map factors through some projective iff it factors through the
-    projective cover of N, so the factoring subspace is the image of
-    composition with that cover.
+    projective cover A^t -> N, so the factoring subspace is the image of
+    composition with that cover; a map into A^t is t maps into A, so the
+    basis of Hom(M, A) composed with each column block of the cover spans it.
     """
     hb = hom_basis(M, N)
     if not hb:
         return 0
     pres = projective_cover(N, cap=cap)
-    through = hom_basis(M, pres.cover_map.source)
+    n = M.algebra.dim
+    homs = dual_data(M).homs
     vecs = []
-    for h in through:
-        comp = pres.cover_map.matrix * h.matrix
-        vecs.append(tuple(x for row in comp.data for x in row))
+    for k in range(pres.cover_rank):
+        block = Matrix(M.field, [row[k * n:(k + 1) * n] for row in pres.cover_map.matrix.data])
+        vecs += [homs.flatten(block * f.matrix) for f in homs.maps]
     factoring = Subspace.from_vectors(M.field, N.dim * M.dim, vecs)
     return len(hb) - factoring.dim
 

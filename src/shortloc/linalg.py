@@ -246,15 +246,6 @@ class Matrix:
         return tuple(out)
 
     @staticmethod
-    def hstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        rows = blocks[0].rows
-        if any(b.rows != rows for b in blocks):
-            raise DimensionMismatch("hstack row mismatch")
-        return Matrix(blocks[0].field,
-                      [sum((list(b.data[i]) for b in blocks), []) for i in range(rows)],
-                      cols=sum(b.cols for b in blocks))
-
-    @staticmethod
     def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):

@@ -193,22 +193,12 @@ class ModuleMap:
                 return False
         return True
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        if other.target is not self.source and other.target.dim != self.source.dim:
-            raise DimensionMismatch("maps do not compose")
-        return ModuleMap(other.source, self.target, self.matrix * other.matrix)
-
     def apply(self, vec: Sequence) -> tuple:
         return self.matrix.apply(vec)
 
     def image(self) -> Subspace:
         cols = [self.matrix.col(j) for j in range(self.matrix.cols)]
         return Subspace.from_vectors(self.target.field, self.target.dim, cols)
-
-    def kernel(self) -> Subspace:
-        return Subspace.from_vectors(self.source.field, self.source.dim,
-                                     kernel_basis(self.matrix))
 
     def rank(self) -> int:
         return rref(self.matrix)[1]
@@ -406,8 +396,7 @@ def m_alpha(alg: ShortAlgebra, alpha) -> AModule:
     return AModule(alg, d, acts)
 
 
-def random_module(alg: ShortAlgebra, n_gens: int, n_rels: int, seed: int,
-                  pool: Sequence = DEFAULT_POOL) -> AModule:
+def random_module(alg: ShortAlgebra, n_gens: int, n_rels: int, seed: int) -> AModule:
     """Quotient of A^{n_gens} by n_rels random radical elements.
 
     Deterministic for a fixed seed (Mersenne Twister); the result is a
@@ -416,7 +405,7 @@ def random_module(alg: ShortAlgebra, n_gens: int, n_rels: int, seed: int,
     if n_gens < 1:
         raise BadParams("need at least one generator")
     rng = random.Random(seed)
-    elems = [alg.field.of(x) for x in pool]
+    elems = [alg.field.of(x) for x in DEFAULT_POOL]
     F = free_module(alg, n_gens)
     zero = alg.field.zero()
     rels = []

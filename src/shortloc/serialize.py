@@ -25,6 +25,21 @@ def _require(d, what: str, *keys: str) -> None:
         raise BadParams(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
+def _typed(value, types: tuple, what: str):
+    """``value``, or BadParams unless it has one of the ``types`` (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        kinds = " or ".join(t.__name__ for t in types)
+        raise BadParams(f"{what} must be {kinds}, got {type(value).__name__}")
+    return value
+
+
+def _matrix(field: Field, rows, cols: int, what: str) -> Matrix:
+    """A matrix from a list of rows of string or integer scalars (never floats)."""
+    rows = [_typed(row, (list,), what) for row in _typed(rows, (list,), what)]
+    return Matrix(field, [[field.of(_typed(x, (str, int), what)) for x in row] for row in rows],
+                  cols=cols)
+
+
 def field_to_dict(field: Field) -> dict:
     if field.is_rationals:
         return {"kind": "Q"}
@@ -32,21 +47,17 @@ def field_to_dict(field: Field) -> dict:
 
 
 def field_from_dict(d: dict) -> Field:
-    kind = d.get("kind")
+    kind = _typed(d, (dict,), "field").get("kind")
     if kind == "Q":
         return Field.rationals()
     if kind == "Fp":
         _require(d, "prime field", "p")
-        return Field.prime(int(d["p"]))
+        return Field.prime(_typed(d["p"], (int,), "field 'p'"))
     raise BadParams(f"unknown field kind {kind!r}")
 
 
 def matrix_to_lists(m: Matrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in m.data]
-
-
-def matrix_from_lists(field: Field, rows: list[list[str]], cols: Optional[int] = None) -> Matrix:
-    return Matrix.from_rows(field, rows, cols=cols)
 
 
 def algebra_to_dict(alg: ShortAlgebra) -> dict:
@@ -76,14 +87,16 @@ def algebra_from_dict(d: dict) -> ShortAlgebra:
     _require(d, "algebra", "field", "e", "a")
     field = field_from_dict(d["field"])
     structure = {}
-    for entry in d.get("structure", []):
-        i, j, m, c = entry
-        structure[(int(i), int(j), int(m))] = field.of(c)
-    tags = d.get("tags") or {}
+    for entry in _typed(d.get("structure", []), (list,), "algebra 'structure'"):
+        i, j, m, c = _typed(entry, (list,), "structure entry")
+        structure[tuple(_typed(x, (int,), "structure index") for x in (i, j, m))] = \
+            field.of(_typed(c, (str, int), "structure constant"))
+    tags = _typed(d.get("tags") or {}, (dict,), "algebra 'tags'")
     if "generators" in tags and isinstance(tags["generators"], list):
         tags = dict(tags, generators=tuple(tags["generators"]))
-    alg = ShortAlgebra(field, int(d["e"]), int(d["a"]), structure,
-                       name=d.get("name", ""), tags=tags)
+    alg = ShortAlgebra(field, _typed(d["e"], (int,), "algebra 'e'"),
+                       _typed(d["a"], (int,), "algebra 'a'"), structure,
+                       name=_typed(d.get("name", ""), (str,), "algebra 'name'"), tags=tags)
     alg.validate()
     return alg
 
@@ -106,8 +119,9 @@ def module_from_dict(d: dict, base_dir: str = ".") -> AModule:
         alg = load_algebra(path)
     else:
         alg = algebra_from_dict(alg_part)
-    dim = int(d["dim"])
-    actions = [matrix_from_lists(alg.field, rows, cols=dim) for rows in d["actions"]]
+    dim = _typed(d["dim"], (int,), "module 'dim'")
+    actions = [_matrix(alg.field, X, dim, "module action")
+               for X in _typed(d["actions"], (list,), "module 'actions'")]
     return AModule(alg, dim, actions)
 
 
@@ -122,7 +136,7 @@ def kronecker_to_dict(rep: KroneckerRep) -> dict:
 
 def kronecker_from_dict(d: dict, field: Field) -> KroneckerRep:
     dim0, dim1 = int(d["dim0"]), int(d["dim1"])
-    maps = tuple(matrix_from_lists(field, rows, cols=dim0) for rows in d["maps"])
+    maps = tuple(_matrix(field, rows, dim0, "representation map") for rows in d["maps"])
     return KroneckerRep(e=int(d["e"]), dim0=dim0, dim1=dim1, maps=maps)
 
 
@@ -146,8 +160,11 @@ def save_json(path: str, obj) -> None:
 
 
 def load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise BadParams(f"cannot read {path}: {exc.strerror}") from None
 
 
 def load_algebra(path: str) -> ShortAlgebra:

@@ -213,7 +213,7 @@ def _claim_conca_family(ctx: Context, ck: _Check):
             ck.expect(is_isomorphic(res.syzygy_module(3), res.syzygy_module(1),
                                     seed=ctx.seed),
                       f"(e,a)=({e},{a}): third syzygy of {label} matches first")
-        walk = mho_path(Ax, 2, cap=ctx.cap)
+        walk = mho_path(Ax, 2)
         ck.expect(walk.terminated_reason is None and
                   all(s.dim_vector == (1, a) for s in walk.steps),
                   f"(e,a)=({e},{a}): cosyzygy walk stays at dim (1,{a})")

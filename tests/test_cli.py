@@ -113,6 +113,48 @@ def test_json_with_a_missing_key_is_a_usage_error(tmp_path):
         assert len(res.stderr.splitlines()) == 1
 
 
+@pytest.fixture(scope="module")
+def simple_module_json():
+    res = run_cli("module", "make", "simple", "--algebra", "lambda_c", "--format", "json")
+    return json.loads(res.stdout)
+
+
+def _with_algebra(module, **changes):
+    return dict(module, algebra=dict(module["algebra"], **changes))
+
+
+def _with_structure_entry(module, entry):
+    return _with_algebra(module, structure=[entry] + module["algebra"]["structure"][1:])
+
+
+_WRONG_TYPES = {
+    "actions-number": lambda m: dict(m, actions=5),
+    "dim-list": lambda m: dict(m, dim=[1]),
+    "action-rows-numbers": lambda m: dict(m, actions=[[1]]),
+    "entry-float": lambda m: dict(m, actions=[[[0.0]]] * 3),
+    "entry-list": lambda m: dict(m, actions=[[[["0"]]]] * 3),
+    "algebra-number": lambda m: dict(m, algebra=5),
+    "algebra-file-missing": lambda m: dict(m, algebra="missing.json"),
+    "e-list": lambda m: _with_algebra(m, e=[3]),
+    "structure-number": lambda m: _with_algebra(m, structure=7),
+    "structure-entry-number": lambda m: _with_structure_entry(m, 7),
+    "structure-index-list": lambda m: _with_structure_entry(m, [[1], 1, 1, "1"]),
+    "structure-constant-float": lambda m: _with_structure_entry(m, [1, 1, 1, 1.0]),
+    "field-p-list": lambda m: _with_algebra(m, field={"kind": "Fp", "p": [7]}),
+    "field-list": lambda m: _with_algebra(m, field=["Q"]),
+    "tags-list": lambda m: _with_algebra(m, tags=["x"]),
+}
+
+
+@pytest.mark.parametrize("label", list(_WRONG_TYPES))
+def test_json_with_a_wrong_value_type_is_a_usage_error(tmp_path, simple_module_json, label):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_WRONG_TYPES[label](simple_module_json)))
+    res = run_cli("check", "torsionless", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+
 def test_module_make_and_compute_from_file(tmp_path):
     mod = tmp_path / "m.json"
     res = run_cli("module", "make", "malpha:1", "--algebra", "lambda_c",

@@ -8,14 +8,17 @@ exercised over a prime field as well as over Q.
 
 import pytest
 
-from shortloc.homology import (a_dual, betti, ext_dim, ext_dims, is_reflexive,
-                               is_torsionless, left_regular_module, mho_step,
-                               projective_cover, syzygy, syzygy_power)
+from shortloc.homology import (MinimalResolution, a_dual, betti, ext_dim, ext_dims,
+                               is_reflexive, is_torsionless, left_regular_module, mho_step,
+                               projective_cover, stable_hom_dim, syzygy, syzygy_power,
+                               transpose)
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_basis
 from shortloc.modules import (cyclic_submodule, dim_vector, hom_basis, hom_dim,
                               is_isomorphic, m_alpha, mod_j_squared, quotient,
                               random_module, simple_module)
 from shortloc.presets import preset
+
+FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
 
 
 def ext1_by_extension_classes(M, N):
@@ -109,7 +112,7 @@ def ext_by_restriction(M, N, i):
     return hom_dim(pres.kernel, N) - image.dim
 
 
-@pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
+@FIELDS
 def test_ext_hom_complex_matches_restriction_route(field):
     cases = [("lambda_c", {"c": 0}), ("qexterior", {}), ("ex15_1", {"e": 3, "a": 2})]
     for name, kw in cases:
@@ -167,26 +170,91 @@ def test_mho_of_simple_is_regular_mod_socle(qext):
     assert is_isomorphic(mho_step(S).cokernel, target)
 
 
-@pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
+_RANDOM_CASES = [("L", {"e": 2}), ("qexterior", {}), ("lambda_c", {"c": 0}),
+                 ("ex15_1", {"e": 3, "a": 2})]
+
+
+def _random_pairs(field, seeds=8):
+    """Seeded random modules and their J^2-quotients over four presets."""
+    for name, kw in _RANDOM_CASES:
+        alg = preset(name, field=field, **kw)
+        for seed in range(seeds):
+            M = random_module(alg, 1 + seed % 2, 1 + seed % 3, seed=seed)
+            yield alg, seed, M, mod_j_squared(M)
+
+
+@FIELDS
 def test_dual_predicates_match_the_cosyzygy_route(field):
     # The left approximation M -> A^z is injective iff M is torsionless,
     # and a torsionless M is reflexive iff its cosyzygy is torsionless:
     # the evaluation map M -> M** against the mho route.
-    cases = [("L", {"e": 2}), ("qexterior", {}), ("lambda_c", {"c": 0}),
-             ("ex15_1", {"e": 3, "a": 2})]
     reflexive_verdicts = []
-    for name, kw in cases:
-        alg = preset(name, field=field, **kw)
-        for seed in range(8):
-            M = random_module(alg, 1 + seed % 2, 1 + seed % 3, seed=seed)
-            for N in (M, mod_j_squared(M)):
-                step = mho_step(N)
-                assert is_torsionless(N) == step.injective, (alg.name, seed)
-                if step.injective:
-                    reflexive = is_reflexive(N)
-                    assert reflexive == is_torsionless(step.cokernel), (alg.name, seed)
-                    reflexive_verdicts.append(reflexive)
+    for alg, seed, *mods in _random_pairs(field):
+        for N in mods:
+            step = mho_step(N)
+            assert is_torsionless(N) == step.injective, (alg.name, seed)
+            if step.injective:
+                reflexive = is_reflexive(N)
+                assert reflexive == is_torsionless(step.cokernel), (alg.name, seed)
+                reflexive_verdicts.append(reflexive)
     assert reflexive_verdicts.count(True) >= 20 and reflexive_verdicts.count(False) >= 5
+
+
+def stable_hom_by_cover_homs(M, N):
+    """dim of the stable Hom with Hom(M, P) solved directly for the cover P -> N.
+
+    Every homomorphism into the free module P is composed with the cover;
+    the Hom(M, A) basis is not used.
+    """
+    hb = hom_basis(M, N)
+    if not hb:
+        return 0
+    pres = projective_cover(N)
+    comps = [pres.cover_map.matrix * h.matrix for h in hom_basis(M, pres.cover_map.source)]
+    flat = [tuple(x for row in c.data for x in row) for c in comps]
+    return len(hb) - Subspace.from_vectors(M.field, N.dim * M.dim, flat).dim
+
+
+@FIELDS
+def test_stable_hom_matches_homs_into_the_cover(field):
+    factoring = 0
+    for alg, seed, M, M2 in _random_pairs(field, seeds=4):
+        for X in (M, M2):
+            for Y in (M2, simple_module(alg)):
+                stable = stable_hom_dim(X, Y)
+                assert stable == stable_hom_by_cover_homs(X, Y), (alg.name, seed)
+                factoring += stable < hom_dim(X, Y)
+    assert factoring >= 10
+
+
+@FIELDS
+def test_transpose_dimension_from_the_dual_sequence(field):
+    # 0 -> M* -> P_0* -> P_1* -> Tr M -> 0 is exact.
+    for alg, seed, *mods in _random_pairs(field, seeds=5):
+        for M in mods:
+            res = MinimalResolution(M)
+            expected = (res.rank(1) - res.rank(0)) * alg.dim + a_dual(M).dim
+            assert transpose(M).dim == expected, (alg.name, seed)
+
+
+@FIELDS
+def test_boundaries_compose_to_zero(field):
+    # d_j(d_{j+1}(unit_l)) has m-th component sum_k D_{j+1}[l][k] D_j[k][m];
+    # ``cancelled`` counts the sums whose terms are not all zero.
+    checks = cancelled = 0
+    for alg, seed, *mods in _random_pairs(field, seeds=3):
+        for M in mods:
+            res = MinimalResolution(M)
+            for j in (1, 2):
+                lower, upper = res.boundary_elements(j), res.boundary_elements(j + 1)
+                for row in upper:
+                    for m in range(res.rank(j - 1)):
+                        terms = [alg.mul(g, lower[k][m]) for k, g in enumerate(row)]
+                        assert not any(sum(c, alg.field.zero()) for c in zip(*terms)), \
+                            (alg.name, seed, j)
+                        checks += 1
+                        cancelled += any(map(any, terms))
+    assert checks >= 100 and cancelled >= 40
 
 
 # -- prime field coverage ---------------------------------------------------

@@ -445,6 +445,29 @@ def test_mho_path_solves_one_dual_per_module(hom_into_a, conca32):
     assert [M.dim for M in hom_into_a] == [s.dim for s in record.steps[:-1]]
 
 
+@pytest.fixture
+def hom_targets(monkeypatch):
+    """Targets of each hom_space solve."""
+    seen = []
+
+    def counted(M, N, _original=modules.hom_space):
+        seen.append(N)
+        return _original(M, N)
+    for mod in (modules, homology):
+        monkeypatch.setattr(mod, "hom_space", counted)
+    return seen
+
+
+def test_stable_hom_solves_no_hom_into_a_free_module_of_rank_two(hom_targets, lam0):
+    # The maps through the cover A^2 -> N come from Hom(M, A), solved once.
+    M = m_alpha(lam0, 0)
+    N = direct_sum(M, m_alpha(lam0, 1))
+    assert projective_cover(N).cover_rank == 2
+    hom_targets.clear()
+    assert stable_hom_dim(M, N) == stable_hom_dim(M, M) + stable_hom_dim(M, m_alpha(lam0, 1))
+    assert [T.free_rank for T in hom_targets] == [None, 1] * 3
+
+
 def test_forward_walk_solves_two_duals_per_step(hom_into_a, qext):
     # One solve for the torsionless check on J, then Hom(M, A) and
     # Hom(M*, A^op) for each module the forward walk steps through.
