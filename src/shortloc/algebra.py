@@ -153,12 +153,12 @@ class ShortAlgebra:
     def left_mult_matrix(self, u: Sequence) -> Matrix:
         """Matrix of x -> u*x in the fixed basis."""
         cols = [self.mul(u, self.basis_vector(k)) for k in range(self.dim)]
-        return Matrix(self.field, list(zip(*cols)))
+        return Matrix.from_columns(self.field, cols, self.dim)
 
     def right_mult_matrix(self, u: Sequence) -> Matrix:
         """Matrix of x -> x*u in the fixed basis."""
         cols = [self.mul(self.basis_vector(k), u) for k in range(self.dim)]
-        return Matrix(self.field, list(zip(*cols)))
+        return Matrix.from_columns(self.field, cols, self.dim)
 
     def is_commutative(self) -> bool:
         for (i, j, m), c in self.structure.items():

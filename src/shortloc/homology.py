@@ -49,7 +49,7 @@ class Presentation:
 
     @cached_property
     def _kernel(self) -> tuple[AModule, ModuleMap]:
-        return module_from_subspace(self.cover_map.source, self._kernel_space, check=False)
+        return module_from_subspace(self.cover_map.source, self._kernel_space)
 
     @property
     def kernel(self) -> AModule:
@@ -92,16 +92,12 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     P = free_module(alg, t)
     if P.dim > cap:
         raise ResourceCapExceeded(P.dim, cap)
-    lifts = M.top_lift()
-    cols = []
-    for m in lifts:
-        cols.append(tuple(m))
-        for i in range(alg.e):
-            cols.append(M.actions[i].apply(m))
-        for Y in M.w_actions():
-            cols.append(Y.apply(m))
-    cover = Matrix(M.field, list(zip(*cols)), cols=P.dim) if M.dim else \
-        Matrix(M.field, [], cols=P.dim)
+    # Copy k of A sends its basis (1, v_1.., w_1..) to (m, v_1 m.., w_1 m..)
+    # for the k-th top lift m.
+    lifts = Matrix.from_columns(M.field, M.top_lift(), M.dim)
+    images = [lifts] + [X * lifts for X in M.actions + M.w_actions()]
+    blocks = [img.transpose().data for img in images]
+    cover = Matrix.from_columns(M.field, [b[k] for k in range(t) for b in blocks], M.dim)
     ker = kernel_subspace(cover)
     if P.dim - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
@@ -164,14 +160,12 @@ class MinimalResolution:
             raise ValueError("boundaries start at index 1")
         self.extend_to(j)
         n = self.module.algebra.dim
-        emb = self.steps[j - 1].kernel_embedding
+        emb = self.steps[j - 1].kernel_embedding.matrix
         t_prev = self.steps[j - 1].cover_rank
-        out = []
         # The cover P_j -> Omega^j sends unit_l to the l-th top lift.
-        for m in self.steps[j].module.top_lift():
-            col = emb.apply(m)
-            out.append([tuple(col[k * n:(k + 1) * n]) for k in range(t_prev)])
-        return out
+        lifts = Matrix.from_columns(emb.field, self.steps[j].module.top_lift(), emb.cols)
+        return [[col[k * n:(k + 1) * n] for k in range(t_prev)]
+                for col in (emb * lifts).transpose().data]
 
 
 def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> Matrix:
@@ -251,7 +245,7 @@ class DualData:
         for i in range(1, alg.e + 1):
             R = alg.right_mult_matrix(alg.generator(i))
             cols = [self.homs.coords(R * f.matrix) for f in self.homs.maps]
-            acts.append(Matrix(alg.field, list(zip(*cols)), cols=z))
+            acts.append(Matrix.from_columns(alg.field, cols, z))
         return AModule(alg.opposite(), z, acts, check=False)
 
     @cached_property
@@ -273,7 +267,7 @@ class DualData:
             mat_cols = [f.matrix.col(c) for f in self.homs.maps]
             cols.append(bidual.homs.flat.coords(tuple(x for row in zip(*mat_cols) for x in row)))
         target = AModule(M.algebra, bidual.module.dim, bidual.module.actions, check=False)
-        return ModuleMap(M, target, Matrix(M.field, list(zip(*cols)), cols=M.dim))
+        return ModuleMap(M, target, Matrix.from_columns(M.field, cols, target.dim))
 
     @property
     def reflexive(self) -> bool:
@@ -302,11 +296,8 @@ class DualData:
             gs.append(acc)
         u = ModuleMap(M, P, Matrix.vstack(gs) if gs else Matrix(M.field, [], cols=M.dim))
         # Certificate: each f in the hom basis solves f = sum_k r(b) g_k.
-        factor_cols = []
-        for g in gs:
-            for bidx in range(alg.dim):
-                comp = alg.right_mult_matrix(alg.basis_vector(bidx)) * g
-                factor_cols.append(self.homs.flatten(comp))
+        rights = [alg.right_mult_matrix(alg.basis_vector(b)) for b in range(alg.dim)]
+        factor_cols = [self.homs.flatten(R * g) for g in gs for R in rights]
         factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)
         if not factor_space.contains_space(self.homs.flat):
             raise InvariantViolation("left approximation fails its factoring certificate")
@@ -375,8 +366,7 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
         return zero_module(op)
     big = _hom_complex_matrix(res, left_regular_module(alg), 1)
     F1 = free_module(op, t1)
-    image = Subspace.from_vectors(M.field, F1.dim,
-                                  [big.col(j) for j in range(big.cols)])
+    image = Subspace.from_vectors(M.field, F1.dim, big.transpose().data)
     tr, _ = quotient(F1, image)
     return tr
 

@@ -46,12 +46,12 @@ def tilde(M: AModule) -> KroneckerRep:
     if M.loewy_length() > 2:
         raise LoewyTooLong("the Kronecker shadow needs Loewy length <= 2")
     rad = M.radical()
-    lifts = M.top_lift()
+    lifts = Matrix.from_columns(M.field, M.top_lift(), M.dim)
     maps = []
     for X in M.actions:
-        cols = [rad.coords(X.apply(t)) for t in lifts]
-        maps.append(Matrix(M.field, list(zip(*cols)), cols=len(lifts)))
-    return KroneckerRep(e=M.algebra.e, dim0=len(lifts), dim1=rad.dim, maps=tuple(maps))
+        cols = [rad.coords(c) for c in (X * lifts).transpose().data]
+        maps.append(Matrix.from_columns(M.field, cols, rad.dim))
+    return KroneckerRep(e=M.algebra.e, dim0=lifts.cols, dim1=rad.dim, maps=tuple(maps))
 
 
 def rep_as_module(rep: KroneckerRep, alg: ShortAlgebra) -> AModule:
@@ -196,7 +196,7 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
                     block = kv[i * d0:(i + 1) * d0]
                     acc = [s + coef * x if x else s for s, x in zip(acc, block)]
             cols.append(acc)
-        new_maps.append(Matrix(field, list(zip(*cols)), cols=nk))
+        new_maps.append(Matrix.from_columns(field, cols, d0))
     return KroneckerRep(e=e, dim0=nk, dim1=d0, maps=tuple(new_maps))
 
 

@@ -5,6 +5,11 @@ available, ``fractions.Fraction`` otherwise; both keep values in lowest
 terms with positive denominator and print as ``"3/2"`` / ``"-1"``) or
 residues mod a prime wrapped in :class:`Fp`.  All arithmetic is exact;
 there is no floating point anywhere in this package.
+
+:meth:`Matrix.__mul__` is the one product kernel: a set of vectors is
+mapped by a single product with the matrix whose columns they are
+(:meth:`Matrix.from_columns`), and :meth:`Matrix.apply` is the product
+with a one-column matrix.
 """
 
 from __future__ import annotations
@@ -116,22 +121,31 @@ class Field:
         return Rational(1) if self.characteristic == 0 else Fp(1, self.characteristic)
 
     def of(self, x):
-        """Coerce an int, string ("p/q" or decimal), rational or Fp element."""
+        """Coerce an int, string ("p/q" or decimal), rational or Fp element.
+
+        This is the one place that refuses a zero denominator, and over F_p
+        a denominator divisible by p, with :class:`BadParams`.
+        """
         p = self.characteristic
+        if isinstance(x, str):
+            try:
+                x = (Rational if p == 0 else Fraction)(x.strip())
+            except ZeroDivisionError:
+                raise BadParams(f"zero denominator in {x.strip()!r}") from None
         if p == 0:
             if isinstance(x, Fp):
                 raise BadParams("cannot coerce a prime-field residue into Q")
-            return Rational(x) if not isinstance(x, str) else Rational(x.strip())
+            return Rational(x)
         if isinstance(x, Fp):
             if x.p != p:
                 raise BadParams(f"residue mod {x.p} used in F_{p}")
             return x
         if isinstance(x, int):
             return Fp(x, p)
-        if isinstance(x, str):
-            x = Fraction(x.strip())
         if isinstance(x, Fraction) or (_mpq is not None and isinstance(x, type(_mpq(0)))):
             num, den = int(x.numerator), int(x.denominator)
+            if den % p == 0:
+                raise BadParams(f"denominator {den} is divisible by the characteristic {p}")
             return Fp(num, p) / Fp(den, p)
         raise BadParams(f"cannot coerce {x!r} into F_{p}")
 
@@ -148,9 +162,10 @@ DEFAULT_POOL = (-2, -1, 0, 1, 2)
 class Matrix:
     """An immutable dense matrix with exact entries.
 
-    Stored row-major as a tuple of row tuples.  Multiplication walks only
-    the non-zero entries of each row, so products with the very sparse
-    structural matrices that dominate this package stay cheap.
+    Stored row-major as a tuple of row tuples.  Multiplication, the one
+    product kernel, walks only the non-zero entries of each row, so products
+    with the very sparse structural matrices that dominate this package stay
+    cheap; a matrix-vector product is a product with a one-column matrix.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -167,6 +182,14 @@ class Matrix:
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Iterable], cols: Optional[int] = None) -> "Matrix":
         return Matrix(field, [[field.of(x) for x in row] for row in rows], cols=cols)
+
+    @staticmethod
+    def from_columns(field: Field, columns: Sequence[Sequence], rows: int) -> "Matrix":
+        """The ``rows`` x len(columns) matrix whose j-th column is columns[j]."""
+        if any(len(c) != rows for c in columns):
+            raise DimensionMismatch("column length mismatch")
+        return Matrix(field, list(zip(*columns)) if columns else [[] for _ in range(rows)],
+                      cols=len(columns))
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
@@ -196,9 +219,7 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return Matrix(self.field, [[] for _ in range(self.cols)], cols=0)
-        return Matrix(self.field, list(zip(*self.data)), cols=self.rows)
+        return Matrix.from_columns(self.field, self.data, self.cols)
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, [[-x for x in row] for row in self.data], cols=self.cols)
@@ -232,18 +253,10 @@ class Matrix:
         return Matrix(self.field, out, cols=other.cols)
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector: the product with a one-column matrix."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        zero = self.field.zero()
-        out = []
-        for row in self.data:
-            s = zero
-            for a, v in zip(row, vec):
-                if a and v:
-                    s = s + a * v
-            out.append(s)
-        return tuple(out)
+        return (self * Matrix.from_columns(self.field, [vec], self.cols)).col(0)
 
     @staticmethod
     def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -434,16 +447,11 @@ class Subspace:
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient)
-        cols = [list(row) for row in self.basis] + [[-x for x in row] for row in other.basis]
-        stacked = Matrix(self.field, list(zip(*cols)))
-        vectors = []
-        for kv in kernel_basis(stacked):
-            acc = [self.field.zero()] * self.ambient
-            for coef, row in zip(kv[:self.dim], self.basis):
-                if coef:
-                    acc = [a + coef * b if b else a for a, b in zip(acc, row)]
-            vectors.append(acc)
-        return Subspace.from_vectors(self.field, self.ambient, vectors)
+        cols = list(self.basis) + [[-x for x in row] for row in other.basis]
+        coefs = [kv[:self.dim] for kv in kernel_basis(Matrix.from_columns(self.field, cols,
+                                                                        self.ambient))]
+        vectors = Matrix(self.field, coefs, cols=self.dim) * Matrix(self.field, self.basis)
+        return Subspace.from_vectors(self.field, self.ambient, vectors.data)
 
     def complement(self) -> list[tuple]:
         """Standard basis vectors extending this basis to the ambient space."""

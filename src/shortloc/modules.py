@@ -103,12 +103,7 @@ class AModule:
     def radical(self) -> Subspace:
         """JM, the span of the images of the generator actions."""
         if self._radical is None:
-            vecs = []
-            for X in self.actions:
-                for j in range(self.dim):
-                    col = X.col(j)
-                    if any(col):
-                        vecs.append(col)
+            vecs = [c for X in self.actions for c in X.transpose().data if any(c)]
             self._radical = Subspace.from_vectors(self.field, self.dim, vecs)
         return self._radical
 
@@ -134,11 +129,7 @@ class AModule:
             elif self.radical().dim == 0:
                 self._loewy = 1
             else:
-                rad = self.radical()
-                j2_zero = all(
-                    not any(X.apply(v))
-                    for X in self.actions for v in rad.basis)
-                self._loewy = 2 if j2_zero else 3
+                self._loewy = 3 if _images(self.radical().basis, self.actions) else 2
         return self._loewy
 
     def top_lift(self) -> list[tuple]:
@@ -197,8 +188,8 @@ class ModuleMap:
         return self.matrix.apply(vec)
 
     def image(self) -> Subspace:
-        cols = [self.matrix.col(j) for j in range(self.matrix.cols)]
-        return Subspace.from_vectors(self.target.field, self.target.dim, cols)
+        return Subspace.from_vectors(self.target.field, self.target.dim,
+                                     self.matrix.transpose().data)
 
     def rank(self) -> int:
         return rref(self.matrix)[1]
@@ -258,55 +249,50 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
 
 
 def _images(vectors: Sequence[Sequence], matrices: Sequence[Matrix]) -> list[tuple]:
-    """The non-zero images of the vectors under the matrices."""
-    out = []
-    for v in vectors:
-        for X in matrices:
-            img = X.apply(v)
-            if any(img):
-                out.append(img)
-    return out
+    """The non-zero images of the vectors under the matrices, one product each."""
+    if not matrices:
+        return []
+    cols = Matrix.from_columns(matrices[0].field, vectors, matrices[0].cols)
+    return [c for X in matrices for c in (X * cols).transpose().data if any(c)]
 
 
 def _is_stable(M: AModule, space: Subspace) -> bool:
     """True iff the generator actions of M map the subspace into itself."""
-    return all(space.contains(X.apply(v)) for X in M.actions for v in space.basis)
+    return all(space.contains(v) for v in _images(space.basis, M.actions))
 
 
-def module_from_subspace(M: AModule, space: Subspace, check: bool = True) -> tuple[AModule, ModuleMap]:
+def module_from_subspace(M: AModule, space: Subspace) -> tuple[AModule, ModuleMap]:
     """An action-stable subspace as a module, with its embedding into M.
 
-    The subspace basis is row reduced, so the coordinates of a member
-    vector are just its entries at the pivot columns; the induced action
-    matrices are read off without solving any system.
+    Each action maps the whole basis in one product.  The subspace basis is
+    row reduced, so the coordinates of a member vector are just its entries
+    at the pivot columns: the induced action matrix is the image's rows at
+    the pivots, read off without solving any system.
     """
-    if check and not _is_stable(M, space):
-        raise BadParams("subspace is not stable under the module action")
+    emb = Matrix.from_columns(M.field, space.basis, M.dim)
     acts = []
     for X in M.actions:
-        cols = [space.coords(X.apply(v)) for v in space.basis]
-        acts.append(Matrix(M.field, list(zip(*cols)), cols=space.dim))
+        image = X * emb
+        if not all(space.contains(c) for c in image.transpose().data):
+            raise BadParams("subspace is not stable under the module action")
+        acts.append(Matrix(M.field, [image.data[p] for p in space.pivots], cols=space.dim))
     sub = AModule(M.algebra, space.dim, acts, check=False)
-    emb = ModuleMap(sub, M, Matrix(M.field, list(zip(*space.basis)) if space.dim else
-                                   [[] for _ in range(M.dim)]))
-    return sub, emb
+    return sub, ModuleMap(sub, M, emb)
 
 
 def submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
     """The submodule spanned by the given vectors (must be action-stable)."""
-    space = Subspace.from_vectors(M.field, M.dim, vectors)
-    return module_from_subspace(M, space, check=True)
+    return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim, vectors))
 
 
 def generated_submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
-    """The submodule generated by the vectors: their span closed under A."""
+    """The submodule generated by the vectors: their span closed under A.
+
+    One closure round suffices: J*(Jv) lies in J^2 v and J^2*(Jv) = 0.
+    """
     vecs = [tuple(v) for v in vectors]
     closure = vecs + _images(vecs, M.actions + M.w_actions())
-    space = Subspace.from_vectors(M.field, M.dim, closure)
-    # One closure round suffices: J*(Jv) lies in J^2 v and J^2*(Jv) = 0.
-    if not _is_stable(M, space):
-        raise InvariantViolation("generated span failed to close")
-    return module_from_subspace(M, space, check=False)
+    return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim, closure))
 
 
 def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
@@ -328,16 +314,18 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
         for c in free:
             img = sub.reduce(X.col(c))
             cols.append([img[f] for f in free])
-        acts.append(Matrix(M.field, list(zip(*cols)), cols=qdim))
+        acts.append(Matrix.from_columns(M.field, cols, qdim))
     Q = AModule(M.algebra, qdim, acts, check=False)
-    reduced_basis = []
-    for c in range(M.dim):
-        basis_vec = [M.field.zero()] * M.dim
-        basis_vec[c] = M.field.one()
-        reduced_basis.append(sub.reduce(basis_vec))
-    proj_rows = [[reduced_basis[c][f] for c in range(M.dim)] for f in free]
-    proj = ModuleMap(M, Q, Matrix(M.field, proj_rows, cols=M.dim))
-    return Q, proj
+    # Reducing e_c leaves e_c at a free column c and e_c - row at the
+    # pivot of that row, so the projection is read off the basis rows.
+    proj_rows = []
+    for f in free:
+        row = [M.field.zero()] * M.dim
+        row[f] = M.field.one()
+        for p, basis_row in zip(sub.pivots, sub.basis):
+            row[p] = -basis_row[f]
+        proj_rows.append(row)
+    return Q, ModuleMap(M, Q, Matrix(M.field, proj_rows, cols=M.dim))
 
 
 def direct_sum(M: AModule, N: AModule) -> AModule:
@@ -350,7 +338,7 @@ def direct_sum(M: AModule, N: AModule) -> AModule:
 def radical_module(alg: ShortAlgebra) -> AModule:
     """J as a left module (the radical of the regular module)."""
     reg = left_regular_module(alg)
-    sub, _ = module_from_subspace(reg, reg.radical(), check=False)
+    sub, _ = module_from_subspace(reg, reg.radical())
     return sub
 
 
@@ -388,7 +376,7 @@ def m_alpha(alg: ShortAlgebra, alpha) -> AModule:
         cols = [[zero] * d for _ in range(d)]
         for row, val in images.items():
             cols[0][row] = val
-        return Matrix(alg.field, list(zip(*cols)))
+        return Matrix.from_columns(alg.field, cols, d)
 
     acts = [action({1: al}), action({1: one}), action({2: one})]
     for i in range(1, c + 1):

@@ -155,6 +155,35 @@ def test_json_with_a_wrong_value_type_is_a_usage_error(tmp_path, simple_module_j
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
 
+def _module_file(tmp_path, payload):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+_ZERO_DENOMINATORS = {
+    "cyclic-coordinate": lambda tmp, m: ("compute", "syzygy", "cyclic:0,1/0,0,0",
+                                         "--algebra", "qexterior"),
+    "preset-parameter": lambda tmp, m: ("betti", "simple", "--algebra", "qexterior:q=1/0",
+                                        "--n", "2"),
+    "malpha-parameter": lambda tmp, m: ("check", "torsionless", "malpha:1/0",
+                                        "--algebra", "lambda_c"),
+    "module-scalar": lambda tmp, m: ("check", "torsionless",
+                                     _module_file(tmp, dict(m, actions=[[["1/0"]]] * 3))),
+    "fp-structure-constant": lambda tmp, m: (
+        "check", "torsionless",
+        _module_file(tmp, _with_structure_entry(
+            _with_algebra(m, field={"kind": "Fp", "p": 7}), [1, 2, 1, "1/7"]))),
+}
+
+
+@pytest.mark.parametrize("label", list(_ZERO_DENOMINATORS))
+def test_zero_denominator_is_a_usage_error(tmp_path, simple_module_json, label):
+    res = run_cli(*_ZERO_DENOMINATORS[label](tmp_path, simple_module_json))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: BadParams:") and len(res.stderr.splitlines()) == 1
+
+
 def test_module_make_and_compute_from_file(tmp_path):
     mod = tmp_path / "m.json"
     res = run_cli("module", "make", "malpha:1", "--algebra", "lambda_c",

@@ -12,10 +12,11 @@ from shortloc.homology import (MinimalResolution, a_dual, betti, ext_dim, ext_di
                                is_reflexive, is_torsionless, left_regular_module, mho_step,
                                projective_cover, stable_hom_dim, syzygy, syzygy_power,
                                transpose)
+from shortloc.kronecker import tilde
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_basis
 from shortloc.modules import (cyclic_submodule, dim_vector, hom_basis, hom_dim,
-                              is_isomorphic, m_alpha, mod_j_squared, quotient,
-                              random_module, simple_module)
+                              is_isomorphic, m_alpha, mod_j_squared, module_from_subspace,
+                              quotient, random_module, simple_module)
 from shortloc.presets import preset
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
@@ -255,6 +256,81 @@ def test_boundaries_compose_to_zero(field):
                         checks += 1
                         cancelled += any(map(any, terms))
     assert checks >= 100 and cancelled >= 40
+
+
+def plain_apply(X, v):
+    """X·v by plain sums over the rows of X; no matrix product is formed."""
+    zero = X.field.zero()
+    return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in X.data)
+
+
+def plain_basis_images(M, v):
+    """(1, v_1, .., v_e, w_1, .., w_a)·v, with w_m·v from the product sections."""
+    alg = M.algebra
+    gens = [plain_apply(X, v) for X in M.actions]
+    out = [tuple(v)] + gens
+    for section in alg.sections():
+        acc = [alg.field.zero()] * M.dim
+        for idx, coef in enumerate(section):
+            if coef:
+                i, j = divmod(idx, alg.e)
+                acc = [s + coef * x for s, x in zip(acc, plain_apply(M.actions[i], gens[j]))]
+        out.append(tuple(acc))
+    return out
+
+
+def assert_induced_actions(M, sub, emb):
+    # X·emb = emb·X_sub, both sides column by column with plain sums.
+    for X, Y in zip(M.actions, sub.actions):
+        for j in range(sub.dim):
+            assert plain_apply(X, emb.matrix.col(j)) == plain_apply(emb.matrix, Y.col(j))
+
+
+@FIELDS
+def test_products_match_plain_sums(field):
+    # Every engine that maps a basis by one matrix product, against X·v
+    # summed entry by entry.
+    checked = {"kernel": 0, "radical": 0, "cover": 0, "tilde": 0, "boundary": 0,
+               "projection": 0}
+    for alg, seed, *mods in _random_pairs(field, seeds=4):
+        n = alg.dim
+        for M in mods:
+            pres = projective_cover(M)
+            assert_induced_actions(pres.cover_map.source, pres.kernel, pres.kernel_embedding)
+            assert_induced_actions(M, *module_from_subspace(M, M.radical()))
+            checked["kernel"] += pres.kernel.dim > 0
+            checked["radical"] += M.radical().dim > 0
+            cover = pres.cover_map.matrix
+            for k, m in enumerate(M.top_lift()):
+                for u, img in enumerate(plain_basis_images(M, m)):
+                    assert cover.col(k * n + u) == img, (alg.name, seed, k, u)
+            checked["cover"] += pres.cover_rank
+            if M.loewy_length() <= 2:
+                rad = M.radical()
+                maps = tilde(M).maps
+                for X, phi in zip(M.actions, maps):
+                    for c, m in enumerate(M.top_lift()):
+                        assert phi.col(c) == rad.coords(plain_apply(X, m)), (alg.name, seed)
+                checked["tilde"] += 1
+            res = MinimalResolution(M)
+            for j in (1, 2):
+                rows = res.boundary_elements(j)
+                assert len(rows) == res.rank(j)
+                emb = res.steps[j - 1].kernel_embedding.matrix
+                for row, m in zip(rows, res.steps[j].module.top_lift()):
+                    col = plain_apply(emb, m)
+                    assert row == [col[k * n:(k + 1) * n] for k in range(res.rank(j - 1))]
+                    checked["boundary"] += 1
+            for space in (M.radical(), M.socle()):
+                _, proj = quotient(M, space)
+                free = [c for c in range(M.dim) if c not in space.pivots]
+                for c in range(M.dim):
+                    unit = [field.zero()] * M.dim
+                    unit[c] = field.one()
+                    reduced = space.reduce(unit)
+                    assert proj.matrix.col(c) == tuple(reduced[f] for f in free)
+                checked["projection"] += M.dim
+    assert min(checked.values()) >= 20, checked
 
 
 # -- prime field coverage ---------------------------------------------------

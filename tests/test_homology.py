@@ -9,6 +9,8 @@ from shortloc.homology import (BoundedVerdict, MinimalResolution, a_dual, betti,
                                is_torsionless, mho_step,
                                minimal_left_approximation, projective_cover,
                                stable_hom_dim, syzygy, syzygy_power, transpose)
+from shortloc.kronecker import tilde
+from shortloc.linalg import Matrix
 from shortloc.modules import (cyclic_submodule, dim_vector, direct_sum, free_module,
                               hom_dim, is_isomorphic, left_regular_module, m_alpha,
                               mod_j_squared, radical_module, random_module,
@@ -474,3 +476,24 @@ def test_forward_walk_solves_two_duals_per_step(hom_into_a, qext):
     cls = classify_complex(radical_module(qext), 1, 3)
     assert cls.forward_verified and cls.period is None
     assert len(hom_into_a) == 1 + 2 * 3
+
+
+# -- vectors are mapped by matrix products ------------------------------------
+
+def test_engines_map_vectors_by_products_only(monkeypatch, conca32, lam0):
+    # Covers, induced actions, boundaries, closures and the Kronecker shadow
+    # map whole bases with one product each, never vector by vector.
+    applied = []
+    original = Matrix.apply
+
+    def counted(self, vec):
+        applied.append(self)
+        return original(self, vec)
+    monkeypatch.setattr(Matrix, "apply", counted)
+    S = simple_module(conca32)
+    assert betti(S, 4).values == (1, 3, 7, 15, 31)
+    ext_dims(S, left_regular_module(conca32), 2)
+    transpose(m_alpha(lam0, 1))
+    tilde(cyclic_x(conca32))
+    mod_j_squared(random_module(conca32, 2, 1, seed=0))
+    assert applied == []

@@ -148,6 +148,11 @@ def test_sigma_omega_compatibility(qext):
     Mx2y = cyclic_submodule(qext, [0, 1, -2, 0])
     assert verify_sigma_omega(qext, Mxy)
     assert verify_sigma_omega(qext, Mx2y)
+    # A/J^2 has an injective big Phi: the reflection has an empty kernel
+    # space and lands on the simple J^2 = Omega(A/J^2).
+    top = mod_j_squared(left_regular_module(qext))
+    assert sigma_reflection(qext, tilde(top)).dim_vector == (0, 1)
+    assert verify_sigma_omega(qext, top)
 
 
 def test_sigma_omega_excludes_simple_summands(qext):
