@@ -49,6 +49,8 @@ class ShortAlgebra:
         self._report = None
         self._product_kernel = None
         self._sections = None
+        self._regular = None
+        self._opposite = None
 
     @property
     def dim(self) -> int:
@@ -155,10 +157,12 @@ class ShortAlgebra:
         cols = [self.mul(u, self.basis_vector(k)) for k in range(self.dim)]
         return Matrix.from_columns(self.field, cols, self.dim)
 
-    def right_mult_matrix(self, u: Sequence) -> Matrix:
-        """Matrix of x -> x*u in the fixed basis."""
-        cols = [self.mul(self.basis_vector(k), u) for k in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, self.dim)
+    def regular_actions(self) -> tuple[Matrix, ...]:
+        """Left multiplications by v_1..v_e (the regular action), built once."""
+        if self._regular is None:
+            self._regular = tuple(self.left_mult_matrix(self.generator(i))
+                                  for i in range(1, self.e + 1))
+        return self._regular
 
     def is_commutative(self) -> bool:
         for (i, j, m), c in self.structure.items():
@@ -171,17 +175,16 @@ class ShortAlgebra:
     def opposite(self) -> "ShortAlgebra":
         """The opposite algebra: c'_{ijm} = c_{jim}.
 
-        Right A-modules are exactly left modules over the opposite.
+        Right A-modules are exactly left modules over the opposite; it is built once.
         """
-        struct = {(j, i, m): c for (i, j, m), c in self.structure.items()}
-        if self.name.endswith("^op"):
-            name = self.name[:-3]
-        elif self.name:
-            name = self.name + "^op"
-        else:
-            name = ""
-        tags = {"generators": self.tags.get("generators")} if "generators" in self.tags else {}
-        return ShortAlgebra(self.field, self.e, self.a, struct, name=name, tags=tags)
+        if self._opposite is None:
+            struct = {(j, i, m): c for (i, j, m), c in self.structure.items()}
+            name = self.name[:-3] if self.name.endswith("^op") \
+                else self.name and self.name + "^op"
+            tags = {k: v for k, v in self.tags.items() if k == "generators"}
+            self._opposite = ShortAlgebra(self.field, self.e, self.a, struct, name=name,
+                                          tags=tags)
+        return self._opposite
 
     # -- validation ----------------------------------------------------
 
@@ -189,17 +192,12 @@ class ShortAlgebra:
         """{z in A : J z = 0}, computed from the regular representation."""
         if self.e == 0:
             return Subspace.full(self.field, self.dim)
-        stacked = Matrix.vstack([self.left_mult_matrix(self.generator(i))
-                                 for i in range(1, self.e + 1)])
+        stacked = Matrix.vstack(self.regular_actions())
         return Subspace.from_vectors(self.field, self.dim, kernel_basis(stacked))
 
     def right_socle(self) -> Subspace:
-        """{z in A : z J = 0}."""
-        if self.e == 0:
-            return Subspace.full(self.field, self.dim)
-        stacked = Matrix.vstack([self.right_mult_matrix(self.generator(i))
-                                 for i in range(1, self.e + 1)])
-        return Subspace.from_vectors(self.field, self.dim, kernel_basis(stacked))
+        """{z in A : z J = 0}, the left socle of the opposite algebra."""
+        return self.opposite().left_socle()
 
     def validate(self) -> "AlgebraReport":
         """Check the structural invariants and summarize the algebra."""

@@ -108,6 +108,8 @@ def _first_period(M: AModule, syzygies: Iterable[AModule], seed: int) -> Optiona
 
 def omega_path(M: AModule, n: int, cap: int = DEFAULT_CAP) -> PathRecord:
     """Record the invariants of M, Omega M, ..., Omega^n M."""
+    if n < 0:
+        raise BadParams(f"n must be at least 0, got {n}")
     mods, reason = _syzygy_walk(M, n, cap)
     steps = tuple(describe_step(mod, i) for i, mod in enumerate(mods))
     return PathRecord(direction="omega", steps=steps, terminated_reason=reason)
@@ -119,6 +121,8 @@ def mho_path(M: AModule, n: int) -> PathRecord:
     Each module's Hom(-, A) is solved once and serves both the torsionless
     check and the cosyzygy step.
     """
+    if n < 0:
+        raise BadParams(f"n must be at least 0, got {n}")
     steps = [describe_step(M, 0)]
     cur = M
     reason = None
@@ -219,6 +223,8 @@ def classify_complex(M: AModule, back: int, fwd: int, seed: int = 0,
     reflexivity chain.  Self-injective algebras are reported as their own
     regime (there every module is an image in a complete resolution).
     """
+    if back < 0 or fwd < 0:
+        raise BadParams(f"back and fwd must be at least 0, got {back}, {fwd}")
     if M.loewy_length() > 2:
         raise LoewyTooLong("complex classification needs Loewy length <= 2")
     if not is_torsionless(M):
@@ -267,36 +273,28 @@ def classify_complex(M: AModule, back: int, fwd: int, seed: int = 0,
     if a_defects:
         _check_defect_monotonicity(steps)
 
+    v_index = None
     if alg.is_self_injective():
-        return ComplexClassification(kind="SelfInjectiveRegime", ranks=ranks,
-                                     module_index=module_index, defects=defects,
-                                     forward_verified=forward_verified, period=period,
-                                     obstruction=obstruction)
-
-    incomplete = obstruction is not None and (fwd > 0 and not forward_verified
-                                              or len(back_mods) < back + 1)
-    if incomplete:
-        return ComplexClassification(kind="NotAcyclicExtendable", ranks=ranks,
-                                     module_index=module_index, defects=defects,
-                                     forward_verified=forward_verified, period=period,
-                                     obstruction=obstruction)
-
-    v = 0
-    while v + 1 < len(ranks) and ranks[v + 1] == ranks[0]:
-        v += 1
-    if v == len(ranks) - 1:
-        return ComplexClassification(kind="TypeI", ranks=ranks,
-                                     module_index=module_index, defects=defects,
-                                     forward_verified=forward_verified, period=period)
-    tail = ranks[v:]
-    if all(tail[i + 1] > tail[i] for i in range(len(tail) - 1)):
-        return ComplexClassification(kind="TypeII", ranks=ranks, v_index=v,
-                                     module_index=module_index, defects=defects,
-                                     forward_verified=forward_verified, period=period)
-    return ComplexClassification(kind="NotAcyclicExtendable", ranks=ranks,
-                                 module_index=module_index, defects=defects,
+        kind = "SelfInjectiveRegime"
+    elif obstruction is not None and (fwd > 0 and not forward_verified
+                                      or len(back_mods) < back + 1):
+        kind = "NotAcyclicExtendable"
+    else:
+        # A complete window has no obstruction yet; its rank pattern decides.
+        v = 0
+        while v + 1 < len(ranks) and ranks[v + 1] == ranks[0]:
+            v += 1
+        tail = ranks[v:]
+        if v == len(ranks) - 1:
+            kind = "TypeI"
+        elif all(tail[i + 1] > tail[i] for i in range(len(tail) - 1)):
+            kind, v_index = "TypeII", v
+        else:
+            kind, obstruction = "NotAcyclicExtendable", "rank pattern fits neither type"
+    return ComplexClassification(kind=kind, ranks=ranks, module_index=module_index,
+                                 v_index=v_index, defects=defects,
                                  forward_verified=forward_verified, period=period,
-                                 obstruction="rank pattern fits neither type")
+                                 obstruction=obstruction)
 
 
 def cv_sequence_check(seq: list[int], e: int, a: int) -> bool:

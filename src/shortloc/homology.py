@@ -11,6 +11,8 @@ when it is first needed, so Ext^i stops at the cover of the (i+1)-st syzygy.
 once and serves the dual module, the torsionless and reflexive verdicts, the
 evaluation map and the minimal left approximation with its cokernel (the
 cosyzygy), each built on first read; the stable Hom reads its maps too.
+A cover maps its top lifts by each basis element through
+:meth:`AModule.basis_images`; the right action on Hom(M, A) is A^op's regular one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from itertools import count, islice
 from typing import Iterator, Optional
 
-from .errors import InvariantViolation, ResourceCapExceeded
+from .errors import BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import Matrix, Subspace, kernel_basis, kernel_subspace, rref
 from .modules import (AModule, HomSpace, ModuleMap, free_module, hom_basis, hom_space,
                       left_regular_module, module_from_subspace, quotient, zero_module)
@@ -95,8 +97,7 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     # Copy k of A sends its basis (1, v_1.., w_1..) to (m, v_1 m.., w_1 m..)
     # for the k-th top lift m.
     lifts = Matrix.from_columns(M.field, M.top_lift(), M.dim)
-    images = [lifts] + [X * lifts for X in M.actions + M.w_actions()]
-    blocks = [img.transpose().data for img in images]
+    blocks = [img.transpose().data for img in M.basis_images(lifts)]
     cover = Matrix.from_columns(M.field, [b[k] for k in range(t) for b in blocks], M.dim)
     ker = kernel_subspace(cover)
     if P.dim - ker.dim != M.dim:
@@ -118,6 +119,8 @@ def syzygy_power(M: AModule, n: int, cap: int = DEFAULT_CAP) -> AModule:
 
 def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
     """Betti numbers t_0..t_n of M along the minimal resolution."""
+    if n < 0:
+        raise BadParams(f"n must be at least 0, got {n}")
     res = MinimalResolution(M, cap=cap)
     return BettiTable(module=M, values=tuple(res.rank(i) for i in range(n + 1)))
 
@@ -197,6 +200,8 @@ def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
 
 def ext_dims(M: AModule, N: AModule, imax: int, cap: int = DEFAULT_CAP) -> list[int]:
     """Dimensions of Ext^0..Ext^imax(M, N) from the minimal resolution."""
+    if imax < 0:
+        raise BadParams(f"Ext index must be at least 0, got {imax}")
     if M.algebra != N.algebra:
         raise InvariantViolation("Ext requires modules over the same algebra")
     if M.dim == 0 or N.dim == 0:
@@ -237,16 +242,15 @@ class DualData:
     @cached_property
     def module(self) -> AModule:
         """M* = Hom(M, A) as a left module over the opposite algebra."""
-        alg = self.homs.source.algebra
+        op = self.homs.source.algebra.opposite()
         z = self.homs.dim
         if z == 0:
-            return zero_module(alg.opposite())
-        acts = []
-        for i in range(1, alg.e + 1):
-            R = alg.right_mult_matrix(alg.generator(i))
-            cols = [self.homs.coords(R * f.matrix) for f in self.homs.maps]
-            acts.append(Matrix.from_columns(alg.field, cols, z))
-        return AModule(alg.opposite(), z, acts, check=False)
+            return zero_module(op)
+        # Right multiplication by v_i is the regular action of v_i in A^op.
+        acts = [Matrix.from_columns(op.field, [self.homs.coords(R * f.matrix)
+                                               for f in self.homs.maps], z)
+                for R in op.regular_actions()]
+        return AModule(op, z, acts, check=False)
 
     @cached_property
     def torsionless(self) -> bool:
@@ -287,17 +291,13 @@ class DualData:
         alg = M.algebra
         z = self.module.top_dim()
         P = free_module(alg, z)
-        gs = []
-        for lam in self.module.top_lift():
-            acc = Matrix.zeros(M.field, alg.dim, M.dim)
-            for j, c in enumerate(lam):
-                if c:
-                    acc = acc + self.homs.maps[j].matrix.scale(c)
-            gs.append(acc)
+        homs = [f.matrix for f in self.homs.maps]
+        gs = [Matrix.combination(lam, homs) for lam in self.module.top_lift()]
         u = ModuleMap(M, P, Matrix.vstack(gs) if gs else Matrix(M.field, [], cols=M.dim))
-        # Certificate: each f in the hom basis solves f = sum_k r(b) g_k.
-        rights = [alg.right_mult_matrix(alg.basis_vector(b)) for b in range(alg.dim)]
-        factor_cols = [self.homs.flatten(R * g) for g in gs for R in rights]
+        # Certificate: each f in the hom basis solves f = sum_k r(b) g_k, and
+        # the right multiplications r(b) are the regular action of A^op.
+        right = left_regular_module(alg.opposite())
+        factor_cols = [self.homs.flatten(Rg) for g in gs for Rg in right.basis_images(g)]
         factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)
         if not factor_space.contains_space(self.homs.flat):
             raise InvariantViolation("left approximation fails its factoring certificate")

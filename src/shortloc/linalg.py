@@ -9,7 +9,8 @@ there is no floating point anywhere in this package.
 :meth:`Matrix.__mul__` is the one product kernel: a set of vectors is
 mapped by a single product with the matrix whose columns they are
 (:meth:`Matrix.from_columns`), and :meth:`Matrix.apply` is the product
-with a one-column matrix.
+with a one-column matrix.  :meth:`Matrix.combination` is the one
+scale-and-add routine: every sum of scaled matrices is a single call.
 """
 
 from __future__ import annotations
@@ -235,6 +236,20 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         return Matrix(self.field, [[c * x for x in row] for row in self.data], cols=self.cols)
+
+    @staticmethod
+    def combination(coefs: Sequence, mats: Sequence["Matrix"]) -> "Matrix":
+        """sum_k coefs[k]·mats[k] over one or more matrices of one shape."""
+        first = mats[0]
+        if any((X.rows, X.cols) != (first.rows, first.cols) for X in mats):
+            raise DimensionMismatch("combination shape mismatch")
+        zero = first.field.zero()
+        out = [[zero] * first.cols for _ in range(first.rows)]
+        for c, X in zip(coefs, mats):
+            if c:
+                out = [[s + c * x if x else s for s, x in zip(acc, row)]
+                       for acc, row in zip(out, X.data)]
+        return Matrix(first.field, out, cols=first.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

@@ -4,7 +4,9 @@ A module of dimension d is given by the e action matrices of the radical
 generators v_1..v_e.  The action of J^2 is derived (w_m acts as the
 corresponding combination of products of generator actions), so a tuple of
 matrices is a valid module iff it satisfies the linear relations among the
-products v_i v_j and kills all triple products.
+products v_i v_j and kills all triple products.  :meth:`AModule.basis_images`
+is the one action routine: it maps vectors by every basis element of A,
+applying the J^2 action to the vectors, never forming it as a matrix.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class AModule:
         self.free_rank: Optional[int] = None
         self._radical: Optional[Subspace] = None
         self._socle: Optional[Subspace] = None
-        self._w_actions: Optional[tuple] = None
+        self._basis_actions: Optional[tuple] = None
         self._loewy: Optional[int] = None
         if check:
             validate_module(self)
@@ -68,35 +70,29 @@ class AModule:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def w_actions(self) -> tuple:
-        """Derived action matrices of the J^2 basis elements."""
-        if self._w_actions is None:
-            alg = self.algebra
-            zero = Matrix.zeros(self.field, self.dim, self.dim)
-            out = []
-            for s in alg.sections():
-                acc = zero
-                for idx, coef in enumerate(s):
-                    if coef:
-                        i, j = divmod(idx, alg.e)
-                        acc = acc + (self.actions[i] * self.actions[j]).scale(coef)
-                out.append(acc)
-            self._w_actions = tuple(out)
-        return self._w_actions
+    def basis_images(self, V: Matrix) -> tuple[Matrix, ...]:
+        """The images of the columns of V under 1, v_1..v_e, w_1..w_a.
+
+        W_m V = sum s_ij X_i (X_j V) for the sections s; each pair is formed once.
+        """
+        alg = self.algebra
+        gens = [X * V for X in self.actions]
+        pairs: dict[int, Matrix] = {}
+        out = [V] + gens
+        for s in alg.sections():
+            used = [k for k, c in enumerate(s) if c]
+            for k in used:
+                if k not in pairs:
+                    i, j = divmod(k, alg.e)
+                    pairs[k] = self.actions[i] * gens[j]
+            out.append(Matrix.combination([s[k] for k in used], [pairs[k] for k in used]))
+        return tuple(out)
 
     def element_action(self, u: Sequence) -> Matrix:
         """Action matrix of an algebra element given in the fixed basis."""
-        alg = self.algebra
-        acc = Matrix.identity(self.field, self.dim).scale(u[0]) if u[0] \
-            else Matrix.zeros(self.field, self.dim, self.dim)
-        for i in range(alg.e):
-            if u[1 + i]:
-                acc = acc + self.actions[i].scale(u[1 + i])
-        if any(u[1 + alg.e:]):
-            for m, Y in enumerate(self.w_actions()):
-                if u[1 + alg.e + m]:
-                    acc = acc + Y.scale(u[1 + alg.e + m])
-        return acc
+        if self._basis_actions is None:
+            self._basis_actions = self.basis_images(Matrix.identity(self.field, self.dim))
+        return Matrix.combination(u, self._basis_actions)
 
     # -- structural subspaces -------------------------------------------
 
@@ -143,24 +139,15 @@ def validate_module(M: AModule) -> None:
     Verifies that the product relations of the algebra hold among the
     action matrices and that all triple products vanish (J^3 = 0).
     """
-    alg = M.algebra
-    products = {}
-    for i in range(alg.e):
-        for j in range(alg.e):
-            products[(i, j)] = M.actions[i] * M.actions[j]
-    for lam in alg.product_kernel():
-        acc = Matrix.zeros(M.field, M.dim, M.dim)
-        for idx, coef in enumerate(lam):
-            if coef:
-                i, j = divmod(idx, alg.e)
-                acc = acc + products[(i, j)].scale(coef)
-        if not acc.is_zero():
+    products = [X * Y for X in M.actions for Y in M.actions]
+    for lam in M.algebra.product_kernel():
+        if not Matrix.combination(lam, products).is_zero():
             raise BadParams("action matrices violate a product relation")
-    for (i, j), P in products.items():
+    for P in products:
         if P.is_zero():
             continue
-        for k in range(alg.e):
-            if not (P * M.actions[k]).is_zero():
+        for X in M.actions:
+            if not (P * X).is_zero():
                 raise BadParams("triple product of generator actions is non-zero")
 
 
@@ -225,8 +212,7 @@ def zero_module(alg: ShortAlgebra) -> AModule:
 
 def left_regular_module(alg: ShortAlgebra) -> AModule:
     """A as a left module over itself, in the basis (1, v_1.., w_1..)."""
-    acts = [alg.left_mult_matrix(alg.generator(i)) for i in range(1, alg.e + 1)]
-    M = AModule(alg, alg.dim, acts, check=False)
+    M = AModule(alg, alg.dim, alg.regular_actions(), check=False)
     M.free_rank = 1
     return M
 
@@ -241,8 +227,7 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
         raise BadParams("free rank must be natural")
     if t == 0:
         return zero_module(alg)
-    reg = left_regular_module(alg)
-    acts = [Matrix.block_diag([X] * t) for X in reg.actions]
+    acts = [Matrix.block_diag([X] * t) for X in alg.regular_actions()]
     M = AModule(alg, alg.dim * t, acts, check=False)
     M.free_rank = t
     return M
@@ -291,7 +276,8 @@ def generated_submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModul
     One closure round suffices: J*(Jv) lies in J^2 v and J^2*(Jv) = 0.
     """
     vecs = [tuple(v) for v in vectors]
-    closure = vecs + _images(vecs, M.actions + M.w_actions())
+    images = M.basis_images(Matrix.from_columns(M.field, vecs, M.dim))[1:]
+    closure = vecs + [c for img in images for c in img.transpose().data if any(c)]
     return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim, closure))
 
 
@@ -307,15 +293,6 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
         raise BadParams("subspace is not stable under the module action")
     pivset = set(sub.pivots)
     free = [c for c in range(M.dim) if c not in pivset]
-    qdim = len(free)
-    acts = []
-    for X in M.actions:
-        cols = []
-        for c in free:
-            img = sub.reduce(X.col(c))
-            cols.append([img[f] for f in free])
-        acts.append(Matrix.from_columns(M.field, cols, qdim))
-    Q = AModule(M.algebra, qdim, acts, check=False)
     # Reducing e_c leaves e_c at a free column c and e_c - row at the
     # pivot of that row, so the projection is read off the basis rows.
     proj_rows = []
@@ -325,7 +302,11 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
         for p, basis_row in zip(sub.pivots, sub.basis):
             row[p] = -basis_row[f]
         proj_rows.append(row)
-    return Q, ModuleMap(M, Q, Matrix(M.field, proj_rows, cols=M.dim))
+    proj = Matrix(M.field, proj_rows, cols=M.dim)
+    # The free unit vectors lift the quotient basis, so X acts as proj·X·incl.
+    incl = Matrix.from_columns(M.field, sub.complement(), M.dim)
+    Q = AModule(M.algebra, len(free), [proj * (X * incl) for X in M.actions], check=False)
+    return Q, ModuleMap(M, Q, proj)
 
 
 def direct_sum(M: AModule, N: AModule) -> AModule:
@@ -587,26 +568,21 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     for h in fwd:
         if _invertible(h.matrix):
             return IsoSearch(True, True, witness=h)
+    mats = [h.matrix for h in fwd]
     rng = random.Random(seed)
     elems = [M.field.of(x) for x in DEFAULT_POOL]
-    for _ in range(_ISO_TRIES):
-        acc = Matrix.zeros(M.field, N.dim, M.dim)
-        for h in fwd:
-            c = rng.choice(elems)
-            if c:
-                acc = acc + h.matrix.scale(c)
+
+    def coefficients():
+        for _ in range(_ISO_TRIES):
+            yield [rng.choice(elems) for _ in mats]
+        if M.field.is_rationals:
+            for point in range(1, 2 * len(mats) + 9):
+                x = M.field.of(point)
+                yield [x ** k for k in range(len(mats))]
+    for coefs in coefficients():
+        acc = Matrix.combination(coefs, mats)
         if _invertible(acc):
             return IsoSearch(True, True, witness=ModuleMap(M, N, acc))
-    if M.field.is_rationals:
-        for point in range(1, 2 * len(fwd) + 9):
-            xval = M.field.of(point)
-            acc = Matrix.zeros(M.field, N.dim, M.dim)
-            power = M.field.one()
-            for h in fwd:
-                acc = acc + h.matrix.scale(power)
-                power = power * xval
-            if _invertible(acc):
-                return IsoSearch(True, True, witness=ModuleMap(M, N, acc))
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
 
 

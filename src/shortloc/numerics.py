@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import (HypothesisNotMet, InvariantViolation, LoewyTooLong,
+from .errors import (BadParams, HypothesisNotMet, InvariantViolation, LoewyTooLong,
                      WrongHilbertType)
 from .homology import DEFAULT_CAP, syzygy
 from .modules import AModule, DimVec, dim_vector, simple_multiplicity
@@ -140,6 +140,8 @@ class BSequence:
 
 
 def b_sequence(e: int, a: int, n: int) -> BSequence:
+    if n < 0:
+        raise BadParams(f"n must be at least 0, got {n}")
     vals = [0, 1]
     for _ in range(n):
         vals.append(e * vals[-1] - a * vals[-2])

@@ -95,6 +95,13 @@ def test_opposite_is_involution():
         assert op.opposite() == alg
 
 
+def test_opposite_and_regular_action_are_built_once():
+    alg = preset("ex5_5")
+    assert alg.opposite() is alg.opposite()
+    assert alg.regular_actions() is alg.regular_actions()
+    assert left_regular_module(alg).actions == alg.regular_actions()
+
+
 def test_commutative_algebras_equal_their_opposite():
     alg = preset("ex3_4")
     assert alg.opposite() == alg

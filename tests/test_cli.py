@@ -184,6 +184,25 @@ def test_zero_denominator_is_a_usage_error(tmp_path, simple_module_json, label):
     assert res.stderr.startswith("error: BadParams:") and len(res.stderr.splitlines()) == 1
 
 
+_NEGATIVE_COUNTS = {
+    "ext-index": ("compute", "ext:-1:simple", "simple", "--algebra", "L:e=2"),
+    "betti-n": ("betti", "simple", "--algebra", "L:e=2", "--n", "-1"),
+    "bseq-n": ("bseq", "--e", "2", "--a", "1", "--n", "-3"),
+    "omega-n": ("explore", "omega", "simple", "--algebra", "L:e=2", "--n", "-2"),
+    "mho-n": ("explore", "mho", "simple", "--algebra", "L:e=2", "--n", "-2"),
+    "complex-window": ("explore", "complex", "simple", "--algebra", "L:e=2",
+                       "--back", "-1", "--fwd", "-1"),
+}
+
+
+@pytest.mark.parametrize("label", list(_NEGATIVE_COUNTS))
+def test_negative_counts_are_usage_errors(label):
+    res = run_cli(*_NEGATIVE_COUNTS[label])
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: BadParams:") and len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
+
+
 def test_module_make_and_compute_from_file(tmp_path):
     mod = tmp_path / "m.json"
     res = run_cli("module", "make", "malpha:1", "--algebra", "lambda_c",

@@ -6,6 +6,8 @@ the cokernel of restriction to a syzygy, and the main constructions are
 exercised over a prime field as well as over Q.
 """
 
+import random
+
 import pytest
 
 from shortloc.homology import (MinimalResolution, a_dual, betti, ext_dim, ext_dims,
@@ -13,11 +15,11 @@ from shortloc.homology import (MinimalResolution, a_dual, betti, ext_dim, ext_di
                                projective_cover, stable_hom_dim, syzygy, syzygy_power,
                                transpose)
 from shortloc.kronecker import tilde
-from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_basis
+from shortloc.linalg import DEFAULT_POOL, QQ, Field, Matrix, Subspace, kernel_basis
 from shortloc.modules import (cyclic_submodule, dim_vector, hom_basis, hom_dim,
                               is_isomorphic, m_alpha, mod_j_squared, module_from_subspace,
                               quotient, random_module, simple_module)
-from shortloc.presets import preset
+from shortloc.presets import preset, preset_names
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
 
@@ -291,7 +293,7 @@ def test_products_match_plain_sums(field):
     # Every engine that maps a basis by one matrix product, against X·v
     # summed entry by entry.
     checked = {"kernel": 0, "radical": 0, "cover": 0, "tilde": 0, "boundary": 0,
-               "projection": 0}
+               "projection": 0, "quotient": 0}
     for alg, seed, *mods in _random_pairs(field, seeds=4):
         n = alg.dim
         for M in mods:
@@ -322,7 +324,7 @@ def test_products_match_plain_sums(field):
                     assert row == [col[k * n:(k + 1) * n] for k in range(res.rank(j - 1))]
                     checked["boundary"] += 1
             for space in (M.radical(), M.socle()):
-                _, proj = quotient(M, space)
+                Q, proj = quotient(M, space)
                 free = [c for c in range(M.dim) if c not in space.pivots]
                 for c in range(M.dim):
                     unit = [field.zero()] * M.dim
@@ -330,7 +332,58 @@ def test_products_match_plain_sums(field):
                     reduced = space.reduce(unit)
                     assert proj.matrix.col(c) == tuple(reduced[f] for f in free)
                 checked["projection"] += M.dim
+                # The induced action on the free coordinate c is X·e_c reduced.
+                for X, Y in zip(M.actions, Q.actions):
+                    for k, c in enumerate(free):
+                        reduced = space.reduce(X.col(c))
+                        assert Y.col(k) == tuple(reduced[f] for f in free), (alg.name, seed)
+                checked["quotient"] += Q.dim
     assert min(checked.values()) >= 20, checked
+
+
+_PRESET_PARAMS = {"L": {"e": 3}, "ex14_1": {"e": 3, "a": 5}, "ex15_1": {"e": 3, "a": 2}}
+
+
+@FIELDS
+def test_regular_actions_match_the_multiplication_table(field):
+    # The action routine (w_m acts as sum s_ij v_i v_j over the sections)
+    # against mul, on both sides: the right action is the opposite's
+    # regular action.
+    for name in preset_names():
+        alg = preset(name, field=field, **_PRESET_PARAMS.get(name, {}))
+        left, right = left_regular_module(alg), left_regular_module(alg.opposite())
+        basis = [alg.basis_vector(u) for u in range(alg.dim)]
+        for b in basis:
+            assert left.element_action(b) == alg.left_mult_matrix(b), (name, b)
+            by_mul = Matrix.from_columns(field, [alg.mul(x, b) for x in basis], alg.dim)
+            assert right.element_action(b) == by_mul, (name, b)
+
+
+def scaled_sum_action(M, u):
+    """The action of u by scale-and-add over d x d matrices, W_m = sum s_ij X_i X_j."""
+    alg, X = M.algebra, M.actions
+    acc = Matrix.identity(M.field, M.dim).scale(u[0])
+    for c, Y in zip(u[1:], X):
+        acc = acc + Y.scale(c)
+    for c, section in zip(u[1 + alg.e:], alg.sections()):
+        for idx, s in enumerate(section):
+            i, j = divmod(idx, alg.e)
+            acc = acc + (X[i] * X[j]).scale(c * s)
+    return acc
+
+
+@FIELDS
+def test_element_action_matches_a_scaled_sum(field):
+    rng = random.Random(11)
+    elems = [field.of(x) for x in DEFAULT_POOL]
+    checked = 0
+    for alg, seed, *mods in _random_pairs(field, seeds=4):
+        for M in mods:
+            for _ in range(3):
+                u = [rng.choice(elems) for _ in range(alg.dim)]
+                assert M.element_action(u) == scaled_sum_action(M, u), (alg.name, seed, u)
+            checked += M.dim > 0 and alg.a > 0
+    assert checked >= 20
 
 
 # -- prime field coverage ---------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from shortloc import homology, modules
+from shortloc.algebra import ShortAlgebra
 from shortloc.errors import ResourceCapExceeded
 from shortloc.explorer import classify_complex, mho_path
 from shortloc.homology import (BoundedVerdict, MinimalResolution, a_dual, betti,
@@ -497,3 +498,34 @@ def test_engines_map_vectors_by_products_only(monkeypatch, conca32, lam0):
     tilde(cyclic_x(conca32))
     mod_j_squared(random_module(conca32, 2, 1, seed=0))
     assert applied == []
+
+
+def test_betti_builds_the_regular_action_once(monkeypatch):
+    # Every cover of the ladder reads the algebra's one regular action.
+    calls = []
+    original = ShortAlgebra.left_mult_matrix
+
+    def counted(self, u):
+        calls.append(tuple(u))
+        return original(self, u)
+    monkeypatch.setattr(ShortAlgebra, "left_mult_matrix", counted)
+    alg = preset("ex15_1", e=3, a=2)
+    assert betti(simple_module(alg), 5).values == (1, 3, 7, 15, 31, 63)
+    assert len(calls) <= alg.e
+
+
+def test_syzygy_covers_form_no_square_products_of_their_size(monkeypatch):
+    # The J^2 action is applied to the top lifts, never formed as a product
+    # of two d x d actions of a syzygy of dimension d.
+    shapes = []
+    original = Matrix.__mul__
+
+    def counted(self, other):
+        shapes.append((self.rows, self.cols, other.rows, other.cols))
+        return original(self, other)
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    res = MinimalResolution(simple_module(preset("ex15_1", e=3, a=2)))
+    assert [res.rank(i) for i in range(6)] == [1, 3, 7, 15, 31, 63]
+    dims = {res.syzygy_module(i).dim for i in range(1, 6)}
+    assert len(shapes) > 20 and dims == {5, 13, 29, 61, 125}
+    assert [s for s in shapes if len(set(s)) == 1 and s[0] in dims] == []
