@@ -71,13 +71,12 @@ def parse_module_source(src: str, alg: Optional[ShortAlgebra], seed: int) -> AMo
         return serialize.load_module(src)
     if alg is None:
         raise BadParams("module constructor specs need --algebra")
-    kind, _, arg = src.partition(":")
-    if kind == "simple":
-        return simple_module(alg)
-    if kind == "regular":
-        return left_regular_module(alg)
-    if kind == "radical":
-        return radical_module(alg)
+    kind, sep, arg = src.partition(":")
+    plain = {"simple": simple_module, "regular": left_regular_module, "radical": radical_module}
+    if kind in plain:
+        if sep:
+            raise BadParams(f"module spec {kind!r} takes no argument, got {src!r}")
+        return plain[kind](alg)
     if kind == "cyclic":
         coords = [part.strip() for part in arg.split(",")]
         if len(coords) != alg.dim:

@@ -1,10 +1,16 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Scalars are either arbitrary-precision rationals (``gmpy2.mpq`` when
-available, ``fractions.Fraction`` otherwise; both keep values in lowest
-terms with positive denominator and print as ``"3/2"`` / ``"-1"``) or
-residues mod a prime wrapped in :class:`Fp`.  All arithmetic is exact;
-there is no floating point anywhere in this package.
+Scalars over Q are exact rationals made by :func:`Rational`: an integral
+value is a plain ``int``, any other a ``gmpy2.mpq`` when gmpy2 is present
+and a ``fractions.Fraction`` otherwise.  Nearly every structure constant
+and matrix entry is 0, ±1 or a small integer, so the kernels mostly run
+on C-level int arithmetic.  Both kinds print the same (``"3/2"``,
+``"-1"``), compare and hash equal at equal values, and a sum or product
+that happens to be integral may stay a ``Fraction``.  Scalars over F_p are
+residues wrapped in :class:`Fp`.  All arithmetic is exact: there is no
+floating point anywhere in this package, and the only division, the pivot
+scaling in :func:`_rref_rows`, is :func:`Rational` over Q and
+:meth:`Fp.__truediv__` over F_p.
 
 :meth:`Matrix.__mul__` is the one product kernel: a set of vectors is
 mapped by a single product with the matrix whose columns they are
@@ -27,8 +33,23 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is an optional accelerator
     _mpq = None
 
-#: Rational constructor: accepts ints, "p/q" strings and other rationals.
-Rational = _mpq if _mpq is not None else Fraction
+_Q = _mpq if _mpq is not None else Fraction
+
+
+def Rational(x, d=1):
+    """The exact rational x/d: an ``int`` when it is integral, else a rational.
+
+    ``x`` is an int, a rational or a string ("3/2", "4/2", "1e3"), ``d`` an
+    int or a rational.  A non-integral value is a ``gmpy2.mpq`` when gmpy2
+    is present and a ``fractions.Fraction`` otherwise.  A zero ``d`` raises
+    ``ZeroDivisionError``; a string that is no rational raises ``ValueError``.
+    """
+    if type(x) is int and type(d) is int and d:
+        q, r = divmod(x, d)
+        if not r:
+            return q
+    q = _Q(x) if d == 1 else _Q(x, d)
+    return int(q.numerator) if q.denominator == 1 else q
 
 
 class Fp:
@@ -116,23 +137,33 @@ class Field:
         return self.characteristic == 0
 
     def zero(self):
-        return Rational(0) if self.characteristic == 0 else Fp(0, self.characteristic)
+        """The additive identity: the int 0 over Q, ``Fp(0, p)`` over F_p."""
+        return 0 if self.characteristic == 0 else Fp(0, self.characteristic)
 
     def one(self):
-        return Rational(1) if self.characteristic == 0 else Fp(1, self.characteristic)
+        """The multiplicative identity: the int 1 over Q, ``Fp(1, p)`` over F_p."""
+        return 1 if self.characteristic == 0 else Fp(1, self.characteristic)
 
     def of(self, x):
         """Coerce an int, string ("p/q" or decimal), rational or Fp element.
 
-        This is the one place that refuses a zero denominator, and over F_p
-        a denominator divisible by p, with :class:`BadParams`.
+        This is the one gate for scalars.  Over Q it returns :func:`Rational`
+        of x, so an integral value is an ``int``; over F_p an :class:`Fp`.
+        It refuses with :class:`BadParams` a float, a string that is no
+        rational literal ("nan", "inf", ""), a zero denominator, and over
+        F_p a denominator divisible by p.
         """
         p = self.characteristic
+        if isinstance(x, float):
+            raise BadParams(f"cannot coerce the float {x!r} into {self}: scalars are exact")
         if isinstance(x, str):
+            literal = x.strip()
             try:
-                x = (Rational if p == 0 else Fraction)(x.strip())
+                x = (Rational if p == 0 else Fraction)(literal)
             except ZeroDivisionError:
-                raise BadParams(f"zero denominator in {x.strip()!r}") from None
+                raise BadParams(f"zero denominator in {literal!r}") from None
+            except ValueError:
+                raise BadParams(f"{literal!r} is not a rational number") from None
         if p == 0:
             if isinstance(x, Fp):
                 raise BadParams("cannot coerce a prime-field residue into Q")
@@ -299,6 +330,9 @@ class Matrix:
 def _rref_rows(field: Field, rows: list, ncols: int) -> tuple[list, list]:
     """In-place reduced row echelon form; returns (rows, pivot columns)."""
     one = field.one()
+    # The pivot row is divided exactly: Rational keeps integral quotients
+    # ints over Q (int / int would be a float), Fp divides mod p.
+    div = Rational if field.characteristic == 0 else Fp.__truediv__
     pivots = []
     r = 0
     nrows = len(rows)
@@ -313,7 +347,7 @@ def _rref_rows(field: Field, rows: list, ncols: int) -> tuple[list, list]:
         rows[r], rows[piv] = rows[piv], rows[r]
         lead = rows[r][c]
         if lead != one:
-            rows[r] = [x / lead for x in rows[r]]
+            rows[r] = [div(x, lead) if x else x for x in rows[r]]
         rr = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:

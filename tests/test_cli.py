@@ -203,6 +203,29 @@ def test_negative_counts_are_usage_errors(label):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("literal", ["nan", "inf", "", "abc"])
+def test_non_numeric_literal_is_a_usage_error(literal):
+    res = run_cli("compute", "syzygy", f"cyclic:{literal},1,0,0", "--algebra", "qexterior")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: BadParams:") and len(res.stderr.splitlines()) == 1
+    assert repr(literal) in res.stderr
+
+
+_ARGUMENTS_TO_PLAIN_SPECS = {
+    "ext-other": ("compute", "ext:1:simple:x", "simple", "--algebra", "L:e=2"),
+    "simple": ("compute", "syzygy", "simple:x", "--algebra", "L:e=2"),
+    "regular": ("betti", "regular:2", "--algebra", "L:e=2", "--n", "2"),
+    "radical": ("check", "torsionless", "radical:", "--algebra", "L:e=2"),
+}
+
+
+@pytest.mark.parametrize("label", list(_ARGUMENTS_TO_PLAIN_SPECS))
+def test_module_specs_without_arguments_refuse_one(label):
+    res = run_cli(*_ARGUMENTS_TO_PLAIN_SPECS[label])
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: BadParams:") and len(res.stderr.splitlines()) == 1
+
+
 def test_module_make_and_compute_from_file(tmp_path):
     mod = tmp_path / "m.json"
     res = run_cli("module", "make", "malpha:1", "--algebra", "lambda_c",

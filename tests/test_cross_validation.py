@@ -9,13 +9,16 @@ exercised over a prime field as well as over Q.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shortloc.homology import (MinimalResolution, a_dual, betti, ext_dim, ext_dims,
                                is_reflexive, is_torsionless, left_regular_module, mho_step,
                                projective_cover, stable_hom_dim, syzygy, syzygy_power,
                                transpose)
 from shortloc.kronecker import tilde
-from shortloc.linalg import DEFAULT_POOL, QQ, Field, Matrix, Subspace, kernel_basis
+from shortloc.linalg import (DEFAULT_POOL, QQ, Field, Fp, Matrix, Rational, Subspace,
+                             kernel_basis)
 from shortloc.modules import (cyclic_submodule, dim_vector, hom_basis, hom_dim,
                               is_isomorphic, m_alpha, mod_j_squared, module_from_subspace,
                               quotient, random_module, simple_module)
@@ -386,6 +389,29 @@ def test_element_action_matches_a_scaled_sum(field):
     assert checked >= 20
 
 
+# -- scalar types -----------------------------------------------------------
+
+def _entries(M, N):
+    """Every scalar of M, N, their covers, syzygies and duals, and Hom(M, N)."""
+    pres = projective_cover(M)
+    mats = [h.matrix for h in hom_basis(M, N)] + [pres.cover_map.matrix]
+    for X in (M, N, pres.cover_map.source, syzygy(M), a_dual(M)):
+        mats.extend(X.actions)
+    return [x for X in mats for row in X.data for x in row]
+
+
+@FIELDS
+def test_scalars_are_exact_and_typed(field):
+    # Over Q an entry is an int or a rational, never a float; over F_p an Fp.
+    allowed = (int, type(Rational(1, 2))) if field.is_rationals else (Fp,)
+    kinds = set()
+    for alg, seed, M, M2 in _random_pairs(field, seeds=4):
+        entries = _entries(M, M2)
+        assert all(type(x) in allowed for x in entries), (alg.name, seed)
+        kinds.update(type(x) for x in entries)
+    assert int in kinds if field.is_rationals else kinds == {Fp}
+
+
 # -- prime field coverage ---------------------------------------------------
 
 def test_prime_field_homology():
@@ -429,3 +455,21 @@ def test_ext_criterion_across_all_presets():
         alg = preset(name, **kw)
         ext1 = ext_dim(simple_module(alg), left_regular_module(alg), 1)
         assert (ext1 == 0) == alg.is_self_injective(), alg.name
+
+
+_PRESETS_BY_FIELD = {field: [preset(name, field=field, **kw) for name, kw in _RANDOM_CASES]
+                     for field in (QQ, Field.prime(32003))}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, len(_RANDOM_CASES) - 1), st.integers(1, 2), st.integers(0, 3),
+       st.integers(0, 10**6))
+def test_invariants_over_q_match_f32003(which, gens, rels, seed):
+    # A seeded module over one of the integer-constant presets of
+    # _random_pairs has the same integer data over Q and over F_32003; its
+    # Betti numbers and Ext into the simple agree unless a rank drops mod p.
+    found = []
+    for field, algs in _PRESETS_BY_FIELD.items():
+        M = random_module(algs[which], gens, rels, seed=seed)
+        found.append((betti(M, 3).values, ext_dims(M, simple_module(algs[which]), 2)))
+    assert found[0] == found[1], (_RANDOM_CASES[which], gens, rels, seed)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shortloc.errors import BadParams, DimensionMismatch
-from shortloc.linalg import (QQ, Field, Fp, Matrix, Subspace, kernel_basis,
+from shortloc.linalg import (QQ, Field, Fp, Matrix, Rational, Subspace, kernel_basis,
                              kernel_subspace, random_matrix, rank, rref, solve)
 
 F5 = Field.prime(5)
@@ -132,6 +133,33 @@ def test_prime_field_elements():
     assert x == Fp(2, 5)
     assert str(F5.of(-1)) == "4"
     assert F5.of(Fraction(1, 2)) == Fp(3, 5)  # 2 * 3 = 6 = 1 mod 5
+
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    for x in ("4/2", " -6/3 ", "1e3", 5, Fraction(4, 2)):
+        assert type(QQ.of(x)) is int
+    assert QQ.of("1e3") == 1000 and QQ.of(" -6/3 ") == -2
+    assert type(Rational(6, 3)) is int and type(Rational(Fraction(3, 2), Fraction(3, 4))) is int
+    half = QQ.of("1/2")
+    assert half == Rational(1, 2) == Fraction(1, 2) and type(half) is not int
+    red, _, _ = rref(mat(QQ, [[2, 4, 6], [3, 9, 12]]))
+    assert red == mat(QQ, [[1, 0, 1], [0, 1, 1]])
+    assert all(type(x) is int for row in red.data for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=["Q", "F7"])
+def test_floats_are_refused(field):
+    for x in (0.5, 2.0, float("nan")):
+        with pytest.raises(BadParams):
+            field.of(x)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("literal", ["nan", "inf", "", "abc", "1/2/3"])
+def test_non_numeric_literals_are_refused(field, literal):
+    with pytest.raises(BadParams, match=re.escape(repr(literal))):
+        field.of(f" {literal} ")
 
 
 def test_prime_field_requires_prime():
