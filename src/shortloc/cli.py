@@ -61,11 +61,12 @@ def parse_algebra_source(src: str) -> ShortAlgebra:
     return preset(name, **kwargs)
 
 
-def parse_module_source(src: str, alg: Optional[ShortAlgebra], seed: int) -> AModule:
+def parse_module_source(src: str, alg: Optional[ShortAlgebra], seed: int, cap: int) -> AModule:
     """A constructor spec or a JSON file path.
 
     Specs: simple | regular | radical | cyclic:<coords> | malpha:<alpha>
-    | random:<g>,<r>.
+    | random:<g>,<r>.  ``random`` builds A^g, so g·dim A is checked against
+    ``cap`` before anything is built.
     """
     if src.endswith(".json") or os.path.exists(src):
         return serialize.load_module(src)
@@ -86,7 +87,10 @@ def parse_module_source(src: str, alg: Optional[ShortAlgebra], seed: int) -> AMo
         return m_alpha(alg, arg)
     if kind == "random":
         g, _, r = arg.partition(",")
-        return random_module(alg, int(g), int(r), seed)
+        g, r = int(g), int(r)
+        if g * alg.dim > cap:
+            raise ResourceCapExceeded(g * alg.dim, cap)
+        return random_module(alg, g, r, seed)
     raise BadParams(f"unknown module spec {src!r}")
 
 
@@ -146,7 +150,7 @@ def cmd_algebra(args) -> int:
 
 def cmd_module(args) -> int:
     alg = parse_algebra_source(args.algebra) if args.algebra else None
-    M = parse_module_source(args.spec, alg, args.seed)
+    M = parse_module_source(args.spec, alg, args.seed, _default_cap())
     payload = serialize.module_to_dict(M)
     if args.output:
         serialize.save_json(args.output, payload)
@@ -159,7 +163,7 @@ def cmd_module(args) -> int:
 
 def cmd_compute(args) -> int:
     alg = parse_algebra_source(args.algebra) if args.algebra else None
-    M = parse_module_source(args.module, alg, args.seed)
+    M = parse_module_source(args.module, alg, args.seed, args.cap)
     cap = args.cap
     op = args.op
     flags: list[str] = []
@@ -179,7 +183,7 @@ def cmd_compute(args) -> int:
         if len(parts) != 3:
             raise BadParams("ext op syntax: ext:<i>:<module>")
         i = int(parts[1])
-        N = parse_module_source(parts[2], M.algebra, args.seed)
+        N = parse_module_source(parts[2], M.algebra, args.seed, cap)
         value = ext_dim(M, N, i, cap=cap)
         payload = serialize.report(f"compute/ext", {"module": args.module, "i": i,
                                                     "other": parts[2]},
@@ -212,7 +216,7 @@ _BOUNDED_CHECKS = ("semigp", "inftf", "gp")
 
 def cmd_check(args) -> int:
     alg = parse_algebra_source(args.algebra) if args.algebra else None
-    M = parse_module_source(args.module, alg, args.seed)
+    M = parse_module_source(args.module, alg, args.seed, args.cap)
     if args.predicate not in _CHECKS:
         raise BadParams(f"unknown check {args.predicate!r}")
     value = _CHECKS[args.predicate](M, args)
@@ -228,7 +232,7 @@ def cmd_check(args) -> int:
 
 def cmd_betti(args) -> int:
     alg = parse_algebra_source(args.algebra) if args.algebra else None
-    M = parse_module_source(args.module, alg, args.seed)
+    M = parse_module_source(args.module, alg, args.seed, args.cap)
     table = betti(M, args.n, cap=args.cap)
     payload = serialize.report("betti", {"module": args.module, "n": args.n},
                                values=list(table.values))
@@ -253,7 +257,7 @@ def cmd_bseq(args) -> int:
 
 def cmd_explore(args) -> int:
     alg = parse_algebra_source(args.algebra) if args.algebra else None
-    M = parse_module_source(args.module, alg, args.seed)
+    M = parse_module_source(args.module, alg, args.seed, args.cap)
     if args.walk == "omega":
         record = omega_path(M, args.n, cap=args.cap)
         payload = serialize.report("explore/omega", {"module": args.module, "n": args.n},

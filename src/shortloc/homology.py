@@ -91,9 +91,9 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     """The projective cover A^t -> M with t = dim top M, and its kernel."""
     alg = M.algebra
     t = M.top_dim()
+    if t * alg.dim > cap:
+        raise ResourceCapExceeded(t * alg.dim, cap)
     P = free_module(alg, t)
-    if P.dim > cap:
-        raise ResourceCapExceeded(P.dim, cap)
     # Copy k of A sends its basis (1, v_1.., w_1..) to (m, v_1 m.., w_1 m..)
     # for the k-th top lift m.
     lifts = Matrix.from_columns(M.field, M.top_lift(), M.dim)
@@ -103,7 +103,7 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     if P.dim - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
     for v in ker.basis:
-        if any(v[k * alg.dim] for k in range(t)):
+        if any(v[::alg.dim]):
             raise InvariantViolation("cover kernel escapes the radical (not minimal)")
     return Presentation(M, t, ModuleMap(P, M, cover), ker)
 

@@ -17,6 +17,8 @@ mapped by a single product with the matrix whose columns they are
 (:meth:`Matrix.from_columns`), and :meth:`Matrix.apply` is the product
 with a one-column matrix.  :meth:`Matrix.combination` is the one
 scale-and-add routine: every sum of scaled matrices is a single call.
+A :class:`Subspace` also keeps the non-zeros of its rows, so reduction
+and membership walk only non-zero entries.
 """
 
 from __future__ import annotations
@@ -382,20 +384,29 @@ def kernel_subspace(m: Matrix) -> "Subspace":
     every other free column, so the vectors already form a valid
     pseudo-reduced basis with the free columns as pivots, and the
     coordinates of a kernel vector are its entries at the free columns.
+    The non-zeros of each vector are known as it is built, so they fill
+    the subspace's sparse-row cache at once.
     """
     rows, pivots = _rref_rows(m.field, [list(r) for r in m.data], m.cols)
     zero, one = m.field.zero(), m.field.one()
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
+    cols = list(zip(*rows[:len(pivots)])) if pivots else [()] * m.cols
+    basis, sparse = [], {}
     for fc in free:
+        idx, vals = [fc], [one]
+        for pc, x in zip(pivots, cols[fc]):
+            if x:
+                idx.append(pc)
+                vals.append(-x)
         v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            if rows[r][fc]:
-                v[pc] = -rows[r][fc]
+        for j, x in zip(idx, vals):
+            v[j] = x
         basis.append(tuple(v))
-    return Subspace(m.field, m.cols, basis, free)
+        sparse[fc] = (tuple(idx), tuple(vals))
+    space = Subspace(m.field, m.cols, basis, free)
+    space._sparse = sparse
+    return space
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
@@ -433,17 +444,32 @@ def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
 class Subspace:
     """A subspace of k^n held as a row-reduced basis.
 
-    The rows form a matrix in reduced row echelon form with unit pivots, so
-    membership reduction and coordinate extraction are single passes.
+    The rows have unit pivots and vanish at every other row's pivot (the
+    rref of the spanning vectors, or the pseudo-reduced basis of
+    :func:`kernel_subspace`), so v reduces to v - sum_p v[p]·row_p and
+    the coordinates of a member are its entries at the pivots.  On first
+    use the non-zero (index, value) pairs of each row are cached, keyed by
+    the row's pivot (:meth:`sparse_rows`); :meth:`reduce`, :meth:`contains`
+    and :meth:`coords` then walk only non-zeros, so checking a vector with
+    few non-zeros costs what its support and the rows at its pivots cost,
+    not the ambient dimension.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_sparse")
 
     def __init__(self, field: Field, ambient: int, basis: Sequence[Sequence], pivots: Sequence[int]):
         self.field = field
         self.ambient = ambient
         self.basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
+        self._sparse: Optional[dict] = None
+
+    def sparse_rows(self) -> dict[int, tuple[tuple, tuple]]:
+        """Pivot -> (indices, values) of the non-zero entries of that pivot's row."""
+        if self._sparse is None:
+            self._sparse = {p: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
+                            for p, row in zip(self.pivots, self.basis)}
+        return self._sparse
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -468,16 +494,33 @@ class Subspace:
         return len(self.basis)
 
     def reduce(self, v: Sequence) -> tuple:
-        """Canonical representative of v modulo this subspace."""
+        """Canonical representative of v modulo this subspace: v - sum_p v[p]·row_p."""
+        rows = self.sparse_rows()
         out = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = out[p]
-            if c:
-                out = [a - c * b if b else a for a, b in zip(out, row)]
+        for p, c in enumerate(v):
+            if c and p in rows:
+                idx, vals = rows[p]
+                for j, b in zip(idx, vals):
+                    out[j] = out[j] - c * b
         return tuple(out)
 
-    def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+    def contains(self, v: Sequence | dict) -> bool:
+        """True iff v lies in this subspace.
+
+        ``v`` is a vector or a dict {index: value} holding its non-zero
+        entries; a dict is checked in time proportional to its support and
+        the rows at its pivots.
+        """
+        if not isinstance(v, dict):
+            v = {j: x for j, x in enumerate(v) if x}
+        rows = self.sparse_rows()
+        rest = dict(v)
+        for p, c in v.items():
+            if c and p in rows:
+                idx, vals = rows[p]
+                for j, b in zip(idx, vals):
+                    rest[j] = rest[j] - c * b if j in rest else -(c * b)
+        return not any(rest.values())
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)

@@ -7,12 +7,21 @@ matrices is a valid module iff it satisfies the linear relations among the
 products v_i v_j and kills all triple products.  :meth:`AModule.basis_images`
 is the one action routine: it maps vectors by every basis element of A,
 applying the J^2 action to the vectors, never forming it as a matrix.
+
+A free module A^t (:class:`FreeModule`) holds only t: A acts on it as
+I_t ⊗ R, R the algebra's cached regular action, and its block-diagonal
+action matrices are built only when a caller reads them.
+:func:`module_from_subspace` maps a subspace's basis rows through each
+generator along the column non-zeros of its action, which on A^t come from
+R block by block, and checks each image against the subspace's sparse rows;
+no step of a resolution builds or scans a (t·dim A)^2 matrix.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import ShortAlgebra
@@ -40,7 +49,18 @@ class DimVec(tuple):
 
 
 class AModule:
-    """A finite-length left module over a :class:`ShortAlgebra`."""
+    """A finite-length left module over a :class:`ShortAlgebra`.
+
+    ``free_rank`` is t when the module is A^t in the coordinates of
+    :func:`free_module`; :func:`module_from_subspace` then reads its
+    actions off the algebra's regular action, block by block.
+    """
+
+    free_rank: Optional[int] = None
+    _radical: Optional[Subspace] = None
+    _socle: Optional[Subspace] = None
+    _basis_actions: Optional[tuple] = None
+    _loewy: Optional[int] = None
 
     def __init__(self, algebra: ShortAlgebra, dim: int, actions: Sequence[Matrix],
                  check: bool = True):
@@ -52,11 +72,6 @@ class AModule:
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
-        self.free_rank: Optional[int] = None
-        self._radical: Optional[Subspace] = None
-        self._socle: Optional[Subspace] = None
-        self._basis_actions: Optional[tuple] = None
-        self._loewy: Optional[int] = None
         if check:
             validate_module(self)
 
@@ -217,20 +232,34 @@ def left_regular_module(alg: ShortAlgebra) -> AModule:
     return M
 
 
-def free_module(alg: ShortAlgebra, t: int) -> AModule:
-    """A^t with block-diagonal regular action.
+class FreeModule(AModule):
+    """A^t, on which A acts as I_t ⊗ R, R the regular action of A.
 
-    Coordinates are grouped per copy: coordinate k*dim(A) + u is the basis
-    element b_u of the k-th copy.
+    Coordinate k*dim(A) + u is the basis element b_u of the k-th copy.  The
+    module holds only t and the algebra's cached regular action: its e
+    block-diagonal (t·dim A)^2 action matrices are built on first read of
+    ``actions``, which no step of a resolution does.
     """
+
+    def __init__(self, algebra: ShortAlgebra, t: int):
+        # No action matrices are passed, so AModule's shape checks are skipped.
+        self.algebra = algebra
+        self.dim = algebra.dim * t
+        self.free_rank = t
+
+    @cached_property
+    def actions(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix.block_diag([R] * self.free_rank)
+                     for R in self.algebra.regular_actions())
+
+
+def free_module(alg: ShortAlgebra, t: int) -> AModule:
+    """A^t as a :class:`FreeModule` (the zero module for t = 0)."""
     if t < 0:
         raise BadParams("free rank must be natural")
     if t == 0:
         return zero_module(alg)
-    acts = [Matrix.block_diag([X] * t) for X in alg.regular_actions()]
-    M = AModule(alg, alg.dim * t, acts, check=False)
-    M.free_rank = t
-    return M
+    return FreeModule(alg, t)
 
 
 def _images(vectors: Sequence[Sequence], matrices: Sequence[Matrix]) -> list[tuple]:
@@ -241,28 +270,68 @@ def _images(vectors: Sequence[Sequence], matrices: Sequence[Matrix]) -> list[tup
     return [c for X in matrices for c in (X * cols).transpose().data if any(c)]
 
 
-def _is_stable(M: AModule, space: Subspace) -> bool:
-    """True iff the generator actions of M map the subspace into itself."""
-    return all(space.contains(v) for v in _images(space.basis, M.actions))
+def _columns(X: Matrix) -> list[list[tuple]]:
+    """The non-zero (row, value) pairs of each column of X."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*X.data)]
+
+
+def _action_columns(M: AModule) -> list[list[list[tuple]]]:
+    """Per generator, the non-zero (row, value) pairs of each column of its action.
+
+    On A^t copy k's columns are R's shifted by k·dim A, read off the
+    regular action R in O(t·nnz R); any other module scans its matrices once.
+    """
+    if M.free_rank is None:
+        return [_columns(X) for X in M.actions]
+    n = M.algebra.dim
+    return [[[(k * n + i, x) for i, x in col] for k in range(M.free_rank) for col in cols]
+            for cols in map(_columns, M.algebra.regular_actions())]
+
+
+def _mapped_basis(M: AModule, space: Subspace) -> list[list[dict]]:
+    """Per generator, the image of each basis row of the subspace as {index: value}.
+
+    Raises BadParams unless every image lies in the subspace; each check
+    costs what the image's support and the rows at its pivots cost.
+    """
+    rows = space.sparse_rows()
+    sparse_basis = [rows[p] for p in space.pivots]
+    out = []
+    for cols in _action_columns(M):
+        images = []
+        for idx, vals in sparse_basis:
+            image: dict = {}
+            for j, x in zip(idx, vals):
+                for i, a in cols[j]:
+                    image[i] = image[i] + x * a if i in image else x * a
+            if not space.contains(image):
+                raise BadParams("subspace is not stable under the module action")
+            images.append(image)
+        out.append(images)
+    return out
 
 
 def module_from_subspace(M: AModule, space: Subspace) -> tuple[AModule, ModuleMap]:
     """An action-stable subspace as a module, with its embedding into M.
 
-    Each action maps the whole basis in one product.  The subspace basis is
-    row reduced, so the coordinates of a member vector are just its entries
-    at the pivot columns: the induced action matrix is the image's rows at
-    the pivots, read off without solving any system.
+    Each basis row is mapped through each generator along the non-zeros of
+    both (:func:`_mapped_basis`).  The subspace basis is row reduced, so the
+    coordinates of a member vector are just its entries at the pivot
+    columns: the induced action matrix is read off the images at the
+    pivots, without solving any system.
     """
-    emb = Matrix.from_columns(M.field, space.basis, M.dim)
+    zero = M.field.zero()
+    row_of = {p: r for r, p in enumerate(space.pivots)}
     acts = []
-    for X in M.actions:
-        image = X * emb
-        if not all(space.contains(c) for c in image.transpose().data):
-            raise BadParams("subspace is not stable under the module action")
-        acts.append(Matrix(M.field, [image.data[p] for p in space.pivots], cols=space.dim))
+    for images in _mapped_basis(M, space):
+        act = [[zero] * space.dim for _ in range(space.dim)]
+        for b, image in enumerate(images):
+            for i, y in image.items():
+                if i in row_of:
+                    act[row_of[i]][b] = y
+        acts.append(Matrix(M.field, act, cols=space.dim))
     sub = AModule(M.algebra, space.dim, acts, check=False)
-    return sub, ModuleMap(sub, M, emb)
+    return sub, ModuleMap(sub, M, Matrix.from_columns(M.field, space.basis, M.dim))
 
 
 def submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
@@ -289,8 +358,7 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     """
     if not isinstance(sub, Subspace):
         sub = Subspace.from_vectors(M.field, M.dim, sub)
-    if not _is_stable(M, sub):
-        raise BadParams("subspace is not stable under the module action")
+    _mapped_basis(M, sub)  # raises BadParams unless sub is stable
     pivset = set(sub.pivots)
     free = [c for c in range(M.dim) if c not in pivset]
     # Reducing e_c leaves e_c at a free column c and e_c - row at the
@@ -373,6 +441,8 @@ def random_module(alg: ShortAlgebra, n_gens: int, n_rels: int, seed: int) -> AMo
     """
     if n_gens < 1:
         raise BadParams("need at least one generator")
+    if n_rels < 0:
+        raise BadParams(f"relation count must be at least 0, got {n_rels}")
     rng = random.Random(seed)
     elems = [alg.field.of(x) for x in DEFAULT_POOL]
     F = free_module(alg, n_gens)

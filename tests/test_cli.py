@@ -203,6 +203,25 @@ def test_negative_counts_are_usage_errors(label):
     assert "Traceback" not in res.stderr
 
 
+def test_negative_relation_count_is_a_usage_error():
+    res = run_cli("module", "make", "random:1,-1", "--algebra", "L:e=2")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: BadParams:") and len(res.stderr.splitlines()) == 1
+
+
+def test_random_spec_is_capped_before_the_free_module_is_built():
+    # random:<g>,<r> builds A^g; g·dim A (3 per copy over L(2)) meets the cap first.
+    res = run_cli("module", "make", "random:4,1", "--algebra", "L:e=2",
+                  env_extra={"SHORTLOC_CAP": "11"})
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == "error: intermediate module of dimension 12 exceeds cap 11\n"
+    res = run_cli("module", "make", "random:4,1", "--algebra", "L:e=2",
+                  env_extra={"SHORTLOC_CAP": "12"})
+    assert res.returncode == 0
+    res = run_cli("betti", "random:4,1", "--algebra", "L:e=2", "--n", "0", "--cap", "11")
+    assert res.returncode == 3 and "dimension 12 exceeds cap 11" in res.stderr
+
+
 @pytest.mark.parametrize("literal", ["nan", "inf", "", "abc"])
 def test_non_numeric_literal_is_a_usage_error(literal):
     res = run_cli("compute", "syzygy", f"cyclic:{literal},1,0,0", "--algebra", "qexterior")

@@ -473,3 +473,22 @@ def test_invariants_over_q_match_f32003(which, gens, rels, seed):
         M = random_module(algs[which], gens, rels, seed=seed)
         found.append((betti(M, 3).values, ext_dims(M, simple_module(algs[which]), 2)))
     assert found[0] == found[1], (_RANDOM_CASES[which], gens, rels, seed)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(st.sampled_from([QQ, Field.prime(32003)]), st.integers(0, len(_RANDOM_CASES) - 1),
+       st.integers(1, 2), st.integers(0, 3), st.booleans(), st.integers(0, 10**6))
+def test_ext_hom_complex_matches_restriction_on_random_modules(field, which, gens, rels,
+                                                                 shallow, seed):
+    # Ext^1 and Ext^2 by the Hom-complex against the cokernel of restriction,
+    # which reads Homs out of a cover's free module, into S, A and a second
+    # seeded module.
+    alg = _PRESETS_BY_FIELD[field][which]
+    M = random_module(alg, gens, rels, seed=seed)
+    if shallow:
+        M = mod_j_squared(M)
+    other = mod_j_squared(random_module(alg, 1, rels % 2, seed=seed + 1))
+    for N in (simple_module(alg), left_regular_module(alg), other):
+        exts = ext_dims(M, N, 2)
+        assert exts[1:] == [ext_by_restriction(M, N, i) for i in (1, 2)], \
+            (alg.name, field, gens, rels, shallow, seed)

@@ -84,6 +84,17 @@ def test_resource_cap(L3):
         betti(simple_module(L3), 12, cap=200)
 
 
+def test_cover_cap_counts_the_free_module_before_building_it(conca32, monkeypatch):
+    # The cap is met at P.dim = t·dim A, before the cover allocates anything.
+    M = syzygy_power(simple_module(conca32), 2)
+    t = M.top_dim()
+    assert projective_cover(M, cap=t * conca32.dim).cover_rank == t
+    monkeypatch.setattr(homology, "free_module", None)
+    with pytest.raises(ResourceCapExceeded) as info:
+        projective_cover(M, cap=t * conca32.dim - 1)
+    assert (info.value.dim, info.value.cap) == (t * conca32.dim, t * conca32.dim - 1)
+
+
 # -- duals ----------------------------------------------------------------
 
 def test_dual_of_regular_is_opposite_regular(lam0):

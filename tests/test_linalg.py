@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -249,3 +250,63 @@ def test_subspace_dimension_formula(ma, mb):
     assert A.contains_space(meet) and B.contains_space(meet)
     assert join.contains_space(A) and join.contains_space(B)
     assert len(A.complement()) + A.dim == ambient
+
+
+# -- sparse rows against a dense reference -------------------------------
+
+def dense_reduce(space, v):
+    """v reduced by dense row operations over the whole basis, in pivot order."""
+    out = list(v)
+    for row, p in zip(space.basis, space.pivots):
+        c = out[p]
+        if c:
+            out = [a - c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def _seeded_subspaces(field):
+    """Row-reduced and kernel subspaces of seeded random matrices."""
+    for seed in range(12):
+        rows, cols = 2 + seed % 5, 4 + seed % 7
+        m = random_matrix(field, rows, cols, seed=seed, pool=(-2, -1, 0, 0, 0, 1, 3))
+        yield Subspace.from_vectors(field, cols, m.data)
+        yield kernel_subspace(m)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
+def test_sparse_subspace_matches_dense_reference(field):
+    rng = random.Random(7)
+    pool = [field.of(x) for x in (-2, -1, 0, 1, 2, "1/3")]
+    members = outsiders = 0
+    for space in _seeded_subspaces(field):
+        n = space.ambient
+        for _ in range(6):
+            coefs = [rng.choice(pool) for _ in range(space.dim)]
+            member = tuple(sum((c * row[j] for c, row in zip(coefs, space.basis)), field.zero())
+                           for j in range(n))
+            other = tuple(rng.choice(pool) for _ in range(n))
+            for v in (member, other):
+                ref = dense_reduce(space, v)
+                assert space.reduce(v) == ref
+                assert space.contains(v) == (not any(ref))
+                assert space.contains({j: x for j, x in enumerate(v) if x}) == (not any(ref))
+                if not any(ref):
+                    assert space.coords(v) == tuple(v[p] for p in space.pivots)
+                else:
+                    with pytest.raises(DimensionMismatch):
+                        space.coords(v)
+            assert space.contains(member) and space.coords(member) == tuple(coefs)
+            members += 1
+            outsiders += not space.contains(other)
+    assert members >= 100 and outsiders >= 40
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
+def test_kernel_subspace_fills_the_sparse_rows_it_would_compute(field):
+    for seed in range(10):
+        m = random_matrix(field, 3 + seed % 3, 5 + seed % 4, seed=seed)
+        sp = kernel_subspace(m)
+        fresh = Subspace(field, sp.ambient, sp.basis, sp.pivots)
+        as_dicts = [{p: dict(zip(*rows)) for p, rows in s.sparse_rows().items()}
+                    for s in (sp, fresh)]
+        assert as_dicts[0] == as_dicts[1]

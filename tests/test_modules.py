@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
+from shortloc import modules
 from shortloc.errors import BadParams, LoewyTooLong, ZeroModule
-from shortloc.linalg import QQ
+from shortloc.homology import betti, projective_cover
+from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
                               end_dim, find_isomorphism, free_module, hom_basis,
                               hom_dim, is_bipartite, is_isomorphic, is_solid,
                               left_regular_module, m_alpha, mod_j_squared, quotient,
                               radical_module, random_module, simple_module,
                               simple_multiplicity, submodule, validate_module,
-                              zero_module)
+                              zero_module, module_from_subspace)
 from shortloc.presets import preset
 
 
@@ -297,3 +301,134 @@ def test_iso_uncertified_flag(lam0):
     assert not res.found
     assert not res.certified
     assert "probabilistic" in res.note
+
+
+# -- structured free modules against dense block diagonals ---------------
+
+FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
+_FREE_CASES = [("L", {"e": 2}), ("lambda_c", {"c": 0}), ("ex15_1", {"e": 3, "a": 2})]
+
+
+def plain_block_diagonal(R, t):
+    """I_t ⊗ R entry by entry: copy k's block of R sits at rows and columns k·n.."""
+    n = R.rows
+    zero = R.field.zero()
+    return Matrix(R.field, [[R.data[i % n][j % n] if i // n == j // n else zero
+                             for j in range(n * t)] for i in range(n * t)])
+
+
+def plain_apply(X, v):
+    zero = X.field.zero()
+    return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in X.data)
+
+
+def plain_reduce(space, v):
+    out = list(v)
+    for row, p in zip(space.basis, space.pivots):
+        c = out[p]
+        if c:
+            out = [a - c * b for a, b in zip(out, row)]
+    return out
+
+
+def dense_induced_actions(actions, space):
+    """The actions induced on a stable subspace, by dense products and reductions."""
+    out = []
+    for X in actions:
+        images = [plain_apply(X, v) for v in space.basis]
+        assert not any(any(plain_reduce(space, img)) for img in images)
+        out.append(Matrix(X.field, [[img[p] for img in images] for p in space.pivots],
+                          cols=space.dim))
+    return tuple(out)
+
+
+def _free_spaces(alg, t, seed):
+    """Cover kernels of A^t and random stable subspaces of A^t."""
+    M = random_module(alg, t, seed % 3, seed=seed)
+    yield kernel_subspace(projective_cover(M).cover_map.matrix)
+    rng = random.Random(seed)
+    pool = [alg.field.of(x) for x in (-1, 0, 0, 1, 2)]
+    dense = [plain_block_diagonal(R, t) for R in alg.regular_actions()]
+    vecs = [tuple(rng.choice(pool) for _ in range(alg.dim * t)) for _ in range(1 + seed % 2)]
+    vecs += [plain_apply(X, v) for X in dense for v in vecs]
+    vecs += [plain_apply(X, v) for X in dense for v in vecs]
+    yield Subspace.from_vectors(alg.field, alg.dim * t, vecs)
+
+
+@FIELDS
+def test_free_module_actions_are_block_diagonals(field):
+    for name, kw in _FREE_CASES:
+        alg = preset(name, field=field, **kw)
+        for t in range(1, 5):
+            F = free_module(alg, t)
+            assert F.actions == tuple(Matrix.block_diag([R] * t) for R in alg.regular_actions())
+            assert F.actions == tuple(plain_block_diagonal(R, t) for R in alg.regular_actions())
+
+
+@FIELDS
+def test_module_from_subspace_on_free_modules_matches_dense_products(field):
+    checked = 0
+    for name, kw in _FREE_CASES:
+        alg = preset(name, field=field, **kw)
+        for t in range(1, 5):
+            dense = [plain_block_diagonal(R, t) for R in alg.regular_actions()]
+            for seed in range(3):
+                for space in _free_spaces(alg, t, seed):
+                    sub, emb = module_from_subspace(free_module(alg, t), space)
+                    assert sub.actions == dense_induced_actions(dense, space)
+                    assert emb.matrix == Matrix.from_columns(field, space.basis, alg.dim * t)
+                    checked += space.dim > 0
+    assert checked >= 60
+
+
+@FIELDS
+def test_explicit_copy_with_free_rank_takes_the_free_path(field, monkeypatch):
+    # A copy of A^t built from its action matrices, with free_rank set
+    # afterwards, reads its columns off the regular action as A^t does.
+    scanned = []
+    columns = modules._columns
+    monkeypatch.setattr(modules, "_columns", lambda X: scanned.append(X.rows) or columns(X))
+    for name, kw in _FREE_CASES:
+        alg = preset(name, field=field, **kw)
+        for t in (2, 3):
+            F = free_module(alg, t)
+            copy = AModule(alg, F.dim, F.actions, check=False)
+            copy.free_rank = F.free_rank
+            for space in _free_spaces(alg, t, seed=t):
+                scanned.clear()
+                via_copy = module_from_subspace(copy, space)[0].actions
+                assert scanned and set(scanned) == {alg.dim}
+                assert via_copy == module_from_subspace(F, space)[0].actions
+
+
+def test_resolution_never_builds_block_diagonals(monkeypatch):
+    calls = []
+    block_diag = Matrix.block_diag
+    monkeypatch.setattr(Matrix, "block_diag",
+                        staticmethod(lambda blocks: calls.append(len(blocks)) or block_diag(blocks)))
+    alg = preset("ex15_1", e=3, a=2)
+    assert betti(simple_module(alg), 6).values == (1, 3, 7, 15, 31, 63, 127)
+    assert calls == []
+
+
+def test_unstable_subspace_of_a_free_module_is_refused(conca32):
+    alg = conca32
+    n, e = alg.dim, alg.e
+    F = free_module(alg, 2)
+    # u with v_j v_u != 0 for some j: the column of v_u reaches J^2.
+    u = next(u for u in range(1, 1 + e)
+             if any(any(R.data[i][u] for i in range(1 + e, n)) for R in alg.regular_actions()))
+
+    def unit(*idx):
+        v = [alg.field.zero()] * F.dim
+        for i in idx:
+            v[i] = alg.field.one()
+        return tuple(v)
+    copy1_j2 = [unit(i) for i in range(1 + e, n)]
+    copy2_j2 = [unit(n + i) for i in range(1 + e, n)]
+    x = unit(u, n + u)
+    # v_j x has a J^2 component in copy 2 that the span misses.
+    with pytest.raises(BadParams):
+        submodule(F, copy1_j2 + [x])
+    sub, emb = submodule(F, copy1_j2 + copy2_j2 + [x])
+    assert sub.dim == 2 * alg.a + 1 and emb.is_intertwiner()
