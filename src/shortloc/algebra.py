@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import BadParams, SurjectivityViolation
-from .linalg import Field, Matrix, Subspace, kernel_basis, rref, solve
+from .linalg import Field, Matrix, Subspace, kernel_basis, rank, solve
 
 
 class ShortAlgebra:
@@ -203,7 +203,7 @@ class ShortAlgebra:
         """Check the structural invariants and summarize the algebra."""
         if self._report is not None:
             return self._report
-        _, rk, _ = rref(self.structure_matrix())
+        rk = rank(self.structure_matrix())
         if rk < self.a:
             raise SurjectivityViolation(
                 f"degree-two products span only {rk} of {self.a} dimensions")

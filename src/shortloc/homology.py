@@ -23,7 +23,7 @@ from itertools import count, islice
 from typing import Iterator, Optional
 
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
-from .linalg import Matrix, Subspace, kernel_basis, kernel_subspace, rref
+from .linalg import Matrix, Subspace, kernel_basis, kernel_subspace, rank
 from .modules import (AModule, HomSpace, ModuleMap, free_module, hom_basis, hom_space,
                       left_regular_module, module_from_subspace, quotient, zero_module)
 
@@ -190,7 +190,7 @@ def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
     """
     prev = 0
     for i in count():
-        cur = rref(_hom_complex_matrix(res, N, i + 1))[1]
+        cur = rank(_hom_complex_matrix(res, N, i + 1))
         val = res.rank(i) * N.dim - cur - prev
         if val < 0:
             raise InvariantViolation("negative Ext dimension; resolution is inconsistent")

@@ -16,7 +16,7 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
 from .homology import DEFAULT_CAP, syzygy
-from .linalg import Matrix, kernel_basis, rref
+from .linalg import Matrix, kernel_basis, rank
 from .modules import AModule, find_isomorphism, hom_dim, simple_multiplicity
 
 
@@ -167,7 +167,7 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
     if not alg.is_self_injective():
         raise NotSelfInjective("the reflection needs a self-injective algebra")
     beta = multiplication_form(alg)
-    if rref(beta)[1] != alg.e:
+    if rank(beta) != alg.e:
         raise InvariantViolation("multiplication form is degenerate")
     e, d0, d1 = rep.e, rep.dim0, rep.dim1
     field = alg.field

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Scalars over Q are exact rationals made by :func:`Rational`: an integral
 value is a plain ``int``, any other a ``gmpy2.mpq`` when gmpy2 is present
@@ -8,9 +8,17 @@ on C-level int arithmetic.  Both kinds print the same (``"3/2"``,
 ``"-1"``), compare and hash equal at equal values, and a sum or product
 that happens to be integral may stay a ``Fraction``.  Scalars over F_p are
 residues wrapped in :class:`Fp`.  All arithmetic is exact: there is no
-floating point anywhere in this package, and the only division, the pivot
-scaling in :func:`_rref_rows`, is :func:`Rational` over Q and
-:meth:`Fp.__truediv__` over F_p.
+floating point anywhere in this package.
+
+:func:`_echelon` is the one elimination routine behind :func:`rref`,
+:func:`rank`, :func:`kernel_subspace`, :func:`solve`, :func:`solve_matrix`
+and :meth:`Subspace.from_vectors`.  It reduces the rows one at a time as
+sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
+scaled by the lcm of their denominators, over F_p on plain residues.  The
+reduced row echelon form is unique, so its rows and pivots do not depend
+on how they are found.  Its only division is the final scaling of each
+pivot row by its lead in :func:`_rref_rows`, with :func:`Rational` over Q;
+over F_p a pivot row is scaled by the inverse of its lead mod p.
 
 :meth:`Matrix.__mul__` is the one product kernel: a set of vectors is
 mapped by a single product with the matrix whose columns they are
@@ -26,6 +34,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParams, DimensionMismatch
@@ -96,6 +107,10 @@ class Fp:
 
     def __str__(self) -> str:
         return str(self.v)
+
+
+_residue = attrgetter("v")
+_INTS = {int}
 
 
 def _is_prime(n: int) -> bool:
@@ -329,47 +344,124 @@ class Matrix:
         return Matrix(field, out, cols=total_c)
 
 
-def _rref_rows(field: Field, rows: list, ncols: int) -> tuple[list, list]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    one = field.one()
-    # The pivot row is divided exactly: Rational keeps integral quotients
-    # ints over Q (int / int would be a float), Fp divides mod p.
-    div = Rational if field.characteristic == 0 else Fp.__truediv__
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != one:
-            rows[r] = [div(x, lead) if x else x for x in rows[r]]
-        rr = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+def _sparse(row: Sequence, p: int) -> dict:
+    """The non-zeros of a row as {column: int}: residues over F_p, integers over Q.
+
+    Over Q a row holding any non-int (a ``Fraction`` with denominator 1
+    included) is multiplied by the lcm of its denominators.
+    """
+    vals = list(map(_residue, row)) if p else row
+    if not any(vals):
+        return {}
+    nz = list(compress(vals, vals))
+    if not p and not _INTS.issuperset(map(type, nz)):
+        d = lcm(*[int(x.denominator) for x in nz])
+        nz = [int(x.numerator) * (d // int(x.denominator)) for x in nz]
+    return dict(zip(compress(count(), vals), nz))
+
+
+def _clear(row: dict, prow: dict, c: int) -> dict:
+    """row less the multiple of the pivot row prow (pivot c) that clears column c.
+
+    Over Q row is first scaled by lead/gcd(lead, row[c]), so every entry
+    stays an integer; over F_p the lead is 1 and entries are left unreduced.
+    """
+    t, lead = row[c], prow[c]
+    if lead != 1:
+        g = gcd(t, lead) if lead > 0 else -gcd(t, lead)
+        s, t = lead // g, t // g
+        if s != 1:
+            row = {j: s * x for j, x in row.items()}
+    for j, b in prow.items():
+        row[j] = row.get(j, 0) - t * b
+    return row
+
+
+def _tidy(row: dict, p: int) -> dict:
+    """row without its zeros: reduced mod p over F_p, divided by its content over Q."""
+    if p:
+        return {j: y for j, x in row.items() if (y := x % p)}
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items() if x} if g else {}
+
+
+def _echelon(field: Field, rows: Iterable[Sequence], ncols: int) -> dict[int, dict]:
+    """The one elimination routine: {pivot column: reduced pivot row} of the rows' span.
+
+    The rows are read once as sparse ints (:func:`_sparse`) and taken
+    sparsest first.  Each is reduced against the pivot rows found so far
+    and, if anything is left, becomes a pivot row at its leading column;
+    the older pivot rows are then cleared at that column.  So the pivot
+    rows stay reduced, a row is cleared at each pivot column once, and
+    the result is the reduced row echelon form up to the scale of each row.
+    Over Q no rational is built: the rows hold integers, and a row that was
+    cleared is divided by its content.  Over F_p a pivot row is scaled to
+    lead 1 with ``pow(lead, -1, p)``.
+    """
+    p = field.characteristic
+    piv: dict[int, dict] = {}
+    used: set[int] = set()  # a new pivot column outside it is in no older pivot row
+    for row in sorted(filter(None, [_sparse(dense, p) for dense in rows]), key=len):
+        if len(piv) == ncols:
             break
-    return rows, pivots
+        hits = row.keys() & piv.keys()
+        if hits:
+            for c in hits:
+                row = _clear(row, piv[c], c)
+            row = _tidy(row, p)
+            if not row:
+                continue
+        c = min(row)
+        if p and row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = {j: x * inv % p for j, x in row.items()}
+        if c in used:
+            for q, qrow in piv.items():
+                if c in qrow:
+                    piv[q] = _tidy(_clear(qrow, row, c), p)
+        piv[c] = row
+        used.update(row)
+    return piv
+
+
+def _rref_rows(field: Field, rows: Iterable[Sequence], ncols: int) -> tuple[list, list[dict]]:
+    """The reduced row echelon form as (pivot columns, rows as {column: scalar}).
+
+    The rows are :func:`_echelon`'s, in pivot order, with unit leads: over Q
+    each entry is divided by its row's lead with :func:`Rational`, the only
+    division, so integral entries are ints; over F_p residues become ``Fp``.
+    """
+    piv = _echelon(field, rows, ncols)
+    pivots = sorted(piv)
+    p = field.characteristic
+    if p:
+        return pivots, [{j: Fp(x, p) for j, x in piv[c].items()} for c in pivots]
+    out = []
+    for c in pivots:
+        row, lead = piv[c], piv[c][c]
+        out.append(row if lead == 1 else {j: Rational(x, lead) for j, x in row.items()})
+    return pivots, out
+
+
+def _dense(row: dict, n: int, zero) -> list:
+    out = [zero] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form: returns (reduced, rank, pivot columns)."""
-    rows, pivots = _rref_rows(m.field, [list(r) for r in m.data], m.cols)
-    return Matrix(m.field, rows, cols=m.cols), len(pivots), tuple(pivots)
+    pivots, rows = _rref_rows(m.field, m.data, m.cols)
+    zero = m.field.zero()
+    dense = [_dense(row, m.cols, zero) for row in rows]
+    dense += [[zero] * m.cols for _ in range(m.rows - len(rows))]
+    return Matrix(m.field, dense, cols=m.cols), len(pivots), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    """The rank of ``m``: the number of pivots, with no reduced rows built."""
+    return len(_echelon(m.field, m.data, m.cols))
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
@@ -384,28 +476,20 @@ def kernel_subspace(m: Matrix) -> "Subspace":
     every other free column, so the vectors already form a valid
     pseudo-reduced basis with the free columns as pivots, and the
     coordinates of a kernel vector are its entries at the free columns.
-    The non-zeros of each vector are known as it is built, so they fill
-    the subspace's sparse-row cache at once.
+    The vector of free column f holds -x at pivot column c for each entry
+    x at f of c's reduced row, so the sparse pivot rows give the non-zeros
+    of every vector, which fill the subspace's sparse-row cache at once.
     """
-    rows, pivots = _rref_rows(m.field, [list(r) for r in m.data], m.cols)
+    pivots, rows = _rref_rows(m.field, m.data, m.cols)
     zero, one = m.field.zero(), m.field.one()
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    cols = list(zip(*rows[:len(pivots)])) if pivots else [()] * m.cols
-    basis, sparse = [], {}
-    for fc in free:
-        idx, vals = [fc], [one]
-        for pc, x in zip(pivots, cols[fc]):
-            if x:
-                idx.append(pc)
-                vals.append(-x)
-        v = [zero] * m.cols
-        for j, x in zip(idx, vals):
-            v[j] = x
-        basis.append(tuple(v))
-        sparse[fc] = (tuple(idx), tuple(vals))
-    space = Subspace(m.field, m.cols, basis, free)
-    space._sparse = sparse
+    vecs = {fc: {fc: one} for fc in range(m.cols) if fc not in pivset}
+    for pc, row in zip(pivots, rows):
+        for j, x in row.items():
+            if j != pc:
+                vecs[j][pc] = -x
+    space = Subspace(m.field, m.cols, [_dense(v, m.cols, zero) for v in vecs.values()], vecs)
+    space._sparse = {fc: (tuple(v), tuple(v.values())) for fc, v in vecs.items()}
     return space
 
 
@@ -413,31 +497,22 @@ def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
     """Some exact solution x of m·x = b, or None if inconsistent."""
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length mismatch")
-    aug = [list(row) + [bv] for row, bv in zip(m.data, b)]
-    if m.rows == 0:
-        return tuple() if m.cols == 0 else tuple([m.field.zero()] * m.cols)
-    rows, pivots = _rref_rows(m.field, aug, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    zero = m.field.zero()
-    x = [zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.cols]
-    return tuple(x)
+    x = solve_matrix(m, Matrix.from_columns(m.field, [b], m.rows))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
     """Some X with m·X = b (column by column), or None if inconsistent."""
     if b.rows != m.rows:
         raise DimensionMismatch("shape mismatch in solve_matrix")
-    aug = [list(row) + list(brow) for row, brow in zip(m.data, b.data)]
-    rows, pivots = _rref_rows(m.field, aug, m.cols + b.cols)
+    aug = [row + brow for row, brow in zip(m.data, b.data)]
+    pivots, rows = _rref_rows(m.field, aug, m.cols + b.cols)
     if pivots and pivots[-1] >= m.cols:
         return None
     zero = m.field.zero()
     out = [[zero] * b.cols for _ in range(m.cols)]
-    for r, pc in enumerate(pivots):
-        out[pc] = rows[r][m.cols:]
+    for pc, row in zip(pivots, rows):
+        out[pc] = [row.get(j, zero) for j in range(m.cols, m.cols + b.cols)]
     return Matrix(m.field, out, cols=b.cols)
 
 
@@ -447,12 +522,14 @@ class Subspace:
     The rows have unit pivots and vanish at every other row's pivot (the
     rref of the spanning vectors, or the pseudo-reduced basis of
     :func:`kernel_subspace`), so v reduces to v - sum_p v[p]·row_p and
-    the coordinates of a member are its entries at the pivots.  On first
-    use the non-zero (index, value) pairs of each row are cached, keyed by
-    the row's pivot (:meth:`sparse_rows`); :meth:`reduce`, :meth:`contains`
-    and :meth:`coords` then walk only non-zeros, so checking a vector with
-    few non-zeros costs what its support and the rows at its pivots cost,
-    not the ambient dimension.
+    the coordinates of a member are its entries at the pivots.  The
+    non-zero (index, value) pairs of each row are cached, keyed by the
+    row's pivot (:meth:`sparse_rows`): :meth:`from_vectors` and
+    :func:`kernel_subspace` fill the cache from the elimination's sparse
+    rows, any other subspace on first use.  :meth:`reduce`,
+    :meth:`contains` and :meth:`coords` walk only non-zeros, so checking a
+    vector with few non-zeros costs what its support and the rows at its
+    pivots cost, not the ambient dimension.
     """
 
     __slots__ = ("field", "ambient", "basis", "pivots", "_sparse")
@@ -473,12 +550,21 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
+        """The span of the vectors, with its sparse-row cache filled by the kernel.
+
+        The vectors are read once, in order, so a generator of them is
+        never held whole: only the non-zeros of each are kept.
+        """
+        def checked(v: Sequence) -> Sequence:
             if len(v) != ambient:
                 raise DimensionMismatch("vector has wrong ambient dimension")
-        rows, pivots = _rref_rows(field, vecs, ambient)
-        return Subspace(field, ambient, rows[:len(pivots)], pivots)
+            return v
+
+        pivots, rows = _rref_rows(field, map(checked, vectors), ambient)
+        zero = field.zero()
+        space = Subspace(field, ambient, [_dense(row, ambient, zero) for row in rows], pivots)
+        space._sparse = {p: (tuple(row), tuple(row.values())) for p, row in zip(pivots, rows)}
+        return space
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":

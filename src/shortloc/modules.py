@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
-from .linalg import DEFAULT_POOL, Matrix, Subspace, kernel_basis, kernel_subspace, rref
+from .linalg import DEFAULT_POOL, Matrix, Subspace, kernel_basis, kernel_subspace, rank
 
 
 class DimVec(tuple):
@@ -112,10 +112,14 @@ class AModule:
     # -- structural subspaces -------------------------------------------
 
     def radical(self) -> Subspace:
-        """JM, the span of the images of the generator actions."""
+        """JM, the span of the images of the generator actions.
+
+        The columns of the actions go to the elimination one at a time:
+        it drops the zero ones, and none is kept beyond its non-zeros.
+        """
         if self._radical is None:
-            vecs = [c for X in self.actions for c in X.transpose().data if any(c)]
-            self._radical = Subspace.from_vectors(self.field, self.dim, vecs)
+            columns = (c for X in self.actions for c in zip(*X.data))
+            self._radical = Subspace.from_vectors(self.field, self.dim, columns)
         return self._radical
 
     def socle(self) -> Subspace:
@@ -194,7 +198,7 @@ class ModuleMap:
                                      self.matrix.transpose().data)
 
     def rank(self) -> int:
-        return rref(self.matrix)[1]
+        return rank(self.matrix)
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
@@ -346,7 +350,7 @@ def generated_submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModul
     """
     vecs = [tuple(v) for v in vectors]
     images = M.basis_images(Matrix.from_columns(M.field, vecs, M.dim))[1:]
-    closure = vecs + [c for img in images for c in img.transpose().data if any(c)]
+    closure = vecs + [c for img in images for c in zip(*img.data)]
     return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim, closure))
 
 
@@ -612,7 +616,7 @@ _ISO_TRIES = 64
 
 
 def _invertible(mat: Matrix) -> bool:
-    return mat.rows == mat.cols and rref(mat)[1] == mat.rows
+    return mat.rows == mat.cols and rank(mat) == mat.rows
 
 
 def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:

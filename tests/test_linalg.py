@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from shortloc.errors import BadParams, DimensionMismatch
 from shortloc.linalg import (QQ, Field, Fp, Matrix, Rational, Subspace, kernel_basis,
-                             kernel_subspace, random_matrix, rank, rref, solve)
+                             kernel_subspace, random_matrix, rank, rref, solve, solve_matrix)
 
 F5 = Field.prime(5)
 
@@ -310,3 +310,198 @@ def test_kernel_subspace_fills_the_sparse_rows_it_would_compute(field):
         as_dicts = [{p: dict(zip(*rows)) for p, rows in s.sparse_rows().items()}
                     for s in (sp, fresh)]
         assert as_dicts[0] == as_dicts[1]
+
+
+# -- the sparse elimination against a dense Gauss-Jordan reference --------
+
+def reference_rref_rows(field, rows, ncols):
+    """Dense column-by-column Gauss-Jordan: (rows, pivot columns).
+
+    The elimination the package used before its sparse routine, kept here
+    as the reference: the reduced row echelon form is unique, so both must
+    give the same rows and pivots.
+    """
+    rows = [list(r) for r in rows]
+    one = field.one()
+    div = Rational if field.characteristic == 0 else Fp.__truediv__
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        if lead != one:
+            rows[r] = [div(x, lead) if x else x for x in rows[r]]
+        rr = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def reference_kernel(m):
+    """(basis, free columns) of the right null space, read off the reference rref."""
+    rows, pivots = reference_rref_rows(m.field, m.data, m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [m.field.zero()] * m.cols
+        v[fc] = m.field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis, free
+
+
+def reference_solve_matrix(m, b):
+    rows, pivots = reference_rref_rows(
+        m.field, [list(r) + list(br) for r, br in zip(m.data, b.data)], m.cols + b.cols)
+    if pivots and pivots[-1] >= m.cols:
+        return None
+    out = [[m.field.zero()] * b.cols for _ in range(m.cols)]
+    for r, pc in enumerate(pivots):
+        out[pc] = rows[r][m.cols:]
+    return Matrix(m.field, out, cols=b.cols)
+
+
+def assert_exact_scalars(field, rows):
+    """Over Q an integral value is an int and any other a Fraction; over F_p all are Fp."""
+    for row in rows:
+        for x in row:
+            if field.is_rationals:
+                assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), x
+            else:
+                assert type(x) is Fp and x.p == field.characteristic
+
+
+def hilbert(field, n):
+    return Matrix(field, [[field.of(Fraction(1, i + j + 1)) for j in range(n)] for i in range(n)])
+
+
+def elimination_inputs(field):
+    """Seeded matrices with every shape the elimination must handle."""
+    out = [Matrix(field, [], cols=4), Matrix(field, [[], [], []], cols=0),
+           Matrix.zeros(field, 3, 5), Matrix.identity(field, 4)]
+    if field.characteristic not in range(2, 16):
+        out.append(hilbert(field, 8))  # its denominators run up to 15
+    pools = [(-2, -1, 0, 1, 2), (0, 0, 0, 2, 3, -6), (0, 1, "1/3", "-5/2", "7/4"),
+             (0, 0, 0, 1, -1)]
+    for seed in range(24):
+        pool = pools[seed % len(pools)]
+        rows, cols = 1 + seed % 6, 1 + (seed * 5) % 9
+        m = random_matrix(field, rows, cols, seed=seed, pool=pool)
+        data = [list(r) for r in m.data]
+        rng = random.Random(seed)
+        data.append([field.zero()] * cols)  # a zero row
+        data.append(list(rng.choice(data)))  # a duplicate row
+        data.insert(0, [field.of(3) * x for x in data[-1]])  # a multiple of it
+        rng.shuffle(data)
+        out.append(Matrix(field, data, cols=cols))
+    if field.is_rationals:
+        # Fractions with denominator 1 beside ints, as sums of Fractions produce.
+        out.append(Matrix(field, [[Fraction(2, 1), 3, Fraction(1, 2)],
+                                  [Fraction(4, 2), Fraction(6, 1), 1],
+                                  [Fraction(3, 3), 0, Fraction(-4, 1)]]))
+    return out
+
+
+ELIM_FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
+                                      ids=["Q", "F7", "F32003"])
+
+
+def sparse_dicts(space):
+    return {p: dict(zip(*rows)) for p, rows in space.sparse_rows().items()}
+
+
+@ELIM_FIELDS
+def test_rref_matches_the_dense_reference(field):
+    for m in elimination_inputs(field):
+        rows, pivots = reference_rref_rows(field, m.data, m.cols)
+        red, rk, piv = rref(m)
+        assert red == Matrix(field, rows, cols=m.cols)
+        assert piv == tuple(pivots) and rk == len(pivots) == rank(m)
+        assert_exact_scalars(field, red.data)
+
+
+@ELIM_FIELDS
+def test_kernel_subspace_matches_the_dense_reference(field):
+    for m in elimination_inputs(field):
+        basis, free = reference_kernel(m)
+        sp = kernel_subspace(m)
+        assert sp.basis == tuple(basis) and sp.pivots == tuple(free)
+        assert_exact_scalars(field, sp.basis)
+        assert sparse_dicts(sp) == sparse_dicts(Subspace(field, sp.ambient, basis, free))
+        assert kernel_basis(m) == basis
+
+
+@ELIM_FIELDS
+def test_from_vectors_matches_the_dense_reference(field):
+    for m in elimination_inputs(field):
+        rows, pivots = reference_rref_rows(field, m.data, m.cols)
+        sp = Subspace.from_vectors(field, m.cols, m.data)
+        assert sp.basis == tuple(tuple(r) for r in rows[:len(pivots)])
+        assert sp.pivots == tuple(pivots)
+        assert_exact_scalars(field, sp.basis)
+        fresh = Subspace(field, sp.ambient, sp.basis, sp.pivots)
+        assert sparse_dicts(sp) == sparse_dicts(fresh)
+
+
+@ELIM_FIELDS
+def test_solve_and_solve_matrix_match_the_dense_reference(field):
+    solved = refused = 0
+    for k, m in enumerate(elimination_inputs(field)):
+        if m.rows == 0 or m.cols == 0:
+            continue
+        x = random_matrix(field, m.cols, 2, seed=k, pool=(-1, 0, 2, "1/2"))
+        consistent = m * x
+        other = random_matrix(field, m.rows, 2, seed=k + 100, pool=(-3, 0, 1, 5))
+        for b in (consistent, other):
+            ref = reference_solve_matrix(m, b)
+            got = solve_matrix(m, b)
+            assert got == ref
+            if got is not None:
+                assert m * got == b
+                assert_exact_scalars(field, got.data)
+            col = b.col(0)
+            ref1 = reference_solve_matrix(m, Matrix.from_columns(field, [col], m.rows))
+            assert solve(m, col) == (None if ref1 is None else ref1.col(0))
+            solved += got is not None
+            refused += got is None
+    assert solved >= 25 and refused >= 5
+    empty = Matrix(field, [[], []], cols=0)
+    assert solve(empty, (field.zero(), field.zero())) == ()
+    assert solve(empty, (field.zero(), field.one())) is None
+    assert solve(Matrix(field, [], cols=3), ()) == (field.zero(),) * 3
+
+
+def test_integral_rref_builds_no_fraction(monkeypatch):
+    m = mat(QQ, [[2, 3], [4, 5]])
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+    red, rk, piv = rref(m)
+    assert kernel_subspace(mat(QQ, [[2, 4, 6], [3, 9, 12]])).dim == 1
+    monkeypatch.undo()
+    assert red == Matrix.identity(QQ, 2) and rk == 2 and piv == (0, 1)
+    assert made == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([QQ, Field.prime(7), Field.prime(32003)]),
+       st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**16),
+       st.sampled_from([(-1, 0, 1), (0, 0, 2, -3, "1/2"), (0, 0, 0, 1, "5/3", -4)]))
+def test_kernel_vectors_annihilate_and_dimension_is_corank(field, rows, cols, seed, pool):
+    m = random_matrix(field, rows, cols, seed=seed, pool=pool)
+    sp = kernel_subspace(m)
+    for v in sp.basis:
+        assert not any(m.apply(v))
+    assert sp.dim == cols - rank(m)

@@ -432,3 +432,21 @@ def test_unstable_subspace_of_a_free_module_is_refused(conca32):
         submodule(F, copy1_j2 + [x])
     sub, emb = submodule(F, copy1_j2 + copy2_j2 + [x])
     assert sub.dim == 2 * alg.a + 1 and emb.is_intertwiner()
+
+
+def test_radical_reads_residues_without_fp_truth_tests(monkeypatch):
+    # The radical hands every action column to the elimination, which reads
+    # residues as ints, so no Fp is asked for its truth value.
+    from shortloc.homology import syzygy
+    from shortloc.linalg import Fp
+    alg = preset("ex15_1", field=Field.prime(32003), e=3, a=2)
+    omega = syzygy(syzygy(simple_module(alg)))
+    fresh = AModule(alg, omega.dim, omega.actions, check=False)
+    truth_tests = []
+    fp_bool = Fp.__bool__
+    monkeypatch.setattr(Fp, "__bool__", lambda x: truth_tests.append(1) or fp_bool(x))
+    radical = fresh.radical()
+    monkeypatch.undo()
+    assert truth_tests == []
+    assert radical == omega.radical() and radical.dim == omega.dim - omega.top_dim()
+    assert fresh.top_dim() == 7
