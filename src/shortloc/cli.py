@@ -42,8 +42,11 @@ def _default_cap() -> int:
     return homology.DEFAULT_CAP
 
 
-def parse_algebra_source(src: str) -> ShortAlgebra:
-    """A preset spec ("name" or "name:k=v,k=v") or a JSON file path."""
+def parse_algebra_source(src: str, cap: int) -> ShortAlgebra:
+    """A preset spec ("name" or "name:k=v,k=v") or a JSON file path.
+
+    A preset's size is checked against ``cap`` before it is built.
+    """
     if src.endswith(".json") or os.path.exists(src):
         return serialize.load_algebra(src)
     name, _, params = src.partition(":")
@@ -58,7 +61,7 @@ def parse_algebra_source(src: str) -> ShortAlgebra:
                 kwargs[key] = val
             else:
                 raise BadParams(f"unknown preset parameter {key!r}")
-    return preset(name, **kwargs)
+    return preset(name, cap=cap, **kwargs)
 
 
 def parse_module_source(src: str, alg: Optional[ShortAlgebra], seed: int, cap: int) -> AModule:
@@ -106,8 +109,7 @@ def _emit(args, payload: dict, text_lines: list[str], csv_lines: Optional[list[s
         out = "\n".join(text_lines) + "\n"
     dest = getattr(args, "output", None)
     if dest:
-        with open(dest, "w") as fh:
-            fh.write(out)
+        serialize.save_text(dest, out)
     else:
         sys.stdout.write(out)
 
@@ -124,7 +126,7 @@ def cmd_algebra(args) -> int:
     if args.action in ("validate", "info"):
         if not args.source:
             raise BadParams("algebra source required")
-        alg = parse_algebra_source(args.source)
+        alg = parse_algebra_source(args.source, _default_cap())
         rep = alg.validate()
         payload = serialize.report("algebra/" + args.action,
                                    {"source": args.source}, values=rep.as_dict())
@@ -134,7 +136,7 @@ def cmd_algebra(args) -> int:
     if args.action == "preset":
         if not args.source:
             raise BadParams(f"preset name required; available: {', '.join(preset_names())}")
-        alg = preset(args.source, e=args.e, a=args.a, c=args.c, q=args.q)
+        alg = preset(args.source, e=args.e, a=args.a, c=args.c, q=args.q, cap=_default_cap())
         alg.validate()
         payload = serialize.algebra_to_dict(alg)
         lines = [f"name: {alg.name}", f"hilbert_type: {alg.hilbert_type}",
@@ -149,8 +151,9 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_module(args) -> int:
-    alg = parse_algebra_source(args.algebra) if args.algebra else None
-    M = parse_module_source(args.spec, alg, args.seed, _default_cap())
+    cap = _default_cap()
+    alg = parse_algebra_source(args.algebra, cap) if args.algebra else None
+    M = parse_module_source(args.spec, alg, args.seed, cap)
     payload = serialize.module_to_dict(M)
     if args.output:
         serialize.save_json(args.output, payload)
@@ -162,7 +165,7 @@ def cmd_module(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    alg = parse_algebra_source(args.algebra) if args.algebra else None
+    alg = parse_algebra_source(args.algebra, args.cap) if args.algebra else None
     M = parse_module_source(args.module, alg, args.seed, args.cap)
     cap = args.cap
     op = args.op
@@ -215,7 +218,7 @@ _BOUNDED_CHECKS = ("semigp", "inftf", "gp")
 
 
 def cmd_check(args) -> int:
-    alg = parse_algebra_source(args.algebra) if args.algebra else None
+    alg = parse_algebra_source(args.algebra, args.cap) if args.algebra else None
     M = parse_module_source(args.module, alg, args.seed, args.cap)
     if args.predicate not in _CHECKS:
         raise BadParams(f"unknown check {args.predicate!r}")
@@ -231,7 +234,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    alg = parse_algebra_source(args.algebra) if args.algebra else None
+    alg = parse_algebra_source(args.algebra, args.cap) if args.algebra else None
     M = parse_module_source(args.module, alg, args.seed, args.cap)
     table = betti(M, args.n, cap=args.cap)
     payload = serialize.report("betti", {"module": args.module, "n": args.n},
@@ -256,7 +259,7 @@ def cmd_bseq(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    alg = parse_algebra_source(args.algebra) if args.algebra else None
+    alg = parse_algebra_source(args.algebra, args.cap) if args.algebra else None
     M = parse_module_source(args.module, alg, args.seed, args.cap)
     if args.walk == "omega":
         record = omega_path(M, args.n, cap=args.cap)

@@ -11,8 +11,13 @@ when it is first needed, so Ext^i stops at the cover of the (i+1)-st syzygy.
 once and serves the dual module, the torsionless and reflexive verdicts, the
 evaluation map and the minimal left approximation with its cokernel (the
 cosyzygy), each built on first read; the stable Hom reads its maps too.
-A cover maps its top lifts by each basis element through
-:meth:`AModule.basis_images`; the right action on Hom(M, A) is A^op's regular one.
+The right action on Hom(M, A) is A^op's regular one.
+
+A cover's kernel lies in JP, which the minimality check proves, so J^2
+kills it: the kernel module records that, and its own cover forms no
+product.  Its top lifts are unit vectors, so their images under v_i are
+columns of its actions, and their images under w_m are zero
+(:func:`projective_cover`); its Loewy length needs no product either.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ class Presentation:
 
     The kernel is held as a subspace of P; its module and embedding are
     built on first read, so a caller that needs only the cover pays for
-    no induced actions.
+    no induced actions.  The module records that J^2 kills it, so its
+    :meth:`AModule.loewy_length` forms no product.
     """
 
     module: AModule
@@ -51,7 +57,10 @@ class Presentation:
 
     @cached_property
     def _kernel(self) -> tuple[AModule, ModuleMap]:
-        return module_from_subspace(self.cover_map.source, self._kernel_space)
+        sub, emb = module_from_subspace(self.cover_map.source, self._kernel_space)
+        # Minimality puts the kernel in JP, so J^2 kills it: J^3 P = 0.
+        sub._square_zero = True
+        return sub, emb
 
     @property
     def kernel(self) -> AModule:
@@ -88,23 +97,36 @@ class BoundedVerdict:
 
 
 def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
-    """The projective cover A^t -> M with t = dim top M, and its kernel."""
+    """The projective cover A^t -> M with t = dim top M, and its kernel.
+
+    The k-th top lift m_k is the unit vector at the k-th free column c_k of
+    JM, and copy k of A sends (1, v_1.., w_1..) to (m_k, v_1 m_k.., w_1 m_k..).
+    A module known to have J^2 M = 0, as every syzygy and every semisimple
+    module is, forms no product: v_i m_k is column c_k of the action X_i,
+    read, not multiplied, and every w_m m_k is zero.  Any other module maps its lifts by 1, v_i and w_m
+    (:meth:`AModule.basis_images`).  Minimality is checked on the kernel's
+    sparse rows: no kernel vector reaches a coordinate of an m_k, so the
+    kernel lies in JP.
+    """
     alg = M.algebra
-    t = M.top_dim()
-    if t * alg.dim > cap:
-        raise ResourceCapExceeded(t * alg.dim, cap)
+    n, t = alg.dim, M.top_dim()
+    if t * n > cap:
+        raise ResourceCapExceeded(t * n, cap)
     P = free_module(alg, t)
-    # Copy k of A sends its basis (1, v_1.., w_1..) to (m, v_1 m.., w_1 m..)
-    # for the k-th top lift m.
-    lifts = Matrix.from_columns(M.field, M.top_lift(), M.dim)
-    blocks = [img.transpose().data for img in M.basis_images(lifts)]
+    lifts = M.top_lift()
+    if M._square_zero or M.radical().dim == 0:
+        free = M.radical().free_columns()
+        blocks = [lifts] + [[tuple(row[c] for row in X.data) for c in free] for X in M.actions]
+        blocks += [[(M.field.zero(),) * M.dim] * t] * alg.a
+    else:
+        lifted = M.basis_images(Matrix.from_columns(M.field, lifts, M.dim))
+        blocks = [img.transpose().data for img in lifted]
     cover = Matrix.from_columns(M.field, [b[k] for k in range(t) for b in blocks], M.dim)
     ker = kernel_subspace(cover)
     if P.dim - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
-    for v in ker.basis:
-        if any(v[::alg.dim]):
-            raise InvariantViolation("cover kernel escapes the radical (not minimal)")
+    if any(j % n == 0 for idx, _ in ker.sparse_rows().values() for j in idx):
+        raise InvariantViolation("cover kernel escapes the radical (not minimal)")
     return Presentation(M, t, ModuleMap(P, M, cover), ker)
 
 

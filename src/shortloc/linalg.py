@@ -32,6 +32,7 @@ and membership walk only non-zero entries.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
@@ -47,6 +48,11 @@ except ImportError:  # pragma: no cover - gmpy2 is an optional accelerator
     _mpq = None
 
 _Q = _mpq if _mpq is not None else Fraction
+
+#: A decimal literal's exponent is refused above this size, as many digits
+#: as ``int()`` reads from a string: ``Fraction`` would expand it in full.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
 
 
 def Rational(x, d=1):
@@ -167,8 +173,8 @@ class Field:
         This is the one gate for scalars.  Over Q it returns :func:`Rational`
         of x, so an integral value is an ``int``; over F_p an :class:`Fp`.
         It refuses with :class:`BadParams` a float, a string that is no
-        rational literal ("nan", "inf", ""), a zero denominator, and over
-        F_p a denominator divisible by p.
+        rational literal ("nan", "inf", ""), a decimal exponent beyond
+        ±4300, a zero denominator, and over F_p a denominator divisible by p.
         """
         p = self.characteristic
         if isinstance(x, float):
@@ -176,6 +182,9 @@ class Field:
         if isinstance(x, str):
             literal = x.strip()
             try:
+                exp = _EXPONENT.search(literal)
+                if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:
+                    raise BadParams(f"the exponent of {literal!r} exceeds {_MAX_EXPONENT}")
                 x = (Rational if p == 0 else Fraction)(literal)
             except ZeroDivisionError:
                 raise BadParams(f"zero denominator in {literal!r}") from None
@@ -631,16 +640,19 @@ class Subspace:
         vectors = Matrix(self.field, coefs, cols=self.dim) * Matrix(self.field, self.basis)
         return Subspace.from_vectors(self.field, self.ambient, vectors.data)
 
-    def complement(self) -> list[tuple]:
-        """Standard basis vectors extending this basis to the ambient space."""
-        zero, one = self.field.zero(), self.field.one()
+    def free_columns(self) -> list[int]:
+        """The coordinates that are no pivot, in increasing order."""
         pivset = set(self.pivots)
+        return [c for c in range(self.ambient) if c not in pivset]
+
+    def complement(self) -> list[tuple]:
+        """The unit vectors at the free columns: they extend this basis to k^ambient."""
+        zero, one = self.field.zero(), self.field.one()
         out = []
-        for c in range(self.ambient):
-            if c not in pivset:
-                v = [zero] * self.ambient
-                v[c] = one
-                out.append(tuple(v))
+        for c in self.free_columns():
+            v = [zero] * self.ambient
+            v[c] = one
+            out.append(tuple(v))
         return out
 
     def _check(self, other: "Subspace"):

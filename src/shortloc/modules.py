@@ -61,6 +61,8 @@ class AModule:
     _socle: Optional[Subspace] = None
     _basis_actions: Optional[tuple] = None
     _loewy: Optional[int] = None
+    #: Set when J^2 M = 0 is known, as for a syzygy: then no product decides it.
+    _square_zero = False
 
     def __init__(self, algebra: ShortAlgebra, dim: int, actions: Sequence[Matrix],
                  check: bool = True):
@@ -143,8 +145,10 @@ class AModule:
                 self._loewy = 0
             elif self.radical().dim == 0:
                 self._loewy = 1
+            elif self._square_zero or not _images(self.radical().basis, self.actions):
+                self._loewy = 2
             else:
-                self._loewy = 3 if _images(self.radical().basis, self.actions) else 2
+                self._loewy = 3
         return self._loewy
 
     def top_lift(self) -> list[tuple]:
@@ -363,8 +367,7 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     if not isinstance(sub, Subspace):
         sub = Subspace.from_vectors(M.field, M.dim, sub)
     _mapped_basis(M, sub)  # raises BadParams unless sub is stable
-    pivset = set(sub.pivots)
-    free = [c for c in range(M.dim) if c not in pivset]
+    free = sub.free_columns()
     # Reducing e_c leaves e_c at a free column c and e_c - row at the
     # pivot of that row, so the projection is read off the basis rows.
     proj_rows = []

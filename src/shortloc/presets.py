@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import ShortAlgebra, algebra_from_relations
-from .errors import BadParams, InvariantViolation
+from .errors import BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import QQ, Field
 
 
@@ -242,13 +242,16 @@ def preset_names() -> list[str]:
 
 
 def preset(name: str, field: Field = QQ, *, e: Optional[int] = None,
-           a: Optional[int] = None, c: Optional[int] = None, q=None) -> ShortAlgebra:
+           a: Optional[int] = None, c: Optional[int] = None, q=None,
+           cap: Optional[int] = None) -> ShortAlgebra:
     """Construct a preset algebra by name.
 
     Accepted parameters per preset: ``L`` takes e; ``qexterior`` and
     ``ex9_4`` take q (default 2); ``lambda_c`` takes c (default 0) and q;
     ``ex14_1`` and ``ex15_1`` take e and a.  Unknown or missing parameters
-    raise :class:`BadParams`.
+    raise :class:`BadParams`.  The relations are reduced in the g^2 products
+    of the g generators, with time and memory growing about as g^4, so with
+    a ``cap`` g^2 is checked against it before anything is built.
     """
     if name not in _PRESETS:
         raise BadParams(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
@@ -265,4 +268,8 @@ def preset(name: str, field: Field = QQ, *, e: Optional[int] = None,
         raise BadParams("preset 'L' needs e")
     if name in ("ex14_1", "ex15_1") and (e is None or a is None):
         raise BadParams(f"preset {name!r} needs both e and a")
+    # A preset has e generators when it takes e, and at most 3 + c otherwise.
+    gens = max(e if e is not None else 3 + (c or 0), 0)
+    if cap is not None and gens * gens > cap:
+        raise ResourceCapExceeded(gens * gens, cap)
     return fn(field=field, **kwargs)

@@ -154,9 +154,16 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def save_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadParams(f"cannot write {path}: {exc.strerror}") from None
+
+
 def save_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
+    save_text(path, dumps(obj))
 
 
 def load_json(path: str):
@@ -165,6 +172,8 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise BadParams(f"cannot read {path}: {exc.strerror}") from None
+    except RecursionError:
+        raise BadParams(f"cannot read {path}: JSON nested too deeply") from None
 
 
 def load_algebra(path: str) -> ShortAlgebra:

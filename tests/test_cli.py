@@ -1,11 +1,19 @@
 """CLI behaviour: exit codes, formats, determinism, golden files."""
 
+import collections
+import contextlib
+import copy
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
 import pytest
+
+from shortloc import cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -356,3 +364,131 @@ def test_verify_paper_fast_suite_exits_clean():
     lines = res.stdout.splitlines()
     assert sum(1 for ln in lines if ln.startswith("PASS")) == 14
     assert not any(ln.startswith("FAIL") for ln in lines)
+
+
+# -- exit-code fuzzing, in process -------------------------------------------
+
+_FUZZ_VALUES = ["", "0", "-1", "1", "2", "3", "7", "x", "1/0", "2/3", "-2/5", "1e2", "nan",
+                "0.5", " 1", "1,1", "=", ":", "e=2", "a", "111", "1e999999999", "-2E-99999"]
+_FUZZ_ALGEBRAS = ["L:e=2", "qexterior:q=3", "lambda_c:c=1", "ex15_1:e=3,a=2", "ex9_3",
+                  "ex14_1:e=2,a=1"]
+_FUZZ_MODULES = ["simple", "regular", "radical", "cyclic:0,1,0,0", "cyclic:0,1,0,0,0,0",
+                 "malpha:1", "random:1,1", "random:2,0"]
+_FUZZ_JUNK = [None, True, 0, -1, 7, 1.5, "x", "1/0", "", [], {}, [[]], ["1"], {"kind": "Q"}]
+
+
+def _fuzz_spec(rng, spec):
+    """A spec with one or two of its tokens replaced, dropped, doubled or split."""
+    parts = re.split(r"([:,=])", spec)
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(parts))
+        op = rng.randrange(4)
+        if op == 0:
+            parts[k] = rng.choice(_FUZZ_VALUES)
+        elif op == 1 and len(parts) > 1:
+            del parts[k]
+        elif op == 2:
+            parts.insert(k, rng.choice(":,="))
+        else:
+            parts.insert(k, parts[k])
+    return "".join(parts)
+
+
+def _fuzz_json(rng, payload):
+    """The JSON text of a payload with one or two values replaced, dropped or
+    wrapped, sometimes cut short."""
+    payload = copy.deepcopy(payload)
+    for _ in range(rng.randint(1, 2)):
+        holder, key, node = None, None, payload
+        while isinstance(node, (dict, list)) and node and rng.random() < 0.8:
+            key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+            holder, node = node, node[key]
+        junk = copy.deepcopy(rng.choice(_FUZZ_JUNK))
+        if holder is None:
+            payload = junk
+        elif rng.random() < 0.4:
+            del holder[key]
+        else:
+            holder[key] = junk if rng.random() < 0.7 else [node]
+    text = json.dumps(payload)
+    return text[:rng.randrange(len(text) + 1)] if rng.random() < 0.15 else text
+
+
+def _fuzz_argvs(rng, tmp, bases, count):
+    files = [str(tmp / "deep.json"), str(tmp / "binary.json"), str(tmp), "missing.json"]
+    (tmp / "deep.json").write_text("[" * 100000)
+    (tmp / "binary.json").write_bytes(b"\xff\xfe\x00")
+    for i in range(count):
+        alg, spec = rng.choice(_FUZZ_ALGEBRAS), rng.choice(_FUZZ_MODULES)
+        kind = rng.randrange(4)
+        if kind == 0:
+            spec = _fuzz_spec(rng, spec)
+        elif kind == 1:
+            alg = _fuzz_spec(rng, alg)
+        elif kind == 2:
+            path = tmp / f"m{i}.json"
+            path.write_text(_fuzz_json(rng, rng.choice(bases)))
+            spec, alg = str(path), None
+        elif rng.random() < 0.5:
+            spec, alg = rng.choice(files), None
+        bounded = ["--cap", "300"]
+        argv = rng.choice([
+            ["module", "make", spec],
+            ["compute", rng.choice(["syzygy", "transpose", "dual", "mho", "ext:1:simple",
+                                    _fuzz_spec(rng, "ext:2:simple")]), spec] + bounded,
+            ["check", rng.choice(list(cli._CHECKS)), spec, "--bound", "3"] + bounded,
+            ["betti", spec, "--n", "3", "--format", rng.choice(["text", "json", "csv"])]
+            + bounded,
+            ["explore", "omega", spec, "--n", "3"] + bounded,
+            ["algebra", rng.choice(["info", "validate"]), spec if alg is None else alg],
+        ])
+        if alg is not None and argv[0] != "algebra":
+            argv += ["--algebra", alg]
+        if rng.random() < 0.1:
+            argv += ["-o", rng.choice([str(tmp / "out.txt"), str(tmp / "no" / "out.txt"),
+                                       str(tmp)])]
+        yield argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_malformed_specs_and_files_keep_the_exit_code_contract(tmp_path):
+    # Seeded malformed module and algebra specs and JSON files, run through
+    # cli.main: every exit code is 0..3, no exception escapes, exit 1 is only
+    # a check's "false", and every error message comes with exit 2 or 3.
+    bases = []
+    for alg, spec in (("lambda_c:c=1", "malpha:1"), ("L:e=2", "random:2,1")):
+        path = str(tmp_path / "base.json")
+        assert _run_in_process(["module", "make", spec, "--algebra", alg, "-o", path])[0] == 0
+        with open(path) as fh:
+            bases.append(json.load(fh))
+    codes = collections.Counter()
+    for argv in _fuzz_argvs(random.Random(20261018), tmp_path, bases, 400):
+        code, out, err = _run_in_process(argv)
+        codes[code] += 1
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert argv[0] == "check" and err == "" and out.strip() == "false", argv
+        assert bool(err) == (code in (2, 3)), (argv, err)
+    assert codes[0] >= 20 and codes[1] >= 1 and codes[2] >= 200
+
+
+def test_oversized_presets_and_exponents_are_refused_before_any_work():
+    # Without the guards these run for minutes (a preset with 114
+    # generators) or hours (Fraction expanding 10**999999999).
+    code, out, err = _run_in_process(["algebra", "info", "lambda_c:c=111"])
+    assert code == 3 and "12996 exceeds cap 5000" in err
+    code, out, err = _run_in_process(["betti", "simple", "--n", "2", "--cap", "300",
+                                      "--algebra", "ex14_1:e=18,a=1"])
+    assert code == 3 and "324 exceeds cap 300" in err
+    code, out, err = _run_in_process(["module", "make", "cyclic:0,1e999999999,0,0",
+                                      "--algebra", "qexterior"])
+    assert code == 2 and "exponent" in err
+    assert _run_in_process(["module", "make", "cyclic:0,1e-4300,0,0",
+                            "--algebra", "qexterior"])[0] == 0

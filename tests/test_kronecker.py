@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shortloc.errors import AlgebraMismatch, BadParams, NotSelfInjective
 from shortloc.homology import ext_dim
@@ -6,10 +8,10 @@ from shortloc.kronecker import (KroneckerRep, hom_decomposition_check,
                                 kronecker_hom_dim, multiplication_form, push_down,
                                 rep_as_module, rep_dual, sigma_reflection, tilde,
                                 verify_sigma_omega)
-from shortloc.linalg import QQ, Matrix
+from shortloc.linalg import QQ, Field, Matrix
 from shortloc.modules import (cyclic_submodule, dim_vector, end_dim, is_isomorphic,
                               left_regular_module, mod_j_squared, radical_module,
-                              random_module, simple_module)
+                              random_module, simple_module, simple_multiplicity)
 from shortloc.numerics import q_form
 from shortloc.presets import preset
 
@@ -153,6 +155,19 @@ def test_sigma_omega_compatibility(qext):
     top = mod_j_squared(left_regular_module(qext))
     assert sigma_reflection(qext, tilde(top)).dim_vector == (0, 1)
     assert verify_sigma_omega(qext, top)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([QQ, Field.prime(32003)]), st.sampled_from(["2", "3", "-1/2"]),
+       st.integers(1, 4), st.integers(0, 4), st.integers(0, 10**6))
+def test_sigma_omega_on_random_modules(field, q, gens, rels, seed):
+    # The reflection of the Kronecker shadow against the syzygy from the
+    # projective cover, on seeded Loewy-length <= 2 modules over qexterior
+    # without a simple summand.
+    alg = preset("qexterior", field=field, q=q)
+    M = mod_j_squared(random_module(alg, gens, rels, seed=seed))
+    assume(simple_multiplicity(M) == 0)
+    assert verify_sigma_omega(alg, M), (field, q, gens, rels, seed)
 
 
 def test_sigma_omega_excludes_simple_summands(qext):
