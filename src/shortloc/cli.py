@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from . import homology, serialize
 from .algebra import ShortAlgebra
@@ -244,6 +245,25 @@ def cmd_betti(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _any_int_digits() -> Iterator[None]:
+    """Lift Python's cap on the digits of an int-to-text conversion for a block.
+
+    Python 3.11 (and 3.10 from 3.10.7) refuses to print an int of more than
+    4300 digits; an older 3.10 has no cap and no setter.
+    """
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
 def cmd_bseq(args) -> int:
     seq = b_sequence(args.e, args.a, args.n)
     shown = list(seq.values[1:])
@@ -253,8 +273,11 @@ def cmd_bseq(args) -> int:
     payload = serialize.report("bseq", {"e": args.e, "a": args.a, "n": args.n},
                                values=shown,
                                flags=(["closed_form_checked"] if args.closed_form else []))
-    csv_lines = ["n,b_n"] + [f"{n},{b}" for n, b in enumerate(shown)]
-    _emit(args, payload, [" ".join(str(b) for b in shown)], csv_lines)
+    # b_n has up to n·log10(e) digits, so a long sequence prints ints beyond the cap.
+    with _any_int_digits():
+        digits = [str(b) for b in shown] if args.format != "json" else []
+        csv_lines = ["n,b_n"] + [f"{n},{b}" for n, b in enumerate(digits)]
+        _emit(args, payload, [" ".join(digits)], csv_lines)
     return EXIT_OK
 
 

@@ -5,30 +5,39 @@ basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
 is the single engine that walks syzygies: Betti numbers are the tops of its
 syzygies, syzygy powers and orbit walks read its modules, and Ext groups and
 the transpose (the cokernel of d_1^* into A) come from the Hom-complex of its
-boundaries.  It builds only what is read: a cover's kernel module is made
-when it is first needed, so Ext^i stops at the cover of the (i+1)-st syzygy.
-:class:`DualData` is the single engine of the dual side: it solves Hom(M, A)
-once and serves the dual module, the torsionless and reflexive verdicts, the
-evaluation map and the minimal left approximation with its cokernel (the
-cosyzygy), each built on first read; the stable Hom reads its maps too.
-The right action on Hom(M, A) is A^op's regular one.
+boundaries.  :class:`DualData` is the single engine of the dual side: it
+solves Hom(M, A) once and serves the dual module, the torsionless and
+reflexive verdicts, the evaluation map and the minimal left approximation
+with its cokernel (the cosyzygy), each built on first read; the stable Hom
+reads its maps too.  The right action on Hom(M, A) is A^op's regular one.
 
-A cover's kernel lies in JP, which the minimality check proves, so J^2
-kills it: the kernel module records that, and its own cover forms no
-product.  Its top lifts are unit vectors, so their images under v_i are
-columns of its actions, and their images under w_m are zero
-(:func:`projective_cover`); its Loewy length needs no product either.
+A syzygy is a :class:`Syzygy`: the kernel of a cover A^t -> M, held by its
+shadow, the reduced basis of the kernel as sparse rows in A^t.  Minimality
+puts it in JA^t, so J^2 kills it, and the cover of a module N with
+J^2 N = 0 has the kernel ker(Φ: V⊗k^t -> JN) ⊕ W⊗k^t, where Φ sends
+v_j ⊗ e_k to v_j m_k for the top lifts m_k (:func:`phi_kernel`).  So from
+step 1 on a resolution step is one kernel of the big Φ: v_j acts on a
+basis row x of the shadow through the structure constants,
+ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)} (:func:`generator_images`), those
+images span the radical of the syzygy, and they are the columns of its Φ
+(:meth:`Syzygy.cover`).  Only step 0 forms the whole cover matrix of its
+input.  Betti numbers, boundaries, Ext and the transpose read the shadows;
+a syzygy's action matrices are built (:func:`module_from_subspace`, the
+same basis and actions as the whole cover's kernel) only when a caller
+reads them, and so are a cover's matrix and a kernel's embedding.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
+from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
-from .linalg import Matrix, Subspace, kernel_basis, kernel_subspace, rank
+from .linalg import Matrix, SparseRows, Subspace, kernel_basis, kernel_subspace, rank
 from .modules import (AModule, HomSpace, ModuleMap, free_module, hom_basis, hom_space,
                       left_regular_module, module_from_subspace, quotient, zero_module)
 
@@ -40,35 +49,164 @@ DEFAULT_CAP = 5000
 DEFAULT_BOUND = 10
 
 
+def generator_images(alg: ShortAlgebra, rows: Sequence[tuple]) -> list[list[dict]]:
+    """v_1·x .. v_e·x for each x in JA^t, given as its non-zeros (indices, values).
+
+    v_j (v_i e_k) = sum_m c_{jim} w_m e_k and J^2 x is zero, so the image is
+    read off the V-coordinates of x through the structure constants; each
+    image is a dict {J^2-coordinate of A^t: scalar}.
+    """
+    e, n = alg.e, alg.dim
+    products: list[list[tuple]] = [[] for _ in range(n)]
+    for (j, i, m), c in alg.structure.items():
+        products[i].append((j - 1, e + m, c))
+    out = []
+    for idx, vals in rows:
+        images: list[dict] = [{} for _ in range(e)]
+        for col, x in zip(idx, vals):
+            i = col % n
+            for j, w, c in products[i]:
+                img, q = images[j], col - i + w
+                img[q] = img[q] + c * x if q in img else c * x
+        out.append(images)
+    return out
+
+
+def phi_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
+    """The kernel of the cover A^t -> N of a module N with J^2 N = 0.
+
+    ``images[k][j]`` is v_{j+1} m_k for the k-th top lift m_k, as a dict in
+    any coordinates of JN.  The kernel is ker(Φ) ⊕ W⊗k^t, where Φ sends
+    column k·e + j, the cover's k-major order, to ``images[k][j]``; ker Φ
+    (:func:`kernel_subspace` of Φ's sparse rows) lands on the V-coordinates
+    k·dim A + 1 + j, and the unit vectors of J^2 A^t follow.  These are the
+    rows of the whole cover's kernel: a reduced basis depends only on the
+    subspace and the column order, and the columns of the m_k are
+    independent of the rest.
+    """
+    e, n, t = alg.e, alg.dim, len(images)
+    phi_rows: dict = defaultdict(dict)
+    for k, imgs in enumerate(images):
+        for j, img in enumerate(imgs):
+            for q, y in img.items():
+                phi_rows[q][k * e + j] = y
+    phi = kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), e * t)).sparse_rows()
+    one = alg.field.one()
+    rows = {}
+    for k in range(t):
+        for j in range(e):
+            if k * e + j in phi:
+                idx, vals = phi[k * e + j]
+                rows[k * n + 1 + j] = dict(zip([c // e * n + 1 + c % e for c in idx], vals))
+        for q in range(k * n + 1 + e, (k + 1) * n):
+            rows[q] = {q: one}
+    return Subspace.from_sparse_rows(alg.field, n * t, rows)
+
+
+class Syzygy(AModule):
+    """The kernel of a projective cover A^t -> M, held by its shadow.
+
+    ``space`` is the shadow: the kernel's reduced basis as sparse rows in
+    the coordinates of A^t, which fix the module's basis.  J^2 kills the
+    kernel (minimality), so its top and its own cover come from one kernel
+    of the big Φ (:meth:`cover`), and its action matrices are built by
+    :func:`module_from_subspace` only when a caller reads them.
+    """
+
+    _square_zero = True
+
+    def __init__(self, algebra: ShortAlgebra, space: Subspace):
+        # No action matrices are passed, so AModule's shape checks are skipped.
+        self.algebra = algebra
+        self.dim = space.dim
+        self.space = space
+
+    @cached_property
+    def actions(self) -> tuple[Matrix, ...]:
+        P = free_module(self.algebra, self.space.ambient // self.algebra.dim)
+        return module_from_subspace(P, self.space)[0].actions
+
+    def top_dim(self) -> int:
+        # A radical already read off the built actions gives the top at once.
+        return super().top_dim() if self._radical is not None else len(self.cover[0])
+
+    @cached_property
+    def cover(self) -> tuple[tuple[int, ...], Subspace]:
+        """The top lifts, as pivots of ``space``, and the kernel of the projective cover.
+
+        JΩ is spanned by the images ψ_j(x) of the basis rows x and lies on
+        the J^2-coordinates of A^t, so every row at a V-coordinate lifts an
+        element of the top, and Φ over those rows has the rank of their
+        images' span.  When that rank is the number of rows at
+        J^2-coordinates, those rows span JΩ and the V-rows are all the top
+        lifts.  Otherwise the J^2-rows at the free columns of JΩ's reduced
+        basis, in the module's coordinates, lift the top too, and Φ is
+        taken again over all the lifts.
+        """
+        alg, space = self.algebra, self.space
+        e, n = alg.e, alg.dim
+        rows = space.sparse_rows()
+        images = dict(zip(space.pivots, generator_images(alg, [rows[p] for p in space.pivots])))
+        lifts = [p for p in space.pivots if p % n <= e]
+        kernel = phi_kernel(alg, [images[p] for p in lifts])
+        outer = [p for p in space.pivots if p % n > e]
+        # kernel.dim is (e·t - rank Φ) + a·t for the t V-rows.
+        if (e + alg.a) * len(lifts) - kernel.dim < len(outer):
+            # The radical is spanned by Φ's pivot columns and the images of
+            # the J^2-rows; the free columns of its matrix over the J^2-rows
+            # are the J^2-rows that lift the top.
+            free = set(kernel.pivots)
+            span = [img for k, p in enumerate(lifts) for j, img in enumerate(images[p])
+                    if k * n + 1 + j not in free]
+            span += [img for p in outer for img in images[p]]
+            at = {q: c for c, q in enumerate(outer)}
+            radical = SparseRows(alg.field, [{at[q]: y for q, y in img.items() if q in at}
+                                             for img in span], len(outer))
+            lifts = sorted(lifts + [outer[c] for c in kernel_subspace(radical).pivots])
+            kernel = phi_kernel(alg, [images[p] for p in lifts])
+        return tuple(lifts), kernel
+
+
+class _LazyMap(ModuleMap):
+    """A module map whose matrix is built on first read."""
+
+    def __init__(self, source: AModule, target: AModule, build: Callable[[], Matrix]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_build", build)
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return self._build()
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A projective cover P -> M together with its kernel (first syzygy).
 
-    The kernel is held as a subspace of P; its module and embedding are
-    built on first read, so a caller that needs only the cover pays for
-    no induced actions.  The module records that J^2 kills it, so its
-    :meth:`AModule.loewy_length` forms no product.
+    The kernel is held as a subspace of P, the shadow of the
+    :class:`Syzygy` ``kernel``.  The cover's matrix and the kernel's
+    embedding are built on first read; no resolution step reads them.
     """
 
     module: AModule
     cover_rank: int
-    cover_map: ModuleMap
     _kernel_space: Subspace
 
     @cached_property
-    def _kernel(self) -> tuple[AModule, ModuleMap]:
-        sub, emb = module_from_subspace(self.cover_map.source, self._kernel_space)
-        # Minimality puts the kernel in JP, so J^2 kills it: J^3 P = 0.
-        sub._square_zero = True
-        return sub, emb
+    def kernel(self) -> Syzygy:
+        return Syzygy(self.module.algebra, self._kernel_space)
 
-    @property
-    def kernel(self) -> AModule:
-        return self._kernel[0]
+    @cached_property
+    def cover_map(self) -> ModuleMap:
+        P = free_module(self.module.algebra, self.cover_rank)
+        return _LazyMap(P, self.module, lambda: _cover_matrix(self.module))
 
-    @property
+    @cached_property
     def kernel_embedding(self) -> ModuleMap:
-        return self._kernel[1]
+        P = self.cover_map.source
+        basis = self._kernel_space.basis
+        return ModuleMap(self.kernel, P, Matrix.from_columns(P.field, basis, P.dim))
 
 
 @dataclass(frozen=True)
@@ -96,38 +234,43 @@ class BoundedVerdict:
         return self.holds
 
 
-def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
-    """The projective cover A^t -> M with t = dim top M, and its kernel.
+def _cover_matrix(M: AModule) -> Matrix:
+    """The matrix of the cover A^t -> M, t = dim top M.
 
     The k-th top lift m_k is the unit vector at the k-th free column c_k of
     JM, and copy k of A sends (1, v_1.., w_1..) to (m_k, v_1 m_k.., w_1 m_k..).
-    A module known to have J^2 M = 0, as every syzygy and every semisimple
-    module is, forms no product: v_i m_k is column c_k of the action X_i,
-    read, not multiplied, and every w_m m_k is zero.  Any other module maps its lifts by 1, v_i and w_m
-    (:meth:`AModule.basis_images`).  Minimality is checked on the kernel's
-    sparse rows: no kernel vector reaches a coordinate of an m_k, so the
-    kernel lies in JP.
+    A module known to have J^2 M = 0 forms no product: v_i m_k is column
+    c_k of the action X_i, read, not multiplied, and every w_m m_k is zero.
+    Any other module maps its lifts by 1, v_i and w_m (:meth:`AModule.basis_images`).
     """
-    alg = M.algebra
-    n, t = alg.dim, M.top_dim()
-    if t * n > cap:
-        raise ResourceCapExceeded(t * n, cap)
-    P = free_module(alg, t)
     lifts = M.top_lift()
     if M._square_zero or M.radical().dim == 0:
         free = M.radical().free_columns()
         blocks = [lifts] + [[tuple(row[c] for row in X.data) for c in free] for X in M.actions]
-        blocks += [[(M.field.zero(),) * M.dim] * t] * alg.a
+        blocks += [[(M.field.zero(),) * M.dim] * len(lifts)] * M.algebra.a
     else:
         lifted = M.basis_images(Matrix.from_columns(M.field, lifts, M.dim))
         blocks = [img.transpose().data for img in lifted]
-    cover = Matrix.from_columns(M.field, [b[k] for k in range(t) for b in blocks], M.dim)
-    ker = kernel_subspace(cover)
-    if P.dim - ker.dim != M.dim:
+    return Matrix.from_columns(M.field, [b[k] for k in range(len(lifts)) for b in blocks], M.dim)
+
+
+def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
+    """The projective cover A^t -> M with t = dim top M, and its kernel.
+
+    A :class:`Syzygy` takes its kernel from its shadow (:meth:`Syzygy.cover`);
+    any other module from the whole cover matrix (:func:`_cover_matrix`).
+    Minimality is checked on the kernel's sparse rows: no kernel vector
+    reaches a coordinate of an m_k, so the kernel lies in JP.
+    """
+    n, t = M.algebra.dim, M.top_dim()
+    if t * n > cap:
+        raise ResourceCapExceeded(t * n, cap)
+    ker = M.cover[1] if isinstance(M, Syzygy) else kernel_subspace(_cover_matrix(M))
+    if t * n - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
     if any(j % n == 0 for idx, _ in ker.sparse_rows().values() for j in idx):
         raise InvariantViolation("cover kernel escapes the radical (not minimal)")
-    return Presentation(M, t, ModuleMap(P, M, cover), ker)
+    return Presentation(M, t, ker)
 
 
 def syzygy(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
@@ -150,8 +293,10 @@ def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
 class MinimalResolution:
     """Lazily extended minimal projective resolution of a module.
 
-    Step i is the projective cover of the i-th syzygy; the kernel module
-    of a step is built only when a caller or the next step reads it.
+    Step i is the projective cover of the i-th syzygy.  A syzygy's top is
+    read off its shadow (:meth:`Syzygy.cover`), so t_n needs no
+    :func:`projective_cover` of the n-th syzygy, and no step builds a
+    syzygy's action matrices.
     """
 
     def __init__(self, M: AModule, cap: int = DEFAULT_CAP):
@@ -166,7 +311,7 @@ class MinimalResolution:
             self.steps.append(projective_cover(cur, cap=self.cap))
 
     def rank(self, i: int) -> int:
-        """t_i, the top dimension of the i-th syzygy (no cover of it needed)."""
+        """t_i, the top dimension of the i-th syzygy (no presentation of it needed)."""
         return self.syzygy_module(i).top_dim()
 
     def syzygy_module(self, i: int) -> AModule:
@@ -179,18 +324,24 @@ class MinimalResolution:
         """The map P_j -> P_{j-1} as a matrix of algebra elements.
 
         Entry [l][k] is the element g with d(unit_l) having k-th component
-        g; all entries lie in the radical (minimality).
+        g; all entries lie in the radical (minimality).  The cover
+        P_j -> Omega^j sends unit_l to the l-th top lift, a row of the
+        shadow of Omega^j in P_{j-1}, read off as it stands.
         """
         if j < 1:
             raise ValueError("boundaries start at index 1")
         self.extend_to(j)
-        n = self.module.algebra.dim
-        emb = self.steps[j - 1].kernel_embedding.matrix
-        t_prev = self.steps[j - 1].cover_rank
-        # The cover P_j -> Omega^j sends unit_l to the l-th top lift.
-        lifts = Matrix.from_columns(emb.field, self.steps[j].module.top_lift(), emb.cols)
-        return [[col[k * n:(k + 1) * n] for k in range(t_prev)]
-                for col in (emb * lifts).transpose().data]
+        syz = self.steps[j - 1].kernel
+        n, t_prev = self.module.algebra.dim, self.steps[j - 1].cover_rank
+        zero = self.module.field.zero()
+        rows = syz.space.sparse_rows()
+        out = []
+        for p in syz.cover[0]:
+            elements = [[zero] * n for _ in range(t_prev)]
+            for c, x in zip(*rows[p]):
+                elements[c // n][c % n] = x
+            out.append([tuple(g) for g in elements])
+        return out
 
 
 def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> Matrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
-from .homology import DEFAULT_CAP, syzygy
+from .homology import DEFAULT_CAP, generator_images, phi_kernel, syzygy
 from .linalg import Matrix, kernel_basis, rank
 from .modules import AModule, find_isomorphism, hom_dim, simple_multiplicity
 
@@ -155,8 +155,10 @@ def multiplication_form(alg: ShortAlgebra) -> Matrix:
 def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
     """The reflection (V_0, V_1; phi) -> (Ker Phi, V_0; beta-induced maps).
 
-    Phi assembles the phi_i into a single map k^e (x) V_0 -> V_1; the new
-    maps feed the kernel components through the multiplication form.  On
+    It is one syzygy step of the push-down for a = 1: Phi sends v_i ⊗ u to
+    phi_i(u), and the new maps are the generator actions on the V-rows of
+    the cover's kernel, which land in J^2 A^{dim V_0} = V_0 through the
+    multiplication form (:func:`phi_kernel`, :func:`generator_images`).  On
     dimension vectors (without simple projective summands) this acts as
     (x, y) -> (e x - y, x).
     """
@@ -166,38 +168,19 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
         raise WrongHilbertType("the reflection needs Hilbert type (e, 1)")
     if not alg.is_self_injective():
         raise NotSelfInjective("the reflection needs a self-injective algebra")
-    beta = multiplication_form(alg)
-    if rank(beta) != alg.e:
+    if rank(multiplication_form(alg)) != alg.e:
         raise InvariantViolation("multiplication form is degenerate")
-    e, d0, d1 = rep.e, rep.dim0, rep.dim1
+    e, d0, n = rep.e, rep.dim0, alg.dim
     field = alg.field
+    columns = [[{r: x for r, x in enumerate(phi.col(u)) if x} for phi in rep.maps]
+               for u in range(d0)]
+    kernel = phi_kernel(alg, columns)
+    rows = kernel.sparse_rows()
+    images = generator_images(alg, [rows[p] for p in kernel.pivots if p % n <= e])
     zero = field.zero()
-    # Phi: coordinates (i, u) -> sum over phi_i columns.
-    if d0 == 0:
-        return KroneckerRep(e=e, dim0=0, dim1=0,
-                            maps=tuple(Matrix.zeros(field, 0, 0) for _ in range(e)))
-    rows = []
-    for r in range(d1):
-        line = []
-        for i in range(e):
-            line.extend(rep.maps[i].data[r])
-        rows.append(line)
-    phi_big = Matrix(field, rows, cols=e * d0)
-    kernel = kernel_basis(phi_big)
-    nk = len(kernel)
-    new_maps = []
-    for j in range(e):
-        cols = []
-        for kv in kernel:
-            acc = [zero] * d0
-            for i in range(e):
-                coef = beta.data[j][i]
-                if coef:
-                    block = kv[i * d0:(i + 1) * d0]
-                    acc = [s + coef * x if x else s for s, x in zip(acc, block)]
-            cols.append(acc)
-        new_maps.append(Matrix.from_columns(field, cols, d0))
-    return KroneckerRep(e=e, dim0=nk, dim1=d0, maps=tuple(new_maps))
+    maps = tuple(Matrix.from_columns(field, [[img[j].get(u * n + n - 1, zero) for u in range(d0)]
+                                             for img in images], d0) for j in range(e))
+    return KroneckerRep(e=e, dim0=len(images), dim1=d0, maps=maps)
 
 
 def verify_sigma_omega(alg: ShortAlgebra, M: AModule, seed: int = 0,

@@ -14,7 +14,9 @@ floating point anywhere in this package.
 :func:`rank`, :func:`kernel_subspace`, :func:`solve`, :func:`solve_matrix`
 and :meth:`Subspace.from_vectors`.  It reduces the rows one at a time as
 sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
-scaled by the lcm of their denominators, over F_p on plain residues.  The
+scaled by the lcm of their denominators, over F_p on plain residues; a
+matrix too big to lay out densely is handed over as its rows' non-zeros
+(:class:`SparseRows`).  The
 reduced row echelon form is unique, so its rows and pivots do not depend
 on how they are found.  Its only division is the final scaling of each
 pivot row by its lead in :func:`_rref_rows`, with :func:`Rational` over Q;
@@ -353,12 +355,36 @@ class Matrix:
         return Matrix(field, out, cols=total_c)
 
 
-def _sparse(row: Sequence, p: int) -> dict:
+class SparseRows:
+    """A matrix held as the non-zeros of its rows, each a dict {column: scalar}.
+
+    :func:`rank` and :func:`kernel_subspace` take it as they take a
+    :class:`Matrix`: the elimination reads every row as its non-zeros anyway,
+    so a matrix with few non-zeros per row is never laid out densely.
+    """
+
+    __slots__ = ("field", "data", "cols")
+
+    def __init__(self, field: Field, data: Sequence[dict], cols: int):
+        self.field = field
+        self.data = data
+        self.cols = cols
+
+    @property
+    def rows(self) -> int:
+        return len(self.data)
+
+
+def _sparse(row: Sequence | dict, p: int) -> dict:
     """The non-zeros of a row as {column: int}: residues over F_p, integers over Q.
 
-    Over Q a row holding any non-int (a ``Fraction`` with denominator 1
-    included) is multiplied by the lcm of its denominators.
+    A row is a dense sequence or a dict {column: scalar} (a row of
+    :class:`SparseRows`).  Over Q a row holding any non-int (a ``Fraction``
+    with denominator 1 included) is multiplied by the lcm of its denominators.
     """
+    if type(row) is dict:
+        columns = list(row)
+        return {columns[j]: x for j, x in _sparse(list(row.values()), p).items()}
     vals = list(map(_residue, row)) if p else row
     if not any(vals):
         return {}
@@ -468,7 +494,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return Matrix(m.field, dense, cols=m.cols), len(pivots), tuple(pivots)
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix | SparseRows) -> int:
     """The rank of ``m``: the number of pivots, with no reduced rows built."""
     return len(_echelon(m.field, m.data, m.cols))
 
@@ -478,7 +504,7 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     return list(kernel_subspace(m).basis)
 
 
-def kernel_subspace(m: Matrix) -> "Subspace":
+def kernel_subspace(m: Matrix | SparseRows) -> "Subspace":
     """The right null space as a :class:`Subspace` without re-reduction.
 
     Each basis vector carries the entry 1 at "its" free column and 0 at
@@ -487,19 +513,18 @@ def kernel_subspace(m: Matrix) -> "Subspace":
     coordinates of a kernel vector are its entries at the free columns.
     The vector of free column f holds -x at pivot column c for each entry
     x at f of c's reduced row, so the sparse pivot rows give the non-zeros
-    of every vector, which fill the subspace's sparse-row cache at once.
+    of every vector: the subspace is made from them, and its dense basis
+    only when read.
     """
     pivots, rows = _rref_rows(m.field, m.data, m.cols)
-    zero, one = m.field.zero(), m.field.one()
+    one = m.field.one()
     pivset = set(pivots)
     vecs = {fc: {fc: one} for fc in range(m.cols) if fc not in pivset}
     for pc, row in zip(pivots, rows):
         for j, x in row.items():
             if j != pc:
                 vecs[j][pc] = -x
-    space = Subspace(m.field, m.cols, [_dense(v, m.cols, zero) for v in vecs.values()], vecs)
-    space._sparse = {fc: (tuple(v), tuple(v.values())) for fc, v in vecs.items()}
-    return space
+    return Subspace.from_sparse_rows(m.field, m.cols, vecs)
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
@@ -534,32 +559,58 @@ class Subspace:
     the coordinates of a member are its entries at the pivots.  The
     non-zero (index, value) pairs of each row are cached, keyed by the
     row's pivot (:meth:`sparse_rows`): :meth:`from_vectors` and
-    :func:`kernel_subspace` fill the cache from the elimination's sparse
-    rows, any other subspace on first use.  :meth:`reduce`,
-    :meth:`contains` and :meth:`coords` walk only non-zeros, so checking a
-    vector with few non-zeros costs what its support and the rows at its
-    pivots cost, not the ambient dimension.
+    :func:`kernel_subspace` make the subspace from the elimination's sparse
+    rows (:meth:`from_sparse_rows`) and build its dense ``basis`` only when
+    it is read; any other subspace fills the cache on first use.
+    :meth:`reduce`, :meth:`contains` and :meth:`coords` walk only non-zeros,
+    so checking a vector with few non-zeros costs what its support and the
+    rows at its pivots cost, not the ambient dimension.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_sparse")
+    __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse")
 
     def __init__(self, field: Field, ambient: int, basis: Sequence[Sequence], pivots: Sequence[int]):
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in basis)
+        self._basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
         self._sparse: Optional[dict] = None
+
+    @staticmethod
+    def from_sparse_rows(field: Field, ambient: int, rows: dict[int, dict]) -> "Subspace":
+        """The subspace whose reduced rows, keyed by pivot in increasing order, are ``rows``.
+
+        Each row is a dict {index: value} of its non-zeros; the dense basis
+        is built on first read of :attr:`basis`.
+        """
+        space = Subspace(field, ambient, [], rows)
+        space._basis = None
+        space._sparse = {p: (tuple(row), tuple(row.values())) for p, row in rows.items()}
+        return space
+
+    @property
+    def basis(self) -> tuple[tuple, ...]:
+        if self._basis is None:
+            zero = self.field.zero()
+            basis = []
+            for p in self.pivots:
+                row = [zero] * self.ambient
+                for j, x in zip(*self._sparse[p]):
+                    row[j] = x
+                basis.append(tuple(row))
+            self._basis = tuple(basis)
+        return self._basis
 
     def sparse_rows(self) -> dict[int, tuple[tuple, tuple]]:
         """Pivot -> (indices, values) of the non-zero entries of that pivot's row."""
         if self._sparse is None:
             self._sparse = {p: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
-                            for p, row in zip(self.pivots, self.basis)}
+                            for p, row in zip(self.pivots, self._basis)}
         return self._sparse
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        """The span of the vectors, with its sparse-row cache filled by the kernel.
+        """The span of the vectors, made from the elimination's sparse rows.
 
         The vectors are read once, in order, so a generator of them is
         never held whole: only the non-zeros of each are kept.
@@ -570,10 +621,7 @@ class Subspace:
             return v
 
         pivots, rows = _rref_rows(field, map(checked, vectors), ambient)
-        zero = field.zero()
-        space = Subspace(field, ambient, [_dense(row, ambient, zero) for row in rows], pivots)
-        space._sparse = {p: (tuple(row), tuple(row.values())) for p, row in zip(pivots, rows)}
-        return space
+        return Subspace.from_sparse_rows(field, ambient, dict(zip(pivots, rows)))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -586,7 +634,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def reduce(self, v: Sequence) -> tuple:
         """Canonical representative of v modulo this subspace: v - sum_p v[p]·row_p."""

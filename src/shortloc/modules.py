@@ -143,7 +143,7 @@ class AModule:
         if self._loewy is None:
             if self.dim == 0:
                 self._loewy = 0
-            elif self.radical().dim == 0:
+            elif self.top_dim() == self.dim:
                 self._loewy = 1
             elif self._square_zero or not _images(self.radical().basis, self.actions):
                 self._loewy = 2
@@ -480,7 +480,8 @@ def dim_vector(M: AModule) -> DimVec:
     """(t, s) = (dim top M, dim JM); only for Loewy length <= 2."""
     if M.loewy_length() > 2:
         raise LoewyTooLong("dimension vector requires Loewy length <= 2")
-    return DimVec(M.top_dim(), M.radical().dim)
+    t = M.top_dim()
+    return DimVec(t, M.dim - t)
 
 
 def is_bipartite(M: AModule) -> bool:

@@ -42,6 +42,31 @@ def test_bseq_csv():
     assert res.stdout.splitlines() == ["n,b_n", "0,1", "1,2", "2,4", "3,8"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bseq_prints_values_beyond_the_int_digit_cap(tmp_path, fmt):
+    # b_10400 for (e, a) = (3, 1) has 4347 digits, past the 4300 digits
+    # Python 3.11 converts to text by default; it is printed, not refused.
+    out = tmp_path / f"bseq.{fmt}"
+    res = run_cli("bseq", "--e", "3", "--a", "1", "--n", "10400", "--format", fmt,
+                  "-o", str(out))
+    assert res.returncode == 0 and res.stderr == ""
+    prev, cur = 0, 1
+    for _ in range(10400):
+        prev, cur = cur, 3 * cur - prev
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    before = sys.get_int_max_str_digits() if setter else None
+    try:
+        if setter:
+            setter(0)
+        text = out.read_text()
+        last = json.loads(text)["values"][-1] if fmt == "json" else \
+            int(text.splitlines()[-1].split(",")[1])
+    finally:
+        if setter:
+            setter(before)
+    assert last == cur and cur > 10 ** 4300
+
+
 def test_algebra_info_text():
     res = run_cli("algebra", "info", "lambda_c")
     assert res.returncode == 0

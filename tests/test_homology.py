@@ -455,15 +455,18 @@ def _take(calls) -> tuple[int, int]:
 
 
 def test_betti_covers_exactly_n_syzygies(calls, conca32, qext):
+    # t_n is read off the shadow of Omega^n: n covers, and no syzygy's
+    # action matrices are built.
     for M in (simple_module(conca32), cyclic_x(conca32), simple_module(qext)):
         for n in range(6):
             betti(M, n)
-            assert _take(calls) == (n, n)
+            assert _take(calls) == (n, 0)
 
 
 def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
-    # Ext^i reads d_{i+1}: the covers of Omega^0..Omega^{i+1} and the
-    # modules Omega^1..Omega^{i+1}, never Omega^{i+2}.
+    # Ext^i reads d_{i+1}: the covers of Omega^0..Omega^{i+1}, never the
+    # cover of Omega^{i+2}; the boundaries are read off the shadows, so no
+    # syzygy module is built.
     S = simple_module(conca32)
     cases = [(S, left_regular_module(conca32)), (cyclic_x(conca32), S),
              (m_alpha(lam0, 2), m_alpha(lam0, 1))]
@@ -472,20 +475,20 @@ def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
         _take(calls)
         for i in range(4):
             ext_dims(M, N, i)
-            built = [space.dim for _, space in calls["module_from_subspace"]]
-            assert built == syzygy_dims[:i + 1]
-            assert _take(calls) == (i + 2, i + 1)
+            covered = [X.dim for X, in calls["projective_cover"][1:]]
+            assert covered == syzygy_dims[:i + 1]
+            assert _take(calls) == (i + 2, 0)
 
 
 def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
     # The semi-GP scan reads Ext^0..Ext^bound, or stops at the first
     # non-zero Ext^i; the transpose reads d_1; stable Hom reads one cover.
     assert is_semi_gp(m_alpha(lam0, 2), 4).holds
-    assert _take(calls) == (6, 5)
+    assert _take(calls) == (6, 0)
     assert is_semi_gp(simple_module(L2), 5).failed_at == 1
-    assert _take(calls) == (3, 2)
+    assert _take(calls) == (3, 0)
     transpose(m_alpha(lam0, 1))
-    assert _take(calls) == (2, 1)
+    assert _take(calls) == (2, 0)
     stable_hom_dim(m_alpha(lam0, 0), m_alpha(lam0, 1))
     assert _take(calls) == (1, 0)
 
@@ -496,8 +499,11 @@ def test_resolution_reuses_its_steps(calls, conca32):
     first = [res.syzygy_module(i) for i in range(4)]
     assert [res.syzygy_module(i) for i in range(4)] == first
     assert [res.rank(i) for i in range(4)] == list(betti(S, 3).values)
-    # Three covers and kernels for ``res``, three more for ``betti``'s own.
-    assert _take(calls) == (6, 6)
+    # Three covers for ``res``, three more for ``betti``'s own; no module.
+    assert _take(calls) == (6, 0)
+    # A syzygy's actions are built once, on first read.
+    assert first[3].actions is first[3].actions
+    assert [space.dim for _, space in calls["module_from_subspace"]] == [first[3].dim]
 
 
 # -- the dual engine solves Hom(M, A) once per module ------------------------

@@ -1,0 +1,141 @@
+"""The shadow resolution engine against the whole-cover route it replaced.
+
+From step 1 on, a resolution step is one kernel of the big Φ of a syzygy,
+read off its shadow.  The reference below is the route every step took
+before: it eliminates the whole cover matrix, built by mapping the top
+lifts through ``basis_images``, and builds each kernel module with
+``module_from_subspace``.  It lives here only, as the reference.
+"""
+
+import pytest
+
+from shortloc import homology
+from shortloc.errors import ResourceCapExceeded
+from shortloc.homology import MinimalResolution, betti
+from shortloc.linalg import QQ, Field, Matrix, kernel_subspace
+from shortloc.modules import (free_module, m_alpha, mod_j_squared, module_from_subspace,
+                              random_module, simple_module)
+from shortloc.presets import preset
+
+FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+
+DEPTH = 4
+
+
+class WholeCoverResolution:
+    """Covers by the whole cover matrix, kernels as explicit modules."""
+
+    def __init__(self, M):
+        self.modules = [M]
+        self.kernels = []
+        self.embeddings = []
+
+    def extend_to(self, depth):
+        while len(self.kernels) <= depth:
+            M = self.modules[-1]
+            lifts = M.top_lift()
+            lifted = M.basis_images(Matrix.from_columns(M.field, lifts, M.dim))
+            blocks = [img.transpose().data for img in lifted]
+            columns = [b[k] for k in range(len(lifts)) for b in blocks]
+            ker = kernel_subspace(Matrix.from_columns(M.field, columns, M.dim))
+            sub, emb = module_from_subspace(free_module(M.algebra, len(lifts)), ker)
+            self.kernels.append(ker)
+            self.embeddings.append(emb)
+            self.modules.append(sub)
+
+    def rank(self, i):
+        self.extend_to(i - 1)
+        return self.modules[i].top_dim()
+
+    def boundary_elements(self, j):
+        self.extend_to(j)
+        n = self.modules[0].algebra.dim
+        emb = self.embeddings[j - 1].matrix
+        lifts = Matrix.from_columns(emb.field, self.modules[j].top_lift(), emb.cols)
+        return [[col[k * n:(k + 1) * n] for k in range(self.rank(j - 1))]
+                for col in (emb * lifts).transpose().data]
+
+
+def _scalars(row):
+    return tuple((type(x), x) for x in row)
+
+
+def _typed(space):
+    """A subspace's basis, pivots and sparse rows, with the type of every scalar."""
+    return ([_scalars(v) for v in space.basis], space.pivots,
+            [(p, idx, _scalars(vals)) for p, (idx, vals) in space.sparse_rows().items()])
+
+
+def _typed_actions(M):
+    return [list(map(_scalars, X.data)) for X in M.actions]
+
+
+def _inputs(field):
+    """S and M(alpha), seeded random (mostly Loewy length 3) and J^2-quotient modules."""
+    lam = preset("lambda_c", field=field, c=1)
+    mods = [simple_module(lam)] + [m_alpha(lam, alpha) for alpha in (0, 1, 2)]
+    for name, kw in [("qexterior", {}), ("ex15_1", {"e": 3, "a": 2}), ("ex5_3", {}),
+                     ("ex9_3", {}), ("L", {"e": 2})]:
+        alg = preset(name, field=field, **kw)
+        mods.append(simple_module(alg))
+        for seed in range(3):
+            M = random_module(alg, 1 + seed % 2, seed % 3, seed=seed)
+            mods += [M, mod_j_squared(M)]
+    return mods
+
+
+@FIELDS
+def test_shadow_steps_match_the_whole_cover_route(field):
+    loewy, outer_lifts, mixed_rows = [], 0, 0
+    for M in _inputs(field):
+        res, ref = MinimalResolution(M), WholeCoverResolution(M)
+        assert [res.rank(i) for i in range(DEPTH + 1)] == \
+            [ref.rank(i) for i in range(DEPTH + 1)], M
+        for j in range(1, DEPTH + 1):
+            rows, expected = res.boundary_elements(j), ref.boundary_elements(j)
+            assert [list(map(_scalars, r)) for r in rows] == \
+                [list(map(_scalars, r)) for r in expected], (M, j)
+        for i in range(DEPTH):
+            assert _typed(res.steps[i]._kernel_space) == _typed(ref.kernels[i]), (M, i)
+            syz = res.syzygy_module(i + 1)
+            assert _typed(syz.space) == _typed(ref.kernels[i])
+            assert _typed_actions(syz) == _typed_actions(ref.modules[i + 1]), (M, i)
+            assert syz.top_lift() == ref.modules[i + 1].top_lift()
+            n, e = M.algebra.dim, M.algebra.e
+            outer_lifts += sum(p % n > e for p in syz.cover[0])
+            sparse = syz.space.sparse_rows()
+            mixed_rows += sum(any(1 <= c % n <= e for c in sparse[p][0])
+                              for p in syz.space.pivots if p % n > e)
+        loewy.append(M.loewy_length())
+    # Steps with top lifts at J^2-coordinates, and first syzygies of
+    # Loewy-length-3 inputs whose J^2-rows reach V-coordinates, are covered.
+    assert loewy.count(3) >= 5 and loewy.count(2) >= 10 and outer_lifts >= 20
+    assert mixed_rows >= 1
+
+
+# -- the engine's work, counted ------------------------------------------------
+
+def test_betti_ladder_makes_one_cover_per_step_and_no_module_or_product(monkeypatch):
+    counts = {"projective_cover": 0, "module_from_subspace": 0, "mul": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+    for name in ("projective_cover", "module_from_subspace"):
+        monkeypatch.setattr(homology, name, counting(name, getattr(homology, name)))
+    monkeypatch.setattr(Matrix, "__mul__", counting("mul", Matrix.__mul__))
+    alg = preset("ex15_1", e=3, a=2)
+    Matrix.identity(QQ, 1) * Matrix.identity(QQ, 1)
+    assert counts["mul"] == 1  # the patched product records
+    counts["mul"] = 0
+    assert betti(simple_module(alg), 6).values == (1, 3, 7, 15, 31, 63, 127)
+    assert counts == {"projective_cover": 6, "module_from_subspace": 0, "mul": 0}
+
+
+def test_betti_past_the_cap_raises_in_process():
+    # L(3): t_i = 3^i, and the cover of the syzygy with t_3 = 27 has
+    # dimension 27 · 4 = 108 > 100.
+    with pytest.raises(ResourceCapExceeded, match="108 exceeds cap 100"):
+        betti(simple_module(preset("L", e=3)), 12, cap=100)
