@@ -50,6 +50,7 @@ class ShortAlgebra:
         self._product_kernel = None
         self._sections = None
         self._regular = None
+        self._regular_rows = None
         self._opposite = None
 
     @property
@@ -163,6 +164,25 @@ class ShortAlgebra:
             self._regular = tuple(self.left_mult_matrix(self.generator(i))
                                   for i in range(1, self.e + 1))
         return self._regular
+
+    def regular_rows(self) -> tuple:
+        """Per basis element b, the non-zeros (column, value) of each row of x -> b*x.
+
+        Read off the structure constants and built once: 1 acts as the
+        identity, v_j sends 1 to v_j and v_i to sum_m c_{jim} w_m, and w_m
+        sends 1 to w_m.
+        """
+        if self._regular_rows is None:
+            e, n, one = self.e, self.dim, self.field.one()
+            rows = [[[] for _ in range(n)] for _ in range(n)]
+            for r in range(n):
+                rows[0][r].append((r, one))
+            for b in range(1, n):
+                rows[b][b].append((0, one))
+            for (j, i, m), c in sorted(self.structure.items()):
+                rows[j][e + m].append((i, c))
+            self._regular_rows = tuple(tuple(map(tuple, b)) for b in rows)
+        return self._regular_rows
 
     def is_commutative(self) -> bool:
         for (i, j, m), c in self.structure.items():

@@ -23,7 +23,7 @@ from .homology import (a_dual, betti, ext_dim, is_gp, is_inf_torsionfree, is_ref
 from .modules import (AModule, cyclic_submodule, dim_vector, is_solid,
                       left_regular_module, m_alpha, radical_module, random_module,
                       simple_module)
-from .numerics import b_closed_form, b_sequence, is_aligned
+from .numerics import b_sequence, check_closed_form, is_aligned
 from .presets import preset, preset_names
 from .verify import run_suite
 
@@ -268,8 +268,7 @@ def cmd_bseq(args) -> int:
     seq = b_sequence(args.e, args.a, args.n)
     shown = list(seq.values[1:])
     if args.closed_form:
-        for n in range(args.n + 1):
-            b_closed_form(args.e, args.a, n)
+        check_closed_form(seq)
     payload = serialize.report("bseq", {"e": args.e, "a": args.a, "n": args.n},
                                values=shown,
                                flags=(["closed_form_checked"] if args.closed_form else []))

@@ -5,11 +5,16 @@ basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
 is the single engine that walks syzygies: Betti numbers are the tops of its
 syzygies, syzygy powers and orbit walks read its modules, and Ext groups and
 the transpose (the cokernel of d_1^* into A) come from the Hom-complex of its
-boundaries.  :class:`DualData` is the single engine of the dual side: it
-solves Hom(M, A) once and serves the dual module, the torsionless and
-reflexive verdicts, the evaluation map and the minimal left approximation
-with its cokernel (the cosyzygy), each built on first read; the stable Hom
-reads its maps too.  The right action on Hom(M, A) is A^op's regular one.
+boundaries.  The Hom-complex goes to the elimination as sparse rows
+(:func:`_hom_complex_matrix`): a boundary d_j is the shadow rows of the top
+lifts of Ω^j, and each entry x at k·dim A + b adds x times b's sparse action
+rows on the target (:meth:`AModule.action_rows`, read off the algebra's
+structure constants when the target is A), so no element action and no
+dense system is formed.  :class:`DualData` is the single engine of the dual
+side: it solves Hom(M, A) once and serves the dual module, the torsionless
+and reflexive verdicts, the evaluation map and the minimal left
+approximation with its cokernel (the cosyzygy), each built on first read;
+the stable Hom reads its maps too.  The right action on Hom(M, A) is A^op's regular one.
 
 A syzygy is a :class:`Syzygy`: the kernel of a cover A^t -> M, held by its
 shadow, the reduced basis of the kernel as sparse rows in A^t.  Minimality
@@ -320,39 +325,58 @@ class MinimalResolution:
         self.extend_to(i - 1)
         return self.steps[i - 1].kernel
 
-    def boundary_elements(self, j: int) -> list[list[tuple]]:
-        """The map P_j -> P_{j-1} as a matrix of algebra elements.
+    def boundary_rows(self, j: int) -> list[tuple[tuple, tuple]]:
+        """The map P_j -> P_{j-1} as sparse rows: row l is d(unit_l), as (indices, values).
 
-        Entry [l][k] is the element g with d(unit_l) having k-th component
-        g; all entries lie in the radical (minimality).  The cover
-        P_j -> Omega^j sends unit_l to the l-th top lift, a row of the
-        shadow of Omega^j in P_{j-1}, read off as it stands.
+        The cover P_j -> Omega^j sends unit_l to the l-th top lift, a row of
+        the shadow of Omega^j in P_{j-1}, read off as it stands; its entries
+        lie in the radical (minimality).
         """
         if j < 1:
             raise ValueError("boundaries start at index 1")
         self.extend_to(j)
         syz = self.steps[j - 1].kernel
+        rows = syz.space.sparse_rows()
+        return [rows[p] for p in syz.cover[0]]
+
+    def boundary_elements(self, j: int) -> list[list[tuple]]:
+        """The map P_j -> P_{j-1} as a matrix of algebra elements.
+
+        Entry [l][k] is the element g with d(unit_l) having k-th component
+        g (:meth:`boundary_rows`, laid out densely).
+        """
+        rows = self.boundary_rows(j)
         n, t_prev = self.module.algebra.dim, self.steps[j - 1].cover_rank
         zero = self.module.field.zero()
-        rows = syz.space.sparse_rows()
         out = []
-        for p in syz.cover[0]:
+        for idx, vals in rows:
             elements = [[zero] * n for _ in range(t_prev)]
-            for c, x in zip(*rows[p]):
+            for c, x in zip(idx, vals):
                 elements[c // n][c % n] = x
             out.append([tuple(g) for g in elements])
         return out
 
 
-def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> Matrix:
-    """Matrix of Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t."""
-    D = res.boundary_elements(j)
-    t_prev = res.steps[j - 1].cover_rank
-    rows = []
-    for row in D:
-        blocks = [N.element_action(g).data for g in row]
-        rows.extend([x for b in blocks for x in b[r]] for r in range(N.dim))
-    return Matrix(N.field, rows, cols=t_prev * N.dim)
+def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> SparseRows:
+    """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as sparse rows.
+
+    Row l·dim N + r is row r of the action of d_j(unit_l) on N^{t_{j-1}}:
+    each entry x of the l-th top lift at k·dim A + b adds x times row r of
+    b's action on N (:meth:`AModule.action_rows`), shifted to copy k.
+    """
+    n, d = res.module.algebra.dim, N.dim
+    act = N.action_rows()
+    out = []
+    for idx, vals in res.boundary_rows(j):
+        rows: list[dict] = [{} for _ in range(d)]
+        for q, x in zip(idx, vals):
+            k, b = divmod(q, n)
+            for row, b_row in zip(rows, act[b]):
+                for c, y in b_row:
+                    col = k * d + c
+                    row[col] = row[col] + x * y if col in row else x * y
+        out += rows
+    return SparseRows(N.field, out, res.steps[j - 1].cover_rank * d)
 
 
 def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
@@ -537,10 +561,13 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     t1 = res.rank(1)
     if t1 == 0:
         return zero_module(op)
-    big = _hom_complex_matrix(res, left_regular_module(alg), 1)
+    # The image of d_1^* is spanned by the columns of its sparse rows.
+    columns: dict = defaultdict(dict)
+    for r, row in enumerate(_hom_complex_matrix(res, left_regular_module(alg), 1).data):
+        for c, x in row.items():
+            columns[c][r] = x
     F1 = free_module(op, t1)
-    image = Subspace.from_vectors(M.field, F1.dim, big.transpose().data)
-    tr, _ = quotient(F1, image)
+    tr, _ = quotient(F1, Subspace.from_vectors(M.field, F1.dim, columns.values()))
     return tr
 
 

@@ -15,8 +15,9 @@ floating point anywhere in this package.
 and :meth:`Subspace.from_vectors`.  It reduces the rows one at a time as
 sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
 scaled by the lcm of their denominators, over F_p on plain residues; a
-matrix too big to lay out densely is handed over as its rows' non-zeros
-(:class:`SparseRows`).  The
+matrix built from sparse data (Φ, the Hom-complex, the Hom equations) is
+handed over as its rows' non-zeros (:class:`SparseRows`) and never laid
+out densely.  The
 reduced row echelon form is unique, so its rows and pivots do not depend
 on how they are found.  Its only division is the final scaling of each
 pivot row by its lead in :func:`_rref_rows`, with :func:`Rational` over Q;
@@ -375,23 +376,34 @@ class SparseRows:
         return len(self.data)
 
 
+def _integral(nz: list) -> list:
+    """Non-zero rationals times the lcm of their denominators, as ints."""
+    d = lcm(*[int(x.denominator) for x in nz])
+    return [int(x.numerator) * (d // int(x.denominator)) for x in nz]
+
+
 def _sparse(row: Sequence | dict, p: int) -> dict:
     """The non-zeros of a row as {column: int}: residues over F_p, integers over Q.
 
     A row is a dense sequence or a dict {column: scalar} (a row of
-    :class:`SparseRows`).  Over Q a row holding any non-int (a ``Fraction``
-    with denominator 1 included) is multiplied by the lcm of its denominators.
+    :class:`SparseRows`), which may hold explicit zeros; a dict is read
+    item by item, never laid out densely.  Over Q a row holding any non-int
+    (a ``Fraction`` with denominator 1 included) is multiplied by the lcm
+    of its denominators.
     """
     if type(row) is dict:
-        columns = list(row)
-        return {columns[j]: x for j, x in _sparse(list(row.values()), p).items()}
+        if p:
+            return {j: v for j, x in row.items() if (v := x.v)}
+        nz = {j: x for j, x in row.items() if x}
+        if _INTS.issuperset(map(type, nz.values())):
+            return nz
+        return dict(zip(nz, _integral(list(nz.values()))))
     vals = list(map(_residue, row)) if p else row
     if not any(vals):
         return {}
     nz = list(compress(vals, vals))
     if not p and not _INTS.issuperset(map(type, nz)):
-        d = lcm(*[int(x.denominator) for x in nz])
-        nz = [int(x.numerator) * (d // int(x.denominator)) for x in nz]
+        nz = _integral(nz)
     return dict(zip(compress(count(), vals), nz))
 
 
@@ -609,14 +621,17 @@ class Subspace:
         return self._sparse
 
     @staticmethod
-    def from_vectors(field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
+    def from_vectors(field: Field, ambient: int,
+                     vectors: Iterable[Sequence | dict]) -> "Subspace":
         """The span of the vectors, made from the elimination's sparse rows.
 
-        The vectors are read once, in order, so a generator of them is
-        never held whole: only the non-zeros of each are kept.
+        A vector is a sequence of length ``ambient`` or a dict {index:
+        value} of its entries, as a row of :class:`SparseRows`.  The vectors
+        are read once, in order, so a generator of them is never held
+        whole: only the non-zeros of each are kept.
         """
-        def checked(v: Sequence) -> Sequence:
-            if len(v) != ambient:
+        def checked(v: Sequence | dict) -> Sequence | dict:
+            if (max(v, default=-1) >= ambient) if type(v) is dict else len(v) != ambient:
                 raise DimensionMismatch("vector has wrong ambient dimension")
             return v
 

@@ -7,6 +7,9 @@ matrices is a valid module iff it satisfies the linear relations among the
 products v_i v_j and kills all triple products.  :meth:`AModule.basis_images`
 is the one action routine: it maps vectors by every basis element of A,
 applying the J^2 action to the vectors, never forming it as a matrix.
+:meth:`AModule.action_rows` holds each basis element's action as sparse
+rows, built once per module (on A^t read off the algebra's structure
+constants); the Hom-complex of Ext reads it.
 
 A free module A^t (:class:`FreeModule`) holds only t: A acts on it as
 I_t ⊗ R, R the algebra's cached regular action, and its block-diagonal
@@ -27,7 +30,8 @@ from typing import Optional, Sequence
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
-from .linalg import DEFAULT_POOL, Matrix, Subspace, kernel_basis, kernel_subspace, rank
+from .linalg import (DEFAULT_POOL, Matrix, SparseRows, Subspace, kernel_basis, kernel_subspace,
+                     rank)
 
 
 class DimVec(tuple):
@@ -60,6 +64,7 @@ class AModule:
     _radical: Optional[Subspace] = None
     _socle: Optional[Subspace] = None
     _basis_actions: Optional[tuple] = None
+    _action_rows: Optional[tuple] = None
     _loewy: Optional[int] = None
     #: Set when J^2 M = 0 is known, as for a syzygy: then no product decides it.
     _square_zero = False
@@ -110,6 +115,27 @@ class AModule:
         if self._basis_actions is None:
             self._basis_actions = self.basis_images(Matrix.identity(self.field, self.dim))
         return Matrix.combination(u, self._basis_actions)
+
+    def action_rows(self) -> tuple:
+        """Per basis element b of A, the non-zeros (column, value) of each row of b's action.
+
+        On A^t copy k's rows are the algebra's regular rows
+        (:meth:`ShortAlgebra.regular_rows`, built once per algebra) shifted
+        by k·dim A, so no product is formed; any other module reads its
+        basis action matrices once.
+        """
+        if self._action_rows is None:
+            if self.free_rank is None:
+                self._action_rows = tuple(
+                    tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in X.data)
+                    for X in self.basis_images(Matrix.identity(self.field, self.dim)))
+            else:
+                n = self.algebra.dim
+                self._action_rows = tuple(
+                    tuple(tuple((k * n + c, x) for c, x in row)
+                          for k in range(self.free_rank) for row in rows)
+                    for rows in self.algebra.regular_rows())
+        return self._action_rows
 
     # -- structural subspaces -------------------------------------------
 
@@ -536,32 +562,37 @@ class HomSpace:
 
 
 def hom_space(M: AModule, N: AModule) -> HomSpace:
-    """Solve the intertwining equations for a basis of Hom_A(M, N)."""
+    """Solve the intertwining equations for a basis of Hom_A(M, N).
+
+    The unknown F[k,c] sits at index k·dim M + c (the row-major
+    flattening), and generator v_i gives the equation (r, c)
+
+        sum_k Xt[r,k] F[k,c] - sum_k F[r,k] Xs[k,c] = 0,
+
+    built as a dict from the non-zeros of row r of the target's action Xt
+    and column c of the source's Xs and handed to the elimination as
+    :class:`SparseRows`; no equation is laid out densely.
+    """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
     dm, dn = M.dim, N.dim
     if dm == 0 or dn == 0:
         return HomSpace(M, N, tuple(), Subspace.zero(M.field, dn * dm))
-    zero = M.field.zero()
     rows = []
-    for Xs, Xt in zip(M.actions, N.actions):
-        # Equation (r, c): sum_k Xt[r,k] F[k,c] - sum_k F[r,k] Xs[k,c] = 0,
-        # with unknown F[k,c] at index k*dm + c (row-major flattening).
-        for r in range(dn):
-            t_row = Xt.data[r]
-            for c in range(dm):
-                row = [zero] * (dn * dm)
-                for k, coef in enumerate(t_row):
-                    if coef:
-                        row[k * dm + c] = row[k * dm + c] + coef
-                for k in range(dm):
-                    coef = Xs.data[k][c]
-                    if coef:
-                        row[r * dm + k] = row[r * dm + k] - coef
-                if any(row):
-                    rows.append(row)
-    system = Matrix(M.field, rows, cols=dn * dm)
-    space = kernel_subspace(system)
+    for source_cols, target_cols in zip(_action_columns(M), _action_columns(N)):
+        target_rows: list[list[tuple]] = [[] for _ in range(dn)]
+        for k, col in enumerate(target_cols):
+            for r, x in col:
+                target_rows[r].append((k, x))
+        for r, t_row in enumerate(target_rows):
+            for c, s_col in enumerate(source_cols):
+                eq = {k * dm + c: x for k, x in t_row}
+                for k, x in s_col:
+                    q = r * dm + k
+                    eq[q] = eq[q] - x if q in eq else -x
+                if eq:
+                    rows.append(eq)
+    space = kernel_subspace(SparseRows(M.field, rows, dn * dm))
     maps = []
     for vec in space.basis:
         mat = [list(vec[k * dm:(k + 1) * dm]) for k in range(dn)]

@@ -10,8 +10,6 @@ integer (or rational) arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 from typing import Optional, Sequence
 
 from .errors import (BadParams, HypothesisNotMet, InvariantViolation, LoewyTooLong,
@@ -148,28 +146,37 @@ def b_sequence(e: int, a: int, n: int) -> BSequence:
     return BSequence(e=e, a=a, values=tuple(vals))
 
 
-def b_closed_form(e: int, a: int, n: int) -> int:
-    """Closed form for b_n, valid when 4a < e^2.
+def check_closed_form(seq: BSequence) -> None:
+    """Check every b_0..b_N of ``seq`` against the closed form, valid when 4a < e^2.
 
-    Evaluates (1/2^n) * sum_j C(n+1, 2j+1) (e^2-4a)^j e^(n-2j) in exact
-    rational arithmetic, asserts integrality, and cross-checks against the
-    recursion.
+    The closed form (1/2^n) sum_j C(n+1, 2j+1) d^j e^(n-2j), d = e^2 - 4a,
+    is Y_n / 2^n for (e + √d)^(n+1) = X_n + Y_n √d, so one step multiplies
+    the integer pair (X, Y) by e + √d and checks that 2^n divides Y_n.
     """
+    e, a = seq.e, seq.a
     if 4 * a >= e * e:
         raise HypothesisNotMet("closed form requires 4a < e^2")
+    d = e * e - 4 * a
+    x, y = e, 1
+    for n, b in enumerate(seq.values[1:]):
+        if y % (1 << n):
+            raise InvariantViolation(f"closed form gave the non-integer {y}/2^{n} at n={n}")
+        if y >> n != b:
+            raise InvariantViolation(f"closed form disagrees with recursion at n={n}")
+        x, y = e * x + d * y, x + e * y
+
+
+def b_closed_form(e: int, a: int, n: int) -> int:
+    """Closed form for b_n, valid when 4a < e^2, cross-checked against the recursion.
+
+    Every b_0..b_n is checked (:func:`check_closed_form`), in exact integer
+    arithmetic.
+    """
     if n < 0:
         raise HypothesisNotMet("closed form starts at n = 0")
-    disc = e * e - 4 * a
-    total = Fraction(0)
-    for j in range(n // 2 + 1):
-        total += comb(n + 1, 2 * j + 1) * Fraction(disc) ** j * Fraction(e) ** (n - 2 * j)
-    total /= Fraction(2) ** n
-    if total.denominator != 1:
-        raise InvariantViolation(f"closed form gave non-integer {total} at n={n}")
-    value = total.numerator
-    if value != b_sequence(e, a, n).b(n):
-        raise InvariantViolation(f"closed form disagrees with recursion at n={n}")
-    return value
+    seq = b_sequence(e, a, n)
+    check_closed_form(seq)
+    return seq.b(n)
 
 
 def q_form(e: int, v: Sequence[int]) -> int:

@@ -37,6 +37,14 @@ def test_bseq_closed_form_flag():
     assert res.returncode == 0
 
 
+def test_bseq_closed_form_checks_a_long_sequence():
+    res = run_cli("bseq", "--e", "3", "--a", "1", "--n", "600", "--closed-form",
+                  "--format", "json")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert "closed_form_checked" in payload["flags"] and len(payload["values"]) == 601
+
+
 def test_bseq_csv():
     res = run_cli("bseq", "--e", "2", "--a", "0", "--n", "3", "--format", "csv")
     assert res.stdout.splitlines() == ["n,b_n", "0,1", "1,2", "2,4", "3,8"]

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shortloc.errors import BadParams, DimensionMismatch
-from shortloc.linalg import (QQ, Field, Fp, Matrix, Rational, Subspace, kernel_basis,
-                             kernel_subspace, random_matrix, rank, rref, solve, solve_matrix)
+from shortloc.linalg import (QQ, Field, Fp, Matrix, Rational, SparseRows, Subspace,
+                             kernel_basis, kernel_subspace, random_matrix, rank, rref, solve,
+                             solve_matrix)
 
 F5 = Field.prime(5)
 
@@ -480,6 +481,48 @@ def test_solve_and_solve_matrix_match_the_dense_reference(field):
     assert solve(empty, (field.zero(), field.zero())) == ()
     assert solve(empty, (field.zero(), field.one())) is None
     assert solve(Matrix(field, [], cols=3), ()) == (field.zero(),) * 3
+
+
+def as_dict_rows(m, seed):
+    """m's rows as dicts {column: scalar} holding explicit zeros as well as the non-zeros.
+
+    Over Q every other integral entry becomes a ``Fraction`` with
+    denominator 1 and every other zero a ``Fraction(0)``, so rows mix ints
+    and Fractions; a zero row is added as an empty dict.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for r, row in enumerate(m.data):
+        d = {}
+        for c, x in enumerate(row):
+            if x or rng.random() < 0.5:
+                if m.field.is_rationals and (r + c) % 2 and Fraction(x).denominator == 1:
+                    x = Fraction(int(x) * 3, 3)
+                d[c] = x
+        rows.append(dict(rng.sample(sorted(d.items()), len(d))))
+    return rows + [{}]
+
+
+@ELIM_FIELDS
+def test_sparse_rows_match_the_dense_reference(field):
+    zeros = mixed = 0
+    for seed, m in enumerate(elimination_inputs(field)):
+        rows = as_dict_rows(m, seed)
+        zeros += sum(not x for row in rows for x in row.values())
+        mixed += len({type(x) for row in rows for x in row.values()}) > 1
+        ref_rows, pivots = reference_rref_rows(field, m.data, m.cols)
+        basis, free = reference_kernel(m)
+        assert rank(SparseRows(field, rows, m.cols)) == len(pivots)
+        sp = kernel_subspace(SparseRows(field, rows, m.cols))
+        assert sp.basis == tuple(basis) and sp.pivots == tuple(free)
+        assert_exact_scalars(field, sp.basis)
+        span = Subspace.from_vectors(field, m.cols, rows)
+        assert span.basis == tuple(tuple(r) for r in ref_rows[:len(pivots)])
+        assert span.pivots == tuple(pivots)
+        assert_exact_scalars(field, span.basis)
+    assert zeros >= 20 and (mixed >= 5 or not field.is_rationals)
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_vectors(field, 3, [{3: field.one()}])
 
 
 def test_integral_rref_builds_no_fraction(monkeypatch):

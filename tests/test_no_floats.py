@@ -1,9 +1,9 @@
 """Lint: no floating point in the package source.
 
 Every scalar is exact, so the source holds no float literal, no ``float(``
-call, and no true division ``/`` outside the few functions that divide
-exact values: ``Field.of`` (a fraction read into F_p), ``Fp.__truediv__``
-and the closed form of ``b_n`` on ``Fraction``s.  Over Q the pivot scaling
+call, and no true division ``/`` outside the two functions that divide
+exact values: ``Field.of`` (a fraction read into F_p) and
+``Fp.__truediv__``.  Over Q the pivot scaling
 in ``_rref_rows`` goes through ``Rational``, since int / int is a float.
 """
 
@@ -14,7 +14,7 @@ import shortloc
 
 SRC = os.path.dirname(shortloc.__file__)
 
-DIVIDING_FUNCTIONS = {"linalg.Field.of", "linalg.Fp.__truediv__", "numerics.b_closed_form"}
+DIVIDING_FUNCTIONS = {"linalg.Field.of", "linalg.Fp.__truediv__"}
 
 
 class _FloatFinder(ast.NodeVisitor):

@@ -1,13 +1,15 @@
+from math import comb
+
 import pytest
 
-from shortloc.errors import HypothesisNotMet, LoewyTooLong, WrongHilbertType
+from shortloc.errors import HypothesisNotMet, InvariantViolation, LoewyTooLong, WrongHilbertType
 from shortloc.homology import betti, syzygy
 from shortloc.modules import (dim_vector, is_bipartite, left_regular_module, m_alpha,
                               mod_j_squared, radical_module, random_module,
                               simple_module)
-from shortloc.numerics import (b_closed_form, b_sequence, classify_dimvec, defect,
-                               is_aligned, main_lemma_witness, omega_transform,
-                               q_form, recursion_check)
+from shortloc.numerics import (BSequence, b_closed_form, b_sequence, check_closed_form,
+                               classify_dimvec, defect, is_aligned, main_lemma_witness,
+                               omega_transform, q_form, recursion_check)
 from shortloc.presets import preset
 
 
@@ -165,6 +167,31 @@ def test_b_closed_form_sweep():
                 continue
             for n in (0, 1, 5, 17, 40):
                 b_closed_form(e, a, n)
+
+
+def binomial_closed_form(e, a, n):
+    """(1/2^n) sum_j C(n+1, 2j+1) (e^2-4a)^j e^(n-2j), summed term by term."""
+    total = sum(comb(n + 1, 2 * j + 1) * (e * e - 4 * a) ** j * e ** (n - 2 * j)
+                for j in range(n // 2 + 1))
+    assert total % 2 ** n == 0
+    return total // 2 ** n
+
+
+@pytest.mark.parametrize("e,a", [(3, 1), (3, 2), (4, 3), (5, 1)])
+def test_closed_form_equals_the_recursion(e, a):
+    seq = b_sequence(e, a, 300)
+    assert [binomial_closed_form(e, a, n) for n in range(301)] == list(seq.values[1:])
+    check_closed_form(seq)
+    assert b_closed_form(e, a, 300) == seq.b(300)
+
+
+def test_check_closed_form_catches_a_wrong_value():
+    values = list(b_sequence(3, 1, 50).values)
+    values[31] += 1
+    with pytest.raises(InvariantViolation, match="n=30"):
+        check_closed_form(BSequence(3, 1, tuple(values)))
+    with pytest.raises(HypothesisNotMet):
+        check_closed_form(b_sequence(2, 1, 5))
 
 
 # -- quadratic form --------------------------------------------------------------
