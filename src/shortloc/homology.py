@@ -26,10 +26,15 @@ basis row x of the shadow through the structure constants,
 ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)} (:func:`generator_images`), those
 images span the radical of the syzygy, and they are the columns of its Φ
 (:meth:`Syzygy.cover`).  Only step 0 forms the whole cover matrix of its
-input.  Betti numbers, boundaries, Ext and the transpose read the shadows;
-a syzygy's action matrices are built (:func:`module_from_subspace`, the
-same basis and actions as the whole cover's kernel) only when a caller
-reads them, and so are a cover's matrix and a kernel's embedding.
+input.  Betti numbers, boundaries, Ext and the transpose read the shadows.
+So do a syzygy's radical, socle and Hom systems: the images ψ_j(x) of the
+basis rows, checked to lie in the shadow, have as coordinates their
+entries at its pivots, which are the columns of the actions
+(:meth:`Syzygy.action_columns`); the radical is their span and the socle
+the kernel of x -> (ψ_j(x))_j.  A syzygy's action matrices are built
+(:func:`module_from_subspace`, the same basis and actions as the whole
+cover's kernel) only when a caller reads them, and so are a cover's
+matrix and a kernel's embedding.
 """
 
 from __future__ import annotations
@@ -114,11 +119,14 @@ class Syzygy(AModule):
     ``space`` is the shadow: the kernel's reduced basis as sparse rows in
     the coordinates of A^t, which fix the module's basis.  J^2 kills the
     kernel (minimality), so its top and its own cover come from one kernel
-    of the big Φ (:meth:`cover`), and its action matrices are built by
-    :func:`module_from_subspace` only when a caller reads them.
+    of the big Φ (:meth:`cover`), its radical, socle and Hom systems from
+    the columns of its actions read off the shadow (:meth:`action_columns`),
+    and its action matrices are built by :func:`module_from_subspace` only
+    when a caller reads them.
     """
 
     _square_zero = True
+    _shadow_columns: Optional[list] = None
 
     def __init__(self, algebra: ShortAlgebra, space: Subspace):
         # No action matrices are passed, so AModule's shape checks are skipped.
@@ -131,8 +139,40 @@ class Syzygy(AModule):
         P = free_module(self.algebra, self.space.ambient // self.algebra.dim)
         return module_from_subspace(P, self.space)[0].actions
 
+    def action_columns(self) -> list[list[list[tuple]]]:
+        """The columns of the actions, read off the shadow; no action matrix is built.
+
+        v_j sends the basis row x to ψ_j(x) (:func:`generator_images`), whose
+        coordinates in the reduced basis are its entries at the pivots.
+        Each image is checked to lie in the shadow, so the radical, the
+        socle and the Hom systems of a syzygy read the same columns as its
+        built actions would give.
+        """
+        if self._shadow_columns is None:
+            space, n = self.space, self.algebra.dim
+            rows = space.sparse_rows()
+            basis = [rows[p] for p in space.pivots]
+            if any(q % n == 0 for idx, _ in basis for q in idx):
+                raise BadParams("shadow escapes the radical of its free module")
+            at = {p: r for r, p in enumerate(space.pivots)}
+            columns: list[list] = [[] for _ in range(self.algebra.e)]
+            for images in generator_images(self.algebra, basis):
+                for cols, image in zip(columns, images):
+                    if not space.contains(image):
+                        raise BadParams("subspace is not stable under the module action")
+                    cols.append([(at[q], y) for q, y in image.items() if y and q in at])
+            self._shadow_columns = columns
+        return self._shadow_columns
+
+    def radical(self) -> Subspace:
+        """JΩ, the span of the images ψ_j(x) of the basis rows, in the module's coordinates."""
+        if self._radical is None:
+            images = (dict(col) for cols in self.action_columns() for col in cols)
+            self._radical = Subspace.from_vectors(self.field, self.dim, images)
+        return self._radical
+
     def top_dim(self) -> int:
-        # A radical already read off the built actions gives the top at once.
+        # A radical already read gives the top at once.
         return super().top_dim() if self._radical is not None else len(self.cover[0])
 
     @cached_property

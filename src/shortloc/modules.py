@@ -9,7 +9,17 @@ is the one action routine: it maps vectors by every basis element of A,
 applying the J^2 action to the vectors, never forming it as a matrix.
 :meth:`AModule.action_rows` holds each basis element's action as sparse
 rows, built once per module (on A^t read off the algebra's structure
-constants); the Hom-complex of Ext reads it.
+constants); the Hom-complex of Ext reads it.  :meth:`AModule.action_columns`
+holds each generator's action as sparse columns: the socle, the Hom
+equations (:func:`_hom_equations`), submodules and quotients read it, so
+a quotient reduces columns along the subspace's sparse rows instead of
+multiplying action matrices, and a module held otherwise (a syzygy, by
+its shadow) supplies its columns without building any matrix.
+
+A Hom system is solved only as far as its caller reads it: :func:`hom_dim`
+is a rank, with no kernel basis, and :func:`find_isomorphism` solves
+Hom(M, N) for a basis and takes dim Hom(N, M) only when no basis element
+is invertible.
 
 A free module A^t (:class:`FreeModule`) holds only t: A acts on it as
 I_t ⊗ R, R the algebra's cached regular action, and its block-diagonal
@@ -30,8 +40,7 @@ from typing import Optional, Sequence
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
-from .linalg import (DEFAULT_POOL, Matrix, SparseRows, Subspace, kernel_basis, kernel_subspace,
-                     rank)
+from .linalg import DEFAULT_POOL, Matrix, SparseRows, Subspace, kernel_subspace, rank
 
 
 class DimVec(tuple):
@@ -137,6 +146,20 @@ class AModule:
                     for rows in self.algebra.regular_rows())
         return self._action_rows
 
+    def action_columns(self) -> list[list[list[tuple]]]:
+        """Per generator, the non-zero (row, value) pairs of each column of its action.
+
+        On A^t copy k's columns are R's shifted by k·dim A, read off the
+        regular action R in O(t·nnz R); any other module scans its matrices
+        once.  The socle, Hom systems, submodules and quotients read a
+        module's actions through this view.
+        """
+        if self.free_rank is None:
+            return [_columns(X) for X in self.actions]
+        n = self.algebra.dim
+        return [[[(k * n + i, x) for i, x in col] for k in range(self.free_rank) for col in cols]
+                for cols in map(_columns, self.algebra.regular_actions())]
+
     # -- structural subspaces -------------------------------------------
 
     def radical(self) -> Subspace:
@@ -151,14 +174,21 @@ class AModule:
         return self._radical
 
     def socle(self) -> Subspace:
-        """{m in M : Jm = 0}, the largest semisimple submodule."""
+        """{m in M : Jm = 0}, the largest semisimple submodule.
+
+        It is the kernel of the stacked actions, whose rows are read off
+        :meth:`action_columns` as sparse rows, then reduced.
+        """
         if self._socle is None:
-            if self.algebra.e == 0 or self.dim == 0:
-                self._socle = Subspace.full(self.field, self.dim)
-            else:
-                stacked = Matrix.vstack(self.actions)
-                self._socle = Subspace.from_vectors(self.field, self.dim,
-                                                    kernel_basis(stacked))
+            d = self.dim
+            rows: list[dict] = [{} for _ in range(self.algebra.e * d)]
+            for j, cols in enumerate(self.action_columns()):
+                for c, col in enumerate(cols):
+                    for r, x in col:
+                        rows[j * d + r][c] = x
+            kernel = kernel_subspace(SparseRows(self.field, rows, d)).sparse_rows()
+            self._socle = Subspace.from_vectors(self.field, d,
+                                                (dict(zip(*row)) for row in kernel.values()))
         return self._socle
 
     def top_dim(self) -> int:
@@ -309,29 +339,17 @@ def _columns(X: Matrix) -> list[list[tuple]]:
     return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*X.data)]
 
 
-def _action_columns(M: AModule) -> list[list[list[tuple]]]:
-    """Per generator, the non-zero (row, value) pairs of each column of its action.
-
-    On A^t copy k's columns are R's shifted by k·dim A, read off the
-    regular action R in O(t·nnz R); any other module scans its matrices once.
-    """
-    if M.free_rank is None:
-        return [_columns(X) for X in M.actions]
-    n = M.algebra.dim
-    return [[[(k * n + i, x) for i, x in col] for k in range(M.free_rank) for col in cols]
-            for cols in map(_columns, M.algebra.regular_actions())]
-
-
-def _mapped_basis(M: AModule, space: Subspace) -> list[list[dict]]:
+def _mapped_basis(columns: list, space: Subspace) -> list[list[dict]]:
     """Per generator, the image of each basis row of the subspace as {index: value}.
 
-    Raises BadParams unless every image lies in the subspace; each check
-    costs what the image's support and the rows at its pivots cost.
+    ``columns`` is a module's :meth:`AModule.action_columns`.  Raises
+    BadParams unless every image lies in the subspace; each check costs
+    what the image's support and the rows at its pivots cost.
     """
     rows = space.sparse_rows()
     sparse_basis = [rows[p] for p in space.pivots]
     out = []
-    for cols in _action_columns(M):
+    for cols in columns:
         images = []
         for idx, vals in sparse_basis:
             image: dict = {}
@@ -357,7 +375,7 @@ def module_from_subspace(M: AModule, space: Subspace) -> tuple[AModule, ModuleMa
     zero = M.field.zero()
     row_of = {p: r for r, p in enumerate(space.pivots)}
     acts = []
-    for images in _mapped_basis(M, space):
+    for images in _mapped_basis(M.action_columns(), space):
         act = [[zero] * space.dim for _ in range(space.dim)]
         for b, image in enumerate(images):
             for i, y in image.items():
@@ -388,11 +406,16 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     """The quotient of M by an action-stable subspace, with its projection.
 
     Quotient coordinates are the non-pivot coordinates of the canonical
-    representative (reduction modulo the subspace).
+    representative (reduction modulo the subspace).  The free unit vectors
+    e_f lift the quotient basis, so column f of an action is X e_f reduced
+    along the subspace's sparse rows, read at the free columns: each entry
+    x at a pivot p subtracts x times row p, and no action matrix of M is
+    multiplied (on A^t the columns come off the regular action).
     """
     if not isinstance(sub, Subspace):
         sub = Subspace.from_vectors(M.field, M.dim, sub)
-    _mapped_basis(M, sub)  # raises BadParams unless sub is stable
+    columns = M.action_columns()
+    _mapped_basis(columns, sub)  # raises BadParams unless sub is stable
     free = sub.free_columns()
     # Reducing e_c leaves e_c at a free column c and e_c - row at the
     # pivot of that row, so the projection is read off the basis rows.
@@ -404,9 +427,22 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
             row[p] = -basis_row[f]
         proj_rows.append(row)
     proj = Matrix(M.field, proj_rows, cols=M.dim)
-    # The free unit vectors lift the quotient basis, so X acts as proj·X·incl.
-    incl = Matrix.from_columns(M.field, sub.complement(), M.dim)
-    Q = AModule(M.algebra, len(free), [proj * (X * incl) for X in M.actions], check=False)
+    rows = sub.sparse_rows()
+    at = {f: b for b, f in enumerate(free)}
+    zero = M.field.zero()
+    acts = []
+    for cols in columns:
+        act = [[zero] * len(free) for _ in free]
+        for b, f in enumerate(free):
+            for i, x in cols[f]:
+                if i in at:
+                    act[at[i]][b] += x
+                else:
+                    for j, y in zip(*rows[i]):
+                        if j in at:
+                            act[at[j]][b] -= x * y
+        acts.append(Matrix(M.field, act, cols=len(free)))
+    Q = AModule(M.algebra, len(free), acts, check=False)
     return Q, ModuleMap(M, Q, proj)
 
 
@@ -561,8 +597,8 @@ class HomSpace:
         return self.flat.coords(self.flatten(mat))
 
 
-def hom_space(M: AModule, N: AModule) -> HomSpace:
-    """Solve the intertwining equations for a basis of Hom_A(M, N).
+def _hom_equations(M: AModule, N: AModule) -> SparseRows:
+    """The intertwining equations of Hom_A(M, N) as sparse rows.
 
     The unknown F[k,c] sits at index k·dim M + c (the row-major
     flattening), and generator v_i gives the equation (r, c)
@@ -570,16 +606,13 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
         sum_k Xt[r,k] F[k,c] - sum_k F[r,k] Xs[k,c] = 0,
 
     built as a dict from the non-zeros of row r of the target's action Xt
-    and column c of the source's Xs and handed to the elimination as
-    :class:`SparseRows`; no equation is laid out densely.
+    and column c of the source's Xs; no equation is laid out densely.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
     dm, dn = M.dim, N.dim
-    if dm == 0 or dn == 0:
-        return HomSpace(M, N, tuple(), Subspace.zero(M.field, dn * dm))
     rows = []
-    for source_cols, target_cols in zip(_action_columns(M), _action_columns(N)):
+    for source_cols, target_cols in zip(M.action_columns(), N.action_columns()):
         target_rows: list[list[tuple]] = [[] for _ in range(dn)]
         for k, col in enumerate(target_cols):
             for r, x in col:
@@ -592,7 +625,13 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
                     eq[q] = eq[q] - x if q in eq else -x
                 if eq:
                     rows.append(eq)
-    space = kernel_subspace(SparseRows(M.field, rows, dn * dm))
+    return SparseRows(M.field, rows, dn * dm)
+
+
+def hom_space(M: AModule, N: AModule) -> HomSpace:
+    """A basis of Hom_A(M, N): the kernel of :func:`_hom_equations`."""
+    space = kernel_subspace(_hom_equations(M, N))
+    dm, dn = M.dim, N.dim
     maps = []
     for vec in space.basis:
         mat = [list(vec[k * dm:(k + 1) * dm]) for k in range(dn)]
@@ -606,11 +645,16 @@ def hom_basis(M: AModule, N: AModule) -> list[ModuleMap]:
 
 
 def hom_dim(M: AModule, N: AModule) -> int:
-    return len(hom_basis(M, N))
+    """dim Hom_A(M, N): the unknowns less the rank of :func:`_hom_equations`.
+
+    No kernel basis and no map is formed.
+    """
+    equations = _hom_equations(M, N)
+    return equations.cols - rank(equations)
 
 
 def end_dim(M: AModule) -> int:
-    return len(hom_basis(M, M))
+    return hom_dim(M, M)
 
 
 def is_solid(M: AModule) -> bool:
@@ -657,10 +701,13 @@ def _invertible(mat: Matrix) -> bool:
 def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     """Search for an invertible A-map M -> N.
 
-    Tries each hom-basis element, then seeded random combinations with
-    small coefficients, and over Q also a generic combination evaluated at
-    the integer points 1, 2, ..., 2 dim Hom + 8; any hit certifies the
-    isomorphism.
+    Solves Hom(M, N) and tries each of its basis elements.  Only when none
+    is invertible is dim Hom(N, M) taken, by rank (:func:`hom_dim`): an
+    isomorphism makes the two Hom dimensions equal, so a mismatch
+    certifies that there is none.  Otherwise seeded random combinations
+    with small coefficients are tried, and over Q also a generic
+    combination evaluated at the integer points 1, 2, ..., 2 dim Hom + 8;
+    any hit certifies the isomorphism.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism between modules over different algebras")
@@ -669,14 +716,13 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     if M.dim == 0:
         return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.zeros(M.field, 0, 0)))
     fwd = hom_basis(M, N)
-    bwd = hom_basis(N, M)
-    if len(fwd) != len(bwd):
-        return IsoSearch(False, True, note="hom dimension mismatch")
-    if not fwd:
-        return IsoSearch(False, True, note="no non-zero homomorphisms")
     for h in fwd:
         if _invertible(h.matrix):
             return IsoSearch(True, True, witness=h)
+    if len(fwd) != hom_dim(N, M):
+        return IsoSearch(False, True, note="hom dimension mismatch")
+    if not fwd:
+        return IsoSearch(False, True, note="no non-zero homomorphisms")
     mats = [h.matrix for h in fwd]
     rng = random.Random(seed)
     elems = [M.field.of(x) for x in DEFAULT_POOL]
