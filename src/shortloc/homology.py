@@ -5,36 +5,30 @@ basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
 is the single engine that walks syzygies: Betti numbers are the tops of its
 syzygies, syzygy powers and orbit walks read its modules, and Ext groups and
 the transpose (the cokernel of d_1^* into A) come from the Hom-complex of its
-boundaries.  The Hom-complex goes to the elimination as sparse rows
-(:func:`_hom_complex_matrix`): a boundary d_j is the shadow rows of the top
-lifts of Ω^j, and each entry x at k·dim A + b adds x times b's sparse action
-rows on the target (:meth:`AModule.action_rows`, read off the algebra's
-structure constants when the target is A), so no element action and no
-dense system is formed.  :class:`DualData` is the single engine of the dual
-side: it solves Hom(M, A) once and serves the dual module, the torsionless
-and reflexive verdicts, the evaluation map and the minimal left
+boundaries, handed to the elimination as sparse rows built from the
+boundaries' shadow rows and the target's sparse action rows
+(:func:`_hom_complex_matrix`).  :class:`DualData` is the single engine of
+the dual side: it solves Hom(M, A) once and serves the dual module, the
+torsionless and reflexive verdicts, the evaluation map and the minimal left
 approximation with its cokernel (the cosyzygy), each built on first read;
-the stable Hom reads its maps too.  The right action on Hom(M, A) is A^op's regular one.
+the stable Hom reads its maps too.
 
-A syzygy is a :class:`Syzygy`: the kernel of a cover A^t -> M, held by its
-shadow, the reduced basis of the kernel as sparse rows in A^t.  Minimality
-puts it in JA^t, so J^2 kills it, and the cover of a module N with
-J^2 N = 0 has the kernel ker(Φ: V⊗k^t -> JN) ⊕ W⊗k^t, where Φ sends
-v_j ⊗ e_k to v_j m_k for the top lifts m_k (:func:`phi_kernel`).  So from
-step 1 on a resolution step is one kernel of the big Φ: v_j acts on a
-basis row x of the shadow through the structure constants,
-ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)} (:func:`generator_images`), those
-images span the radical of the syzygy, and they are the columns of its Φ
-(:meth:`Syzygy.cover`).  Only step 0 forms the whole cover matrix of its
-input.  Betti numbers, boundaries, Ext and the transpose read the shadows.
-So do a syzygy's radical, socle and Hom systems: the images ψ_j(x) of the
-basis rows, checked to lie in the shadow, have as coordinates their
-entries at its pivots, which are the columns of the actions
-(:meth:`Syzygy.action_columns`); the radical is their span and the socle
-the kernel of x -> (ψ_j(x))_j.  A syzygy's action matrices are built
-(:func:`module_from_subspace`, the same basis and actions as the whole
-cover's kernel) only when a caller reads them, and so are a cover's
-matrix and a kernel's embedding.
+The cover of a module N with J^2 N = 0 has the kernel
+ker(Φ: V⊗k^t -> JN) ⊕ W⊗k^t, where Φ sends v_j ⊗ e_k to v_j m_k for the
+top lifts m_k (:func:`phi_kernel`).  A syzygy is a :class:`Syzygy`, held
+by its shadow: the reduced basis of the cover's kernel as sparse rows in
+A^t.  Minimality puts it in JA^t, so J^2 kills it, and v_j acts on a basis
+row x through the structure constants, ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)}
+(:func:`generator_images`), once per syzygy.  At the top lifts these images
+are the columns of its Φ (:meth:`Syzygy.cover`), so from step 1 on a
+resolution step is one kernel of the big Φ; checked against the shadow and
+read at its pivots they are the columns of its actions
+(:meth:`Syzygy.action_columns`), which its radical, socle and Hom systems
+read.  Any other module killed by J^2 reads Φ off its action columns at the
+free columns of its radical (:meth:`AModule.top_images`), so only a
+Loewy-length-3 input forms a whole cover matrix (:func:`_cover_matrix`).  A
+syzygy's action matrices, a cover's matrix and a kernel's embedding are
+built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -49,7 +43,8 @@ from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import Matrix, SparseRows, Subspace, kernel_basis, kernel_subspace, rank
 from .modules import (AModule, HomSpace, ModuleMap, free_module, hom_basis, hom_space,
-                      left_regular_module, module_from_subspace, quotient, zero_module)
+                      left_regular_module, module_from_columns, module_from_subspace,
+                      pivot_columns, quotient, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -118,15 +113,14 @@ class Syzygy(AModule):
 
     ``space`` is the shadow: the kernel's reduced basis as sparse rows in
     the coordinates of A^t, which fix the module's basis.  J^2 kills the
-    kernel (minimality), so its top and its own cover come from one kernel
-    of the big Φ (:meth:`cover`), its radical, socle and Hom systems from
-    the columns of its actions read off the shadow (:meth:`action_columns`),
-    and its action matrices are built by :func:`module_from_subspace` only
-    when a caller reads them.
+    kernel (minimality), so the images ψ_j(x) of its basis rows, formed
+    once, give its top and its own cover, one kernel of the big Φ
+    (:meth:`cover`), and the columns of its actions (:meth:`action_columns`),
+    which its radical, socle and Hom systems read.  Its action matrices are
+    built by :func:`module_from_subspace` only when a caller reads them.
     """
 
     _square_zero = True
-    _shadow_columns: Optional[list] = None
 
     def __init__(self, algebra: ShortAlgebra, space: Subspace):
         # No action matrices are passed, so AModule's shape checks are skipped.
@@ -139,30 +133,28 @@ class Syzygy(AModule):
         P = free_module(self.algebra, self.space.ambient // self.algebra.dim)
         return module_from_subspace(P, self.space)[0].actions
 
+    @cached_property
+    def _shadow_images(self) -> dict[int, list[dict]]:
+        """Pivot p -> the images ψ_j(x) of the shadow row x at p (:func:`generator_images`)."""
+        rows, pivots = self.space.sparse_rows(), self.space.pivots
+        return dict(zip(pivots, generator_images(self.algebra, [rows[p] for p in pivots])))
+
     def action_columns(self) -> list[list[list[tuple]]]:
         """The columns of the actions, read off the shadow; no action matrix is built.
 
-        v_j sends the basis row x to ψ_j(x) (:func:`generator_images`), whose
-        coordinates in the reduced basis are its entries at the pivots.
-        Each image is checked to lie in the shadow, so the radical, the
-        socle and the Hom systems of a syzygy read the same columns as its
-        built actions would give.
+        v_j sends the basis row x to ψ_j(x) (:func:`generator_images`), and
+        :func:`pivot_columns` checks each image against the shadow and
+        reads its coordinates at the pivots, as for any submodule; so the
+        radical, the socle and the Hom systems of a syzygy read the same
+        columns as its built actions would give.
         """
-        if self._shadow_columns is None:
-            space, n = self.space, self.algebra.dim
-            rows = space.sparse_rows()
-            basis = [rows[p] for p in space.pivots]
-            if any(q % n == 0 for idx, _ in basis for q in idx):
+        if self._action_columns is None:
+            n = self.algebra.dim
+            if any(q % n == 0 for idx, _ in self.space.sparse_rows().values() for q in idx):
                 raise BadParams("shadow escapes the radical of its free module")
-            at = {p: r for r, p in enumerate(space.pivots)}
-            columns: list[list] = [[] for _ in range(self.algebra.e)]
-            for images in generator_images(self.algebra, basis):
-                for cols, image in zip(columns, images):
-                    if not space.contains(image):
-                        raise BadParams("subspace is not stable under the module action")
-                    cols.append([(at[q], y) for q, y in image.items() if y and q in at])
-            self._shadow_columns = columns
-        return self._shadow_columns
+            self._action_columns = pivot_columns(self.space, list(self._shadow_images.values()),
+                                                 self.algebra.e)
+        return self._action_columns
 
     def radical(self) -> Subspace:
         """JΩ, the span of the images ψ_j(x) of the basis rows, in the module's coordinates."""
@@ -185,29 +177,16 @@ class Syzygy(AModule):
         images' span.  When that rank is the number of rows at
         J^2-coordinates, those rows span JΩ and the V-rows are all the top
         lifts.  Otherwise the J^2-rows at the free columns of JΩ's reduced
-        basis, in the module's coordinates, lift the top too, and Φ is
-        taken again over all the lifts.
+        basis lift the top too: they are read off :meth:`radical`, whose
+        free columns are the V-rows and those J^2-rows, and Φ is taken
+        again over all the lifts.
         """
-        alg, space = self.algebra, self.space
-        e, n = alg.e, alg.dim
-        rows = space.sparse_rows()
-        images = dict(zip(space.pivots, generator_images(alg, [rows[p] for p in space.pivots])))
-        lifts = [p for p in space.pivots if p % n <= e]
+        alg, space, images = self.algebra, self.space, self._shadow_images
+        lifts = [p for p in space.pivots if p % alg.dim <= alg.e]
         kernel = phi_kernel(alg, [images[p] for p in lifts])
-        outer = [p for p in space.pivots if p % n > e]
         # kernel.dim is (e·t - rank Φ) + a·t for the t V-rows.
-        if (e + alg.a) * len(lifts) - kernel.dim < len(outer):
-            # The radical is spanned by Φ's pivot columns and the images of
-            # the J^2-rows; the free columns of its matrix over the J^2-rows
-            # are the J^2-rows that lift the top.
-            free = set(kernel.pivots)
-            span = [img for k, p in enumerate(lifts) for j, img in enumerate(images[p])
-                    if k * n + 1 + j not in free]
-            span += [img for p in outer for img in images[p]]
-            at = {q: c for c, q in enumerate(outer)}
-            radical = SparseRows(alg.field, [{at[q]: y for q, y in img.items() if q in at}
-                                             for img in span], len(outer))
-            lifts = sorted(lifts + [outer[c] for c in kernel_subspace(radical).pivots])
+        if (alg.e + alg.a) * len(lifts) - kernel.dim < space.dim - len(lifts):
+            lifts = [space.pivots[r] for r in self.radical().free_columns()]
             kernel = phi_kernel(alg, [images[p] for p in lifts])
         return tuple(lifts), kernel
 
@@ -280,22 +259,16 @@ class BoundedVerdict:
 
 
 def _cover_matrix(M: AModule) -> Matrix:
-    """The matrix of the cover A^t -> M, t = dim top M.
+    """The matrix of the cover A^t -> M, t = dim top M, by products.
 
     The k-th top lift m_k is the unit vector at the k-th free column c_k of
-    JM, and copy k of A sends (1, v_1.., w_1..) to (m_k, v_1 m_k.., w_1 m_k..).
-    A module known to have J^2 M = 0 forms no product: v_i m_k is column
-    c_k of the action X_i, read, not multiplied, and every w_m m_k is zero.
-    Any other module maps its lifts by 1, v_i and w_m (:meth:`AModule.basis_images`).
+    JM, and copy k of A sends (1, v_1.., w_1..) to (m_k, v_1 m_k.., w_1 m_k..),
+    mapped by :meth:`AModule.basis_images`.  Only a Loewy-length-3 input's
+    cover kernel and a cover map's matrix, when it is read, are built here.
     """
     lifts = M.top_lift()
-    if M._square_zero or M.radical().dim == 0:
-        free = M.radical().free_columns()
-        blocks = [lifts] + [[tuple(row[c] for row in X.data) for c in free] for X in M.actions]
-        blocks += [[(M.field.zero(),) * M.dim] * len(lifts)] * M.algebra.a
-    else:
-        lifted = M.basis_images(Matrix.from_columns(M.field, lifts, M.dim))
-        blocks = [img.transpose().data for img in lifted]
+    blocks = [img.transpose().data
+              for img in M.basis_images(Matrix.from_columns(M.field, lifts, M.dim))]
     return Matrix.from_columns(M.field, [b[k] for k in range(len(lifts)) for b in blocks], M.dim)
 
 
@@ -303,14 +276,22 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     """The projective cover A^t -> M with t = dim top M, and its kernel.
 
     A :class:`Syzygy` takes its kernel from its shadow (:meth:`Syzygy.cover`);
-    any other module from the whole cover matrix (:func:`_cover_matrix`).
-    Minimality is checked on the kernel's sparse rows: no kernel vector
-    reaches a coordinate of an m_k, so the kernel lies in JP.
+    any other module killed by J^2 from the big Φ read off its action
+    columns at the top lifts (:meth:`AModule.top_images`,
+    :func:`phi_kernel`); a Loewy-length-3 module from the whole cover
+    matrix (:func:`_cover_matrix`).  Minimality is checked on the kernel's
+    sparse rows: no kernel vector reaches a coordinate of an m_k, so the
+    kernel lies in JP.
     """
     n, t = M.algebra.dim, M.top_dim()
     if t * n > cap:
         raise ResourceCapExceeded(t * n, cap)
-    ker = M.cover[1] if isinstance(M, Syzygy) else kernel_subspace(_cover_matrix(M))
+    if isinstance(M, Syzygy):
+        ker = M.cover[1]
+    elif M.loewy_length() <= 2:
+        ker = phi_kernel(M.algebra, M.top_images())
+    else:
+        ker = kernel_subspace(_cover_matrix(M))
     if t * n - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
     if any(j % n == 0 for idx, _ in ker.sparse_rows().values() for j in idx):
@@ -478,16 +459,18 @@ class DualData:
 
     @cached_property
     def module(self) -> AModule:
-        """M* = Hom(M, A) as a left module over the opposite algebra."""
+        """M* = Hom(M, A) as a left module over the opposite algebra.
+
+        Right multiplication by v_i is the regular action R of v_i in A^op,
+        which acts on a map's row-major flattening as R ⊗ 1; the images of
+        the basis rows of ``homs.flat`` give the columns at its pivots.
+        """
         op = self.homs.source.algebra.opposite()
-        z = self.homs.dim
-        if z == 0:
-            return zero_module(op)
-        # Right multiplication by v_i is the regular action of v_i in A^op.
-        acts = [Matrix.from_columns(op.field, [self.homs.coords(R * f.matrix)
-                                               for f in self.homs.maps], z)
-                for R in op.regular_actions()]
-        return AModule(op, z, acts, check=False)
+        flat, d = self.homs.flat, self.homs.source.dim
+        columns = [[[(r * d + c, x) for r, x in col] for col in cols for c in range(d)]
+                   for cols in left_regular_module(op).action_columns()]
+        images = vector_images(columns, flat.sparse_rows().values())
+        return module_from_columns(op, flat.dim, pivot_columns(flat, images, op.e))
 
     @cached_property
     def torsionless(self) -> bool:

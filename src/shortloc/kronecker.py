@@ -16,8 +16,9 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
 from .homology import DEFAULT_CAP, generator_images, phi_kernel, syzygy
-from .linalg import Matrix, kernel_basis, rank
-from .modules import AModule, find_isomorphism, hom_dim, simple_multiplicity
+from .linalg import Matrix, SparseRows, rank
+from .modules import (AModule, find_isomorphism, hom_dim, module_from_columns, pivot_columns,
+                      simple_multiplicity)
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,17 @@ class KroneckerRep:
 
 
 def tilde(M: AModule) -> KroneckerRep:
-    """The Kronecker representation (top M, JM; induced actions)."""
+    """The Kronecker representation (top M, JM; induced actions).
+
+    phi_j sends the k-th top lift to the coordinates of v_j m_k in JM, read
+    off the action columns (:meth:`AModule.top_images`, :func:`pivot_columns`).
+    """
     if M.loewy_length() > 2:
         raise LoewyTooLong("the Kronecker shadow needs Loewy length <= 2")
-    rad = M.radical()
-    lifts = Matrix.from_columns(M.field, M.top_lift(), M.dim)
-    maps = []
-    for X in M.actions:
-        cols = [rad.coords(c) for c in (X * lifts).transpose().data]
-        maps.append(Matrix.from_columns(M.field, cols, rad.dim))
-    return KroneckerRep(e=M.algebra.e, dim0=lifts.cols, dim1=rad.dim, maps=tuple(maps))
+    rad, images = M.radical(), M.top_images()
+    maps = tuple(Matrix.from_sparse_columns(M.field, rad.dim, cols)
+                 for cols in pivot_columns(rad, images, M.algebra.e))
+    return KroneckerRep(e=M.algebra.e, dim0=len(images), dim1=rad.dim, maps=maps)
 
 
 def rep_as_module(rep: KroneckerRep, alg: ShortAlgebra) -> AModule:
@@ -62,16 +64,10 @@ def rep_as_module(rep: KroneckerRep, alg: ShortAlgebra) -> AModule:
     """
     if rep.e != alg.e:
         raise AlgebraMismatch("representation and algebra have different e")
-    d = rep.dim0 + rep.dim1
-    zero = alg.field.zero()
-    acts = []
-    for phi in rep.maps:
-        rows = [[zero] * d for _ in range(d)]
-        for r in range(rep.dim1):
-            for c in range(rep.dim0):
-                rows[rep.dim0 + r][c] = phi.data[r][c]
-        acts.append(Matrix(alg.field, rows, cols=d))
-    return AModule(alg, d, acts, check=False)
+    d0 = rep.dim0
+    columns = [[[(d0 + r, x) for r, x in enumerate(phi.col(c)) if x] for c in range(d0)]
+               + [[]] * rep.dim1 for phi in rep.maps]
+    return module_from_columns(alg, d0 + rep.dim1, columns)
 
 
 def push_down(rep: KroneckerRep, alg: ShortAlgebra) -> AModule:
@@ -91,7 +87,7 @@ def rep_dual(rep: KroneckerRep) -> KroneckerRep:
 
 
 def kronecker_hom_dim(repA: KroneckerRep, repB: KroneckerRep) -> int:
-    """dim Hom of Kronecker representations, by the intertwining equations.
+    """dim Hom of Kronecker representations: the unknowns less the rank of the equations.
 
     A homomorphism is a pair (g0: A_0 -> B_0, g1: A_1 -> B_1) with
     phiB_i g0 = g1 phiA_i for every arrow.
@@ -100,29 +96,17 @@ def kronecker_hom_dim(repA: KroneckerRep, repB: KroneckerRep) -> int:
         raise AlgebraMismatch("representations of different Kronecker quivers")
     n0 = repB.dim0 * repA.dim0
     n1 = repB.dim1 * repA.dim1
-    if n0 + n1 == 0:
-        return 0
-    field = (repA.maps[0] if repA.maps else repB.maps[0]).field
-    zero = field.zero()
+    if n0 + n1 == 0 or not repA.maps:
+        return n0 + n1  # no unknown, or no arrow and so no equation
     rows = []
     # Unknowns: g0 flattened row-major first, then g1.
     for phiA, phiB in zip(repA.maps, repB.maps):
         for r in range(repB.dim1):
             for c in range(repA.dim0):
-                row = [zero] * (n0 + n1)
-                for k in range(repB.dim0):
-                    coef = phiB.data[r][k]
-                    if coef:
-                        row[k * repA.dim0 + c] = row[k * repA.dim0 + c] + coef
-                for k in range(repA.dim1):
-                    coef = phiA.data[k][c]
-                    if coef:
-                        row[n0 + r * repA.dim1 + k] = row[n0 + r * repA.dim1 + k] - coef
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return n0 + n1
-    return len(kernel_basis(Matrix(field, rows, cols=n0 + n1)))
+                row = {k * repA.dim0 + c: x for k, x in enumerate(phiB.data[r]) if x}
+                row.update((n0 + r * repA.dim1 + k, -x) for k, x in enumerate(phiA.col(c)) if x)
+                rows.append(row)
+    return n0 + n1 - rank(SparseRows(repA.maps[0].field, rows, n0 + n1))
 
 
 def hom_decomposition_check(M: AModule, N: AModule) -> bool:

@@ -253,6 +253,15 @@ class Matrix:
                       cols=len(columns))
 
     @staticmethod
+    def from_sparse_columns(field: Field, rows: int, columns: Sequence[Iterable]) -> "Matrix":
+        """The ``rows`` x len(columns) matrix with the (row, value) pairs columns[j] in column j."""
+        out = [[field.zero()] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, x in col:
+                out[i][j] = x
+        return Matrix(field, out, cols=len(columns))
+
+    @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
         z = field.zero()
         return Matrix(field, [[z] * cols for _ in range(rows)], cols=cols)

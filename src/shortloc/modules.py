@@ -1,33 +1,32 @@
 """Finite-length left modules over a short local algebra.
 
 A module of dimension d is given by the e action matrices of the radical
-generators v_1..v_e.  The action of J^2 is derived (w_m acts as the
-corresponding combination of products of generator actions), so a tuple of
-matrices is a valid module iff it satisfies the linear relations among the
-products v_i v_j and kills all triple products.  :meth:`AModule.basis_images`
-is the one action routine: it maps vectors by every basis element of A,
-applying the J^2 action to the vectors, never forming it as a matrix.
-:meth:`AModule.action_rows` holds each basis element's action as sparse
-rows, built once per module (on A^t read off the algebra's structure
-constants); the Hom-complex of Ext reads it.  :meth:`AModule.action_columns`
-holds each generator's action as sparse columns: the socle, the Hom
-equations (:func:`_hom_equations`), submodules and quotients read it, so
-a quotient reduces columns along the subspace's sparse rows instead of
-multiplying action matrices, and a module held otherwise (a syzygy, by
-its shadow) supplies its columns without building any matrix.
+generators v_1..v_e; w_m acts as the combination of products of generator
+actions that the algebra's sections give, so a tuple of matrices is a
+valid module iff it satisfies the linear relations among the products
+v_i v_j and kills all triple products.
+
+:meth:`AModule.action_columns` is the one way a module's actions are read
+and built: each generator's action as sparse columns, on A^t read off the
+algebra's regular action block by block, on a syzygy off its shadow.
+:func:`vector_images` maps vectors along them, :func:`pivot_columns`
+turns the images of a subspace's basis rows into the columns of the
+induced actions, checked for stability, and :func:`module_from_columns`
+builds the module.  Submodules and closures, quotients, J^2 M, the Loewy
+length, the covers of modules killed by J^2, the dual module and the
+Kronecker shadow go this way, and the socle and the Hom equations
+(:func:`_hom_equations`) read the columns, so none of them multiplies
+action matrices.  :meth:`AModule.action_rows` holds each basis element's
+action as sparse rows for the Hom-complex of Ext.  :meth:`AModule.basis_images`
+maps by 1, v_i and w_m with products; element actions, the action rows of
+a module other than A^t, the approximation's factoring certificate and
+the cover matrix of a Loewy-length-3 module read it.
 
 A Hom system is solved only as far as its caller reads it: :func:`hom_dim`
 is a rank, with no kernel basis, and :func:`find_isomorphism` solves
 Hom(M, N) for a basis and takes dim Hom(N, M) only when no basis element
-is invertible.
-
-A free module A^t (:class:`FreeModule`) holds only t: A acts on it as
-I_t ⊗ R, R the algebra's cached regular action, and its block-diagonal
-action matrices are built only when a caller reads them.
-:func:`module_from_subspace` maps a subspace's basis rows through each
-generator along the column non-zeros of its action, which on A^t come from
-R block by block, and checks each image against the subspace's sparse rows;
-no step of a resolution builds or scans a (t·dim A)^2 matrix.
+is invertible.  A free module A^t (:class:`FreeModule`) holds only t, and
+its block-diagonal action matrices are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
@@ -74,8 +73,9 @@ class AModule:
     _socle: Optional[Subspace] = None
     _basis_actions: Optional[tuple] = None
     _action_rows: Optional[tuple] = None
+    _action_columns: Optional[list] = None
     _loewy: Optional[int] = None
-    #: Set when J^2 M = 0 is known, as for a syzygy: then no product decides it.
+    #: Set when J^2 M = 0 is known, as for a syzygy: then no image decides it.
     _square_zero = False
 
     def __init__(self, algebra: ShortAlgebra, dim: int, actions: Sequence[Matrix],
@@ -151,14 +151,16 @@ class AModule:
 
         On A^t copy k's columns are R's shifted by k·dim A, read off the
         regular action R in O(t·nnz R); any other module scans its matrices
-        once.  The socle, Hom systems, submodules and quotients read a
-        module's actions through this view.
+        once and keeps the columns.  Every module built or read without
+        products goes through this view.
         """
-        if self.free_rank is None:
-            return [_columns(X) for X in self.actions]
-        n = self.algebra.dim
-        return [[[(k * n + i, x) for i, x in col] for k in range(self.free_rank) for col in cols]
-                for cols in map(_columns, self.algebra.regular_actions())]
+        if self.free_rank is not None:
+            n = self.algebra.dim
+            return [[[(k * n + i, x) for i, x in col] for k in range(self.free_rank) for col in cols]
+                    for cols in map(_columns, self.algebra.regular_actions())]
+        if self._action_columns is None:
+            self._action_columns = [_columns(X) for X in self.actions]
+        return self._action_columns
 
     # -- structural subspaces -------------------------------------------
 
@@ -195,21 +197,37 @@ class AModule:
         return self.dim - self.radical().dim
 
     def loewy_length(self) -> int:
-        """Least n with J^n M = 0 (0 for the zero module, at most 3)."""
+        """Least n with J^n M = 0 (0 for the zero module, at most 3).
+
+        J^2 M = 0 iff the generators kill the basis rows of JM, whose
+        images are read along the action columns (:func:`vector_images`).
+        """
         if self._loewy is None:
             if self.dim == 0:
                 self._loewy = 0
             elif self.top_dim() == self.dim:
                 self._loewy = 1
-            elif self._square_zero or not _images(self.radical().basis, self.actions):
+            elif self._square_zero:
                 self._loewy = 2
             else:
-                self._loewy = 3
+                rows = self.radical().sparse_rows().values()
+                images = vector_images(self.action_columns(), rows)
+                self._loewy = 3 if any(any(img.values()) for row in images for img in row) else 2
         return self._loewy
 
     def top_lift(self) -> list[tuple]:
         """Deterministic vectors lifting a basis of top M = M/JM."""
         return self.radical().complement()
+
+    def top_images(self) -> list[list[dict]]:
+        """v_1 m_k .. v_e m_k as {index: value} for each top lift m_k.
+
+        m_k is the unit vector at the k-th free column c_k of JM
+        (:meth:`top_lift`), so v_j m_k is column c_k of v_j's action, read
+        off :meth:`action_columns`.
+        """
+        columns = self.action_columns()
+        return [[dict(cols[c]) for cols in columns] for c in self.radical().free_columns()]
 
 
 def validate_module(M: AModule) -> None:
@@ -326,63 +344,62 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
     return FreeModule(alg, t)
 
 
-def _images(vectors: Sequence[Sequence], matrices: Sequence[Matrix]) -> list[tuple]:
-    """The non-zero images of the vectors under the matrices, one product each."""
-    if not matrices:
-        return []
-    cols = Matrix.from_columns(matrices[0].field, vectors, matrices[0].cols)
-    return [c for X in matrices for c in (X * cols).transpose().data if any(c)]
-
-
 def _columns(X: Matrix) -> list[list[tuple]]:
     """The non-zero (row, value) pairs of each column of X."""
     return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*X.data)]
 
 
-def _mapped_basis(columns: list, space: Subspace) -> list[list[dict]]:
-    """Per generator, the image of each basis row of the subspace as {index: value}.
+def vector_images(columns: list, rows: Iterable[tuple]) -> list[list[dict]]:
+    """v_1·x .. v_e·x as {index: value} for each x, given as (indices, values).
 
-    ``columns`` is a module's :meth:`AModule.action_columns`.  Raises
-    BadParams unless every image lies in the subspace; each check costs
-    what the image's support and the rows at its pivots cost.
+    ``columns`` is a module's :meth:`AModule.action_columns`, so an image
+    costs what x's support and the columns there cost; no product is formed.
     """
-    rows = space.sparse_rows()
-    sparse_basis = [rows[p] for p in space.pivots]
     out = []
-    for cols in columns:
-        images = []
-        for idx, vals in sparse_basis:
-            image: dict = {}
-            for j, x in zip(idx, vals):
+    for idx, vals in rows:
+        images: list[dict] = [{} for _ in columns]
+        for j, x in zip(idx, vals):
+            for image, cols in zip(images, columns):
                 for i, a in cols[j]:
                     image[i] = image[i] + x * a if i in image else x * a
-            if not space.contains(image):
-                raise BadParams("subspace is not stable under the module action")
-            images.append(image)
         out.append(images)
     return out
+
+
+def pivot_columns(space: Subspace, images: Sequence[Sequence[dict]], e: int) -> list[list[list]]:
+    """The columns of the actions induced on a subspace, from the images of its basis rows.
+
+    ``images[r][j]`` is v_{j+1} applied to basis row r (as
+    :func:`vector_images` or :func:`~shortloc.homology.generator_images`
+    give it).  Each image is checked to lie in the subspace (BadParams
+    otherwise); the basis is row reduced, so its coordinates are its
+    non-zero entries at the pivots, with no system solved.
+    """
+    at = {p: r for r, p in enumerate(space.pivots)}
+    columns: list[list] = [[] for _ in range(e)]
+    for row_images in images:
+        for cols, image in zip(columns, row_images):
+            if not space.contains(image):
+                raise BadParams("subspace is not stable under the module action")
+            cols.append([(at[q], y) for q, y in image.items() if y and q in at])
+    return columns
+
+
+def module_from_columns(alg: ShortAlgebra, dim: int, columns: Sequence[Sequence]) -> AModule:
+    """The module whose generator v_{j+1} acts by the sparse columns ``columns[j]``."""
+    return AModule(alg, dim, [Matrix.from_sparse_columns(alg.field, dim, cols) for cols in columns],
+                   check=False)
 
 
 def module_from_subspace(M: AModule, space: Subspace) -> tuple[AModule, ModuleMap]:
     """An action-stable subspace as a module, with its embedding into M.
 
     Each basis row is mapped through each generator along the non-zeros of
-    both (:func:`_mapped_basis`).  The subspace basis is row reduced, so the
-    coordinates of a member vector are just its entries at the pivot
-    columns: the induced action matrix is read off the images at the
-    pivots, without solving any system.
+    both (:func:`vector_images`), and the induced actions are read off the
+    images at the pivots (:func:`pivot_columns`).
     """
-    zero = M.field.zero()
-    row_of = {p: r for r, p in enumerate(space.pivots)}
-    acts = []
-    for images in _mapped_basis(M.action_columns(), space):
-        act = [[zero] * space.dim for _ in range(space.dim)]
-        for b, image in enumerate(images):
-            for i, y in image.items():
-                if i in row_of:
-                    act[row_of[i]][b] = y
-        acts.append(Matrix(M.field, act, cols=space.dim))
-    sub = AModule(M.algebra, space.dim, acts, check=False)
+    images = vector_images(M.action_columns(), space.sparse_rows().values())
+    sub = module_from_columns(M.algebra, space.dim, pivot_columns(space, images, M.algebra.e))
     return sub, ModuleMap(sub, M, Matrix.from_columns(M.field, space.basis, M.dim))
 
 
@@ -394,12 +411,15 @@ def submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleM
 def generated_submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
     """The submodule generated by the vectors: their span closed under A.
 
-    One closure round suffices: J*(Jv) lies in J^2 v and J^2*(Jv) = 0.
+    The closure is v, Jv and J(Jv), which spans J^2 v; J^3 = 0 ends it.
     """
     vecs = [tuple(v) for v in vectors]
-    images = M.basis_images(Matrix.from_columns(M.field, vecs, M.dim))[1:]
-    closure = vecs + [c for img in images for c in zip(*img.data)]
-    return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim, closure))
+    if any(len(v) != M.dim for v in vecs):
+        raise DimensionMismatch("vector has wrong ambient dimension")
+    columns = M.action_columns()
+    jv = [img for row in vector_images(columns, [(range(M.dim), v) for v in vecs]) for img in row]
+    jjv = [img for row in vector_images(columns, [(v, v.values()) for v in jv]) for img in row]
+    return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim, vecs + jv + jjv))
 
 
 def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
@@ -415,7 +435,8 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     if not isinstance(sub, Subspace):
         sub = Subspace.from_vectors(M.field, M.dim, sub)
     columns = M.action_columns()
-    _mapped_basis(columns, sub)  # raises BadParams unless sub is stable
+    # Raises BadParams unless sub is stable.
+    pivot_columns(sub, vector_images(columns, sub.sparse_rows().values()), M.algebra.e)
     free = sub.free_columns()
     # Reducing e_c leaves e_c at a free column c and e_c - row at the
     # pivot of that row, so the projection is read off the basis rows.
@@ -432,17 +453,19 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     zero = M.field.zero()
     acts = []
     for cols in columns:
-        act = [[zero] * len(free) for _ in free]
-        for b, f in enumerate(free):
+        act = []
+        for f in free:
+            col: dict = {}
             for i, x in cols[f]:
                 if i in at:
-                    act[at[i]][b] += x
+                    col[at[i]] = col.get(at[i], zero) + x
                 else:
                     for j, y in zip(*rows[i]):
                         if j in at:
-                            act[at[j]][b] -= x * y
-        acts.append(Matrix(M.field, act, cols=len(free)))
-    Q = AModule(M.algebra, len(free), acts, check=False)
+                            col[at[j]] = col.get(at[j], zero) - x * y
+            act.append(col.items())
+        acts.append(act)
+    Q = module_from_columns(M.algebra, len(free), acts)
     return Q, ModuleMap(M, Q, proj)
 
 
@@ -523,14 +546,16 @@ def random_module(alg: ShortAlgebra, n_gens: int, n_rels: int, seed: int) -> AMo
             vec.append(zero)
             vec.extend(rng.choice(elems) for _ in range(alg.dim - 1))
         rels.append(tuple(vec))
-    space = Subspace.from_vectors(alg.field, F.dim, rels + _images(rels, F.actions))
+    images = vector_images(F.action_columns(), [(range(F.dim), r) for r in rels])
+    space = Subspace.from_vectors(alg.field, F.dim, rels + [img for row in images for img in row])
     Q, _ = quotient(F, space)
     return Q
 
 
 def mod_j_squared(M: AModule) -> AModule:
     """M / J^2 M, the largest Loewy-length <= 2 quotient of M."""
-    space = Subspace.from_vectors(M.field, M.dim, _images(M.radical().basis, M.actions))
+    images = vector_images(M.action_columns(), M.radical().sparse_rows().values())
+    space = Subspace.from_vectors(M.field, M.dim, (img for row in images for img in row))
     Q, _ = quotient(M, space)
     return Q
 
@@ -591,10 +616,6 @@ class HomSpace:
 
     def flatten(self, mat: Matrix) -> tuple:
         return tuple(x for row in mat.data for x in row)
-
-    def coords(self, mat: Matrix) -> tuple:
-        """Coordinates of a homomorphism matrix in this basis."""
-        return self.flat.coords(self.flatten(mat))
 
 
 def _hom_equations(M: AModule, N: AModule) -> SparseRows:

@@ -1,0 +1,120 @@
+"""No module is built or read by multiplying its action matrices.
+
+Submodules, closures, quotients, J^2 M, the Loewy length, the dual module
+and the Kronecker shadow map vectors along a module's sparse action
+columns, and every module killed by J^2 takes its cover kernel from the
+big Φ read off those columns.  The guards below count ``Matrix.__mul__``
+calls, the shadow-image passes of a syzygy and the cover route each input
+takes.
+"""
+
+import pytest
+
+from shortloc import homology
+from shortloc.homology import a_dual, projective_cover, syzygy
+from shortloc.kronecker import KroneckerRep, rep_as_module, tilde
+from shortloc.linalg import QQ, Field, Matrix, random_matrix
+from shortloc.modules import (AModule, FreeModule, cyclic_submodule, is_bipartite,
+                              left_regular_module, m_alpha, mod_j_squared, random_module)
+from shortloc.numerics import main_lemma_witness
+from shortloc.presets import preset
+
+FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
+
+PRESETS = pytest.mark.parametrize("name, kw", [("ex15_1", {"e": 3, "a": 2}),
+                                               ("lambda_c", {"c": 0})],
+                                  ids=["ex15_1", "lambda_c"])
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The shapes of the ``Matrix.__mul__`` calls made while the test runs."""
+    shapes = []
+    original = Matrix.__mul__
+
+    def counted(self, other):
+        shapes.append((self.rows, self.cols, other.cols))
+        return original(self, other)
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    return shapes
+
+
+def fresh(M):
+    return AModule(M.algebra, M.dim, M.actions, check=False)
+
+
+def sweep_shaped_job(M):
+    """What a sweep job asks first: the main lemma, the next syzygy, bipartiteness."""
+    omega = main_lemma_witness(M).omega_module
+    syzygy(omega)
+    return is_bipartite(omega)
+
+
+@FIELDS
+@PRESETS
+def test_modules_are_built_and_read_without_products(field, name, kw, products, monkeypatch):
+    alg = preset(name, field=field, **kw)
+    free_reads = []
+    monkeypatch.setattr(FreeModule, "actions",
+                        property(lambda F: free_reads.append(F.free_rank)))
+    M = random_module(alg, 2, 2, 5)
+    Q = mod_j_squared(M)
+    copy = fresh(M)
+    assert copy.loewy_length() <= 2 and Q.loewy_length() <= 2
+    cyclic = cyclic_submodule(alg, [0, 1, 0, 0, 0, 0])
+    rep = tilde(copy)
+    sweep_shaped_job(fresh(Q))
+    assert products == [] and free_reads == []
+    assert rep.dim_vector == (copy.top_dim(), copy.radical().dim) and cyclic.dim > 1
+
+
+@FIELDS
+def test_the_dual_module_makes_no_product(field, products):
+    lam = preset("lambda_c", field=field, c=0)
+    M = m_alpha(lam, 1)
+    assert len(products) == 9  # the module axioms, checked once
+    dual = a_dual(M)
+    assert len(products) == 9 and dual.dim > 0
+
+
+@FIELDS
+@PRESETS
+def test_a_syzygy_maps_its_shadow_once(field, name, kw, monkeypatch):
+    alg = preset(name, field=field, **kw)
+    passes = []
+    original = homology.generator_images
+    monkeypatch.setattr(homology, "generator_images",
+                        lambda alg, rows: passes.append(len(rows)) or original(alg, rows))
+    sweep_shaped_job(mod_j_squared(random_module(alg, 2, 2, 5)))
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_each_input_takes_its_cover_route(field, monkeypatch):
+    # routes[i] holds the cover routes that projective_cover call i reached.
+    routes = []
+    for name in ("phi_kernel", "_cover_matrix"):
+        monkeypatch.setattr(homology, name, lambda *args, _name=name, _f=getattr(homology, name):
+                            routes[-1].add(_name) or _f(*args))
+    loewy2, loewy3 = [], []
+    lam = preset("lambda_c", field=field, c=1)
+    loewy2 += [m_alpha(lam, alpha) for alpha in (0, 1, 2)]
+    for name, kw in [("qexterior", {}), ("lambda_c", {"c": 0}), ("ex15_1", {"e": 3, "a": 2}),
+                     ("L", {"e": 2})]:
+        alg = preset(name, field=field, **kw)
+        randoms = [random_module(alg, 1 + seed % 2, seed % 3, seed=seed) for seed in range(4)]
+        for M in randoms + [left_regular_module(alg)]:
+            (loewy3 if M.loewy_length() == 3 else loewy2).append(fresh(M))
+        loewy2 += [mod_j_squared(M) for M in randoms]
+        for seed in range(4):
+            maps = tuple(random_matrix(field, 2 + seed % 2, 1 + seed % 2, seed=seed + k)
+                         for k in range(alg.e))
+            loewy2.append(rep_as_module(KroneckerRep(alg.e, maps[0].cols, maps[0].rows, maps),
+                                        alg))
+    for M in loewy2 + loewy3:
+        routes.append(set())
+        projective_cover(M)
+    assert all(M.loewy_length() <= 2 for M in loewy2) and len(loewy2) >= 40
+    assert all(M.loewy_length() == 3 for M in loewy3) and len(loewy3) >= 10
+    assert routes[:len(loewy2)] == [{"phi_kernel"}] * len(loewy2)
+    assert routes[len(loewy2):] == [{"_cover_matrix"}] * len(loewy3)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shortloc.algebra import ShortAlgebra
 from shortloc.errors import AlgebraMismatch, BadParams, NotSelfInjective
 from shortloc.homology import ext_dim
 from shortloc.kronecker import (KroneckerRep, hom_decomposition_check,
@@ -117,6 +118,19 @@ def test_hom_decomposition_sweep(L2, L3):
             assert hom_decomposition_check(M, N)
             checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
+def test_hom_decomposition_without_arrows(field):
+    # Over k (e = 0) a representation has no maps to read a field from:
+    # dim Hom(S, S) = 1 on both sides, and the Kronecker Hom is n0 + n1.
+    k = ShortAlgebra(field, 0, 0, {})
+    S = simple_module(k)
+    assert tilde(S).maps == () and kronecker_hom_dim(tilde(S), tilde(S)) == 1
+    assert hom_decomposition_check(S, S)
+    two = KroneckerRep(e=0, dim0=2, dim1=3, maps=())
+    assert kronecker_hom_dim(two, two) == 2 * 2 + 3 * 3
+    assert kronecker_hom_dim(two, rep_dual(two)) == 2 * 3 + 3 * 2
 
 
 # -- reflection -------------------------------------------------------------------
