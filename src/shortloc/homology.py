@@ -11,7 +11,8 @@ boundaries' shadow rows and the target's sparse action rows
 the dual side: it solves Hom(M, A) once and serves the dual module, the
 torsionless and reflexive verdicts, the evaluation map and the minimal left
 approximation with its cokernel (the cosyzygy), each built on first read;
-the stable Hom reads its maps too.
+the stable Hom reads its maps too, composing them with each block of the
+target's cover as (block ⊗ 1) on their flattenings, with no product.
 
 The cover of a module N with J^2 N = 0 has the kernel
 ker(Φ: V⊗k^t -> JN) ⊕ W⊗k^t, where Φ sends v_j ⊗ e_k to v_j m_k for the
@@ -21,14 +22,20 @@ A^t.  Minimality puts it in JA^t, so J^2 kills it, and v_j acts on a basis
 row x through the structure constants, ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)}
 (:func:`generator_images`), once per syzygy.  At the top lifts these images
 are the columns of its Φ (:meth:`Syzygy.cover`), so from step 1 on a
-resolution step is one kernel of the big Φ; checked against the shadow and
-read at its pivots they are the columns of its actions
-(:meth:`Syzygy.action_columns`), which its radical, socle and Hom systems
-read.  Any other module killed by J^2 reads Φ off its action columns at the
-free columns of its radical (:meth:`AModule.top_images`), so only a
-Loewy-length-3 input forms a whole cover matrix (:func:`_cover_matrix`).  A
-syzygy's action matrices, a cover's matrix and a kernel's embedding are
-built only when a caller reads them.
+resolution step is one kernel of the big Φ.  Φ is eliminated once per
+step: its rank settles the syzygy's top and its free columns are the
+kernel's pivots, while the kernel's rows are built and embedded in A^t
+only when the next step reads them, so the last step of ``betti(M, n)``
+builds none.  When the V-rows do not lift the whole top, only the images
+at Φ's pivot columns and those of the J^2-rows are eliminated again.
+Checked against the shadow and read at its pivots, the images are the
+columns of its actions (:meth:`Syzygy.action_columns`), which its radical,
+socle and Hom systems read.  Any other module killed by J^2 reads Φ off its
+action columns at the free columns of its radical
+(:meth:`AModule.top_images`), so only a Loewy-length-3 input forms a whole
+cover matrix (:func:`_cover_matrix`).  A syzygy's action matrices, a
+cover's matrix and a kernel's embedding are built only when a caller reads
+them.
 """
 
 from __future__ import annotations
@@ -87,7 +94,9 @@ def phi_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
     k·dim A + 1 + j, and the unit vectors of J^2 A^t follow.  These are the
     rows of the whole cover's kernel: a reduced basis depends only on the
     subspace and the column order, and the columns of the m_k are
-    independent of the rest.
+    independent of the rest.  Φ is eliminated at once, so the pivots and
+    the dimension are known; the rows are embedded, by remapping the
+    indices of ker Φ's rows and keeping their values, on first read.
     """
     e, n, t = alg.e, alg.dim, len(images)
     phi_rows: dict = defaultdict(dict)
@@ -95,17 +104,17 @@ def phi_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
         for j, img in enumerate(imgs):
             for q, y in img.items():
                 phi_rows[q][k * e + j] = y
-    phi = kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), e * t)).sparse_rows()
-    one = alg.field.one()
-    rows = {}
-    for k in range(t):
-        for j in range(e):
-            if k * e + j in phi:
-                idx, vals = phi[k * e + j]
-                rows[k * n + 1 + j] = dict(zip([c // e * n + 1 + c % e for c in idx], vals))
-        for q in range(k * n + 1 + e, (k + 1) * n):
-            rows[q] = {q: one}
-    return Subspace.from_sparse_rows(alg.field, n * t, rows)
+    phi = kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), e * t))
+    at = [c // e * n + 1 + c % e for c in range(e * t)]
+    pivots = sorted([at[c] for c in phi.pivots] +
+                    [q for k in range(t) for q in range(k * n + 1 + e, (k + 1) * n)])
+
+    def rows() -> dict:
+        one = alg.field.one()
+        vrows = {at[c]: (tuple(at[i] for i in idx), vals)
+                 for c, (idx, vals) in phi.sparse_rows().items()}
+        return {q: vrows[q] if q in vrows else ((q,), (one,)) for q in pivots}
+    return Subspace.from_sparse_rows(alg.field, n * t, pivots, rows)
 
 
 class Syzygy(AModule):
@@ -116,8 +125,11 @@ class Syzygy(AModule):
     kernel (minimality), so the images ψ_j(x) of its basis rows, formed
     once, give its top and its own cover, one kernel of the big Φ
     (:meth:`cover`), and the columns of its actions (:meth:`action_columns`),
-    which its radical, socle and Hom systems read.  Its action matrices are
-    built by :func:`module_from_subspace` only when a caller reads them.
+    which its radical, socle and Hom systems read.  The cover keeps the
+    top lifts with Φ's kernel, eliminated once: the top is read off it
+    with no kernel row built, and the rows are embedded in A^t when first
+    read.  Its action matrices are built by :func:`module_from_subspace`
+    only when a caller reads them.
     """
 
     _square_zero = True
@@ -164,7 +176,8 @@ class Syzygy(AModule):
         return self._radical
 
     def top_dim(self) -> int:
-        # A radical already read gives the top at once.
+        # A radical already read gives the top at once; else Φ is eliminated
+        # and no row of its kernel is built.
         return super().top_dim() if self._radical is not None else len(self.cover[0])
 
     @cached_property
@@ -176,17 +189,31 @@ class Syzygy(AModule):
         element of the top, and Φ over those rows has the rank of their
         images' span.  When that rank is the number of rows at
         J^2-coordinates, those rows span JΩ and the V-rows are all the top
-        lifts.  Otherwise the J^2-rows at the free columns of JΩ's reduced
-        basis lift the top too: they are read off :meth:`radical`, whose
-        free columns are the V-rows and those J^2-rows, and Φ is taken
-        again over all the lifts.
+        lifts.  Otherwise JΩ is spanned by the images at Φ's pivot columns
+        and those of the J^2-rows, read off :meth:`action_columns` (which
+        checks each image against the shadow); the free columns of their
+        elimination over the J^2-rows are the J^2-rows that lift the top,
+        and Φ is taken again over all the lifts.  The kernel is
+        :func:`phi_kernel`'s: its rows are built when first read, so the
+        top alone costs one elimination of Φ.
         """
         alg, space, images = self.algebra, self.space, self._shadow_images
-        lifts = [p for p in space.pivots if p % alg.dim <= alg.e]
+        e, n = alg.e, alg.dim
+        lifts = [p for p in space.pivots if p % n <= e]
         kernel = phi_kernel(alg, [images[p] for p in lifts])
+        outer = [r for r, p in enumerate(space.pivots) if p % n > e]
         # kernel.dim is (e·t - rank Φ) + a·t for the t V-rows.
-        if (alg.e + alg.a) * len(lifts) - kernel.dim < space.dim - len(lifts):
-            lifts = [space.pivots[r] for r in self.radical().free_columns()]
+        if (e + alg.a) * len(lifts) - kernel.dim < len(outer):
+            columns = self.action_columns()
+            free, at = set(kernel.pivots), {r: c for c, r in enumerate(outer)}
+            row = {p: r for r, p in enumerate(space.pivots)}
+            span = [cols[row[p]] for k, p in enumerate(lifts)
+                    for j, cols in enumerate(columns) if k * n + 1 + j not in free]
+            span += [cols[r] for r in outer for cols in columns]
+            radical = SparseRows(alg.field, [{at[s]: y for s, y in col} for col in span],
+                                 len(outer))
+            lifts = sorted(lifts + [space.pivots[outer[c]]
+                                    for c in kernel_subspace(radical).pivots])
             kernel = phi_kernel(alg, [images[p] for p in lifts])
         return tuple(lifts), kernel
 
@@ -320,9 +347,9 @@ class MinimalResolution:
     """Lazily extended minimal projective resolution of a module.
 
     Step i is the projective cover of the i-th syzygy.  A syzygy's top is
-    read off its shadow (:meth:`Syzygy.cover`), so t_n needs no
-    :func:`projective_cover` of the n-th syzygy, and no step builds a
-    syzygy's action matrices.
+    read off its shadow (:meth:`Syzygy.cover`): t_n costs one elimination
+    of the n-th syzygy's Φ, with no :func:`projective_cover` of it and no
+    row of its kernel built, and no step builds a syzygy's action matrices.
     """
 
     def __init__(self, M: AModule, cap: int = DEFAULT_CAP):
@@ -604,18 +631,29 @@ def stable_hom_dim(M: AModule, N: AModule, cap: int = DEFAULT_CAP) -> int:
     projective cover A^t -> N, so the factoring subspace is the image of
     composition with that cover; a map into A^t is t maps into A, so the
     basis of Hom(M, A) composed with each column block of the cover spans it.
+    Composing with a block B acts on a map's row-major flattening as B ⊗ 1,
+    so the images of the rows of ``homs.flat`` are read along the block's
+    columns (:func:`vector_images`), as :attr:`DualData.module` reads R.
+    When J^2 N = 0, block k sends 1 to the top lift m_k, the unit vector at
+    the k-th free column c_k of JN, v_j to column c_k of v_j's action, and
+    every w_m to 0, so the blocks are read off N's action columns.
     """
     hb = hom_basis(M, N)
     if not hb:
         return 0
     pres = projective_cover(N, cap=cap)
-    n = M.algebra.dim
-    homs = dual_data(M).homs
-    vecs = []
-    for k in range(pres.cover_rank):
-        block = Matrix(M.field, [row[k * n:(k + 1) * n] for row in pres.cover_map.matrix.data])
-        vecs += [homs.flatten(block * f.matrix) for f in homs.maps]
-    factoring = Subspace.from_vectors(M.field, N.dim * M.dim, vecs)
+    n, d = M.algebra.dim, M.dim
+    if N.loewy_length() <= 2:
+        one, columns = M.field.one(), N.action_columns()
+        cover = [col for c in N.radical().free_columns()
+                 for col in [[(c, one)], *(cols[c] for cols in columns), *[[]] * M.algebra.a]]
+    else:
+        cover = [[(s, x) for s, x in enumerate(col) if x]
+                 for col in zip(*pres.cover_map.matrix.data)]
+    blocks = [[[(s * d + c, x) for s, x in cover[k * n + r]] for r in range(n) for c in range(d)]
+              for k in range(pres.cover_rank)]
+    images = vector_images(blocks, dual_data(M).homs.flat.sparse_rows().values())
+    factoring = Subspace.from_vectors(M.field, N.dim * d, (img for row in images for img in row))
     return len(hb) - factoring.dim
 
 

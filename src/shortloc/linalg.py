@@ -29,7 +29,11 @@ mapped by a single product with the matrix whose columns they are
 with a one-column matrix.  :meth:`Matrix.combination` is the one
 scale-and-add routine: every sum of scaled matrices is a single call.
 A :class:`Subspace` also keeps the non-zeros of its rows, so reduction
-and membership walk only non-zero entries.
+and membership walk only non-zero entries.  :func:`kernel_subspace` and
+:meth:`Subspace.from_vectors` eliminate at once, which fixes the pivots
+and the dimension, and build the reduced rows only when they are first
+read, so a caller that needs only a rank, a dimension or free columns
+pays for the elimination alone.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BadParams, DimensionMismatch
 
@@ -480,14 +484,14 @@ def _echelon(field: Field, rows: Iterable[Sequence], ncols: int) -> dict[int, di
     return piv
 
 
-def _rref_rows(field: Field, rows: Iterable[Sequence], ncols: int) -> tuple[list, list[dict]]:
-    """The reduced row echelon form as (pivot columns, rows as {column: scalar}).
+def _rref_rows(field: Field, piv: dict[int, dict]) -> tuple[list, list[dict]]:
+    """The reduced row echelon form of :func:`_echelon`'s ``piv``, as (pivot columns, rows).
 
-    The rows are :func:`_echelon`'s, in pivot order, with unit leads: over Q
-    each entry is divided by its row's lead with :func:`Rational`, the only
-    division, so integral entries are ints; over F_p residues become ``Fp``.
+    The rows come in pivot order, as {column: scalar}, with unit leads:
+    over Q each entry is divided by its row's lead with :func:`Rational`,
+    the only division, so integral entries are ints; over F_p residues
+    become ``Fp``.
     """
-    piv = _echelon(field, rows, ncols)
     pivots = sorted(piv)
     p = field.characteristic
     if p:
@@ -499,6 +503,11 @@ def _rref_rows(field: Field, rows: Iterable[Sequence], ncols: int) -> tuple[list
     return pivots, out
 
 
+def _as_pairs(rows: dict[int, dict]) -> dict[int, tuple[tuple, tuple]]:
+    """Each row {index: value} as its (indices, values), the form :class:`Subspace` keeps."""
+    return {p: (tuple(row), tuple(row.values())) for p, row in rows.items()}
+
+
 def _dense(row: dict, n: int, zero) -> list:
     out = [zero] * n
     for j, x in row.items():
@@ -508,7 +517,7 @@ def _dense(row: dict, n: int, zero) -> list:
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form: returns (reduced, rank, pivot columns)."""
-    pivots, rows = _rref_rows(m.field, m.data, m.cols)
+    pivots, rows = _rref_rows(m.field, _echelon(m.field, m.data, m.cols))
     zero = m.field.zero()
     dense = [_dense(row, m.cols, zero) for row in rows]
     dense += [[zero] * m.cols for _ in range(m.rows - len(rows))]
@@ -528,24 +537,34 @@ def kernel_basis(m: Matrix) -> list[tuple]:
 def kernel_subspace(m: Matrix | SparseRows) -> "Subspace":
     """The right null space as a :class:`Subspace` without re-reduction.
 
-    Each basis vector carries the entry 1 at "its" free column and 0 at
-    every other free column, so the vectors already form a valid
-    pseudo-reduced basis with the free columns as pivots, and the
-    coordinates of a kernel vector are its entries at the free columns.
-    The vector of free column f holds -x at pivot column c for each entry
-    x at f of c's reduced row, so the sparse pivot rows give the non-zeros
-    of every vector: the subspace is made from them, and its dense basis
-    only when read.
+    ``m`` is eliminated at once (:func:`_echelon`): its free columns are
+    the subspace's pivots and fix its dimension.  Each basis vector
+    carries the entry 1 at "its" free column and 0 at every other free
+    column, so the vectors already form a valid pseudo-reduced basis with
+    the free columns as pivots, and the coordinates of a kernel vector are
+    its entries at the free columns.  The vector of free column f holds -x
+    at pivot column c for each entry x at f of c's reduced row, so the
+    reduced rows (:func:`_rref_rows`) give the non-zeros of every vector.
+    They are built on the first read of :meth:`Subspace.sparse_rows` or
+    :attr:`Subspace.basis` (:func:`_kernel_rows`), so a caller that reads
+    only the dimension or the pivots pays for the elimination alone.
     """
-    pivots, rows = _rref_rows(m.field, m.data, m.cols)
-    one = m.field.one()
-    pivset = set(pivots)
-    vecs = {fc: {fc: one} for fc in range(m.cols) if fc not in pivset}
+    field = m.field
+    piv = _echelon(field, m.data, m.cols)
+    free = [c for c in range(m.cols) if c not in piv]
+    return Subspace.from_sparse_rows(field, m.cols, free, lambda: _kernel_rows(field, piv, free))
+
+
+def _kernel_rows(field: Field, piv: dict[int, dict], free: list[int]) -> dict:
+    """The kernel vector of each free column, from the echelon ``piv``, as (indices, values)."""
+    pivots, rows = _rref_rows(field, piv)
+    one = field.one()
+    vecs = {fc: {fc: one} for fc in free}
     for pc, row in zip(pivots, rows):
         for j, x in row.items():
             if j != pc:
                 vecs[j][pc] = -x
-    return Subspace.from_sparse_rows(m.field, m.cols, vecs)
+    return _as_pairs(vecs)
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
@@ -561,7 +580,7 @@ def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
     if b.rows != m.rows:
         raise DimensionMismatch("shape mismatch in solve_matrix")
     aug = [row + brow for row, brow in zip(m.data, b.data)]
-    pivots, rows = _rref_rows(m.field, aug, m.cols + b.cols)
+    pivots, rows = _rref_rows(m.field, _echelon(m.field, aug, m.cols + b.cols))
     if pivots and pivots[-1] >= m.cols:
         return None
     zero = m.field.zero()
@@ -580,15 +599,16 @@ class Subspace:
     the coordinates of a member are its entries at the pivots.  The
     non-zero (index, value) pairs of each row are cached, keyed by the
     row's pivot (:meth:`sparse_rows`): :meth:`from_vectors` and
-    :func:`kernel_subspace` make the subspace from the elimination's sparse
-    rows (:meth:`from_sparse_rows`) and build its dense ``basis`` only when
-    it is read; any other subspace fills the cache on first use.
+    :func:`kernel_subspace` make the subspace from the elimination's pivots
+    and a builder of its sparse rows (:meth:`from_sparse_rows`), called on
+    the first read of the rows or of the dense ``basis``; any other
+    subspace fills the cache from its basis on first use.
     :meth:`reduce`, :meth:`contains` and :meth:`coords` walk only non-zeros,
     so checking a vector with few non-zeros costs what its support and the
     rows at its pivots cost, not the ambient dimension.
     """
 
-    __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse")
+    __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse", "_build_rows")
 
     def __init__(self, field: Field, ambient: int, basis: Sequence[Sequence], pivots: Sequence[int]):
         self.field = field
@@ -596,27 +616,32 @@ class Subspace:
         self._basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
         self._sparse: Optional[dict] = None
+        self._build_rows: Optional[Callable[[], dict]] = None
 
     @staticmethod
-    def from_sparse_rows(field: Field, ambient: int, rows: dict[int, dict]) -> "Subspace":
-        """The subspace whose reduced rows, keyed by pivot in increasing order, are ``rows``.
+    def from_sparse_rows(field: Field, ambient: int, pivots: Sequence[int],
+                         rows: Callable[[], dict[int, tuple[tuple, tuple]]]) -> "Subspace":
+        """The subspace with the given pivots whose reduced rows ``rows()`` builds.
 
-        Each row is a dict {index: value} of its non-zeros; the dense basis
-        is built on first read of :attr:`basis`.
+        ``rows()`` returns pivot -> (indices, values) of that row's
+        non-zeros, keyed in increasing pivot order, as :meth:`sparse_rows`
+        does; it is called on the first read of :meth:`sparse_rows` or
+        :attr:`basis`, so the dimension and the pivots cost nothing more.
         """
-        space = Subspace(field, ambient, [], rows)
+        space = Subspace(field, ambient, [], pivots)
         space._basis = None
-        space._sparse = {p: (tuple(row), tuple(row.values())) for p, row in rows.items()}
+        space._build_rows = rows
         return space
 
     @property
     def basis(self) -> tuple[tuple, ...]:
         if self._basis is None:
             zero = self.field.zero()
+            rows = self.sparse_rows()
             basis = []
             for p in self.pivots:
                 row = [zero] * self.ambient
-                for j, x in zip(*self._sparse[p]):
+                for j, x in zip(*rows[p]):
                     row[j] = x
                 basis.append(tuple(row))
             self._basis = tuple(basis)
@@ -625,14 +650,17 @@ class Subspace:
     def sparse_rows(self) -> dict[int, tuple[tuple, tuple]]:
         """Pivot -> (indices, values) of the non-zero entries of that pivot's row."""
         if self._sparse is None:
-            self._sparse = {p: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
-                            for p, row in zip(self.pivots, self._basis)}
+            if self._build_rows is not None:
+                self._sparse, self._build_rows = self._build_rows(), None
+            else:
+                self._sparse = {p: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
+                                for p, row in zip(self.pivots, self._basis)}
         return self._sparse
 
     @staticmethod
     def from_vectors(field: Field, ambient: int,
                      vectors: Iterable[Sequence | dict]) -> "Subspace":
-        """The span of the vectors, made from the elimination's sparse rows.
+        """The span of the vectors: eliminated at once, its rows built on first read.
 
         A vector is a sequence of length ``ambient`` or a dict {index:
         value} of its entries, as a row of :class:`SparseRows`.  The vectors
@@ -644,8 +672,9 @@ class Subspace:
                 raise DimensionMismatch("vector has wrong ambient dimension")
             return v
 
-        pivots, rows = _rref_rows(field, map(checked, vectors), ambient)
-        return Subspace.from_sparse_rows(field, ambient, dict(zip(pivots, rows)))
+        piv = _echelon(field, map(checked, vectors), ambient)
+        return Subspace.from_sparse_rows(field, ambient, sorted(piv),
+                                         lambda: _as_pairs(dict(zip(*_rref_rows(field, piv)))))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":

@@ -11,11 +11,11 @@ from shortloc.homology import (BoundedVerdict, MinimalResolution, a_dual, betti,
                                minimal_left_approximation, projective_cover,
                                stable_hom_dim, syzygy, syzygy_power, transpose)
 from shortloc.kronecker import tilde
-from shortloc.linalg import QQ, Field, Matrix, kernel_subspace
+from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
-                              free_module, hom_dim, is_isomorphic, left_regular_module,
-                              m_alpha, mod_j_squared, module_from_subspace, radical_module,
-                              random_module, simple_module, validate_module)
+                              free_module, hom_basis, hom_dim, is_isomorphic,
+                              left_regular_module, m_alpha, mod_j_squared, module_from_subspace,
+                              radical_module, random_module, simple_module, validate_module)
 from shortloc.presets import preset
 
 
@@ -372,6 +372,52 @@ def test_stable_hom_on_quantum_exterior(qext):
     for aval in (0, 4, 8):
         Ma = cyclic_submodule(qext, [0, 1, -aval, 0])
         assert stable_hom_dim(Mq, Ma) == 0
+
+
+def product_stable_hom_dim(M, N):
+    """Stable Hom by products with the cover's column blocks, kept as the reference.
+
+    Each basis map f of Hom(M, A) is composed with block k of the cover
+    A^t -> N by the product block_k · f.
+    """
+    hb = hom_basis(M, N)
+    if not hb:
+        return 0
+    pres = projective_cover(N)
+    n = M.algebra.dim
+    homs = dual_data(M).homs
+    vecs = []
+    for k in range(pres.cover_rank):
+        block = Matrix(M.field, [row[k * n:(k + 1) * n] for row in pres.cover_map.matrix.data])
+        vecs += [homs.flatten(block * f.matrix) for f in homs.maps]
+    return len(hb) - Subspace.from_vectors(M.field, N.dim * M.dim, vecs).dim
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_stable_hom_matches_the_product_formula_with_no_product(field, monkeypatch):
+    lam = preset("lambda_c", field=field, c=1)
+    conca = preset("ex15_1", field=field, e=3, a=2)
+    mods = {lam: [m_alpha(lam, alpha) for alpha in (0, 1, 2)] + [simple_module(lam)],
+            conca: [random_module(conca, 1 + s % 2, s % 3, seed=s) for s in range(3)]}
+    for alg in mods:
+        mods[alg] += [syzygy(M) for M in mods[alg][:2]] + [mod_j_squared(mods[alg][0])]
+    original = Matrix.__mul__
+    nonzero = square_zero = 0
+    for alg, group in mods.items():
+        for M in group:
+            for N in group:
+                products = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(Matrix, "__mul__",
+                                  lambda a, b: products.append(a) or original(a, b))
+                    value = stable_hom_dim(M, N)
+                assert value == product_stable_hom_dim(M, N), (M, N)
+                if N.loewy_length() <= 2:
+                    square_zero += 1
+                    assert products == [], (M, N)
+                nonzero += value > 0
+    assert nonzero >= 10 and square_zero >= 30
+    assert any(N.loewy_length() == 3 for group in mods.values() for N in group)
 
 
 def test_ext_shift_identity(lam0):

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shortloc import homology, linalg
 from shortloc.errors import BadParams, DimensionMismatch
 from shortloc.linalg import (QQ, Field, Fp, Matrix, Rational, SparseRows, Subspace,
                              kernel_basis, kernel_subspace, random_matrix, rank, rref, solve,
                              solve_matrix)
+from shortloc.modules import simple_module
+from shortloc.presets import preset
 
 F5 = Field.prime(5)
 
@@ -548,3 +551,87 @@ def test_kernel_vectors_annihilate_and_dimension_is_corank(field, rows, cols, se
     for v in sp.basis:
         assert not any(m.apply(v))
     assert sp.dim == cols - rank(m)
+
+
+# -- kernel rows built on first read, against the eager construction -----------
+
+def eager_kernel(m):
+    """The kernel built eagerly: every reduced row, then every vector, at once.
+
+    It is the construction ``kernel_subspace`` used before it deferred the
+    rows, kept here as the reference: (basis, pivots, sparse rows), the
+    rows as pivot -> (indices, values) in the order they were built.
+    """
+    red, rk, pivots = rref(m)
+    one, pivset = m.field.one(), set(pivots)
+    vecs = {fc: {fc: one} for fc in range(m.cols) if fc not in pivset}
+    for pc, row in zip(pivots, red.data[:rk]):
+        for j, x in enumerate(row):
+            if x and j != pc:
+                vecs[j][pc] = -x
+    basis = []
+    for vec in vecs.values():
+        v = [m.field.zero()] * m.cols
+        for j, x in vec.items():
+            v[j] = x
+        basis.append(tuple(v))
+    return tuple(basis), tuple(vecs), {fc: (tuple(v), tuple(v.values())) for fc, v in vecs.items()}
+
+
+def typed(basis, pivots, rows):
+    """Basis, pivots and sparse rows with the type of every scalar beside it."""
+    def scalars(row):
+        return tuple((type(x), x) for x in row)
+    return ([scalars(v) for v in basis], tuple(pivots),
+            [(p, idx, scalars(vals)) for p, (idx, vals) in rows.items()])
+
+
+@pytest.fixture
+def kernel_rows_built(monkeypatch):
+    """The ambient dimension of each kernel whose rows are built."""
+    built = []
+
+    def counted(field, piv, free, _original=linalg._kernel_rows):
+        built.append(len(piv) + len(free))
+        return _original(field, piv, free)
+    monkeypatch.setattr(linalg, "_kernel_rows", counted)
+    return built
+
+
+@ELIM_FIELDS
+def test_lazy_kernel_rows_equal_the_eager_construction(field, kernel_rows_built):
+    zero, one = field.zero(), field.one()
+    special = [Matrix(field, [[zero, one, zero, field.of(2)], [zero, field.of(3), zero, one]]),
+               Matrix.zeros(field, 2, 3), Matrix.identity(field, 3)]
+    inputs = [(m, m) for m in elimination_inputs(field) + special]
+    inputs += [(m, SparseRows(field, as_dict_rows(m, seed), m.cols))
+               for seed, m in enumerate(elimination_inputs(field) + special)]
+    for reads in ("sparse_rows", "basis"):
+        for m, given_as in inputs:
+            expected = eager_kernel(m)
+            kernel_rows_built.clear()
+            sp = kernel_subspace(given_as)
+            assert sp.pivots == expected[1] and sp.dim == len(expected[1])
+            assert kernel_rows_built == []
+            sp.basis if reads == "basis" else sp.sparse_rows()
+            assert kernel_rows_built == [m.cols]
+            assert typed(sp.basis, sp.pivots, sp.sparse_rows()) == typed(*expected)
+            assert kernel_rows_built == [m.cols]
+    # Some non-zero input has a zero column.
+    assert any(not any(m.col(c)) and not m.is_zero() for m, _ in inputs for c in range(m.cols))
+    assert {kernel_subspace(m).dim for m in special} == {2, 3, 0}
+
+
+def test_a_betti_ladder_builds_no_kernel_rows_for_its_last_rung(kernel_rows_built, monkeypatch):
+    eliminated = []
+
+    def counted(m, _original=homology.kernel_subspace):
+        eliminated.append(m.cols)
+        return _original(m)
+    monkeypatch.setattr(homology, "kernel_subspace", counted)
+    alg = preset("ex15_1", e=3, a=2)
+    values = homology.betti(simple_module(alg), 6).values
+    assert values == (1, 3, 7, 15, 31, 63, 127)
+    # Φ of rung i has e·t_i columns; rungs 0-5 are covers, rung 6 only a top.
+    assert eliminated == [alg.e * t for t in values]
+    assert kernel_rows_built == [alg.e * t for t in values[:-1]]

@@ -11,7 +11,8 @@ import pytest
 
 from shortloc import homology
 from shortloc.errors import ResourceCapExceeded
-from shortloc.homology import MinimalResolution, betti
+from shortloc.homology import (MinimalResolution, Syzygy, betti, generator_images,
+                               phi_kernel)
 from shortloc.linalg import QQ, Field, Matrix, kernel_subspace
 from shortloc.modules import (free_module, m_alpha, mod_j_squared, module_from_subspace,
                               random_module, simple_module)
@@ -139,3 +140,52 @@ def test_betti_past_the_cap_raises_in_process():
     # dimension 27 · 4 = 108 > 100.
     with pytest.raises(ResourceCapExceeded, match="108 exceeds cap 100"):
         betti(simple_module(preset("L", e=3)), 12, cap=100)
+
+
+# -- the cover's fallback, against the route through the radical ----------------
+
+def radical_route_cover(alg, space):
+    """Syzygy.cover with its fallback read off the radical, kept as the reference.
+
+    When the V-rows do not lift the whole top, the lifts are the rows at
+    the free columns of the radical's reduced basis, which eliminates
+    every image ψ_j(x) of every basis row.
+    """
+    syz = Syzygy(alg, space)
+    n, e = alg.dim, alg.e
+    rows = space.sparse_rows()
+    images = dict(zip(space.pivots, generator_images(alg, [rows[p] for p in space.pivots])))
+    lifts = [p for p in space.pivots if p % n <= e]
+    kernel = phi_kernel(alg, [images[p] for p in lifts])
+    if (e + alg.a) * len(lifts) - kernel.dim < space.dim - len(lifts):
+        lifts = [space.pivots[r] for r in syz.radical().free_columns()]
+        kernel = phi_kernel(alg, [images[p] for p in lifts])
+    return tuple(lifts), kernel
+
+
+def _takes_the_fallback(syz):
+    n, e = syz.algebra.dim, syz.algebra.e
+    return any(p % n > e for p in syz.cover[0])
+
+
+@FIELDS
+def test_the_cover_fallback_matches_the_radical_route(field):
+    fallbacks = 0
+    for M in _inputs(field):
+        res = MinimalResolution(M)
+        for i in range(1, DEPTH + 1):
+            syz = res.syzygy_module(i)
+            lifts, kernel = radical_route_cover(M.algebra, syz.space)
+            assert syz.cover[0] == lifts, (M, i)
+            assert _typed(syz.cover[1]) == _typed(kernel), (M, i)
+            fallbacks += _takes_the_fallback(syz)
+    assert fallbacks >= 20
+
+
+@FIELDS
+def test_an_ex5_3_ladder_takes_the_fallback_without_the_radical(field):
+    res = MinimalResolution(simple_module(preset("ex5_3", field=field)))
+    res.extend_to(6)
+    fallbacks = [i for i in range(1, 7) if _takes_the_fallback(res.syzygy_module(i))]
+    assert fallbacks
+    assert all(res.syzygy_module(i)._radical is None for i in range(1, 7))
