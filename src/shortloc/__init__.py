@@ -6,7 +6,12 @@ computes the homological invariants that govern them: syzygies, duals,
 transposes, Ext groups, Betti numbers, minimal left approximations and
 their cokernels, Gorenstein-projective-style predicates, and the
 dimension-vector calculus that ties them together.
+
+The paper's claims (``CLAIMS``, ``run_suite``, module ``verify``) load on
+first use, so importing the engine does not compile the claim suite.
 """
+
+import importlib as _importlib
 
 from .algebra import AlgebraReport, ShortAlgebra, algebra_from_relations
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, HypothesisNotMet,
@@ -37,7 +42,15 @@ from .numerics import (BSequence, MainLemmaWitness, RecursionCheck, b_closed_for
                        b_sequence, classify_dimvec, defect, is_aligned,
                        main_lemma_witness, omega_transform, q_form, recursion_check)
 from .presets import preset, preset_names
-from .verify import CLAIMS, run_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["CLAIMS", "run_suite", "verify"])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``verify`` and the names read from it, imported on first read (PEP 562)."""
+    if name in ("CLAIMS", "run_suite", "verify"):
+        verify = _importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,9 +13,9 @@ since products involving J^2 vanish.  The Hilbert type of A is the pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from ._record import record
 from .errors import BadParams, SurjectivityViolation
 from .linalg import Field, Matrix, Subspace, kernel_basis, rank, solve
 
@@ -249,7 +249,7 @@ class ShortAlgebra:
         return self.validate().self_injective
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraReport:
     """Validation summary for a short local algebra."""
 

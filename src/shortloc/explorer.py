@@ -11,16 +11,16 @@ certification, except when periodicity closes the complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._record import record
 from .errors import BadParams, InvariantViolation, LoewyTooLong, ResourceCapExceeded
 from .homology import DEFAULT_CAP, MinimalResolution, dual_data, is_torsionless
 from .modules import AModule, dim_vector, find_isomorphism, is_bipartite, simple_multiplicity
 from .numerics import defect
 
 
-@dataclass(frozen=True)
+@record
 class PathStep:
     """Invariants of one module along a walk."""
 
@@ -46,7 +46,7 @@ class PathStep:
         }
 
 
-@dataclass(frozen=True)
+@record
 class PathRecord:
     """A walk log: per-step invariants plus the reason it stopped early."""
 
@@ -158,7 +158,7 @@ def periodicity_detect(M: AModule, bound: int, seed: int = 0,
     return _first_period(M, (res.syzygy_module(p) for p in range(1, bound + 1)), seed)
 
 
-@dataclass(frozen=True)
+@record
 class ComplexClassification:
     """Shape of a finite window of a would-be acyclic minimal complex.
 

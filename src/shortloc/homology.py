@@ -20,7 +20,8 @@ top lifts m_k (:func:`phi_kernel`).  A syzygy is a :class:`Syzygy`, held
 by its shadow: the reduced basis of the cover's kernel as sparse rows in
 A^t.  Minimality puts it in JA^t, so J^2 kills it, and v_j acts on a basis
 row x through the structure constants, ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)}
-(:func:`generator_images`), once per syzygy.  At the top lifts these images
+(:func:`generator_images`), once per syzygy and only for the rows with a
+V-coordinate, since J^2 A^t maps to 0.  At the top lifts these images
 are the columns of its Φ (:meth:`Syzygy.cover`), so from step 1 on a
 resolution step is one kernel of the big Φ.  Φ is eliminated once per
 step: its rank settles the syzygy's top and its free columns are the
@@ -41,11 +42,11 @@ them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Iterator, Optional, Sequence
 
+from ._record import record
 from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import Matrix, SparseRows, Subspace, kernel_basis, kernel_subspace, rank
@@ -147,9 +148,22 @@ class Syzygy(AModule):
 
     @cached_property
     def _shadow_images(self) -> dict[int, list[dict]]:
-        """Pivot p -> the images ψ_j(x) of the shadow row x at p (:func:`generator_images`)."""
-        rows, pivots = self.space.sparse_rows(), self.space.pivots
-        return dict(zip(pivots, generator_images(self.algebra, [rows[p] for p in pivots])))
+        """Pivot p -> the images ψ_j(x) of the shadow row x at p (:func:`generator_images`).
+
+        Only rows with a V-coordinate are mapped: J^2 kills J^2 A^t, so the
+        images of the other rows, such as the unit vectors of W⊗k^t, are
+        empty and have no entry.  A row with its pivot at a V-coordinate is
+        mapped at once; a unit vector at a J^2-coordinate is skipped unread.
+        """
+        rows, n, e = self.space.sparse_rows(), self.algebra.dim, self.algebra.e
+        mapped = [p for p in self.space.pivots if p % n <= e or len(rows[p][0]) > 1
+                  and any(0 < q % n <= e for q in rows[p][0])]
+        return dict(zip(mapped, generator_images(self.algebra, [rows[p] for p in mapped])))
+
+    def _images(self, pivots: Sequence[int]) -> list[list[dict]]:
+        """The images ψ_j(x) of the shadow rows at ``pivots``, empty for a row with no entry."""
+        images, empty = self._shadow_images, [{} for _ in range(self.algebra.e)]
+        return [images.get(p, empty) for p in pivots]
 
     def action_columns(self) -> list[list[list[tuple]]]:
         """The columns of the actions, read off the shadow; no action matrix is built.
@@ -164,7 +178,7 @@ class Syzygy(AModule):
             n = self.algebra.dim
             if any(q % n == 0 for idx, _ in self.space.sparse_rows().values() for q in idx):
                 raise BadParams("shadow escapes the radical of its free module")
-            self._action_columns = pivot_columns(self.space, list(self._shadow_images.values()),
+            self._action_columns = pivot_columns(self.space, self._images(self.space.pivots),
                                                  self.algebra.e)
         return self._action_columns
 
@@ -197,10 +211,10 @@ class Syzygy(AModule):
         :func:`phi_kernel`'s: its rows are built when first read, so the
         top alone costs one elimination of Φ.
         """
-        alg, space, images = self.algebra, self.space, self._shadow_images
+        alg, space = self.algebra, self.space
         e, n = alg.e, alg.dim
         lifts = [p for p in space.pivots if p % n <= e]
-        kernel = phi_kernel(alg, [images[p] for p in lifts])
+        kernel = phi_kernel(alg, self._images(lifts))
         outer = [r for r, p in enumerate(space.pivots) if p % n > e]
         # kernel.dim is (e·t - rank Φ) + a·t for the t V-rows.
         if (e + alg.a) * len(lifts) - kernel.dim < len(outer):
@@ -214,7 +228,7 @@ class Syzygy(AModule):
                                  len(outer))
             lifts = sorted(lifts + [space.pivots[outer[c]]
                                     for c in kernel_subspace(radical).pivots])
-            kernel = phi_kernel(alg, [images[p] for p in lifts])
+            kernel = phi_kernel(alg, self._images(lifts))
         return tuple(lifts), kernel
 
 
@@ -231,7 +245,7 @@ class _LazyMap(ModuleMap):
         return self._build()
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """A projective cover P -> M together with its kernel (first syzygy).
 
@@ -260,7 +274,7 @@ class Presentation:
         return ModuleMap(self.kernel, P, Matrix.from_columns(P.field, basis, P.dim))
 
 
-@dataclass(frozen=True)
+@record
 class BettiTable:
     """Betti numbers t_0..t_N of a module: t_i = dim top of the i-th syzygy."""
 
@@ -268,7 +282,7 @@ class BettiTable:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class BoundedVerdict:
     """Result of a bounded vanishing check.
 
@@ -291,7 +305,8 @@ def _cover_matrix(M: AModule) -> Matrix:
     The k-th top lift m_k is the unit vector at the k-th free column c_k of
     JM, and copy k of A sends (1, v_1.., w_1..) to (m_k, v_1 m_k.., w_1 m_k..),
     mapped by :meth:`AModule.basis_images`.  Only a Loewy-length-3 input's
-    cover kernel and a cover map's matrix, when it is read, are built here.
+    cover kernel, its cover blocks in :func:`stable_hom_dim`, and a cover
+    map's matrix, when it is read, are built here.
     """
     lifts = M.top_lift()
     blocks = [img.transpose().data
@@ -462,7 +477,7 @@ def ext_dim(M: AModule, N: AModule, i: int, cap: int = DEFAULT_CAP) -> int:
 # -- the dual side: Hom(M, A) and everything read from it ---------------
 
 
-@dataclass(frozen=True)
+@record
 class ApproximationData:
     """A minimal left approximation u: M -> A^z and its cokernel."""
 
@@ -472,7 +487,7 @@ class ApproximationData:
     injective: bool
 
 
-@dataclass(frozen=True)
+@record
 class DualData:
     """Hom(M, A) with its right A-action: the one engine of the dual side.
 
@@ -636,22 +651,24 @@ def stable_hom_dim(M: AModule, N: AModule, cap: int = DEFAULT_CAP) -> int:
     columns (:func:`vector_images`), as :attr:`DualData.module` reads R.
     When J^2 N = 0, block k sends 1 to the top lift m_k, the unit vector at
     the k-th free column c_k of JN, v_j to column c_k of v_j's action, and
-    every w_m to 0, so the blocks are read off N's action columns.
+    every w_m to 0, so the blocks are read off N's action columns.  Only
+    the cover's rank t = dim top N is read, so its kernel is not formed;
+    the cap on t·dim A is the one :func:`projective_cover` checks.
     """
     hb = hom_basis(M, N)
     if not hb:
         return 0
-    pres = projective_cover(N, cap=cap)
-    n, d = M.algebra.dim, M.dim
+    n, d, t = M.algebra.dim, M.dim, N.top_dim()
+    if t * n > cap:
+        raise ResourceCapExceeded(t * n, cap)
     if N.loewy_length() <= 2:
         one, columns = M.field.one(), N.action_columns()
         cover = [col for c in N.radical().free_columns()
                  for col in [[(c, one)], *(cols[c] for cols in columns), *[[]] * M.algebra.a]]
     else:
-        cover = [[(s, x) for s, x in enumerate(col) if x]
-                 for col in zip(*pres.cover_map.matrix.data)]
+        cover = [[(s, x) for s, x in enumerate(col) if x] for col in zip(*_cover_matrix(N).data)]
     blocks = [[[(s * d + c, x) for s, x in cover[k * n + r]] for r in range(n) for c in range(d)]
-              for k in range(pres.cover_rank)]
+              for k in range(t)]
     images = vector_images(blocks, dual_data(M).homs.flat.sparse_rows().values())
     factoring = Subspace.from_vectors(M.field, N.dim * d, (img for row in images for img in row))
     return len(hb) - factoring.dim

@@ -10,8 +10,7 @@ reflection functor built from the multiplication form on J/J^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
@@ -21,7 +20,7 @@ from .modules import (AModule, find_isomorphism, hom_dim, module_from_columns, p
                       simple_multiplicity)
 
 
-@dataclass(frozen=True)
+@record
 class KroneckerRep:
     """A representation (V_0, V_1; phi_1..phi_e) of the e-Kronecker quiver."""
 

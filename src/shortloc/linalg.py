@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import record
 from .errors import BadParams, DimensionMismatch
 
 try:
@@ -139,7 +139,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Field:
     """Ground field descriptor: the rationals (characteristic 0) or F_p."""
 

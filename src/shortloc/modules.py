@@ -32,10 +32,10 @@ its block-diagonal action matrices are built only when a caller reads them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from ._record import record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
@@ -248,7 +248,7 @@ def validate_module(M: AModule) -> None:
                 raise BadParams("triple product of generator actions is non-zero")
 
 
-@dataclass(frozen=True)
+@record
 class ModuleMap:
     """An A-linear map, stored as a (target dim) x (source dim) matrix."""
 
@@ -596,7 +596,7 @@ def simple_multiplicity(M: AModule) -> int:
 # -- hom spaces --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class HomSpace:
     """A basis of Hom_A(M, N) with coordinates on flattened matrices.
 
@@ -694,7 +694,7 @@ def is_solid(M: AModule) -> bool:
 # -- isomorphism search ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IsoSearch:
     """Outcome of an isomorphism search.
 

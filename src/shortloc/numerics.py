@@ -9,9 +9,9 @@ integer (or rational) arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import record
 from .errors import (BadParams, HypothesisNotMet, InvariantViolation, LoewyTooLong,
                      WrongHilbertType)
 from .homology import DEFAULT_CAP, syzygy
@@ -27,7 +27,7 @@ def omega_transform(e: int, a: int, v: Sequence[int]) -> tuple[int, int]:
     return (e * t - s, a * t)
 
 
-@dataclass(frozen=True)
+@record
 class MainLemmaWitness:
     """Certificate that dim(Omega M) = transform(dim M) + (w, -w), w >= 0."""
 
@@ -74,7 +74,7 @@ def is_aligned(M: AModule, cap: int = DEFAULT_CAP) -> bool:
     return main_lemma_witness(M, cap=cap).w == 0
 
 
-@dataclass(frozen=True)
+@record
 class RecursionCheck:
     """Outcome of the Betti recursion t_2 = e t_1 - a t_0."""
 
@@ -119,7 +119,7 @@ def defect(M: AModule) -> int:
     return alg.a * dv.t - dv.s
 
 
-@dataclass(frozen=True)
+@record
 class BSequence:
     """The recursion b_{-1} = 0, b_0 = 1, b_{n+1} = e b_n - a b_{n-1}.
 

@@ -420,6 +420,25 @@ def test_stable_hom_matches_the_product_formula_with_no_product(field, monkeypat
     assert any(N.loewy_length() == 3 for group in mods.values() for N in group)
 
 
+def test_stable_hom_reads_the_cover_rank_and_forms_one_cover_matrix(monkeypatch):
+    # N has Loewy length 3: its cover matrix is formed once, for the blocks,
+    # and no cover kernel is built, since only the rank t = dim top N is read.
+    alg = preset("ex15_1", e=3, a=2)
+    M, N = random_module(alg, 1, 1, seed=1), random_module(alg, 1, 0, seed=0)
+    assert N.loewy_length() == 3 and N.top_dim() * alg.dim == 6
+    formed = []
+    original = homology._cover_matrix
+    monkeypatch.setattr(homology, "_cover_matrix", lambda X: formed.append(X) or original(X))
+    monkeypatch.setattr(homology, "projective_cover", None)
+    assert stable_hom_dim(M, N) == 0
+    assert len(formed) == 1 and formed[0] is N
+    # The cap bounds t·dim A, as the cover would: 6 passes a cap of 6, not 5.
+    assert stable_hom_dim(M, N, cap=6) == 0
+    with pytest.raises(ResourceCapExceeded, match="dimension 6 exceeds cap 5"):
+        stable_hom_dim(M, N, cap=5)
+    assert len(formed) == 2
+
+
 def test_ext_shift_identity(lam0):
     # For Z with Ext^1(Z, A) = 0: Ext^1(Z, N) = stable Hom(Omega Z, N).
     reg = left_regular_module(lam0)
@@ -528,7 +547,8 @@ def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
 
 def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
     # The semi-GP scan reads Ext^0..Ext^bound, or stops at the first
-    # non-zero Ext^i; the transpose reads d_1; stable Hom reads one cover.
+    # non-zero Ext^i; the transpose reads d_1; stable Hom reads only the
+    # rank of N's cover, so it forms no cover.
     assert is_semi_gp(m_alpha(lam0, 2), 4).holds
     assert _take(calls) == (6, 0)
     assert is_semi_gp(simple_module(L2), 5).failed_at == 1
@@ -536,7 +556,7 @@ def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
     transpose(m_alpha(lam0, 1))
     assert _take(calls) == (2, 0)
     stable_hom_dim(m_alpha(lam0, 0), m_alpha(lam0, 1))
-    assert _take(calls) == (1, 0)
+    assert _take(calls) == (0, 0)
 
 
 def test_resolution_reuses_its_steps(calls, conca32):

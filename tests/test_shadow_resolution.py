@@ -13,9 +13,9 @@ from shortloc import homology
 from shortloc.errors import ResourceCapExceeded
 from shortloc.homology import (MinimalResolution, Syzygy, betti, generator_images,
                                phi_kernel)
-from shortloc.linalg import QQ, Field, Matrix, kernel_subspace
+from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (free_module, m_alpha, mod_j_squared, module_from_subspace,
-                              random_module, simple_module)
+                              pivot_columns, random_module, simple_module)
 from shortloc.presets import preset
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
@@ -189,3 +189,48 @@ def test_an_ex5_3_ladder_takes_the_fallback_without_the_radical(field):
     fallbacks = [i for i in range(1, 7) if _takes_the_fallback(res.syzygy_module(i))]
     assert fallbacks
     assert all(res.syzygy_module(i)._radical is None for i in range(1, 7))
+
+
+# -- the shadow images, against mapping every row ------------------------------
+
+def all_rows_route(alg, space):
+    """The images, action columns and cover of a syzygy, mapping every shadow row.
+
+    This maps the rows with no V-coordinate too, whose images are empty,
+    and reads the fallback's lifts off the radical of the action columns;
+    it is kept here as the reference.
+    """
+    n, e = alg.dim, alg.e
+    rows = space.sparse_rows()
+    images = dict(zip(space.pivots, generator_images(alg, [rows[p] for p in space.pivots])))
+    columns = pivot_columns(space, list(images.values()), e)
+    lifts = [p for p in space.pivots if p % n <= e]
+    kernel = phi_kernel(alg, [images[p] for p in lifts])
+    if (e + alg.a) * len(lifts) - kernel.dim < space.dim - len(lifts):
+        radical = Subspace.from_vectors(alg.field, space.dim,
+                                        (dict(col) for cols in columns for col in cols))
+        lifts = [space.pivots[r] for r in radical.free_columns()]
+        kernel = phi_kernel(alg, [images[p] for p in lifts])
+    return images, columns, (tuple(lifts), kernel)
+
+
+def _typed_columns(columns):
+    return [[[(r, type(y), y) for r, y in col] for col in cols] for cols in columns]
+
+
+@FIELDS
+def test_the_shadow_images_skip_only_rows_that_map_to_zero(field):
+    skipped = 0
+    for M in _inputs(field):
+        res = MinimalResolution(M)
+        for i in range(1, DEPTH + 1):
+            syz = res.syzygy_module(i)
+            images, columns, (lifts, kernel) = all_rows_route(M.algebra, syz.space)
+            mapped = syz._shadow_images
+            assert all(mapped[p] == images[p] for p in mapped), (M, i)
+            assert not any(any(images[p]) for p in images if p not in mapped), (M, i)
+            skipped += len(images) - len(mapped)
+            assert _typed_columns(syz.action_columns()) == _typed_columns(columns), (M, i)
+            assert syz.cover[0] == lifts, (M, i)
+            assert _typed(syz.cover[1]) == _typed(kernel), (M, i)
+    assert skipped >= 500
