@@ -14,29 +14,29 @@ approximation with its cokernel (the cosyzygy), each built on first read;
 the stable Hom reads its maps too, composing them with each block of the
 target's cover as (block ⊗ 1) on their flattenings, with no product.
 
-The cover of a module N with J^2 N = 0 has the kernel
-ker(Φ: V⊗k^t -> JN) ⊕ W⊗k^t, where Φ sends v_j ⊗ e_k to v_j m_k for the
-top lifts m_k (:func:`phi_kernel`).  A syzygy is a :class:`Syzygy`, held
-by its shadow: the reduced basis of the cover's kernel as sparse rows in
-A^t.  Minimality puts it in JA^t, so J^2 kills it, and v_j acts on a basis
-row x through the structure constants, ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)}
-(:func:`generator_images`), once per syzygy and only for the rows with a
-V-coordinate, since J^2 A^t maps to 0.  At the top lifts these images
-are the columns of its Φ (:meth:`Syzygy.cover`), so from step 1 on a
-resolution step is one kernel of the big Φ.  Φ is eliminated once per
-step: its rank settles the syzygy's top and its free columns are the
-kernel's pivots, while the kernel's rows are built and embedded in A^t
-only when the next step reads them, so the last step of ``betti(M, n)``
-builds none.  When the V-rows do not lift the whole top, only the images
-at Φ's pivot columns and those of the J^2-rows are eliminated again.
-Checked against the shadow and read at its pivots, the images are the
-columns of its actions (:meth:`Syzygy.action_columns`), which its radical,
-socle and Hom systems read.  Any other module killed by J^2 reads Φ off its
-action columns at the free columns of its radical
-(:meth:`AModule.top_images`), so only a Loewy-length-3 input forms a whole
-cover matrix (:func:`_cover_matrix`).  A syzygy's action matrices, a
-cover's matrix and a kernel's embedding are built only when a caller reads
-them.
+A minimal cover A^t -> N has its kernel in JA^t: ker(Φ: JA^t -> JN), Φ
+sending copy k's radical basis to its images at the top lift m_k
+(:func:`phi_kernel`); when J^2 N = 0, W⊗k^t joins it uneliminated.  A
+syzygy is a :class:`Syzygy`, held by its shadow: the reduced basis of the
+cover's kernel as sparse rows in A^t.  Minimality puts it in JA^t, so J^2
+kills it, and v_j acts on a basis row x through the structure constants,
+ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)} (:func:`generator_images`), once
+per syzygy and only for the rows with a V-coordinate, since J^2 A^t maps
+to 0.  At the top lifts these images are the columns of its Φ
+(:meth:`Syzygy.cover`), so from step 1 on a resolution step is one kernel
+of the big Φ.  Φ is eliminated once per step: its rank settles the
+syzygy's top and its free columns are the kernel's pivots, while the
+kernel's rows are built and embedded in A^t only when the next step reads
+them, so the last step of ``betti(M, n)`` builds none.  When the V-rows do
+not lift the whole top, only the images at Φ's pivot columns and those of
+the J^2-rows are eliminated again.  Checked against the shadow and read at
+its pivots, the images are the columns of its actions
+(:meth:`Syzygy.action_columns`), which its radical, socle and Hom systems
+read.  Any other module, of any Loewy length, reads Φ off its action
+columns at the free columns of its radical (:meth:`AModule.top_images`),
+so no whole cover matrix is eliminated.  A syzygy's action matrices, a
+cover's matrix (from the same sparse columns, :func:`_cover_columns`) and
+a kernel's embedding are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -86,36 +86,36 @@ def generator_images(alg: ShortAlgebra, rows: Sequence[tuple]) -> list[list[dict
 
 
 def phi_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
-    """The kernel of the cover A^t -> N of a module N with J^2 N = 0.
+    """The kernel of the cover A^t -> N: ker Φ, the cover restricted to JA^t.
 
-    ``images[k][j]`` is v_{j+1} m_k for the k-th top lift m_k, as a dict in
-    any coordinates of JN.  The kernel is ker(Φ) ⊕ W⊗k^t, where Φ sends
-    column k·e + j, the cover's k-major order, to ``images[k][j]``; ker Φ
-    (:func:`kernel_subspace` of Φ's sparse rows) lands on the V-coordinates
-    k·dim A + 1 + j, and the unit vectors of J^2 A^t follow.  These are the
-    rows of the whole cover's kernel: a reduced basis depends only on the
-    subspace and the column order, and the columns of the m_k are
+    ``images[k]`` is v_1 m_k .. v_e m_k, then w_1 m_k .. w_a m_k, for the
+    k-th top lift m_k, as dicts in any coordinates of JN; a list that stops
+    after the e generators says the w_m m_k are zero.  Φ sends column u of
+    copy k to ``images[k][u]``; ker Φ (:func:`kernel_subspace` of Φ's
+    sparse rows) lands on the coordinates k·dim A + 1 + u, and the unit
+    vectors at the w_m m_k known to be zero follow, uneliminated.  These
+    are the rows of the whole cover's kernel: a reduced basis depends only
+    on the subspace and the column order, and the columns of the m_k are
     independent of the rest.  Φ is eliminated at once, so the pivots and
     the dimension are known; the rows are embedded, by remapping the
     indices of ker Φ's rows and keeping their values, on first read.
     """
-    e, n, t = alg.e, alg.dim, len(images)
+    n = alg.dim
+    at = [k * n + 1 + u for k, imgs in enumerate(images) for u in range(len(imgs))]
     phi_rows: dict = defaultdict(dict)
-    for k, imgs in enumerate(images):
-        for j, img in enumerate(imgs):
-            for q, y in img.items():
-                phi_rows[q][k * e + j] = y
-    phi = kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), e * t))
-    at = [c // e * n + 1 + c % e for c in range(e * t)]
-    pivots = sorted([at[c] for c in phi.pivots] +
-                    [q for k in range(t) for q in range(k * n + 1 + e, (k + 1) * n)])
+    for c, img in enumerate([img for imgs in images for img in imgs]):
+        for q, y in img.items():
+            phi_rows[q][c] = y
+    phi = kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), len(at)))
+    unread = [q for k, imgs in enumerate(images) for q in range(k * n + 1 + len(imgs), (k + 1) * n)]
+    pivots = sorted([at[c] for c in phi.pivots] + unread)
 
     def rows() -> dict:
         one = alg.field.one()
         vrows = {at[c]: (tuple(at[i] for i in idx), vals)
                  for c, (idx, vals) in phi.sparse_rows().items()}
         return {q: vrows[q] if q in vrows else ((q,), (one,)) for q in pivots}
-    return Subspace.from_sparse_rows(alg.field, n * t, pivots, rows)
+    return Subspace.from_sparse_rows(alg.field, n * len(images), pivots, rows)
 
 
 class Syzygy(AModule):
@@ -181,13 +181,6 @@ class Syzygy(AModule):
             self._action_columns = pivot_columns(self.space, self._images(self.space.pivots),
                                                  self.algebra.e)
         return self._action_columns
-
-    def radical(self) -> Subspace:
-        """JΩ, the span of the images ψ_j(x) of the basis rows, in the module's coordinates."""
-        if self._radical is None:
-            images = (dict(col) for cols in self.action_columns() for col in cols)
-            self._radical = Subspace.from_vectors(self.field, self.dim, images)
-        return self._radical
 
     def top_dim(self) -> int:
         # A radical already read gives the top at once; else Φ is eliminated
@@ -264,8 +257,9 @@ class Presentation:
 
     @cached_property
     def cover_map(self) -> ModuleMap:
-        P = free_module(self.module.algebra, self.cover_rank)
-        return _LazyMap(P, self.module, lambda: _cover_matrix(self.module))
+        M = self.module
+        P = free_module(M.algebra, self.cover_rank)
+        return _LazyMap(P, M, lambda: Matrix.from_sparse_columns(M.field, M.dim, _cover_columns(M)))
 
     @cached_property
     def kernel_embedding(self) -> ModuleMap:
@@ -299,41 +293,38 @@ class BoundedVerdict:
         return self.holds
 
 
-def _cover_matrix(M: AModule) -> Matrix:
-    """The matrix of the cover A^t -> M, t = dim top M, by products.
+def _cover_rank(M: AModule, cap: int) -> int:
+    """t = dim top M, the rank of M's cover, after checking t·dim A against ``cap``."""
+    t = M.top_dim()
+    if t * M.algebra.dim > cap:
+        raise ResourceCapExceeded(t * M.algebra.dim, cap)
+    return t
 
-    The k-th top lift m_k is the unit vector at the k-th free column c_k of
-    JM, and copy k of A sends (1, v_1.., w_1..) to (m_k, v_1 m_k.., w_1 m_k..),
-    mapped by :meth:`AModule.basis_images`.  Only a Loewy-length-3 input's
-    cover kernel, its cover blocks in :func:`stable_hom_dim`, and a cover
-    map's matrix, when it is read, are built here.
+
+def _cover_columns(M: AModule) -> list:
+    """The columns of the cover A^t -> M as (row, value) pairs, copy by copy.
+
+    Copy k sends 1 to the top lift m_k, the unit vector at the k-th free
+    column of JM, and the radical basis to its images at m_k
+    (:meth:`AModule.top_images`); a w_m m_k that is not formed is zero.
     """
-    lifts = M.top_lift()
-    blocks = [img.transpose().data
-              for img in M.basis_images(Matrix.from_columns(M.field, lifts, M.dim))]
-    return Matrix.from_columns(M.field, [b[k] for k in range(len(lifts)) for b in blocks], M.dim)
+    one, n = M.field.one(), M.algebra.dim
+    return [col for c, imgs in zip(M.radical().free_columns(), M.top_images())
+            for col in [[(c, one)], *(img.items() for img in imgs), *[[]] * (n - 1 - len(imgs))]]
 
 
 def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     """The projective cover A^t -> M with t = dim top M, and its kernel.
 
-    A :class:`Syzygy` takes its kernel from its shadow (:meth:`Syzygy.cover`);
-    any other module killed by J^2 from the big Φ read off its action
-    columns at the top lifts (:meth:`AModule.top_images`,
-    :func:`phi_kernel`); a Loewy-length-3 module from the whole cover
-    matrix (:func:`_cover_matrix`).  Minimality is checked on the kernel's
-    sparse rows: no kernel vector reaches a coordinate of an m_k, so the
-    kernel lies in JP.
+    The kernel is ker Φ, the cover restricted to JA^t (:func:`phi_kernel`).
+    A :class:`Syzygy` reads it off its shadow (:meth:`Syzygy.cover`); any
+    other module maps its radical basis at the top lifts along its action
+    columns (:meth:`AModule.top_images`).  Minimality is checked on the
+    kernel's sparse rows: no kernel vector reaches a coordinate of an m_k,
+    so the kernel lies in JP.
     """
-    n, t = M.algebra.dim, M.top_dim()
-    if t * n > cap:
-        raise ResourceCapExceeded(t * n, cap)
-    if isinstance(M, Syzygy):
-        ker = M.cover[1]
-    elif M.loewy_length() <= 2:
-        ker = phi_kernel(M.algebra, M.top_images())
-    else:
-        ker = kernel_subspace(_cover_matrix(M))
+    n, t = M.algebra.dim, _cover_rank(M, cap)
+    ker = M.cover[1] if isinstance(M, Syzygy) else phi_kernel(M.algebra, M.top_images())
     if t * n - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
     if any(j % n == 0 for idx, _ in ker.sparse_rows().values() for j in idx):
@@ -557,9 +548,11 @@ class DualData:
         gs = [Matrix.combination(lam, homs) for lam in self.module.top_lift()]
         u = ModuleMap(M, P, Matrix.vstack(gs) if gs else Matrix(M.field, [], cols=M.dim))
         # Certificate: each f in the hom basis solves f = sum_k r(b) g_k, and
-        # the right multiplications r(b) are the regular action of A^op.
-        right = left_regular_module(alg.opposite())
-        factor_cols = [self.homs.flatten(Rg) for g in gs for Rg in right.basis_images(g)]
+        # the right multiplications r(b) are the regular action of A^op, whose
+        # sparse rows combine the rows of g_k.
+        zero, right = M.field.zero(), left_regular_module(alg.opposite()).action_rows()
+        factor_cols = [[sum((x * g.data[l][c] for l, x in row), zero)
+                        for row in rows for c in range(M.dim)] for g in gs for rows in right]
         factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)
         if not factor_space.contains_space(self.homs.flat):
             raise InvariantViolation("left approximation fails its factoring certificate")
@@ -649,24 +642,15 @@ def stable_hom_dim(M: AModule, N: AModule, cap: int = DEFAULT_CAP) -> int:
     Composing with a block B acts on a map's row-major flattening as B ⊗ 1,
     so the images of the rows of ``homs.flat`` are read along the block's
     columns (:func:`vector_images`), as :attr:`DualData.module` reads R.
-    When J^2 N = 0, block k sends 1 to the top lift m_k, the unit vector at
-    the k-th free column c_k of JN, v_j to column c_k of v_j's action, and
-    every w_m to 0, so the blocks are read off N's action columns.  Only
-    the cover's rank t = dim top N is read, so its kernel is not formed;
-    the cap on t·dim A is the one :func:`projective_cover` checks.
+    Block k sends 1 to the top lift m_k and the radical basis to its images
+    at m_k, the cover's sparse columns (:func:`_cover_columns`), so no
+    cover matrix and no cover kernel is formed; the cap on t·dim A is the
+    one :func:`projective_cover` checks (:func:`_cover_rank`).
     """
     hb = hom_basis(M, N)
     if not hb:
         return 0
-    n, d, t = M.algebra.dim, M.dim, N.top_dim()
-    if t * n > cap:
-        raise ResourceCapExceeded(t * n, cap)
-    if N.loewy_length() <= 2:
-        one, columns = M.field.one(), N.action_columns()
-        cover = [col for c in N.radical().free_columns()
-                 for col in [[(c, one)], *(cols[c] for cols in columns), *[[]] * M.algebra.a]]
-    else:
-        cover = [[(s, x) for s, x in enumerate(col) if x] for col in zip(*_cover_matrix(N).data)]
+    n, d, t, cover = M.algebra.dim, M.dim, _cover_rank(N, cap), _cover_columns(N)
     blocks = [[[(s * d + c, x) for s, x in cover[k * n + r]] for r in range(n) for c in range(d)]
               for k in range(t)]
     images = vector_images(blocks, dual_data(M).homs.flat.sparse_rows().values())

@@ -13,14 +13,14 @@ algebra's regular action block by block, on a syzygy off its shadow.
 turns the images of a subspace's basis rows into the columns of the
 induced actions, checked for stability, and :func:`module_from_columns`
 builds the module.  Submodules and closures, quotients, J^2 M, the Loewy
-length, the covers of modules killed by J^2, the dual module and the
-Kronecker shadow go this way, and the socle and the Hom equations
-(:func:`_hom_equations`) read the columns, so none of them multiplies
-action matrices.  :meth:`AModule.action_rows` holds each basis element's
-action as sparse rows for the Hom-complex of Ext.  :meth:`AModule.basis_images`
-maps by 1, v_i and w_m with products; element actions, the action rows of
-a module other than A^t, the approximation's factoring certificate and
-the cover matrix of a Loewy-length-3 module read it.
+length, the radical, the dual module and the Kronecker shadow go this
+way, and the socle and the Hom equations (:func:`_hom_equations`) read
+the columns, so none of them multiplies action matrices.  w_m acts as
+sum s_ij v_i v_j, so w_m·x sums the images v_i·(v_j·x) read along the
+columns (:func:`square_images`).  :meth:`AModule.top_images` maps the
+radical basis at the top lifts, the images every cover is read off, and
+:meth:`AModule.action_rows` holds each basis element's action as sparse
+rows, for the Hom-complex of Ext and the approximation's certificate.
 
 A Hom system is solved only as far as its caller reads it: :func:`hom_dim`
 is a rank, with no kernel basis, and :func:`find_isomorphism` solves
@@ -71,7 +71,6 @@ class AModule:
     free_rank: Optional[int] = None
     _radical: Optional[Subspace] = None
     _socle: Optional[Subspace] = None
-    _basis_actions: Optional[tuple] = None
     _action_rows: Optional[tuple] = None
     _action_columns: Optional[list] = None
     _loewy: Optional[int] = None
@@ -101,43 +100,26 @@ class AModule:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def basis_images(self, V: Matrix) -> tuple[Matrix, ...]:
-        """The images of the columns of V under 1, v_1..v_e, w_1..w_a.
-
-        W_m V = sum s_ij X_i (X_j V) for the sections s; each pair is formed once.
-        """
-        alg = self.algebra
-        gens = [X * V for X in self.actions]
-        pairs: dict[int, Matrix] = {}
-        out = [V] + gens
-        for s in alg.sections():
-            used = [k for k, c in enumerate(s) if c]
-            for k in used:
-                if k not in pairs:
-                    i, j = divmod(k, alg.e)
-                    pairs[k] = self.actions[i] * gens[j]
-            out.append(Matrix.combination([s[k] for k in used], [pairs[k] for k in used]))
-        return tuple(out)
-
-    def element_action(self, u: Sequence) -> Matrix:
-        """Action matrix of an algebra element given in the fixed basis."""
-        if self._basis_actions is None:
-            self._basis_actions = self.basis_images(Matrix.identity(self.field, self.dim))
-        return Matrix.combination(u, self._basis_actions)
-
     def action_rows(self) -> tuple:
         """Per basis element b of A, the non-zeros (column, value) of each row of b's action.
 
         On A^t copy k's rows are the algebra's regular rows
         (:meth:`ShortAlgebra.regular_rows`, built once per algebra) shifted
-        by k·dim A, so no product is formed; any other module reads its
-        basis action matrices once.
+        by k·dim A.  Any other module transposes its action columns: v_j's
+        are :meth:`action_columns`, w_m's are :func:`square_images` of the
+        unit vectors, so no product is formed.
         """
         if self._action_rows is None:
             if self.free_rank is None:
-                self._action_rows = tuple(
-                    tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in X.data)
-                    for X in self.basis_images(Matrix.identity(self.field, self.dim)))
+                d, one, columns = self.dim, self.field.one(), self.action_columns()
+                images = [[dict(cols[c]) for cols in columns] for c in range(d)]
+                rows: list = [[[] for _ in range(d)] for _ in range(self.algebra.dim)]
+                squares = square_images(self.algebra, columns, images)
+                for c, (vs, ws) in enumerate(zip(images, squares)):
+                    for b, image in enumerate([{c: one}, *vs, *ws]):
+                        for r, x in image.items():
+                            rows[b][r].append((c, x))
+                self._action_rows = tuple(tuple(map(tuple, b)) for b in rows)
             else:
                 n = self.algebra.dim
                 self._action_rows = tuple(
@@ -165,14 +147,14 @@ class AModule:
     # -- structural subspaces -------------------------------------------
 
     def radical(self) -> Subspace:
-        """JM, the span of the images of the generator actions.
+        """JM, the span of the columns of the generator actions (:meth:`action_columns`).
 
-        The columns of the actions go to the elimination one at a time:
-        it drops the zero ones, and none is kept beyond its non-zeros.
+        Each sparse column goes to the elimination as it stands, so no
+        action matrix is read, on A^t nor on a syzygy.
         """
         if self._radical is None:
-            columns = (c for X in self.actions for c in zip(*X.data))
-            self._radical = Subspace.from_vectors(self.field, self.dim, columns)
+            images = (dict(col) for cols in self.action_columns() for col in cols)
+            self._radical = Subspace.from_vectors(self.field, self.dim, images)
         return self._radical
 
     def socle(self) -> Subspace:
@@ -220,14 +202,19 @@ class AModule:
         return self.radical().complement()
 
     def top_images(self) -> list[list[dict]]:
-        """v_1 m_k .. v_e m_k as {index: value} for each top lift m_k.
+        """The images of the radical basis at each top lift m_k, as {index: value}.
 
         m_k is the unit vector at the k-th free column c_k of JM
         (:meth:`top_lift`), so v_j m_k is column c_k of v_j's action, read
-        off :meth:`action_columns`.
+        off :meth:`action_columns`.  w_1 m_k .. w_a m_k follow
+        (:func:`square_images`) only when J^2 M is not zero; otherwise
+        they are zero and the list stops after the e generators.
         """
         columns = self.action_columns()
-        return [[dict(cols[c]) for cols in columns] for c in self.radical().free_columns()]
+        images = [[dict(cols[c]) for cols in columns] for c in self.radical().free_columns()]
+        if self.loewy_length() < 3:
+            return images
+        return [vs + ws for vs, ws in zip(images, square_images(self.algebra, columns, images))]
 
 
 def validate_module(M: AModule) -> None:
@@ -345,8 +332,9 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
 
 
 def _columns(X: Matrix) -> list[list[tuple]]:
-    """The non-zero (row, value) pairs of each column of X."""
-    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*X.data)]
+    """The non-zero (row, value) pairs of each column of X, an Fp tested by its residue."""
+    p = X.field.characteristic
+    return [[(i, x) for i, x in enumerate(col) if (x.v if p else x)] for col in zip(*X.data)]
 
 
 def vector_images(columns: list, rows: Iterable[tuple]) -> list[list[dict]]:
@@ -363,6 +351,29 @@ def vector_images(columns: list, rows: Iterable[tuple]) -> list[list[dict]]:
                 for i, a in cols[j]:
                     image[i] = image[i] + x * a if i in image else x * a
         out.append(images)
+    return out
+
+
+def square_images(alg: ShortAlgebra, columns: list, images: Sequence[Sequence[dict]]
+                  ) -> list[list[dict]]:
+    """w_1·x .. w_a·x for each x, given its images v_1·x .. v_e·x as dicts.
+
+    w_m = sum s_ij v_i v_j for the algebra's sections s, so w_m·x sums the
+    images v_i·(v_j·x), read along the action columns ``columns``
+    (:func:`vector_images`); no product is formed.
+    """
+    e, out = alg.e, []
+    for vs in images:
+        twice = vector_images(columns, [(v.keys(), v.values()) for v in vs])
+        ws = []
+        for section in alg.sections():
+            w: dict = {}
+            for ij, s in enumerate(section):
+                if s:
+                    for q, y in twice[ij % e][ij // e].items():
+                        w[q] = w[q] + s * y if q in w else s * y
+            ws.append({q: y for q, y in w.items() if y})
+        out.append(ws)
     return out
 
 

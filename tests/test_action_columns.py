@@ -2,16 +2,16 @@
 
 Submodules, closures, quotients, J^2 M, the Loewy length, the dual module
 and the Kronecker shadow map vectors along a module's sparse action
-columns, and every module killed by J^2 takes its cover kernel from the
-big Φ read off those columns.  The guards below count ``Matrix.__mul__``
-calls, the shadow-image passes of a syzygy and the cover route each input
-takes.
+columns, and every module, of any Loewy length, takes its cover kernel
+from the big Φ read off those columns.  The guards below count
+``Matrix.__mul__`` calls, the shadow-image passes of a syzygy and the
+cover route each input takes.
 """
 
 import pytest
 
 from shortloc import homology
-from shortloc.homology import a_dual, projective_cover, syzygy
+from shortloc.homology import a_dual, mho_step, projective_cover, syzygy
 from shortloc.kronecker import KroneckerRep, rep_as_module, tilde
 from shortloc.linalg import QQ, Field, Matrix, random_matrix
 from shortloc.modules import (AModule, FreeModule, cyclic_submodule, is_bipartite,
@@ -90,12 +90,13 @@ def test_a_syzygy_maps_its_shadow_once(field, name, kw, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
-def test_each_input_takes_its_cover_route(field, monkeypatch):
-    # routes[i] holds the cover routes that projective_cover call i reached.
+def test_each_input_takes_its_cover_route(field, products, monkeypatch):
+    # routes[i] holds the cover routes that projective_cover call i reached:
+    # every input, of any Loewy length, takes its kernel from phi_kernel.
     routes = []
-    for name in ("phi_kernel", "_cover_matrix"):
-        monkeypatch.setattr(homology, name, lambda *args, _name=name, _f=getattr(homology, name):
-                            routes[-1].add(_name) or _f(*args))
+    original = homology.phi_kernel
+    monkeypatch.setattr(homology, "phi_kernel",
+                        lambda *args: routes[-1].add("phi_kernel") or original(*args))
     loewy2, loewy3 = [], []
     lam = preset("lambda_c", field=field, c=1)
     loewy2 += [m_alpha(lam, alpha) for alpha in (0, 1, 2)]
@@ -111,10 +112,15 @@ def test_each_input_takes_its_cover_route(field, monkeypatch):
                          for k in range(alg.e))
             loewy2.append(rep_as_module(KroneckerRep(alg.e, maps[0].cols, maps[0].rows, maps),
                                         alg))
+    # Only the module axioms of the M(alpha), checked as they are built, multiply.
+    made = len(products)
     for M in loewy2 + loewy3:
         routes.append(set())
         projective_cover(M)
+        assert len(M.action_rows()) == M.algebra.dim and M.free_rank is None
+    # The approximation's factoring certificate reads A^op's sparse rows.
+    certified = [mho_step(M).rank for M in loewy3]
+    assert len(products) == made and sum(certified) > 0
     assert all(M.loewy_length() <= 2 for M in loewy2) and len(loewy2) >= 40
     assert all(M.loewy_length() == 3 for M in loewy3) and len(loewy3) >= 10
-    assert routes[:len(loewy2)] == [{"phi_kernel"}] * len(loewy2)
-    assert routes[len(loewy2):] == [{"_cover_matrix"}] * len(loewy3)
+    assert routes == [{"phi_kernel"}] * len(loewy2 + loewy3)

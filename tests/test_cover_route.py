@@ -1,0 +1,62 @@
+"""The one cover route against the dense whole-cover elimination.
+
+Every cover kernel is the kernel of the cover restricted to JA^t, read off
+the images of the radical basis at the top lifts (``top_images``, then
+``phi_kernel``), whatever the module's Loewy length.  The reference kept
+here is the route Loewy-length-3 inputs took before: the whole cover
+matrix, built from the dense basis images of the top lifts, eliminated at
+once.  Over Q, F_7 and F_32003 the kernels must agree in basis, pivots,
+sparse rows and scalar types, and the cover map in every column.  The
+radical, read off the sparse action columns, must equal the span of the
+dense action columns.
+"""
+
+import pytest
+
+from shortloc.homology import projective_cover, syzygy_power
+from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
+from shortloc.modules import (free_module, mod_j_squared, random_module, semisimple_module,
+                              simple_module)
+from shortloc.presets import preset
+
+from references import plain_cover_columns, scalars, typed
+
+FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+
+ALGEBRAS = [("ex15_1", {"e": 3, "a": 2}), ("lambda_c", {"c": 1}), ("ex3_4", {}), ("ex8_3", {}),
+            ("ex5_3", {}), ("qexterior", {}), ("L", {"e": 3})]
+
+
+def _inputs(field):
+    """Seeded random modules (many of Loewy length 3), their J^2-quotients,
+    semisimple and free modules, and the first syzygies of a few."""
+    for name, kw in ALGEBRAS:
+        alg = preset(name, field=field, **kw)
+        yield simple_module(alg)
+        yield semisimple_module(alg, 2)
+        yield free_module(alg, 2)
+        for seed in range(12):
+            M = random_module(alg, 1 + seed % 3, seed % 4, seed=seed)
+            yield M
+            yield mod_j_squared(M)
+            if seed < 2:
+                yield syzygy_power(M, 1 + seed)
+
+
+@FIELDS
+def test_the_cover_route_matches_the_dense_whole_cover(field):
+    loewy, syzygies = [], 0
+    for M in _inputs(field):
+        dense_radical = Subspace.from_vectors(field, M.dim,
+                                              (c for X in M.actions for c in zip(*X.data)))
+        assert typed(M.radical()) == typed(dense_radical), M
+        pres = projective_cover(M)
+        columns = plain_cover_columns(M)
+        reference = kernel_subspace(Matrix.from_columns(field, columns, M.dim))
+        assert typed(pres._kernel_space) == typed(reference), (M, M.loewy_length())
+        assert list(map(scalars, zip(*pres.cover_map.matrix.data))) == \
+            list(map(scalars, columns)), M
+        loewy.append(M.loewy_length())
+        syzygies += M._square_zero
+    assert loewy.count(3) >= 40 and loewy.count(2) >= 100 and loewy.count(1) >= 30
+    assert syzygies >= 14 and len(loewy) >= 200

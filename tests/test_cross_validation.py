@@ -6,8 +6,6 @@ the cokernel of restriction to a syzygy, and the main constructions are
 exercised over a prime field as well as over Q.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +15,13 @@ from shortloc.homology import (MinimalResolution, a_dual, betti, ext_dim, ext_di
                                projective_cover, stable_hom_dim, syzygy, syzygy_power,
                                transpose)
 from shortloc.kronecker import tilde
-from shortloc.linalg import (DEFAULT_POOL, QQ, Field, Fp, Matrix, Rational, Subspace,
-                             kernel_basis)
-from shortloc.modules import (cyclic_submodule, dim_vector, hom_basis, hom_dim,
+from shortloc.linalg import QQ, Field, Fp, Matrix, Rational, Subspace, kernel_basis
+from shortloc.modules import (AModule, cyclic_submodule, dim_vector, hom_basis, hom_dim,
                               is_isomorphic, m_alpha, mod_j_squared, module_from_subspace,
                               quotient, random_module, simple_module)
 from shortloc.presets import preset, preset_names
+
+from references import plain_apply, plain_basis_images, scaled_sum_action
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
 
@@ -263,27 +262,6 @@ def test_boundaries_compose_to_zero(field):
     assert checks >= 100 and cancelled >= 40
 
 
-def plain_apply(X, v):
-    """X·v by plain sums over the rows of X; no matrix product is formed."""
-    zero = X.field.zero()
-    return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in X.data)
-
-
-def plain_basis_images(M, v):
-    """(1, v_1, .., v_e, w_1, .., w_a)·v, with w_m·v from the product sections."""
-    alg = M.algebra
-    gens = [plain_apply(X, v) for X in M.actions]
-    out = [tuple(v)] + gens
-    for section in alg.sections():
-        acc = [alg.field.zero()] * M.dim
-        for idx, coef in enumerate(section):
-            if coef:
-                i, j = divmod(idx, alg.e)
-                acc = [s + coef * x for s, x in zip(acc, plain_apply(M.actions[i], gens[j]))]
-        out.append(tuple(acc))
-    return out
-
-
 def assert_induced_actions(M, sub, emb):
     # X·emb = emb·X_sub, both sides column by column with plain sums.
     for X, Y in zip(M.actions, sub.actions):
@@ -349,44 +327,23 @@ _PRESET_PARAMS = {"L": {"e": 3}, "ex14_1": {"e": 3, "a": 5}, "ex15_1": {"e": 3, 
 
 @FIELDS
 def test_regular_actions_match_the_multiplication_table(field):
-    # The action routine (w_m acts as sum s_ij v_i v_j over the sections)
-    # against mul, on both sides: the right action is the opposite's
-    # regular action.
+    # The scaled-sum action (w_m acts as sum s_ij v_i v_j over the sections)
+    # and the sparse action rows of a copy of A not known to be free (its
+    # w-rows from the sections too) against mul, on both sides: the right
+    # action is the opposite's regular action.
     for name in preset_names():
         alg = preset(name, field=field, **_PRESET_PARAMS.get(name, {}))
-        left, right = left_regular_module(alg), left_regular_module(alg.opposite())
         basis = [alg.basis_vector(u) for u in range(alg.dim)]
-        for b in basis:
-            assert left.element_action(b) == alg.left_mult_matrix(b), (name, b)
-            by_mul = Matrix.from_columns(field, [alg.mul(x, b) for x in basis], alg.dim)
-            assert right.element_action(b) == by_mul, (name, b)
-
-
-def scaled_sum_action(M, u):
-    """The action of u by scale-and-add over d x d matrices, W_m = sum s_ij X_i X_j."""
-    alg, X = M.algebra, M.actions
-    acc = Matrix.identity(M.field, M.dim).scale(u[0])
-    for c, Y in zip(u[1:], X):
-        acc = acc + Y.scale(c)
-    for c, section in zip(u[1 + alg.e:], alg.sections()):
-        for idx, s in enumerate(section):
-            i, j = divmod(idx, alg.e)
-            acc = acc + (X[i] * X[j]).scale(c * s)
-    return acc
-
-
-@FIELDS
-def test_element_action_matches_a_scaled_sum(field):
-    rng = random.Random(11)
-    elems = [field.of(x) for x in DEFAULT_POOL]
-    checked = 0
-    for alg, seed, *mods in _random_pairs(field, seeds=4):
-        for M in mods:
-            for _ in range(3):
-                u = [rng.choice(elems) for _ in range(alg.dim)]
-                assert M.element_action(u) == scaled_sum_action(M, u), (alg.name, seed, u)
-            checked += M.dim > 0 and alg.a > 0
-    assert checked >= 20
+        by_mul = {alg: [alg.left_mult_matrix(b) for b in basis],
+                  alg.opposite(): [Matrix.from_columns(field, [alg.mul(x, b) for x in basis],
+                                                       alg.dim) for b in basis]}
+        for side, expected in by_mul.items():
+            regular = left_regular_module(side)
+            copy = AModule(side, side.dim, side.regular_actions(), check=False)
+            for b, mat, rows in zip(basis, expected, copy.action_rows()):
+                assert scaled_sum_action(regular, b) == mat, (name, b)
+                assert rows == tuple(tuple((c, x) for c, x in enumerate(row) if x)
+                                     for row in mat.data), (name, b)
 
 
 # -- scalar types -----------------------------------------------------------

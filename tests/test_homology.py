@@ -18,6 +18,8 @@ from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
                               radical_module, random_module, simple_module, validate_module)
 from shortloc.presets import preset
 
+from references import plain_cover_columns, scalars, typed
+
 
 def cyclic_x(alg):
     coords = [0] * alg.dim
@@ -59,17 +61,6 @@ def test_cover_kernel_is_inside_radical(conca32):
             assert rad.contains(pres.kernel_embedding.matrix.col(col))
 
 
-def _scalars(row):
-    """A row's entries, each with its type."""
-    return tuple((type(x), x) for x in row)
-
-
-def _typed(space):
-    """A subspace's basis, pivots and sparse rows, with the type of every scalar."""
-    return ([_scalars(v) for v in space.basis], space.pivots,
-            [(p, idx, _scalars(vals)) for p, (idx, vals) in space.sparse_rows().items()])
-
-
 def _cover_inputs(field):
     """Simple, M(alpha), random (mostly Loewy length 3) and J^2-quotient modules,
     and syzygies of the first few."""
@@ -86,18 +77,16 @@ def _cover_inputs(field):
 @pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 def test_cover_kernel_is_the_kernel_of_the_whole_cover(field):
     # A syzygy's cover is read off its actions; every cover must equal the
-    # one built by mapping the top lifts through basis_images, scalar types
-    # included, and its kernel must be the kernel of that matrix: the same
-    # basis, pivots, sparse rows and induced actions.
+    # one built by mapping the top lifts through the dense basis images,
+    # scalar types included, and its kernel must be the kernel of that
+    # matrix: the same basis, pivots, sparse rows and induced actions.
     loewy, read = [], 0
     for M in _cover_inputs(field):
         pres = projective_cover(M)
-        lifted = M.basis_images(Matrix.from_columns(field, M.top_lift(), M.dim))
-        blocks = [img.transpose().data for img in lifted]
-        columns = [b[k] for k in range(pres.cover_rank) for b in blocks]
-        assert list(map(_scalars, pres.cover_map.matrix.data)) == list(map(_scalars, zip(*columns)))
+        columns = plain_cover_columns(M)
+        assert list(map(scalars, pres.cover_map.matrix.data)) == list(map(scalars, zip(*columns)))
         ref = kernel_subspace(Matrix.from_columns(field, columns, M.dim))
-        assert _typed(pres._kernel_space) == _typed(ref), (M, M.loewy_length())
+        assert typed(pres._kernel_space) == typed(ref), (M, M.loewy_length())
         expected = module_from_subspace(pres.cover_map.source, ref)[0]
         assert pres.kernel.actions == expected.actions
         loewy.append(M.loewy_length())
@@ -148,14 +137,18 @@ def test_resource_cap(L3):
 
 
 def test_cover_cap_counts_the_free_module_before_building_it(conca32, monkeypatch):
-    # The cap is met at P.dim = t·dim A, before the cover allocates anything.
-    M = syzygy_power(simple_module(conca32), 2)
-    t = M.top_dim()
-    assert projective_cover(M, cap=t * conca32.dim).cover_rank == t
-    monkeypatch.setattr(homology, "free_module", None)
-    with pytest.raises(ResourceCapExceeded) as info:
-        projective_cover(M, cap=t * conca32.dim - 1)
-    assert (info.value.dim, info.value.cap) == (t * conca32.dim, t * conca32.dim - 1)
+    # The cap is met at P.dim = t·dim A, before the cover allocates anything,
+    # for a syzygy and for a Loewy-length-3 input alike.
+    M, N = syzygy_power(simple_module(conca32), 2), random_module(conca32, 1, 0, seed=0)
+    assert N.loewy_length() == 3
+    for X in (M, N):
+        t = X.top_dim()
+        assert projective_cover(X, cap=t * conca32.dim).cover_rank == t
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, "free_module", None)
+            with pytest.raises(ResourceCapExceeded) as info:
+                projective_cover(X, cap=t * conca32.dim - 1)
+        assert (info.value.dim, info.value.cap) == (t * conca32.dim, t * conca32.dim - 1)
 
 
 # -- duals ----------------------------------------------------------------
@@ -420,23 +413,26 @@ def test_stable_hom_matches_the_product_formula_with_no_product(field, monkeypat
     assert any(N.loewy_length() == 3 for group in mods.values() for N in group)
 
 
-def test_stable_hom_reads_the_cover_rank_and_forms_one_cover_matrix(monkeypatch):
-    # N has Loewy length 3: its cover matrix is formed once, for the blocks,
-    # and no cover kernel is built, since only the rank t = dim top N is read.
+def test_stable_hom_reads_the_cover_rank_and_forms_no_cover_matrix(monkeypatch):
+    # N has Loewy length 3: the blocks are the cover's sparse columns, so no
+    # cover matrix, no product and no cover kernel is formed, since only the
+    # rank t = dim top N is read.
     alg = preset("ex15_1", e=3, a=2)
     M, N = random_module(alg, 1, 1, seed=1), random_module(alg, 1, 0, seed=0)
     assert N.loewy_length() == 3 and N.top_dim() * alg.dim == 6
-    formed = []
-    original = homology._cover_matrix
-    monkeypatch.setattr(homology, "_cover_matrix", lambda X: formed.append(X) or original(X))
+    built = []
+    monkeypatch.setattr(Matrix, "__mul__", lambda *args: built.append("product"))
+    original = Matrix.from_sparse_columns
+    monkeypatch.setattr(Matrix, "from_sparse_columns", staticmethod(
+        lambda field, rows, cols: built.append((rows, len(cols))) or original(field, rows, cols)))
     monkeypatch.setattr(homology, "projective_cover", None)
+    monkeypatch.setattr(homology, "phi_kernel", None)
     assert stable_hom_dim(M, N) == 0
-    assert len(formed) == 1 and formed[0] is N
+    assert (N.dim, 6) not in built and "product" not in built
     # The cap bounds t·dim A, as the cover would: 6 passes a cap of 6, not 5.
     assert stable_hom_dim(M, N, cap=6) == 0
     with pytest.raises(ResourceCapExceeded, match="dimension 6 exceeds cap 5"):
         stable_hom_dim(M, N, cap=5)
-    assert len(formed) == 2
 
 
 def test_ext_shift_identity(lam0):

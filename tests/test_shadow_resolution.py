@@ -3,7 +3,7 @@
 From step 1 on, a resolution step is one kernel of the big Φ of a syzygy,
 read off its shadow.  The reference below is the route every step took
 before: it eliminates the whole cover matrix, built by mapping the top
-lifts through ``basis_images``, and builds each kernel module with
+lifts through the dense basis images, and builds each kernel module with
 ``module_from_subspace``.  It lives here only, as the reference.
 """
 
@@ -17,6 +17,8 @@ from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (free_module, m_alpha, mod_j_squared, module_from_subspace,
                               pivot_columns, random_module, simple_module)
 from shortloc.presets import preset
+
+from references import plain_cover_columns, scalars, typed
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -34,12 +36,9 @@ class WholeCoverResolution:
     def extend_to(self, depth):
         while len(self.kernels) <= depth:
             M = self.modules[-1]
-            lifts = M.top_lift()
-            lifted = M.basis_images(Matrix.from_columns(M.field, lifts, M.dim))
-            blocks = [img.transpose().data for img in lifted]
-            columns = [b[k] for k in range(len(lifts)) for b in blocks]
+            columns = plain_cover_columns(M)
             ker = kernel_subspace(Matrix.from_columns(M.field, columns, M.dim))
-            sub, emb = module_from_subspace(free_module(M.algebra, len(lifts)), ker)
+            sub, emb = module_from_subspace(free_module(M.algebra, M.top_dim()), ker)
             self.kernels.append(ker)
             self.embeddings.append(emb)
             self.modules.append(sub)
@@ -57,18 +56,8 @@ class WholeCoverResolution:
                 for col in (emb * lifts).transpose().data]
 
 
-def _scalars(row):
-    return tuple((type(x), x) for x in row)
-
-
-def _typed(space):
-    """A subspace's basis, pivots and sparse rows, with the type of every scalar."""
-    return ([_scalars(v) for v in space.basis], space.pivots,
-            [(p, idx, _scalars(vals)) for p, (idx, vals) in space.sparse_rows().items()])
-
-
 def _typed_actions(M):
-    return [list(map(_scalars, X.data)) for X in M.actions]
+    return [list(map(scalars, X.data)) for X in M.actions]
 
 
 def _inputs(field):
@@ -94,12 +83,12 @@ def test_shadow_steps_match_the_whole_cover_route(field):
             [ref.rank(i) for i in range(DEPTH + 1)], M
         for j in range(1, DEPTH + 1):
             rows, expected = res.boundary_elements(j), ref.boundary_elements(j)
-            assert [list(map(_scalars, r)) for r in rows] == \
-                [list(map(_scalars, r)) for r in expected], (M, j)
+            assert [list(map(scalars, r)) for r in rows] == \
+                [list(map(scalars, r)) for r in expected], (M, j)
         for i in range(DEPTH):
-            assert _typed(res.steps[i]._kernel_space) == _typed(ref.kernels[i]), (M, i)
+            assert typed(res.steps[i]._kernel_space) == typed(ref.kernels[i]), (M, i)
             syz = res.syzygy_module(i + 1)
-            assert _typed(syz.space) == _typed(ref.kernels[i])
+            assert typed(syz.space) == typed(ref.kernels[i])
             assert _typed_actions(syz) == _typed_actions(ref.modules[i + 1]), (M, i)
             assert syz.top_lift() == ref.modules[i + 1].top_lift()
             n, e = M.algebra.dim, M.algebra.e
@@ -177,7 +166,7 @@ def test_the_cover_fallback_matches_the_radical_route(field):
             syz = res.syzygy_module(i)
             lifts, kernel = radical_route_cover(M.algebra, syz.space)
             assert syz.cover[0] == lifts, (M, i)
-            assert _typed(syz.cover[1]) == _typed(kernel), (M, i)
+            assert typed(syz.cover[1]) == typed(kernel), (M, i)
             fallbacks += _takes_the_fallback(syz)
     assert fallbacks >= 20
 
@@ -232,5 +221,5 @@ def test_the_shadow_images_skip_only_rows_that_map_to_zero(field):
             skipped += len(images) - len(mapped)
             assert _typed_columns(syz.action_columns()) == _typed_columns(columns), (M, i)
             assert syz.cover[0] == lifts, (M, i)
-            assert _typed(syz.cover[1]) == _typed(kernel), (M, i)
+            assert typed(syz.cover[1]) == typed(kernel), (M, i)
     assert skipped >= 500
