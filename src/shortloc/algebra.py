@@ -51,6 +51,7 @@ class ShortAlgebra:
         self._sections = None
         self._regular = None
         self._regular_rows = None
+        self._regular_columns = None
         self._opposite = None
 
     @property
@@ -164,6 +165,16 @@ class ShortAlgebra:
             self._regular = tuple(self.left_mult_matrix(self.generator(i))
                                   for i in range(1, self.e + 1))
         return self._regular
+
+    def regular_columns(self) -> tuple:
+        """Per generator, the non-zeros (row, value) of each column of its regular action.
+
+        Read off :meth:`regular_actions` once; A^t shifts them copy by copy
+        (:meth:`~shortloc.modules.AModule.action_columns`).
+        """
+        if self._regular_columns is None:
+            self._regular_columns = tuple(R.sparse_columns() for R in self.regular_actions())
+        return self._regular_columns
 
     def regular_rows(self) -> tuple:
         """Per basis element b, the non-zeros (column, value) of each row of x -> b*x.

@@ -34,9 +34,14 @@ its pivots, the images are the columns of its actions
 (:meth:`Syzygy.action_columns`), which its radical, socle and Hom systems
 read.  Any other module, of any Loewy length, reads Φ off its action
 columns at the free columns of its radical (:meth:`AModule.top_images`),
-so no whole cover matrix is eliminated.  A syzygy's action matrices, a
-cover's matrix (from the same sparse columns, :func:`_cover_columns`) and
-a kernel's embedding are built only when a caller reads them.
+so no whole cover matrix is eliminated.  Every module keeps its cover
+kernel (:attr:`AModule.cover_kernel`, for a syzygy :meth:`Syzygy.cover`'s),
+so its cover, its syzygy and the Hom dimensions from it
+(:func:`~shortloc.modules.hom_dim`) share one :func:`phi_kernel` call; a
+syzygy's top lifts, which its Hom systems read, come off the same cover,
+with no radical eliminated.  A syzygy's action matrices, a cover's matrix
+(from the same sparse columns, :func:`_cover_columns`) and a kernel's
+embedding are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -44,15 +49,15 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._record import record
 from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import Matrix, SparseRows, Subspace, kernel_basis, kernel_subspace, rank
-from .modules import (AModule, HomSpace, ModuleMap, free_module, hom_basis, hom_space,
+from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_basis, hom_space,
                       left_regular_module, module_from_columns, module_from_subspace,
-                      pivot_columns, quotient, vector_images, zero_module)
+                      pivot_columns, quotient, relation_equations, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -187,6 +192,16 @@ class Syzygy(AModule):
         # and no row of its kernel is built.
         return super().top_dim() if self._radical is not None else len(self.cover[0])
 
+    def lift_columns(self) -> list[int]:
+        """The basis rows of the top lifts (:meth:`cover`), so no radical is eliminated."""
+        row = {p: r for r, p in enumerate(self.space.pivots)}
+        return [row[p] for p in self.cover[0]]
+
+    @property
+    def cover_kernel(self) -> Subspace:
+        """The kernel of the cover, read off the shadow (:meth:`cover`)."""
+        return self.cover[1]
+
     @cached_property
     def cover(self) -> tuple[tuple[int, ...], Subspace]:
         """The top lifts, as pivots of ``space``, and the kernel of the projective cover.
@@ -223,19 +238,6 @@ class Syzygy(AModule):
                                     for c in kernel_subspace(radical).pivots])
             kernel = phi_kernel(alg, self._images(lifts))
         return tuple(lifts), kernel
-
-
-class _LazyMap(ModuleMap):
-    """A module map whose matrix is built on first read."""
-
-    def __init__(self, source: AModule, target: AModule, build: Callable[[], Matrix]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_build", build)
-
-    @cached_property
-    def matrix(self) -> Matrix:
-        return self._build()
 
 
 @record
@@ -309,22 +311,23 @@ def _cover_columns(M: AModule) -> list:
     (:meth:`AModule.top_images`); a w_m m_k that is not formed is zero.
     """
     one, n = M.field.one(), M.algebra.dim
-    return [col for c, imgs in zip(M.radical().free_columns(), M.top_images())
+    return [col for c, imgs in zip(M.lift_columns(), M.top_images())
             for col in [[(c, one)], *(img.items() for img in imgs), *[[]] * (n - 1 - len(imgs))]]
 
 
 def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     """The projective cover A^t -> M with t = dim top M, and its kernel.
 
-    The kernel is ker Φ, the cover restricted to JA^t (:func:`phi_kernel`).
-    A :class:`Syzygy` reads it off its shadow (:meth:`Syzygy.cover`); any
+    The kernel is ker Φ, the cover restricted to JA^t (:func:`phi_kernel`),
+    which the module keeps (:attr:`AModule.cover_kernel`).  A
+    :class:`Syzygy` reads it off its shadow (:meth:`Syzygy.cover`); any
     other module maps its radical basis at the top lifts along its action
     columns (:meth:`AModule.top_images`).  Minimality is checked on the
     kernel's sparse rows: no kernel vector reaches a coordinate of an m_k,
     so the kernel lies in JP.
     """
     n, t = M.algebra.dim, _cover_rank(M, cap)
-    ker = M.cover[1] if isinstance(M, Syzygy) else phi_kernel(M.algebra, M.top_images())
+    ker = M.cover_kernel
     if t * n - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
     if any(j % n == 0 for idx, _ in ker.sparse_rows().values() for j in idx):
@@ -414,23 +417,10 @@ class MinimalResolution:
 def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> SparseRows:
     """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as sparse rows.
 
-    Row l·dim N + r is row r of the action of d_j(unit_l) on N^{t_{j-1}}:
-    each entry x of the l-th top lift at k·dim A + b adds x times row r of
-    b's action on N (:meth:`AModule.action_rows`), shifted to copy k.
+    Row l·dim N + r is row r of the action of d_j(unit_l), the l-th top
+    lift of the j-th syzygy, on N^{t_{j-1}} (:func:`relation_equations`).
     """
-    n, d = res.module.algebra.dim, N.dim
-    act = N.action_rows()
-    out = []
-    for idx, vals in res.boundary_rows(j):
-        rows: list[dict] = [{} for _ in range(d)]
-        for q, x in zip(idx, vals):
-            k, b = divmod(q, n)
-            for row, b_row in zip(rows, act[b]):
-                for c, y in b_row:
-                    col = k * d + c
-                    row[col] = row[col] + x * y if col in row else x * y
-        out += rows
-    return SparseRows(N.field, out, res.steps[j - 1].cover_rank * d)
+    return relation_equations(N, res.boundary_rows(j), res.steps[j - 1].cover_rank)
 
 
 def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:

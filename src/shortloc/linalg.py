@@ -292,6 +292,11 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 
+    def sparse_columns(self) -> list[list[tuple]]:
+        """The non-zero (row, value) pairs of each column, an Fp tested by its residue."""
+        p = self.field.characteristic
+        return [[(i, x) for i, x in enumerate(col) if (x.v if p else x)] for col in zip(*self.data)]
+
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.data, self.cols)
 

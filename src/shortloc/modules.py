@@ -14,26 +14,35 @@ turns the images of a subspace's basis rows into the columns of the
 induced actions, checked for stability, and :func:`module_from_columns`
 builds the module.  Submodules and closures, quotients, J^2 M, the Loewy
 length, the radical, the dual module and the Kronecker shadow go this
-way, and the socle and the Hom equations (:func:`_hom_equations`) read
-the columns, so none of them multiplies action matrices.  w_m acts as
-sum s_ij v_i v_j, so w_m·x sums the images v_i·(v_j·x) read along the
-columns (:func:`square_images`).  :meth:`AModule.top_images` maps the
-radical basis at the top lifts, the images every cover is read off, and
+way, and the socle and the Hom equations read the columns, so none of
+them multiplies action matrices.  w_m acts as sum s_ij v_i v_j, so w_m·x
+sums the images v_i·(v_j·x) read along the columns
+(:func:`square_images`).  :meth:`AModule.top_images` maps the radical
+basis at the top lifts, the images every cover is read off (its kernel,
+:attr:`AModule.cover_kernel`, is found once per module), and
 :meth:`AModule.action_rows` holds each basis element's action as sparse
-rows, for the Hom-complex of Ext and the approximation's certificate.
+rows, for the Hom-complex of Ext, Hom dimensions and the approximation's
+certificate.
 
-A Hom system is solved only as far as its caller reads it: :func:`hom_dim`
-is a rank, with no kernel basis, and :func:`find_isomorphism` solves
-Hom(M, N) for a basis and takes dim Hom(N, M) only when no basis element
-is invertible.  A free module A^t (:class:`FreeModule`) holds only t, and
-its block-diagonal action matrices are built only when a caller reads them.
+A Hom system is sized by the top of its source, since the top lifts
+m_1..m_t generate M.  :func:`hom_space` solves F(b·m_k) = b·F(m_k) for
+the radical basis elements b, at most (dim A - 1)·t·dim N equations, and
+builds each basis map on first read.  :func:`hom_dim` reads M's
+presentation: t·dim N less the rank of the cover kernel acting on N, with
+no kernel basis.  :func:`find_isomorphism` solves Hom(M, N) once and tests
+each basis element on tops, a t x t matrix, since an A-map between
+modules of one dimension is invertible iff it is onto the top (Nakayama);
+it takes dim Hom(N, M) only when no basis element is invertible.  Socle
+dimensions, and with them the bipartite test and the multiplicity of S,
+are ranks.  A free module A^t (:class:`FreeModule`) holds only t, and its
+block-diagonal action matrices are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .algebra import ShortAlgebra
@@ -107,14 +116,18 @@ class AModule:
         (:meth:`ShortAlgebra.regular_rows`, built once per algebra) shifted
         by k·dim A.  Any other module transposes its action columns: v_j's
         are :meth:`action_columns`, w_m's are :func:`square_images` of the
-        unit vectors, so no product is formed.
+        unit vectors, formed only when J^2 M is not zero, so no product is
+        formed.
         """
         if self._action_rows is None:
             if self.free_rank is None:
                 d, one, columns = self.dim, self.field.one(), self.action_columns()
                 images = [[dict(cols[c]) for cols in columns] for c in range(d)]
                 rows: list = [[[] for _ in range(d)] for _ in range(self.algebra.dim)]
-                squares = square_images(self.algebra, columns, images)
+                if self._square_zero or self.loewy_length() < 3:
+                    squares: list = [()] * d
+                else:
+                    squares = square_images(self.algebra, columns, images)
                 for c, (vs, ws) in enumerate(zip(images, squares)):
                     for b, image in enumerate([{c: one}, *vs, *ws]):
                         for r, x in image.items():
@@ -131,17 +144,19 @@ class AModule:
     def action_columns(self) -> list[list[list[tuple]]]:
         """Per generator, the non-zero (row, value) pairs of each column of its action.
 
-        On A^t copy k's columns are R's shifted by k·dim A, read off the
-        regular action R in O(t·nnz R); any other module scans its matrices
-        once and keeps the columns.  Every module built or read without
-        products goes through this view.
+        On A^t copy k's columns are R's shifted by k·dim A, R's columns read
+        once per algebra (:meth:`ShortAlgebra.regular_columns`); any other
+        module scans its matrices once.  Either keeps its columns.  Every
+        module built or read without products goes through this view.
         """
-        if self.free_rank is not None:
-            n = self.algebra.dim
-            return [[[(k * n + i, x) for i, x in col] for k in range(self.free_rank) for col in cols]
-                    for cols in map(_columns, self.algebra.regular_actions())]
         if self._action_columns is None:
-            self._action_columns = [_columns(X) for X in self.actions]
+            if self.free_rank is None:
+                self._action_columns = [X.sparse_columns() for X in self.actions]
+            else:
+                n = self.algebra.dim
+                self._action_columns = [[[(k * n + i, x) for i, x in col]
+                                         for k in range(self.free_rank) for col in cols]
+                                        for cols in self.algebra.regular_columns()]
         return self._action_columns
 
     # -- structural subspaces -------------------------------------------
@@ -164,16 +179,24 @@ class AModule:
         :meth:`action_columns` as sparse rows, then reduced.
         """
         if self._socle is None:
-            d = self.dim
-            rows: list[dict] = [{} for _ in range(self.algebra.e * d)]
-            for j, cols in enumerate(self.action_columns()):
-                for c, col in enumerate(cols):
-                    for r, x in col:
-                        rows[j * d + r][c] = x
-            kernel = kernel_subspace(SparseRows(self.field, rows, d)).sparse_rows()
-            self._socle = Subspace.from_vectors(self.field, d,
+            kernel = kernel_subspace(self._stacked_actions()).sparse_rows()
+            self._socle = Subspace.from_vectors(self.field, self.dim,
                                                 (dict(zip(*row)) for row in kernel.values()))
         return self._socle
+
+    def socle_dim(self) -> int:
+        """dim soc M: dim M less the rank of the stacked actions, with no kernel built."""
+        return self.dim - rank(self._stacked_actions())
+
+    def _stacked_actions(self) -> SparseRows:
+        """The generator actions stacked, as sparse rows read off :meth:`action_columns`."""
+        d = self.dim
+        rows: list[dict] = [{} for _ in range(self.algebra.e * d)]
+        for j, cols in enumerate(self.action_columns()):
+            for c, col in enumerate(cols):
+                for r, x in col:
+                    rows[j * d + r][c] = x
+        return SparseRows(self.field, rows, d)
 
     def top_dim(self) -> int:
         return self.dim - self.radical().dim
@@ -201,20 +224,34 @@ class AModule:
         """Deterministic vectors lifting a basis of top M = M/JM."""
         return self.radical().complement()
 
+    def lift_columns(self) -> list[int]:
+        """The indices c_k of the top lifts m_k, unit vectors: the free columns of JM."""
+        return self.radical().free_columns()
+
     def top_images(self) -> list[list[dict]]:
         """The images of the radical basis at each top lift m_k, as {index: value}.
 
-        m_k is the unit vector at the k-th free column c_k of JM
-        (:meth:`top_lift`), so v_j m_k is column c_k of v_j's action, read
-        off :meth:`action_columns`.  w_1 m_k .. w_a m_k follow
-        (:func:`square_images`) only when J^2 M is not zero; otherwise
-        they are zero and the list stops after the e generators.
+        m_k is the unit vector at c_k (:meth:`lift_columns`), so v_j m_k is
+        column c_k of v_j's action, read off :meth:`action_columns`.
+        w_1 m_k .. w_a m_k follow (:func:`square_images`) only when J^2 M
+        is not zero; otherwise they are zero and the list stops after the e
+        generators.
         """
         columns = self.action_columns()
-        images = [[dict(cols[c]) for cols in columns] for c in self.radical().free_columns()]
+        images = [[dict(cols[c]) for cols in columns] for c in self.lift_columns()]
         if self.loewy_length() < 3:
             return images
         return [vs + ws for vs, ws in zip(images, square_images(self.algebra, columns, images))]
+
+    @cached_property
+    def cover_kernel(self) -> Subspace:
+        """The kernel of the cover A^t -> M in A^t, ker Φ of :meth:`top_images`, found once.
+
+        :func:`~shortloc.homology.phi_kernel` eliminates Φ; the cover, the
+        syzygy and :func:`hom_dim` from M read the one kernel.
+        """
+        from . import homology
+        return homology.phi_kernel(self.algebra, self.top_images())
 
 
 def validate_module(M: AModule) -> None:
@@ -275,6 +312,22 @@ class ModuleMap:
         return self.source.dim == self.target.dim and self.is_injective()
 
 
+class _LazyMap(ModuleMap):
+    """A module map whose matrix is built, and its shape checked, on first read."""
+
+    def __init__(self, source: AModule, target: AModule, build: Callable[[], Matrix]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_build", build)
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        mat = self._build()
+        if mat.rows != self.target.dim or mat.cols != self.source.dim:
+            raise DimensionMismatch("module map matrix has wrong shape")
+        return mat
+
+
 # -- constructors ------------------------------------------------------
 
 
@@ -329,12 +382,6 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
     if t == 0:
         return zero_module(alg)
     return FreeModule(alg, t)
-
-
-def _columns(X: Matrix) -> list[list[tuple]]:
-    """The non-zero (row, value) pairs of each column of X, an Fp tested by its residue."""
-    p = X.field.characteristic
-    return [[(i, x) for i, x in enumerate(col) if (x.v if p else x)] for col in zip(*X.data)]
 
 
 def vector_images(columns: list, rows: Iterable[tuple]) -> list[list[dict]]:
@@ -441,7 +488,8 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     e_f lift the quotient basis, so column f of an action is X e_f reduced
     along the subspace's sparse rows, read at the free columns: each entry
     x at a pivot p subtracts x times row p, and no action matrix of M is
-    multiplied (on A^t the columns come off the regular action).
+    multiplied (on A^t the columns come off the regular action).  The
+    projection's matrix is built on first read.
     """
     if not isinstance(sub, Subspace):
         sub = Subspace.from_vectors(M.field, M.dim, sub)
@@ -449,16 +497,18 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     # Raises BadParams unless sub is stable.
     pivot_columns(sub, vector_images(columns, sub.sparse_rows().values()), M.algebra.e)
     free = sub.free_columns()
-    # Reducing e_c leaves e_c at a free column c and e_c - row at the
-    # pivot of that row, so the projection is read off the basis rows.
-    proj_rows = []
-    for f in free:
-        row = [M.field.zero()] * M.dim
-        row[f] = M.field.one()
-        for p, basis_row in zip(sub.pivots, sub.basis):
-            row[p] = -basis_row[f]
-        proj_rows.append(row)
-    proj = Matrix(M.field, proj_rows, cols=M.dim)
+
+    def projection() -> Matrix:
+        # Reducing e_c leaves e_c at a free column c and e_c - row at the
+        # pivot of that row, so the projection is read off the basis rows.
+        proj_rows = []
+        for f in free:
+            row = [M.field.zero()] * M.dim
+            row[f] = M.field.one()
+            for p, basis_row in zip(sub.pivots, sub.basis):
+                row[p] = -basis_row[f]
+            proj_rows.append(row)
+        return Matrix(M.field, proj_rows, cols=M.dim)
     rows = sub.sparse_rows()
     at = {f: b for b, f in enumerate(free)}
     zero = M.field.zero()
@@ -477,7 +527,7 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
             act.append(col.items())
         acts.append(act)
     Q = module_from_columns(M.algebra, len(free), acts)
-    return Q, ModuleMap(M, Q, proj)
+    return Q, _LazyMap(M, Q, projection)
 
 
 def direct_sum(M: AModule, N: AModule) -> AModule:
@@ -583,22 +633,24 @@ def dim_vector(M: AModule) -> DimVec:
 
 
 def is_bipartite(M: AModule) -> bool:
-    """True iff M is non-zero with soc M = JM."""
-    if M.dim == 0:
-        return False
-    soc, rad = M.socle(), M.radical()
-    return soc.dim == rad.dim and soc.contains_space(rad)
+    """True iff M is non-zero with soc M = JM.
+
+    JM lies in soc M iff J^2 M = 0, so M is bipartite iff its Loewy length
+    is at most 2 and the two have one dimension, read by rank
+    (:meth:`AModule.socle_dim`, :meth:`AModule.top_dim`).
+    """
+    return 0 < M.dim and M.loewy_length() <= 2 and M.socle_dim() == M.dim - M.top_dim()
 
 
 def simple_multiplicity(M: AModule) -> int:
     """Multiplicity of S as a direct summand, for Loewy length <= 2.
 
     Such a module is the direct sum of a bipartite module and S^w with
-    w = dim soc M - dim JM.
+    w = dim soc M - dim JM, each read by rank.
     """
     if M.loewy_length() > 2:
         raise LoewyTooLong("simple multiplicity requires Loewy length <= 2")
-    w = M.socle().dim - M.radical().dim
+    w = M.socle_dim() - (M.dim - M.top_dim())
     if w < 0:
         raise InvariantViolation("socle smaller than radical at Loewy length <= 2")
     return w
@@ -629,46 +681,49 @@ class HomSpace:
         return tuple(x for row in mat.data for x in row)
 
 
-def _hom_equations(M: AModule, N: AModule) -> SparseRows:
-    """The intertwining equations of Hom_A(M, N) as sparse rows.
+def hom_space(M: AModule, N: AModule) -> HomSpace:
+    """A basis of Hom_A(M, N), solved at the top lifts of M.
 
-    The unknown F[k,c] sits at index k·dim M + c (the row-major
-    flattening), and generator v_i gives the equation (r, c)
+    The top lifts m_k, unit vectors at the indices c_k
+    (:meth:`AModule.lift_columns`), generate M, and the b·m_k span JM, so
+    a linear F: M -> N is A-linear iff F(b·m_k) = b·F(m_k) for every
+    radical basis element b and every k.  The unknown F[r,c] sits at index
+    r·dim M + c (the row-major flattening), and (k, b) gives the equations
 
-        sum_k Xt[r,k] F[k,c] - sum_k F[r,k] Xs[k,c] = 0,
+        sum_c (b m_k)[c] F[r,c] - sum_s B[r,s] F[s,c_k] = 0,   r < dim N,
 
-    built as a dict from the non-zeros of row r of the target's action Xt
-    and column c of the source's Xs; no equation is laid out densely.
+    built as dicts from the image b m_k (:meth:`AModule.top_images`) and
+    row r of b's action B on N (:meth:`AModule.action_rows`).  A w_m gives
+    equations only where J^2 M or J^2 N is not zero; elsewhere both sides
+    vanish.  So there are at most (dim A - 1)·t·dim N rows over the
+    dim M·dim N unknowns.  Their kernel is Hom(M, N), so its reduced basis
+    is the one the whole intertwining system gives.  Each map's matrix is
+    built from its flattening on first read.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
     dm, dn = M.dim, N.dim
+    acts = N.action_rows()[1:]
     rows = []
-    for source_cols, target_cols in zip(M.action_columns(), N.action_columns()):
-        target_rows: list[list[tuple]] = [[] for _ in range(dn)]
-        for k, col in enumerate(target_cols):
-            for r, x in col:
-                target_rows[r].append((k, x))
-        for r, t_row in enumerate(target_rows):
-            for c, s_col in enumerate(source_cols):
-                eq = {k * dm + c: x for k, x in t_row}
-                for k, x in s_col:
-                    q = r * dm + k
+    for c_k, images in zip(M.lift_columns(), M.top_images()):
+        for b, b_rows in enumerate(acts):
+            image = images[b] if b < len(images) else {}
+            for r, n_row in enumerate(b_rows):
+                eq = {r * dm + c: y for c, y in image.items()}
+                for s, x in n_row:
+                    q = s * dm + c_k
                     eq[q] = eq[q] - x if q in eq else -x
                 if eq:
                     rows.append(eq)
-    return SparseRows(M.field, rows, dn * dm)
+    space = kernel_subspace(SparseRows(M.field, rows, dn * dm))
 
-
-def hom_space(M: AModule, N: AModule) -> HomSpace:
-    """A basis of Hom_A(M, N): the kernel of :func:`_hom_equations`."""
-    space = kernel_subspace(_hom_equations(M, N))
-    dm, dn = M.dim, N.dim
-    maps = []
-    for vec in space.basis:
-        mat = [list(vec[k * dm:(k + 1) * dm]) for k in range(dn)]
-        maps.append(ModuleMap(M, N, Matrix(M.field, mat, cols=dm)))
-    return HomSpace(M, N, tuple(maps), space)
+    def matrix(p: int) -> Matrix:
+        flat = [M.field.zero()] * (dn * dm)
+        for q, x in zip(*space.sparse_rows()[p]):
+            flat[q] = x
+        return Matrix(M.field, [flat[k * dm:(k + 1) * dm] for k in range(dn)], cols=dm)
+    maps = tuple(_LazyMap(M, N, lambda p=p: matrix(p)) for p in space.pivots)
+    return HomSpace(M, N, maps, space)
 
 
 def hom_basis(M: AModule, N: AModule) -> list[ModuleMap]:
@@ -676,12 +731,41 @@ def hom_basis(M: AModule, N: AModule) -> list[ModuleMap]:
     return list(hom_space(M, N).maps)
 
 
-def hom_dim(M: AModule, N: AModule) -> int:
-    """dim Hom_A(M, N): the unknowns less the rank of :func:`_hom_equations`.
+def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> SparseRows:
+    """The equations ρ·(n_1..n_t) = 0 on N^t = Hom(A^t, N), dim N per relation ρ.
 
-    No kernel basis and no map is formed.
+    Each relation ρ in A^t is given as its non-zeros (indices, values).
+    Row l·dim N + r is row r of the l-th relation's action: each entry x
+    of ρ at k·dim A + b adds x times row r of b's action on N
+    (:meth:`AModule.action_rows`), shifted to copy k.
     """
-    equations = _hom_equations(M, N)
+    n, d = N.algebra.dim, N.dim
+    act = N.action_rows()
+    out = []
+    for idx, vals in relations:
+        rows: list[dict] = [{} for _ in range(d)]
+        for q, x in zip(idx, vals):
+            k, b = divmod(q, n)
+            for row, b_row in zip(rows, act[b]):
+                for c, y in b_row:
+                    col = k * d + c
+                    row[col] = row[col] + x * y if col in row else x * y
+        out += rows
+    return SparseRows(N.field, out, t * d)
+
+
+def hom_dim(M: AModule, N: AModule) -> int:
+    """dim Hom_A(M, N), from the presentation of M: t·dim N less a rank.
+
+    A map M -> N is a map A^t -> N, fixed by the images n_k of the t top
+    lifts, that kills the kernel of M's cover (:attr:`AModule.cover_kernel`),
+    so the dimension is t·dim N less the rank of
+    :func:`relation_equations` over that kernel's rows.  No kernel basis
+    and no map is formed.
+    """
+    if M.algebra != N.algebra:
+        raise AlgebraMismatch("hom between modules over different algebras")
+    equations = relation_equations(N, M.cover_kernel.sparse_rows().values(), M.top_dim())
     return equations.cols - rank(equations)
 
 
@@ -730,16 +814,45 @@ def _invertible(mat: Matrix) -> bool:
     return mat.rows == mat.cols and rank(mat) == mat.rows
 
 
+def _tops(homs: HomSpace) -> Iterator[Matrix]:
+    """Each basis map on tops: its values at M's top lifts, reduced mod JN at N's free columns.
+
+    The entries are read off the map's flattening, with no map matrix
+    built.  An A-map F: M -> N between modules of one dimension is
+    invertible iff this matrix is (Nakayama: F is onto iff F(M) + JN = N).
+    """
+    M, N = homs.source, homs.target
+    radical = N.radical()
+    rows, at = radical.sparse_rows(), {f: i for i, f in enumerate(radical.free_columns())}
+    lifts = {c: k for k, c in enumerate(M.lift_columns())}
+    zero, dm = M.field.zero(), M.dim
+    flat = homs.flat.sparse_rows()
+    for p in homs.flat.pivots:
+        top = [[zero] * len(lifts) for _ in at]
+        for q, x in zip(*flat[p]):
+            r, c = divmod(q, dm)
+            if c in lifts:
+                k = lifts[c]
+                if r in at:
+                    top[at[r]][k] = top[at[r]][k] + x
+                else:
+                    for j, y in zip(*rows[r]):
+                        if j in at:
+                            top[at[j]][k] = top[at[j]][k] - x * y
+        yield Matrix(M.field, top, cols=len(lifts))
+
+
 def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     """Search for an invertible A-map M -> N.
 
-    Solves Hom(M, N) and tries each of its basis elements.  Only when none
+    Solves Hom(M, N) and tries each of its basis elements on tops
+    (:func:`_tops`), so only the witness's matrix is built.  Only when none
     is invertible is dim Hom(N, M) taken, by rank (:func:`hom_dim`): an
     isomorphism makes the two Hom dimensions equal, so a mismatch
     certifies that there is none.  Otherwise seeded random combinations
     with small coefficients are tried, and over Q also a generic
-    combination evaluated at the integer points 1, 2, ..., 2 dim Hom + 8;
-    any hit certifies the isomorphism.
+    combination evaluated at the integer points 1, 2, ..., 2 dim Hom + 8,
+    each on tops; any hit certifies the isomorphism.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism between modules over different algebras")
@@ -747,29 +860,30 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
         return IsoSearch(False, True, note="dimension mismatch")
     if M.dim == 0:
         return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.zeros(M.field, 0, 0)))
-    fwd = hom_basis(M, N)
-    for h in fwd:
-        if _invertible(h.matrix):
+    homs = hom_space(M, N)
+    tops = []
+    for h, top in zip(homs.maps, _tops(homs)):
+        if _invertible(top):
             return IsoSearch(True, True, witness=h)
-    if len(fwd) != hom_dim(N, M):
+        tops.append(top)
+    if homs.dim != hom_dim(N, M):
         return IsoSearch(False, True, note="hom dimension mismatch")
-    if not fwd:
+    if not tops:
         return IsoSearch(False, True, note="no non-zero homomorphisms")
-    mats = [h.matrix for h in fwd]
     rng = random.Random(seed)
     elems = [M.field.of(x) for x in DEFAULT_POOL]
 
     def coefficients():
         for _ in range(_ISO_TRIES):
-            yield [rng.choice(elems) for _ in mats]
+            yield [rng.choice(elems) for _ in tops]
         if M.field.is_rationals:
-            for point in range(1, 2 * len(mats) + 9):
+            for point in range(1, 2 * len(tops) + 9):
                 x = M.field.of(point)
-                yield [x ** k for k in range(len(mats))]
+                yield [x ** k for k in range(len(tops))]
     for coefs in coefficients():
-        acc = Matrix.combination(coefs, mats)
-        if _invertible(acc):
-            return IsoSearch(True, True, witness=ModuleMap(M, N, acc))
+        if _invertible(Matrix.combination(coefs, tops)):
+            mats = [h.matrix for h in homs.maps]
+            return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.combination(coefs, mats)))
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
 
 
