@@ -16,7 +16,8 @@ target's cover as (block ⊗ 1) on their flattenings, with no product.
 
 A minimal cover A^t -> N has its kernel in JA^t: ker(Φ: JA^t -> JN), Φ
 sending copy k's radical basis to its images at the top lift m_k
-(:func:`phi_kernel`); when J^2 N = 0, W⊗k^t joins it uneliminated.  A
+(:func:`phi_kernel`); when J^2 N = 0 its W-columns are empty, so W⊗k^t
+lies in the kernel.  A
 syzygy is a :class:`Syzygy`, held by its shadow: the reduced basis of the
 cover's kernel as sparse rows in A^t.  Minimality puts it in JA^t, so J^2
 kills it, and v_j acts on a basis row x through the structure constants,
@@ -26,7 +27,7 @@ to 0.  At the top lifts these images are the columns of its Φ
 (:meth:`Syzygy.cover`), so from step 1 on a resolution step is one kernel
 of the big Φ.  Φ is eliminated once per step: its rank settles the
 syzygy's top and its free columns are the kernel's pivots, while the
-kernel's rows are built and embedded in A^t only when the next step reads
+kernel's rows are built, already in A^t, only when the next step reads
 them, so the last step of ``betti(M, n)`` builds none.  When the V-rows do
 not lift the whole top, only the images at Φ's pivot columns and those of
 the J^2-rows are eliminated again.  Checked against the shadow and read at
@@ -95,32 +96,24 @@ def phi_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
 
     ``images[k]`` is v_1 m_k .. v_e m_k, then w_1 m_k .. w_a m_k, for the
     k-th top lift m_k, as dicts in any coordinates of JN; a list that stops
-    after the e generators says the w_m m_k are zero.  Φ sends column u of
-    copy k to ``images[k][u]``; ker Φ (:func:`kernel_subspace` of Φ's
-    sparse rows) lands on the coordinates k·dim A + 1 + u, and the unit
-    vectors at the w_m m_k known to be zero follow, uneliminated.  These
-    are the rows of the whole cover's kernel: a reduced basis depends only
-    on the subspace and the column order, and the columns of the m_k are
-    independent of the rest.  Φ is eliminated at once, so the pivots and
-    the dimension are known; the rows are embedded, by remapping the
-    indices of ker Φ's rows and keeping their values, on first read.
+    after the e generators says the w_m m_k are zero.  Φ sends radical
+    coordinate k·dim A + 1 + u of A^t to ``images[k][u]``; a w-image not
+    formed is an empty column, free with its unit vector as kernel vector.
+    This is the whole cover's kernel: a reduced basis depends only on the
+    subspace and the column order, and the columns of the m_k are
+    independent of the rest.  Φ is eliminated at once; the rows are
+    embedded in A^t as they are built (:func:`kernel_subspace` with
+    ``at``), on first read.
     """
     n = alg.dim
-    at = [k * n + 1 + u for k, imgs in enumerate(images) for u in range(len(imgs))]
     phi_rows: dict = defaultdict(dict)
-    for c, img in enumerate([img for imgs in images for img in imgs]):
-        for q, y in img.items():
-            phi_rows[q][c] = y
-    phi = kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), len(at)))
-    unread = [q for k, imgs in enumerate(images) for q in range(k * n + 1 + len(imgs), (k + 1) * n)]
-    pivots = sorted([at[c] for c in phi.pivots] + unread)
-
-    def rows() -> dict:
-        one = alg.field.one()
-        vrows = {at[c]: (tuple(at[i] for i in idx), vals)
-                 for c, (idx, vals) in phi.sparse_rows().items()}
-        return {q: vrows[q] if q in vrows else ((q,), (one,)) for q in pivots}
-    return Subspace.from_sparse_rows(alg.field, n * len(images), pivots, rows)
+    for k, imgs in enumerate(images):
+        for c, img in enumerate(imgs, k * (n - 1)):
+            for q, y in img.items():
+                phi_rows[q][c] = y
+    at = [k * n + u for k in range(len(images)) for u in range(1, n)]
+    return kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), len(at)),
+                           at=at, ambient=n * len(images))
 
 
 class Syzygy(AModule):
@@ -133,7 +126,7 @@ class Syzygy(AModule):
     (:meth:`cover`), and the columns of its actions (:meth:`action_columns`),
     which its radical, socle and Hom systems read.  The cover keeps the
     top lifts with Φ's kernel, eliminated once: the top is read off it
-    with no kernel row built, and the rows are embedded in A^t when first
+    with no kernel row built, and the rows are built, in A^t, when first
     read.  Its action matrices are built by :func:`module_from_subspace`
     only when a caller reads them.
     """

@@ -19,9 +19,9 @@ matrix built from sparse data (Φ, the Hom-complex, the Hom equations) is
 handed over as its rows' non-zeros (:class:`SparseRows`) and never laid
 out densely.  The
 reduced row echelon form is unique, so its rows and pivots do not depend
-on how they are found.  Its only division is the final scaling of each
-pivot row by its lead in :func:`_rref_rows`, with :func:`Rational` over Q;
-over F_p a pivot row is scaled by the inverse of its lead mod p.
+on how they are found.  Its only division is by each pivot row's lead when
+the rows are read (:func:`_rref_rows`, :func:`_kernel_rows`), with
+:func:`Rational` over Q; over F_p a pivot row is scaled by its lead's inverse.
 
 :meth:`Matrix.__mul__` is the one product kernel: a set of vectors is
 mapped by a single product with the matrix whose columns they are
@@ -33,7 +33,8 @@ and membership walk only non-zero entries.  :func:`kernel_subspace` and
 :meth:`Subspace.from_vectors` eliminate at once, which fixes the pivots
 and the dimension, and build the reduced rows only when they are first
 read, so a caller that needs only a rank, a dimension or free columns
-pays for the elimination alone.
+pays for the elimination alone.  A kernel's rows are written in one pass
+from the elimination's integer rows, in the caller's coordinates.
 """
 
 from __future__ import annotations
@@ -184,6 +185,8 @@ class Field:
         ±4300, a zero denominator, and over F_p a denominator divisible by p.
         """
         p = self.characteristic
+        if type(x) is int:
+            return Fp(x, p) if p else x
         if isinstance(x, float):
             raise BadParams(f"cannot coerce the float {x!r} into {self}: scalars are exact")
         if isinstance(x, str):
@@ -405,11 +408,13 @@ def _sparse(row: Sequence | dict, p: int) -> dict:
 
     A row is a dense sequence or a dict {column: scalar} (a row of
     :class:`SparseRows`), which may hold explicit zeros; a dict is read
-    item by item, never laid out densely.  Over Q a row holding any non-int
-    (a ``Fraction`` with denominator 1 included) is multiplied by the lcm
-    of its denominators.
+    item by item, never laid out densely, and an empty one is returned as
+    it is.  Over Q a row holding any non-int (a ``Fraction`` with
+    denominator 1 included) is multiplied by the lcm of its denominators.
     """
     if type(row) is dict:
+        if not row:
+            return row
         if p:
             return {j: v for j, x in row.items() if (v := x.v)}
         nz = {j: x for j, x in row.items() if x}
@@ -508,11 +513,6 @@ def _rref_rows(field: Field, piv: dict[int, dict]) -> tuple[list, list[dict]]:
     return pivots, out
 
 
-def _as_pairs(rows: dict[int, dict]) -> dict[int, tuple[tuple, tuple]]:
-    """Each row {index: value} as its (indices, values), the form :class:`Subspace` keeps."""
-    return {p: (tuple(row), tuple(row.values())) for p, row in rows.items()}
-
-
 def _dense(row: dict, n: int, zero) -> list:
     out = [zero] * n
     for j, x in row.items():
@@ -539,7 +539,8 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     return list(kernel_subspace(m).basis)
 
 
-def kernel_subspace(m: Matrix | SparseRows) -> "Subspace":
+def kernel_subspace(m: Matrix | SparseRows, *, at: Optional[Sequence[int]] = None,
+                    ambient: Optional[int] = None) -> "Subspace":
     """The right null space as a :class:`Subspace` without re-reduction.
 
     ``m`` is eliminated at once (:func:`_echelon`): its free columns are
@@ -547,29 +548,38 @@ def kernel_subspace(m: Matrix | SparseRows) -> "Subspace":
     carries the entry 1 at "its" free column and 0 at every other free
     column, so the vectors already form a valid pseudo-reduced basis with
     the free columns as pivots, and the coordinates of a kernel vector are
-    its entries at the free columns.  The vector of free column f holds -x
-    at pivot column c for each entry x at f of c's reduced row, so the
-    reduced rows (:func:`_rref_rows`) give the non-zeros of every vector.
-    They are built on the first read of :meth:`Subspace.sparse_rows` or
-    :attr:`Subspace.basis` (:func:`_kernel_rows`), so a caller that reads
-    only the dimension or the pivots pays for the elimination alone.
+    its entries at the free columns.  With ``at``, increasing, column c of
+    ``m`` is coordinate ``at[c]`` of k^ambient, so the pivots are the
+    ``at[f]``.  The rows are built on the first read of
+    :meth:`Subspace.sparse_rows` or :attr:`Subspace.basis`
+    (:func:`_kernel_rows`), so a caller that reads only the dimension or
+    the pivots pays for the elimination alone.
     """
     field = m.field
     piv = _echelon(field, m.data, m.cols)
     free = [c for c in range(m.cols) if c not in piv]
-    return Subspace.from_sparse_rows(field, m.cols, free, lambda: _kernel_rows(field, piv, free))
+    if at is None:
+        at, ambient = range(m.cols), m.cols
+    return Subspace.from_sparse_rows(field, ambient, [at[f] for f in free],
+                                     lambda: _kernel_rows(field, piv, free, at))
 
 
-def _kernel_rows(field: Field, piv: dict[int, dict], free: list[int]) -> dict:
-    """The kernel vector of each free column, from the echelon ``piv``, as (indices, values)."""
-    pivots, rows = _rref_rows(field, piv)
-    one = field.one()
-    vecs = {fc: {fc: one} for fc in free}
-    for pc, row in zip(pivots, rows):
+def _kernel_rows(field: Field, piv: dict[int, dict], free: list[int], at: Sequence[int]) -> dict:
+    """The kernel vector of each free column f, as (indices, values) with column c at ``at[c]``.
+
+    It is written in one pass over ``piv``'s integer rows: 1 at f, then
+    -x/lead at each pivot column c whose row holds x at f, c increasing.
+    """
+    p, one = field.characteristic, field.one()
+    idx = {f: [at[f]] for f in free}
+    vals = {f: [one] for f in free}
+    for c, row in sorted(piv.items()):
+        q, lead = at[c], row[c]
         for j, x in row.items():
-            if j != pc:
-                vecs[j][pc] = -x
-    return _as_pairs(vecs)
+            if j != c:
+                idx[j].append(q)
+                vals[j].append(Fp(-x, p) if p else -x if lead == 1 else -Rational(x, lead))
+    return {at[f]: (tuple(idx[f]), tuple(vals[f])) for f in free}
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
@@ -678,8 +688,8 @@ class Subspace:
             return v
 
         piv = _echelon(field, map(checked, vectors), ambient)
-        return Subspace.from_sparse_rows(field, ambient, sorted(piv),
-                                         lambda: _as_pairs(dict(zip(*_rref_rows(field, piv)))))
+        return Subspace.from_sparse_rows(field, ambient, sorted(piv), lambda: {
+            c: (tuple(row), tuple(row.values())) for c, row in zip(*_rref_rows(field, piv))})
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":

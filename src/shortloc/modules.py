@@ -80,6 +80,7 @@ class AModule:
     free_rank: Optional[int] = None
     _radical: Optional[Subspace] = None
     _socle: Optional[Subspace] = None
+    _socle_dim: Optional[int] = None
     _action_rows: Optional[tuple] = None
     _action_columns: Optional[list] = None
     _loewy: Optional[int] = None
@@ -185,8 +186,14 @@ class AModule:
         return self._socle
 
     def socle_dim(self) -> int:
-        """dim soc M: dim M less the rank of the stacked actions, with no kernel built."""
-        return self.dim - rank(self._stacked_actions())
+        """dim soc M: dim M less the rank of the stacked actions, with no kernel built.
+
+        It is kept, as the radical and the Loewy length are, so the rank is
+        taken once per module however many predicates read it.
+        """
+        if self._socle_dim is None:
+            self._socle_dim = self.dim - rank(self._stacked_actions())
+        return self._socle_dim
 
     def _stacked_actions(self) -> SparseRows:
         """The generator actions stacked, as sparse rows read off :meth:`action_columns`."""
@@ -811,7 +818,9 @@ _ISO_TRIES = 64
 
 
 def _invertible(mat: Matrix) -> bool:
-    return mat.rows == mat.cols and rank(mat) == mat.rows
+    """True iff ``mat`` is square of full rank; a zero matrix, unless 0 x 0, is not eliminated."""
+    return mat.rows == mat.cols and (not mat.rows or any(map(any, mat.data))
+                                     and rank(mat) == mat.rows)
 
 
 def _tops(homs: HomSpace) -> Iterator[Matrix]:

@@ -8,13 +8,18 @@ matrix, built from the dense basis images of the top lifts, eliminated at
 once.  Over Q, F_7 and F_32003 the kernels must agree in basis, pivots,
 sparse rows and scalar types, and the cover map in every column.  The
 radical, read off the sparse action columns, must equal the span of the
-dense action columns.
+dense action columns.  ``phi_kernel`` is checked against the construction
+it replaced: ker Φ over the formed images only, re-keyed into A^t, with
+the unit vectors of the unformed w-images added.
 """
+
+from collections import defaultdict
 
 import pytest
 
-from shortloc.homology import projective_cover, syzygy_power
-from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
+from shortloc import homology
+from shortloc.homology import betti, projective_cover, syzygy_power
+from shortloc.linalg import QQ, Field, Matrix, SparseRows, Subspace, kernel_subspace
 from shortloc.modules import (free_module, mod_j_squared, random_module, semisimple_module,
                               simple_module)
 from shortloc.presets import preset
@@ -60,3 +65,51 @@ def test_the_cover_route_matches_the_dense_whole_cover(field):
         syzygies += M._square_zero
     assert loewy.count(3) >= 40 and loewy.count(2) >= 100 and loewy.count(1) >= 30
     assert syzygies >= 14 and len(loewy) >= 200
+
+
+def reference_phi_kernel(alg, images):
+    """ker Φ with a column per formed image only, re-keyed into A^t, then the unit
+    vectors at the w-images not formed, merged in pivot order."""
+    n, one = alg.dim, alg.field.one()
+    at = [k * n + 1 + u for k, imgs in enumerate(images) for u in range(len(imgs))]
+    phi_rows = defaultdict(dict)
+    for c, img in enumerate([img for imgs in images for img in imgs]):
+        for q, y in img.items():
+            phi_rows[q][c] = y
+    phi = kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), len(at)))
+    unread = [q for k, imgs in enumerate(images) for q in range(k * n + 1 + len(imgs), (k + 1) * n)]
+    pivots = sorted([at[c] for c in phi.pivots] + unread)
+    vrows = {at[c]: (tuple(at[i] for i in idx), vals)
+             for c, (idx, vals) in phi.sparse_rows().items()}
+    rows = {q: vrows[q] if q in vrows else ((q,), (one,)) for q in pivots}
+    return Subspace.from_sparse_rows(alg.field, n * len(images), pivots, lambda: rows)
+
+
+def typed_rows(space):
+    """A subspace's sparse rows, with the type of every scalar."""
+    return [(p, idx, scalars(vals)) for p, (idx, vals) in space.sparse_rows().items()]
+
+
+@FIELDS
+def test_phi_kernel_matches_the_rekeyed_kernel_with_unit_w_rows(field, monkeypatch):
+    calls = []
+    original = homology.phi_kernel
+    monkeypatch.setattr(homology, "phi_kernel",
+                        lambda alg, images: calls.append((alg, images, original(alg, images)))
+                        or calls[-1][2])
+    for M in _inputs(field):
+        projective_cover(M)
+    # Ladders of six rungs; the dense basis is compared up to ambient dimension 400.
+    ladders = [betti(simple_module(preset(name, field=field, **kw)), 5).values
+               for name, kw in ALGEBRAS]
+    unformed = formed = 0
+    for alg, images, got in calls:
+        want = reference_phi_kernel(alg, images)
+        assert (got.ambient, got.pivots) == (want.ambient, want.pivots)
+        assert typed_rows(got) == typed_rows(want)
+        if got.ambient <= 400:
+            assert typed(got) == typed(want)
+        unformed += any(len(imgs) < alg.dim - 1 for imgs in images)
+        formed += any(len(imgs) == alg.dim - 1 > alg.e for imgs in images)
+    assert max(t for values in ladders for t in values) >= 100
+    assert unformed >= 100 and formed >= 40

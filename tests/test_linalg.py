@@ -167,6 +167,24 @@ def test_non_numeric_literals_are_refused(field, literal):
         field.of(f" {literal} ")
 
 
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_an_int_is_coerced_at_once_and_anything_else_through_the_gate(field):
+    p = field.characteristic
+    for x in (0, 1, -1, 7, -15, 32003, 2**70):
+        got = field.of(x)
+        assert (type(got), got) == ((Fp, Fp(x, p)) if p else (int, x))
+    # A bool is read as the int it equals, never kept as a bool.
+    for b in (False, True):
+        got = field.of(b)
+        assert (type(got), got) == ((Fp, Fp(int(b), p)) if p else (int, int(b)))
+    refused = [0.0, 3.0, "1/0", "x", Fp(1, 5)]
+    if p:
+        refused += [Fraction(1, p), object()]
+    for x in refused:
+        with pytest.raises(BadParams):
+            field.of(x)
+
+
 def test_prime_field_requires_prime():
     with pytest.raises(BadParams):
         Field.prime(6)
@@ -591,9 +609,9 @@ def kernel_rows_built(monkeypatch):
     """The ambient dimension of each kernel whose rows are built."""
     built = []
 
-    def counted(field, piv, free, _original=linalg._kernel_rows):
+    def counted(field, piv, free, at, _original=linalg._kernel_rows):
         built.append(len(piv) + len(free))
-        return _original(field, piv, free)
+        return _original(field, piv, free, at)
     monkeypatch.setattr(linalg, "_kernel_rows", counted)
     return built
 
@@ -622,16 +640,49 @@ def test_lazy_kernel_rows_equal_the_eager_construction(field, kernel_rows_built)
     assert {kernel_subspace(m).dim for m in special} == {2, 3, 0}
 
 
+@ELIM_FIELDS
+def test_a_kernel_placed_by_at_is_the_kernel_rekeyed(field, kernel_rows_built):
+    """kernel_subspace(m, at=, ambient=) against the eager kernel with its columns read through at."""
+    zero, one = field.zero(), field.one()
+    special = [Matrix(field, [[zero, one, zero, zero, field.of(2)], [zero] * 5,
+                              [zero, field.of(3), zero, one, zero]]), Matrix.zeros(field, 2, 3)]
+    inputs = [(m, m) for m in elimination_inputs(field) + special]
+    inputs += [(m, SparseRows(field, as_dict_rows(m, seed), m.cols))
+               for seed, m in enumerate(elimination_inputs(field) + special)]
+    rng = random.Random(19)
+    for m, given_as in inputs:
+        ambient = m.cols + rng.randrange(5)
+        at = sorted(rng.sample(range(ambient), m.cols))
+        _, free, rows = eager_kernel(m)
+        want = {at[f]: (tuple(at[j] for j in idx), vals) for f, (idx, vals) in rows.items()}
+        dense = []
+        for idx, vals in want.values():
+            v = [zero] * ambient
+            for j, x in zip(idx, vals):
+                v[j] = x
+            dense.append(tuple(v))
+        kernel_rows_built.clear()
+        sp = kernel_subspace(given_as, at=at, ambient=ambient)
+        assert sp.ambient == ambient and sp.pivots == tuple(at[f] for f in free)
+        assert kernel_rows_built == []
+        assert typed(sp.basis, sp.pivots, sp.sparse_rows()) == typed(dense, sp.pivots, want)
+        assert kernel_rows_built == [m.cols]
+    # Some inputs have a zero column, some an empty row.
+    assert any(not any(m.col(c)) and not m.is_zero() for m, _ in inputs for c in range(m.cols))
+    assert any(type(rows) is SparseRows and {} in rows.data for _, rows in inputs)
+
+
 def test_a_betti_ladder_builds_no_kernel_rows_for_its_last_rung(kernel_rows_built, monkeypatch):
     eliminated = []
 
-    def counted(m, _original=homology.kernel_subspace):
+    def counted(m, _original=homology.kernel_subspace, **embedding):
         eliminated.append(m.cols)
-        return _original(m)
+        return _original(m, **embedding)
     monkeypatch.setattr(homology, "kernel_subspace", counted)
     alg = preset("ex15_1", e=3, a=2)
     values = homology.betti(simple_module(alg), 6).values
     assert values == (1, 3, 7, 15, 31, 63, 127)
-    # Φ of rung i has e·t_i columns; rungs 0-5 are covers, rung 6 only a top.
-    assert eliminated == [alg.e * t for t in values]
-    assert kernel_rows_built == [alg.e * t for t in values[:-1]]
+    # Φ of rung i has a column per radical coordinate of A^t_i, (dim A - 1)·t_i,
+    # the a·t_i W-columns empty; rungs 0-5 are covers, rung 6 only a top.
+    assert eliminated == [(alg.dim - 1) * t for t in values]
+    assert kernel_rows_built == [(alg.dim - 1) * t for t in values[:-1]]

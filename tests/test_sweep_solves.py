@@ -348,3 +348,30 @@ def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_cal
         assert len(hom_space_calls) == 1
         one_solve += any(h.matrix == iso.witness.matrix for h in hom_basis(M, N))
     assert one_solve >= 20
+
+
+def test_a_socle_is_ranked_once_and_a_zero_top_never(monkeypatch):
+    ranked, tested = [], []
+    rank_of, invertible = modules.rank, modules._invertible
+    monkeypatch.setattr(modules, "rank", lambda m: ranked.append(m) or rank_of(m))
+    monkeypatch.setattr(modules, "_invertible", lambda top: tested.append(top) or invertible(top))
+    for M in sweep_modules(QQ, per_stratum=1, seed=9):
+        omega = syzygy(M)
+        ranked.clear()
+        w, bipartite = modules.simple_multiplicity(omega), is_bipartite(omega)
+        stacked = [m for m in ranked if (m.rows, m.cols) == (M.algebra.e * omega.dim, omega.dim)]
+        assert len(stacked) == 1
+        radical_dim = omega.dim - omega.top_dim()
+        assert w == dense_socle(omega).dim - radical_dim
+        assert bipartite == (omega.dim > 0 and w == 0)
+    zero_tops = nonzero_tops = 0
+    for _, M, N in sweep_pairs(QQ):
+        ranked.clear(), tested.clear()
+        find_isomorphism(fresh(M), fresh(N), seed=3)
+        square = [top for top in tested if top.rows == top.cols]
+        nonzero = [top for top in square if not top.is_zero()]
+        assert [m for m in ranked if any(m is top for top in tested)] == nonzero
+        zero_tops += len(square) - len(nonzero)
+        nonzero_tops += len(nonzero)
+    assert zero_tops >= 500 and nonzero_tops >= 100
+    assert modules._invertible(Matrix.zeros(QQ, 0, 0))
