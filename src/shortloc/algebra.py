@@ -13,6 +13,7 @@ since products involving J^2 vanish.  The Hilbert type of A is the pair
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional, Sequence
 
 from ._record import record
@@ -51,6 +52,7 @@ class ShortAlgebra:
         self._sections = None
         self._regular = None
         self._regular_rows = None
+        self._structure_table = None
         self._regular_columns = None
         self._opposite = None
 
@@ -194,6 +196,25 @@ class ShortAlgebra:
                 rows[j][e + m].append((i, c))
             self._regular_rows = tuple(tuple(map(tuple, b)) for b in rows)
         return self._regular_rows
+
+    def structure_table(self) -> tuple[tuple, int]:
+        """The structure constants in integer form, per coordinate of A, and their scale T.
+
+        Entry i lists (j - 1, e + m, T·c_{jim}) for the non-zero c_{jim}, so
+        v_j v_i = sum_m c_{jim} w_m is read off the V-coordinate i; the
+        other coordinates list nothing.  Over Q the T·c are ints and T is
+        the lcm of the constants' denominators; over F_p they are residues
+        and T is 1.  Built once.
+        """
+        if self._structure_table is None:
+            e, p = self.e, self.field.characteristic
+            consts = list(self.structure.values())
+            scale = 1 if p else math.lcm(*[int(c.denominator) for c in consts])
+            table = [[] for _ in range(self.dim)]
+            for (j, i, m), c in self.structure.items():
+                table[i].append((j - 1, e + m, c.v if p else int(c * scale)))
+            self._structure_table = (tuple(map(tuple, table)), scale)
+        return self._structure_table
 
     def is_commutative(self) -> bool:
         for (i, j, m), c in self.structure.items():

@@ -17,27 +17,34 @@ target's cover as (block ⊗ 1) on their flattenings, with no product.
 A minimal cover A^t -> N has its kernel in JA^t: ker(Φ: JA^t -> JN), Φ
 sending copy k's radical basis to its images at the top lift m_k
 (:func:`phi_kernel`); when J^2 N = 0 its W-columns are empty, so W⊗k^t
-lies in the kernel.  A
-syzygy is a :class:`Syzygy`, held by its shadow: the reduced basis of the
-cover's kernel as sparse rows in A^t.  Minimality puts it in JA^t, so J^2
-kills it, and v_j acts on a basis row x through the structure constants,
-ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)} (:func:`generator_images`), once
-per syzygy and only for the rows with a V-coordinate, since J^2 A^t maps
-to 0.  At the top lifts these images are the columns of its Φ
-(:meth:`Syzygy.cover`), so from step 1 on a resolution step is one kernel
-of the big Φ.  Φ is eliminated once per step: its rank settles the
-syzygy's top and its free columns are the kernel's pivots, while the
-kernel's rows are built, already in A^t, only when the next step reads
-them, so the last step of ``betti(M, n)`` builds none.  When the V-rows do
-not lift the whole top, only the images at Φ's pivot columns and those of
-the J^2-rows are eliminated again.  Checked against the shadow and read at
-its pivots, the images are the columns of its actions
+lies in the kernel.  Φ goes to the elimination in the elimination's own
+integer form (:class:`~shortloc.linalg.IntRows`), each lift's scale riding
+on its columns, and the kernel keeps the elimination's integer pivot rows
+as its primary form: its integer rows, then its typed rows, are built from
+them only when read.  A syzygy is a :class:`Syzygy`, held by its shadow:
+that kernel, the reduced basis of the cover's kernel in A^t.  Minimality
+puts it in JA^t, so J^2 kills it, and v_j acts on a basis row x through the
+structure constants, ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)}, read off the
+algebra's integer table (:meth:`ShortAlgebra.structure_table`).  At the
+top lifts these images are the columns of its Φ (:meth:`Syzygy.cover`),
+and while the shadow's pivot rows lead with 1 each of their entries goes
+through the table straight into Φ's rows (:func:`shadow_rows`), with no
+kernel row and no image built; otherwise the integer images of the shadow
+rows are formed once (:func:`integer_images`) and Φ is read off them
+(:func:`image_rows`).  So from step 1 on a resolution step is one
+elimination of the big Φ with no typed scalar: its rank settles the
+syzygy's top, its free columns are the kernel's pivots, and its pivot rows
+feed the next step.  When the V-rows do not lift the whole top, only the
+integer images at Φ's pivot columns and those of the J^2-rows are
+eliminated again.  Converted to scalars, checked against the shadow and
+read at its pivots, the images are the columns of its actions
 (:meth:`Syzygy.action_columns`), which its radical, socle and Hom systems
 read.  Any other module, of any Loewy length, reads Φ off its action
 columns at the free columns of its radical (:meth:`AModule.top_images`),
-so no whole cover matrix is eliminated.  Every module keeps its cover
-kernel (:attr:`AModule.cover_kernel`, for a syzygy :meth:`Syzygy.cover`'s),
-so its cover, its syzygy and the Hom dimensions from it
+converted to integers once (:func:`top_kernel`), so no whole cover matrix
+is eliminated.  Every module keeps its cover kernel
+(:attr:`AModule.cover_kernel`, for a syzygy :meth:`Syzygy.cover`'s), so
+its cover, its syzygy and the Hom dimensions from it
 (:func:`~shortloc.modules.hom_dim`) share one :func:`phi_kernel` call; a
 syzygy's top lifts, which its Hom systems read, come off the same cover,
 with no radical eliminated.  A syzygy's action matrices, a cover's matrix
@@ -48,14 +55,14 @@ embedding are built only when a caller reads them.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 from itertools import count, islice
 from typing import Iterator, Optional, Sequence
 
-from ._record import record
+from ._record import cached_property, record
 from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
-from .linalg import Matrix, SparseRows, Subspace, kernel_basis, kernel_subspace, rank
+from .linalg import (IntRows, Matrix, SparseRows, Subspace, integer_vectors, kernel_basis,
+                     kernel_subspace, rank, typed_vectors)
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_basis, hom_space,
                       left_regular_module, module_from_columns, module_from_subspace,
                       pivot_columns, quotient, relation_equations, vector_images, zero_module)
@@ -68,36 +75,112 @@ DEFAULT_CAP = 5000
 DEFAULT_BOUND = 10
 
 
-def generator_images(alg: ShortAlgebra, rows: Sequence[tuple]) -> list[list[dict]]:
-    """v_1·x .. v_e·x for each x in JA^t, given as its non-zeros (indices, values).
+def integer_images(alg: ShortAlgebra, rows: Sequence[tuple]) -> list[tuple[list[dict], int]]:
+    """(v_1·x .. v_e·x, scale) for each x in JA^t, given in integer form (indices, values, scale).
 
     v_j (v_i e_k) = sum_m c_{jim} w_m e_k and J^2 x is zero, so the image is
-    read off the V-coordinates of x through the structure constants; each
-    image is a dict {J^2-coordinate of A^t: scalar}.
+    read off the V-coordinates of x through the algebra's integer structure
+    constants (:meth:`ShortAlgebra.structure_table`).  Each image is a dict
+    {J^2-coordinate of A^t: int}, its values sums of products as they
+    stand: a sum may be 0, and over F_p it is not reduced.  The images of x
+    are these dicts over the scale of x times the table's.
     """
-    e, n = alg.e, alg.dim
-    products: list[list[tuple]] = [[] for _ in range(n)]
-    for (j, i, m), c in alg.structure.items():
-        products[i].append((j - 1, e + m, c))
+    (table, T), n, e = alg.structure_table(), alg.dim, alg.e
     out = []
-    for idx, vals in rows:
+    for idx, vals, scale in rows:
         images: list[dict] = [{} for _ in range(e)]
         for col, x in zip(idx, vals):
             i = col % n
-            for j, w, c in products[i]:
+            for j, w, c in table[i]:
                 img, q = images[j], col - i + w
                 img[q] = img[q] + c * x if q in img else c * x
-        out.append(images)
+        out.append((images, scale * T))
     return out
 
 
-def phi_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
-    """The kernel of the cover A^t -> N: ker Φ, the cover restricted to JA^t.
+def image_rows(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> dict:
+    """Φ's rows, {row: {column: int}}, from the integer images at the top lifts.
 
     ``images[k]`` is v_1 m_k .. v_e m_k, then w_1 m_k .. w_a m_k, for the
-    k-th top lift m_k, as dicts in any coordinates of JN; a list that stops
-    after the e generators says the w_m m_k are zero.  Φ sends radical
-    coordinate k·dim A + 1 + u of A^t to ``images[k][u]``; a w-image not
+    k-th top lift m_k, as integer dicts in any coordinates of JN
+    (:func:`integer_images`, :func:`~shortloc.linalg.integer_vectors`); a
+    list that stops after the e generators says the w_m m_k are zero.
+    Column k·(dim A - 1) + u of Φ is ``images[k][u]``.
+    """
+    n = alg.dim
+    rows: dict = defaultdict(dict)
+    for k, imgs in enumerate(images):
+        for c, img in enumerate(imgs, k * (n - 1)):
+            for q, y in img.items():
+                rows[q][c] = y
+    return rows
+
+
+def top_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
+    """ker Φ from the images at the top lifts as dicts {index: scalar} (:meth:`AModule.top_images`).
+
+    They are converted to integers once, over one scale for all of them
+    (:func:`~shortloc.linalg.integer_vectors`), which scales Φ as a whole
+    and leaves its kernel as it is.
+    """
+    flat, _ = integer_vectors(alg.field, [img for imgs in images for img in imgs])
+    ints, start = [], 0
+    for imgs in images:
+        ints.append(flat[start:start + len(imgs)])
+        start += len(imgs)
+    return phi_kernel(alg, image_rows(alg, ints), [1] * len(images))
+
+
+def shadow_rows(alg: ShortAlgebra, form: tuple, lifts: Sequence[int]) -> tuple[dict, list[int]]:
+    """Φ's rows for top lifts of a syzygy, read off its shadow's pivot rows, and their scales.
+
+    ``form`` is the shadow's (at, free, piv) (:meth:`Subspace.unit_pivot_rows`):
+    the shadow row at pivot ``at[f]`` is 1 there and -y at ``at[c]`` for
+    each entry y at f of the pivot row ``piv[c]``.  ``lifts`` are pivots
+    of the shadow, in increasing order.  Column k·(dim A - 1) + j of Φ is
+    ψ_{j+1}(x) for the row x at ``lifts[k]``, the structure constants at
+    x's V-coordinates summed (:meth:`ShortAlgebra.structure_table`), so
+    each entry of a pivot row goes through the table straight into Φ's
+    rows, with no kernel row and no image built.  The table's scale
+    multiplies all of Φ, which leaves its kernel as it is, so every lift's
+    scale is 1.
+    """
+    (table, _), n = alg.structure_table(), alg.dim
+    at, free, piv = form
+    chosen, first = set(lifts), {}
+    for f in free:
+        if at[f] in chosen:
+            first[f] = len(first) * (n - 1)
+    rows: dict = defaultdict(dict)
+    for c, pivot_row in piv.items():
+        q = at[c]
+        i = q % n
+        if table[i]:
+            for f, y in pivot_row.items():
+                k = first.get(f)
+                if k is not None:
+                    for j, w, const in table[i]:
+                        row, cc = rows[q - i + w], k + j
+                        row[cc] = row.get(cc, 0) - const * y
+    for f, k in first.items():
+        q = at[f]
+        i = q % n
+        for j, w, const in table[i]:
+            row, cc = rows[q - i + w], k + j
+            row[cc] = row.get(cc, 0) + const
+    return rows, [1] * len(first)
+
+
+def phi_kernel(alg: ShortAlgebra, rows: dict, scales: Sequence[int]) -> Subspace:
+    """The kernel of the cover A^t -> N: ker Φ, the cover restricted to JA^t.
+
+    Φ is given by its integer rows, {row: {column: int}}, and the scale of
+    each of the t top lifts (:func:`image_rows`, :func:`shadow_rows`,
+    :func:`top_kernel`):
+    column k·(dim A - 1) + u, the image of radical coordinate
+    k·dim A + 1 + u of A^t, is ``scales[k]`` times the column meant.  The
+    scales ride on Φ's columns (:class:`~shortloc.linalg.IntRows`) and are
+    folded back only when the kernel's rows are built.  A w-image not
     formed is an empty column, free with its unit vector as kernel vector.
     This is the whole cover's kernel: a reduced basis depends only on the
     subspace and the column order, and the columns of the m_k are
@@ -105,15 +188,13 @@ def phi_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
     embedded in A^t as they are built (:func:`kernel_subspace` with
     ``at``), on first read.
     """
-    n = alg.dim
-    phi_rows: dict = defaultdict(dict)
-    for k, imgs in enumerate(images):
-        for c, img in enumerate(imgs, k * (n - 1)):
-            for q, y in img.items():
-                phi_rows[q][c] = y
-    at = [k * n + u for k in range(len(images)) for u in range(1, n)]
-    return kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), len(at)),
-                           at=at, ambient=n * len(images))
+    n, t = alg.dim, len(scales)
+    at = [k * n + u for k in range(t) for u in range(1, n)]
+    column_scales = None
+    if scales.count(1) != t:
+        column_scales = [scale for scale in scales for _ in range(1, n)]
+    return kernel_subspace(IntRows(alg.field, list(rows.values()), len(at), column_scales),
+                           at=at, ambient=n * t)
 
 
 class Syzygy(AModule):
@@ -121,14 +202,15 @@ class Syzygy(AModule):
 
     ``space`` is the shadow: the kernel's reduced basis as sparse rows in
     the coordinates of A^t, which fix the module's basis.  J^2 kills the
-    kernel (minimality), so the images ψ_j(x) of its basis rows, formed
-    once, give its top and its own cover, one kernel of the big Φ
-    (:meth:`cover`), and the columns of its actions (:meth:`action_columns`),
-    which its radical, socle and Hom systems read.  The cover keeps the
-    top lifts with Φ's kernel, eliminated once: the top is read off it
-    with no kernel row built, and the rows are built, in A^t, when first
-    read.  Its action matrices are built by :func:`module_from_subspace`
-    only when a caller reads them.
+    kernel (minimality), so the images ψ_j(x) of its basis rows give its
+    top and its own cover, one kernel of the big Φ (:meth:`cover`), and
+    the columns of its actions (:meth:`action_columns`), which its
+    radical, socle and Hom systems read.  The cover keeps the top lifts
+    with Φ's kernel, eliminated once: the top is read off it with no
+    kernel row built, and the rows are built, in A^t, when first read.  A
+    ladder reads only integer rows (:func:`shadow_rows`,
+    :func:`integer_images`): typed rows and images are built when a caller
+    reads them, and the action matrices by :func:`module_from_subspace`.
     """
 
     _square_zero = True
@@ -145,28 +227,37 @@ class Syzygy(AModule):
         return module_from_subspace(P, self.space)[0].actions
 
     @cached_property
-    def _shadow_images(self) -> dict[int, list[dict]]:
-        """Pivot p -> the images ψ_j(x) of the shadow row x at p (:func:`generator_images`).
+    def _shadow_images(self) -> dict[int, tuple[list[dict], int]]:
+        """Pivot p -> the integer images of the shadow row at p, over a scale (:func:`integer_images`).
 
         Only rows with a V-coordinate are mapped: J^2 kills J^2 A^t, so the
         images of the other rows, such as the unit vectors of W⊗k^t, are
         empty and have no entry.  A row with its pivot at a V-coordinate is
         mapped at once; a unit vector at a J^2-coordinate is skipped unread.
         """
-        rows, n, e = self.space.sparse_rows(), self.algebra.dim, self.algebra.e
+        rows, n, e = self.space.int_rows(), self.algebra.dim, self.algebra.e
         mapped = [p for p in self.space.pivots if p % n <= e or len(rows[p][0]) > 1
                   and any(0 < q % n <= e for q in rows[p][0])]
-        return dict(zip(mapped, generator_images(self.algebra, [rows[p] for p in mapped])))
+        return dict(zip(mapped, integer_images(self.algebra, [rows[p] for p in mapped])))
 
-    def _images(self, pivots: Sequence[int]) -> list[list[dict]]:
-        """The images ψ_j(x) of the shadow rows at ``pivots``, empty for a row with no entry."""
-        images, empty = self._shadow_images, [{} for _ in range(self.algebra.e)]
+    def _images(self, pivots: Sequence[int]) -> list[tuple[list[dict], int]]:
+        """The integer images of the shadow rows at ``pivots``, empty for a row with no entry."""
+        images, empty = self._shadow_images, ([{} for _ in range(self.algebra.e)], 1)
         return [images.get(p, empty) for p in pivots]
+
+    def images(self, pivots: Sequence[int]) -> list[list[dict]]:
+        """ψ_1(x) .. ψ_e(x) for the shadow rows x at ``pivots``, as dicts {index: scalar}.
+
+        They are converted from the integer images on each read
+        (:func:`~shortloc.linalg.typed_vectors`); a row with no V-coordinate
+        has empty images.
+        """
+        return [typed_vectors(self.field, imgs, scale) for imgs, scale in self._images(pivots)]
 
     def action_columns(self) -> list[list[list[tuple]]]:
         """The columns of the actions, read off the shadow; no action matrix is built.
 
-        v_j sends the basis row x to ψ_j(x) (:func:`generator_images`), and
+        v_j sends the basis row x to ψ_j(x) (:meth:`images`), and
         :func:`pivot_columns` checks each image against the shadow and
         reads its coordinates at the pivots, as for any submodule; so the
         radical, the socle and the Hom systems of a syzygy read the same
@@ -176,7 +267,7 @@ class Syzygy(AModule):
             n = self.algebra.dim
             if any(q % n == 0 for idx, _ in self.space.sparse_rows().values() for q in idx):
                 raise BadParams("shadow escapes the radical of its free module")
-            self._action_columns = pivot_columns(self.space, self._images(self.space.pivots),
+            self._action_columns = pivot_columns(self.space, self.images(self.space.pivots),
                                                  self.algebra.e)
         return self._action_columns
 
@@ -205,32 +296,43 @@ class Syzygy(AModule):
         images' span.  When that rank is the number of rows at
         J^2-coordinates, those rows span JΩ and the V-rows are all the top
         lifts.  Otherwise JΩ is spanned by the images at Φ's pivot columns
-        and those of the J^2-rows, read off :meth:`action_columns` (which
-        checks each image against the shadow); the free columns of their
-        elimination over the J^2-rows are the J^2-rows that lift the top,
-        and Φ is taken again over all the lifts.  The kernel is
-        :func:`phi_kernel`'s: its rows are built when first read, so the
-        top alone costs one elimination of Φ.
+        and those of the J^2-rows, whose coordinates are their entries at
+        the J^2-rows' pivots; the free columns of their elimination, integer
+        images as they stand, are the J^2-rows that lift the top, and Φ is
+        taken again over all the lifts.  The kernel is :func:`phi_kernel`'s:
+        its rows are built when first read, so the top alone costs one
+        elimination of Φ.
         """
         alg, space = self.algebra, self.space
         e, n = alg.e, alg.dim
         lifts = [p for p in space.pivots if p % n <= e]
-        kernel = phi_kernel(alg, self._images(lifts))
-        outer = [r for r, p in enumerate(space.pivots) if p % n > e]
+        kernel = phi_kernel(alg, *self._phi_rows(lifts))
+        outer = [p for p in space.pivots if p % n > e]
         # kernel.dim is (e·t - rank Φ) + a·t for the t V-rows.
         if (e + alg.a) * len(lifts) - kernel.dim < len(outer):
-            columns = self.action_columns()
-            free, at = set(kernel.pivots), {r: c for c, r in enumerate(outer)}
-            row = {p: r for r, p in enumerate(space.pivots)}
-            span = [cols[row[p]] for k, p in enumerate(lifts)
-                    for j, cols in enumerate(columns) if k * n + 1 + j not in free]
-            span += [cols[r] for r in outer for cols in columns]
-            radical = SparseRows(alg.field, [{at[s]: y for s, y in col} for col in span],
-                                 len(outer))
-            lifts = sorted(lifts + [space.pivots[outer[c]]
-                                    for c in kernel_subspace(radical).pivots])
-            kernel = phi_kernel(alg, self._images(lifts))
+            free, at = set(kernel.pivots), {p: c for c, p in enumerate(outer)}
+            span = [img for k, (imgs, _) in enumerate(self._images(lifts))
+                    for j, img in enumerate(imgs) if k * n + 1 + j not in free]
+            span += [img for imgs, _ in self._images(outer) for img in imgs]
+            radical = IntRows(alg.field, [{at[q]: y for q, y in img.items() if q in at}
+                                          for img in span], len(outer))
+            lifts = sorted(lifts + [outer[c] for c in kernel_subspace(radical).pivots])
+            kernel = phi_kernel(alg, *self._phi_rows(lifts))
         return tuple(lifts), kernel
+
+    def _phi_rows(self, lifts: Sequence[int]) -> tuple[dict, list[int]]:
+        """Φ's rows and the lifts' scales at ``lifts``, by the cheaper route open.
+
+        While the shadow's pivot rows all lead with 1 and no image is formed
+        they are read off those rows (:func:`shadow_rows`); otherwise off the
+        integer images, formed once (:func:`image_rows`).
+        """
+        form = self.space.unit_pivot_rows()
+        if form is None or "_shadow_images" in vars(self):
+            images = self._images(lifts)
+            return image_rows(self.algebra, [imgs for imgs, _ in images]), \
+                [scale for _, scale in images]
+        return shadow_rows(self.algebra, form, lifts)
 
 
 @record
@@ -316,14 +418,16 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     :class:`Syzygy` reads it off its shadow (:meth:`Syzygy.cover`); any
     other module maps its radical basis at the top lifts along its action
     columns (:meth:`AModule.top_images`).  Minimality is checked on the
-    kernel's sparse rows: no kernel vector reaches a coordinate of an m_k,
-    so the kernel lies in JP.
+    kernel's integer pivot rows (:meth:`~shortloc.linalg.Subspace.support`):
+    no kernel vector reaches a coordinate of an m_k, so the kernel lies in
+    JP.
     """
     n, t = M.algebra.dim, _cover_rank(M, cap)
     ker = M.cover_kernel
     if t * n - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
-    if any(j % n == 0 for idx, _ in ker.sparse_rows().values() for j in idx):
+    # Every coordinate a kernel row reaches is a radical one of A^t: none is 0 mod dim A.
+    if not all(map(n.__rmod__, ker.support())):
         raise InvariantViolation("cover kernel escapes the radical (not minimal)")
     return Presentation(M, t, ker)
 

@@ -14,7 +14,7 @@ from ._record import record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
-from .homology import DEFAULT_CAP, generator_images, phi_kernel, syzygy
+from .homology import DEFAULT_CAP, Syzygy, syzygy, top_kernel
 from .linalg import Matrix, SparseRows, rank
 from .modules import (AModule, find_isomorphism, hom_dim, module_from_columns, pivot_columns,
                       simple_multiplicity)
@@ -141,7 +141,10 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
     It is one syzygy step of the push-down for a = 1: Phi sends v_i ⊗ u to
     phi_i(u), and the new maps are the generator actions on the V-rows of
     the cover's kernel, which land in J^2 A^{dim V_0} = V_0 through the
-    multiplication form (:func:`phi_kernel`, :func:`generator_images`).  On
+    multiplication form.  The kernel is a syzygy's shadow, so it goes the
+    way of a resolution rung: Phi's columns are converted to integers once
+    (:func:`top_kernel`), and the actions are read off the integer rows
+    (:meth:`Syzygy.images`).  On
     dimension vectors (without simple projective summands) this acts as
     (x, y) -> (e x - y, x).
     """
@@ -157,9 +160,8 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
     field = alg.field
     columns = [[{r: x for r, x in enumerate(phi.col(u)) if x} for phi in rep.maps]
                for u in range(d0)]
-    kernel = phi_kernel(alg, columns)
-    rows = kernel.sparse_rows()
-    images = generator_images(alg, [rows[p] for p in kernel.pivots if p % n <= e])
+    syz = Syzygy(alg, top_kernel(alg, columns))
+    images = syz.images([p for p in syz.space.pivots if p % n <= e])
     zero = field.zero()
     maps = tuple(Matrix.from_columns(field, [[img[j].get(u * n + n - 1, zero) for u in range(d0)]
                                              for img in images], d0) for j in range(e))

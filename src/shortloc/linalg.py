@@ -15,13 +15,15 @@ floating point anywhere in this package.
 and :meth:`Subspace.from_vectors`.  It reduces the rows one at a time as
 sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
 scaled by the lcm of their denominators, over F_p on plain residues; a
-matrix built from sparse data (Φ, the Hom-complex, the Hom equations) is
+matrix built from sparse data (the Hom-complex, the Hom equations) is
 handed over as its rows' non-zeros (:class:`SparseRows`) and never laid
-out densely.  The
-reduced row echelon form is unique, so its rows and pivots do not depend
-on how they are found.  Its only division is by each pivot row's lead when
-the rows are read (:func:`_rref_rows`, :func:`_kernel_rows`), with
-:func:`Rational` over Q; over F_p a pivot row is scaled by its lead's inverse.
+out densely, and one built in integers (Φ) as :class:`IntRows`, read with
+no conversion, its column scales folded back only into the kernel rows.
+The reduced row echelon form is unique, so its rows and pivots do not
+depend on how they are found.  Its only division is by each pivot row's
+lead when the rows are read (:func:`_rref_rows`, :func:`_kernel_rows`),
+with :func:`Rational` over Q; over F_p a pivot row is scaled by its lead's
+inverse.
 
 :meth:`Matrix.__mul__` is the one product kernel: a set of vectors is
 mapped by a single product with the matrix whose columns they are
@@ -33,8 +35,12 @@ and membership walk only non-zero entries.  :func:`kernel_subspace` and
 :meth:`Subspace.from_vectors` eliminate at once, which fixes the pivots
 and the dimension, and build the reduced rows only when they are first
 read, so a caller that needs only a rank, a dimension or free columns
-pays for the elimination alone.  A kernel's rows are written in one pass
-from the elimination's integer rows, in the caller's coordinates.
+pays for the elimination alone.  A kernel is integer first: it keeps the
+elimination's integer pivot rows, which a caller may read as they stand
+(:meth:`Subspace.unit_pivot_rows`, :meth:`Subspace.support`); its integer
+rows, ints over one scale per row in the caller's coordinates
+(:meth:`Subspace.int_rows`), are written from them in one pass, and its
+typed rows from those, each on first read.
 """
 
 from __future__ import annotations
@@ -397,10 +403,63 @@ class SparseRows:
         return len(self.data)
 
 
+class IntRows(SparseRows):
+    """A :class:`SparseRows` in the elimination's own form: rows {column: int}, column scales.
+
+    Over F_p each value stands for its residue; over Q column c is
+    ``scales[c]`` (a positive int, 1 for every column when ``scales`` is
+    None, as it always is over F_p) times the column of the matrix meant.
+    A value may be 0.  Scaling a column moves no pivot and no free column,
+    so :func:`rank` reads the rows as they stand and :func:`kernel_subspace`
+    folds the scales back only when its kernel rows are built.  The
+    elimination reads the rows with their zeros dropped, reduced mod p,
+    with no :func:`_sparse`.
+    """
+
+    __slots__ = ("scales",)
+
+    def __init__(self, field: Field, data: Sequence[dict], cols: int,
+                 scales: Optional[Sequence[int]] = None):
+        self.field, self.data, self.cols, self.scales = field, data, cols, scales
+
+
 def _integral(nz: list) -> list:
     """Non-zero rationals times the lcm of their denominators, as ints."""
     d = lcm(*[int(x.denominator) for x in nz])
     return [int(x.numerator) * (d // int(x.denominator)) for x in nz]
+
+
+def integer_vectors(field: Field, vectors: Sequence[dict]) -> tuple[list[dict], int]:
+    """Dicts {index: scalar} as integer dicts over one scale d: each vector is its dict / d.
+
+    Over F_p the values are residues and d is 1; over Q d is the lcm of the
+    denominators.  Zeros are dropped, so the dicts are in the form of
+    :class:`IntRows`.
+    """
+    p = field.characteristic
+    if p:
+        return [{j: r for j, x in v.items() if (r := x.v)} for v in vectors], 1
+    nz = [x for v in vectors for x in v.values() if x]
+    if _INTS.issuperset(map(type, nz)):
+        return [{j: x for j, x in v.items() if x} for v in vectors], 1
+    d = lcm(*[int(x.denominator) for x in nz])
+    return [{j: int(x.numerator) * (d // int(x.denominator)) for j, x in v.items() if x}
+            for v in vectors], d
+
+
+def typed_vectors(field: Field, vectors: Sequence[dict], scale: int) -> list[dict]:
+    """Integer dicts over ``scale`` as dicts {index: scalar}, the inverse of :func:`integer_vectors`.
+
+    Over Q each value is :func:`Rational` of value and scale, an ``int``
+    when integral, and at scale 1 the dicts are returned as they are;
+    over F_p each residue becomes an :class:`Fp`.
+    """
+    p = field.characteristic
+    if p:
+        return [{j: Fp(x, p) for j, x in v.items()} for v in vectors]
+    if scale == 1:
+        return list(vectors)
+    return [{j: Rational(x, scale) for j, x in v.items()} for v in vectors]
 
 
 def _sparse(row: Sequence | dict, p: int) -> dict:
@@ -455,23 +514,39 @@ def _tidy(row: dict, p: int) -> dict:
     return {j: x // g for j, x in row.items() if x} if g else {}
 
 
-def _echelon(field: Field, rows: Iterable[Sequence], ncols: int) -> dict[int, dict]:
+def _integer_rows(m: Matrix | SparseRows) -> list[dict]:
+    """The rows of ``m`` as :func:`_echelon` reads them, {column: int}, each read once.
+
+    The rows of an :class:`IntRows` are copied without their zeros,
+    reduced mod p over F_p; any other row goes through :func:`_sparse`.
+    """
+    p = m.field.characteristic
+    if type(m) is not IntRows:
+        return [_sparse(row, p) for row in m.data]
+    if p:
+        return [{j: r for j, x in row.items() if (r := x % p)} for row in m.data]
+    return [dict(row) if 0 not in row.values() else {j: x for j, x in row.items() if x}
+            for row in m.data]
+
+
+def _echelon(field: Field, rows: Iterable[dict], ncols: int) -> dict[int, dict]:
     """The one elimination routine: {pivot column: reduced pivot row} of the rows' span.
 
-    The rows are read once as sparse ints (:func:`_sparse`) and taken
-    sparsest first.  Each is reduced against the pivot rows found so far
+    The rows come as sparse ints, as :func:`_integer_rows` or
+    :func:`_sparse` give them, which the elimination may change in place,
+    and are taken sparsest first.  Each is reduced against the pivot rows found so far
     and, if anything is left, becomes a pivot row at its leading column;
     the older pivot rows are then cleared at that column.  So the pivot
     rows stay reduced, a row is cleared at each pivot column once, and
     the result is the reduced row echelon form up to the scale of each row.
-    Over Q no rational is built: the rows hold integers, and a row that was
-    cleared is divided by its content.  Over F_p a pivot row is scaled to
-    lead 1 with ``pow(lead, -1, p)``.
+    Over Q no rational is built: the rows hold integers, a row that was
+    cleared is divided by its content, and every lead is positive.  Over
+    F_p a pivot row is scaled to lead 1 with ``pow(lead, -1, p)``.
     """
     p = field.characteristic
     piv: dict[int, dict] = {}
     used: set[int] = set()  # a new pivot column outside it is in no older pivot row
-    for row in sorted(filter(None, [_sparse(dense, p) for dense in rows]), key=len):
+    for row in sorted(filter(None, rows), key=len):
         if len(piv) == ncols:
             break
         hits = row.keys() & piv.keys()
@@ -485,6 +560,8 @@ def _echelon(field: Field, rows: Iterable[Sequence], ncols: int) -> dict[int, di
         if p and row[c] != 1:
             inv = pow(row[c], -1, p)
             row = {j: x * inv % p for j, x in row.items()}
+        elif row[c] < 0:
+            row = {j: -x for j, x in row.items()}
         if c in used:
             for q, qrow in piv.items():
                 if c in qrow:
@@ -522,7 +599,7 @@ def _dense(row: dict, n: int, zero) -> list:
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form: returns (reduced, rank, pivot columns)."""
-    pivots, rows = _rref_rows(m.field, _echelon(m.field, m.data, m.cols))
+    pivots, rows = _rref_rows(m.field, _echelon(m.field, _integer_rows(m), m.cols))
     zero = m.field.zero()
     dense = [_dense(row, m.cols, zero) for row in rows]
     dense += [[zero] * m.cols for _ in range(m.rows - len(rows))]
@@ -531,7 +608,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 def rank(m: Matrix | SparseRows) -> int:
     """The rank of ``m``: the number of pivots, with no reduced rows built."""
-    return len(_echelon(m.field, m.data, m.cols))
+    return len(_echelon(m.field, _integer_rows(m), m.cols))
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
@@ -550,36 +627,100 @@ def kernel_subspace(m: Matrix | SparseRows, *, at: Optional[Sequence[int]] = Non
     the free columns as pivots, and the coordinates of a kernel vector are
     its entries at the free columns.  With ``at``, increasing, column c of
     ``m`` is coordinate ``at[c]`` of k^ambient, so the pivots are the
-    ``at[f]``.  The rows are built on the first read of
-    :meth:`Subspace.sparse_rows` or :attr:`Subspace.basis`
-    (:func:`_kernel_rows`), so a caller that reads only the dimension or
-    the pivots pays for the elimination alone.
+    ``at[f]``.  The subspace keeps the elimination's integer pivot rows
+    (:meth:`Subspace.from_pivot_rows`), which :meth:`Subspace.unit_pivot_rows`
+    and :meth:`Subspace.support` read as they stand; the kernel rows are
+    built in integer form (:meth:`Subspace.int_rows`, :func:`_kernel_rows`)
+    on the first read of them, of :meth:`Subspace.sparse_rows` or of
+    :attr:`Subspace.basis`, and the typed rows from them only when read, so
+    a caller that reads only the dimension or the pivots pays for the
+    elimination alone.  The column scales of an :class:`IntRows` are folded
+    back into the kernel rows.
     """
     field = m.field
-    piv = _echelon(field, m.data, m.cols)
+    piv = _echelon(field, _integer_rows(m), m.cols)
     free = [c for c in range(m.cols) if c not in piv]
     if at is None:
         at, ambient = range(m.cols), m.cols
-    return Subspace.from_sparse_rows(field, ambient, [at[f] for f in free],
-                                     lambda: _kernel_rows(field, piv, free, at))
+    scales = m.scales if type(m) is IntRows else None
+    return Subspace.from_pivot_rows(field, ambient, piv, free, at, scales)
 
 
-def _kernel_rows(field: Field, piv: dict[int, dict], free: list[int], at: Sequence[int]) -> dict:
-    """The kernel vector of each free column f, as (indices, values) with column c at ``at[c]``.
+def _kernel_rows(field: Field, piv: dict[int, dict], free: list[int], at: Sequence[int],
+                 scales: Optional[Sequence[int]]) -> dict:
+    """The kernel vector of each free column f in integer form, (indices, values, scale).
 
-    It is written in one pass over ``piv``'s integer rows: 1 at f, then
-    -x/lead at each pivot column c whose row holds x at f, c increasing.
+    The vector is values/scale, column c at ``at[c]``.  It is written in
+    one pass over ``piv``'s integer rows: 1 at f, then -x·σ_c/(lead·σ_f)
+    at each pivot column c whose row holds x at f, c increasing, where σ
+    are the column scales (all 1 without ``scales``).  Over F_p the leads
+    and scales are 1, the values the residues -x and the scale 1.  Over Q
+    a row whose leads and scales are all 1 holds the ints -x at scale 1;
+    any other is written over the least scale that makes it integral.
     """
-    p, one = field.characteristic, field.one()
+    p = field.characteristic
     idx = {f: [at[f]] for f in free}
-    vals = {f: [one] for f in free}
+    vals = {f: [1] for f in free}
+    odd = set()  # over Q, free columns met by a lead or a column scale other than 1
     for c, row in sorted(piv.items()):
         q, lead = at[c], row[c]
-        for j, x in row.items():
-            if j != c:
-                idx[j].append(q)
-                vals[j].append(Fp(-x, p) if p else -x if lead == 1 else -Rational(x, lead))
-    return {at[f]: (tuple(idx[f]), tuple(vals[f])) for f in free}
+        if p:
+            for j, x in row.items():
+                if j != c:
+                    idx[j].append(q)
+                    vals[j].append(p - x)
+            continue
+        sc = scales[c] if scales else 1
+        if lead == 1 and sc == 1:
+            for j, x in row.items():
+                if j != c:
+                    idx[j].append(q)
+                    vals[j].append(-x)
+        else:
+            for j, x in row.items():
+                if j != c:
+                    idx[j].append(q)
+                    vals[j].append((-x * sc, lead))
+                    odd.add(j)
+    if scales:
+        odd.update(f for f in free if scales[f] != 1)
+    if not odd:
+        return {at[f]: (tuple(idx[f]), tuple(vals[f]), 1) for f in free}
+    out = {}
+    for f in free:
+        values, scale = vals[f], 1
+        if f in odd:
+            values, scale = _over_one_scale(values, scales[f] if scales else 1)
+        out[at[f]] = (tuple(idx[f]), tuple(values), scale)
+    return out
+
+
+def _over_one_scale(values: list, sf: int) -> tuple[list, int]:
+    """A kernel row of :func:`_kernel_rows`, its entries ints e or pairs (num, den), over one scale.
+
+    The entry at f is 1 and stands for 1; an int e for e/σ_f and a pair
+    for num/(den·σ_f).  Scaled by σ_f·lcm(den), then by the gcd of the
+    result, the row is integral over the least scale.
+    """
+    dens = [v[1] for v in values if type(v) is tuple]
+    m = lcm(*dens) if dens else 1
+    ints = [sf * m] + [v[0] * (m // v[1]) if type(v) is tuple else v * m for v in values[1:]]
+    g = gcd(*ints)
+    return [v // g for v in ints], sf * m // g
+
+
+def _typed_rows(field: Field, rows: dict) -> dict:
+    """Integer rows (indices, values, scale) as typed rows (indices, values/scale).
+
+    Over Q each value is :func:`Rational` of value and scale, an ``int``
+    when integral, and a row at scale 1 keeps its ints; over F_p each
+    residue becomes an :class:`Fp`.
+    """
+    p = field.characteristic
+    if p:
+        return {q: (idx, tuple([Fp(x, p) for x in vals])) for q, (idx, vals, _) in rows.items()}
+    return {q: (idx, vals if s == 1 else tuple([Rational(x, s) for x in vals]))
+            for q, (idx, vals, s) in rows.items()}
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
@@ -594,7 +735,8 @@ def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
     """Some X with m·X = b (column by column), or None if inconsistent."""
     if b.rows != m.rows:
         raise DimensionMismatch("shape mismatch in solve_matrix")
-    aug = [row + brow for row, brow in zip(m.data, b.data)]
+    p = m.field.characteristic
+    aug = (_sparse(row + brow, p) for row, brow in zip(m.data, b.data))
     pivots, rows = _rref_rows(m.field, _echelon(m.field, aug, m.cols + b.cols))
     if pivots and pivots[-1] >= m.cols:
         return None
@@ -613,17 +755,23 @@ class Subspace:
     :func:`kernel_subspace`), so v reduces to v - sum_p v[p]·row_p and
     the coordinates of a member are its entries at the pivots.  The
     non-zero (index, value) pairs of each row are cached, keyed by the
-    row's pivot (:meth:`sparse_rows`): :meth:`from_vectors` and
-    :func:`kernel_subspace` make the subspace from the elimination's pivots
-    and a builder of its sparse rows (:meth:`from_sparse_rows`), called on
-    the first read of the rows or of the dense ``basis``; any other
-    subspace fills the cache from its basis on first use.
+    row's pivot (:meth:`sparse_rows`), and so is their integer form
+    (:meth:`int_rows`).  :meth:`from_vectors` makes the subspace from the
+    elimination's pivots and a builder of its sparse rows
+    (:meth:`from_sparse_rows`), called on the first read of the rows or
+    of the dense ``basis``.  :func:`kernel_subspace` makes it from the
+    elimination's integer pivot rows (:meth:`from_pivot_rows`), its
+    primary form: the integer rows are built from them and the typed rows
+    from those, each on first read, and :meth:`unit_pivot_rows` and
+    :meth:`support` read them as they stand.  Any other subspace fills the
+    cache from its basis on first use.
     :meth:`reduce`, :meth:`contains` and :meth:`coords` walk only non-zeros,
     so checking a vector with few non-zeros costs what its support and the
     rows at its pivots cost, not the ambient dimension.
     """
 
-    __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse", "_build_rows")
+    __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse", "_build_rows", "_ints",
+                 "_pivot_rows")
 
     def __init__(self, field: Field, ambient: int, basis: Sequence[Sequence], pivots: Sequence[int]):
         self.field = field
@@ -632,6 +780,8 @@ class Subspace:
         self.pivots = tuple(pivots)
         self._sparse: Optional[dict] = None
         self._build_rows: Optional[Callable[[], dict]] = None
+        self._ints: Optional[dict] = None
+        self._pivot_rows: Optional[tuple] = None
 
     @staticmethod
     def from_sparse_rows(field: Field, ambient: int, pivots: Sequence[int],
@@ -648,6 +798,21 @@ class Subspace:
         space._build_rows = rows
         return space
 
+    @staticmethod
+    def from_pivot_rows(field: Field, ambient: int, piv: dict[int, dict], free: list[int],
+                        at: Sequence[int], scales: Optional[Sequence[int]]) -> "Subspace":
+        """The kernel of a matrix from its elimination: pivot rows ``piv``, free columns ``free``.
+
+        Column c of the matrix is coordinate ``at[c]`` of k^ambient and
+        ``scales[c]`` times the column meant (:class:`IntRows`), so the
+        pivots are the ``at[f]``; the rows are built on first read
+        (:func:`_kernel_rows`).
+        """
+        space = Subspace(field, ambient, [], [at[f] for f in free])
+        space._basis = None
+        space._pivot_rows = (piv, free, at, scales)
+        return space
+
     @property
     def basis(self) -> tuple[tuple, ...]:
         if self._basis is None:
@@ -662,11 +827,57 @@ class Subspace:
             self._basis = tuple(basis)
         return self._basis
 
+    def int_rows(self) -> dict[int, tuple[tuple, tuple, int]]:
+        """Pivot -> (indices, values, scale) of that pivot's row: ints whose row is values/scale.
+
+        Over F_p the values are residues and the scale is 1; over Q the
+        scale is the least positive int that makes the row integral.  The
+        indices are those of :meth:`sparse_rows`, in the same order.
+        """
+        if self._ints is None:
+            if self._pivot_rows is not None:
+                self._ints = _kernel_rows(self.field, *self._pivot_rows)
+            else:
+                self._ints = {}
+                for p, (idx, vals) in self.sparse_rows().items():
+                    (ints,), scale = integer_vectors(self.field, [dict(zip(idx, vals))])
+                    self._ints[p] = (idx, tuple(ints.values()), scale)
+        return self._ints
+
+    def unit_pivot_rows(self) -> Optional[tuple]:
+        """(at, free, piv) of a kernel whose pivot rows all lead with 1, with no column scale.
+
+        Row r of such a kernel is 1 at ``at[free[r]]`` and -x at ``at[c]``
+        for each entry x at ``free[r]`` of the pivot row ``piv[c]``, at
+        scale 1, so its integer rows are read off the elimination's pivot
+        rows as they stand.  Any other subspace gives None.
+        """
+        form = self._pivot_rows
+        if form is None or form[3] is not None:
+            return None
+        piv, free, at, _ = form
+        if self.field.characteristic or all(row[c] == 1 for c, row in piv.items()):
+            return at, free, piv
+        return None
+
+    def support(self) -> list[int]:
+        """The coordinates at which some basis row is non-zero, in no fixed order.
+
+        A kernel reads them off the elimination's pivot rows: its pivots,
+        and each pivot column whose row holds an entry at a free column.
+        """
+        if self._pivot_rows is not None:
+            piv, _, at, _ = self._pivot_rows
+            return [*self.pivots, *(at[c] for c, row in piv.items() if len(row) > 1)]
+        return [q for idx, _ in self.sparse_rows().values() for q in idx]
+
     def sparse_rows(self) -> dict[int, tuple[tuple, tuple]]:
         """Pivot -> (indices, values) of the non-zero entries of that pivot's row."""
         if self._sparse is None:
             if self._build_rows is not None:
                 self._sparse, self._build_rows = self._build_rows(), None
+            elif self._ints is not None or self._pivot_rows is not None:
+                self._sparse = _typed_rows(self.field, self.int_rows())
             else:
                 self._sparse = {p: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
                                 for p, row in zip(self.pivots, self._basis)}
@@ -682,10 +893,12 @@ class Subspace:
         are read once, in order, so a generator of them is never held
         whole: only the non-zeros of each are kept.
         """
-        def checked(v: Sequence | dict) -> Sequence | dict:
+        p = field.characteristic
+
+        def checked(v: Sequence | dict) -> dict:
             if (max(v, default=-1) >= ambient) if type(v) is dict else len(v) != ambient:
                 raise DimensionMismatch("vector has wrong ambient dimension")
-            return v
+            return _sparse(v, p)
 
         piv = _echelon(field, map(checked, vectors), ambient)
         return Subspace.from_sparse_rows(field, ambient, sorted(piv), lambda: {

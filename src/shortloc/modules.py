@@ -41,10 +41,9 @@ block-diagonal action matrices are built only when a caller reads them.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ._record import record
+from ._record import cached_property, record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
@@ -254,11 +253,12 @@ class AModule:
     def cover_kernel(self) -> Subspace:
         """The kernel of the cover A^t -> M in A^t, ker Φ of :meth:`top_images`, found once.
 
-        :func:`~shortloc.homology.phi_kernel` eliminates Φ; the cover, the
-        syzygy and :func:`hom_dim` from M read the one kernel.
+        The images are converted to integers once and Φ is eliminated
+        (:func:`~shortloc.homology.top_kernel`); the cover, the syzygy and
+        :func:`hom_dim` from M read the one kernel.
         """
         from . import homology
-        return homology.phi_kernel(self.algebra, self.top_images())
+        return homology.top_kernel(self.algebra, self.top_images())
 
 
 def validate_module(M: AModule) -> None:
@@ -435,7 +435,7 @@ def pivot_columns(space: Subspace, images: Sequence[Sequence[dict]], e: int) -> 
     """The columns of the actions induced on a subspace, from the images of its basis rows.
 
     ``images[r][j]`` is v_{j+1} applied to basis row r (as
-    :func:`vector_images` or :func:`~shortloc.homology.generator_images`
+    :func:`vector_images` or :meth:`~shortloc.homology.Syzygy.images`
     give it).  Each image is checked to lie in the subspace (BadParams
     otherwise); the basis is row reduced, so its coordinates are its
     non-zero entries at the pivots, with no system solved.

@@ -1,14 +1,23 @@
-"""Dense references that the sparse engine routes are checked against.
+"""References that the sparse engine routes are checked against.
 
-They read a module's dense action matrices: an element's action is a
-scaled sum of the generator actions and their pairwise products, and the
-images of a vector under the basis of A are sums of products entry by
+The dense ones read a module's dense action matrices: an element's action
+is a scaled sum of the generator actions and their pairwise products, and
+the images of a vector under the basis of A are sums of products entry by
 entry.  Zero terms are skipped, as in ``Matrix.__mul__``, so a value's
 scalar type follows its non-zero products and typed comparisons with the
 engine hold.
+
+The typed shadow route is the resolution rung the engine ran before its
+rungs read integer rows: the images of a syzygy's typed shadow rows are
+typed sums through the structure constants (``generator_images``), and Φ
+is assembled from them as typed sparse rows that the elimination converts
+back to integers (``typed_phi_kernel``).
 """
 
-from shortloc.linalg import Matrix
+from collections import defaultdict
+
+from shortloc.linalg import Matrix, SparseRows, kernel_subspace
+from shortloc.modules import pivot_columns
 
 
 def plain_apply(X, v):
@@ -60,3 +69,87 @@ def typed(space):
     """A subspace's basis, pivots and sparse rows, with the type of every scalar."""
     return ([scalars(v) for v in space.basis], space.pivots,
             [(p, idx, scalars(vals)) for p, (idx, vals) in space.sparse_rows().items()])
+
+
+# -- the typed shadow route ----------------------------------------------------
+
+def generator_images(alg, rows):
+    """v_1·x .. v_e·x for each x in JA^t, given as its typed non-zeros (indices, values).
+
+    v_j (v_i e_k) = sum_m c_{jim} w_m e_k and J^2 x is zero, so the image is
+    read off the V-coordinates of x through the typed structure constants;
+    each image is a dict {J^2-coordinate of A^t: scalar}.
+    """
+    e, n = alg.e, alg.dim
+    products = [[] for _ in range(n)]
+    for (j, i, m), c in alg.structure.items():
+        products[i].append((j - 1, e + m, c))
+    out = []
+    for idx, vals in rows:
+        images = [{} for _ in range(e)]
+        for col, x in zip(idx, vals):
+            i = col % n
+            for j, w, c in products[i]:
+                img, q = images[j], col - i + w
+                img[q] = img[q] + c * x if q in img else c * x
+        out.append(images)
+    return out
+
+
+def typed_phi_kernel(alg, images):
+    """ker Φ from the typed images at the top lifts, as typed sparse rows, placed in A^t."""
+    n = alg.dim
+    phi_rows = defaultdict(dict)
+    for k, imgs in enumerate(images):
+        for c, img in enumerate(imgs, k * (n - 1)):
+            for q, y in img.items():
+                phi_rows[q][c] = y
+    at = [k * n + u for k in range(len(images)) for u in range(1, n)]
+    return kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), len(at)),
+                           at=at, ambient=n * len(images))
+
+
+def typed_images(alg, space):
+    """Pivot -> the typed images of every shadow row of ``space`` with a V-coordinate."""
+    n, e, rows = alg.dim, alg.e, space.sparse_rows()
+    mapped = [p for p in space.pivots
+              if p % n <= e or any(0 < q % n <= e for q in rows[p][0])]
+    return dict(zip(mapped, generator_images(alg, [rows[p] for p in mapped])))
+
+
+def typed_cover(alg, space):
+    """The top lifts and the cover kernel of the syzygy with shadow ``space``, typed.
+
+    When the V-rows do not lift the whole top, the typed action columns
+    (checked against the shadow by ``pivot_columns``) are eliminated at
+    Φ's pivot columns and at the J^2-rows, over the J^2-row coordinates.
+    """
+    n, e = alg.dim, alg.e
+    images, empty = typed_images(alg, space), [{} for _ in range(e)]
+    lifts = [p for p in space.pivots if p % n <= e]
+    kernel = typed_phi_kernel(alg, [images.get(p, empty) for p in lifts])
+    outer = [r for r, p in enumerate(space.pivots) if p % n > e]
+    if (e + alg.a) * len(lifts) - kernel.dim < len(outer):
+        columns = pivot_columns(space, [images.get(p, empty) for p in space.pivots], e)
+        free, at = set(kernel.pivots), {r: c for c, r in enumerate(outer)}
+        row = {p: r for r, p in enumerate(space.pivots)}
+        span = [cols[row[p]] for k, p in enumerate(lifts)
+                for j, cols in enumerate(columns) if k * n + 1 + j not in free]
+        span += [cols[r] for r in outer for cols in columns]
+        radical = SparseRows(alg.field, [{at[s]: y for s, y in col} for col in span], len(outer))
+        lifts = sorted(lifts + [space.pivots[outer[c]]
+                                for c in kernel_subspace(radical).pivots])
+        kernel = typed_phi_kernel(alg, [images.get(p, empty) for p in lifts])
+    return tuple(lifts), kernel
+
+
+def typed_ladder(M, depth):
+    """(top lifts, cover kernel) of Ω^0 M .. Ω^depth M by the typed route.
+
+    Rung 0 reads Φ off M's typed top images, and its lifts are None; each
+    later rung is the typed cover of the kernel before it.
+    """
+    rungs = [(None, typed_phi_kernel(M.algebra, M.top_images()))]
+    while len(rungs) <= depth:
+        rungs.append(typed_cover(M.algebra, rungs[-1][1]))
+    return rungs

@@ -10,10 +10,13 @@ sparse rows and scalar types, and the cover map in every column.  The
 radical, read off the sparse action columns, must equal the span of the
 dense action columns.  ``phi_kernel`` is checked against the construction
 it replaced: ker Φ over the formed images only, re-keyed into A^t, with
-the unit vectors of the unformed w-images added.
+the unit vectors of the unformed w-images added; Φ's integer rows are
+read back as scalar images, each value over its lift's scale, for the
+reference.
 """
 
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -90,20 +93,39 @@ def typed_rows(space):
     return [(p, idx, scalars(vals)) for p, (idx, vals) in space.sparse_rows().items()]
 
 
+def scalar_images(alg, rows, scales):
+    """Each lift's images as dicts {index: scalar}, read off Φ's integer rows over its scale.
+
+    A lift whose w-columns are all empty is given its e generator images
+    only, as a cover that forms no w-image does.
+    """
+    n, field, p = alg.dim, alg.field, alg.field.characteristic
+    columns = defaultdict(dict)
+    for q, row in rows.items():
+        for c, y in row.items():
+            if y % p if p else y:
+                columns[c][q] = field.of(Fraction(y, scales[c // (n - 1)]))
+    images = [[columns.get(k * (n - 1) + u, {}) for u in range(n - 1)]
+              for k in range(len(scales))]
+    return [imgs if any(imgs[alg.e:]) else imgs[:alg.e] for imgs in images]
+
+
 @FIELDS
 def test_phi_kernel_matches_the_rekeyed_kernel_with_unit_w_rows(field, monkeypatch):
     calls = []
     original = homology.phi_kernel
     monkeypatch.setattr(homology, "phi_kernel",
-                        lambda alg, images: calls.append((alg, images, original(alg, images)))
-                        or calls[-1][2])
+                        lambda alg, rows, scales: calls.append(
+                            (alg, rows, scales, original(alg, rows, scales))) or calls[-1][3])
     for M in _inputs(field):
         projective_cover(M)
     # Ladders of six rungs; the dense basis is compared up to ambient dimension 400.
     ladders = [betti(simple_module(preset(name, field=field, **kw)), 5).values
                for name, kw in ALGEBRAS]
-    unformed = formed = 0
-    for alg, images, got in calls:
+    unformed = formed = scaled = 0
+    for alg, rows, scales, got in calls:
+        images = scalar_images(alg, rows, scales)
+        scaled += any(scale != 1 for scale in scales)
         want = reference_phi_kernel(alg, images)
         assert (got.ambient, got.pivots) == (want.ambient, want.pivots)
         assert typed_rows(got) == typed_rows(want)
@@ -113,3 +135,6 @@ def test_phi_kernel_matches_the_rekeyed_kernel_with_unit_w_rows(field, monkeypat
         formed += any(len(imgs) == alg.dim - 1 > alg.e for imgs in images)
     assert max(t for values in ladders for t in values) >= 100
     assert unformed >= 100 and formed >= 40
+    # Over Q some lifts carry a scale other than 1, folded back into the kernel;
+    # over F_p every scale is 1.
+    assert scaled >= 3 if field == QQ else scaled == 0

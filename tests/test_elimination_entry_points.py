@@ -1,10 +1,14 @@
 """Lint: every elimination goes through a public entry point of ``linalg``.
 
-``_echelon`` and ``_rref_rows`` are the elimination's internals.  Outside
-``linalg.py`` the package reaches them only through ``rref``, ``rank``,
-``kernel_basis``, ``kernel_subspace``, ``solve``, ``solve_matrix`` and
+``_echelon`` and ``_rref_rows`` are the elimination's internals, and so are
+the builders of its integer rows: ``_sparse`` and ``_integer_rows``, which
+turn a matrix's rows into the ints it reads, and ``_kernel_rows``, which
+writes a kernel's rows from its integer pivot rows.  Outside ``linalg.py``
+the package reaches them only through ``rref``, ``rank``, ``kernel_basis``,
+``kernel_subspace``, ``solve``, ``solve_matrix`` and
 ``Subspace.from_vectors``, the names a tracer wraps to count elimination
-work, so no elimination goes uncounted.
+work, so no elimination goes uncounted and integer rows reach it only
+through those entry points.
 """
 
 import ast
@@ -14,7 +18,7 @@ import shortloc
 
 SRC = os.path.dirname(shortloc.__file__)
 
-INTERNALS = {"_echelon", "_rref_rows"}
+INTERNALS = {"_echelon", "_rref_rows", "_sparse", "_integer_rows", "_kernel_rows"}
 
 
 def references(source: str) -> list[str]:

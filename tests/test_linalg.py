@@ -606,12 +606,12 @@ def typed(basis, pivots, rows):
 
 @pytest.fixture
 def kernel_rows_built(monkeypatch):
-    """The ambient dimension of each kernel whose rows are built."""
+    """The ambient dimension of each kernel whose rows are built, in integer form."""
     built = []
 
-    def counted(field, piv, free, at, _original=linalg._kernel_rows):
+    def counted(field, piv, free, at, scales, _original=linalg._kernel_rows):
         built.append(len(piv) + len(free))
-        return _original(field, piv, free, at)
+        return _original(field, piv, free, at, scales)
     monkeypatch.setattr(linalg, "_kernel_rows", counted)
     return built
 
@@ -685,4 +685,6 @@ def test_a_betti_ladder_builds_no_kernel_rows_for_its_last_rung(kernel_rows_buil
     # Φ of rung i has a column per radical coordinate of A^t_i, (dim A - 1)·t_i,
     # the a·t_i W-columns empty; rungs 0-5 are covers, rung 6 only a top.
     assert eliminated == [(alg.dim - 1) * t for t in values]
-    assert kernel_rows_built == [(alg.dim - 1) * t for t in values[:-1]]
+    # Each rung's Φ and minimality check read the pivot rows of the kernel
+    # before it, so no rung, the last included, builds its kernel rows.
+    assert kernel_rows_built == []
