@@ -1,4 +1,4 @@
-"""Frozen records and cached properties, with no generated code and no lock.
+"""Frozen records: what ``@dataclass(frozen=True)`` gives the engine, with no generated code.
 
 :func:`record` reads a class's annotated fields in order, and the defaults
 set in its body, and adds ``__init__`` (positional and keyword arguments,
@@ -6,12 +6,8 @@ defaults, then ``__post_init__`` when the class defines one), field-wise
 ``__eq__`` and ``__hash__``, the dataclass ``__repr__`` and a frozen
 ``__setattr__``/``__delattr__``.  Fields are set one by one with
 ``object.__setattr__``, as a frozen dataclass sets them, so an instance
-keeps CPython's compact attribute storage until a :class:`cached_property`
-writes to its ``__dict__``.
-
-:class:`cached_property` is ``functools.cached_property`` without the lock
-that Python 3.11 takes on every first read; two threads that race on a
-first read each compute the same value, and one of them is kept.
+keeps CPython's compact attribute storage until a
+``functools.cached_property`` writes to its ``__dict__``.
 """
 
 from operator import attrgetter
@@ -70,25 +66,3 @@ def record(cls):
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         setattr(cls, method.__name__, method)
     return cls
-
-
-class cached_property:
-    """A property computed on its first read and kept in the instance's ``__dict__``.
-
-    After the first read the instance's own attribute shadows it, so later
-    reads cost an attribute lookup.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value

@@ -27,17 +27,17 @@ puts it in JA^t, so J^2 kills it, and v_j acts on a basis row x through the
 structure constants, ψ_j(x)_{(m,k)} = Σ_i c_{jim} x_{(i,k)}, read off the
 algebra's integer table (:meth:`ShortAlgebra.structure_table`).  At the
 top lifts these images are the columns of its Φ (:meth:`Syzygy.cover`),
-and while the shadow's pivot rows lead with 1 each of their entries goes
-through the table straight into Φ's rows (:func:`shadow_rows`), with no
-kernel row and no image built; otherwise the integer images of the shadow
-rows are formed once (:func:`integer_images`) and Φ is read off them
-(:func:`image_rows`).  So from step 1 on a resolution step is one
+and each entry of the shadow's integer pivot rows at a V-coordinate goes
+through the table straight into Φ's rows (:func:`shadow_rows`), each
+row's lead and scale folded into its columns' scale, with no kernel row
+and no image built.  So from step 1 on a resolution step is one
 elimination of the big Φ with no typed scalar: its rank settles the
-syzygy's top, its free columns are the kernel's pivots, and its pivot rows
-feed the next step.  When the V-rows do not lift the whole top, only the
-integer images at Φ's pivot columns and those of the J^2-rows are
-eliminated again.  Converted to scalars, checked against the shadow and
-read at its pivots, the images are the columns of its actions
+syzygy's top, its free columns are the kernel's pivots, and its pivot
+rows feed the next step.  When the V-rows do not lift the whole top, the
+images, read off the same Φ, are checked against the shadow on its
+integer rows, and only those at Φ's pivot columns and those of the
+J^2-rows are eliminated again.  Converted to scalars, checked against the
+shadow and read at its pivots, the images are the columns of its actions
 (:meth:`Syzygy.action_columns`), which its radical, socle and Hom systems
 read.  Any other module, of any Loewy length, reads Φ off its action
 columns at the free columns of its radical (:meth:`AModule.top_images`),
@@ -55,14 +55,16 @@ embedding are built only when a caller reads them.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from itertools import count, islice
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from ._record import cached_property, record
+from ._record import record
 from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
-from .linalg import (IntRows, Matrix, SparseRows, Subspace, integer_vectors, kernel_basis,
-                     kernel_subspace, rank, typed_vectors)
+from .linalg import (IntRows, Matrix, SparseRows, Subspace, integer_values, kernel_basis,
+                     kernel_subspace, rank, typed_values)
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_basis, hom_space,
                       left_regular_module, module_from_columns, module_from_subspace,
                       pivot_columns, quotient, relation_equations, vector_images, zero_module)
@@ -75,108 +77,103 @@ DEFAULT_CAP = 5000
 DEFAULT_BOUND = 10
 
 
-def integer_images(alg: ShortAlgebra, rows: Sequence[tuple]) -> list[tuple[list[dict], int]]:
-    """(v_1·x .. v_e·x, scale) for each x in JA^t, given in integer form (indices, values, scale).
+def shadow_rows(alg: ShortAlgebra, form: tuple) -> tuple[dict, list[int], list[int]]:
+    """Φ over every row of a syzygy's shadow, read off its pivot rows: (rows, order, scales).
 
-    v_j (v_i e_k) = sum_m c_{jim} w_m e_k and J^2 x is zero, so the image is
-    read off the V-coordinates of x through the algebra's integer structure
-    constants (:meth:`ShortAlgebra.structure_table`).  Each image is a dict
-    {J^2-coordinate of A^t: int}, its values sums of products as they
-    stand: a sum may be 0, and over F_p it is not reduced.  The images of x
-    are these dicts over the scale of x times the table's.
+    ``form`` is the shadow's (piv, free, at, σ) (:meth:`Subspace.pivot_form`):
+    the shadow row x_f at ``at[f]`` is 1 there and -y·σ_c/(lead·σ_f) at
+    ``at[c]`` for each entry y at f of the pivot row ``piv[c]``.  v_j acts
+    on x_f through the structure constants at its V-coordinates
+    (:meth:`ShortAlgebra.structure_table`), so each entry of a pivot row at
+    a V-coordinate goes through the table straight into Φ's rows,
+    {J^2-coordinate: {column: int}}, with no kernel row and no image built.
+    Column k·(dim A - 1) + j is ψ_{j+1}(x) for x the row at ``order[k]``,
+    times ``scales[k]`` = L·σ_f, L the lcm of the leads of the pivot rows
+    that reach x, and times the table's scale, which is common to all of Φ
+    and left out.  ``order`` lists the rows at V-coordinates, in increasing
+    order, then the other rows that reach a V-coordinate, as met.
     """
-    (table, T), n, e = alg.structure_table(), alg.dim, alg.e
-    out = []
-    for idx, vals, scale in rows:
-        images: list[dict] = [{} for _ in range(e)]
-        for col, x in zip(idx, vals):
-            i = col % n
-            for j, w, c in table[i]:
-                img, q = images[j], col - i + w
-                img[q] = img[q] + c * x if q in img else c * x
-        out.append((images, scale * T))
-    return out
-
-
-def image_rows(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> dict:
-    """Φ's rows, {row: {column: int}}, from the integer images at the top lifts.
-
-    ``images[k]`` is v_1 m_k .. v_e m_k, then w_1 m_k .. w_a m_k, for the
-    k-th top lift m_k, as integer dicts in any coordinates of JN
-    (:func:`integer_images`, :func:`~shortloc.linalg.integer_vectors`); a
-    list that stops after the e generators says the w_m m_k are zero.
-    Column k·(dim A - 1) + u of Φ is ``images[k][u]``.
-    """
-    n = alg.dim
-    rows: dict = defaultdict(dict)
-    for k, imgs in enumerate(images):
-        for c, img in enumerate(imgs, k * (n - 1)):
-            for q, y in img.items():
-                rows[q][c] = y
-    return rows
-
-
-def top_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
-    """ker Φ from the images at the top lifts as dicts {index: scalar} (:meth:`AModule.top_images`).
-
-    They are converted to integers once, over one scale for all of them
-    (:func:`~shortloc.linalg.integer_vectors`), which scales Φ as a whole
-    and leaves its kernel as it is.
-    """
-    flat, _ = integer_vectors(alg.field, [img for imgs in images for img in imgs])
-    ints, start = [], 0
-    for imgs in images:
-        ints.append(flat[start:start + len(imgs)])
-        start += len(imgs)
-    return phi_kernel(alg, image_rows(alg, ints), [1] * len(images))
-
-
-def shadow_rows(alg: ShortAlgebra, form: tuple, lifts: Sequence[int]) -> tuple[dict, list[int]]:
-    """Φ's rows for top lifts of a syzygy, read off its shadow's pivot rows, and their scales.
-
-    ``form`` is the shadow's (at, free, piv) (:meth:`Subspace.unit_pivot_rows`):
-    the shadow row at pivot ``at[f]`` is 1 there and -y at ``at[c]`` for
-    each entry y at f of the pivot row ``piv[c]``.  ``lifts`` are pivots
-    of the shadow, in increasing order.  Column k·(dim A - 1) + j of Φ is
-    ψ_{j+1}(x) for the row x at ``lifts[k]``, the structure constants at
-    x's V-coordinates summed (:meth:`ShortAlgebra.structure_table`), so
-    each entry of a pivot row goes through the table straight into Φ's
-    rows, with no kernel row and no image built.  The table's scale
-    multiplies all of Φ, which leaves its kernel as it is, so every lift's
-    scale is 1.
-    """
-    (table, _), n = alg.structure_table(), alg.dim
-    at, free, piv = form
-    chosen, first = set(lifts), {}
+    (table, _), n, e = alg.structure_table(), alg.dim, alg.e
+    piv, free, at, sigma = form
+    first = {}
     for f in free:
-        if at[f] in chosen:
+        if at[f] % n <= e:
             first[f] = len(first) * (n - 1)
+    mult = {}  # L for each row that a pivot row with a lead other than 1 reaches
+    for c, row in piv.items():
+        if row[c] != 1:
+            for f in row:
+                mult[f] = lcm(mult.get(f, 1), row[c])
+    odd = sigma is not None or mult
     rows: dict = defaultdict(dict)
     for c, pivot_row in piv.items():
         q = at[c]
         i = q % n
         if table[i]:
+            lead, s = pivot_row[c], sigma[c] if sigma else 1
             for f, y in pivot_row.items():
+                if f == c:
+                    continue
                 k = first.get(f)
-                if k is not None:
-                    for j, w, const in table[i]:
-                        row, cc = rows[q - i + w], k + j
-                        row[cc] = row.get(cc, 0) - const * y
-    for f, k in first.items():
+                if k is None:
+                    k = first[f] = len(first) * (n - 1)
+                x = -y * s * (mult.get(f, 1) // lead) if odd else -y
+                for j, w, const in table[i]:
+                    row, cc = rows[q - i + w], k + j
+                    row[cc] = row.get(cc, 0) + const * x
+    scales = [mult.get(f, 1) * (sigma[f] if sigma else 1) for f in first]
+    for (f, k), x in zip(first.items(), scales):
         q = at[f]
         i = q % n
         for j, w, const in table[i]:
             row, cc = rows[q - i + w], k + j
-            row[cc] = row.get(cc, 0) + const
-    return rows, [1] * len(first)
+            row[cc] = row.get(cc, 0) + const * x
+    return rows, [at[f] for f in first], scales
+
+
+def lift_rows(rows: dict, order: Sequence[int], lifts: Sequence[int], n: int) -> dict:
+    """Φ's rows over the rows at ``lifts`` alone, block k for ``lifts[k]``, from Φ over ``order``.
+
+    A lift missing from ``order`` reaches no V-coordinate: its block is empty.
+    """
+    block = {p: k for k, p in enumerate(order)}
+    moved = {block[p]: k * (n - 1) for k, p in enumerate(lifts) if p in block}
+    out: dict = defaultdict(dict)
+    for q, row in rows.items():
+        for c, y in row.items():
+            k, j = divmod(c, n - 1)
+            if k in moved:
+                out[q][moved[k] + j] = y
+    return out
+
+
+def top_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
+    """ker Φ from the images at the top lifts as dicts {index: scalar} (:meth:`AModule.top_images`).
+
+    ``images[k]`` is v_1 m_k .. v_e m_k, then w_1 m_k .. w_a m_k, for the
+    k-th top lift m_k, in any coordinates of JN; a list that stops after
+    the e generators says the w_m m_k are zero.  Column k·(dim A - 1) + u
+    of Φ is ``images[k][u]``.  The values are converted to integers once,
+    over one scale for all of them (:func:`~shortloc.linalg.integer_values`),
+    which scales Φ as a whole and leaves its kernel as it is.
+    """
+    n = alg.dim
+    values, _ = integer_values([x for imgs in images for img in imgs for x in img.values()],
+                               alg.field.characteristic)
+    ints = iter(values)
+    rows: dict = defaultdict(dict)
+    for k, imgs in enumerate(images):
+        for c, img in enumerate(imgs, k * (n - 1)):
+            for q in img:
+                rows[q][c] = next(ints)
+    return phi_kernel(alg, rows, [1] * len(images))
 
 
 def phi_kernel(alg: ShortAlgebra, rows: dict, scales: Sequence[int]) -> Subspace:
     """The kernel of the cover A^t -> N: ker Φ, the cover restricted to JA^t.
 
     Φ is given by its integer rows, {row: {column: int}}, and the scale of
-    each of the t top lifts (:func:`image_rows`, :func:`shadow_rows`,
-    :func:`top_kernel`):
+    each of the t top lifts (:func:`shadow_rows`, :func:`top_kernel`):
     column k·(dim A - 1) + u, the image of radical coordinate
     k·dim A + 1 + u of A^t, is ``scales[k]`` times the column meant.  The
     scales ride on Φ's columns (:class:`~shortloc.linalg.IntRows`) and are
@@ -191,7 +188,7 @@ def phi_kernel(alg: ShortAlgebra, rows: dict, scales: Sequence[int]) -> Subspace
     n, t = alg.dim, len(scales)
     at = [k * n + u for k in range(t) for u in range(1, n)]
     column_scales = None
-    if scales.count(1) != t:
+    if any(scale != 1 for scale in scales):
         column_scales = [scale for scale in scales for _ in range(1, n)]
     return kernel_subspace(IntRows(alg.field, list(rows.values()), len(at), column_scales),
                            at=at, ambient=n * t)
@@ -208,8 +205,9 @@ class Syzygy(AModule):
     radical, socle and Hom systems read.  The cover keeps the top lifts
     with Φ's kernel, eliminated once: the top is read off it with no
     kernel row built, and the rows are built, in A^t, when first read.  A
-    ladder reads only integer rows (:func:`shadow_rows`,
-    :func:`integer_images`): typed rows and images are built when a caller
+    ladder reads only the shadow's integer pivot rows, mapped once into Φ
+    over all its rows (:func:`shadow_rows`), which the cover and the
+    action columns share: typed rows and images are built when a caller
     reads them, and the action matrices by :func:`module_from_subspace`.
     """
 
@@ -227,18 +225,43 @@ class Syzygy(AModule):
         return module_from_subspace(P, self.space)[0].actions
 
     @cached_property
-    def _shadow_images(self) -> dict[int, tuple[list[dict], int]]:
-        """Pivot p -> the integer images of the shadow row at p, over a scale (:func:`integer_images`).
+    def _phi(self) -> tuple[dict, list[int], list[int]]:
+        """Φ over every row of the shadow (:func:`shadow_rows`), mapped once for the cover and the actions."""
+        return shadow_rows(self.algebra, self.space.pivot_form())
 
-        Only rows with a V-coordinate are mapped: J^2 kills J^2 A^t, so the
+    @cached_property
+    def _shadow_images(self) -> dict[int, tuple[list[dict], int]]:
+        """Pivot p -> the integer images of the shadow row at p and their scale, read off :attr:`_phi`.
+
+        Only rows with a V-coordinate have images: J^2 kills J^2 A^t, so the
         images of the other rows, such as the unit vectors of W⊗k^t, are
-        empty and have no entry.  A row with its pivot at a V-coordinate is
-        mapped at once; a unit vector at a J^2-coordinate is skipped unread.
+        empty and have no entry.  Column block k of Φ is the images of the
+        row at ``order[k]``, over its scale times the table's.  Each image
+        is read down its column in the order that mapping the row's sparse
+        row would reach its keys: the row's 1 first, then the pivot rows
+        that reach it in increasing order, each through the table.
         """
-        rows, n, e = self.space.int_rows(), self.algebra.dim, self.algebra.e
-        mapped = [p for p in self.space.pivots if p % n <= e or len(rows[p][0]) > 1
-                  and any(0 < q % n <= e for q in rows[p][0])]
-        return dict(zip(mapped, integer_images(self.algebra, [rows[p] for p in mapped])))
+        rows, order, scales = self._phi
+        piv, _, at, _ = self.space.pivot_form()
+        (table, T), n, e = self.algebra.structure_table(), self.algebra.dim, self.algebra.e
+        sources: dict = {p: [p] for p in order}
+        for c in sorted(piv):
+            q = at[c]
+            if table[q % n]:
+                for f in piv[c]:
+                    if f != c:
+                        sources[at[f]].append(q)
+        images = {}
+        for k, (p, scale) in enumerate(zip(order, scales)):
+            imgs: list[dict] = [{} for _ in range(e)]
+            for q in sources[p]:
+                i = q % n
+                for j, w, _ in table[i]:
+                    key = q - i + w
+                    if key not in imgs[j]:
+                        imgs[j][key] = rows[key][k * (n - 1) + j]
+            images[p] = (imgs, scale * T)
+        return images
 
     def _images(self, pivots: Sequence[int]) -> list[tuple[list[dict], int]]:
         """The integer images of the shadow rows at ``pivots``, empty for a row with no entry."""
@@ -249,10 +272,12 @@ class Syzygy(AModule):
         """ψ_1(x) .. ψ_e(x) for the shadow rows x at ``pivots``, as dicts {index: scalar}.
 
         They are converted from the integer images on each read
-        (:func:`~shortloc.linalg.typed_vectors`); a row with no V-coordinate
+        (:func:`~shortloc.linalg.typed_values`); a row with no V-coordinate
         has empty images.
         """
-        return [typed_vectors(self.field, imgs, scale) for imgs, scale in self._images(pivots)]
+        p = self.field.characteristic
+        return [[dict(zip(img, typed_values(img.values(), scale, p))) for img in imgs]
+                for imgs, scale in self._images(pivots)]
 
     def action_columns(self) -> list[list[list[tuple]]]:
         """The columns of the actions, read off the shadow; no action matrix is built.
@@ -297,19 +322,25 @@ class Syzygy(AModule):
         J^2-coordinates, those rows span JΩ and the V-rows are all the top
         lifts.  Otherwise JΩ is spanned by the images at Φ's pivot columns
         and those of the J^2-rows, whose coordinates are their entries at
-        the J^2-rows' pivots; the free columns of their elimination, integer
-        images as they stand, are the J^2-rows that lift the top, and Φ is
-        taken again over all the lifts.  The kernel is :func:`phi_kernel`'s:
-        its rows are built when first read, so the top alone costs one
-        elimination of Φ.
+        the J^2-rows' pivots once each image is checked against the shadow
+        (:meth:`_check_stable`); the free columns of their elimination,
+        integer images as they stand, are the J^2-rows that lift the top,
+        and Φ is taken again over all the lifts.  The kernel is
+        :func:`phi_kernel`'s: its rows are built when first read, so the top
+        alone costs one elimination of Φ.
         """
         alg, space = self.algebra, self.space
         e, n = alg.e, alg.dim
+        rows, order, scales = self._phi
         lifts = [p for p in space.pivots if p % n <= e]
-        kernel = phi_kernel(alg, *self._phi_rows(lifts))
+        t = len(lifts)
+        # Rows beyond the V-rows rarely reach a V-coordinate; their columns are dropped.
+        kernel = phi_kernel(alg, rows if len(order) == t else lift_rows(rows, order, lifts, n),
+                            scales[:t])
         outer = [p for p in space.pivots if p % n > e]
         # kernel.dim is (e·t - rank Φ) + a·t for the t V-rows.
-        if (e + alg.a) * len(lifts) - kernel.dim < len(outer):
+        if (e + alg.a) * t - kernel.dim < len(outer):
+            self._check_stable()
             free, at = set(kernel.pivots), {p: c for c, p in enumerate(outer)}
             span = [img for k, (imgs, _) in enumerate(self._images(lifts))
                     for j, img in enumerate(imgs) if k * n + 1 + j not in free]
@@ -317,22 +348,24 @@ class Syzygy(AModule):
             radical = IntRows(alg.field, [{at[q]: y for q, y in img.items() if q in at}
                                           for img in span], len(outer))
             lifts = sorted(lifts + [outer[c] for c in kernel_subspace(radical).pivots])
-            kernel = phi_kernel(alg, *self._phi_rows(lifts))
+            scale = dict(zip(order, scales))
+            kernel = phi_kernel(alg, lift_rows(rows, order, lifts, n),
+                                [scale.get(p, 1) for p in lifts])
         return tuple(lifts), kernel
 
-    def _phi_rows(self, lifts: Sequence[int]) -> tuple[dict, list[int]]:
-        """Φ's rows and the lifts' scales at ``lifts``, by the cheaper route open.
+    def _check_stable(self) -> None:
+        """The checks of :meth:`action_columns`, made on the integer rows and images.
 
-        While the shadow's pivot rows all lead with 1 and no image is formed
-        they are read off those rows (:func:`shadow_rows`); otherwise off the
-        integer images, formed once (:func:`image_rows`).
+        The shadow must lie in the radical of its free module and hold the
+        image of each of its rows (BadParams otherwise); no typed row is
+        built (:meth:`~shortloc.linalg.Subspace.contains_ints`).
         """
-        form = self.space.unit_pivot_rows()
-        if form is None or "_shadow_images" in vars(self):
-            images = self._images(lifts)
-            return image_rows(self.algebra, [imgs for imgs, _ in images]), \
-                [scale for _, scale in images]
-        return shadow_rows(self.algebra, form, lifts)
+        space, n = self.space, self.algebra.dim
+        if not all(map(n.__rmod__, space.support())):
+            raise BadParams("shadow escapes the radical of its free module")
+        images = (img for imgs, _ in self._shadow_images.values() for img in imgs)
+        if not all(map(space.contains_ints, images)):
+            raise BadParams("subspace is not stable under the module action")
 
 
 @record

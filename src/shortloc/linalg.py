@@ -36,11 +36,12 @@ and membership walk only non-zero entries.  :func:`kernel_subspace` and
 and the dimension, and build the reduced rows only when they are first
 read, so a caller that needs only a rank, a dimension or free columns
 pays for the elimination alone.  A kernel is integer first: it keeps the
-elimination's integer pivot rows, which a caller may read as they stand
-(:meth:`Subspace.unit_pivot_rows`, :meth:`Subspace.support`); its integer
-rows, ints over one scale per row in the caller's coordinates
-(:meth:`Subspace.int_rows`), are written from them in one pass, and its
-typed rows from those, each on first read.
+elimination's integer pivot rows (read as they stand through
+:meth:`Subspace.pivot_form`); its integer rows, ints over one scale per row
+in the caller's coordinates (:meth:`Subspace.int_rows`), are written from
+them in one pass, and its typed rows from those, each on first read.
+Scalars and ints cross over at one pair of converters,
+:func:`integer_values` and :func:`typed_values`.
 """
 
 from __future__ import annotations
@@ -423,43 +424,32 @@ class IntRows(SparseRows):
         self.field, self.data, self.cols, self.scales = field, data, cols, scales
 
 
-def _integral(nz: list) -> list:
-    """Non-zero rationals times the lcm of their denominators, as ints."""
-    d = lcm(*[int(x.denominator) for x in nz])
-    return [int(x.numerator) * (d // int(x.denominator)) for x in nz]
+def integer_values(values: Sequence, p: int) -> tuple[list, int]:
+    """Scalars as ints over one scale d, each scalar its int over d.
 
-
-def integer_vectors(field: Field, vectors: Sequence[dict]) -> tuple[list[dict], int]:
-    """Dicts {index: scalar} as integer dicts over one scale d: each vector is its dict / d.
-
-    Over F_p the values are residues and d is 1; over Q d is the lcm of the
-    denominators.  Zeros are dropped, so the dicts are in the form of
-    :class:`IntRows`.
+    Over F_p the ints are the residues and d is 1; over Q d is the lcm of
+    the denominators (1 when every scalar is an ``int``).
     """
-    p = field.characteristic
     if p:
-        return [{j: r for j, x in v.items() if (r := x.v)} for v in vectors], 1
-    nz = [x for v in vectors for x in v.values() if x]
-    if _INTS.issuperset(map(type, nz)):
-        return [{j: x for j, x in v.items() if x} for v in vectors], 1
-    d = lcm(*[int(x.denominator) for x in nz])
-    return [{j: int(x.numerator) * (d // int(x.denominator)) for j, x in v.items() if x}
-            for v in vectors], d
+        return [x.v for x in values], 1
+    if _INTS.issuperset(map(type, values)):
+        return list(values), 1
+    d = lcm(*[int(x.denominator) for x in values])
+    return [int(x.numerator) * (d // int(x.denominator)) for x in values], d
 
 
-def typed_vectors(field: Field, vectors: Sequence[dict], scale: int) -> list[dict]:
-    """Integer dicts over ``scale`` as dicts {index: scalar}, the inverse of :func:`integer_vectors`.
+def typed_values(values: Sequence[int], scale: int, p: int) -> tuple:
+    """Ints over ``scale`` as scalars, the inverse of :func:`integer_values`.
 
-    Over Q each value is :func:`Rational` of value and scale, an ``int``
-    when integral, and at scale 1 the dicts are returned as they are;
-    over F_p each residue becomes an :class:`Fp`.
+    Over F_p each residue becomes an :class:`Fp`; over Q the ints are
+    kept at scale 1, and otherwise each is :func:`Rational` of the int and
+    the scale, an ``int`` when integral.
     """
-    p = field.characteristic
     if p:
-        return [{j: Fp(x, p) for j, x in v.items()} for v in vectors]
+        return tuple([Fp(x, p) for x in values])
     if scale == 1:
-        return list(vectors)
-    return [{j: Rational(x, scale) for j, x in v.items()} for v in vectors]
+        return tuple(values)
+    return tuple([Rational(x, scale) for x in values])
 
 
 def _sparse(row: Sequence | dict, p: int) -> dict:
@@ -479,13 +469,13 @@ def _sparse(row: Sequence | dict, p: int) -> dict:
         nz = {j: x for j, x in row.items() if x}
         if _INTS.issuperset(map(type, nz.values())):
             return nz
-        return dict(zip(nz, _integral(list(nz.values()))))
+        return dict(zip(nz, integer_values(list(nz.values()), 0)[0]))
     vals = list(map(_residue, row)) if p else row
     if not any(vals):
         return {}
     nz = list(compress(vals, vals))
     if not p and not _INTS.issuperset(map(type, nz)):
-        nz = _integral(nz)
+        nz, _ = integer_values(nz, 0)
     return dict(zip(compress(count(), vals), nz))
 
 
@@ -628,8 +618,8 @@ def kernel_subspace(m: Matrix | SparseRows, *, at: Optional[Sequence[int]] = Non
     its entries at the free columns.  With ``at``, increasing, column c of
     ``m`` is coordinate ``at[c]`` of k^ambient, so the pivots are the
     ``at[f]``.  The subspace keeps the elimination's integer pivot rows
-    (:meth:`Subspace.from_pivot_rows`), which :meth:`Subspace.unit_pivot_rows`
-    and :meth:`Subspace.support` read as they stand; the kernel rows are
+    (:meth:`Subspace.from_pivot_rows`), which :meth:`Subspace.pivot_form`
+    gives as they stand; the kernel rows are
     built in integer form (:meth:`Subspace.int_rows`, :func:`_kernel_rows`)
     on the first read of them, of :meth:`Subspace.sparse_rows` or of
     :attr:`Subspace.basis`, and the typed rows from them only when read, so
@@ -709,20 +699,6 @@ def _over_one_scale(values: list, sf: int) -> tuple[list, int]:
     return [v // g for v in ints], sf * m // g
 
 
-def _typed_rows(field: Field, rows: dict) -> dict:
-    """Integer rows (indices, values, scale) as typed rows (indices, values/scale).
-
-    Over Q each value is :func:`Rational` of value and scale, an ``int``
-    when integral, and a row at scale 1 keeps its ints; over F_p each
-    residue becomes an :class:`Fp`.
-    """
-    p = field.characteristic
-    if p:
-        return {q: (idx, tuple([Fp(x, p) for x in vals])) for q, (idx, vals, _) in rows.items()}
-    return {q: (idx, vals if s == 1 else tuple([Rational(x, s) for x in vals]))
-            for q, (idx, vals, s) in rows.items()}
-
-
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
     """Some exact solution x of m·x = b, or None if inconsistent."""
     if len(b) != m.rows:
@@ -762,10 +738,11 @@ class Subspace:
     of the dense ``basis``.  :func:`kernel_subspace` makes it from the
     elimination's integer pivot rows (:meth:`from_pivot_rows`), its
     primary form: the integer rows are built from them and the typed rows
-    from those, each on first read, and :meth:`unit_pivot_rows` and
-    :meth:`support` read them as they stand.  Any other subspace fills the
-    cache from its basis on first use.
-    :meth:`reduce`, :meth:`contains` and :meth:`coords` walk only non-zeros,
+    from those, each on first read, and :meth:`pivot_form` gives them as
+    they stand.  Any other subspace fills the cache from its basis on first
+    use.
+    :meth:`reduce`, :meth:`contains`, :meth:`contains_ints` and
+    :meth:`coords` walk only non-zeros,
     so checking a vector with few non-zeros costs what its support and the
     rows at its pivots cost, not the ambient dimension.
     """
@@ -838,46 +815,79 @@ class Subspace:
             if self._pivot_rows is not None:
                 self._ints = _kernel_rows(self.field, *self._pivot_rows)
             else:
+                p = self.field.characteristic
                 self._ints = {}
-                for p, (idx, vals) in self.sparse_rows().items():
-                    (ints,), scale = integer_vectors(self.field, [dict(zip(idx, vals))])
-                    self._ints[p] = (idx, tuple(ints.values()), scale)
+                for q, (idx, vals) in self.sparse_rows().items():
+                    ints, scale = integer_values(vals, p)
+                    self._ints[q] = (idx, tuple(ints), scale)
         return self._ints
 
-    def unit_pivot_rows(self) -> Optional[tuple]:
-        """(at, free, piv) of a kernel whose pivot rows all lead with 1, with no column scale.
+    def contains_ints(self, v: dict) -> bool:
+        """True iff v, a dict {index: int} over any scale, lies in this subspace.
 
-        Row r of such a kernel is 1 at ``at[free[r]]`` and -x at ``at[c]``
-        for each entry x at ``free[r]`` of the pivot row ``piv[c]``, at
-        scale 1, so its integer rows are read off the elimination's pivot
-        rows as they stand.  Any other subspace gives None.
+        It is checked on the integer rows (:meth:`int_rows`), with no typed
+        row built.  A row that is a unit vector takes v's entry at its pivot
+        away; with m the lcm of the scales of the other rows at v's pivots,
+        m·v less v[q]·(m / scale)·values_q for each such pivot q must then
+        be zero (mod p over F_p).
         """
-        form = self._pivot_rows
-        if form is None or form[3] is not None:
-            return None
-        piv, free, at, _ = form
-        if self.field.characteristic or all(row[c] == 1 for c, row in piv.items()):
-            return at, free, piv
-        return None
+        rows, p = self.int_rows(), self.field.characteristic
+        hits, rest = [], {}
+        for q, x in v.items():
+            row = rows.get(q)
+            if row is None:
+                rest[q] = x
+            elif len(row[0]) > 1:
+                hits.append((x, row))
+                rest[q] = x
+        if hits:
+            m = lcm(*[scale for _, (_, _, scale) in hits])
+            rest = {j: m * x for j, x in rest.items()}
+            for x, (idx, vals, scale) in hits:
+                x *= m // scale
+                for j, y in zip(idx, vals):
+                    rest[j] = rest.get(j, 0) - x * y
+        return not any(y % p for y in rest.values()) if p else not any(rest.values())
+
+    def pivot_form(self) -> tuple:
+        """(piv, free, at, scales): the subspace as the kernel of pivot rows, as :func:`_kernel_rows` reads it.
+
+        Basis row r is 1 at ``at[free[r]]`` and -x·σ_c/(lead·σ_f) at
+        ``at[c]`` for each entry x at f = ``free[r]`` of the pivot row
+        ``piv[c]``, whose lead is ``piv[c][c]``, with σ the column
+        ``scales`` (all 1 when None).  A kernel gives its elimination's
+        form as it stands; any other subspace turns its integer rows about:
+        the row at pivot p, ints over scale s, puts -v at p into the pivot
+        row of each other coordinate at which it holds v, and σ_p is s.
+        """
+        if self._pivot_rows is not None:
+            return self._pivot_rows
+        piv, scales = {}, [1] * self.ambient
+        for p, (idx, vals, scale) in self.int_rows().items():
+            scales[p] = scale
+            for q, v in zip(idx, vals):
+                if q != p:
+                    piv.setdefault(q, {q: 1})[p] = -v
+        return piv, list(self.pivots), range(self.ambient), scales
 
     def support(self) -> list[int]:
         """The coordinates at which some basis row is non-zero, in no fixed order.
 
-        A kernel reads them off the elimination's pivot rows: its pivots,
+        They are read off the pivot rows (:meth:`pivot_form`): the pivots,
         and each pivot column whose row holds an entry at a free column.
         """
-        if self._pivot_rows is not None:
-            piv, _, at, _ = self._pivot_rows
-            return [*self.pivots, *(at[c] for c, row in piv.items() if len(row) > 1)]
-        return [q for idx, _ in self.sparse_rows().values() for q in idx]
+        piv, _, at, _ = self.pivot_form()
+        return [*self.pivots, *(at[c] for c, row in piv.items() if len(row) > 1)]
 
     def sparse_rows(self) -> dict[int, tuple[tuple, tuple]]:
         """Pivot -> (indices, values) of the non-zero entries of that pivot's row."""
         if self._sparse is None:
             if self._build_rows is not None:
                 self._sparse, self._build_rows = self._build_rows(), None
-            elif self._ints is not None or self._pivot_rows is not None:
-                self._sparse = _typed_rows(self.field, self.int_rows())
+            elif self._pivot_rows is not None:
+                p = self.field.characteristic
+                self._sparse = {q: (idx, typed_values(vals, scale, p))
+                                for q, (idx, vals, scale) in self.int_rows().items()}
             else:
                 self._sparse = {p: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
                                 for p, row in zip(self.pivots, self._basis)}

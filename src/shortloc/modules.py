@@ -41,9 +41,10 @@ block-diagonal action matrices are built only when a caller reads them.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ._record import cached_property, record
+from ._record import record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)

@@ -82,9 +82,9 @@ def test_the_dual_module_makes_no_product(field, products):
 def test_a_syzygy_maps_its_shadow_once(field, name, kw, monkeypatch):
     alg = preset(name, field=field, **kw)
     passes = []
-    original = homology.integer_images
-    monkeypatch.setattr(homology, "integer_images",
-                        lambda alg, rows: passes.append(len(rows)) or original(alg, rows))
+    original = homology.shadow_rows
+    monkeypatch.setattr(homology, "shadow_rows",
+                        lambda alg, form: passes.append(len(form[1])) or original(alg, form))
     sweep_shaped_job(mod_j_squared(random_module(alg, 2, 2, 5)))
     assert len(passes) == 1
 

@@ -2,11 +2,10 @@
 
 A resolution rung reads only the elimination's integer rows: a kernel
 keeps its integer pivot rows, from which a syzygy's Φ is read straight
-through the algebra's integer structure table when they lead with 1, and
-otherwise its rows are ints over one scale per row (``Subspace.int_rows``)
-whose images are integer sums through the same table; Φ goes to the
-elimination as ``IntRows`` whose columns carry each lift's scale.  The
-typed rows are built from that form only when read.  The
+through the algebra's integer structure table, each row's leads and scale
+folded into its columns' scale, and Φ goes to the elimination as
+``IntRows``.  The kernel's rows, when read, are ints over one scale per
+row (``Subspace.int_rows``), and its typed rows are built from them.  The
 typed route it replaced (``references.typed_ladder``) builds typed images
 from typed rows and hands Φ over as typed sparse rows.  Per rung, over Q,
 F_7 and F_32003, the two must agree in pivots, sparse rows and basis, with
@@ -103,7 +102,8 @@ def test_m2_over_lambda_c1_eliminates_non_unit_leads(monkeypatch):
 @pytest.mark.parametrize("name, kw, n", [("ex15_1", {"e": 3, "a": 2}, 8), ("ex5_3", {}, 6)])
 def test_after_rung_0_a_ladder_builds_no_typed_row_and_converts_no_phi_row(
         field, name, kw, n, monkeypatch):
-    counts = {"typed_rows": 0, "sparse": 0, "cover": 0, "phi": 0, "radical": 0}
+    # "typed" counts conversions of ints to scalars, of rows and of images alike.
+    counts = {"typed": 0, "sparse": 0, "cover": 0, "phi": 0, "radical": 0}
     starts = []
 
     def counting(key, original):
@@ -120,7 +120,8 @@ def test_after_rung_0_a_ladder_builds_no_typed_row_and_converts_no_phi_row(
     def kernel(m, _original=homology.kernel_subspace, **embedding):
         counts["phi" if "at" in embedding else "radical"] += 1
         return _original(m, **embedding)
-    monkeypatch.setattr(linalg, "_typed_rows", counting("typed_rows", linalg._typed_rows))
+    monkeypatch.setattr(linalg, "typed_values", counting("typed", linalg.typed_values))
+    monkeypatch.setattr(homology, "typed_values", linalg.typed_values)
     monkeypatch.setattr(linalg, "_sparse", counting("sparse", linalg._sparse))
     monkeypatch.setattr(homology, "projective_cover", cover)
     monkeypatch.setattr(homology, "kernel_subspace", kernel)
@@ -132,13 +133,14 @@ def test_after_rung_0_a_ladder_builds_no_typed_row_and_converts_no_phi_row(
     assert counts["cover"] == n
     assert counts["phi"] == n + 1 + counts["radical"]
     assert (counts["radical"] > 0) == (name == "ex5_3")
-    # From rung 1 on, no typed row is built and no Φ row goes through _sparse.
-    assert {k: counts[k] for k in ("typed_rows", "sparse")} == \
-        {k: starts[1][k] for k in ("typed_rows", "sparse")}
-    # The counters record: a kernel read as typed rows converts its input.
-    homology.kernel_subspace(linalg.Matrix.identity(field, 2)).sparse_rows()
-    assert counts["typed_rows"] == starts[1]["typed_rows"] + 1
-    assert counts["sparse"] == starts[1]["sparse"] + 2
+    # From rung 1 on, no typed row or image is built and no Φ row goes through _sparse.
+    assert {k: counts[k] for k in ("typed", "sparse")} == \
+        {k: starts[1][k] for k in ("typed", "sparse")}
+    # The counters record: a kernel read as typed rows converts its input and its row.
+    one = field.one()
+    homology.kernel_subspace(linalg.Matrix(field, [[one, one]])).sparse_rows()
+    assert counts["typed"] == starts[1]["typed"] + 1
+    assert counts["sparse"] == starts[1]["sparse"] + 1
 
 
 @FIELDS

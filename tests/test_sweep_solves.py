@@ -280,6 +280,13 @@ def test_an_unstable_shadow_is_refused(conca32):
     for read in (Syzygy.radical, Syzygy.socle, Syzygy.action_columns):
         with pytest.raises(BadParams, match="not stable"):
             read(Syzygy(alg, Subspace.from_vectors(field, n, [v1])))
+    # With the J^2-rows of two more copies the V-row lifts only part of the
+    # top, so the cover takes its top-lift branch, which checks the images too.
+    rows = [{1: field.one()}] + [{k * n + i: field.one()} for k in (1, 2)
+                                 for i in range(1 + alg.e, n)]
+    for read in (lambda syz: syz.cover, Syzygy.top_dim, Syzygy.action_columns):
+        with pytest.raises(BadParams, match="not stable"):
+            read(Syzygy(alg, Subspace.from_vectors(field, 3 * n, rows)))
     # The whole of A is stable, but it is no shadow: it reaches the unit.
     with pytest.raises(BadParams, match="radical"):
         Syzygy(alg, Subspace.full(field, n)).radical()
