@@ -272,11 +272,13 @@ class Syzygy(AModule):
         """ψ_1(x) .. ψ_e(x) for the shadow rows x at ``pivots``, as dicts {index: scalar}.
 
         They are converted from the integer images on each read
-        (:func:`~shortloc.linalg.typed_values`); a row with no V-coordinate
-        has empty images.
+        (:func:`~shortloc.linalg.typed_values`), except that over Q images at
+        scale 1 are ints already and are given as they stand; a row with no
+        V-coordinate has empty images.
         """
         p = self.field.characteristic
-        return [[dict(zip(img, typed_values(img.values(), scale, p))) for img in imgs]
+        return [list(imgs) if not p and scale == 1 else
+                [dict(zip(img, typed_values(img.values(), scale, p))) for img in imgs]
                 for imgs, scale in self._images(pivots)]
 
     def action_columns(self) -> list[list[list[tuple]]]:
