@@ -36,13 +36,18 @@ syzygy's top, its free columns are the kernel's pivots, and its pivot
 rows feed the next step.  When the V-rows do not lift the whole top, the
 images, read off the same Φ, are checked against the shadow on its
 integer rows, and only those at Φ's pivot columns and those of the
-J^2-rows are eliminated again.  Converted to scalars, checked against the
-shadow and read at its pivots, the images are the columns of its actions
-(:meth:`Syzygy.action_columns`), which its radical, socle and Hom systems
-read.  Any other module, of any Loewy length, reads Φ off its action
-columns at the free columns of its radical (:meth:`AModule.top_images`),
-converted to integers once (:func:`top_kernel`), so no whole cover matrix
-is eliminated.  Every module keeps its cover kernel
+J^2-rows are eliminated again.  Checked against the shadow on its integer
+rows and read at its pivots, the images give the columns of its actions
+(:meth:`Syzygy.action_columns`), which its radical and Hom systems read;
+only the entries read there become scalars.  Its socle is read off Φ
+itself: Φ's entries regrouped by J^2-coordinate and generator, one
+column per mapped row, have the rank of the stacked actions, so dim soc
+is dim Ω less that integer rank (:meth:`Syzygy.socle_dim`), and no
+action column is built for the main lemma or the bipartite test.  Any
+other module, of any Loewy length, reads Φ off its action columns at the
+free columns of its radical (:meth:`AModule.top_images`), converted to
+integers once (:func:`top_kernel`), so no whole cover matrix is
+eliminated.  Every module keeps its cover kernel
 (:attr:`AModule.cover_kernel`, for a syzygy :meth:`Syzygy.cover`'s), so
 its cover, its syzygy and the Hom dimensions from it
 (:func:`~shortloc.modules.hom_dim`) share one :func:`phi_kernel` call; a
@@ -197,21 +202,23 @@ def phi_kernel(alg: ShortAlgebra, rows: dict, scales: Sequence[int]) -> Subspace
 class Syzygy(AModule):
     """The kernel of a projective cover A^t -> M, held by its shadow.
 
-    ``space`` is the shadow: the kernel's reduced basis as sparse rows in
-    the coordinates of A^t, which fix the module's basis.  J^2 kills the
-    kernel (minimality), so the images ψ_j(x) of its basis rows give its
-    top and its own cover, one kernel of the big Φ (:meth:`cover`), and
-    the columns of its actions (:meth:`action_columns`), which its
-    radical, socle and Hom systems read.  The cover keeps the top lifts
-    with Φ's kernel, eliminated once: the top is read off it with no
-    kernel row built, and the rows are built, in A^t, when first read.  A
-    ladder reads only the shadow's integer pivot rows, mapped once into Φ
-    over all its rows (:func:`shadow_rows`), which the cover and the
-    action columns share: typed rows and images are built when a caller
-    reads them, and the action matrices by :func:`module_from_subspace`.
+    ``space`` is the shadow: the kernel's reduced basis as sparse rows in the
+    coordinates of A^t, which fix the module's basis.  J^2 kills the kernel
+    (minimality), so the images ψ_j(x) of its basis rows give its top and
+    its own cover, one kernel of the big Φ (:meth:`cover`), its socle
+    (:meth:`socle_dim`, a rank of Φ's entries), and the columns of its
+    actions (:meth:`action_columns`), which its radical and Hom systems
+    read.  The cover keeps the top lifts with Φ's kernel, eliminated once:
+    the top is read off it with no kernel row built, and the rows are built,
+    in A^t, when first read.  A ladder reads only the shadow's integer pivot
+    rows, mapped once into Φ over all its rows (:func:`shadow_rows`), which
+    the cover, the socle and the action columns share: typed rows and images
+    are built when a caller reads them, and the action matrices by
+    :func:`module_from_subspace`.
     """
 
     _square_zero = True
+    _stable = False
 
     def __init__(self, algebra: ShortAlgebra, space: Subspace):
         # No action matrices are passed, so AModule's shape checks are skipped.
@@ -226,7 +233,7 @@ class Syzygy(AModule):
 
     @cached_property
     def _phi(self) -> tuple[dict, list[int], list[int]]:
-        """Φ over every row of the shadow (:func:`shadow_rows`), mapped once for the cover and the actions."""
+        """Φ over every shadow row (:func:`shadow_rows`), mapped once for the cover, socle and actions."""
         return shadow_rows(self.algebra, self.space.pivot_form())
 
     @cached_property
@@ -272,31 +279,57 @@ class Syzygy(AModule):
         """ψ_1(x) .. ψ_e(x) for the shadow rows x at ``pivots``, as dicts {index: scalar}.
 
         They are converted from the integer images on each read
-        (:func:`~shortloc.linalg.typed_values`), except that over Q images at
-        scale 1 are ints already and are given as they stand; a row with no
-        V-coordinate has empty images.
+        (:func:`~shortloc.linalg.typed_values`); a row with no V-coordinate
+        has empty images.
         """
         p = self.field.characteristic
-        return [list(imgs) if not p and scale == 1 else
-                [dict(zip(img, typed_values(img.values(), scale, p))) for img in imgs]
+        return [[dict(zip(img, typed_values(img.values(), scale, p))) for img in imgs]
                 for imgs, scale in self._images(pivots)]
 
     def action_columns(self) -> list[list[list[tuple]]]:
-        """The columns of the actions, read off the shadow; no action matrix is built.
+        """The columns of the actions, read off the integer images; no action matrix is built.
 
-        v_j sends the basis row x to ψ_j(x) (:meth:`images`), and
-        :func:`pivot_columns` checks each image against the shadow and
-        reads its coordinates at the pivots, as for any submodule; so the
-        radical, the socle and the Hom systems of a syzygy read the same
-        columns as its built actions would give.
+        v_j sends the basis row x to ψ_j(x), which is checked against the
+        shadow on its integer rows (:meth:`_check_stable`); the shadow is
+        row reduced, so x's column is the image's non-zero entries at the
+        pivots, and only those are converted to scalars.  So the radical
+        and the Hom systems of a syzygy read the same columns as its built
+        actions would give.
         """
         if self._action_columns is None:
-            n = self.algebra.dim
-            if any(q % n == 0 for idx, _ in self.space.sparse_rows().values() for q in idx):
-                raise BadParams("shadow escapes the radical of its free module")
-            self._action_columns = pivot_columns(self.space, self.images(self.space.pivots),
-                                                 self.algebra.e)
+            self._check_stable()
+            p, at = self.field.characteristic, {q: r for r, q in enumerate(self.space.pivots)}
+            columns: list[list] = [[] for _ in range(self.algebra.e)]
+            for imgs, scale in self._images(self.space.pivots):
+                for cols, img in zip(columns, imgs):
+                    hits = {at[q]: y for q, y in img.items() if q in at and (y % p if p else y)}
+                    cols.append(list(zip(hits, typed_values(hits.values(), scale, p))))
+            self._action_columns = columns
         return self._action_columns
+
+    def socle_dim(self) -> int:
+        """dim soc Ω, read off Φ's integer rows (:attr:`_phi`); no action column is built.
+
+        soc Ω is the kernel of x -> (v_1 x, .., v_e x).  Φ's entry at row q
+        and column k·(dim A - 1) + j is ψ_{j+1} at q of the row at
+        ``order[k]``, times a scale per k, which moves no rank; the other
+        rows have zero images.  So Φ's entries, regrouped into rows keyed
+        (q, j) with one column per row in ``order``, have the rank of the
+        stacked actions, as Ω embeds in A^t, and the socle has dim Ω less
+        that rank.  The shadow is checked first (:meth:`_check_stable`).
+        """
+        if self._socle_dim is None:
+            self._check_stable()
+            rows, order, _ = self._phi
+            m = self.algebra.dim - 1
+            stacked: dict = defaultdict(dict)
+            for q, row in rows.items():
+                for c, y in row.items():
+                    k, j = divmod(c, m)
+                    stacked[q, j][k] = y
+            self._socle_dim = self.dim - rank(IntRows(self.field, list(stacked.values()),
+                                                      len(order)))
+        return self._socle_dim
 
     def top_dim(self) -> int:
         # A radical already read gives the top at once; else Φ is eliminated
@@ -356,18 +389,21 @@ class Syzygy(AModule):
         return tuple(lifts), kernel
 
     def _check_stable(self) -> None:
-        """The checks of :meth:`action_columns`, made on the integer rows and images.
+        """Check the shadow once, on its pivot and integer rows; no typed row is built.
 
         The shadow must lie in the radical of its free module and hold the
-        image of each of its rows (BadParams otherwise); no typed row is
-        built (:meth:`~shortloc.linalg.Subspace.contains_ints`).
+        image of each of its rows (BadParams otherwise), each image checked
+        on the integer rows (:meth:`~shortloc.linalg.Subspace.contains_ints`).
         """
+        if self._stable:
+            return
         space, n = self.space, self.algebra.dim
         if not all(map(n.__rmod__, space.support())):
             raise BadParams("shadow escapes the radical of its free module")
         images = (img for imgs, _ in self._shadow_images.values() for img in imgs)
         if not all(map(space.contains_ints, images)):
             raise BadParams("subspace is not stable under the module action")
+        self._stable = True
 
 
 @record
@@ -518,15 +554,16 @@ class MinimalResolution:
         """The map P_j -> P_{j-1} as sparse rows: row l is d(unit_l), as (indices, values).
 
         The cover P_j -> Omega^j sends unit_l to the l-th top lift, a row of
-        the shadow of Omega^j in P_{j-1}, read off as it stands; its entries
-        lie in the radical (minimality).
+        the shadow of Omega^j in P_{j-1}; only those rows are converted from
+        the shadow's integer rows (:meth:`~shortloc.linalg.Subspace.int_rows`).
+        Their entries lie in the radical (minimality).
         """
         if j < 1:
             raise ValueError("boundaries start at index 1")
         self.extend_to(j)
         syz = self.steps[j - 1].kernel
-        rows = syz.space.sparse_rows()
-        return [rows[p] for p in syz.cover[0]]
+        rows, p = syz.space.int_rows(), self.module.field.characteristic
+        return [(rows[q][0], typed_values(rows[q][1], rows[q][2], p)) for q in syz.cover[0]]
 
     def boundary_elements(self, j: int) -> list[list[tuple]]:
         """The map P_j -> P_{j-1} as a matrix of algebra elements.

@@ -6,36 +6,40 @@ actions that the algebra's sections give, so a tuple of matrices is a
 valid module iff it satisfies the linear relations among the products
 v_i v_j and kills all triple products.
 
-:meth:`AModule.action_columns` is the one way a module's actions are read
-and built: each generator's action as sparse columns, on A^t read off the
-algebra's regular action block by block, on a syzygy off its shadow.
+:meth:`AModule.action_columns` is the one way a module's actions are
+read and built: each generator's action as sparse columns, on A^t read
+off the algebra's regular action block by block, on a syzygy off its Φ's
+integer rows (:meth:`~shortloc.homology.Syzygy.action_columns`).
 :func:`vector_images` maps vectors along them, :func:`pivot_columns`
 turns the images of a subspace's basis rows into the columns of the
 induced actions, checked for stability, and :func:`module_from_columns`
 builds the module.  Submodules and closures, quotients, J^2 M, the Loewy
 length, the radical, the dual module and the Kronecker shadow go this
 way, and the socle and the Hom equations read the columns, so none of
-them multiplies action matrices.  w_m acts as sum s_ij v_i v_j, so w_m·x
-sums the images v_i·(v_j·x) read along the columns
-(:func:`square_images`).  :meth:`AModule.top_images` maps the radical
-basis at the top lifts, the images every cover is read off (its kernel,
-:attr:`AModule.cover_kernel`, is found once per module), and
-:meth:`AModule.action_rows` holds each basis element's action as sparse
-rows, for the Hom-complex of Ext, Hom dimensions and the approximation's
-certificate.
+them multiplies action matrices; a syzygy's socle is read off its Φ's
+integer rows instead (:meth:`~shortloc.homology.Syzygy.socle_dim`).  w_m
+acts as sum s_ij v_i v_j, so w_m·x sums the images v_i·(v_j·x) read
+along the columns (:func:`square_images`).  :meth:`AModule.top_images`
+maps the radical basis at the top lifts, the images every cover is read
+off (its kernel, :attr:`AModule.cover_kernel`, is found once per
+module), and :meth:`AModule.action_rows` holds each basis element's
+action as sparse rows, for the Hom-complex of Ext, Hom dimensions and
+the approximation's certificate.
 
 A Hom system is sized by the top of its source, since the top lifts
 m_1..m_t generate M.  :func:`hom_space` solves F(b·m_k) = b·F(m_k) for
 the radical basis elements b, at most (dim A - 1)·t·dim N equations, and
 builds each basis map on first read.  :func:`hom_dim` reads M's
-presentation: t·dim N less the rank of the cover kernel acting on N, with
-no kernel basis.  :func:`find_isomorphism` solves Hom(M, N) once and tests
-each basis element on tops, a t x t matrix, since an A-map between
-modules of one dimension is invertible iff it is onto the top (Nakayama);
-it takes dim Hom(N, M) only when no basis element is invertible.  Socle
-dimensions, and with them the bipartite test and the multiplicity of S,
-are ranks.  A free module A^t (:class:`FreeModule`) holds only t, and its
-block-diagonal action matrices are built only when a caller reads them.
+presentation: t·dim N less the rank of the cover kernel acting on N, its
+integer rows against N's actions as ints over one scale, with no kernel
+basis and no typed kernel row.  :func:`find_isomorphism` solves
+Hom(M, N) once and tests each basis element on tops, a t x t matrix,
+since an A-map between modules of one dimension is invertible iff it is
+onto the top (Nakayama); it takes dim Hom(N, M) only when no basis
+element is invertible.  Socle dimensions, and with them the bipartite test and the
+multiplicity of S, are ranks.  A free module A^t (:class:`FreeModule`)
+holds only t, and its block-diagonal action matrices are built only when
+a caller reads them.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from ._record import record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
-from .linalg import DEFAULT_POOL, Matrix, SparseRows, Subspace, kernel_subspace, rank
+from .linalg import (DEFAULT_POOL, IntRows, Matrix, SparseRows, Subspace, integer_values,
+                     kernel_subspace, rank)
 
 
 class DimVec(tuple):
@@ -82,6 +87,7 @@ class AModule:
     _socle: Optional[Subspace] = None
     _socle_dim: Optional[int] = None
     _action_rows: Optional[tuple] = None
+    _int_action_rows: Optional[tuple] = None
     _action_columns: Optional[list] = None
     _loewy: Optional[int] = None
     #: Set when J^2 M = 0 is known, as for a syzygy: then no image decides it.
@@ -141,6 +147,23 @@ class AModule:
                           for k in range(self.free_rank) for row in rows)
                     for rows in self.algebra.regular_rows())
         return self._action_rows
+
+    def int_action_rows(self) -> tuple:
+        """:meth:`action_rows` with every value an int over one scale, converted once.
+
+        The ints are :func:`~shortloc.linalg.integer_values` of all the
+        values together (residues over F_p); over Q with every value an
+        ``int`` the rows are :meth:`action_rows` themselves.
+        """
+        if self._int_action_rows is None:
+            act, p = self.action_rows(), self.field.characteristic
+            values = [y for b in act for row in b for _, y in row]
+            if p or any(type(y) is not int for y in values):
+                ints = iter(integer_values(values, p)[0])
+                act = tuple(tuple(tuple((c, next(ints)) for c, _ in row) for row in b)
+                            for b in act)
+            self._int_action_rows = act
+        return self._int_action_rows
 
     def action_columns(self) -> list[list[list[tuple]]]:
         """Per generator, the non-zero (row, value) pairs of each column of its action.
@@ -739,16 +762,22 @@ def hom_basis(M: AModule, N: AModule) -> list[ModuleMap]:
     return list(hom_space(M, N).maps)
 
 
-def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> SparseRows:
+def relation_equations(N: AModule, relations: Iterable[tuple], t: int,
+                       ints: bool = False) -> SparseRows:
     """The equations ρ·(n_1..n_t) = 0 on N^t = Hom(A^t, N), dim N per relation ρ.
 
     Each relation ρ in A^t is given as its non-zeros (indices, values).
     Row l·dim N + r is row r of the l-th relation's action: each entry x
     of ρ at k·dim A + b adds x times row r of b's action on N
-    (:meth:`AModule.action_rows`), shifted to copy k.
+    (:meth:`AModule.action_rows`), shifted to copy k.  With ``ints`` the
+    relations' values are ints, over any scale per relation, N's action
+    values are read as ints over one scale (:meth:`AModule.int_action_rows`),
+    and the equations come as
+    :class:`~shortloc.linalg.IntRows`: each is a multiple of the one meant,
+    so they have its rank.
     """
     n, d = N.algebra.dim, N.dim
-    act = N.action_rows()
+    act = N.int_action_rows() if ints else N.action_rows()
     out = []
     for idx, vals in relations:
         rows: list[dict] = [{} for _ in range(d)]
@@ -759,7 +788,7 @@ def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> Sparse
                     col = k * d + c
                     row[col] = row[col] + x * y if col in row else x * y
         out += rows
-    return SparseRows(N.field, out, t * d)
+    return (IntRows if ints else SparseRows)(N.field, out, t * d)
 
 
 def hom_dim(M: AModule, N: AModule) -> int:
@@ -768,12 +797,14 @@ def hom_dim(M: AModule, N: AModule) -> int:
     A map M -> N is a map A^t -> N, fixed by the images n_k of the t top
     lifts, that kills the kernel of M's cover (:attr:`AModule.cover_kernel`),
     so the dimension is t·dim N less the rank of
-    :func:`relation_equations` over that kernel's rows.  No kernel basis
-    and no map is formed.
+    :func:`relation_equations` over that kernel's integer rows
+    (:meth:`~shortloc.linalg.Subspace.int_rows`).  No kernel basis, no
+    typed kernel row and no map is formed.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
-    equations = relation_equations(N, M.cover_kernel.sparse_rows().values(), M.top_dim())
+    kernel = ((idx, vals) for idx, vals, _ in M.cover_kernel.int_rows().values())
+    equations = relation_equations(N, kernel, M.top_dim(), ints=True)
     return equations.cols - rank(equations)
 
 

@@ -9,7 +9,9 @@ row (``Subspace.int_rows``), and its typed rows are built from them.  The
 typed route it replaced (``references.typed_ladder``) builds typed images
 from typed rows and hands Φ over as typed sparse rows.  Per rung, over Q,
 F_7 and F_32003, the two must agree in pivots, sparse rows and basis, with
-the type of every scalar, in the top lifts and in ``boundary_rows``.
+the type of every scalar, in the top lifts and in ``boundary_rows``.  A
+syzygy's socle is read off the integer Φ; it must agree with the socle of
+the module built from its shadow, by rank and densely.
 """
 
 from fractions import Fraction
@@ -20,10 +22,12 @@ import pytest
 from shortloc import homology, linalg
 from shortloc.homology import MinimalResolution, betti
 from shortloc.linalg import QQ, Field
-from shortloc.modules import m_alpha, random_module, simple_module
-from shortloc.presets import preset
+from shortloc.modules import (free_module, is_bipartite, m_alpha, module_from_subspace,
+                              random_module, simple_module, simple_multiplicity)
+from shortloc.presets import preset, preset_names
 
 from references import scalars, typed, typed_ladder
+from test_sweep_solves import dense_socle, sweep_modules
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -157,3 +161,80 @@ def test_a_span_reads_its_rows_as_ints_over_their_least_scale(field):
         assert scale == (lcm(*[Fraction(x).denominator for x in typed_vals]) if field == QQ
                          else 1)
     assert field != QQ or any(scale > 1 for _, _, scale in span.int_rows().values())
+
+
+# -- the typed rows a boundary builds ----------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=str)
+def test_boundary_rows_convert_only_the_lift_rows(field, monkeypatch):
+    converted = []
+
+    def counting(values, scale, p, _original=linalg.typed_values):
+        converted.append(values)
+        return _original(values, scale, p)
+    monkeypatch.setattr(linalg, "typed_values", counting)
+    monkeypatch.setattr(homology, "typed_values", counting)
+    returned = shadow_rows = 0
+    for M, depth in [(simple_module(preset("ex5_3", field=field)), 5),
+                     (m_alpha(preset("lambda_c", field=field, c=1), 2), 6)]:
+        res = MinimalResolution(M)
+        res.extend_to(depth)
+        converted.clear()
+        for j in range(1, depth + 1):
+            rows = res.boundary_rows(j)
+            assert len(converted) == len(rows), (M, j)
+            returned += len(rows)
+            shadow_rows += res.steps[j - 1]._kernel_space.dim
+            converted.clear()
+    # The shadows hold more rows than their top lifts, which alone are converted.
+    assert shadow_rows > returned > 0
+
+
+# -- socles off Φ's integer rows -----------------------------------------------------
+
+#: The parameters of the presets that need some.
+PRESET_PARAMS = {"L": {"e": 3}, "ex14_1": {"e": 2, "a": 1}, "ex15_1": {"e": 3, "a": 2}}
+
+
+def _socle_inputs(field):
+    """S and a seeded module over every preset, M(2) over lambda_c(c=1), the sweep modules."""
+    for name in preset_names():
+        alg = preset(name, field=field, **PRESET_PARAMS.get(name, {}))
+        yield simple_module(alg)
+        yield random_module(alg, 2, 1, 3)
+    yield m_alpha(preset("lambda_c", field=field, c=1), 2)
+    yield from sweep_modules(field, per_stratum=1, seed=9)
+
+
+@FIELDS
+def test_a_syzygy_socle_read_off_phi_matches_the_typed_route(field):
+    seen, scaled, top_lift_branch, both = set(), 0, 0, 0
+    for M in _socle_inputs(field):
+        res, n, e = MinimalResolution(M), M.algebra.dim, M.algebra.e
+        for i in range(1, 4):
+            syz = res.syzygy_module(i)
+            got = (syz.socle_dim(), simple_multiplicity(syz), is_bipartite(syz))
+            # No action column was built for them.
+            assert syz._action_columns is None
+            P = free_module(M.algebra, syz.space.ambient // n)
+            built = module_from_subspace(P, syz.space)[0]
+            socle, radical = built.socle_dim(), built.dim - built.top_dim()
+            assert socle == dense_socle(built).dim
+            assert got == (socle, socle - radical, built.dim > 0 and socle == radical), (M, i)
+            # The built actions' sums may hold Fraction(-1, 1) where the shadow
+            # has -1, so values are compared here; the types of the columns are
+            # checked against the typed images in test_shadow_resolution.py.
+            assert [[sorted(col) for col in cols] for cols in syz.action_columns()] == \
+                [X.sparse_columns() for X in built.actions], (M, i)
+            seen.add((got[1] > 0, got[2]))
+            odd = any(scale != 1 for scale in syz._phi[2])
+            branch = any(p % n > e for p in syz.cover[0])
+            scaled += odd
+            top_lift_branch += branch
+            both += odd and branch
+    # Shadows with and without a simple summand, bipartite or not, some
+    # through the top-lift branch and, over Q, some with scales other than 1
+    # (non-unit leads or column scales), on that branch too.
+    assert {(True, False), (False, True), (False, False)} <= seen
+    assert top_lift_branch >= 30
+    assert (scaled >= 30 and both >= 5) if field == QQ else scaled == 0

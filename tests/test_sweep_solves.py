@@ -2,13 +2,14 @@
 
 The isomorphism search solves Hom(M, N) first and takes dim Hom(N, M) by
 rank only when no basis element is invertible; ``hom_dim`` is a rank; a
-syzygy's radical and socle are read off its shadow, and every socle off
-sparse action columns; ``quotient`` reduces action columns instead of
-multiplying dense matrices.  The routes these replaced are kept here as
-references: the former search order, the built syzygy module, the dense
-socle formula, ``len(hom_basis)`` and the dense quotient formula.
-Over Q, F_7 and F_32003 the answers must agree exactly, and a counting
-guard keeps a sweep-shaped job from solving what it does not read.
+syzygy's radical is read off its shadow and its socle off its Φ's integer
+rows, and every other socle off sparse action columns; ``quotient``
+reduces action columns instead of multiplying dense matrices.  The
+routes these replaced are kept here as references: the former search
+order, the built syzygy module, the dense socle formula,
+``len(hom_basis)`` and the dense quotient formula.  Over Q, F_7 and
+F_32003 the answers must agree exactly, and a counting guard keeps a
+sweep-shaped job from solving what it does not read.
 """
 
 import random
@@ -19,8 +20,8 @@ from shortloc import homology, modules
 from shortloc.errors import AlgebraMismatch, BadParams
 from shortloc.homology import Syzygy, syzygy, transpose
 from shortloc.kronecker import hom_decomposition_check
-from shortloc.linalg import (DEFAULT_POOL, QQ, Field, Matrix, Subspace, kernel_basis, rank,
-                             solve_matrix)
+from shortloc.linalg import (DEFAULT_POOL, QQ, Field, IntRows, Matrix, Subspace, kernel_basis,
+                             rank, solve_matrix)
 from shortloc.modules import (AModule, IsoSearch, ModuleMap, end_dim, find_isomorphism,
                               free_module, hom_basis, hom_dim, is_bipartite, is_solid,
                               left_regular_module, m_alpha, mod_j_squared, radical_module,
@@ -277,14 +278,16 @@ def test_an_unstable_shadow_is_refused(conca32):
     # v_1 alone: v_j v_1 reaches J^2, which the span misses.
     v1 = [field.zero()] * n
     v1[1] = field.one()
-    for read in (Syzygy.radical, Syzygy.socle, Syzygy.action_columns):
+    for read in (Syzygy.radical, Syzygy.socle, Syzygy.action_columns, Syzygy.socle_dim,
+                 is_bipartite):
         with pytest.raises(BadParams, match="not stable"):
             read(Syzygy(alg, Subspace.from_vectors(field, n, [v1])))
     # With the J^2-rows of two more copies the V-row lifts only part of the
     # top, so the cover takes its top-lift branch, which checks the images too.
     rows = [{1: field.one()}] + [{k * n + i: field.one()} for k in (1, 2)
                                  for i in range(1 + alg.e, n)]
-    for read in (lambda syz: syz.cover, Syzygy.top_dim, Syzygy.action_columns):
+    for read in (lambda syz: syz.cover, Syzygy.top_dim, Syzygy.action_columns, Syzygy.socle_dim,
+                 is_bipartite):
         with pytest.raises(BadParams, match="not stable"):
             read(Syzygy(alg, Subspace.from_vectors(field, 3 * n, rows)))
     # The whole of A is stable, but it is no shadow: it reaches the unit.
@@ -330,20 +333,28 @@ def test_quotient_actions_match_the_dense_formula(field, monkeypatch):
 # -- the guard: one sweep-shaped job, counted ----------------------------------
 
 def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_calls):
-    built = []
+    built, syzygies, columns, typed_rows = [], [], [], []
 
     def counted(M, space, _original=modules.module_from_subspace):
         built.append(space.dim)
         return _original(M, space)
     for mod in (modules, homology):
         monkeypatch.setattr(mod, "module_from_subspace", counted)
+    # Every syzygy made, each read of a syzygy's action columns and each
+    # subspace whose typed rows are read.
+    monkeypatch.setattr(Syzygy, "__init__", lambda syz, alg, space, _original=Syzygy.__init__:
+                        syzygies.append(syz) or _original(syz, alg, space))
+    monkeypatch.setattr(Syzygy, "action_columns", lambda syz, _original=Syzygy.action_columns:
+                        columns.append(syz) or _original(syz))
+    monkeypatch.setattr(Subspace, "sparse_rows", lambda space, _original=Subspace.sparse_rows:
+                        typed_rows.append(space) or _original(space))
     rng = random.Random(7)
     one_solve = 0
     for M in sweep_modules(QQ, per_stratum=1, seed=9):
         partner = mod_j_squared(random_module(M.algebra, 1 + rng.randrange(2), rng.randrange(4),
                                               rng.randrange(2**31)))
         N = rebased(M, rng)
-        hom_space_calls.clear()
+        hom_space_calls.clear(), syzygies.clear(), typed_rows.clear()
         wit = main_lemma_witness(M)
         o1 = wit.omega_module
         o2 = syzygy(o1)
@@ -351,6 +362,10 @@ def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_cal
         assert hom_decomposition_check(M, partner)
         iso = find_isomorphism(M, N, seed=3)
         assert iso.found and built == []
+        # The syzygies' socles and tops are read off Φ: no syzygy builds its
+        # action columns or reads its shadow's typed rows.
+        assert len(syzygies) >= 2 and columns == []
+        assert not any(space is syz.space for space in typed_rows for syz in syzygies)
         # Hom(M, N) is the one basis solved; Hom(N, M) is only ever a rank.
         assert len(hom_space_calls) == 1
         one_solve += any(h.matrix == iso.witness.matrix for h in hom_basis(M, N))
@@ -360,14 +375,16 @@ def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_cal
 def test_a_socle_is_ranked_once_and_a_zero_top_never(monkeypatch):
     ranked, tested = [], []
     rank_of, invertible = modules.rank, modules._invertible
-    monkeypatch.setattr(modules, "rank", lambda m: ranked.append(m) or rank_of(m))
+    for mod in (modules, homology):
+        monkeypatch.setattr(mod, "rank", lambda m: ranked.append(m) or rank_of(m))
     monkeypatch.setattr(modules, "_invertible", lambda top: tested.append(top) or invertible(top))
     for M in sweep_modules(QQ, per_stratum=1, seed=9):
         omega = syzygy(M)
         ranked.clear()
         w, bipartite = modules.simple_multiplicity(omega), is_bipartite(omega)
-        stacked = [m for m in ranked if (m.rows, m.cols) == (M.algebra.e * omega.dim, omega.dim)]
-        assert len(stacked) == 1
+        # The socle is one integer rank of Φ's entries, one column per mapped
+        # shadow row, and nothing else is ranked.
+        assert [(type(m), m.cols) for m in ranked] == [(IntRows, len(omega._phi[1]))]
         radical_dim = omega.dim - omega.top_dim()
         assert w == dense_socle(omega).dim - radical_dim
         assert bipartite == (omega.dim > 0 and w == 0)
