@@ -34,12 +34,15 @@ EXIT_RESOURCE = 3
 
 def _default_cap() -> int:
     env = os.environ.get("SHORTLOC_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise BadParams(f"SHORTLOC_CAP must be an integer, got {env!r}")
-    return homology.DEFAULT_CAP
+    if not env:
+        return homology.DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise BadParams(f"SHORTLOC_CAP must be an integer, got {env!r}")
+    if cap < 1:
+        raise BadParams(f"SHORTLOC_CAP must be at least 1, got {cap}")
+    return cap
 
 
 def parse_algebra_source(src: str, cap: int) -> ShortAlgebra:
@@ -116,7 +119,7 @@ def _emit(args, payload: dict, text_lines: list[str], csv_lines: Optional[list[s
 
 def _module_payload(M: AModule) -> dict:
     info = {"dim": M.dim, "top": M.top_dim(), "radical": M.radical().dim,
-            "socle": M.socle().dim, "loewy": M.loewy_length()}
+            "socle": M.socle_dim(), "loewy": M.loewy_length()}
     if M.loewy_length() <= 2:
         info["dim_vector"] = list(dim_vector(M))
     return info

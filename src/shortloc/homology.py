@@ -5,9 +5,10 @@ basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
 is the single engine that walks syzygies: Betti numbers are the tops of its
 syzygies, syzygy powers and orbit walks read its modules, and Ext groups and
 the transpose (the cokernel of d_1^* into A) come from the Hom-complex of its
-boundaries, handed to the elimination as sparse rows built from the
-boundaries' shadow rows and the target's sparse action rows
-(:func:`_hom_complex_matrix`).  :class:`DualData` is the single engine of
+boundaries, handed to the elimination as integer rows built from the top
+lifts' integer shadow rows, over one scale, and the target's action rows as
+ints (:func:`_hom_complex_matrix`), so no boundary row becomes a scalar.
+:class:`DualData` is the single engine of
 the dual side: it solves Hom(M, A) once and serves the dual module, the
 torsionless and reflexive verdicts, the evaluation map and the minimal left
 approximation with its cokernel (the cosyzygy), each built on first read;
@@ -36,14 +37,16 @@ syzygy's top, its free columns are the kernel's pivots, and its pivot
 rows feed the next step.  When the V-rows do not lift the whole top, the
 images, read off the same Φ, are checked against the shadow on its
 integer rows, and only those at Φ's pivot columns and those of the
-J^2-rows are eliminated again.  Checked against the shadow on its integer
-rows and read at its pivots, the images give the columns of its actions
-(:meth:`Syzygy.action_columns`), which its radical and Hom systems read;
-only the entries read there become scalars.  Its socle is read off Φ
-itself: Φ's entries regrouped by J^2-coordinate and generator, one
-column per mapped row, have the rank of the stacked actions, so dim soc
-is dim Ω less that integer rank (:meth:`Syzygy.socle_dim`), and no
-action column is built for the main lemma or the bipartite test.  Any
+J^2-rows are eliminated again.  The images are Φ transposed, one pass over
+its entries (:meth:`Syzygy.images`).  Checked against the shadow on its
+integer rows and read at its pivots, they give the columns of its actions
+(:meth:`Syzygy.action_columns`), which its radical, its Hom systems and
+its action matrices read; only the entries read there become scalars.
+Its socle is read off Φ itself: Φ's entries regrouped by J^2-coordinate
+and generator, one column per mapped row, have the rank of the stacked
+actions, so dim soc is dim Ω less that integer rank
+(:meth:`Syzygy.socle_dim`), and no action column is built for the main
+lemma or the bipartite test.  Any
 other module, of any Loewy length, reads Φ off its action columns at the
 free columns of its radical (:meth:`AModule.top_images`), converted to
 integers once (:func:`top_kernel`), so no whole cover matrix is
@@ -68,11 +71,11 @@ from typing import Iterator, Optional, Sequence
 from ._record import record
 from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
-from .linalg import (IntRows, Matrix, SparseRows, Subspace, integer_values, kernel_basis,
-                     kernel_subspace, rank, typed_values)
+from .linalg import (IntRows, Matrix, Subspace, integer_values, kernel_basis, kernel_subspace,
+                     rank, typed_values)
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_basis, hom_space,
-                      left_regular_module, module_from_columns, module_from_subspace,
-                      pivot_columns, quotient, relation_equations, vector_images, zero_module)
+                      left_regular_module, module_from_columns, pivot_columns, quotient,
+                      relation_equations, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -212,9 +215,9 @@ class Syzygy(AModule):
     the top is read off it with no kernel row built, and the rows are built,
     in A^t, when first read.  A ladder reads only the shadow's integer pivot
     rows, mapped once into Φ over all its rows (:func:`shadow_rows`), which
-    the cover, the socle and the action columns share: typed rows and images
-    are built when a caller reads them, and the action matrices by
-    :func:`module_from_subspace`.
+    the cover, the socle and the action columns share; the images are Φ
+    transposed (:meth:`images`), and the action matrices are built from the
+    action columns when a caller reads them.
     """
 
     _square_zero = True
@@ -228,8 +231,7 @@ class Syzygy(AModule):
 
     @cached_property
     def actions(self) -> tuple[Matrix, ...]:
-        P = free_module(self.algebra, self.space.ambient // self.algebra.dim)
-        return module_from_subspace(P, self.space)[0].actions
+        return module_from_columns(self.algebra, self.dim, self.action_columns()).actions
 
     @cached_property
     def _phi(self) -> tuple[dict, list[int], list[int]]:
@@ -238,53 +240,33 @@ class Syzygy(AModule):
 
     @cached_property
     def _shadow_images(self) -> dict[int, tuple[list[dict], int]]:
-        """Pivot p -> the integer images of the shadow row at p and their scale, read off :attr:`_phi`.
+        """Pivot p -> the integer images of the shadow row at p and their scale: Φ transposed.
 
         Only rows with a V-coordinate have images: J^2 kills J^2 A^t, so the
         images of the other rows, such as the unit vectors of W⊗k^t, are
-        empty and have no entry.  Column block k of Φ is the images of the
-        row at ``order[k]``, over its scale times the table's.  Each image
-        is read down its column in the order that mapping the row's sparse
-        row would reach its keys: the row's 1 first, then the pivot rows
-        that reach it in increasing order, each through the table.
+        empty and have no entry.  Φ's entry at row q and column
+        k·(dim A - 1) + j is ψ_{j+1} at q of the row at ``order[k]``, over
+        its scale times the table's.
         """
         rows, order, scales = self._phi
-        piv, _, at, _ = self.space.pivot_form()
-        (table, T), n, e = self.algebra.structure_table(), self.algebra.dim, self.algebra.e
-        sources: dict = {p: [p] for p in order}
-        for c in sorted(piv):
-            q = at[c]
-            if table[q % n]:
-                for f in piv[c]:
-                    if f != c:
-                        sources[at[f]].append(q)
-        images = {}
-        for k, (p, scale) in enumerate(zip(order, scales)):
-            imgs: list[dict] = [{} for _ in range(e)]
-            for q in sources[p]:
-                i = q % n
-                for j, w, _ in table[i]:
-                    key = q - i + w
-                    if key not in imgs[j]:
-                        imgs[j][key] = rows[key][k * (n - 1) + j]
-            images[p] = (imgs, scale * T)
-        return images
+        e, m = self.algebra.e, self.algebra.dim - 1
+        images = [[{} for _ in range(e)] for _ in order]
+        for q, row in rows.items():
+            for c, y in row.items():
+                k, j = divmod(c, m)
+                images[k][j][q] = y
+        T = self.algebra.structure_table()[1]
+        return {p: (imgs, scale * T) for p, imgs, scale in zip(order, images, scales)}
 
-    def _images(self, pivots: Sequence[int]) -> list[tuple[list[dict], int]]:
-        """The integer images of the shadow rows at ``pivots``, empty for a row with no entry."""
+    def images(self, pivots: Sequence[int]) -> list[tuple[list[dict], int]]:
+        """ψ_1(x) .. ψ_e(x) and their scale for the shadow rows x at ``pivots``.
+
+        Each image is a dict {index: int}, which stands for its ints over
+        the scale (:attr:`_shadow_images`); a row with no V-coordinate has
+        empty images over scale 1.
+        """
         images, empty = self._shadow_images, ([{} for _ in range(self.algebra.e)], 1)
         return [images.get(p, empty) for p in pivots]
-
-    def images(self, pivots: Sequence[int]) -> list[list[dict]]:
-        """ψ_1(x) .. ψ_e(x) for the shadow rows x at ``pivots``, as dicts {index: scalar}.
-
-        They are converted from the integer images on each read
-        (:func:`~shortloc.linalg.typed_values`); a row with no V-coordinate
-        has empty images.
-        """
-        p = self.field.characteristic
-        return [[dict(zip(img, typed_values(img.values(), scale, p))) for img in imgs]
-                for imgs, scale in self._images(pivots)]
 
     def action_columns(self) -> list[list[list[tuple]]]:
         """The columns of the actions, read off the integer images; no action matrix is built.
@@ -300,7 +282,7 @@ class Syzygy(AModule):
             self._check_stable()
             p, at = self.field.characteristic, {q: r for r, q in enumerate(self.space.pivots)}
             columns: list[list] = [[] for _ in range(self.algebra.e)]
-            for imgs, scale in self._images(self.space.pivots):
+            for imgs, scale in self.images(self.space.pivots):
                 for cols, img in zip(columns, imgs):
                     hits = {at[q]: y for q, y in img.items() if q in at and (y % p if p else y)}
                     cols.append(list(zip(hits, typed_values(hits.values(), scale, p))))
@@ -377,9 +359,9 @@ class Syzygy(AModule):
         if (e + alg.a) * t - kernel.dim < len(outer):
             self._check_stable()
             free, at = set(kernel.pivots), {p: c for c, p in enumerate(outer)}
-            span = [img for k, (imgs, _) in enumerate(self._images(lifts))
+            span = [img for k, (imgs, _) in enumerate(self.images(lifts))
                     for j, img in enumerate(imgs) if k * n + 1 + j not in free]
-            span += [img for imgs, _ in self._images(outer) for img in imgs]
+            span += [img for imgs, _ in self.images(outer) for img in imgs]
             radical = IntRows(alg.field, [{at[q]: y for q, y in img.items() if q in at}
                                           for img in span], len(outer))
             lifts = sorted(lifts + [outer[c] for c in kernel_subspace(radical).pivots])
@@ -550,20 +532,29 @@ class MinimalResolution:
         self.extend_to(i - 1)
         return self.steps[i - 1].kernel
 
-    def boundary_rows(self, j: int) -> list[tuple[tuple, tuple]]:
-        """The map P_j -> P_{j-1} as sparse rows: row l is d(unit_l), as (indices, values).
+    def boundary_int_rows(self, j: int) -> list[tuple[tuple, tuple, int]]:
+        """The map P_j -> P_{j-1} as integer rows: row l is d(unit_l), (indices, values, scale).
 
         The cover P_j -> Omega^j sends unit_l to the l-th top lift, a row of
-        the shadow of Omega^j in P_{j-1}; only those rows are converted from
-        the shadow's integer rows (:meth:`~shortloc.linalg.Subspace.int_rows`).
+        the shadow of Omega^j in P_{j-1}, read off the shadow's integer rows
+        (:meth:`~shortloc.linalg.Subspace.int_rows`) with no scalar built.
         Their entries lie in the radical (minimality).
         """
         if j < 1:
             raise ValueError("boundaries start at index 1")
         self.extend_to(j)
         syz = self.steps[j - 1].kernel
-        rows, p = syz.space.int_rows(), self.module.field.characteristic
-        return [(rows[q][0], typed_values(rows[q][1], rows[q][2], p)) for q in syz.cover[0]]
+        rows = syz.space.int_rows()
+        return [rows[q] for q in syz.cover[0]]
+
+    def boundary_rows(self, j: int) -> list[tuple[tuple, tuple]]:
+        """The map P_j -> P_{j-1} as sparse rows: row l is d(unit_l), as (indices, values).
+
+        Only the top lifts' integer rows (:meth:`boundary_int_rows`) are converted.
+        """
+        p = self.module.field.characteristic
+        return [(idx, typed_values(vals, scale, p))
+                for idx, vals, scale in self.boundary_int_rows(j)]
 
     def boundary_elements(self, j: int) -> list[list[tuple]]:
         """The map P_j -> P_{j-1} as a matrix of algebra elements.
@@ -583,13 +574,20 @@ class MinimalResolution:
         return out
 
 
-def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> SparseRows:
-    """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as sparse rows.
+def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> IntRows:
+    """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as integer rows.
 
     Row l·dim N + r is row r of the action of d_j(unit_l), the l-th top
     lift of the j-th syzygy, on N^{t_{j-1}} (:func:`relation_equations`).
+    The lifts' integer rows (:meth:`MinimalResolution.boundary_int_rows`)
+    are put over the lcm of their scales, so the whole matrix is one
+    multiple of the one meant: it has the same rank and column span.
     """
-    return relation_equations(N, res.boundary_rows(j), res.steps[j - 1].cover_rank)
+    lifts = res.boundary_int_rows(j)
+    scale = lcm(*[s for _, _, s in lifts])
+    relations = [(idx, vals if s == scale else [x * (scale // s) for x in vals])
+                 for idx, vals, s in lifts]
+    return relation_equations(N, relations, res.steps[j - 1].cover_rank)
 
 
 def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
@@ -709,7 +707,7 @@ class DualData:
         # Certificate: each f in the hom basis solves f = sum_k r(b) g_k, and
         # the right multiplications r(b) are the regular action of A^op, whose
         # sparse rows combine the rows of g_k.
-        zero, right = M.field.zero(), left_regular_module(alg.opposite()).action_rows()
+        zero, right = M.field.zero(), alg.opposite().regular_rows()
         factor_cols = [[sum((x * g.data[l][c] for l, x in row), zero)
                         for row in rows for c in range(M.dim)] for g in gs for rows in right]
         factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)
@@ -778,13 +776,15 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     t1 = res.rank(1)
     if t1 == 0:
         return zero_module(op)
-    # The image of d_1^* is spanned by the columns of its sparse rows.
+    # The image of d_1^* is spanned by the columns of its integer rows, one
+    # multiple of the map's.
     columns: dict = defaultdict(dict)
     for r, row in enumerate(_hom_complex_matrix(res, left_regular_module(alg), 1).data):
         for c, x in row.items():
             columns[c][r] = x
     F1 = free_module(op, t1)
-    tr, _ = quotient(F1, Subspace.from_vectors(M.field, F1.dim, columns.values()))
+    image = IntRows(M.field, list(columns.values()), F1.dim)
+    tr, _ = quotient(F1, Subspace.from_vectors(M.field, F1.dim, image))
     return tr
 
 

@@ -15,7 +15,7 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
 from .homology import DEFAULT_CAP, Syzygy, syzygy, top_kernel
-from .linalg import Matrix, SparseRows, rank
+from .linalg import Matrix, SparseRows, rank, typed_values
 from .modules import (AModule, find_isomorphism, hom_dim, module_from_columns, pivot_columns,
                       simple_multiplicity)
 
@@ -143,8 +143,8 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
     the cover's kernel, which land in J^2 A^{dim V_0} = V_0 through the
     multiplication form.  The kernel is a syzygy's shadow, so it goes the
     way of a resolution rung: Phi's columns are converted to integers once
-    (:func:`top_kernel`), and the actions are read off the integer rows
-    (:meth:`Syzygy.images`).  On
+    (:func:`top_kernel`), the actions are read off the integer images
+    (:meth:`Syzygy.images`), and only the w-entries read become scalars.  On
     dimension vectors (without simple projective summands) this acts as
     (x, y) -> (e x - y, x).
     """
@@ -161,10 +161,10 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
     columns = [[{r: x for r, x in enumerate(phi.col(u)) if x} for phi in rep.maps]
                for u in range(d0)]
     syz = Syzygy(alg, top_kernel(alg, columns))
-    images = syz.images([p for p in syz.space.pivots if p % n <= e])
-    zero = field.zero()
-    maps = tuple(Matrix.from_columns(field, [[img[j].get(u * n + n - 1, zero) for u in range(d0)]
-                                             for img in images], d0) for j in range(e))
+    images, p = syz.images([q for q in syz.space.pivots if q % n <= e]), field.characteristic
+    maps = tuple(Matrix.from_columns(field, [typed_values([imgs[j].get(u * n + n - 1, 0)
+                                                           for u in range(d0)], scale, p)
+                                             for imgs, scale in images], d0) for j in range(e))
     return KroneckerRep(e=e, dim0=len(images), dim1=d0, maps=maps)
 
 

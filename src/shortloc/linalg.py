@@ -15,10 +15,11 @@ floating point anywhere in this package.
 and :meth:`Subspace.from_vectors`.  It reduces the rows one at a time as
 sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
 scaled by the lcm of their denominators, over F_p on plain residues; a
-matrix built from sparse data (the Hom-complex, the Hom equations) is
-handed over as its rows' non-zeros (:class:`SparseRows`) and never laid
-out densely, and one built in integers (Φ) as :class:`IntRows`, read with
-no conversion, its column scales folded back only into the kernel rows.
+matrix built from sparse data (the Hom equations) is handed over as its
+rows' non-zeros (:class:`SparseRows`) and never laid out densely, and one
+built in integers (Φ, the Hom-complex, the relation equations) as
+:class:`IntRows`, read with no conversion, its column scales folded back
+only into the kernel rows.
 The reduced row echelon form is unique, so its rows and pivots do not
 depend on how they are found.  Its only division is by each pivot row's
 lead when the rows are read (:func:`_rref_rows`, :func:`_kernel_rows`),
@@ -731,16 +732,15 @@ class Subspace:
     :func:`kernel_subspace`), so v reduces to v - sum_p v[p]·row_p and
     the coordinates of a member are its entries at the pivots.  The
     non-zero (index, value) pairs of each row are cached, keyed by the
-    row's pivot (:meth:`sparse_rows`), and so is their integer form
-    (:meth:`int_rows`).  :meth:`from_vectors` makes the subspace from the
-    elimination's pivots and a builder of its sparse rows
-    (:meth:`from_sparse_rows`), called on the first read of the rows or
-    of the dense ``basis``.  :func:`kernel_subspace` makes it from the
-    elimination's integer pivot rows (:meth:`from_pivot_rows`), its
-    primary form: the integer rows are built from them and the typed rows
-    from those, each on first read, and :meth:`pivot_form` gives them as
-    they stand.  Any other subspace fills the cache from its basis on first
-    use.
+    row's pivot (:meth:`sparse_rows`).  :meth:`from_vectors` makes a span
+    from the elimination's pivots, and builds its reduced rows on the
+    first read of the rows or of the dense ``basis``.
+    :func:`kernel_subspace` makes a kernel from the elimination's integer
+    pivot rows (:meth:`from_pivot_rows`), its primary form, which
+    :meth:`pivot_form` gives as they stand: its integer rows
+    (:meth:`int_rows`) are built from them and its typed rows from those,
+    each on first read.  Only a kernel has integer rows.  Any other
+    subspace fills the cache from its basis on first use.
     :meth:`reduce`, :meth:`contains`, :meth:`contains_ints` and
     :meth:`coords` walk only non-zeros,
     so checking a vector with few non-zeros costs what its support and the
@@ -759,21 +759,6 @@ class Subspace:
         self._build_rows: Optional[Callable[[], dict]] = None
         self._ints: Optional[dict] = None
         self._pivot_rows: Optional[tuple] = None
-
-    @staticmethod
-    def from_sparse_rows(field: Field, ambient: int, pivots: Sequence[int],
-                         rows: Callable[[], dict[int, tuple[tuple, tuple]]]) -> "Subspace":
-        """The subspace with the given pivots whose reduced rows ``rows()`` builds.
-
-        ``rows()`` returns pivot -> (indices, values) of that row's
-        non-zeros, keyed in increasing pivot order, as :meth:`sparse_rows`
-        does; it is called on the first read of :meth:`sparse_rows` or
-        :attr:`basis`, so the dimension and the pivots cost nothing more.
-        """
-        space = Subspace(field, ambient, [], pivots)
-        space._basis = None
-        space._build_rows = rows
-        return space
 
     @staticmethod
     def from_pivot_rows(field: Field, ambient: int, piv: dict[int, dict], free: list[int],
@@ -805,21 +790,15 @@ class Subspace:
         return self._basis
 
     def int_rows(self) -> dict[int, tuple[tuple, tuple, int]]:
-        """Pivot -> (indices, values, scale) of that pivot's row: ints whose row is values/scale.
+        """Pivot -> (indices, values, scale) of a kernel's row: ints whose row is values/scale.
 
         Over F_p the values are residues and the scale is 1; over Q the
         scale is the least positive int that makes the row integral.  The
-        indices are those of :meth:`sparse_rows`, in the same order.
+        indices are those of :meth:`sparse_rows`, in the same order.  They
+        are written from the kernel's pivot rows (:meth:`pivot_form`).
         """
         if self._ints is None:
-            if self._pivot_rows is not None:
-                self._ints = _kernel_rows(self.field, *self._pivot_rows)
-            else:
-                p = self.field.characteristic
-                self._ints = {}
-                for q, (idx, vals) in self.sparse_rows().items():
-                    ints, scale = integer_values(vals, p)
-                    self._ints[q] = (idx, tuple(ints), scale)
+            self._ints = _kernel_rows(self.field, *self.pivot_form())
         return self._ints
 
     def contains_ints(self, v: dict) -> bool:
@@ -850,25 +829,17 @@ class Subspace:
         return not any(y % p for y in rest.values()) if p else not any(rest.values())
 
     def pivot_form(self) -> tuple:
-        """(piv, free, at, scales): the subspace as the kernel of pivot rows, as :func:`_kernel_rows` reads it.
+        """(piv, free, at, scales): a kernel's pivot rows, as :func:`_kernel_rows` reads them.
 
         Basis row r is 1 at ``at[free[r]]`` and -x·σ_c/(lead·σ_f) at
         ``at[c]`` for each entry x at f = ``free[r]`` of the pivot row
         ``piv[c]``, whose lead is ``piv[c][c]``, with σ the column
-        ``scales`` (all 1 when None).  A kernel gives its elimination's
-        form as it stands; any other subspace turns its integer rows about:
-        the row at pivot p, ints over scale s, puts -v at p into the pivot
-        row of each other coordinate at which it holds v, and σ_p is s.
+        ``scales`` (all 1 when None).  Only a kernel
+        (:func:`kernel_subspace`) has them; a span raises BadParams.
         """
-        if self._pivot_rows is not None:
-            return self._pivot_rows
-        piv, scales = {}, [1] * self.ambient
-        for p, (idx, vals, scale) in self.int_rows().items():
-            scales[p] = scale
-            for q, v in zip(idx, vals):
-                if q != p:
-                    piv.setdefault(q, {q: 1})[p] = -v
-        return piv, list(self.pivots), range(self.ambient), scales
+        if self._pivot_rows is None:
+            raise BadParams(f"{self!r} is a span: only a kernel has integer pivot rows")
+        return self._pivot_rows
 
     def support(self) -> list[int]:
         """The coordinates at which some basis row is non-zero, in no fixed order.
@@ -895,13 +866,17 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient: int,
-                     vectors: Iterable[Sequence | dict]) -> "Subspace":
+                     vectors: Iterable[Sequence | dict] | IntRows) -> "Subspace":
         """The span of the vectors: eliminated at once, its rows built on first read.
 
         A vector is a sequence of length ``ambient`` or a dict {index:
         value} of its entries, as a row of :class:`SparseRows`.  The vectors
         are read once, in order, so a generator of them is never held
-        whole: only the non-zeros of each are kept.
+        whole: only the non-zeros of each are kept.  An :class:`IntRows`
+        with no column scales and ``ambient`` columns is read as the
+        elimination reads it, with no conversion.  The dimension and the
+        pivots cost the elimination alone: the reduced rows are built on
+        the first read of :meth:`sparse_rows` or :attr:`basis`.
         """
         p = field.characteristic
 
@@ -910,9 +885,18 @@ class Subspace:
                 raise DimensionMismatch("vector has wrong ambient dimension")
             return _sparse(v, p)
 
-        piv = _echelon(field, map(checked, vectors), ambient)
-        return Subspace.from_sparse_rows(field, ambient, sorted(piv), lambda: {
-            c: (tuple(row), tuple(row.values())) for c, row in zip(*_rref_rows(field, piv))})
+        if type(vectors) is IntRows:
+            if vectors.cols != ambient:
+                raise DimensionMismatch("vectors have wrong ambient dimension")
+            rows = _integer_rows(vectors)
+        else:
+            rows = map(checked, vectors)
+        piv = _echelon(field, rows, ambient)
+        space = Subspace(field, ambient, [], sorted(piv))
+        space._basis = None
+        space._build_rows = lambda: {c: (tuple(row), tuple(row.values()))
+                                     for c, row in zip(*_rref_rows(field, piv))}
+        return space
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":

@@ -23,8 +23,9 @@ along the columns (:func:`square_images`).  :meth:`AModule.top_images`
 maps the radical basis at the top lifts, the images every cover is read
 off (its kernel, :attr:`AModule.cover_kernel`, is found once per
 module), and :meth:`AModule.action_rows` holds each basis element's
-action as sparse rows, for the Hom-complex of Ext, Hom dimensions and
-the approximation's certificate.
+action as sparse rows, for the Hom systems, and as ints over one scale
+(:meth:`AModule.int_action_rows`) for the Hom-complex of Ext and Hom
+dimensions.
 
 A Hom system is sized by the top of its source, since the top lifts
 m_1..m_t generate M.  :func:`hom_space` solves F(b·m_k) = b·F(m_k) for
@@ -762,22 +763,20 @@ def hom_basis(M: AModule, N: AModule) -> list[ModuleMap]:
     return list(hom_space(M, N).maps)
 
 
-def relation_equations(N: AModule, relations: Iterable[tuple], t: int,
-                       ints: bool = False) -> SparseRows:
+def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> IntRows:
     """The equations ρ·(n_1..n_t) = 0 on N^t = Hom(A^t, N), dim N per relation ρ.
 
-    Each relation ρ in A^t is given as its non-zeros (indices, values).
-    Row l·dim N + r is row r of the l-th relation's action: each entry x
-    of ρ at k·dim A + b adds x times row r of b's action on N
-    (:meth:`AModule.action_rows`), shifted to copy k.  With ``ints`` the
-    relations' values are ints, over any scale per relation, N's action
-    values are read as ints over one scale (:meth:`AModule.int_action_rows`),
-    and the equations come as
-    :class:`~shortloc.linalg.IntRows`: each is a multiple of the one meant,
-    so they have its rank.
+    Each relation ρ in A^t is given as its non-zero ints (indices, values),
+    over any scale per relation.  Row l·dim N + r is row r of the l-th
+    relation's action: each entry x of ρ at k·dim A + b adds x times row r
+    of b's action on N, read as ints over one scale
+    (:meth:`AModule.int_action_rows`), shifted to copy k.  The equations
+    come as :class:`~shortloc.linalg.IntRows`: each is a multiple of the one
+    meant, so they have its rank, and relations over one scale give one
+    multiple of the whole matrix.
     """
     n, d = N.algebra.dim, N.dim
-    act = N.int_action_rows() if ints else N.action_rows()
+    act = N.int_action_rows()
     out = []
     for idx, vals in relations:
         rows: list[dict] = [{} for _ in range(d)]
@@ -788,7 +787,7 @@ def relation_equations(N: AModule, relations: Iterable[tuple], t: int,
                     col = k * d + c
                     row[col] = row[col] + x * y if col in row else x * y
         out += rows
-    return (IntRows if ints else SparseRows)(N.field, out, t * d)
+    return IntRows(N.field, out, t * d)
 
 
 def hom_dim(M: AModule, N: AModule) -> int:
@@ -804,7 +803,7 @@ def hom_dim(M: AModule, N: AModule) -> int:
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
     kernel = ((idx, vals) for idx, vals, _ in M.cover_kernel.int_rows().values())
-    equations = relation_equations(N, kernel, M.top_dim(), ints=True)
+    equations = relation_equations(N, kernel, M.top_dim())
     return equations.cols - rank(equations)
 
 

@@ -15,6 +15,29 @@ import pytest
 
 from shortloc import cli
 
+_ONE_PER_FAMILY = [
+    ("algebra", "info", "lambda_c"),
+    ("algebra", "validate", "L:e=2"),
+    ("algebra", "preset", "lambda_c"),
+    ("module", "make", "simple", "--algebra", "lambda_c"),
+    ("compute", "syzygy", "simple", "--algebra", "L:e=2"),
+    ("check", "torsionless", "simple", "--algebra", "L:e=2"),
+    ("betti", "simple", "--algebra", "L:e=2", "--n", "2"),
+    ("bseq", "--e", "2", "--a", "1", "--n", "3"),
+    ("explore", "omega", "simple", "--algebra", "L:e=2", "--n", "2"),
+    ("verify-paper", "--suite", "fast"),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv", _ONE_PER_FAMILY, ids=lambda argv: " ".join(argv[:2]))
+def test_a_cap_variable_below_1_is_a_usage_error_for_every_command(argv, value, monkeypatch):
+    monkeypatch.setenv("SHORTLOC_CAP", value)
+    code, out, err = _run_in_process(list(argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: BadParams: SHORTLOC_CAP must be at least 1, got {int(value)}\n"
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 

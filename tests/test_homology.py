@@ -497,8 +497,9 @@ def test_dual_data_actions_are_consistent(conca32):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Arguments of each call the homology module makes to its two builders."""
-    seen = {"projective_cover": [], "module_from_subspace": []}
+    """Arguments of each call the homology module makes to its two builders: covers, and
+    modules from action columns, which a syzygy's actions are built by."""
+    seen = {"projective_cover": [], "module_from_columns": []}
     for name, log in seen.items():
         def counted(*args, _original=getattr(homology, name), _log=log, **kwargs):
             _log.append(args)
@@ -565,7 +566,7 @@ def test_resolution_reuses_its_steps(calls, conca32):
     assert _take(calls) == (6, 0)
     # A syzygy's actions are built once, on first read.
     assert first[3].actions is first[3].actions
-    assert [space.dim for _, space in calls["module_from_subspace"]] == [first[3].dim]
+    assert [dim for _, dim, _ in calls["module_from_columns"]] == [first[3].dim]
 
 
 # -- the dual engine solves Hom(M, A) once per module ------------------------

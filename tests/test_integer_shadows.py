@@ -148,19 +148,22 @@ def test_after_rung_0_a_ladder_builds_no_typed_row_and_converts_no_phi_row(
 
 
 @FIELDS
-def test_a_span_reads_its_rows_as_ints_over_their_least_scale(field):
-    half = field.of("1/2")
-    vectors = [[field.one(), half, field.zero(), field.of(3)],
-               [field.zero(), field.of("2/3"), field.one(), field.of("-5/4")]]
-    span = linalg.Subspace.from_vectors(field, 4, vectors)
-    for p, (idx, vals, scale) in span.int_rows().items():
-        typed_idx, typed_vals = span.sparse_rows()[p]
-        assert idx == typed_idx and all(type(x) is int for x in vals)
-        assert [Fraction(x, scale) for x in vals] == [_as_fraction(field, x) for x in typed_vals]
-        # The least scale: the lcm of the row's denominators over Q, 1 over F_p.
-        assert scale == (lcm(*[Fraction(x).denominator for x in typed_vals]) if field == QQ
-                         else 1)
-    assert field != QQ or any(scale > 1 for _, _, scale in span.int_rows().values())
+def test_a_kernel_reads_its_rows_as_ints_over_their_least_scale(field):
+    # Pivot rows with leads other than 1, and over Q column scales, give
+    # kernel rows with denominators.
+    rows = [{0: 2, 1: 1, 3: 3}, {1: 3, 2: 4, 3: -5}]
+    for scales in (None, [1, 2, 3, 5]) if field == QQ else (None,):
+        kernel = linalg.kernel_subspace(linalg.IntRows(field, rows, 4, scales))
+        assert kernel.dim == 2
+        for p, (idx, vals, scale) in kernel.int_rows().items():
+            typed_idx, typed_vals = kernel.sparse_rows()[p]
+            assert idx == typed_idx and all(type(x) is int for x in vals)
+            assert [Fraction(x, scale) for x in vals] == \
+                [_as_fraction(field, x) for x in typed_vals]
+            # The least scale: the lcm of the row's denominators over Q, 1 over F_p.
+            assert scale == (lcm(*[Fraction(x).denominator for x in typed_vals])
+                             if field == QQ else 1)
+        assert field != QQ or any(scale > 1 for _, _, scale in kernel.int_rows().values())
 
 
 # -- the typed rows a boundary builds ----------------------------------------------
@@ -188,6 +191,44 @@ def test_boundary_rows_convert_only_the_lift_rows(field, monkeypatch):
             converted.clear()
     # The shadows hold more rows than their top lifts, which alone are converted.
     assert shadow_rows > returned > 0
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=str)
+def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
+    # The Hom-complex reads the lifts' integer rows: no typed boundary row and
+    # no typed value is built, and it reaches the elimination as IntRows.
+    lam, c32 = preset("lambda_c", field=field, c=1), preset("ex15_1", field=field, e=3, a=2)
+    e53 = preset("ex5_3", field=field)
+    cases = [(m_alpha(lam, 2), simple_module(lam)),
+             (simple_module(e53), random_module(e53, 1, 1, 4))]
+    cases += [(random_module(c32, 1 + seed % 2, seed % 3, seed=seed), simple_module(c32))
+              for seed in range(4)]
+    counts, matrices = {"boundary_rows": 0, "typed": 0}, []
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    def hom_complex(res, N, j, _original=homology._hom_complex_matrix):
+        matrices.append(_original(res, N, j))
+        return matrices[-1]
+    monkeypatch.setattr(homology.MinimalResolution, "boundary_rows",
+                        counting("boundary_rows", homology.MinimalResolution.boundary_rows))
+    monkeypatch.setattr(linalg, "typed_values", counting("typed", linalg.typed_values))
+    monkeypatch.setattr(homology, "typed_values", linalg.typed_values)
+    monkeypatch.setattr(homology, "_hom_complex_matrix", hom_complex)
+    scaled = 0
+    for M, N in cases:
+        A = homology.left_regular_module(M.algebra)
+        homology.ext_dims(M, N, 3), homology.ext_dims(M, A, 3)
+        homology.is_semi_gp(M, 3), homology.transpose(M)
+        res = MinimalResolution(M)
+        scaled += any(scale != 1 for j in range(1, 4) for *_, scale in res.boundary_int_rows(j))
+    assert counts == {"boundary_rows": 0, "typed": 0}
+    assert len(matrices) >= 40 and all(type(m) is linalg.IntRows for m in matrices)
+    assert scaled > 0 if field == QQ else scaled == 0
 
 
 # -- socles off Φ's integer rows -----------------------------------------------------

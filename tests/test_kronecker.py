@@ -9,12 +9,14 @@ from shortloc.kronecker import (KroneckerRep, hom_decomposition_check,
                                 kronecker_hom_dim, multiplication_form, push_down,
                                 rep_as_module, rep_dual, sigma_reflection, tilde,
                                 verify_sigma_omega)
-from shortloc.linalg import QQ, Field, Matrix
+from shortloc.linalg import QQ, Field, Fp, Matrix
 from shortloc.modules import (cyclic_submodule, dim_vector, end_dim, is_isomorphic,
                               left_regular_module, mod_j_squared, radical_module,
                               random_module, simple_module, simple_multiplicity)
 from shortloc.numerics import q_form
 from shortloc.presets import preset
+
+from references import scalars, typed_images, typed_phi_kernel
 
 
 def rep_S0(e):
@@ -182,6 +184,47 @@ def test_sigma_omega_on_random_modules(field, q, gens, rels, seed):
     M = mod_j_squared(random_module(alg, gens, rels, seed=seed))
     assume(simple_multiplicity(M) == 0)
     assert verify_sigma_omega(alg, M), (field, q, gens, rels, seed)
+
+
+def typed_sigma_columns(alg, rep):
+    """The reflection's maps by the typed route, as columns: the typed kernel of Phi, the typed
+    images of its V-rows through the structure constants, read at the J^2-coordinates.
+
+    A typed sum may hold an integral ``Fraction``; each value is taken as the
+    field's own scalar (``Field.of``), an ``int`` when it is integral.
+    """
+    n, e, field = alg.dim, alg.e, alg.field
+    columns = [[{r: x for r, x in enumerate(phi.col(u)) if x} for phi in rep.maps]
+               for u in range(rep.dim0)]
+    space = typed_phi_kernel(alg, columns)
+    images = typed_images(alg, space)
+    lifts = [p for p in space.pivots if p % n <= e]
+    return [[scalars([field.of(images[p][j].get(u * n + n - 1, 0)) for u in range(rep.dim0)])
+             for p in lifts] for j in range(e)]
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_sigma_maps_match_the_typed_route(field):
+    compared = fractional = 0
+    for q in ("2", "3", "-1/2"):
+        alg = preset("qexterior", field=field, q=q)
+        reps = [tilde(radical_module(alg)), tilde(mod_j_squared(left_regular_module(alg)))]
+        reps += [tilde(mod_j_squared(random_module(alg, 1 + seed % 3, seed % 4, seed=seed)))
+                 for seed in range(8)]
+        rep = rep_S0(2) if field == QQ else None
+        for _ in range(3 if rep else 0):
+            rep = sigma_reflection(alg, rep)
+            reps.append(rep)
+        for rep in reps:
+            if rep.dim0 == 0:
+                continue
+            out = sigma_reflection(alg, rep)
+            got = [[scalars(phi.col(k)) for k in range(phi.cols)] for phi in out.maps]
+            assert got == typed_sigma_columns(alg, rep), (field, q, rep.dim_vector)
+            compared += out.dim0 > 0
+            fractional += any(t not in (int, Fp) for phi in got for col in phi for t, _ in col)
+    assert compared >= 20
+    assert fractional > 0 if field == QQ else fractional == 0
 
 
 def test_sigma_omega_excludes_simple_summands(qext):

@@ -688,3 +688,32 @@ def test_a_betti_ladder_builds_no_kernel_rows_for_its_last_rung(kernel_rows_buil
     # Each rung's Φ and minimality check read the pivot rows of the kernel
     # before it, so no rung, the last included, builds its kernel rows.
     assert kernel_rows_built == []
+
+
+# -- integer rows: a span from IntRows, pivot rows only on a kernel -----------------
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_a_span_of_int_rows_is_the_span_of_their_scalars(field):
+    rows = [{0: 2, 2: -3}, {1: 4, 2: 0}, {0: 4, 2: -6}]
+    vectors = [{j: field.of(x) for j, x in row.items()} for row in rows]
+    got = Subspace.from_vectors(field, 3, linalg.IntRows(field, rows, 3))
+    want = Subspace.from_vectors(field, 3, vectors)
+    assert (got.pivots, got.basis, got.sparse_rows()) == \
+        (want.pivots, want.basis, want.sparse_rows())
+
+
+def test_a_span_of_int_rows_checks_their_columns():
+    for cols in (2, 4):
+        with pytest.raises(DimensionMismatch):
+            Subspace.from_vectors(QQ, 3, linalg.IntRows(QQ, [{0: 1}], cols))
+
+
+def test_only_a_kernel_has_integer_pivot_rows():
+    span = Subspace.from_vectors(QQ, 3, [[1, Fraction(1, 2), 0]])
+    for space in (span, Subspace.full(QQ, 2), Subspace.zero(QQ, 2)):
+        for read in (Subspace.int_rows, Subspace.pivot_form, Subspace.support):
+            with pytest.raises(BadParams, match="span: only a kernel has integer pivot rows"):
+                read(space)
+    kernel = kernel_subspace(mat(QQ, [[2, 1, 0]]))
+    # Row 1 is (-1/2, 1, 0): 1 at its pivot, then -1/2 at 0, over scale 2.
+    assert kernel.int_rows() == {1: ((1, 0), (2, -1), 2), 2: ((2,), (1,), 1)}

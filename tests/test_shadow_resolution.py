@@ -7,6 +7,8 @@ lifts through the dense basis images, and builds each kernel module with
 ``module_from_subspace``.  It lives here only, as the reference.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from shortloc import homology
@@ -105,14 +107,14 @@ def test_shadow_steps_match_the_whole_cover_route(field):
 # -- the engine's work, counted ------------------------------------------------
 
 def test_betti_ladder_makes_one_cover_per_step_and_no_module_or_product(monkeypatch):
-    counts = {"projective_cover": 0, "module_from_subspace": 0, "mul": 0}
+    counts = {"projective_cover": 0, "module_from_columns": 0, "mul": 0}
 
     def counting(name, original):
         def counted(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
         return counted
-    for name in ("projective_cover", "module_from_subspace"):
+    for name in ("projective_cover", "module_from_columns"):
         monkeypatch.setattr(homology, name, counting(name, getattr(homology, name)))
     monkeypatch.setattr(Matrix, "__mul__", counting("mul", Matrix.__mul__))
     alg = preset("ex15_1", e=3, a=2)
@@ -120,7 +122,7 @@ def test_betti_ladder_makes_one_cover_per_step_and_no_module_or_product(monkeypa
     assert counts["mul"] == 1  # the patched product records
     counts["mul"] = 0
     assert betti(simple_module(alg), 6).values == (1, 3, 7, 15, 31, 63, 127)
-    assert counts == {"projective_cover": 6, "module_from_subspace": 0, "mul": 0}
+    assert counts == {"projective_cover": 6, "module_from_columns": 0, "mul": 0}
 
 
 def test_betti_past_the_cap_raises_in_process():
@@ -203,7 +205,13 @@ def all_rows_route(alg, space):
 
 
 def _typed_columns(columns):
-    return [[[(r, type(y), y) for r, y in col] for col in cols] for cols in columns]
+    """Each column's entries by row, with each scalar's type; their order carries no meaning."""
+    return [[[(r, type(y), y) for r, y in sorted(col)] for col in cols] for cols in columns]
+
+
+def _scalar_images(field, imgs, scale):
+    """Integer images over ``scale`` as dicts {index: scalar}."""
+    return [{q: field.of(Fraction(y, scale)) for q, y in img.items()} for img in imgs]
 
 
 @FIELDS
@@ -215,7 +223,10 @@ def test_the_shadow_images_skip_only_rows_that_map_to_zero(field):
             syz = res.syzygy_module(i)
             images, columns, (lifts, kernel) = all_rows_route(M.algebra, syz.space)
             mapped = syz._shadow_images
-            assert all(syz.images([p])[0] == images[p] for p in mapped), (M, i)
+            assert all(_scalar_images(field, *syz.images([p])[0]) == images[p]
+                       for p in mapped), (M, i)
+            assert all(type(y) is int for imgs, _ in syz.images(mapped)
+                       for img in imgs for y in img.values())
             assert not any(any(images[p]) for p in images if p not in mapped), (M, i)
             skipped += len(images) - len(mapped)
             assert _typed_columns(syz.action_columns()) == _typed_columns(columns), (M, i)

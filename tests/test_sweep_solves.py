@@ -20,8 +20,8 @@ from shortloc import homology, modules
 from shortloc.errors import AlgebraMismatch, BadParams
 from shortloc.homology import Syzygy, syzygy, transpose
 from shortloc.kronecker import hom_decomposition_check
-from shortloc.linalg import (DEFAULT_POOL, QQ, Field, IntRows, Matrix, Subspace, kernel_basis,
-                             rank, solve_matrix)
+from shortloc.linalg import (DEFAULT_POOL, QQ, Field, IntRows, Matrix, SparseRows, Subspace,
+                             kernel_basis, kernel_subspace, rank, solve_matrix)
 from shortloc.modules import (AModule, IsoSearch, ModuleMap, end_dim, find_isomorphism,
                               free_module, hom_basis, hom_dim, is_bipartite, is_solid,
                               left_regular_module, m_alpha, mod_j_squared, radical_module,
@@ -272,27 +272,33 @@ def test_syzygy_radical_and_socle_match_the_built_module(field):
     assert checked >= 15
 
 
+def unit_span(field, ambient, coordinates):
+    """The span of the unit vectors at ``coordinates``, as a kernel: the one form a shadow takes.
+
+    It is the kernel of the unit rows at every other coordinate.
+    """
+    missed = [{c: field.one()} for c in range(ambient) if c not in coordinates]
+    return kernel_subspace(SparseRows(field, missed, ambient))
+
+
 def test_an_unstable_shadow_is_refused(conca32):
     alg, n = conca32, conca32.dim
     field = alg.field
     # v_1 alone: v_j v_1 reaches J^2, which the span misses.
-    v1 = [field.zero()] * n
-    v1[1] = field.one()
     for read in (Syzygy.radical, Syzygy.socle, Syzygy.action_columns, Syzygy.socle_dim,
                  is_bipartite):
         with pytest.raises(BadParams, match="not stable"):
-            read(Syzygy(alg, Subspace.from_vectors(field, n, [v1])))
+            read(Syzygy(alg, unit_span(field, n, [1])))
     # With the J^2-rows of two more copies the V-row lifts only part of the
     # top, so the cover takes its top-lift branch, which checks the images too.
-    rows = [{1: field.one()}] + [{k * n + i: field.one()} for k in (1, 2)
-                                 for i in range(1 + alg.e, n)]
+    coordinates = [1] + [k * n + i for k in (1, 2) for i in range(1 + alg.e, n)]
     for read in (lambda syz: syz.cover, Syzygy.top_dim, Syzygy.action_columns, Syzygy.socle_dim,
                  is_bipartite):
         with pytest.raises(BadParams, match="not stable"):
-            read(Syzygy(alg, Subspace.from_vectors(field, 3 * n, rows)))
+            read(Syzygy(alg, unit_span(field, 3 * n, coordinates)))
     # The whole of A is stable, but it is no shadow: it reaches the unit.
     with pytest.raises(BadParams, match="radical"):
-        Syzygy(alg, Subspace.full(field, n)).radical()
+        Syzygy(alg, unit_span(field, n, range(n))).radical()
 
 
 # -- quotients by reduced columns ----------------------------------------------
@@ -338,10 +344,9 @@ def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_cal
     def counted(M, space, _original=modules.module_from_subspace):
         built.append(space.dim)
         return _original(M, space)
-    for mod in (modules, homology):
-        monkeypatch.setattr(mod, "module_from_subspace", counted)
-    # Every syzygy made, each read of a syzygy's action columns and each
-    # subspace whose typed rows are read.
+    monkeypatch.setattr(modules, "module_from_subspace", counted)
+    # Every syzygy made, each read of a syzygy's action columns, which its
+    # actions are built from, and each subspace whose typed rows are read.
     monkeypatch.setattr(Syzygy, "__init__", lambda syz, alg, space, _original=Syzygy.__init__:
                         syzygies.append(syz) or _original(syz, alg, space))
     monkeypatch.setattr(Syzygy, "action_columns", lambda syz, _original=Syzygy.action_columns:
