@@ -172,7 +172,7 @@ class ShortAlgebra:
         """Per generator, the non-zeros (row, value) of each column of its regular action.
 
         Read off :meth:`regular_actions` once; A^t shifts them copy by copy
-        (:meth:`~shortloc.modules.AModule.action_columns`).
+        (:func:`~shortloc.modules.free_module`).
         """
         if self._regular_columns is None:
             self._regular_columns = tuple(R.sparse_columns() for R in self.regular_actions())

@@ -73,9 +73,9 @@ from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import (IntRows, Matrix, Subspace, integer_values, kernel_basis, kernel_subspace,
                      rank, typed_values)
-from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_basis, hom_space,
-                      left_regular_module, module_from_columns, pivot_columns, quotient,
-                      relation_equations, vector_images, zero_module)
+from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_basis, hom_dim,
+                      hom_space, left_regular_module, module_from_columns, pivot_columns,
+                      quotient, relation_equations, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -228,10 +228,6 @@ class Syzygy(AModule):
         self.algebra = algebra
         self.dim = space.dim
         self.space = space
-
-    @cached_property
-    def actions(self) -> tuple[Matrix, ...]:
-        return module_from_columns(self.algebra, self.dim, self.action_columns()).actions
 
     @cached_property
     def _phi(self) -> tuple[dict, list[int], list[int]]:
@@ -685,9 +681,14 @@ class DualData:
 
     @property
     def reflexive(self) -> bool:
-        """The evaluation map M -> M** is bijective."""
-        ev = self.evaluation
-        return ev.source.dim == ev.target.dim and ev.is_injective()
+        """The evaluation map M -> M** is bijective, decided by dimension.
+
+        ev is injective iff M is torsionless, so it is bijective iff M is
+        torsionless and dim M** = dim Hom(M*, A^op) (:func:`hom_dim`) is
+        dim M; no bidual basis and no evaluation matrix is built.
+        """
+        M, op = self.homs.source, self.homs.source.algebra.opposite()
+        return self.torsionless and hom_dim(self.module, left_regular_module(op)) == M.dim
 
     @cached_property
     def approximation(self) -> ApproximationData:
@@ -701,8 +702,8 @@ class DualData:
         alg = M.algebra
         z = self.module.top_dim()
         P = free_module(alg, z)
-        homs = [f.matrix for f in self.homs.maps]
-        gs = [Matrix.combination(lam, homs) for lam in self.module.top_lift()]
+        # The top lifts of M* are unit vectors: the basis maps at its lift columns.
+        gs = [self.homs.maps[c].matrix for c in self.module.lift_columns()]
         u = ModuleMap(M, P, Matrix.vstack(gs) if gs else Matrix(M.field, [], cols=M.dim))
         # Certificate: each f in the hom basis solves f = sum_k r(b) g_k, and
         # the right multiplications r(b) are the regular action of A^op, whose

@@ -866,16 +866,17 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient: int,
-                     vectors: Iterable[Sequence | dict] | IntRows) -> "Subspace":
+                     vectors: Iterable[Sequence | dict] | SparseRows) -> "Subspace":
         """The span of the vectors: eliminated at once, its rows built on first read.
 
         A vector is a sequence of length ``ambient`` or a dict {index:
         value} of its entries, as a row of :class:`SparseRows`.  The vectors
         are read once, in order, so a generator of them is never held
-        whole: only the non-zeros of each are kept.  An :class:`IntRows`
-        with no column scales and ``ambient`` columns is read as the
-        elimination reads it, with no conversion.  The dimension and the
-        pivots cost the elimination alone: the reduced rows are built on
+        whole: only the non-zeros of each are kept.  A :class:`SparseRows`
+        with ``ambient`` columns (an :class:`IntRows` with no column
+        scales) is read as the elimination reads it (:func:`_integer_rows`),
+        with one check of its width and none per row.  The dimension and
+        the pivots cost the elimination alone: the reduced rows are built on
         the first read of :meth:`sparse_rows` or :attr:`basis`.
         """
         p = field.characteristic
@@ -885,7 +886,7 @@ class Subspace:
                 raise DimensionMismatch("vector has wrong ambient dimension")
             return _sparse(v, p)
 
-        if type(vectors) is IntRows:
+        if isinstance(vectors, SparseRows):
             if vectors.cols != ambient:
                 raise DimensionMismatch("vectors have wrong ambient dimension")
             rows = _integer_rows(vectors)

@@ -7,9 +7,10 @@ valid module iff it satisfies the linear relations among the products
 v_i v_j and kills all triple products.
 
 :meth:`AModule.action_columns` is the one way a module's actions are
-read and built: each generator's action as sparse columns, on A^t read
-off the algebra's regular action block by block, on a syzygy off its Φ's
-integer rows (:meth:`~shortloc.homology.Syzygy.action_columns`).
+read and built: each generator's action as sparse columns.  A^t is held
+by them (:func:`free_module`), as a syzygy is by those read off its Φ's
+integer rows (:meth:`~shortloc.homology.Syzygy.action_columns`); either
+builds its matrices only when they are read (:attr:`AModule.actions`).
 :func:`vector_images` maps vectors along them, :func:`pivot_columns`
 turns the images of a subspace's basis rows into the columns of the
 induced actions, checked for stability, and :func:`module_from_columns`
@@ -38,9 +39,7 @@ Hom(M, N) once and tests each basis element on tops, a t x t matrix,
 since an A-map between modules of one dimension is invertible iff it is
 onto the top (Nakayama); it takes dim Hom(N, M) only when no basis
 element is invertible.  Socle dimensions, and with them the bipartite test and the
-multiplicity of S, are ranks.  A free module A^t (:class:`FreeModule`)
-holds only t, and its block-diagonal action matrices are built only when
-a caller reads them.
+multiplicity of S, are ranks.
 """
 
 from __future__ import annotations
@@ -78,9 +77,11 @@ class DimVec(tuple):
 class AModule:
     """A finite-length left module over a :class:`ShortAlgebra`.
 
-    ``free_rank`` is t when the module is A^t in the coordinates of
-    :func:`free_module`; :func:`module_from_subspace` then reads its
-    actions off the algebra's regular action, block by block.
+    A module is held by its action matrices or by its sparse action
+    columns (:meth:`action_columns`), as A^t and a syzygy are, and builds
+    the other form on first read.  ``free_rank`` is t when the module is
+    A^t in the coordinates of :func:`free_module`; :meth:`action_rows`
+    then reads its rows off the algebra's regular rows, copy by copy.
     """
 
     free_rank: Optional[int] = None
@@ -106,6 +107,12 @@ class AModule:
         self.actions = tuple(actions)
         if check:
             validate_module(self)
+
+    @cached_property
+    def actions(self) -> tuple[Matrix, ...]:
+        """The generator action matrices of a module held by its columns, built on first read."""
+        return tuple(Matrix.from_sparse_columns(self.field, self.dim, cols)
+                     for cols in self.action_columns())
 
     def __repr__(self) -> str:
         return f"AModule(dim {self.dim} over {self.algebra.name or self.algebra!r})"
@@ -169,19 +176,12 @@ class AModule:
     def action_columns(self) -> list[list[list[tuple]]]:
         """Per generator, the non-zero (row, value) pairs of each column of its action.
 
-        On A^t copy k's columns are R's shifted by k·dim A, R's columns read
-        once per algebra (:meth:`ShortAlgebra.regular_columns`); any other
-        module scans its matrices once.  Either keeps its columns.  Every
-        module built or read without products goes through this view.
+        A module held by its columns has them from the start; any other
+        module scans its matrices once and keeps the columns.  Every module
+        built or read without products goes through this view.
         """
         if self._action_columns is None:
-            if self.free_rank is None:
-                self._action_columns = [X.sparse_columns() for X in self.actions]
-            else:
-                n = self.algebra.dim
-                self._action_columns = [[[(k * n + i, x) for i, x in col]
-                                         for k in range(self.free_rank) for col in cols]
-                                        for cols in self.algebra.regular_columns()]
+            self._action_columns = [X.sparse_columns() for X in self.actions]
         return self._action_columns
 
     # -- structural subspaces -------------------------------------------
@@ -189,12 +189,14 @@ class AModule:
     def radical(self) -> Subspace:
         """JM, the span of the columns of the generator actions (:meth:`action_columns`).
 
-        Each sparse column goes to the elimination as it stands, so no
-        action matrix is read, on A^t nor on a syzygy.
+        The sparse columns go to the elimination as the rows of one
+        :class:`~shortloc.linalg.SparseRows`, so no action matrix is read,
+        on A^t nor on a syzygy, and no column is bounds-checked.
         """
         if self._radical is None:
-            images = (dict(col) for cols in self.action_columns() for col in cols)
-            self._radical = Subspace.from_vectors(self.field, self.dim, images)
+            images = [dict(col) for cols in self.action_columns() for col in cols]
+            self._radical = Subspace.from_vectors(self.field, self.dim,
+                                                  SparseRows(self.field, images, self.dim))
         return self._radical
 
     def socle(self) -> Subspace:
@@ -380,40 +382,26 @@ def zero_module(alg: ShortAlgebra) -> AModule:
 
 
 def left_regular_module(alg: ShortAlgebra) -> AModule:
-    """A as a left module over itself, in the basis (1, v_1.., w_1..)."""
-    M = AModule(alg, alg.dim, alg.regular_actions(), check=False)
-    M.free_rank = 1
-    return M
-
-
-class FreeModule(AModule):
-    """A^t, on which A acts as I_t ⊗ R, R the regular action of A.
-
-    Coordinate k*dim(A) + u is the basis element b_u of the k-th copy.  The
-    module holds only t and the algebra's cached regular action: its e
-    block-diagonal (t·dim A)^2 action matrices are built on first read of
-    ``actions``, which no step of a resolution does.
-    """
-
-    def __init__(self, algebra: ShortAlgebra, t: int):
-        # No action matrices are passed, so AModule's shape checks are skipped.
-        self.algebra = algebra
-        self.dim = algebra.dim * t
-        self.free_rank = t
-
-    @cached_property
-    def actions(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix.block_diag([R] * self.free_rank)
-                     for R in self.algebra.regular_actions())
+    """A as a left module over itself, in the basis (1, v_1.., w_1..): A^1."""
+    return free_module(alg, 1)
 
 
 def free_module(alg: ShortAlgebra, t: int) -> AModule:
-    """A^t as a :class:`FreeModule` (the zero module for t = 0)."""
+    """A^t held by its columns: copy k's are the regular columns shifted by k·dim A.
+
+    Coordinate k·dim A + u is the basis element b_u of copy k.  The regular
+    columns are read once per algebra (:meth:`ShortAlgebra.regular_columns`),
+    and no step of a resolution reads the matrices.  The zero module for t = 0.
+    """
     if t < 0:
         raise BadParams("free rank must be natural")
     if t == 0:
         return zero_module(alg)
-    return FreeModule(alg, t)
+    n, F = alg.dim, AModule.__new__(AModule)
+    F.algebra, F.dim, F.free_rank = alg, n * t, t
+    F._action_columns = [[[(k * n + i, x) for i, x in col] for k in range(t) for col in cols]
+                         for cols in alg.regular_columns()]
+    return F
 
 
 def vector_images(columns: list, rows: Iterable[tuple]) -> list[list[dict]]:
@@ -486,11 +474,12 @@ def module_from_subspace(M: AModule, space: Subspace) -> tuple[AModule, ModuleMa
 
     Each basis row is mapped through each generator along the non-zeros of
     both (:func:`vector_images`), and the induced actions are read off the
-    images at the pivots (:func:`pivot_columns`).
+    images at the pivots (:func:`pivot_columns`).  The embedding's matrix is
+    built on first read.
     """
     images = vector_images(M.action_columns(), space.sparse_rows().values())
     sub = module_from_columns(M.algebra, space.dim, pivot_columns(space, images, M.algebra.e))
-    return sub, ModuleMap(sub, M, Matrix.from_columns(M.field, space.basis, M.dim))
+    return sub, _LazyMap(sub, M, lambda: Matrix.from_columns(M.field, space.basis, M.dim))
 
 
 def submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:

@@ -10,12 +10,14 @@ cover route each input takes.
 
 import pytest
 
-from shortloc import homology
-from shortloc.homology import a_dual, mho_step, projective_cover, syzygy
+from shortloc import homology, modules
+from shortloc.homology import (a_dual, betti, ext_dims, mho_step, projective_cover, syzygy,
+                               transpose)
 from shortloc.kronecker import KroneckerRep, rep_as_module, tilde
 from shortloc.linalg import QQ, Field, Matrix, random_matrix
-from shortloc.modules import (AModule, FreeModule, cyclic_submodule, is_bipartite,
-                              left_regular_module, m_alpha, mod_j_squared, random_module)
+from shortloc.modules import (AModule, cyclic_submodule, is_bipartite,
+                              left_regular_module, m_alpha, mod_j_squared, random_module,
+                              simple_module)
 from shortloc.numerics import main_lemma_witness
 from shortloc.presets import preset
 
@@ -39,6 +41,20 @@ def products(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def free_modules(monkeypatch):
+    """The free modules A^t made while the test runs, wherever they are made."""
+    made = []
+    original = modules.free_module
+
+    def counted(alg, t):
+        made.append(original(alg, t))
+        return made[-1]
+    for mod in (modules, homology):
+        monkeypatch.setattr(mod, "free_module", counted)
+    return made
+
+
 def fresh(M):
     return AModule(M.algebra, M.dim, M.actions, check=False)
 
@@ -52,11 +68,8 @@ def sweep_shaped_job(M):
 
 @FIELDS
 @PRESETS
-def test_modules_are_built_and_read_without_products(field, name, kw, products, monkeypatch):
+def test_modules_are_built_and_read_without_products(field, name, kw, products, free_modules):
     alg = preset(name, field=field, **kw)
-    free_reads = []
-    monkeypatch.setattr(FreeModule, "actions",
-                        property(lambda F: free_reads.append(F.free_rank)))
     M = random_module(alg, 2, 2, 5)
     Q = mod_j_squared(M)
     copy = fresh(M)
@@ -64,8 +77,27 @@ def test_modules_are_built_and_read_without_products(field, name, kw, products, 
     cyclic = cyclic_submodule(alg, [0, 1, 0, 0, 0, 0])
     rep = tilde(copy)
     sweep_shaped_job(fresh(Q))
-    assert products == [] and free_reads == []
+    assert products == [] and free_modules
+    # No free module has built its action matrices.
+    assert not any("actions" in vars(F) for F in free_modules)
     assert rep.dim_vector == (copy.top_dim(), copy.radical().dim) and cyclic.dim > 1
+
+
+@FIELDS
+@PRESETS
+def test_the_engines_build_no_matrix_of_a_free_module(field, name, kw, free_modules):
+    # A^t is held by its columns; the ladder, Ext into A, the transpose, the
+    # dual and the cosyzygy read them, or A's rows, and never its matrices.
+    alg = preset(name, field=field, **kw)
+    S, M = simple_module(alg), mod_j_squared(random_module(alg, 2, 1, 3))
+    betti(S, 3)
+    ext_dims(S, left_regular_module(alg), 2)
+    transpose(M)
+    a_dual(M)
+    mho_step(M)
+    mho_step(left_regular_module(alg))
+    assert len(free_modules) >= 6 and {F.free_rank for F in free_modules} >= {1, 2}
+    assert not any("actions" in vars(F) for F in free_modules)
 
 
 @FIELDS

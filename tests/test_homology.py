@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 from shortloc import homology, modules
@@ -269,6 +271,38 @@ def test_m_alpha_torsionless_pattern(lam0):
     assert is_reflexive(m_alpha(lam0, 1))
 
 
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_reflexive_by_dimension_is_a_bijective_evaluation(field):
+    # Reflexivity is decided by torsionlessness and dim M** = dim M; the
+    # evaluation map, built in full, must be bijective exactly then.
+    verdicts = []
+    for M in _cover_inputs(field) + [radical_module(preset("L", field=field, e=2))]:
+        ev = eval_map(M)
+        bijective = ev.source.dim == ev.target.dim and ev.is_injective()
+        assert is_reflexive(M) == bijective, M
+        verdicts.append((bijective, is_torsionless(M)))
+    assert {(True, True), (False, True), (False, False)} <= set(verdicts)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_the_approximation_builds_only_its_z_maps(field):
+    # u stacks the basis maps at the lift columns of M*: exactly z map
+    # matrices are built, and u is, in value and type, the stack of the
+    # combinations of all basis maps by the top lifts of M*.
+    cases = 0
+    for M in _cover_inputs(field):
+        data = dual_data(M)
+        step = data.approximation
+        built = [f for f in data.homs.maps if "matrix" in vars(f)]
+        assert len(built) == step.rank
+        homs = [f.matrix for f in data.homs.maps]
+        combined = [Matrix.combination(lam, homs) for lam in data.module.top_lift()]
+        assert list(map(scalars, step.approximation.matrix.data)) == \
+            [scalars(row) for g in combined for row in g.data]
+        cases += 0 < step.rank < data.homs.dim
+    assert cases >= 5
+
+
 # -- transpose --------------------------------------------------------------
 
 def test_transpose_of_projective_vanishes(lam0):
@@ -497,19 +531,24 @@ def test_dual_data_actions_are_consistent(conca32):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Arguments of each call the homology module makes to its two builders: covers, and
-    modules from action columns, which a syzygy's actions are built by."""
-    seen = {"projective_cover": [], "module_from_columns": []}
-    for name, log in seen.items():
-        def counted(*args, _original=getattr(homology, name), _log=log, **kwargs):
+    """Arguments of each call the homology module makes to its two builders, covers and
+    modules from action columns, and each module held by its columns, A^t or a syzygy,
+    that builds its action matrices."""
+    seen = {"projective_cover": [], "module_from_columns": [], "actions": []}
+    for name in ("projective_cover", "module_from_columns"):
+        def counted(*args, _original=getattr(homology, name), _log=seen[name], **kwargs):
             _log.append(args)
             return _original(*args, **kwargs)
         monkeypatch.setattr(homology, name, counted)
+    build = AModule.actions.func
+    actions = cached_property(lambda M: seen["actions"].append((M,)) or build(M))
+    actions.__set_name__(AModule, "actions")
+    monkeypatch.setattr(AModule, "actions", actions)
     return seen
 
 
-def _take(calls) -> tuple[int, int]:
-    """(covers, kernel modules) built since the last take."""
+def _take(calls) -> tuple[int, int, int]:
+    """(covers, modules from columns, built action matrices) since the last take."""
     counts = tuple(len(log) for log in calls.values())
     for log in calls.values():
         log.clear()
@@ -522,7 +561,7 @@ def test_betti_covers_exactly_n_syzygies(calls, conca32, qext):
     for M in (simple_module(conca32), cyclic_x(conca32), simple_module(qext)):
         for n in range(6):
             betti(M, n)
-            assert _take(calls) == (n, 0)
+            assert _take(calls) == (n, 0, 0)
 
 
 def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
@@ -539,7 +578,7 @@ def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
             ext_dims(M, N, i)
             covered = [X.dim for X, in calls["projective_cover"][1:]]
             assert covered == syzygy_dims[:i + 1]
-            assert _take(calls) == (i + 2, 0)
+            assert _take(calls) == (i + 2, 0, 0)
 
 
 def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
@@ -547,26 +586,32 @@ def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
     # non-zero Ext^i; the transpose reads d_1; stable Hom reads only the
     # rank of N's cover, so it forms no cover.
     assert is_semi_gp(m_alpha(lam0, 2), 4).holds
-    assert _take(calls) == (6, 0)
+    assert _take(calls) == (6, 0, 0)
     assert is_semi_gp(simple_module(L2), 5).failed_at == 1
-    assert _take(calls) == (3, 0)
+    assert _take(calls) == (3, 0, 0)
     transpose(m_alpha(lam0, 1))
-    assert _take(calls) == (2, 0)
+    assert _take(calls) == (2, 0, 0)
     stable_hom_dim(m_alpha(lam0, 0), m_alpha(lam0, 1))
-    assert _take(calls) == (0, 0)
+    assert _take(calls) == (0, 0, 0)
 
 
-def test_resolution_reuses_its_steps(calls, conca32):
+def test_resolution_reuses_its_steps(calls, conca32, monkeypatch):
+    built = []
+    original = Matrix.from_sparse_columns
+    monkeypatch.setattr(Matrix, "from_sparse_columns", staticmethod(
+        lambda field, rows, columns: built.append(rows) or original(field, rows, columns)))
     S = simple_module(conca32)
     res = MinimalResolution(S)
     first = [res.syzygy_module(i) for i in range(4)]
     assert [res.syzygy_module(i) for i in range(4)] == first
     assert [res.rank(i) for i in range(4)] == list(betti(S, 3).values)
     # Three covers for ``res``, three more for ``betti``'s own; no module.
-    assert _take(calls) == (6, 0)
-    # A syzygy's actions are built once, on first read.
+    assert _take(calls) == (6, 0, 0)
+    # A syzygy's actions are built once, on first read: e matrices of its dimension.
+    assert built == []
     assert first[3].actions is first[3].actions
-    assert [dim for _, dim, _ in calls["module_from_columns"]] == [first[3].dim]
+    assert built == [first[3].dim] * conca32.e
+    assert calls["actions"] == [(first[3],)]
 
 
 # -- the dual engine solves Hom(M, A) once per module ------------------------
@@ -614,12 +659,13 @@ def test_stable_hom_solves_no_hom_into_a_free_module_of_rank_two(hom_targets, la
     assert [T.free_rank for T in hom_targets] == [None, 1] * 3
 
 
-def test_forward_walk_solves_two_duals_per_step(hom_into_a, qext):
-    # One solve for the torsionless check on J, then Hom(M, A) and
-    # Hom(M*, A^op) for each module the forward walk steps through.
+def test_forward_walk_solves_one_dual_per_step(hom_into_a, qext):
+    # One solve for the torsionless check on J, then Hom(M, A) for each
+    # module the forward walk steps through; reflexivity takes
+    # dim Hom(M*, A^op) by rank, with no basis solved.
     cls = classify_complex(radical_module(qext), 1, 3)
     assert cls.forward_verified and cls.period is None
-    assert len(hom_into_a) == 1 + 2 * 3
+    assert len(hom_into_a) == 1 + 3
 
 
 # -- vectors are mapped by matrix products ------------------------------------

@@ -11,8 +11,10 @@ from shortloc.errors import BadParams, DimensionMismatch
 from shortloc.linalg import (QQ, Field, Fp, Matrix, Rational, SparseRows, Subspace,
                              kernel_basis, kernel_subspace, random_matrix, rank, rref, solve,
                              solve_matrix)
-from shortloc.modules import simple_module
+from shortloc.modules import random_module, simple_module
 from shortloc.presets import preset
+
+from references import typed as typed_space
 
 F5 = Field.prime(5)
 
@@ -704,8 +706,29 @@ def test_a_span_of_int_rows_is_the_span_of_their_scalars(field):
 
 def test_a_span_of_int_rows_checks_their_columns():
     for cols in (2, 4):
-        with pytest.raises(DimensionMismatch):
-            Subspace.from_vectors(QQ, 3, linalg.IntRows(QQ, [{0: 1}], cols))
+        for rows in (linalg.IntRows(QQ, [{0: 1}], cols), SparseRows(QQ, [{0: 1}], cols)):
+            with pytest.raises(DimensionMismatch):
+                Subspace.from_vectors(QQ, 3, rows)
+
+
+@ELIM_FIELDS
+def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
+    # A SparseRows is read as the elimination reads it, with one width
+    # check: pivots and rows, scalar types included, are those of its rows
+    # handed over one dict at a time, as for the radicals of these modules.
+    cases = list(elimination_inputs(field))
+    for name, kw in [("lambda_c", {"c": 1}), ("ex15_1", {"e": 3, "a": 2}), ("qexterior", {})]:
+        alg = preset(name, field=field, **kw)
+        for seed in range(3):
+            M = random_module(alg, 1 + seed % 2, seed % 3, seed=seed)
+            columns = [dict(col) for cols in M.action_columns() for col in cols]
+            cases.append(SparseRows(field, columns, M.dim))
+            span = Subspace.from_vectors(field, M.dim, columns)
+            assert typed_space(M.radical()) == typed_space(span)
+    for m in cases:
+        rows = [dict(enumerate(row)) for row in m.data] if type(m) is Matrix else m.data
+        got = Subspace.from_vectors(field, m.cols, SparseRows(field, rows, m.cols))
+        assert typed_space(got) == typed_space(Subspace.from_vectors(field, m.cols, rows))
 
 
 def test_only_a_kernel_has_integer_pivot_rows():
