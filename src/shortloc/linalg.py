@@ -22,7 +22,7 @@ built in integers (Φ, the Hom-complex, the relation equations) as
 only into the kernel rows.
 The reduced row echelon form is unique, so its rows and pivots do not
 depend on how they are found.  Its only division is by each pivot row's
-lead when the rows are read (:func:`_rref_rows`, :func:`_kernel_rows`),
+lead when the rows are read (:func:`typed_values`, :func:`_kernel_rows`),
 with :func:`Rational` over Q; over F_p a pivot row is scaled by its lead's
 inverse.
 
@@ -31,18 +31,17 @@ mapped by a single product with the matrix whose columns they are
 (:meth:`Matrix.from_columns`), and :meth:`Matrix.apply` is the product
 with a one-column matrix.  :meth:`Matrix.combination` is the one
 scale-and-add routine: every sum of scaled matrices is a single call.
-A :class:`Subspace` also keeps the non-zeros of its rows, so reduction
-and membership walk only non-zero entries.  :func:`kernel_subspace` and
-:meth:`Subspace.from_vectors` eliminate at once, which fixes the pivots
-and the dimension, and build the reduced rows only when they are first
-read, so a caller that needs only a rank, a dimension or free columns
-pays for the elimination alone.  A kernel is integer first: it keeps the
-elimination's integer pivot rows (read as they stand through
-:meth:`Subspace.pivot_form`); its integer rows, ints over one scale per row
-in the caller's coordinates (:meth:`Subspace.int_rows`), are written from
-them in one pass, and its typed rows from those, each on first read.
-Scalars and ints cross over at one pair of converters,
-:func:`integer_values` and :func:`typed_values`.
+A :class:`Subspace` also keeps the non-zeros of its rows, and one
+routine reduces a vector along them (:meth:`Subspace.residue`), walking
+only non-zero entries.  Every subspace an elimination makes is integer
+first: a span keeps the elimination's pivot rows, which over their leads
+are its integer rows (:meth:`Subspace.int_rows`), and a kernel keeps the
+pivot rows of its matrix (:meth:`Subspace.pivot_form`) and writes its
+integer rows from them in one pass.  Typed rows are built from the
+integer rows on first read, so a caller that needs only a rank, a
+dimension or free columns pays for the elimination alone.  Scalars and
+ints cross over at one pair of converters, :func:`integer_values` and
+:func:`typed_values`.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._record import record
 from .errors import BadParams, DimensionMismatch
@@ -562,39 +561,17 @@ def _echelon(field: Field, rows: Iterable[dict], ncols: int) -> dict[int, dict]:
     return piv
 
 
-def _rref_rows(field: Field, piv: dict[int, dict]) -> tuple[list, list[dict]]:
-    """The reduced row echelon form of :func:`_echelon`'s ``piv``, as (pivot columns, rows).
-
-    The rows come in pivot order, as {column: scalar}, with unit leads:
-    over Q each entry is divided by its row's lead with :func:`Rational`,
-    the only division, so integral entries are ints; over F_p residues
-    become ``Fp``.
-    """
-    pivots = sorted(piv)
-    p = field.characteristic
-    if p:
-        return pivots, [{j: Fp(x, p) for j, x in piv[c].items()} for c in pivots]
-    out = []
-    for c in pivots:
-        row, lead = piv[c], piv[c][c]
-        out.append(row if lead == 1 else {j: Rational(x, lead) for j, x in row.items()})
-    return pivots, out
-
-
-def _dense(row: dict, n: int, zero) -> list:
-    out = [zero] * n
-    for j, x in row.items():
-        out[j] = x
-    return out
+def _check_vector(v: Sequence | dict, ambient: int):
+    """Raise DimensionMismatch unless v, a sequence or a dict {index: value}, lies in k^ambient."""
+    if (v and (min(v) < 0 or max(v) >= ambient)) if isinstance(v, dict) else len(v) != ambient:
+        raise DimensionMismatch("vector has wrong ambient dimension")
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form: returns (reduced, rank, pivot columns)."""
-    pivots, rows = _rref_rows(m.field, _echelon(m.field, _integer_rows(m), m.cols))
-    zero = m.field.zero()
-    dense = [_dense(row, m.cols, zero) for row in rows]
-    dense += [[zero] * m.cols for _ in range(m.rows - len(rows))]
-    return Matrix(m.field, dense, cols=m.cols), len(pivots), tuple(pivots)
+    space = Subspace._span(m.field, m.cols, _echelon(m.field, _integer_rows(m), m.cols))
+    zeros = [[m.field.zero()] * m.cols] * (m.rows - space.dim)
+    return Matrix(m.field, [*space.basis, *zeros], cols=m.cols), space.dim, space.pivots
 
 
 def rank(m: Matrix | SparseRows) -> int:
@@ -712,15 +689,14 @@ def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
     """Some X with m·X = b (column by column), or None if inconsistent."""
     if b.rows != m.rows:
         raise DimensionMismatch("shape mismatch in solve_matrix")
-    p = m.field.characteristic
+    p, n = m.field.characteristic, m.cols + b.cols
     aug = (_sparse(row + brow, p) for row, brow in zip(m.data, b.data))
-    pivots, rows = _rref_rows(m.field, _echelon(m.field, aug, m.cols + b.cols))
-    if pivots and pivots[-1] >= m.cols:
+    space = Subspace._span(m.field, n, _echelon(m.field, aug, n))
+    if space.pivots and space.pivots[-1] >= m.cols:
         return None
-    zero = m.field.zero()
-    out = [[zero] * b.cols for _ in range(m.cols)]
-    for pc, row in zip(pivots, rows):
-        out[pc] = [row.get(j, zero) for j in range(m.cols, m.cols + b.cols)]
+    out = [[m.field.zero()] * b.cols for _ in range(m.cols)]
+    for pc, row in zip(space.pivots, space.basis):
+        out[pc] = row[m.cols:]
     return Matrix(m.field, out, cols=b.cols)
 
 
@@ -732,23 +708,18 @@ class Subspace:
     :func:`kernel_subspace`), so v reduces to v - sum_p v[p]·row_p and
     the coordinates of a member are its entries at the pivots.  The
     non-zero (index, value) pairs of each row are cached, keyed by the
-    row's pivot (:meth:`sparse_rows`).  :meth:`from_vectors` makes a span
-    from the elimination's pivots, and builds its reduced rows on the
-    first read of the rows or of the dense ``basis``.
-    :func:`kernel_subspace` makes a kernel from the elimination's integer
-    pivot rows (:meth:`from_pivot_rows`), its primary form, which
-    :meth:`pivot_form` gives as they stand: its integer rows
-    (:meth:`int_rows`) are built from them and its typed rows from those,
-    each on first read.  Only a kernel has integer rows.  Any other
-    subspace fills the cache from its basis on first use.
-    :meth:`reduce`, :meth:`contains`, :meth:`contains_ints` and
-    :meth:`coords` walk only non-zeros,
-    so checking a vector with few non-zeros costs what its support and the
-    rows at its pivots cost, not the ambient dimension.
+    row's pivot (:meth:`sparse_rows`).  A span (:meth:`from_vectors`,
+    :meth:`_span`) or a kernel (:func:`kernel_subspace`,
+    :meth:`from_pivot_rows`) holds integer rows (:meth:`int_rows`) and
+    builds its typed rows from them on first read; a subspace made from a
+    dense basis reads its rows off that basis.  :meth:`residue`, the one
+    reduction behind :meth:`reduce`, :meth:`contains` and :meth:`coords`,
+    and :meth:`contains_ints` walk only non-zeros, so checking a vector
+    with few non-zeros costs what its support and the rows at its pivots
+    cost, not the ambient dimension.
     """
 
-    __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse", "_build_rows", "_ints",
-                 "_pivot_rows")
+    __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse", "_ints", "_pivot_rows")
 
     def __init__(self, field: Field, ambient: int, basis: Sequence[Sequence], pivots: Sequence[int]):
         self.field = field
@@ -756,9 +727,20 @@ class Subspace:
         self._basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
         self._sparse: Optional[dict] = None
-        self._build_rows: Optional[Callable[[], dict]] = None
         self._ints: Optional[dict] = None
         self._pivot_rows: Optional[tuple] = None
+
+    @staticmethod
+    def _span(field: Field, ambient: int, piv: dict[int, dict]) -> "Subspace":
+        """The span whose elimination (:func:`_echelon`) gave the pivot rows ``piv``.
+
+        Its integer rows are those pivot rows over their leads, in pivot order.
+        """
+        pivots = sorted(piv)
+        space = Subspace(field, ambient, [], pivots)
+        space._basis = None
+        space._ints = {c: (tuple(piv[c]), tuple(piv[c].values()), piv[c][c]) for c in pivots}
+        return space
 
     @staticmethod
     def from_pivot_rows(field: Field, ambient: int, piv: dict[int, dict], free: list[int],
@@ -790,15 +772,23 @@ class Subspace:
         return self._basis
 
     def int_rows(self) -> dict[int, tuple[tuple, tuple, int]]:
-        """Pivot -> (indices, values, scale) of a kernel's row: ints whose row is values/scale.
+        """Pivot -> (indices, values, scale) of each row: ints whose row is values/scale.
 
-        Over F_p the values are residues and the scale is 1; over Q the
-        scale is the least positive int that makes the row integral.  The
-        indices are those of :meth:`sparse_rows`, in the same order.  They
-        are written from the kernel's pivot rows (:meth:`pivot_form`).
+        Over F_p the values are residues and the scale is 1.  A span's rows
+        are its pivot rows over their leads.  A kernel's are written from
+        its pivot rows (:meth:`pivot_form`), over Q over the least positive
+        int that makes the row integral.  A subspace made from a dense basis
+        reads them off that basis (:func:`integer_values`).  The indices are
+        those of :meth:`sparse_rows`, in the same order.
         """
         if self._ints is None:
-            self._ints = _kernel_rows(self.field, *self.pivot_form())
+            if self._pivot_rows is not None:
+                self._ints = _kernel_rows(self.field, *self._pivot_rows)
+            else:
+                p, self._ints = self.field.characteristic, {}
+                for q, (idx, vals) in self.sparse_rows().items():
+                    ints, scale = integer_values(vals, p)
+                    self._ints[q] = (idx, tuple(ints), scale)
         return self._ints
 
     def contains_ints(self, v: dict) -> bool:
@@ -835,10 +825,11 @@ class Subspace:
         ``at[c]`` for each entry x at f = ``free[r]`` of the pivot row
         ``piv[c]``, whose lead is ``piv[c][c]``, with σ the column
         ``scales`` (all 1 when None).  Only a kernel
-        (:func:`kernel_subspace`) has them; a span raises BadParams.
+        (:func:`kernel_subspace`) has them; any other subspace raises
+        BadParams.
         """
         if self._pivot_rows is None:
-            raise BadParams(f"{self!r} is a span: only a kernel has integer pivot rows")
+            raise BadParams(f"{self!r} is no kernel: only a kernel has a pivot form")
         return self._pivot_rows
 
     def support(self) -> list[int]:
@@ -851,53 +842,52 @@ class Subspace:
         return [*self.pivots, *(at[c] for c, row in piv.items() if len(row) > 1)]
 
     def sparse_rows(self) -> dict[int, tuple[tuple, tuple]]:
-        """Pivot -> (indices, values) of the non-zero entries of that pivot's row."""
+        """Pivot -> (indices, values) of the non-zero entries of that pivot's row.
+
+        An eliminated subspace types its integer rows (:meth:`int_rows`,
+        :func:`typed_values`); one made from a dense basis reads them off it.
+        """
         if self._sparse is None:
-            if self._build_rows is not None:
-                self._sparse, self._build_rows = self._build_rows(), None
-            elif self._pivot_rows is not None:
-                p = self.field.characteristic
+            p = self.field.characteristic
+            if self._basis is None:
                 self._sparse = {q: (idx, typed_values(vals, scale, p))
                                 for q, (idx, vals, scale) in self.int_rows().items()}
             else:
-                self._sparse = {p: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
-                                for p, row in zip(self.pivots, self._basis)}
+                self._sparse = {q: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
+                                for q, row in zip(self.pivots, self._basis)}
         return self._sparse
 
     @staticmethod
     def from_vectors(field: Field, ambient: int,
                      vectors: Iterable[Sequence | dict] | SparseRows) -> "Subspace":
-        """The span of the vectors: eliminated at once, its rows built on first read.
+        """The span of the vectors: eliminated at once, its typed rows built on first read.
 
         A vector is a sequence of length ``ambient`` or a dict {index:
-        value} of its entries, as a row of :class:`SparseRows`.  The vectors
-        are read once, in order, so a generator of them is never held
-        whole: only the non-zeros of each are kept.  A :class:`SparseRows`
-        with ``ambient`` columns (an :class:`IntRows` with no column
-        scales) is read as the elimination reads it (:func:`_integer_rows`),
-        with one check of its width and none per row.  The dimension and
-        the pivots cost the elimination alone: the reduced rows are built on
-        the first read of :meth:`sparse_rows` or :attr:`basis`.
+        value} of its entries, as a row of :class:`SparseRows`, with every
+        index in [0, ambient); any other raises DimensionMismatch.  The
+        vectors are read once, in order, so a generator of them is never
+        held whole: only the non-zeros of each are kept.  A
+        :class:`SparseRows` with ``ambient`` columns is read as the
+        elimination reads it (:func:`_integer_rows`), with one check of its
+        width and none per row; an :class:`IntRows` with column scales is
+        refused (BadParams).  The dimension and the pivots cost the
+        elimination alone (:meth:`_span`).
         """
         p = field.characteristic
 
         def checked(v: Sequence | dict) -> dict:
-            if (max(v, default=-1) >= ambient) if type(v) is dict else len(v) != ambient:
-                raise DimensionMismatch("vector has wrong ambient dimension")
+            _check_vector(v, ambient)
             return _sparse(v, p)
 
         if isinstance(vectors, SparseRows):
             if vectors.cols != ambient:
                 raise DimensionMismatch("vectors have wrong ambient dimension")
+            if type(vectors) is IntRows and vectors.scales:
+                raise BadParams("a span reads IntRows without column scales")
             rows = _integer_rows(vectors)
         else:
             rows = map(checked, vectors)
-        piv = _echelon(field, rows, ambient)
-        space = Subspace(field, ambient, [], sorted(piv))
-        space._basis = None
-        space._build_rows = lambda: {c: (tuple(row), tuple(row.values()))
-                                     for c, row in zip(*_rref_rows(field, piv))}
-        return space
+        return Subspace._span(field, ambient, _echelon(field, rows, ambient))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -912,34 +902,46 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
+    def residue(self, v: Iterable[tuple]) -> dict:
+        """v modulo this subspace, read at the free columns: {column: value}.
+
+        ``v`` is given as (index, value) entries, read in order.  An entry
+        at a free column adds its value there; a non-zero entry x at a pivot
+        p takes x times row p away, and row p is 1 at p and 0 at the other
+        pivots, so only its entries at free columns are read.  A free column
+        that no entry reaches is absent.
+        """
+        rows, out = self.sparse_rows(), {}
+        for i, x in v:
+            row = rows.get(i)
+            if row is None:
+                out[i] = out[i] + x if i in out else x
+            elif x:
+                for j, y in zip(*row):
+                    if j != i:
+                        out[j] = out[j] - x * y if j in out else -(x * y)
+        return out
+
     def reduce(self, v: Sequence) -> tuple:
-        """Canonical representative of v modulo this subspace: v - sum_p v[p]·row_p."""
-        rows = self.sparse_rows()
-        out = list(v)
-        for p, c in enumerate(v):
-            if c and p in rows:
-                idx, vals = rows[p]
-                for j, b in zip(idx, vals):
-                    out[j] = out[j] - c * b
-        return tuple(out)
+        """Canonical representative of v modulo this subspace: v - sum_p v[p]·row_p.
+
+        It is the :meth:`residue` laid out densely; an entry at a pivot
+        cancels against its own row, leaving a zero of its own type.
+        """
+        _check_vector(v, self.ambient)
+        res = self.residue(enumerate(v))
+        return tuple(res[j] if j in res else x - x for j, x in enumerate(v))
 
     def contains(self, v: Sequence | dict) -> bool:
-        """True iff v lies in this subspace.
+        """True iff v lies in this subspace: its :meth:`residue` is zero.
 
         ``v`` is a vector or a dict {index: value} holding its non-zero
         entries; a dict is checked in time proportional to its support and
-        the rows at its pivots.
+        the rows at its pivots.  A vector of the wrong length, or a dict
+        index outside [0, ambient), raises DimensionMismatch.
         """
-        if not isinstance(v, dict):
-            v = {j: x for j, x in enumerate(v) if x}
-        rows = self.sparse_rows()
-        rest = dict(v)
-        for p, c in v.items():
-            if c and p in rows:
-                idx, vals = rows[p]
-                for j, b in zip(idx, vals):
-                    rest[j] = rest[j] - c * b if j in rest else -(c * b)
-        return not any(rest.values())
+        _check_vector(v, self.ambient)
+        return not any(self.residue(v.items() if isinstance(v, dict) else enumerate(v)).values())
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)

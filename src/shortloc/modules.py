@@ -449,7 +449,8 @@ def pivot_columns(space: Subspace, images: Sequence[Sequence[dict]], e: int) -> 
 
     ``images[r][j]`` is v_{j+1} applied to basis row r (as
     :func:`vector_images` or :meth:`~shortloc.homology.Syzygy.images`
-    give it).  Each image is checked to lie in the subspace (BadParams
+    give it).  Each image is checked to lie in the subspace, its residue
+    (:meth:`~shortloc.linalg.Subspace.residue`) zero (BadParams
     otherwise); the basis is row reduced, so its coordinates are its
     non-zero entries at the pivots, with no system solved.
     """
@@ -457,7 +458,7 @@ def pivot_columns(space: Subspace, images: Sequence[Sequence[dict]], e: int) -> 
     columns: list[list] = [[] for _ in range(e)]
     for row_images in images:
         for cols, image in zip(columns, row_images):
-            if not space.contains(image):
+            if any(space.residue(image.items()).values()):
                 raise BadParams("subspace is not stable under the module action")
             cols.append([(at[q], y) for q, y in image.items() if y and q in at])
     return columns
@@ -506,10 +507,10 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
 
     Quotient coordinates are the non-pivot coordinates of the canonical
     representative (reduction modulo the subspace).  The free unit vectors
-    e_f lift the quotient basis, so column f of an action is X e_f reduced
-    along the subspace's sparse rows, read at the free columns: each entry
-    x at a pivot p subtracts x times row p, and no action matrix of M is
-    multiplied (on A^t the columns come off the regular action).  The
+    e_f lift the quotient basis, so column f of an action is the residue
+    of the column X e_f at the free columns
+    (:meth:`~shortloc.linalg.Subspace.residue`), and no action matrix of M
+    is multiplied (on A^t the columns come off the regular action).  The
     projection's matrix is built on first read.
     """
     if not isinstance(sub, Subspace):
@@ -530,23 +531,9 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
                 row[p] = -basis_row[f]
             proj_rows.append(row)
         return Matrix(M.field, proj_rows, cols=M.dim)
-    rows = sub.sparse_rows()
     at = {f: b for b, f in enumerate(free)}
-    zero = M.field.zero()
-    acts = []
-    for cols in columns:
-        act = []
-        for f in free:
-            col: dict = {}
-            for i, x in cols[f]:
-                if i in at:
-                    col[at[i]] = col.get(at[i], zero) + x
-                else:
-                    for j, y in zip(*rows[i]):
-                        if j in at:
-                            col[at[j]] = col.get(at[j], zero) - x * y
-            act.append(col.items())
-        acts.append(act)
+    acts = [[[(at[j], x) for j, x in sub.residue(cols[f]).items()] for f in free]
+            for cols in columns]
     Q = module_from_columns(M.algebra, len(free), acts)
     return Q, _LazyMap(M, Q, projection)
 
@@ -846,28 +833,28 @@ def _invertible(mat: Matrix) -> bool:
 def _tops(homs: HomSpace) -> Iterator[Matrix]:
     """Each basis map on tops: its values at M's top lifts, reduced mod JN at N's free columns.
 
-    The entries are read off the map's flattening, with no map matrix
-    built.  An A-map F: M -> N between modules of one dimension is
-    invertible iff this matrix is (Nakayama: F is onto iff F(M) + JN = N).
+    The values at each lift are read off the map's flattening, with no map
+    matrix built, and reduced to their residue
+    (:meth:`~shortloc.linalg.Subspace.residue`).  An A-map F: M -> N
+    between modules of one dimension is invertible iff this matrix is
+    (Nakayama: F is onto iff F(M) + JN = N).
     """
     M, N = homs.source, homs.target
     radical = N.radical()
-    rows, at = radical.sparse_rows(), {f: i for i, f in enumerate(radical.free_columns())}
+    at = {f: i for i, f in enumerate(radical.free_columns())}
     lifts = {c: k for k, c in enumerate(M.lift_columns())}
     zero, dm = M.field.zero(), M.dim
     flat = homs.flat.sparse_rows()
     for p in homs.flat.pivots:
-        top = [[zero] * len(lifts) for _ in at]
+        values = [[] for _ in lifts]
         for q, x in zip(*flat[p]):
             r, c = divmod(q, dm)
             if c in lifts:
-                k = lifts[c]
-                if r in at:
-                    top[at[r]][k] = top[at[r]][k] + x
-                else:
-                    for j, y in zip(*rows[r]):
-                        if j in at:
-                            top[at[j]][k] = top[at[j]][k] - x * y
+                values[lifts[c]].append((r, x))
+        top = [[zero] * len(lifts) for _ in at]
+        for k, entries in enumerate(values):
+            for j, x in radical.residue(entries).items():
+                top[at[j]][k] = x
         yield Matrix(M.field, top, cols=len(lifts))
 
 

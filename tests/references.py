@@ -12,6 +12,11 @@ rungs read integer rows: the images of a syzygy's typed shadow rows are
 typed sums through the structure constants (``generator_images``), and Φ
 is assembled from them as typed sparse rows that the elimination converts
 back to integers (``typed_phi_kernel``).
+
+The reduction walks are the loops that ``Subspace.residue`` replaced:
+membership and dense reduction along a subspace's typed sparse rows
+(``walk_rest``, ``walk_reduce``), a quotient's action columns
+(``walk_quotient_columns``) and the tops of a Hom basis (``walk_tops``).
 """
 
 from collections import defaultdict
@@ -153,3 +158,73 @@ def typed_ladder(M, depth):
     while len(rungs) <= depth:
         rungs.append(typed_cover(M.algebra, rungs[-1][1]))
     return rungs
+
+
+# -- the reduction walks -----------------------------------------------------
+
+def walk_rest(space, v):
+    """v, a dict {index: value}, less v[p]·row p at each non-zero entry at a pivot p."""
+    rows, rest = space.sparse_rows(), dict(v)
+    for p, c in v.items():
+        if c and p in rows:
+            for j, b in zip(*rows[p]):
+                rest[j] = rest[j] - c * b if j in rest else -(c * b)
+    return rest
+
+
+def walk_reduce(space, v):
+    """The dense vector v less v[p]·row p at each non-zero entry at a pivot p."""
+    rows, out = space.sparse_rows(), list(v)
+    for p, c in enumerate(v):
+        if c and p in rows:
+            for j, b in zip(*rows[p]):
+                out[j] = out[j] - c * b
+    return tuple(out)
+
+
+def walk_quotient_columns(M, sub):
+    """Per generator, column f of M/sub's action as {quotient index: value}.
+
+    X e_f is reduced along sub's rows and read at the free columns: each
+    entry x at a pivot subtracts x times its row.
+    """
+    rows, free = sub.sparse_rows(), sub.free_columns()
+    at, zero = {f: b for b, f in enumerate(free)}, M.field.zero()
+    acts = []
+    for cols in M.action_columns():
+        act = []
+        for f in free:
+            col = {}
+            for i, x in cols[f]:
+                if i in at:
+                    col[at[i]] = col.get(at[i], zero) + x
+                else:
+                    for j, y in zip(*rows[i]):
+                        if j in at:
+                            col[at[j]] = col.get(at[j], zero) - x * y
+            act.append(col)
+        acts.append(act)
+    return acts
+
+
+def walk_tops(homs):
+    """Each basis map of ``homs`` on tops: its values at the source's lifts, reduced mod JN."""
+    M, N = homs.source, homs.target
+    radical = N.radical()
+    rows, at = radical.sparse_rows(), {f: i for i, f in enumerate(radical.free_columns())}
+    lifts = {c: k for k, c in enumerate(M.lift_columns())}
+    zero, dm, flat, out = M.field.zero(), M.dim, homs.flat.sparse_rows(), []
+    for p in homs.flat.pivots:
+        top = [[zero] * len(lifts) for _ in at]
+        for q, x in zip(*flat[p]):
+            r, c = divmod(q, dm)
+            if c in lifts:
+                k = lifts[c]
+                if r in at:
+                    top[at[r]][k] = top[at[r]][k] + x
+                else:
+                    for j, y in zip(*rows[r]):
+                        if j in at:
+                            top[at[j]][k] = top[at[j]][k] - x * y
+        out.append(Matrix(M.field, top, cols=len(lifts)))
+    return out

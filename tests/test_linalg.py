@@ -711,6 +711,27 @@ def test_a_span_of_int_rows_checks_their_columns():
                 Subspace.from_vectors(QQ, 3, rows)
 
 
+def test_a_span_refuses_int_rows_with_column_scales():
+    # Column 0 at scale 2 would mean the vector (1/2, 1), which the span would
+    # read as (1, 1); without scales the same rows span (1, 1).
+    with pytest.raises(BadParams, match="without column scales"):
+        Subspace.from_vectors(QQ, 2, linalg.IntRows(QQ, [{0: 1, 1: 1}], 2, [2, 1]))
+    assert Subspace.from_vectors(QQ, 2, linalg.IntRows(QQ, [{0: 1, 1: 1}], 2)).basis == ((1, 1),)
+
+
+def test_a_vector_outside_the_ambient_space_is_refused():
+    for vector in ({-1: 1, 0: 2}, {3: 1}, [1, 0], [1, 0, 0, 0]):
+        with pytest.raises(DimensionMismatch):
+            Subspace.from_vectors(QQ, 3, [vector])
+    span = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
+    for read in (span.contains, span.coords, span.reduce):
+        for vector in ([1, 0, 0, 0], [1, 0], {3: 1}, {-1: 1}):
+            with pytest.raises(DimensionMismatch, match="wrong ambient dimension"):
+                read(vector)
+    assert span.contains({0: 2}) and span.coords([2, 0, 0]) == (2,)
+    assert span.reduce([2, 1, 0]) == (0, 1, 0)
+
+
 @ELIM_FIELDS
 def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
     # A SparseRows is read as the elimination reads it, with one width
@@ -733,9 +754,14 @@ def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
 
 def test_only_a_kernel_has_integer_pivot_rows():
     span = Subspace.from_vectors(QQ, 3, [[1, Fraction(1, 2), 0]])
+    # Every subspace has integer rows: a span's are its pivot rows over
+    # their leads, here (2, 1) over 2; a dense basis gives its own.
+    assert span.int_rows() == {0: ((0, 1), (2, 1), 2)}
+    assert Subspace.full(QQ, 2).int_rows() == {0: ((0,), (1,), 1), 1: ((1,), (1,), 1)}
+    assert Subspace.zero(QQ, 2).int_rows() == {}
     for space in (span, Subspace.full(QQ, 2), Subspace.zero(QQ, 2)):
-        for read in (Subspace.int_rows, Subspace.pivot_form, Subspace.support):
-            with pytest.raises(BadParams, match="span: only a kernel has integer pivot rows"):
+        for read in (Subspace.pivot_form, Subspace.support):
+            with pytest.raises(BadParams, match="no kernel: only a kernel has a pivot form"):
                 read(space)
     kernel = kernel_subspace(mat(QQ, [[2, 1, 0]]))
     # Row 1 is (-1/2, 1, 0): 1 at its pivot, then -1/2 at 0, over scale 2.

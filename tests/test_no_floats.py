@@ -4,7 +4,7 @@ Every scalar is exact, so the source holds no float literal, no ``float(``
 call, and no true division ``/`` outside the two functions that divide
 exact values: ``Field.of`` (a fraction read into F_p) and
 ``Fp.__truediv__``.  Over Q the pivot scaling
-in ``_rref_rows`` goes through ``Rational``, since int / int is a float.
+in ``typed_values`` goes through ``Rational``, since int / int is a float.
 """
 
 import ast

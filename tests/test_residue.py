@@ -1,0 +1,126 @@
+"""The one reduction routine, ``Subspace.residue``, against the walks it replaced.
+
+``contains``, ``coords`` and ``reduce`` read the residue, and so do a
+quotient's action columns and the tops that ``find_isomorphism`` tests.
+Each is compared in value and scalar type with its walk in
+``references.py``, over Q, F_7 and F_32003, on spans, kernels and
+subspaces made from a dense basis.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from shortloc.errors import DimensionMismatch
+from shortloc.linalg import Matrix, Subspace, kernel_subspace
+from shortloc.modules import (AModule, _tops, generated_submodule, hom_space, quotient,
+                              random_module)
+from shortloc.presets import preset
+
+from references import scalars, walk_quotient_columns, walk_reduce, walk_rest, walk_tops
+from test_linalg import ELIM_FIELDS, elimination_inputs, reference_rref_rows
+
+
+def typed_entries(d):
+    """A dict's entries in index order, each value with its type."""
+    return [(j, type(x), x) for j, x in sorted(d.items(), key=lambda item: item[0])]
+
+
+def subspaces(field):
+    """The span and the kernel of each elimination input, each also from its dense basis."""
+    for m in elimination_inputs(field):
+        for space in (Subspace.from_vectors(field, m.cols, m.data), kernel_subspace(m)):
+            yield space
+            yield Subspace(field, space.ambient, space.basis, space.pivots)
+
+
+def vectors(field, space, rng):
+    """Members of ``space``, seeded combinations of its basis, and seeded vectors of k^n."""
+    pool = [field.of(x) for x in (-2, -1, 0, 0, 1, 3)]
+    if field.is_rationals:
+        pool += [field.of("1/3"), field.of("-5/2")]
+    for _ in range(3):
+        coefs = [rng.choice(pool) for _ in range(space.dim)]
+        yield tuple(sum((c * row[j] for c, row in zip(coefs, space.basis)), field.zero())
+                    for j in range(space.ambient))
+        yield tuple(rng.choice(pool) for _ in range(space.ambient))
+
+
+@ELIM_FIELDS
+def test_the_residue_and_its_readers_match_the_walks(field):
+    rng = random.Random(23)
+    members = outsiders = 0
+    for space in subspaces(field):
+        free = set(space.free_columns())
+        for v in vectors(field, space, rng):
+            for entries in (dict(enumerate(v)), {j: x for j, x in enumerate(v) if x}):
+                rest = walk_rest(space, entries)
+                want = {j: x for j, x in rest.items() if j in free}
+                assert typed_entries(space.residue(entries.items())) == typed_entries(want)
+                assert space.contains(entries) == (not any(rest.values()))
+            assert scalars(space.reduce(v)) == scalars(walk_reduce(space, v))
+            if space.contains(v):
+                assert scalars(space.coords(v)) == scalars(tuple(v[p] for p in space.pivots))
+                members += 1
+            else:
+                with pytest.raises(DimensionMismatch):
+                    space.coords(v)
+                outsiders += 1
+    assert members >= 150 and outsiders >= 50
+
+
+@ELIM_FIELDS
+def test_span_int_rows_over_their_scale_are_the_reduced_rows(field):
+    p = field.characteristic
+    for m in elimination_inputs(field):
+        rows, pivots = reference_rref_rows(field, m.data, m.cols)
+        span = Subspace.from_vectors(field, m.cols, m.data)
+        got = {q: [(j, x * pow(scale, -1, p) % p if p else Fraction(x, scale))
+                   for j, x in zip(idx, vals)]
+               for q, (idx, vals, scale) in span.int_rows().items()}
+        typed = {q: [(j, x.v if p else x) for j, x in zip(idx, vals)]
+                 for q, (idx, vals) in span.sparse_rows().items()}
+        want = {c: sorted((j, x.v if p else x) for j, x in enumerate(row) if x)
+                for c, row in zip(pivots, rows)}
+        assert list(got) == pivots and got == typed
+        assert {q: sorted(row) for q, row in got.items()} == want
+
+
+def halved(M):
+    """M in the basis 2^i·e_i: entry x at (i, j) becomes x·2^(i - j), a fraction over Q."""
+    field = M.field
+    return AModule(M.algebra, M.dim, [
+        Matrix(field, [[x * field.of(Fraction(2 ** i, 2 ** j)) if x else x
+                        for j, x in enumerate(row)] for i, row in enumerate(X.data)])
+        for X in M.actions], check=False)
+
+
+@ELIM_FIELDS
+def test_quotients_and_tops_match_the_walks(field):
+    quotients = maps = 0
+    for name, kw in [("lambda_c", {"c": 1}), ("ex15_1", {"e": 3, "a": 2}), ("qexterior", {}),
+                     ("ex5_3", {})]:
+        alg = preset(name, field=field, **kw)
+        for seed in range(4):
+            M = random_module(alg, 1 + seed % 2, seed % 3, seed=seed)
+            M = halved(M) if seed % 2 else M
+            rng = random.Random(seed)
+            _, emb = generated_submodule(M, [[field.of(rng.choice((-1, 0, 1, 2, 5)))
+                                              for _ in range(M.dim)]])
+            radical = M.radical()
+            for sub in (radical, M.socle(), Subspace(field, M.dim, radical.basis, radical.pivots),
+                        Subspace.from_vectors(field, M.dim, emb.matrix.transpose().data)):
+                Q, _ = quotient(M, sub)
+                want = [Matrix.from_sparse_columns(field, Q.dim, [col.items() for col in act])
+                        for act in walk_quotient_columns(M, sub)]
+                assert [list(map(scalars, X.data)) for X in Q.actions] == \
+                    [list(map(scalars, X.data)) for X in want]
+                quotients += 1
+                for N in (M, Q):
+                    homs = hom_space(M, N)
+                    got, ref = list(_tops(homs)), walk_tops(homs)
+                    assert [list(map(scalars, X.data)) for X in got] == \
+                        [list(map(scalars, X.data)) for X in ref]
+                    maps += len(got)
+    assert quotients == 64 and maps >= 100
