@@ -3,14 +3,22 @@
 :func:`record` reads a class's annotated fields in order, and the defaults
 set in its body, and adds ``__init__`` (positional and keyword arguments,
 defaults, then ``__post_init__`` when the class defines one), field-wise
-``__eq__`` and ``__hash__``, the dataclass ``__repr__`` and a frozen
-``__setattr__``/``__delattr__``.  Fields are set one by one with
+``__eq__`` and ``__hash__``, the dataclass ``__repr__``, a frozen
+``__setattr__``/``__delattr__`` and ``as_dict``, the fields in order as
+plain data (:func:`_plain`).  Fields are set one by one with
 ``object.__setattr__``, as a frozen dataclass sets them, so an instance
 keeps CPython's compact attribute storage until a
 ``functools.cached_property`` writes to its ``__dict__``.
 """
 
 from operator import attrgetter
+
+
+def _plain(value):
+    """``value`` as plain data: a record as a dict, a tuple or list as a list, all the way down."""
+    if isinstance(value, (tuple, list)):
+        return [_plain(x) for x in value]
+    return value.as_dict() if hasattr(value, "as_dict") else value
 
 
 def record(cls):
@@ -53,6 +61,9 @@ def record(cls):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({shown})"
 
+    def as_dict(self):
+        return {name: _plain(getattr(self, name)) for name in names}
+
     def __setattr__(self, name, value):
         if type(self) is cls or name in fieldset:
             raise AttributeError(f"cannot assign to field {name!r}")
@@ -63,6 +74,6 @@ def record(cls):
             raise AttributeError(f"cannot delete field {name!r}")
         object.__delattr__(self, name)
 
-    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+    for method in (__init__, __eq__, __hash__, __repr__, as_dict, __setattr__, __delattr__):
         setattr(cls, method.__name__, method)
     return cls

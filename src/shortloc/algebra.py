@@ -295,19 +295,6 @@ class AlgebraReport:
     j2_equals_left_socle: bool
     j2_equals_right_socle: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hilbert_type": list(self.hilbert_type),
-            "dimension": self.dimension,
-            "commutative": self.commutative,
-            "left_socle_dim": self.left_socle_dim,
-            "right_socle_dim": self.right_socle_dim,
-            "self_injective": self.self_injective,
-            "j2_equals_left_socle": self.j2_equals_left_socle,
-            "j2_equals_right_socle": self.j2_equals_right_socle,
-        }
-
 
 def algebra_from_relations(field: Field, generators: Sequence[str],
                            relations: Sequence[Mapping[tuple[int, int], object]],

@@ -33,18 +33,6 @@ class PathStep:
     defect: Optional[int]
     loewy: int
 
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "dim": self.dim,
-            "rank": self.rank,
-            "dim_vector": list(self.dim_vector) if self.dim_vector is not None else None,
-            "bipartite": self.bipartite,
-            "simple_mult": self.simple_mult,
-            "defect": self.defect,
-            "loewy": self.loewy,
-        }
-
 
 @record
 class PathRecord:
@@ -57,13 +45,6 @@ class PathRecord:
     @property
     def ranks(self) -> tuple[int, ...]:
         return tuple(s.rank for s in self.steps)
-
-    def as_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "steps": [s.as_dict() for s in self.steps],
-            "terminated_reason": self.terminated_reason,
-        }
 
 
 def describe_step(M: AModule, index: int) -> PathStep:
@@ -178,18 +159,6 @@ class ComplexClassification:
     forward_verified: bool = True
     period: Optional[int] = None
     obstruction: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ranks": list(self.ranks),
-            "module_index": self.module_index,
-            "v_index": self.v_index,
-            "defects": list(self.defects) if self.defects is not None else None,
-            "forward_verified": self.forward_verified,
-            "period": self.period,
-            "obstruction": self.obstruction,
-        }
 
 
 def _check_defect_monotonicity(steps: list[PathStep]):

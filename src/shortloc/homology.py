@@ -574,7 +574,8 @@ def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> IntRows:
     """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as integer rows.
 
     Row l·dim N + r is row r of the action of d_j(unit_l), the l-th top
-    lift of the j-th syzygy, on N^{t_{j-1}} (:func:`relation_equations`).
+    lift of the j-th syzygy, on N^{t_{j-1}} (:func:`relation_equations`),
+    and column s·t_{j-1} + k is entry s of the image of copy k.
     The lifts' integer rows (:meth:`MinimalResolution.boundary_int_rows`)
     are put over the lcm of their scales, so the whole matrix is one
     multiple of the one meant: it has the same rank and column span.

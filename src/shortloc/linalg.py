@@ -567,6 +567,13 @@ def _check_vector(v: Sequence | dict, ambient: int):
         raise DimensionMismatch("vector has wrong ambient dimension")
 
 
+def _check_dense(v: Sequence, ambient: int):
+    """Raise DimensionMismatch unless v is a sequence, not a dict, of length ``ambient``."""
+    _check_vector(v, ambient)
+    if isinstance(v, dict):
+        raise DimensionMismatch("expected a dense vector, got a dict")
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form: returns (reduced, rank, pivot columns)."""
     space = Subspace._span(m.field, m.cols, _echelon(m.field, _integer_rows(m), m.cols))
@@ -926,9 +933,10 @@ class Subspace:
         """Canonical representative of v modulo this subspace: v - sum_p v[p]·row_p.
 
         It is the :meth:`residue` laid out densely; an entry at a pivot
-        cancels against its own row, leaving a zero of its own type.
+        cancels against its own row, leaving a zero of its own type.  A
+        dict raises DimensionMismatch, as does a vector of the wrong length.
         """
-        _check_vector(v, self.ambient)
+        _check_dense(v, self.ambient)
         res = self.residue(enumerate(v))
         return tuple(res[j] if j in res else x - x for j, x in enumerate(v))
 
@@ -947,7 +955,8 @@ class Subspace:
         return all(self.contains(row) for row in other.basis)
 
     def coords(self, v: Sequence) -> tuple:
-        """Coordinates of a member vector in this basis."""
+        """Coordinates of a member vector, a sequence, in this basis."""
+        _check_dense(v, self.ambient)
         if not self.contains(v):
             raise DimensionMismatch("vector is not in the subspace")
         return tuple(v[p] for p in self.pivots)

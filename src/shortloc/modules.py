@@ -23,18 +23,20 @@ acts as sum s_ij v_i v_j, so w_m·x sums the images v_i·(v_j·x) read
 along the columns (:func:`square_images`).  :meth:`AModule.top_images`
 maps the radical basis at the top lifts, the images every cover is read
 off (its kernel, :attr:`AModule.cover_kernel`, is found once per
-module), and :meth:`AModule.action_rows` holds each basis element's
-action as sparse rows, for the Hom systems, and as ints over one scale
-(:meth:`AModule.int_action_rows`) for the Hom-complex of Ext and Hom
-dimensions.
+module), and :meth:`AModule.int_action_rows` holds each basis element's
+action as sparse rows of ints over one scale, for the Hom systems.
 
-A Hom system is sized by the top of its source, since the top lifts
-m_1..m_t generate M.  :func:`hom_space` solves F(b·m_k) = b·F(m_k) for
-the radical basis elements b, at most (dim A - 1)·t·dim N equations, and
-builds each basis map on first read.  :func:`hom_dim` reads M's
-presentation: t·dim N less the rank of the cover kernel acting on N, its
-integer rows against N's actions as ints over one scale, with no kernel
-basis and no typed kernel row.  :func:`find_isomorphism` solves
+Every Hom system is built one way, :func:`relation_equations`: a map
+A^t -> N is its images n_1..n_t, column s·t + k is entry s of n_k (the
+row-major flattening of a dim N x t matrix), and each relation ρ in A^t
+gives the dim N equations ρ·(n_1..n_t) = 0.  A Hom system is sized by
+the top of its source, since the top lifts m_1..m_t generate M.
+:func:`hom_space` reads M as a quotient of A^{dim M}, whose copy c maps
+to e_c, by the relations b·m_k = sum_c (b m_k)[c] e_c for the radical
+basis elements b, (dim A - 1)·t·dim N equations, and builds each basis
+map on first read.  :func:`hom_dim` reads M's presentation: t·dim N less
+the rank of the equations of the cover kernel's integer rows, with no
+kernel basis and no typed kernel row.  :func:`find_isomorphism` solves
 Hom(M, N) once and tests each basis element on tops, a t x t matrix,
 since an A-map between modules of one dimension is invertible iff it is
 onto the top (Nakayama); it takes dim Hom(N, M) only when no basis
@@ -80,7 +82,7 @@ class AModule:
     A module is held by its action matrices or by its sparse action
     columns (:meth:`action_columns`), as A^t and a syzygy are, and builds
     the other form on first read.  ``free_rank`` is t when the module is
-    A^t in the coordinates of :func:`free_module`; :meth:`action_rows`
+    A^t in the coordinates of :func:`free_module`; :meth:`int_action_rows`
     then reads its rows off the algebra's regular rows, copy by copy.
     """
 
@@ -88,7 +90,6 @@ class AModule:
     _radical: Optional[Subspace] = None
     _socle: Optional[Subspace] = None
     _socle_dim: Optional[int] = None
-    _action_rows: Optional[tuple] = None
     _int_action_rows: Optional[tuple] = None
     _action_columns: Optional[list] = None
     _loewy: Optional[int] = None
@@ -124,21 +125,24 @@ class AModule:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def action_rows(self) -> tuple:
-        """Per basis element b of A, the non-zeros (column, value) of each row of b's action.
+    def int_action_rows(self) -> tuple:
+        """Per basis element b of A, each row of b's action as its non-zeros (column, int).
 
-        On A^t copy k's rows are the algebra's regular rows
-        (:meth:`ShortAlgebra.regular_rows`, built once per algebra) shifted
-        by k·dim A.  Any other module transposes its action columns: v_j's
-        are :meth:`action_columns`, w_m's are :func:`square_images` of the
-        unit vectors, formed only when J^2 M is not zero, so no product is
-        formed.
+        The ints are :func:`~shortloc.linalg.integer_values` of all the
+        values together, over one scale, the value on the identity rows
+        (b = 0): residues over F_p, and over Q the values themselves when
+        every one is an ``int``.  On A^t copy k's rows are
+        the algebra's regular rows (:meth:`ShortAlgebra.regular_rows`, built
+        once per algebra) shifted by k·dim A.  Any other module transposes
+        its action columns: v_j's are :meth:`action_columns`, w_m's are
+        :func:`square_images` of the unit vectors, formed only when J^2 M is
+        not zero, so no product is formed.
         """
-        if self._action_rows is None:
+        if self._int_action_rows is None:
             if self.free_rank is None:
                 d, one, columns = self.dim, self.field.one(), self.action_columns()
                 images = [[dict(cols[c]) for cols in columns] for c in range(d)]
-                rows: list = [[[] for _ in range(d)] for _ in range(self.algebra.dim)]
+                act: list = [[[] for _ in range(d)] for _ in range(self.algebra.dim)]
                 if self._square_zero or self.loewy_length() < 3:
                     squares: list = [()] * d
                 else:
@@ -146,31 +150,17 @@ class AModule:
                 for c, (vs, ws) in enumerate(zip(images, squares)):
                     for b, image in enumerate([{c: one}, *vs, *ws]):
                         for r, x in image.items():
-                            rows[b][r].append((c, x))
-                self._action_rows = tuple(tuple(map(tuple, b)) for b in rows)
+                            act[b][r].append((c, x))
             else:
                 n = self.algebra.dim
-                self._action_rows = tuple(
-                    tuple(tuple((k * n + c, x) for c, x in row)
-                          for k in range(self.free_rank) for row in rows)
-                    for rows in self.algebra.regular_rows())
-        return self._action_rows
-
-    def int_action_rows(self) -> tuple:
-        """:meth:`action_rows` with every value an int over one scale, converted once.
-
-        The ints are :func:`~shortloc.linalg.integer_values` of all the
-        values together (residues over F_p); over Q with every value an
-        ``int`` the rows are :meth:`action_rows` themselves.
-        """
-        if self._int_action_rows is None:
-            act, p = self.action_rows(), self.field.characteristic
+                act = [[[(k * n + c, x) for c, x in row] for k in range(self.free_rank)
+                        for row in rows] for rows in self.algebra.regular_rows()]
+            p = self.field.characteristic
             values = [y for b in act for row in b for _, y in row]
             if p or any(type(y) is not int for y in values):
                 ints = iter(integer_values(values, p)[0])
-                act = tuple(tuple(tuple((c, next(ints)) for c, _ in row) for row in b)
-                            for b in act)
-            self._int_action_rows = act
+                act = [[[(c, next(ints)) for c, _ in row] for row in b] for b in act]
+            self._int_action_rows = tuple(tuple(map(tuple, b)) for b in act)
         return self._int_action_rows
 
     def action_columns(self) -> list[list[list[tuple]]]:
@@ -692,45 +682,41 @@ class HomSpace:
 def hom_space(M: AModule, N: AModule) -> HomSpace:
     """A basis of Hom_A(M, N), solved at the top lifts of M.
 
-    The top lifts m_k, unit vectors at the indices c_k
-    (:meth:`AModule.lift_columns`), generate M, and the b·m_k span JM, so
-    a linear F: M -> N is A-linear iff F(b·m_k) = b·F(m_k) for every
-    radical basis element b and every k.  The unknown F[r,c] sits at index
-    r·dim M + c (the row-major flattening), and (k, b) gives the equations
+    A linear F: M -> N is the map A^{dim M} -> N that sends unit_c to
+    F(e_c), so column s·dim M + c of :func:`relation_equations` is F[s,c]
+    and the unknowns are F's row-major flattening.  The top lifts m_k, unit
+    vectors at the indices c_k (:meth:`AModule.lift_columns`), generate M,
+    and the b·m_k span JM, so F is A-linear iff it kills the relation
 
-        sum_c (b m_k)[c] F[r,c] - sum_s B[r,s] F[s,c_k] = 0,   r < dim N,
+        b·unit_{c_k} - sum_c (b m_k)[c]·unit_c
 
-    built as dicts from the image b m_k (:meth:`AModule.top_images`) and
-    row r of b's action B on N (:meth:`AModule.action_rows`).  A w_m gives
-    equations only where J^2 M or J^2 N is not zero; elsewhere both sides
-    vanish.  So there are at most (dim A - 1)·t·dim N rows over the
-    dim M·dim N unknowns.  Their kernel is Hom(M, N), so its reduced basis
-    is the one the whole intertwining system gives.  Each map's matrix is
-    built from its flattening on first read.
+    for every radical basis element b and every k, read off the image
+    b m_k (:meth:`AModule.top_images`, zero past the generators when J^2 M
+    is zero) as ints over its own scale (:func:`~shortloc.linalg.integer_values`).
+    So there are (dim A - 1)·t·dim N rows, as :class:`~shortloc.linalg.IntRows`,
+    over the dim M·dim N unknowns.  Their kernel is Hom(M, N), so its
+    reduced basis is the one the whole intertwining system gives.  Each
+    map's matrix is built from its flattening on first read.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
-    dm, dn = M.dim, N.dim
-    acts = N.action_rows()[1:]
-    rows = []
+    dm, dn, n = M.dim, N.dim, M.algebra.dim
+    one, p = M.field.one(), M.field.characteristic
+    relations = []
     for c_k, images in zip(M.lift_columns(), M.top_images()):
-        for b, b_rows in enumerate(acts):
-            image = images[b] if b < len(images) else {}
-            for r, n_row in enumerate(b_rows):
-                eq = {r * dm + c: y for c, y in image.items()}
-                for s, x in n_row:
-                    q = s * dm + c_k
-                    eq[q] = eq[q] - x if q in eq else -x
-                if eq:
-                    rows.append(eq)
-    space = kernel_subspace(SparseRows(M.field, rows, dn * dm))
+        for b in range(1, n):
+            image = images[b - 1] if b <= len(images) else {}
+            (lead, *ints), _ = integer_values([one, *image.values()], p)
+            relations.append(((c_k * n + b, *(c * n for c in image)),
+                              (lead, *(-x for x in ints))))
+    space = kernel_subspace(relation_equations(N, relations, dm))
 
-    def matrix(p: int) -> Matrix:
+    def matrix(q: int) -> Matrix:
         flat = [M.field.zero()] * (dn * dm)
-        for q, x in zip(*space.sparse_rows()[p]):
-            flat[q] = x
+        for j, x in zip(*space.sparse_rows()[q]):
+            flat[j] = x
         return Matrix(M.field, [flat[k * dm:(k + 1) * dm] for k in range(dn)], cols=dm)
-    maps = tuple(_LazyMap(M, N, lambda p=p: matrix(p)) for p in space.pivots)
+    maps = tuple(_LazyMap(M, N, lambda q=q: matrix(q)) for q in space.pivots)
     return HomSpace(M, N, maps, space)
 
 
@@ -742,14 +728,15 @@ def hom_basis(M: AModule, N: AModule) -> list[ModuleMap]:
 def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> IntRows:
     """The equations ρ·(n_1..n_t) = 0 on N^t = Hom(A^t, N), dim N per relation ρ.
 
-    Each relation ρ in A^t is given as its non-zero ints (indices, values),
-    over any scale per relation.  Row l·dim N + r is row r of the l-th
-    relation's action: each entry x of ρ at k·dim A + b adds x times row r
-    of b's action on N, read as ints over one scale
-    (:meth:`AModule.int_action_rows`), shifted to copy k.  The equations
-    come as :class:`~shortloc.linalg.IntRows`: each is a multiple of the one
-    meant, so they have its rank, and relations over one scale give one
-    multiple of the whole matrix.
+    Column s·t + k is entry s of n_k, the image of copy k: the row-major
+    flattening of the map A^t -> N as a dim N x t matrix.  Each relation ρ
+    in A^t is given as its non-zero ints (indices, values), over any scale
+    per relation.  Row l·dim N + r is row r of the l-th relation's action:
+    each entry x of ρ at k·dim A + b adds x times row r of b's action on
+    N, read as ints over one scale (:meth:`AModule.int_action_rows`), at
+    copy k.  The equations come as :class:`~shortloc.linalg.IntRows`: each
+    is a multiple of the one meant, so they have its rank, and relations
+    over one scale give one multiple of the whole matrix.
     """
     n, d = N.algebra.dim, N.dim
     act = N.int_action_rows()
@@ -760,7 +747,7 @@ def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> IntRow
             k, b = divmod(q, n)
             for row, b_row in zip(rows, act[b]):
                 for c, y in b_row:
-                    col = k * d + c
+                    col = c * t + k
                     row[col] = row[col] + x * y if col in row else x * y
         out += rows
     return IntRows(N.field, out, t * d)
@@ -846,13 +833,13 @@ def _tops(homs: HomSpace) -> Iterator[Matrix]:
     zero, dm = M.field.zero(), M.dim
     flat = homs.flat.sparse_rows()
     for p in homs.flat.pivots:
-        values = [[] for _ in lifts]
+        values: dict = {}
         for q, x in zip(*flat[p]):
             r, c = divmod(q, dm)
             if c in lifts:
-                values[lifts[c]].append((r, x))
+                values.setdefault(lifts[c], []).append((r, x))
         top = [[zero] * len(lifts) for _ in at]
-        for k, entries in enumerate(values):
+        for k, entries in values.items():
             for j, x in radical.residue(entries).items():
                 top[at[j]][k] = x
         yield Matrix(M.field, top, cols=len(lifts))

@@ -135,9 +135,11 @@ def kronecker_to_dict(rep: KroneckerRep) -> dict:
 
 
 def kronecker_from_dict(d: dict, field: Field) -> KroneckerRep:
-    dim0, dim1 = int(d["dim0"]), int(d["dim1"])
-    maps = tuple(_matrix(field, rows, dim0, "representation map") for rows in d["maps"])
-    return KroneckerRep(e=int(d["e"]), dim0=dim0, dim1=dim1, maps=maps)
+    _require(d, "Kronecker representation", "e", "dim0", "dim1", "maps")
+    e, dim0, dim1 = (_typed(d[k], (int,), f"representation {k!r}") for k in ("e", "dim0", "dim1"))
+    maps = tuple(_matrix(field, rows, dim0, "representation map")
+                 for rows in _typed(d["maps"], (list,), "representation 'maps'"))
+    return KroneckerRep(e=e, dim0=dim0, dim1=dim1, maps=maps)
 
 
 def report(op: str, inputs: dict, *, bound: Optional[int] = None,

@@ -21,7 +21,7 @@ membership and dense reduction along a subspace's typed sparse rows
 
 from collections import defaultdict
 
-from shortloc.linalg import Matrix, SparseRows, kernel_subspace
+from shortloc.linalg import Fp, Matrix, Rational, SparseRows, kernel_subspace
 from shortloc.modules import pivot_columns
 
 
@@ -63,6 +63,21 @@ def scaled_sum_action(M, u):
             i, j = divmod(idx, alg.e)
             acc = acc + (X[i] * X[j]).scale(c * s)
     return acc
+
+
+def action_rows_over_scale(M):
+    """``M.int_action_rows()`` as scalars: each int over the module's scale.
+
+    The scale is the value on the identity rows (b = 0), each of which is
+    checked to hold it alone, at its own column; over F_p it is 1 and an
+    int stands for its residue.
+    """
+    act, p = M.int_action_rows(), M.field.characteristic
+    scale = act[0][0][0][1] if M.dim else 1
+    assert all(row == ((r, scale),) for r, row in enumerate(act[0]))
+    assert not p or scale == 1
+    return tuple(tuple(tuple((c, Fp(x % p, p) if p else Rational(x, scale)) for c, x in row)
+                       for row in b) for b in act)
 
 
 def scalars(row):

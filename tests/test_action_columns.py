@@ -149,7 +149,7 @@ def test_each_input_takes_its_cover_route(field, products, monkeypatch):
     for M in loewy2 + loewy3:
         routes.append(set())
         projective_cover(M)
-        assert len(M.action_rows()) == M.algebra.dim and M.free_rank is None
+        assert len(M.int_action_rows()) == M.algebra.dim and M.free_rank is None
     # The approximation's factoring certificate reads A^op's sparse rows.
     certified = [mho_step(M).rank for M in loewy3]
     assert len(products) == made and sum(certified) > 0

@@ -732,6 +732,18 @@ def test_a_vector_outside_the_ambient_space_is_refused():
     assert span.reduce([2, 1, 0]) == (0, 1, 0)
 
 
+def test_reduce_and_coords_refuse_a_dict():
+    # A dict passes the index check, but reduce and coords read a dense
+    # vector: reduce({1: 2}) was read as the vector (2,), and coords({})
+    # looked up the missing key 0.
+    span = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
+    for read, vector in [(span.reduce, {1: 2}), (span.reduce, {0: 5, 2: 7}),
+                         (span.reduce, {}), (span.coords, {}), (span.coords, {0: 2})]:
+        with pytest.raises(DimensionMismatch, match="got a dict"):
+            read(vector)
+    assert span.reduce([5, 0, 7]) == (0, 0, 7) and span.contains({0: 5})
+
+
 @ELIM_FIELDS
 def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
     # A SparseRows is read as the elimination reads it, with one width

@@ -404,7 +404,7 @@ def test_explicit_copy_of_a_free_module_reads_as_the_free_module(field):
                 via_copy = module_from_subspace(copy, space)[0].actions
                 assert via_copy == module_from_subspace(F, space)[0].actions
             assert copy.action_columns() == F.action_columns()
-            assert copy.action_rows() == F.action_rows()
+            assert copy.int_action_rows() == F.int_action_rows()
 
 
 def test_resolution_never_builds_block_diagonals(monkeypatch):

@@ -4,11 +4,14 @@
 Each record is checked against its twin, the same class body made a frozen
 dataclass, which is kept here as the reference: construction by position,
 by keyword and with defaults, the ``__post_init__`` refusals, ``==``,
-``!=``, ``hash``, ``repr``, frozen fields and ``cached_property``.
+``!=``, ``hash``, ``repr``, frozen fields and ``cached_property``.  The
+generic ``as_dict`` is checked against ``dataclasses.asdict`` of the twins
+with every tuple a list.
 """
 
 import ast
 import dataclasses
+import json
 import os
 
 import pytest
@@ -30,7 +33,7 @@ RECORDS = [algebra.AlgebraReport, explorer.PathStep, explorer.PathRecord,
 BY_NAME = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 
 #: What ``record`` adds to a class body.
-ADDED = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+ADDED = {"__init__", "__eq__", "__hash__", "__repr__", "as_dict", "__setattr__", "__delattr__",
          "__dict__", "__weakref__"}
 
 
@@ -171,6 +174,27 @@ def test_engine_records_match_their_twins(L2):
     assert cover.matrix is cover.matrix and cover == cover
     with pytest.raises(AttributeError):
         cover.source = S
+
+
+def test_as_dict_is_the_fields_as_plain_data(L2):
+    # Fields in order, tuples as lists and nested records as dicts, all the
+    # way down: dataclasses.asdict of the twins after a JSON round trip.
+    step = (0, 3, 1, (1, 2), True, 0, None, 2)
+    walk = explorer.PathRecord("syzygy", (explorer.PathStep(*step),) * 2, "stopped")
+    ref_walk = twin(explorer.PathRecord)("syzygy", (twin(explorer.PathStep)(*step),) * 2,
+                                         "stopped")
+    shape = ("II", (1, 1, 2), 1, 1, (0, None, 1), False, None, "none")
+    report = L2.validate()
+    cases = [(walk, ref_walk),
+             (explorer.ComplexClassification(*shape),
+              twin(explorer.ComplexClassification)(*shape)),
+             (report, twin(algebra.AlgebraReport)(*[getattr(report, name) for name in
+                                                     field_names(algebra.AlgebraReport)]))]
+    for obj, ref in cases:
+        got = obj.as_dict()
+        assert got == json.loads(json.dumps(dataclasses.asdict(ref)))
+        assert list(got) == field_names(type(obj))
+    assert walk.as_dict()["steps"][0]["dim_vector"] == [1, 2]
 
 
 def test_cached_properties_are_computed_once(lam0, monkeypatch):

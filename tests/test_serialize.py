@@ -63,6 +63,18 @@ def test_kronecker_roundtrip(qext):
     assert back == rep
 
 
+def test_a_malformed_kronecker_dict_is_refused(qext):
+    # Each of these raised KeyError or TypeError, or was read silently
+    # (dim0 1.5 as 1, e true as 1).
+    d = kronecker_to_dict(tilde(radical_module(qext)))
+    bad = [{k: v for k, v in d.items() if k != "dim1"}, [d], None, dict(d, dim0=1.5),
+           dict(d, e=True), dict(d, dim0="1"), dict(d, maps=None), dict(d, maps=[None] * d["e"])]
+    for case in bad:
+        with pytest.raises(BadParams):
+            kronecker_from_dict(case, qext.field)
+    assert kronecker_from_dict(json.loads(dumps(d)), qext.field) == tilde(radical_module(qext))
+
+
 def test_dumps_is_canonical(L2):
     d = module_to_dict(left_regular_module(L2))
     s1, s2 = dumps(d), dumps(json.loads(dumps(d)))

@@ -22,7 +22,7 @@ from shortloc.modules import (AModule, free_module, hom_space, left_regular_modu
                               simple_module, zero_module)
 from shortloc.presets import preset
 
-from references import scaled_sum_action
+from references import action_rows_over_scale, scaled_sum_action
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
@@ -157,11 +157,13 @@ def test_hom_space_matches_the_dense_reference(field):
 
 @FIELDS
 def test_action_rows_are_the_rows_of_the_element_actions(field):
+    # The int action rows over the module's scale are the rows of the
+    # typed element actions.
     for seed, (name, params) in enumerate(ALGEBRAS):
         alg = preset(name, field=field, **params)
         reader_of_basis_matrices = AModule(alg, alg.dim, alg.regular_actions(), check=False)
         for M in targets(alg, seed) + [free_module(alg, 2), reader_of_basis_matrices]:
-            rows = M.action_rows()
+            rows = action_rows_over_scale(M)
             assert len(rows) == alg.dim
             for b, b_rows in enumerate(rows):
                 dense = [[field.zero()] * M.dim for _ in range(M.dim)]

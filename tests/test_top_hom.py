@@ -14,10 +14,10 @@ import random
 
 import pytest
 
-from shortloc import homology, modules
+from shortloc import homology, linalg, modules
 from shortloc.homology import syzygy, syzygy_power
 from shortloc.errors import DimensionMismatch
-from shortloc.linalg import QQ, Field, SparseRows, kernel_subspace, rank
+from shortloc.linalg import QQ, Field, IntRows, SparseRows, kernel_subspace, rank
 from shortloc.modules import (end_dim, find_isomorphism, free_module, hom_dim, hom_space,
                               left_regular_module, mod_j_squared, random_module,
                               semisimple_module, simple_module, zero_module)
@@ -143,6 +143,36 @@ def test_hom_systems_are_sized_by_the_top(systems):
         hom_dim(M, N)
         [(_, cols)] = systems["rank"]
         assert cols == t * N.dim
+    assert checked >= 20
+
+
+@FIELDS
+def test_hom_space_builds_its_equations_once_as_integer_rows(monkeypatch, field):
+    # One relation_equations call per hom_space and no row through _sparse:
+    # the equations reach the elimination as IntRows.  The radicals and
+    # Loewy lengths, eliminated as typed spans, are read first.
+    calls = {"relations": 0, "sparse": 0}
+    original, sparse = modules.relation_equations, linalg._sparse
+
+    def relations(*args):
+        calls["relations"] += 1
+        equations = original(*args)
+        assert type(equations) is IntRows
+        return equations
+
+    def counted_sparse(*args):
+        calls["sparse"] += 1
+        return sparse(*args)
+    monkeypatch.setattr(modules, "relation_equations", relations)
+    monkeypatch.setattr(linalg, "_sparse", counted_sparse)
+    checked = 0
+    for _, M, N in sweep_pairs(field)[::4]:
+        M.loewy_length(), N.loewy_length()
+        calls.update(relations=0, sparse=0)
+        homs = hom_space(M, N)
+        [h.matrix for h in homs.maps]
+        assert calls == {"relations": 1, "sparse": 0}
+        checked += homs.dim > 0
     assert checked >= 20
 
 
