@@ -48,7 +48,7 @@ def _default_cap() -> int:
 def parse_algebra_source(src: str, cap: int) -> ShortAlgebra:
     """A preset spec ("name" or "name:k=v,k=v") or a JSON file path.
 
-    A preset's size is checked against ``cap`` before it is built.
+    A preset's size is checked against ``cap`` before it is built; a repeated key is refused.
     """
     if src.endswith(".json") or os.path.exists(src):
         return serialize.load_algebra(src)
@@ -58,6 +58,8 @@ def parse_algebra_source(src: str, cap: int) -> ShortAlgebra:
         for item in params.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
+            if key in kwargs:
+                raise BadParams(f"preset parameter {key!r} given twice")
             if key in ("e", "a", "c"):
                 kwargs[key] = int(val)
             elif key == "q":

@@ -71,8 +71,8 @@ from typing import Iterator, Optional, Sequence
 from ._record import record
 from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
-from .linalg import (IntRows, Matrix, Subspace, integer_values, kernel_basis, kernel_subspace,
-                     rank, typed_values)
+from .linalg import (IntRows, Matrix, Subspace, integer_values, kernel_subspace, rank,
+                     typed_values)
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_basis, hom_dim,
                       hom_space, left_regular_module, module_from_columns, pivot_columns,
                       quotient, relation_equations, vector_images, zero_module)
@@ -661,10 +661,13 @@ class DualData:
 
     @cached_property
     def torsionless(self) -> bool:
-        """The homomorphisms into A jointly separate points of M."""
-        if not self.homs.maps:
-            return self.homs.source.dim == 0
-        return not kernel_basis(Matrix.vstack([f.matrix for f in self.homs.maps]))
+        """The maps into A separate points of M: their int rows (``homs.flat``) have rank dim M."""
+        d, rows = self.homs.source.dim, defaultdict(dict)
+        for q, (idx, vals, _) in self.homs.flat.int_rows().items():
+            for j, x in zip(idx, vals):
+                s, c = divmod(j, d)
+                rows[q, s][c] = x
+        return rank(IntRows(self.homs.source.field, list(rows.values()), d)) == d
 
     @cached_property
     def evaluation(self) -> ModuleMap:

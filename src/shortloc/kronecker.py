@@ -15,7 +15,7 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
 from .homology import DEFAULT_CAP, Syzygy, syzygy, top_kernel
-from .linalg import Matrix, SparseRows, rank, typed_values
+from .linalg import IntRows, Matrix, rank, typed_values
 from .modules import (AModule, find_isomorphism, hom_dim, module_from_columns, pivot_columns,
                       simple_multiplicity)
 
@@ -105,7 +105,7 @@ def kronecker_hom_dim(repA: KroneckerRep, repB: KroneckerRep) -> int:
                 row = {k * repA.dim0 + c: x for k, x in enumerate(phiB.data[r]) if x}
                 row.update((n0 + r * repA.dim1 + k, -x) for k, x in enumerate(phiA.col(c)) if x)
                 rows.append(row)
-    return n0 + n1 - rank(SparseRows(repA.maps[0].field, rows, n0 + n1))
+    return n0 + n1 - rank(IntRows.from_scalars(repA.maps[0].field, rows, n0 + n1))
 
 
 def hom_decomposition_check(M: AModule, N: AModule) -> bool:

@@ -14,12 +14,12 @@ floating point anywhere in this package.
 :func:`rank`, :func:`kernel_subspace`, :func:`solve`, :func:`solve_matrix`
 and :meth:`Subspace.from_vectors`.  It reduces the rows one at a time as
 sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
-scaled by the lcm of their denominators, over F_p on plain residues; a
-matrix built from sparse data (the Hom equations) is handed over as its
-rows' non-zeros (:class:`SparseRows`) and never laid out densely, and one
-built in integers (Φ, the Hom-complex, the relation equations) as
-:class:`IntRows`, read with no conversion, its column scales folded back
-only into the kernel rows.
+scaled by the lcm of their denominators, over F_p on plain residues.  It
+reads a dense :class:`Matrix` through :func:`_sparse`, or an
+:class:`IntRows`, never laid out densely: built in integers (Φ, the
+Hom-complex, the relation equations), its column scales folded back only
+into the kernel rows, or converted row by row from typed sparse rows
+(:meth:`IntRows.from_scalars`: radicals, stacked actions, Kronecker Homs).
 The reduced row echelon form is unique, so its rows and pivots do not
 depend on how they are found.  Its only division is by each pivot row's
 lead when the rows are read (:func:`typed_values`, :func:`_kernel_rows`),
@@ -49,9 +49,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from itertools import compress, count
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from ._record import record
@@ -130,7 +128,6 @@ class Fp:
         return str(self.v)
 
 
-_residue = attrgetter("v")
 _INTS = {int}
 
 
@@ -384,28 +381,8 @@ class Matrix:
         return Matrix(field, out, cols=total_c)
 
 
-class SparseRows:
-    """A matrix held as the non-zeros of its rows, each a dict {column: scalar}.
-
-    :func:`rank` and :func:`kernel_subspace` take it as they take a
-    :class:`Matrix`: the elimination reads every row as its non-zeros anyway,
-    so a matrix with few non-zeros per row is never laid out densely.
-    """
-
-    __slots__ = ("field", "data", "cols")
-
-    def __init__(self, field: Field, data: Sequence[dict], cols: int):
-        self.field = field
-        self.data = data
-        self.cols = cols
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-
-class IntRows(SparseRows):
-    """A :class:`SparseRows` in the elimination's own form: rows {column: int}, column scales.
+class IntRows:
+    """A matrix in the elimination's own form: rows {column: int}, column scales.
 
     Over F_p each value stands for its residue; over Q column c is
     ``scales[c]`` (a positive int, 1 for every column when ``scales`` is
@@ -413,15 +390,24 @@ class IntRows(SparseRows):
     A value may be 0.  Scaling a column moves no pivot and no free column,
     so :func:`rank` reads the rows as they stand and :func:`kernel_subspace`
     folds the scales back only when its kernel rows are built.  The
-    elimination reads the rows with their zeros dropped, reduced mod p,
-    with no :func:`_sparse`.
+    elimination reads the rows with their zeros dropped, reduced mod p.
     """
 
-    __slots__ = ("scales",)
+    __slots__ = ("field", "data", "cols", "scales")
 
     def __init__(self, field: Field, data: Sequence[dict], cols: int,
                  scales: Optional[Sequence[int]] = None):
         self.field, self.data, self.cols, self.scales = field, data, cols, scales
+
+    @property
+    def rows(self) -> int:
+        return len(self.data)
+
+    @staticmethod
+    def from_scalars(field: Field, rows: Iterable[dict], cols: int) -> "IntRows":
+        """Rows {column: scalar} as ints, each over its own scale (:func:`_sparse`)."""
+        p = field.characteristic
+        return IntRows(field, [_sparse(row.items(), p) for row in rows], cols)
 
 
 def integer_values(values: Sequence, p: int) -> tuple[list, int]:
@@ -452,31 +438,20 @@ def typed_values(values: Sequence[int], scale: int, p: int) -> tuple:
     return tuple([Rational(x, scale) for x in values])
 
 
-def _sparse(row: Sequence | dict, p: int) -> dict:
+def _sparse(entries: Iterable[tuple], p: int) -> dict:
     """The non-zeros of a row as {column: int}: residues over F_p, integers over Q.
 
-    A row is a dense sequence or a dict {column: scalar} (a row of
-    :class:`SparseRows`), which may hold explicit zeros; a dict is read
-    item by item, never laid out densely, and an empty one is returned as
-    it is.  Over Q a row holding any non-int (a ``Fraction`` with
-    denominator 1 included) is multiplied by the lcm of its denominators.
+    The row comes as (column, scalar) pairs, which may hold explicit zeros:
+    ``enumerate(row)`` of a dense row, ``.items()`` of a dict.  Over Q a row
+    holding any non-int (a ``Fraction`` with denominator 1 included) is
+    multiplied by the lcm of its denominators.
     """
-    if type(row) is dict:
-        if not row:
-            return row
-        if p:
-            return {j: v for j, x in row.items() if (v := x.v)}
-        nz = {j: x for j, x in row.items() if x}
-        if _INTS.issuperset(map(type, nz.values())):
-            return nz
-        return dict(zip(nz, integer_values(list(nz.values()), 0)[0]))
-    vals = list(map(_residue, row)) if p else row
-    if not any(vals):
-        return {}
-    nz = list(compress(vals, vals))
-    if not p and not _INTS.issuperset(map(type, nz)):
-        nz, _ = integer_values(nz, 0)
-    return dict(zip(compress(count(), vals), nz))
+    if p:
+        return {j: v for j, x in entries if (v := x.v)}
+    nz = {j: x for j, x in entries if x}
+    if _INTS.issuperset(map(type, nz.values())):
+        return nz
+    return dict(zip(nz, integer_values(list(nz.values()), 0)[0]))
 
 
 def _clear(row: dict, prow: dict, c: int) -> dict:
@@ -504,15 +479,15 @@ def _tidy(row: dict, p: int) -> dict:
     return {j: x // g for j, x in row.items() if x} if g else {}
 
 
-def _integer_rows(m: Matrix | SparseRows) -> list[dict]:
+def _integer_rows(m: Matrix | IntRows) -> list[dict]:
     """The rows of ``m`` as :func:`_echelon` reads them, {column: int}, each read once.
 
-    The rows of an :class:`IntRows` are copied without their zeros,
-    reduced mod p over F_p; any other row goes through :func:`_sparse`.
+    A :class:`Matrix` row goes through :func:`_sparse`; the rows of an
+    :class:`IntRows` are copied without their zeros, reduced mod p over F_p.
     """
     p = m.field.characteristic
     if type(m) is not IntRows:
-        return [_sparse(row, p) for row in m.data]
+        return [_sparse(enumerate(row), p) for row in m.data]
     if p:
         return [{j: r for j, x in row.items() if (r := x % p)} for row in m.data]
     return [dict(row) if 0 not in row.values() else {j: x for j, x in row.items() if x}
@@ -523,8 +498,9 @@ def _echelon(field: Field, rows: Iterable[dict], ncols: int) -> dict[int, dict]:
     """The one elimination routine: {pivot column: reduced pivot row} of the rows' span.
 
     The rows come as sparse ints, as :func:`_integer_rows` or
-    :func:`_sparse` give them, which the elimination may change in place,
-    and are taken sparsest first.  Each is reduced against the pivot rows found so far
+    :func:`_sparse` give them for a :class:`Matrix` or an :class:`IntRows`,
+    which the elimination may change in place, and are taken sparsest
+    first.  Each is reduced against the pivot rows found so far
     and, if anything is left, becomes a pivot row at its leading column;
     the older pivot rows are then cleared at that column.  So the pivot
     rows stay reduced, a row is cleared at each pivot column once, and
@@ -581,7 +557,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return Matrix(m.field, [*space.basis, *zeros], cols=m.cols), space.dim, space.pivots
 
 
-def rank(m: Matrix | SparseRows) -> int:
+def rank(m: Matrix | IntRows) -> int:
     """The rank of ``m``: the number of pivots, with no reduced rows built."""
     return len(_echelon(m.field, _integer_rows(m), m.cols))
 
@@ -591,7 +567,7 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     return list(kernel_subspace(m).basis)
 
 
-def kernel_subspace(m: Matrix | SparseRows, *, at: Optional[Sequence[int]] = None,
+def kernel_subspace(m: Matrix | IntRows, *, at: Optional[Sequence[int]] = None,
                     ambient: Optional[int] = None) -> "Subspace":
     """The right null space as a :class:`Subspace` without re-reduction.
 
@@ -697,7 +673,7 @@ def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
     if b.rows != m.rows:
         raise DimensionMismatch("shape mismatch in solve_matrix")
     p, n = m.field.characteristic, m.cols + b.cols
-    aug = (_sparse(row + brow, p) for row, brow in zip(m.data, b.data))
+    aug = (_sparse(enumerate(row + brow), p) for row, brow in zip(m.data, b.data))
     space = Subspace._span(m.field, n, _echelon(m.field, aug, n))
     if space.pivots and space.pivots[-1] >= m.cols:
         return None
@@ -866,30 +842,29 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient: int,
-                     vectors: Iterable[Sequence | dict] | SparseRows) -> "Subspace":
+                     vectors: Iterable[Sequence | dict] | IntRows) -> "Subspace":
         """The span of the vectors: eliminated at once, its typed rows built on first read.
 
         A vector is a sequence of length ``ambient`` or a dict {index:
-        value} of its entries, as a row of :class:`SparseRows`, with every
-        index in [0, ambient); any other raises DimensionMismatch.  The
-        vectors are read once, in order, so a generator of them is never
-        held whole: only the non-zeros of each are kept.  A
-        :class:`SparseRows` with ``ambient`` columns is read as the
-        elimination reads it (:func:`_integer_rows`), with one check of its
-        width and none per row; an :class:`IntRows` with column scales is
-        refused (BadParams).  The dimension and the pivots cost the
-        elimination alone (:meth:`_span`).
+        value} of its entries, with every index in [0, ambient); any other
+        raises DimensionMismatch.  The vectors are read once, in order, so
+        a generator of them is never held whole: only the non-zeros of each
+        are kept.  An :class:`IntRows` with ``ambient`` columns is read as
+        the elimination reads it (:func:`_integer_rows`), with one check of
+        its width and none per row; one with column scales is refused
+        (BadParams).  The dimension and the pivots cost the elimination
+        alone (:meth:`_span`).
         """
         p = field.characteristic
 
         def checked(v: Sequence | dict) -> dict:
             _check_vector(v, ambient)
-            return _sparse(v, p)
+            return _sparse(v.items() if isinstance(v, dict) else enumerate(v), p)
 
-        if isinstance(vectors, SparseRows):
+        if type(vectors) is IntRows:
             if vectors.cols != ambient:
                 raise DimensionMismatch("vectors have wrong ambient dimension")
-            if type(vectors) is IntRows and vectors.scales:
+            if vectors.scales:
                 raise BadParams("a span reads IntRows without column scales")
             rows = _integer_rows(vectors)
         else:

@@ -54,8 +54,8 @@ from ._record import record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
-from .linalg import (DEFAULT_POOL, IntRows, Matrix, SparseRows, Subspace, integer_values,
-                     kernel_subspace, rank)
+from .linalg import (DEFAULT_POOL, IntRows, Matrix, Subspace, integer_values, kernel_subspace,
+                     rank)
 
 
 class DimVec(tuple):
@@ -180,25 +180,25 @@ class AModule:
         """JM, the span of the columns of the generator actions (:meth:`action_columns`).
 
         The sparse columns go to the elimination as the rows of one
-        :class:`~shortloc.linalg.SparseRows`, so no action matrix is read,
-        on A^t nor on a syzygy, and no column is bounds-checked.
+        :class:`~shortloc.linalg.IntRows` (:meth:`~shortloc.linalg.IntRows.from_scalars`),
+        so no action matrix is read, on A^t nor on a syzygy, and no column is bounds-checked.
         """
         if self._radical is None:
             images = [dict(col) for cols in self.action_columns() for col in cols]
-            self._radical = Subspace.from_vectors(self.field, self.dim,
-                                                  SparseRows(self.field, images, self.dim))
+            self._radical = Subspace.from_vectors(
+                self.field, self.dim, IntRows.from_scalars(self.field, images, self.dim))
         return self._radical
 
     def socle(self) -> Subspace:
         """{m in M : Jm = 0}, the largest semisimple submodule.
 
         It is the kernel of the stacked actions, whose rows are read off
-        :meth:`action_columns` as sparse rows, then reduced.
+        :meth:`action_columns` as sparse rows, then reduced as integer rows.
         """
         if self._socle is None:
-            kernel = kernel_subspace(self._stacked_actions()).sparse_rows()
-            self._socle = Subspace.from_vectors(self.field, self.dim,
-                                                (dict(zip(*row)) for row in kernel.values()))
+            kernel = kernel_subspace(self._stacked_actions()).int_rows().values()
+            rows = IntRows(self.field, [dict(zip(idx, vals)) for idx, vals, _ in kernel], self.dim)
+            self._socle = Subspace.from_vectors(self.field, self.dim, rows)
         return self._socle
 
     def socle_dim(self) -> int:
@@ -211,7 +211,7 @@ class AModule:
             self._socle_dim = self.dim - rank(self._stacked_actions())
         return self._socle_dim
 
-    def _stacked_actions(self) -> SparseRows:
+    def _stacked_actions(self) -> IntRows:
         """The generator actions stacked, as sparse rows read off :meth:`action_columns`."""
         d = self.dim
         rows: list[dict] = [{} for _ in range(self.algebra.e * d)]
@@ -219,7 +219,7 @@ class AModule:
             for c, col in enumerate(cols):
                 for r, x in col:
                     rows[j * d + r][c] = x
-        return SparseRows(self.field, rows, d)
+        return IntRows.from_scalars(self.field, rows, d)
 
     def top_dim(self) -> int:
         return self.dim - self.radical().dim
@@ -693,8 +693,9 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
     for every radical basis element b and every k, read off the image
     b m_k (:meth:`AModule.top_images`, zero past the generators when J^2 M
     is zero) as ints over its own scale (:func:`~shortloc.linalg.integer_values`).
-    So there are (dim A - 1)·t·dim N rows, as :class:`~shortloc.linalg.IntRows`,
-    over the dim M·dim N unknowns.  Their kernel is Hom(M, N), so its
+    A relation with image zero whose b kills N is skipped, and no empty row
+    is handed over, so at most (dim A - 1)·t·dim N rows, as :class:`~shortloc.linalg.IntRows`,
+    meet the dim M·dim N unknowns.  Their kernel is Hom(M, N), so its
     reduced basis is the one the whole intertwining system gives.  Each
     map's matrix is built from its flattening on first read.
     """
@@ -702,14 +703,18 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
         raise AlgebraMismatch("hom between modules over different algebras")
     dm, dn, n = M.dim, N.dim, M.algebra.dim
     one, p = M.field.one(), M.field.characteristic
+    kills = [not any(rows) for rows in N.int_action_rows()]
     relations = []
     for c_k, images in zip(M.lift_columns(), M.top_images()):
         for b in range(1, n):
             image = images[b - 1] if b <= len(images) else {}
+            if not image and kills[b]:
+                continue
             (lead, *ints), _ = integer_values([one, *image.values()], p)
             relations.append(((c_k * n + b, *(c * n for c in image)),
                               (lead, *(-x for x in ints))))
-    space = kernel_subspace(relation_equations(N, relations, dm))
+    equations = relation_equations(N, relations, dm)
+    space = kernel_subspace(IntRows(N.field, list(filter(None, equations.data)), dn * dm))
 
     def matrix(q: int) -> Matrix:
         flat = [M.field.zero()] * (dn * dm)

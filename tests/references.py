@@ -17,11 +17,18 @@ The reduction walks are the loops that ``Subspace.residue`` replaced:
 membership and dense reduction along a subspace's typed sparse rows
 (``walk_rest``, ``walk_reduce``), a quotient's action columns
 (``walk_quotient_columns``) and the tops of a Hom basis (``walk_tops``).
+
+The row converter with a branch per row kind (``reference_sparse``) and
+the torsionless test on the stacked map matrices (``vstack_torsionless``)
+are what the one-loop ``_sparse`` and the rank of a dual's integer rows
+replaced.
 """
 
 from collections import defaultdict
+from itertools import compress, count
 
-from shortloc.linalg import Fp, Matrix, Rational, SparseRows, kernel_subspace
+from shortloc.linalg import (Fp, IntRows, Matrix, Rational, integer_values, kernel_basis,
+                             kernel_subspace)
 from shortloc.modules import pivot_columns
 
 
@@ -125,7 +132,7 @@ def typed_phi_kernel(alg, images):
             for q, y in img.items():
                 phi_rows[q][c] = y
     at = [k * n + u for k in range(len(images)) for u in range(1, n)]
-    return kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), len(at)),
+    return kernel_subspace(IntRows.from_scalars(alg.field, list(phi_rows.values()), len(at)),
                            at=at, ambient=n * len(images))
 
 
@@ -156,7 +163,8 @@ def typed_cover(alg, space):
         span = [cols[row[p]] for k, p in enumerate(lifts)
                 for j, cols in enumerate(columns) if k * n + 1 + j not in free]
         span += [cols[r] for r in outer for cols in columns]
-        radical = SparseRows(alg.field, [{at[s]: y for s, y in col} for col in span], len(outer))
+        radical = IntRows.from_scalars(alg.field, [{at[s]: y for s, y in col} for col in span],
+                                         len(outer))
         lifts = sorted(lifts + [space.pivots[outer[c]]
                                 for c in kernel_subspace(radical).pivots])
         kernel = typed_phi_kernel(alg, [images.get(p, empty) for p in lifts])
@@ -243,3 +251,38 @@ def walk_tops(homs):
                             top[at[j]][k] = top[at[j]][k] - x * y
         out.append(Matrix(M.field, top, cols=len(lifts)))
     return out
+
+
+# -- the replaced row converter and torsionless test -----------------------------
+
+def reference_sparse(row, p):
+    """The non-zeros of a dense row or a dict {column: scalar} as {column: int}, a branch per kind.
+
+    A dict is read item by item, an empty one returned as it is; a dense
+    row's residues (over F_p) or values are compressed to their non-zeros.
+    Over Q a row holding any non-int is multiplied by the lcm of its
+    denominators.
+    """
+    if type(row) is dict:
+        if not row:
+            return row
+        if p:
+            return {j: v for j, x in row.items() if (v := x.v)}
+        nz = {j: x for j, x in row.items() if x}
+        if all(type(x) is int for x in nz.values()):
+            return nz
+        return dict(zip(nz, integer_values(list(nz.values()), 0)[0]))
+    vals = [x.v for x in row] if p else row
+    if not any(vals):
+        return {}
+    nz = list(compress(vals, vals))
+    if not p and not all(type(x) is int for x in nz):
+        nz, _ = integer_values(nz, 0)
+    return dict(zip(compress(count(), vals), nz))
+
+
+def vstack_torsionless(homs):
+    """M is torsionless iff the stacked matrices of a basis of Hom(M, A) have no kernel."""
+    if not homs.maps:
+        return homs.source.dim == 0
+    return not kernel_basis(Matrix.vstack([f.matrix for f in homs.maps]))

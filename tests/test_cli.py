@@ -267,6 +267,18 @@ def test_negative_counts_are_usage_errors(label):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("spec,once", [("L:e=2,e=3", "L:e=2"),
+                                       ("ex15_1:e=3,a=2,e=3", "ex15_1:e=3,a=2"),
+                                       ("qexterior:q=2, q=3", "qexterior:q=2")])
+def test_a_repeated_preset_parameter_is_a_usage_error(spec, once):
+    # The last value used to win silently: "L:e=2,e=3" built L with e=3.
+    res = run_cli("algebra", "info", spec)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: BadParams:") and len(res.stderr.splitlines()) == 1
+    assert "given twice" in res.stderr
+    assert run_cli("algebra", "info", once).returncode == 0
+
+
 def test_negative_relation_count_is_a_usage_error():
     res = run_cli("module", "make", "random:1,-1", "--algebra", "L:e=2")
     assert res.returncode == 2 and res.stdout == ""

@@ -22,7 +22,7 @@ import pytest
 
 from shortloc import homology
 from shortloc.homology import betti, projective_cover, syzygy_power
-from shortloc.linalg import QQ, Field, Matrix, SparseRows, Subspace, kernel_subspace
+from shortloc.linalg import QQ, Field, IntRows, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (free_module, mod_j_squared, random_module, semisimple_module,
                               simple_module)
 from shortloc.presets import preset
@@ -79,7 +79,7 @@ def reference_phi_kernel(alg, images):
     for c, img in enumerate([img for imgs in images for img in imgs]):
         for q, y in img.items():
             phi_rows[q][c] = y
-    phi = kernel_subspace(SparseRows(alg.field, list(phi_rows.values()), len(at)))
+    phi = kernel_subspace(IntRows.from_scalars(alg.field, list(phi_rows.values()), len(at)))
     unread = [q for k, imgs in enumerate(images) for q in range(k * n + 1 + len(imgs), (k + 1) * n)]
     pivots = sorted([at[c] for c in phi.pivots] + unread)
     vrows = {at[c]: (tuple(at[i] for i in idx), vals)

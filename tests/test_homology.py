@@ -17,10 +17,11 @@ from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
                               free_module, hom_basis, hom_dim, is_isomorphic,
                               left_regular_module, m_alpha, mod_j_squared, module_from_subspace,
-                              radical_module, random_module, simple_module, validate_module)
+                              radical_module, random_module, simple_module, validate_module,
+                              zero_module)
 from shortloc.presets import preset
 
-from references import plain_cover_columns, scalars, typed
+from references import plain_cover_columns, scalars, typed, vstack_torsionless
 
 
 def cyclic_x(alg):
@@ -282,6 +283,26 @@ def test_reflexive_by_dimension_is_a_bijective_evaluation(field):
         assert is_reflexive(M) == bijective, M
         verdicts.append((bijective, is_torsionless(M)))
     assert {(True, True), (False, True), (False, False)} <= set(verdicts)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_torsionless_is_a_rank_and_builds_no_map_matrix(field, monkeypatch):
+    # The verdict is the rank of Hom(M, A)'s integer rows, regrouped by basis
+    # map and target row; it is the kernel test on the stacked map matrices,
+    # and neither it nor the reflexive verdict builds a map matrix.
+    built, original = [], modules._LazyMap.matrix
+    monkeypatch.setattr(modules._LazyMap, "matrix",
+                        property(lambda f: built.append(f) or original.func(f)))
+    L2 = preset("L", field=field, e=2)
+    verdicts = set()
+    for M in _cover_inputs(field) + [radical_module(L2), zero_module(L2)]:
+        built.clear()
+        torsionless, reflexive = is_torsionless(M), is_reflexive(M)
+        assert built == [], M
+        assert torsionless == vstack_torsionless(dual_data(M).homs), M
+        verdicts.add((torsionless, reflexive, M.dim == 0))
+    assert {(True, True, False), (True, False, False), (False, False, False),
+            (True, True, True)} <= verdicts
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from shortloc import homology, linalg
 from shortloc.errors import BadParams, DimensionMismatch
-from shortloc.linalg import (QQ, Field, Fp, Matrix, Rational, SparseRows, Subspace,
+from shortloc.linalg import (QQ, Field, Fp, IntRows, Matrix, Rational, Subspace,
                              kernel_basis, kernel_subspace, random_matrix, rank, rref, solve,
                              solve_matrix)
 from shortloc.modules import random_module, simple_module
 from shortloc.presets import preset
 
-from references import typed as typed_space
+from references import reference_sparse, typed as typed_space
 
 F5 = Field.prime(5)
 
@@ -535,8 +535,8 @@ def test_sparse_rows_match_the_dense_reference(field):
         mixed += len({type(x) for row in rows for x in row.values()}) > 1
         ref_rows, pivots = reference_rref_rows(field, m.data, m.cols)
         basis, free = reference_kernel(m)
-        assert rank(SparseRows(field, rows, m.cols)) == len(pivots)
-        sp = kernel_subspace(SparseRows(field, rows, m.cols))
+        assert rank(IntRows.from_scalars(field, rows, m.cols)) == len(pivots)
+        sp = kernel_subspace(IntRows.from_scalars(field, rows, m.cols))
         assert sp.basis == tuple(basis) and sp.pivots == tuple(free)
         assert_exact_scalars(field, sp.basis)
         span = Subspace.from_vectors(field, m.cols, rows)
@@ -546,6 +546,30 @@ def test_sparse_rows_match_the_dense_reference(field):
     assert zeros >= 20 and (mixed >= 5 or not field.is_rationals)
     with pytest.raises(DimensionMismatch):
         Subspace.from_vectors(field, 3, [{3: field.one()}])
+
+
+@ELIM_FIELDS
+def test_the_one_loop_row_converter_matches_the_two_branch_one(field):
+    # _sparse reads (column, scalar) pairs: enumerate(row) of a dense row,
+    # .items() of a dict.  Values, value types and column order are those
+    # of the converter with a dense and a dict branch.
+    p, kinds = field.characteristic, set()
+
+    def converted(row):
+        return [(j, type(x), x) for j, x in row.items()]
+    for seed, m in enumerate(elimination_inputs(field)):
+        for row in m.data:
+            want = converted(reference_sparse(row, p))
+            assert converted(linalg._sparse(enumerate(row), p)) == want
+            assert converted(linalg._sparse(dict(enumerate(row)).items(), p)) == want
+            kinds.add(("dense zero", not any(row)))
+        for row in as_dict_rows(m, seed):
+            assert converted(linalg._sparse(row.items(), p)) == \
+                converted(reference_sparse(row, p))
+            kinds.add(("explicit zero", any(not x for x in row.values())))
+            kinds.add(("changed", converted(reference_sparse(row, p)) != converted(row)))
+    assert kinds >= {("dense zero", True), ("dense zero", False), ("explicit zero", True),
+                     ("changed", True)}
 
 
 def test_integral_rref_builds_no_fraction(monkeypatch):
@@ -624,7 +648,7 @@ def test_lazy_kernel_rows_equal_the_eager_construction(field, kernel_rows_built)
     special = [Matrix(field, [[zero, one, zero, field.of(2)], [zero, field.of(3), zero, one]]),
                Matrix.zeros(field, 2, 3), Matrix.identity(field, 3)]
     inputs = [(m, m) for m in elimination_inputs(field) + special]
-    inputs += [(m, SparseRows(field, as_dict_rows(m, seed), m.cols))
+    inputs += [(m, IntRows.from_scalars(field, as_dict_rows(m, seed), m.cols))
                for seed, m in enumerate(elimination_inputs(field) + special)]
     for reads in ("sparse_rows", "basis"):
         for m, given_as in inputs:
@@ -649,7 +673,7 @@ def test_a_kernel_placed_by_at_is_the_kernel_rekeyed(field, kernel_rows_built):
     special = [Matrix(field, [[zero, one, zero, zero, field.of(2)], [zero] * 5,
                               [zero, field.of(3), zero, one, zero]]), Matrix.zeros(field, 2, 3)]
     inputs = [(m, m) for m in elimination_inputs(field) + special]
-    inputs += [(m, SparseRows(field, as_dict_rows(m, seed), m.cols))
+    inputs += [(m, IntRows.from_scalars(field, as_dict_rows(m, seed), m.cols))
                for seed, m in enumerate(elimination_inputs(field) + special)]
     rng = random.Random(19)
     for m, given_as in inputs:
@@ -671,7 +695,7 @@ def test_a_kernel_placed_by_at_is_the_kernel_rekeyed(field, kernel_rows_built):
         assert kernel_rows_built == [m.cols]
     # Some inputs have a zero column, some an empty row.
     assert any(not any(m.col(c)) and not m.is_zero() for m, _ in inputs for c in range(m.cols))
-    assert any(type(rows) is SparseRows and {} in rows.data for _, rows in inputs)
+    assert any(type(rows) is IntRows and {} in rows.data for _, rows in inputs)
 
 
 def test_a_betti_ladder_builds_no_kernel_rows_for_its_last_rung(kernel_rows_built, monkeypatch):
@@ -706,7 +730,7 @@ def test_a_span_of_int_rows_is_the_span_of_their_scalars(field):
 
 def test_a_span_of_int_rows_checks_their_columns():
     for cols in (2, 4):
-        for rows in (linalg.IntRows(QQ, [{0: 1}], cols), SparseRows(QQ, [{0: 1}], cols)):
+        for rows in (IntRows(QQ, [{0: 1}], cols), IntRows.from_scalars(QQ, [{0: 1}], cols)):
             with pytest.raises(DimensionMismatch):
                 Subspace.from_vectors(QQ, 3, rows)
 
@@ -746,22 +770,24 @@ def test_reduce_and_coords_refuse_a_dict():
 
 @ELIM_FIELDS
 def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
-    # A SparseRows is read as the elimination reads it, with one width
-    # check: pivots and rows, scalar types included, are those of its rows
-    # handed over one dict at a time, as for the radicals of these modules.
-    cases = list(elimination_inputs(field))
+    # Rows {column: scalar} converted where they are built
+    # (IntRows.from_scalars) are read as the elimination reads them, with
+    # one width check: pivots and rows, scalar types included, are those of
+    # the dicts handed over one at a time, as for the radicals of these
+    # modules.  A dense row is handed over whole, its zeros included.
+    cases = [(m.cols, [dict(enumerate(row)) for row in m.data])
+             for m in elimination_inputs(field)]
     for name, kw in [("lambda_c", {"c": 1}), ("ex15_1", {"e": 3, "a": 2}), ("qexterior", {})]:
         alg = preset(name, field=field, **kw)
         for seed in range(3):
             M = random_module(alg, 1 + seed % 2, seed % 3, seed=seed)
             columns = [dict(col) for cols in M.action_columns() for col in cols]
-            cases.append(SparseRows(field, columns, M.dim))
+            cases.append((M.dim, columns))
             span = Subspace.from_vectors(field, M.dim, columns)
             assert typed_space(M.radical()) == typed_space(span)
-    for m in cases:
-        rows = [dict(enumerate(row)) for row in m.data] if type(m) is Matrix else m.data
-        got = Subspace.from_vectors(field, m.cols, SparseRows(field, rows, m.cols))
-        assert typed_space(got) == typed_space(Subspace.from_vectors(field, m.cols, rows))
+    for cols, rows in cases:
+        got = Subspace.from_vectors(field, cols, IntRows.from_scalars(field, rows, cols))
+        assert typed_space(got) == typed_space(Subspace.from_vectors(field, cols, rows))
 
 
 def test_only_a_kernel_has_integer_pivot_rows():

@@ -20,8 +20,8 @@ from shortloc import homology, modules
 from shortloc.errors import AlgebraMismatch, BadParams
 from shortloc.homology import Syzygy, syzygy, transpose
 from shortloc.kronecker import hom_decomposition_check
-from shortloc.linalg import (DEFAULT_POOL, QQ, Field, IntRows, Matrix, SparseRows, Subspace,
-                             kernel_basis, kernel_subspace, rank, solve_matrix)
+from shortloc.linalg import (DEFAULT_POOL, QQ, Field, IntRows, Matrix, Subspace, kernel_basis,
+                             kernel_subspace, rank, solve_matrix)
 from shortloc.modules import (AModule, IsoSearch, ModuleMap, end_dim, find_isomorphism,
                               free_module, hom_basis, hom_dim, is_bipartite, is_solid,
                               left_regular_module, m_alpha, mod_j_squared, radical_module,
@@ -278,7 +278,7 @@ def unit_span(field, ambient, coordinates):
     It is the kernel of the unit rows at every other coordinate.
     """
     missed = [{c: field.one()} for c in range(ambient) if c not in coordinates]
-    return kernel_subspace(SparseRows(field, missed, ambient))
+    return kernel_subspace(IntRows.from_scalars(field, missed, ambient))
 
 
 def test_an_unstable_shadow_is_refused(conca32):

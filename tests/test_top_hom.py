@@ -17,7 +17,7 @@ import pytest
 from shortloc import homology, linalg, modules
 from shortloc.homology import syzygy, syzygy_power
 from shortloc.errors import DimensionMismatch
-from shortloc.linalg import QQ, Field, IntRows, SparseRows, kernel_subspace, rank
+from shortloc.linalg import QQ, Field, IntRows, kernel_subspace, rank
 from shortloc.modules import (end_dim, find_isomorphism, free_module, hom_dim, hom_space,
                               left_regular_module, mod_j_squared, random_module,
                               semisimple_module, simple_module, zero_module)
@@ -54,7 +54,7 @@ def reference_hom_equations(M, N):
                     eq[q] = eq[q] - x if q in eq else -x
                 if eq:
                     rows.append(eq)
-    return SparseRows(M.field, rows, dn * dm)
+    return IntRows.from_scalars(M.field, rows, dn * dm)
 
 
 def signature(space):
@@ -144,6 +144,28 @@ def test_hom_systems_are_sized_by_the_top(systems):
         [(_, cols)] = systems["rank"]
         assert cols == t * N.dim
     assert checked >= 20
+
+
+@FIELDS
+def test_hom_space_hands_over_no_empty_row(monkeypatch, field):
+    # A relation whose image b·m_k is zero and whose b kills N gives dim N
+    # empty rows; hom_space skips it, and its basis is still the kernel of
+    # the whole intertwining system.
+    handed = []
+
+    def counted(m, _original=modules.kernel_subspace):
+        handed.append(m)
+        return _original(m)
+    monkeypatch.setattr(modules, "kernel_subspace", counted)
+    skipped = 0
+    for _, M, N in sweep_pairs(field)[::3]:
+        handed.clear()
+        got = hom_space(M, N)
+        [equations] = handed
+        assert all(equations.data), (M, N)
+        assert signature(got.flat) == signature(kernel_subspace(reference_hom_equations(M, N)))
+        skipped += equations.rows < (M.algebra.dim - 1) * M.top_dim() * N.dim
+    assert skipped >= 20
 
 
 @FIELDS
