@@ -13,12 +13,11 @@ since products involving J^2 vanish.  The Hilbert type of A is the pair
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Optional, Sequence
 
 from ._record import record
 from .errors import BadParams, SurjectivityViolation
-from .linalg import Field, Matrix, Subspace, kernel_basis, rank, solve
+from .linalg import Field, Matrix, Subspace, integer_values, kernel_basis, rank, solve_matrix
 
 
 class ShortAlgebra:
@@ -81,12 +80,9 @@ class ShortAlgebra:
 
     def structure_matrix(self) -> Matrix:
         """The e^2 x a matrix whose row (i,j) lists c_{ij1..ija}."""
-        zero = self.field.zero()
-        rows = []
-        for i in range(1, self.e + 1):
-            for j in range(1, self.e + 1):
-                rows.append([self.structure.get((i, j, m), zero) for m in range(1, self.a + 1)])
-        return Matrix(self.field, rows)
+        zero, gens, ws = self.field.zero(), range(1, self.e + 1), range(1, self.a + 1)
+        return Matrix(self.field, [[self.structure.get((i, j, m), zero) for m in ws]
+                                   for i in gens for j in gens])
 
     def product_kernel(self) -> list[tuple]:
         """Basis of the linear relations among the products v_i v_j.
@@ -99,19 +95,13 @@ class ShortAlgebra:
         return self._product_kernel
 
     def sections(self) -> list[tuple]:
-        """For each m, a vector s with w_m = sum_{ij} s_{ij} v_i v_j."""
+        """For each m, s with w_m = sum_{ij} s_{ij} v_i v_j: column m of one solve C^T X = I."""
         if self._sections is None:
-            ct = self.structure_matrix().transpose()
-            out = []
-            for m in range(self.a):
-                target = [self.field.zero()] * self.a
-                target[m] = self.field.one()
-                s = solve(ct, target)
-                if s is None:
-                    raise SurjectivityViolation(
-                        "products do not span the degree-two part")
-                out.append(s)
-            self._sections = out
+            x = solve_matrix(self.structure_matrix().transpose(),
+                             Matrix.identity(self.field, self.a))
+            if x is None:
+                raise SurjectivityViolation("products do not span the degree-two part")
+            self._sections = [x.col(m) for m in range(self.a)]
         return self._sections
 
     def unit(self) -> tuple:
@@ -162,20 +152,26 @@ class ShortAlgebra:
         return Matrix.from_columns(self.field, cols, self.dim)
 
     def regular_actions(self) -> tuple[Matrix, ...]:
-        """Left multiplications by v_1..v_e (the regular action), built once."""
+        """Left multiplications by v_1..v_e: :meth:`regular_columns` as matrices, built once."""
         if self._regular is None:
-            self._regular = tuple(self.left_mult_matrix(self.generator(i))
-                                  for i in range(1, self.e + 1))
+            self._regular = tuple(Matrix.from_sparse_columns(self.field, self.dim, cols)
+                                  for cols in self.regular_columns())
         return self._regular
 
     def regular_columns(self) -> tuple:
         """Per generator, the non-zeros (row, value) of each column of its regular action.
 
-        Read off :meth:`regular_actions` once; A^t shifts them copy by copy
+        Read off the structure constants and built once, as
+        :meth:`regular_rows` is: v_j sends 1 to v_j and v_i to
+        sum_m c_{jim} w_m, and kills J^2.  A^t shifts them copy by copy
         (:func:`~shortloc.modules.free_module`).
         """
         if self._regular_columns is None:
-            self._regular_columns = tuple(R.sparse_columns() for R in self.regular_actions())
+            e, one = self.e, self.field.one()
+            cols = [[[(j, one)]] + [[] for _ in range(self.a + e)] for j in range(1, e + 1)]
+            for (j, i, m), c in sorted(self.structure.items()):
+                cols[j - 1][i].append((e + m, c))
+            self._regular_columns = tuple(cols)
         return self._regular_columns
 
     def regular_rows(self) -> tuple:
@@ -202,25 +198,20 @@ class ShortAlgebra:
 
         Entry i lists (j - 1, e + m, T·c_{jim}) for the non-zero c_{jim}, so
         v_j v_i = sum_m c_{jim} w_m is read off the V-coordinate i; the
-        other coordinates list nothing.  Over Q the T·c are ints and T is
-        the lcm of the constants' denominators; over F_p they are residues
-        and T is 1.  Built once.
+        other coordinates list nothing.  T·c and T are the constants'
+        :func:`~shortloc.linalg.integer_values`: residues over 1 on F_p,
+        ints over the lcm of the denominators on Q.  Built once.
         """
         if self._structure_table is None:
-            e, p = self.e, self.field.characteristic
-            consts = list(self.structure.values())
-            scale = 1 if p else math.lcm(*[int(c.denominator) for c in consts])
+            ints, scale = integer_values(list(self.structure.values()), self.field.characteristic)
             table = [[] for _ in range(self.dim)]
-            for (j, i, m), c in self.structure.items():
-                table[i].append((j - 1, e + m, c.v if p else int(c * scale)))
+            for (j, i, m), x in zip(self.structure, ints):
+                table[i].append((j - 1, self.e + m, x))
             self._structure_table = (tuple(map(tuple, table)), scale)
         return self._structure_table
 
     def is_commutative(self) -> bool:
-        for (i, j, m), c in self.structure.items():
-            if self.structure.get((j, i, m), self.field.zero()) != c:
-                return False
-        return True
+        return all(self.structure.get((j, i, m)) == c for (i, j, m), c in self.structure.items())
 
     # -- derived algebras ----------------------------------------------
 
@@ -241,11 +232,9 @@ class ShortAlgebra:
     # -- validation ----------------------------------------------------
 
     def left_socle(self) -> Subspace:
-        """{z in A : J z = 0}, computed from the regular representation."""
-        if self.e == 0:
-            return Subspace.full(self.field, self.dim)
-        stacked = Matrix.vstack(self.regular_actions())
-        return Subspace.from_vectors(self.field, self.dim, kernel_basis(stacked))
+        """{z in A : J z = 0}, the socle of A as a left module over itself."""
+        from .modules import left_regular_module
+        return left_regular_module(self).socle()
 
     def right_socle(self) -> Subspace:
         """{z in A : z J = 0}, the left socle of the opposite algebra."""
@@ -308,43 +297,27 @@ def algebra_from_relations(field: Field, generators: Sequence[str],
     relations are implied by J^3 = 0 and must not be passed here.  The
     products not eliminated by row reduction become the w-basis of J^2.
     """
-    e = len(generators)
-    zero = field.zero()
-    one = field.one()
+    e, one = len(generators), field.one()
 
     def pidx(i: int, j: int) -> int:
+        if not (1 <= i <= e and 1 <= j <= e):
+            raise BadParams(f"relation index {(i, j)} out of range")
         return (i - 1) * e + (j - 1)
 
-    rel_rows = []
-    for rel in relations:
-        row = [zero] * (e * e)
-        for (i, j), c in rel.items():
-            if not (1 <= i <= e and 1 <= j <= e):
-                raise BadParams(f"relation index {(i, j)} out of range")
-            row[pidx(i, j)] = row[pidx(i, j)] + field.of(c)
-        rel_rows.append(row)
+    rel_rows = [{pidx(i, j): field.of(c) for (i, j), c in rel.items()} for rel in relations]
     if commutative:
-        for i in range(1, e + 1):
-            for j in range(i + 1, e + 1):
-                row = [zero] * (e * e)
-                row[pidx(i, j)] = one
-                row[pidx(j, i)] = -one
-                rel_rows.append(row)
-
+        rel_rows += [{pidx(i, j): one, pidx(j, i): -one}
+                     for i in range(1, e + 1) for j in range(i + 1, e + 1)]
     span = Subspace.from_vectors(field, e * e, rel_rows)
-    free = [c for c in range(e * e) if c not in set(span.pivots)]
+    free = span.free_columns()
     a = len(free)
     free_pos = {c: m for m, c in enumerate(free)}
 
+    # Product k = pidx(i, j) is its residue at the free columns, read in column order.
     structure = {}
-    for i in range(1, e + 1):
-        for j in range(1, e + 1):
-            vec = [zero] * (e * e)
-            vec[pidx(i, j)] = one
-            red = span.reduce(vec)
-            for c, val in enumerate(red):
-                if val:
-                    structure[(i, j, free_pos[c] + 1)] = val
+    for k in range(e * e):
+        red = span.residue([(k, one)])
+        structure.update({(k // e + 1, k % e + 1, free_pos[c] + 1): red[c] for c in sorted(red)})
 
     all_tags = dict(tags or {})
     all_tags.setdefault("generators", tuple(generators))

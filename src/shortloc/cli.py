@@ -48,10 +48,11 @@ def _default_cap() -> int:
 def parse_algebra_source(src: str, cap: int) -> ShortAlgebra:
     """A preset spec ("name" or "name:k=v,k=v") or a JSON file path.
 
-    A preset's size is checked against ``cap`` before it is built; a repeated key is refused.
+    Its size, a preset's g^2 or a file's e^2, is checked against ``cap`` before
+    it is built; a repeated key is refused.
     """
     if src.endswith(".json") or os.path.exists(src):
-        return serialize.load_algebra(src)
+        return serialize.load_algebra(src, cap)
     name, _, params = src.partition(":")
     kwargs = {}
     if params:
@@ -77,7 +78,7 @@ def parse_module_source(src: str, alg: Optional[ShortAlgebra], seed: int, cap: i
     ``cap`` before anything is built.
     """
     if src.endswith(".json") or os.path.exists(src):
-        return serialize.load_module(src)
+        return serialize.load_module(src, cap)
     if alg is None:
         raise BadParams("module constructor specs need --algebra")
     kind, sep, arg = src.partition(":")

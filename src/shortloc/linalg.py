@@ -307,17 +307,11 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.data, self.cols)
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-x for x in row] for row in self.data], cols=self.cols)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
         return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.data, other.data)], cols=self.cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
 
     def scale(self, c) -> "Matrix":
         return Matrix(self.field, [[c * x for x in row] for row in self.data], cols=self.cols)

@@ -509,19 +509,13 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     # Raises BadParams unless sub is stable.
     pivot_columns(sub, vector_images(columns, sub.sparse_rows().values()), M.algebra.e)
     free = sub.free_columns()
+    at = {f: b for b, f in enumerate(free)}
 
     def projection() -> Matrix:
-        # Reducing e_c leaves e_c at a free column c and e_c - row at the
-        # pivot of that row, so the projection is read off the basis rows.
-        proj_rows = []
-        for f in free:
-            row = [M.field.zero()] * M.dim
-            row[f] = M.field.one()
-            for p, basis_row in zip(sub.pivots, sub.basis):
-                row[p] = -basis_row[f]
-            proj_rows.append(row)
-        return Matrix(M.field, proj_rows, cols=M.dim)
-    at = {f: b for b, f in enumerate(free)}
+        # Column c is e_c's residue at the free columns.
+        one = M.field.one()
+        return Matrix.from_sparse_columns(M.field, len(free), [
+            [(at[j], x) for j, x in sub.residue([(c, one)]).items()] for c in range(M.dim)])
     acts = [[[(at[j], x) for j, x in sub.residue(cols[f]).items()] for f in free]
             for cols in columns]
     Q = module_from_columns(M.algebra, len(free), acts)

@@ -12,7 +12,7 @@ import os
 from typing import Optional
 
 from .algebra import ShortAlgebra
-from .errors import BadParams
+from .errors import BadParams, ResourceCapExceeded, SurjectivityViolation
 from .kronecker import KroneckerRep
 from .linalg import Field, Matrix
 from .modules import AModule
@@ -83,7 +83,13 @@ def _jsonable_tags(tags: dict) -> dict:
     return out
 
 
-def algebra_from_dict(d: dict) -> ShortAlgebra:
+def algebra_from_dict(d: dict, cap: Optional[int] = None) -> ShortAlgebra:
+    """The algebra of ``d``, validated.
+
+    Before its e^2 x a structure matrix is built, e^2 is checked against
+    ``cap`` (if given), as a preset's g^2 is, and a > e^2 is refused: the
+    e^2 products cannot span J^2.
+    """
     _require(d, "algebra", "field", "e", "a")
     field = field_from_dict(d["field"])
     structure = {}
@@ -97,6 +103,12 @@ def algebra_from_dict(d: dict) -> ShortAlgebra:
     alg = ShortAlgebra(field, _typed(d["e"], (int,), "algebra 'e'"),
                        _typed(d["a"], (int,), "algebra 'a'"), structure,
                        name=_typed(d.get("name", ""), (str,), "algebra 'name'"), tags=tags)
+    squares = alg.e * alg.e
+    if cap is not None and squares > cap:
+        raise ResourceCapExceeded(squares, cap)
+    if alg.a > squares:
+        raise SurjectivityViolation(
+            f"degree-two products span at most {squares} of {alg.a} dimensions")
     alg.validate()
     return alg
 
@@ -111,14 +123,15 @@ def module_to_dict(M: AModule, algebra: Optional[object] = None) -> dict:
     }
 
 
-def module_from_dict(d: dict, base_dir: str = ".") -> AModule:
+def module_from_dict(d: dict, base_dir: str = ".", cap: Optional[int] = None) -> AModule:
+    """The module of ``d``; its algebra is read with ``cap`` (:func:`algebra_from_dict`)."""
     _require(d, "module", "algebra", "dim", "actions")
     alg_part = d["algebra"]
     if isinstance(alg_part, str):
         path = alg_part if os.path.isabs(alg_part) else os.path.join(base_dir, alg_part)
-        alg = load_algebra(path)
+        alg = load_algebra(path, cap)
     else:
-        alg = algebra_from_dict(alg_part)
+        alg = algebra_from_dict(alg_part, cap)
     dim = _typed(d["dim"], (int,), "module 'dim'")
     actions = [_matrix(alg.field, X, dim, "module action")
                for X in _typed(d["actions"], (list,), "module 'actions'")]
@@ -178,9 +191,9 @@ def load_json(path: str):
         raise BadParams(f"cannot read {path}: JSON nested too deeply") from None
 
 
-def load_algebra(path: str) -> ShortAlgebra:
-    return algebra_from_dict(load_json(path))
+def load_algebra(path: str, cap: Optional[int] = None) -> ShortAlgebra:
+    return algebra_from_dict(load_json(path), cap)
 
 
-def load_module(path: str) -> AModule:
-    return module_from_dict(load_json(path), base_dir=os.path.dirname(path) or ".")
+def load_module(path: str, cap: Optional[int] = None) -> AModule:
+    return module_from_dict(load_json(path), base_dir=os.path.dirname(path) or ".", cap=cap)

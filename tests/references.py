@@ -22,13 +22,20 @@ The row converter with a branch per row kind (``reference_sparse``) and
 the torsionless test on the stacked map matrices (``vstack_torsionless``)
 are what the one-loop ``_sparse`` and the rank of a dual's integer rows
 replaced.
+
+The algebra's dense routes are what reading the structure constants
+replaced: the socle as the kernel of the stacked regular matrices built
+by ``mul`` (``vstack_socle``), one solve per section (``per_m_sections``),
+the products reduced as dense vectors (``dense_reduce_structure``), and a
+quotient's projection walked along the dense basis rows
+(``walk_projection``).
 """
 
 from collections import defaultdict
 from itertools import compress, count
 
-from shortloc.linalg import (Fp, IntRows, Matrix, Rational, integer_values, kernel_basis,
-                             kernel_subspace)
+from shortloc.linalg import (Fp, IntRows, Matrix, Rational, Subspace, integer_values,
+                             kernel_basis, kernel_subspace, solve)
 from shortloc.modules import pivot_columns
 
 
@@ -286,3 +293,58 @@ def vstack_torsionless(homs):
     if not homs.maps:
         return homs.source.dim == 0
     return not kernel_basis(Matrix.vstack([f.matrix for f in homs.maps]))
+
+
+# -- the algebra's dense routes ------------------------------------------------
+
+def vstack_socle(alg):
+    """{z in A : J z = 0}: the kernel of the stacked left multiplications by v_1..v_e."""
+    if alg.e == 0:
+        return Subspace.full(alg.field, alg.dim)
+    stacked = Matrix.vstack([alg.left_mult_matrix(alg.generator(i)) for i in range(1, alg.e + 1)])
+    return Subspace.from_vectors(alg.field, alg.dim, kernel_basis(stacked))
+
+
+def per_m_sections(alg):
+    """For each m, the solution s of sum_ij s_ij v_i v_j = w_m, one solve per m (None if none)."""
+    ct, zero, one = alg.structure_matrix().transpose(), alg.field.zero(), alg.field.one()
+    return [solve(ct, [one if k == m else zero for k in range(alg.a)]) for m in range(alg.a)]
+
+
+def dense_reduce_structure(field, generators, relations, commutative=False):
+    """The structure dict of ``algebra_from_relations``: each v_i v_j reduced as a dense vector."""
+    e, zero, one = len(generators), field.zero(), field.one()
+    rows = []
+    for rel in relations:
+        row = [zero] * (e * e)
+        for (i, j), c in rel.items():
+            row[(i - 1) * e + j - 1] = row[(i - 1) * e + j - 1] + field.of(c)
+        rows.append(row)
+    if commutative:
+        for i in range(e):
+            for j in range(i + 1, e):
+                row = [zero] * (e * e)
+                row[i * e + j], row[j * e + i] = one, -one
+                rows.append(row)
+    span = Subspace.from_vectors(field, e * e, rows)
+    free_pos = {c: m for m, c in enumerate(span.free_columns())}
+    structure = {}
+    for k in range(e * e):
+        vec = [zero] * (e * e)
+        vec[k] = one
+        for c, val in enumerate(span.reduce(vec)):
+            if val:
+                structure[(k // e + 1, k % e + 1, free_pos[c] + 1)] = val
+    return structure
+
+
+def walk_projection(M, sub):
+    """The matrix of M -> M/sub: row f is e_f with -row_p[f] at each pivot p of sub."""
+    rows = []
+    for f in sub.free_columns():
+        row = [M.field.zero()] * M.dim
+        row[f] = M.field.one()
+        for p, basis_row in zip(sub.pivots, sub.basis):
+            row[p] = -basis_row[f]
+        rows.append(row)
+    return Matrix(M.field, rows, cols=M.dim)

@@ -153,6 +153,25 @@ def test_resource_cap_env_override():
     assert res.returncode == 3
 
 
+def test_json_algebras_obey_the_cap_that_presets_obey(tmp_path, monkeypatch):
+    # A JSON algebra's e^2 meets SHORTLOC_CAP before its structure matrix is
+    # built, as a preset's g^2 does, for an algebra file and for a module
+    # file holding its algebra.
+    monkeypatch.setenv("SHORTLOC_CAP", "100")
+    assert _run_in_process(["algebra", "info", "L:e=11"])[0] == 3
+    for e, code in ((11, 3), (10, 0)):
+        alg = {"field": {"kind": "Q"}, "e": e, "a": 0, "structure": []}
+        mod = {"algebra": alg, "dim": 1, "actions": [[["0"]]] * e}
+        for argv, doc in ((["algebra", "info"], alg), (["module", "make"], mod)):
+            path = tmp_path / f"{argv[0]}{e}.json"
+            path.write_text(json.dumps(doc))
+            got, out, err = _run_in_process(argv + [str(path)])
+            assert got == code, (argv, e, err)
+            if code == 3:
+                assert (out, err) == ("", "error: intermediate module of dimension 121 "
+                                          "exceeds cap 100\n")
+
+
 def test_bad_cap_variable_is_a_usage_error():
     for args in (("bseq", "--e", "2", "--a", "1", "--n", "3"),
                  ("betti", "simple", "--algebra", "L:e=2", "--n", "2")):

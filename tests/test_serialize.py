@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from shortloc.errors import BadParams
+from shortloc.algebra import ShortAlgebra
+from shortloc.errors import BadParams, ResourceCapExceeded, SurjectivityViolation
 from shortloc.kronecker import tilde
 from shortloc.linalg import Field
 from shortloc.modules import left_regular_module, m_alpha, radical_module
@@ -81,3 +82,19 @@ def test_dumps_is_canonical(L2):
     assert s1 == s2
     assert s1.endswith("\n")
     assert "3/2" not in s1  # integral entries stay integral strings
+
+
+def test_oversized_algebras_are_refused_before_the_structure_matrix(monkeypatch):
+    # e^2 over the cap, or a beyond the e^2 products, is refused before the
+    # e^2 x a structure matrix is laid out.
+    def refuse(_):
+        raise AssertionError("the structure matrix was built")
+
+    monkeypatch.setattr(ShortAlgebra, "structure_matrix", refuse)
+    with pytest.raises(SurjectivityViolation):
+        algebra_from_dict({"field": {"kind": "Q"}, "e": 2, "a": 10**6})
+    with pytest.raises(ResourceCapExceeded):
+        algebra_from_dict({"field": {"kind": "Q"}, "e": 11, "a": 0}, cap=100)
+    with pytest.raises(ResourceCapExceeded):
+        module_from_dict({"algebra": {"field": {"kind": "Q"}, "e": 11, "a": 0},
+                          "dim": 1, "actions": []}, cap=100)
