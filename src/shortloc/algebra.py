@@ -88,7 +88,9 @@ class ShortAlgebra:
         """Basis of the linear relations among the products v_i v_j.
 
         These are the vectors lam with sum_{ij} lam_{ij} v_i v_j = 0; any
-        module action matrices must satisfy the same combinations.
+        module action matrices satisfy the same combinations.  No module
+        check reads this dense basis: :func:`~shortloc.modules.validate_module`
+        checks v_i v_j x = sum_m c_ijm w_m x along the sections instead.
         """
         if self._product_kernel is None:
             self._product_kernel = kernel_basis(self.structure_matrix().transpose())

@@ -20,7 +20,8 @@ way, and the socle and the Hom equations read the columns, so none of
 them multiplies action matrices; a syzygy's socle is read off its Φ's
 integer rows instead (:meth:`~shortloc.homology.Syzygy.socle_dim`).  w_m
 acts as sum s_ij v_i v_j, so w_m·x sums the images v_i·(v_j·x) read
-along the columns (:func:`square_images`).  :meth:`AModule.top_images`
+along the columns (:func:`square_images`); the module axioms are read
+off those images (:func:`validate_module`).  :meth:`AModule.top_images`
 maps the radical basis at the top lifts, the images every cover is read
 off (its kernel, :attr:`AModule.cover_kernel`, is found once per
 module), and :meth:`AModule.int_action_rows` holds each basis element's
@@ -279,21 +280,37 @@ class AModule:
 
 
 def validate_module(M: AModule) -> None:
-    """Check the module axioms; raises BadParams when they fail.
+    """Check the module axioms along the action columns; raises BadParams when they fail.
 
-    Verifies that the product relations of the algebra hold among the
-    action matrices and that all triple products vanish (J^3 = 0).
+    At each basis vector x, v_j·x is column x of v_j's action, v_i·(v_j·x)
+    its image (:func:`vector_images`) and w_m·x = sum s_ij v_i·(v_j·x)
+    (:func:`square_images`), so no action matrix is multiplied.  Every
+    v_i·(v_j·x) must be sum_m c_ijm w_m·x; only then is every v_k·(w_m·x)
+    checked to be zero.
+
+    That is the whole check.  With C the e^2 x a structure matrix (rank a)
+    and S the sections (C^T S = I), P(x) = (v_i v_j x) meets every relation
+    λ in ker C^T iff P(x) lies in col C, iff P(x) = C S^T P(x), and
+    S^T P(x) = (w_m x).  Then X_a X_b X_c = sum_m c_bcm X_a W_m, and each
+    X_a W_m is a sum of triple products, so these vanish iff every X_a W_m
+    does.  Without sections (products not spanning J^2),
+    :meth:`ShortAlgebra.sections` raises SurjectivityViolation.
     """
-    products = [X * Y for X in M.actions for Y in M.actions]
-    for lam in M.algebra.product_kernel():
-        if not Matrix.combination(lam, products).is_zero():
+    alg, columns = M.algebra, M.action_columns()
+    images = [[dict(cols[c]) for cols in columns] for c in range(M.dim)]
+    squares = square_images(alg, columns, images)
+    for vs, ws in zip(images, squares):
+        # twice[j-1][i-1] is v_i·(v_j·x), as in square_images.
+        twice = vector_images(columns, [(v.keys(), v.values()) for v in vs])
+        for (i, j, m), c in alg.structure.items():
+            pair = twice[j - 1][i - 1]
+            for q, y in ws[m - 1].items():
+                pair[q] = pair[q] - c * y if q in pair else -c * y
+        if any(any(pair.values()) for row in twice for pair in row):
             raise BadParams("action matrices violate a product relation")
-    for P in products:
-        if P.is_zero():
-            continue
-        for X in M.actions:
-            if not (P * X).is_zero():
-                raise BadParams("triple product of generator actions is non-zero")
+    cubes = vector_images(columns, [(w.keys(), w.values()) for ws in squares for w in ws])
+    if any(any(image.values()) for row in cubes for image in row):
+        raise BadParams("triple product of generator actions is non-zero")
 
 
 @record

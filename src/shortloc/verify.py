@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Callable
 
-from .errors import InvariantViolation, ShortlocError
+from .errors import InvariantViolation, ResourceCapExceeded, ShortlocError
 from .explorer import classify_complex, mho_path, periodicity_detect
 from .homology import (DEFAULT_CAP, MinimalResolution, _ext_sequence, a_dual, betti, ext_dim,
                        ext_dims, is_gp, is_inf_torsionfree, is_reflexive, is_semi_gp,
@@ -357,6 +357,8 @@ def run_claim(claim: Claim, ctx: Context) -> ClaimResult:
     ck = _Check()
     try:
         claim.fn(ctx, ck)
+    except ResourceCapExceeded:
+        raise  # a cap hit is not a false claim: the CLI exits 3 and names the cap
     except ShortlocError as exc:
         ck.expect(False, f"error: {type(exc).__name__}: {exc}")
     return ClaimResult(claim_id=claim.claim_id, tag=claim.tag, title=claim.title,

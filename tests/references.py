@@ -29,11 +29,17 @@ by ``mul`` (``vstack_socle``), one solve per section (``per_m_sections``),
 the products reduced as dense vectors (``dense_reduce_structure``), and a
 quotient's projection walked along the dense basis rows
 (``walk_projection``).
+
+The module axioms on dense matrices (``dense_validate``) are the check
+that reading them along the action columns replaced: the e^2 products of
+the generator actions, combined along the algebra's product kernel, then
+every triple product.
 """
 
 from collections import defaultdict
 from itertools import compress, count
 
+from shortloc.errors import BadParams
 from shortloc.linalg import (Fp, IntRows, Matrix, Rational, Subspace, integer_values,
                              kernel_basis, kernel_subspace, solve)
 from shortloc.modules import pivot_columns
@@ -348,3 +354,17 @@ def walk_projection(M, sub):
             row[p] = -basis_row[f]
         rows.append(row)
     return Matrix(M.field, rows, cols=M.dim)
+
+
+def dense_validate(M):
+    """The module axioms on dense matrices: the products, the product kernel, the triple loop."""
+    products = [X * Y for X in M.actions for Y in M.actions]
+    for lam in M.algebra.product_kernel():
+        if not Matrix.combination(lam, products).is_zero():
+            raise BadParams("action matrices violate a product relation")
+    for P in products:
+        if P.is_zero():
+            continue
+        for X in M.actions:
+            if not (P * X).is_zero():
+                raise BadParams("triple product of generator actions is non-zero")

@@ -104,9 +104,9 @@ def test_the_engines_build_no_matrix_of_a_free_module(field, name, kw, free_modu
 def test_the_dual_module_makes_no_product(field, products):
     lam = preset("lambda_c", field=field, c=0)
     M = m_alpha(lam, 1)
-    assert len(products) == 9  # the module axioms, checked once
+    assert len(products) == 0  # the module axioms are read along the action columns
     dual = a_dual(M)
-    assert len(products) == 9 and dual.dim > 0
+    assert len(products) == 0 and dual.dim > 0
 
 
 @FIELDS

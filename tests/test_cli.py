@@ -453,6 +453,12 @@ def test_verify_paper_fast_suite_exits_clean():
     assert not any(ln.startswith("FAIL") for ln in lines)
 
 
+def test_verify_paper_names_a_cap_hit_instead_of_failing_a_claim():
+    code, out, err = _run_in_process(["verify-paper", "--suite", "fast", "--cap", "10"])
+    assert (code, out) == (3, "")
+    assert "exceeds cap 10" in err and "Traceback" not in err
+
+
 # -- exit-code fuzzing, in process -------------------------------------------
 
 _FUZZ_VALUES = ["", "0", "-1", "1", "2", "3", "7", "x", "1/0", "2/3", "-2/5", "1e2", "nan",

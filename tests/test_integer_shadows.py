@@ -89,13 +89,17 @@ def test_integer_shadows_match_the_typed_route(field):
 
 
 def test_m2_over_lambda_c1_eliminates_non_unit_leads(monkeypatch):
-    """Over Q, M(2) over lambda_c(c=1) has pivot rows whose lead is not 1."""
+    """Over Q, M(2) over lambda_c(c=1) has pivot rows whose lead is not 1.
+
+    The leads are those of the pivot rows each rung's shadow is read off
+    (``form[0]`` of :func:`~shortloc.homology.shadow_rows`).
+    """
     leads = []
 
-    def recording(field, piv, free, at, scales, _original=linalg._kernel_rows):
-        leads.extend(row[c] for c, row in piv.items())
-        return _original(field, piv, free, at, scales)
-    monkeypatch.setattr(linalg, "_kernel_rows", recording)
+    def recording(alg, form, _original=homology.shadow_rows):
+        leads.extend(row[c] for c, row in form[0].items())
+        return _original(alg, form)
+    monkeypatch.setattr(homology, "shadow_rows", recording)
     betti(m_alpha(preset("lambda_c", c=1), 2), 10)
     assert any(lead != 1 for lead in leads)
 

@@ -1,0 +1,108 @@
+"""The module axioms are checked along the action columns.
+
+``validate_module`` reads v_i·(v_j·x) and w_m·x off the sparse action
+columns, with no product of action matrices and no product kernel; its
+verdict and message are checked against the dense route kept in
+``references`` (``dense_validate``) on seeded mutated modules over every
+preset.
+"""
+
+import json
+import random
+from collections import Counter
+
+import pytest
+
+from shortloc import cli
+from shortloc.algebra import ShortAlgebra
+from shortloc.errors import BadParams, SurjectivityViolation
+from shortloc.homology import syzygy
+from shortloc.linalg import QQ, Field, Matrix
+from shortloc.modules import (AModule, left_regular_module, m_alpha, random_module,
+                              simple_module, validate_module)
+from shortloc.presets import preset, preset_names
+
+from references import dense_validate
+
+FIELDS = [QQ, Field.prime(7), Field.prime(3)]
+_PRESET_PARAMS = {"L": {"e": 3}, "ex14_1": {"e": 3, "a": 5}, "ex15_1": {"e": 3, "a": 2}}
+RELATION = "action matrices violate a product relation"
+TRIPLE = "triple product of generator actions is non-zero"
+
+
+def algebras(field):
+    for name in preset_names():
+        yield preset(name, field=field, **_PRESET_PARAMS.get(name, {}))
+
+
+def outcome(check, M):
+    try:
+        check(M)
+    except BadParams as exc:
+        return str(exc)
+    return "valid"
+
+
+def mutants(alg, seed):
+    """Four copies of a seeded random module, each with up to two entries set to -1, 1 or 2."""
+    rng = random.Random(seed)
+    M = random_module(alg, rng.randint(1, 2), rng.randint(0, 2), seed)
+    values = [alg.field.of(x) for x in (-1, 1, 2)]
+    for _ in range(4):
+        data = [[list(row) for row in X.data] for X in M.actions]
+        for _ in range(rng.randint(0, 2)):
+            rng.choice(data)[rng.randrange(M.dim)][rng.randrange(M.dim)] = rng.choice(values)
+        yield AModule(alg, M.dim, [Matrix(alg.field, X, cols=M.dim) for X in data], check=False)
+
+
+def test_the_axioms_give_the_dense_verdict_and_message():
+    seen = Counter()
+    for field in FIELDS:
+        for alg in algebras(field):
+            for seed in range(5):
+                for M in mutants(alg, seed):
+                    got = outcome(validate_module, M)
+                    assert got == outcome(dense_validate, M), (alg, field, seed)
+                    seen[got] += 1
+    assert min(seen[key] for key in ("valid", RELATION, TRIPLE)) >= 20, seen
+
+
+def refuse_products(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the module axioms were read through a matrix product")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(ShortAlgebra, "product_kernel", refuse)
+
+
+def test_the_axioms_form_no_product(monkeypatch):
+    refuse_products(monkeypatch)
+    lam = preset("lambda_c", c=1)
+    modules = [left_regular_module(alg) for field in FIELDS for alg in algebras(field)]
+    modules += [m_alpha(lam, 2), syzygy(simple_module(lam)), syzygy(m_alpha(lam, 1))]
+    for M in modules:
+        validate_module(M)
+
+
+def test_mutated_modules_are_refused_with_the_dense_message(monkeypatch):
+    verdicts = [(M, outcome(dense_validate, M)) for M in mutants(preset("ex5_3"), 4)]
+    assert {RELATION, TRIPLE} <= {verdict for _, verdict in verdicts}
+    refuse_products(monkeypatch)
+    for M, verdict in verdicts:
+        assert outcome(validate_module, M) == verdict
+
+
+def test_a_module_over_forty_generators_reads_no_product_kernel(tmp_path, monkeypatch):
+    # At dim 1, e = 40, a = 0 the dense route took a kernel basis of e^4 cells.
+    refuse_products(monkeypatch)
+    alg = {"field": {"kind": "Q"}, "e": 40, "a": 0, "structure": []}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"algebra": alg, "dim": 1, "actions": [[["0"]]] * 40}))
+    assert cli.main(["module", "make", str(path)]) == 0
+
+
+def test_products_that_miss_j2_have_no_sections():
+    # v_1 v_1 = w_1 leaves w_2 outside J^2; the algebra was never validated.
+    alg = ShortAlgebra(QQ, 2, 2, {(1, 1, 1): 1})
+    with pytest.raises(SurjectivityViolation):
+        validate_module(simple_module(alg))
