@@ -37,19 +37,22 @@ to e_c, by the relations b·m_k = sum_c (b m_k)[c] e_c for the radical
 basis elements b, (dim A - 1)·t·dim N equations, and builds each basis
 map on first read.  :func:`hom_dim` reads M's presentation: t·dim N less
 the rank of the equations of the cover kernel's integer rows, with no
-kernel basis and no typed kernel row.  :func:`find_isomorphism` solves
-Hom(M, N) once and tests each basis element on tops, a t x t matrix,
-since an A-map between modules of one dimension is invertible iff it is
-onto the top (Nakayama); it takes dim Hom(N, M) only when no basis
-element is invertible.  Socle dimensions, and with them the bipartite test and the
-multiplicity of S, are ranks.
+kernel basis and no typed kernel row.  A caller that reads dimensions or
+tops searches on the presentation kernel; a caller that reads basis maps
+keeps :func:`hom_space`.  So :func:`find_isomorphism` solves Hom(M, N) as
+the kernel of those t·dim N unknowns and reads each basis element's top,
+a t x t matrix, off its images n_k mod JN, since an A-map between modules
+of one dimension is invertible iff it is onto the top (Nakayama); it takes
+dim Hom(N, M) only when no basis element is invertible, and solves for
+one witness matrix only when the witness is read.  Socle dimensions, and
+with them the bipartite test and the multiplicity of S, are ranks.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import record
 from .algebra import ShortAlgebra
@@ -283,8 +286,10 @@ def validate_module(M: AModule) -> None:
     """Check the module axioms along the action columns; raises BadParams when they fail.
 
     At each basis vector x, v_j·x is column x of v_j's action, v_i·(v_j·x)
-    its image (:func:`vector_images`) and w_m·x = sum s_ij v_i·(v_j·x)
-    (:func:`square_images`), so no action matrix is multiplied.  Every
+    its image (:func:`vector_images`, one pass per x) and w_m·x = sum
+    s_ij v_i·(v_j·x) is formed from those images as :func:`square_images`
+    forms it, so no action matrix is multiplied and no image is mapped
+    twice.  Every
     v_i·(v_j·x) must be sum_m c_ijm w_m·x; only then is every v_k·(w_m·x)
     checked to be zero.
 
@@ -296,12 +301,13 @@ def validate_module(M: AModule) -> None:
     does.  Without sections (products not spanning J^2),
     :meth:`ShortAlgebra.sections` raises SurjectivityViolation.
     """
-    alg, columns = M.algebra, M.action_columns()
-    images = [[dict(cols[c]) for cols in columns] for c in range(M.dim)]
-    squares = square_images(alg, columns, images)
-    for vs, ws in zip(images, squares):
-        # twice[j-1][i-1] is v_i·(v_j·x), as in square_images.
+    alg, columns, squares = M.algebra, M.action_columns(), []
+    for x in range(M.dim):
+        # twice[j-1][i-1] is v_i·(v_j·x), mapped once for the squares and the relations.
+        vs = [dict(cols[x]) for cols in columns]
         twice = vector_images(columns, [(v.keys(), v.values()) for v in vs])
+        ws = _squares(alg, twice)
+        squares.append(ws)
         for (i, j, m), c in alg.structure.items():
             pair = twice[j - 1][i - 1]
             for q, y in ws[m - 1].items():
@@ -436,19 +442,21 @@ def square_images(alg: ShortAlgebra, columns: list, images: Sequence[Sequence[di
     images v_i·(v_j·x), read along the action columns ``columns``
     (:func:`vector_images`); no product is formed.
     """
-    e, out = alg.e, []
-    for vs in images:
-        twice = vector_images(columns, [(v.keys(), v.values()) for v in vs])
-        ws = []
-        for section in alg.sections():
-            w: dict = {}
-            for ij, s in enumerate(section):
-                if s:
-                    for q, y in twice[ij % e][ij // e].items():
-                        w[q] = w[q] + s * y if q in w else s * y
-            ws.append({q: y for q, y in w.items() if y})
-        out.append(ws)
-    return out
+    return [_squares(alg, vector_images(columns, [(v.keys(), v.values()) for v in vs]))
+            for vs in images]
+
+
+def _squares(alg: ShortAlgebra, twice: Sequence[Sequence[dict]]) -> list[dict]:
+    """w_1·x .. w_a·x from the images twice[j-1][i-1] = v_i·(v_j·x): sum s_ij v_i·(v_j·x)."""
+    e, ws = alg.e, []
+    for section in alg.sections():
+        w: dict = {}
+        for ij, s in enumerate(section):
+            if s:
+                for q, y in twice[ij % e][ij // e].items():
+                    w[q] = w[q] + s * y if q in w else s * y
+        ws.append({q: y for q, y in w.items() if y})
+    return ws
 
 
 def pivot_columns(space: Subspace, images: Sequence[Sequence[dict]], e: int) -> list[list[list]]:
@@ -770,20 +778,27 @@ def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> IntRow
 
 
 def hom_dim(M: AModule, N: AModule) -> int:
-    """dim Hom_A(M, N), from the presentation of M: t·dim N less a rank.
+    """dim Hom_A(M, N): t·dim N less the rank of :func:`presentation_equations`.
 
-    A map M -> N is a map A^t -> N, fixed by the images n_k of the t top
-    lifts, that kills the kernel of M's cover (:attr:`AModule.cover_kernel`),
-    so the dimension is t·dim N less the rank of
-    :func:`relation_equations` over that kernel's integer rows
-    (:meth:`~shortloc.linalg.Subspace.int_rows`).  No kernel basis, no
-    typed kernel row and no map is formed.
+    No kernel basis, no typed kernel row and no map is formed.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
-    kernel = ((idx, vals) for idx, vals, _ in M.cover_kernel.int_rows().values())
-    equations = relation_equations(N, kernel, M.top_dim())
+    equations = presentation_equations(M, N)
     return equations.cols - rank(equations)
+
+
+def presentation_equations(M: AModule, N: AModule) -> IntRows:
+    """Hom(M, N) as equations in t·dim N unknowns, over M's presentation.
+
+    A map M -> N is a map A^t -> N, its images n_1..n_t at the top lifts,
+    that kills the cover kernel (:attr:`AModule.cover_kernel`), so these
+    are :func:`relation_equations` of that kernel's integer rows
+    (:meth:`~shortloc.linalg.Subspace.int_rows`): column s·t + k is entry
+    s of n_k, and their kernel is Hom(M, N).
+    """
+    kernel = ((idx, vals) for idx, vals, _ in M.cover_kernel.int_rows().values())
+    return relation_equations(N, kernel, M.top_dim())
 
 
 def end_dim(M: AModule) -> int:
@@ -833,45 +848,83 @@ def _invertible(mat: Matrix) -> bool:
                                      and rank(mat) == mat.rows)
 
 
-def _tops(homs: HomSpace) -> Iterator[Matrix]:
-    """Each basis map on tops: its values at M's top lifts, reduced mod JN at N's free columns.
+def _top(N: AModule, t: int, images: dict) -> Matrix:
+    """The A-map given by images n_1..n_t in N, on tops: each n_k mod JN at N's free columns.
 
-    The values at each lift are read off the map's flattening, with no map
-    matrix built, and reduced to their residue
-    (:meth:`~shortloc.linalg.Subspace.residue`).  An A-map F: M -> N
-    between modules of one dimension is invertible iff this matrix is
-    (Nakayama: F is onto iff F(M) + JN = N).
+    ``images`` holds the non-zero entries of (n_1..n_t) in the unknowns of
+    :func:`presentation_equations`, {s·t + k: entry s of n_k}.  Column k is
+    n_k's residue (:meth:`~shortloc.linalg.Subspace.residue`) modulo JN;
+    the map sends the top lift m_k to n_k, so this is its matrix on tops,
+    and an A-map between modules of one dimension is invertible iff this
+    matrix is (Nakayama: F is onto iff F(M) + JN = N).
     """
-    M, N = homs.source, homs.target
     radical = N.radical()
     at = {f: i for i, f in enumerate(radical.free_columns())}
-    lifts = {c: k for k, c in enumerate(M.lift_columns())}
-    zero, dm = M.field.zero(), M.dim
-    flat = homs.flat.sparse_rows()
-    for p in homs.flat.pivots:
-        values: dict = {}
-        for q, x in zip(*flat[p]):
-            r, c = divmod(q, dm)
-            if c in lifts:
-                values.setdefault(lifts[c], []).append((r, x))
-        top = [[zero] * len(lifts) for _ in at]
-        for k, entries in values.items():
-            for j, x in radical.residue(entries).items():
+    zero = N.field.zero()
+    top = [[zero] * t for _ in at]
+    for k, n_k in enumerate(_copies(images, t)):
+        if n_k:
+            for j, x in radical.residue(n_k.items()).items():
                 top[at[j]][k] = x
-        yield Matrix(M.field, top, cols=len(lifts))
+    return Matrix(N.field, top, cols=t)
+
+
+def _copies(images: dict, t: int) -> list[dict]:
+    """n_1..n_t as {s: entry s of n_k}, from their entries {s·t + k: entry s of n_k}."""
+    copies: list[dict] = [{} for _ in range(t)]
+    for q, x in images.items():
+        s, k = divmod(q, t)
+        copies[k][s] = x
+    return copies
+
+
+def _witness(M: AModule, N: AModule, images: dict) -> ModuleMap:
+    """The A-map F: M -> N with F(m_k) = n_k, its matrix solved for on first read.
+
+    ``images`` are (n_1..n_t) as :func:`_top` reads them, a solution of
+    :func:`presentation_equations`.  The unit vectors at the free columns
+    (k, b) of M's cover kernel complement it in A^t, so the b·m_k there
+    (:meth:`AModule.top_images`) are a basis of M, and F(b·m_k) = b·n_k
+    fixes F.  Its graph is the span of the pairs (b·m_k, b·n_k), one
+    elimination whose pivot row c is (e_c, F(e_c)).  A free column with
+    b = w_m occurs only when J^2 M is not zero; only then are the
+    w_m·n_k formed (:func:`square_images`).
+    """
+    t, n, e = M.top_dim(), M.algebra.dim, M.algebra.e
+
+    def build() -> Matrix:
+        dm, one, copies = M.dim, M.field.one(), _copies(images, t)
+        columns = N.action_columns()
+        free = [divmod(q, n) for q in M.cover_kernel.free_columns()]
+        vs = vector_images(columns, [(x.keys(), x.values()) for x in copies])
+        if any(b > e for _, b in free):
+            vs = [v + w for v, w in zip(vs, square_images(N.algebra, columns, vs))]
+        source = [[{c: one}, *imgs] for c, imgs in zip(M.lift_columns(), M.top_images())]
+        target = [[x, *v] for x, v in zip(copies, vs)]
+        graph = Subspace.from_vectors(M.field, dm + N.dim, IntRows.from_scalars(M.field, [
+            {**source[k][b], **{dm + s: y for s, y in target[k][b].items()}} for k, b in free],
+            dm + N.dim))
+        rows = graph.sparse_rows()
+        return Matrix.from_sparse_columns(N.field, N.dim, [
+            [(j - dm, x) for j, x in zip(*rows[c]) if j >= dm] for c in range(dm)])
+    return _LazyMap(M, N, build)
 
 
 def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
-    """Search for an invertible A-map M -> N.
+    """Search for an invertible A-map M -> N on M's presentation.
 
-    Solves Hom(M, N) and tries each of its basis elements on tops
-    (:func:`_tops`), so only the witness's matrix is built.  Only when none
-    is invertible is dim Hom(N, M) taken, by rank (:func:`hom_dim`): an
-    isomorphism makes the two Hom dimensions equal, so a mismatch
-    certifies that there is none.  Otherwise seeded random combinations
-    with small coefficients are tried, and over Q also a generic
-    combination evaluated at the integer points 1, 2, ..., 2 dim Hom + 8,
-    each on tops; any hit certifies the isomorphism.
+    A search reads tops, not basis maps, so it solves Hom(M, N) as the
+    kernel of :func:`presentation_equations`, t·dim N unknowns, and never
+    calls :func:`hom_space`.  Each basis element (n_1..n_t) is tried on
+    tops (:func:`_top`).  Only when none is invertible is dim Hom(N, M)
+    taken, by rank (:func:`hom_dim`): an isomorphism makes the two Hom
+    dimensions equal, so a mismatch certifies that there is none.
+    Otherwise seeded random combinations with small coefficients are
+    tried, and over Q also a generic combination evaluated at the integer
+    points 1, 2, ..., 2 dim Hom + 8, each on tops, which are read off the
+    combined images; any hit certifies the isomorphism.  The witness is
+    the map of the invertible images (:func:`_witness`), one solve on
+    first read of its matrix.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism between modules over different algebras")
@@ -879,31 +932,46 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
         return IsoSearch(False, True, note="dimension mismatch")
     if M.dim == 0:
         return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.zeros(M.field, 0, 0)))
-    homs = hom_space(M, N)
-    tops = []
-    for h, top in zip(homs.maps, _tops(homs)):
+    homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
+    rows = homs.sparse_rows()
+    basis = [dict(zip(*rows[p])) for p in homs.pivots]
+    # The top is linear in the images, so a combination's top is read off
+    # the combined images of the live elements, those whose top is not zero.
+    live = []
+    for i, images in enumerate(basis):
+        top = _top(N, t, images)
         if _invertible(top):
-            return IsoSearch(True, True, witness=h)
-        tops.append(top)
+            return IsoSearch(True, True, witness=_witness(M, N, images))
+        if any(map(any, top.data)):
+            live.append(i)
     if homs.dim != hom_dim(N, M):
         return IsoSearch(False, True, note="hom dimension mismatch")
-    if not tops:
+    if not basis:
         return IsoSearch(False, True, note="no non-zero homomorphisms")
     rng = random.Random(seed)
     elems = [M.field.of(x) for x in DEFAULT_POOL]
 
     def coefficients():
         for _ in range(_ISO_TRIES):
-            yield [rng.choice(elems) for _ in tops]
+            yield [rng.choice(elems) for _ in basis]
         if M.field.is_rationals:
-            for point in range(1, 2 * len(tops) + 9):
+            for point in range(1, 2 * len(basis) + 9):
                 x = M.field.of(point)
-                yield [x ** k for k in range(len(tops))]
+                yield [x ** k for k in range(len(basis))]
     for coefs in coefficients():
-        if _invertible(Matrix.combination(coefs, tops)):
-            mats = [h.matrix for h in homs.maps]
-            return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.combination(coefs, mats)))
+        if _invertible(_top(N, t, _combine([coefs[i] for i in live], [basis[i] for i in live]))):
+            return IsoSearch(True, True, witness=_witness(M, N, _combine(coefs, basis)))
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
+
+
+def _combine(coefs: Sequence, vectors: Sequence[dict]) -> dict:
+    """sum_i coefs[i]·vectors[i] over vectors held as {index: value}."""
+    out: dict = {}
+    for c, vector in zip(coefs, vectors):
+        if c:
+            for q, x in vector.items():
+                out[q] = out[q] + c * x if q in out else c * x
+    return out
 
 
 def is_isomorphic(M: AModule, N: AModule, seed: int = 0) -> bool:

@@ -16,7 +16,8 @@ back to integers (``typed_phi_kernel``).
 The reduction walks are the loops that ``Subspace.residue`` replaced:
 membership and dense reduction along a subspace's typed sparse rows
 (``walk_rest``, ``walk_reduce``), a quotient's action columns
-(``walk_quotient_columns``) and the tops of a Hom basis (``walk_tops``).
+(``walk_quotient_columns``) and the tops of a Hom basis on M's presentation
+(``walk_tops``).
 
 The row converter with a branch per row kind (``reference_sparse``) and
 the torsionless test on the stacked map matrices (``vstack_torsionless``)
@@ -243,26 +244,25 @@ def walk_quotient_columns(M, sub):
     return acts
 
 
-def walk_tops(homs):
-    """Each basis map of ``homs`` on tops: its values at the source's lifts, reduced mod JN."""
-    M, N = homs.source, homs.target
+def walk_tops(N, t, space):
+    """Each basis vector (n_1..n_t) of ``space`` on tops: n_k reduced mod JN at N's free columns.
+
+    Column s·t + k of ``space`` is entry s of n_k, as in ``relation_equations``.
+    """
     radical = N.radical()
     rows, at = radical.sparse_rows(), {f: i for i, f in enumerate(radical.free_columns())}
-    lifts = {c: k for k, c in enumerate(M.lift_columns())}
-    zero, dm, flat, out = M.field.zero(), M.dim, homs.flat.sparse_rows(), []
-    for p in homs.flat.pivots:
-        top = [[zero] * len(lifts) for _ in at]
+    zero, flat, out = N.field.zero(), space.sparse_rows(), []
+    for p in space.pivots:
+        top = [[zero] * t for _ in at]
         for q, x in zip(*flat[p]):
-            r, c = divmod(q, dm)
-            if c in lifts:
-                k = lifts[c]
-                if r in at:
-                    top[at[r]][k] = top[at[r]][k] + x
-                else:
-                    for j, y in zip(*rows[r]):
-                        if j in at:
-                            top[at[j]][k] = top[at[j]][k] - x * y
-        out.append(Matrix(M.field, top, cols=len(lifts)))
+            r, k = divmod(q, t)
+            if r in at:
+                top[at[r]][k] = top[at[r]][k] + x
+            else:
+                for j, y in zip(*rows[r]):
+                    if j in at:
+                        top[at[j]][k] = top[at[j]][k] - x * y
+        out.append(Matrix(N.field, top, cols=t))
     return out
 
 

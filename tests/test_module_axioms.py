@@ -1,7 +1,8 @@
 """The module axioms are checked along the action columns.
 
 ``validate_module`` reads v_i·(v_j·x) and w_m·x off the sparse action
-columns, with no product of action matrices and no product kernel; its
+columns, with no product of action matrices and no product kernel, and
+maps each v_j·x once for both; its
 verdict and message are checked against the dense route kept in
 ``references`` (``dense_validate``) on seeded mutated modules over every
 preset.
@@ -19,7 +20,7 @@ from shortloc.errors import BadParams, SurjectivityViolation
 from shortloc.homology import syzygy
 from shortloc.linalg import QQ, Field, Matrix
 from shortloc.modules import (AModule, left_regular_module, m_alpha, random_module,
-                              simple_module, validate_module)
+                              simple_module, validate_module, vector_images)
 from shortloc.presets import preset, preset_names
 
 from references import dense_validate
@@ -82,6 +83,27 @@ def test_the_axioms_form_no_product(monkeypatch):
     modules += [m_alpha(lam, 2), syzygy(simple_module(lam)), syzygy(m_alpha(lam, 1))]
     for M in modules:
         validate_module(M)
+
+
+def test_each_basis_vector_is_mapped_once_for_the_relations(monkeypatch):
+    # v_i·(v_j·x) is mapped in one pass per basis vector x, which the squares
+    # w_m·x and the relation check share; one more pass maps every w_m·x.
+    passes = []
+
+    def counted(columns, rows):
+        rows = list(rows)
+        passes.append(len(rows))
+        return vector_images(columns, rows)
+    monkeypatch.setattr("shortloc.modules.vector_images", counted)
+    lam = preset("lambda_c", c=1)
+    modules = [left_regular_module(alg) for field in FIELDS for alg in algebras(field)]
+    modules += [m_alpha(lam, 2), syzygy(simple_module(lam)), syzygy(m_alpha(lam, 1))]
+    for M in modules:
+        M.action_columns()
+        passes.clear()
+        validate_module(M)
+        e, a = M.algebra.e, M.algebra.a
+        assert passes == [e] * M.dim + [a * M.dim], M
 
 
 def test_mutated_modules_are_refused_with_the_dense_message(monkeypatch):

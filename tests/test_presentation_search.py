@@ -1,0 +1,124 @@
+"""The isomorphism search on M's presentation, cross-checked against the Hom basis route.
+
+``find_isomorphism`` solves Hom(M, N) as the kernel of
+``presentation_equations``, t·dim N unknowns over M's cover kernel, and
+never calls ``hom_space``.  ``hom_space``, dim M·dim N unknowns over M's
+top-lift relations, and the search order it served
+(``reference_find_isomorphism``) stay the references.  Over Q, F_7 and
+F_32003 the two Hom routes must give one dimension, the search the
+reference's verdict, and every witness must be an isomorphism of modules,
+which one mutated entry breaks.
+"""
+
+import random
+
+import pytest
+
+from shortloc.homology import MinimalResolution
+from shortloc.linalg import QQ, Field, Matrix, kernel_subspace
+from shortloc.modules import (ModuleMap, find_isomorphism, free_module, hom_dim, hom_space,
+                              left_regular_module, presentation_equations, random_module,
+                              simple_module)
+from shortloc.presets import preset, preset_names
+
+from test_sweep_solves import (SWEEP_PRESETS, fresh, rebased, reference_find_isomorphism,
+                               sweep_pairs)
+
+FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+
+_PRESET_PARAMS = {"L": {"e": 2}, "ex14_1": {"e": 2, "a": 1}, "ex15_1": {"e": 3, "a": 2}}
+
+#: Equal-dimension pairs up to this dimension are also decided by the
+#: reference, which solves two Hom bases of dim^2 unknowns each; the larger
+#: ones are the self-pairs of Ω^3 S and Ω^4 S (dimensions 35 to 91).
+REFERENCE_DIM = 30
+
+
+def is_module_isomorphism(F: ModuleMap) -> bool:
+    """F is invertible (``is_isomorphism`` reads the rank alone) and A-linear."""
+    return F.is_isomorphism() and F.is_intertwiner()
+
+
+def verdict(iso):
+    return iso.found, iso.certified, iso.note
+
+
+@FIELDS
+def test_the_presentation_kernel_has_the_hom_dimension(field):
+    smaller = 0
+    for _, M, N in sweep_pairs(field):
+        homs = kernel_subspace(presentation_equations(M, N))
+        assert homs.ambient == M.top_dim() * N.dim
+        assert homs.dim == hom_space(M, N).dim == hom_dim(M, N), (M, N)
+        smaller += M.top_dim() < M.dim
+    assert smaller >= 100
+
+
+def syzygy_ladders(field):
+    """Ω^0 S .. Ω^4 S over every preset."""
+    for name in preset_names():
+        alg = preset(name, field=field, **_PRESET_PARAMS.get(name, {}))
+        res = MinimalResolution(simple_module(alg))
+        yield name, [res.syzygy_module(i) for i in range(5)]
+
+
+@FIELDS
+def test_the_search_on_syzygies_matches_the_reference(field):
+    compared = checked = 0
+    for name, ladder in syzygy_ladders(field):
+        for i, M in enumerate(ladder):
+            for j, N in enumerate(ladder):
+                got = find_isomorphism(M, N, seed=5 * i + j)
+                if got.witness is not None:
+                    assert is_module_isomorphism(got.witness), (name, i, j)
+                    checked += 1
+                if M.dim != N.dim or M.dim <= REFERENCE_DIM:
+                    want = reference_find_isomorphism(M, N, seed=5 * i + j)
+                    assert verdict(got) == verdict(want), (name, i, j)
+                    compared += 1
+                else:
+                    assert i == j and verdict(got) == (True, True, ""), (name, i, j)
+    assert compared >= 300 and checked >= 65
+
+
+@FIELDS
+def test_the_search_on_loewy_length_3_modules_matches_the_reference(field):
+    # J^2 M is not zero, so some free columns of the cover kernel are w_m's
+    # and the witness reads the w_m·n_k.
+    rng = random.Random(13)
+    squares = 0
+    for name, kw in SWEEP_PRESETS:
+        alg = preset(name, field=field, **kw)
+        mods = [left_regular_module(alg), free_module(alg, 2)]
+        mods += [random_module(alg, gens, rels, seed) for gens, rels, seed in
+                 [(1, 0, 2), (1, 1, 3), (2, 1, 4), (2, 2, 5), (2, 0, 6)]]
+        for M in mods:
+            for N in (rebased(M, rng), mods[2]):
+                got = find_isomorphism(fresh(M), fresh(N), seed=7)
+                assert verdict(got) == verdict(reference_find_isomorphism(M, N, seed=7))
+                if got.witness is not None:
+                    assert is_module_isomorphism(got.witness)
+                    n, e = alg.dim, alg.e
+                    squares += any(q % n > e for q in M.cover_kernel.free_columns())
+    assert squares >= 20
+
+
+@FIELDS
+def test_a_mutated_witness_is_refused(field):
+    mutated = 0
+    for _, M, N in sweep_pairs(field):
+        iso = find_isomorphism(fresh(M), fresh(N), seed=3)
+        if iso.witness is None:
+            continue
+        F = iso.witness
+        assert is_module_isomorphism(F)
+        # Row r outside soc N: some generator moves e_r, so no A-map differs
+        # from F in the one entry (r, 0).
+        r = next((r for r in range(N.dim) for X in N.actions if any(X.col(r))), None)
+        if r is None:
+            continue
+        data = [list(row) for row in F.matrix.data]
+        data[r][0] += field.one()
+        assert not is_module_isomorphism(ModuleMap(M, N, Matrix(field, data, cols=M.dim)))
+        mutated += 1
+    assert mutated >= 60

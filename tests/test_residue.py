@@ -14,8 +14,8 @@ import pytest
 
 from shortloc.errors import DimensionMismatch
 from shortloc.linalg import Matrix, Subspace, kernel_subspace
-from shortloc.modules import (AModule, _tops, generated_submodule, hom_space, quotient,
-                              random_module)
+from shortloc.modules import (AModule, _top, generated_submodule, presentation_equations,
+                              quotient, random_module)
 from shortloc.presets import preset
 
 from references import scalars, walk_quotient_columns, walk_reduce, walk_rest, walk_tops
@@ -118,8 +118,10 @@ def test_quotients_and_tops_match_the_walks(field):
                     [list(map(scalars, X.data)) for X in want]
                 quotients += 1
                 for N in (M, Q):
-                    homs = hom_space(M, N)
-                    got, ref = list(_tops(homs)), walk_tops(homs)
+                    homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
+                    rows = homs.sparse_rows()
+                    got = [_top(N, t, dict(zip(*rows[p]))) for p in homs.pivots]
+                    ref = walk_tops(N, t, homs)
                     assert [list(map(scalars, X.data)) for X in got] == \
                         [list(map(scalars, X.data)) for X in ref]
                     maps += len(got)

@@ -1,7 +1,10 @@
 """A sweep job solves only what its answer reads.
 
-The isomorphism search solves Hom(M, N) first and takes dim Hom(N, M) by
-rank only when no basis element is invertible; ``hom_dim`` is a rank; a
+The isomorphism search solves Hom(M, N) on M's presentation, t·dim N
+unknowns over the cover kernel that the sweep job has already found, and
+takes dim Hom(N, M) by rank only when no basis element is invertible; it
+never calls ``hom_space``, which stays the independent reference for its
+witnesses; ``hom_dim`` is a rank; a
 syzygy's radical is read off its shadow and its socle off its Φ's integer
 rows, and every other socle off sparse action columns; ``quotient``
 reduces action columns instead of multiplying dense matrices.  The
@@ -149,6 +152,32 @@ def hom_space_calls(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def equation_calls(monkeypatch):
+    """The target N of each Hom system that ``relation_equations`` builds."""
+    seen = []
+
+    def counted(N, relations, t, _original=modules.relation_equations):
+        seen.append(N)
+        return _original(N, relations, t)
+    monkeypatch.setattr(modules, "relation_equations", counted)
+    return seen
+
+
+def presentation_basis(M, N):
+    """The basis elements (n_1..n_t) of Hom(M, N) on M's presentation, as dicts."""
+    homs = kernel_subspace(modules.presentation_equations(M, N))
+    rows = homs.sparse_rows()
+    return [dict(zip(*rows[p])) for p in homs.pivots]
+
+
+def assert_a_witness_in_hom(iso, M, N):
+    """The witness is invertible and lies in Hom(M, N) as ``hom_space`` solves it."""
+    homs = modules.hom_space(M, N)
+    assert iso.witness.is_isomorphism()
+    assert homs.flat.contains(homs.flatten(iso.witness.matrix))
+
+
 # -- the isomorphism search ----------------------------------------------------
 
 @FIELDS
@@ -162,9 +191,9 @@ def test_isomorphism_search_matches_the_reference_order(field):
         if want.witness is None:
             assert got.witness is None
         else:
-            assert got.witness.matrix == want.witness.matrix
-            assert [list(map(str, r)) for r in got.witness.matrix.data] == \
-                [list(map(str, r)) for r in want.witness.matrix.data]
+            # The witness is no longer the reference's basis map, so it is
+            # checked against the Hom space that hom_space solves.
+            assert_a_witness_in_hom(got, M, N)
         key = (kind, got.found, got.note)
         outcomes[key] = outcomes.get(key, 0) + 1
     # Every rebased copy is found; the equal-dimension pairs give found,
@@ -177,18 +206,24 @@ def test_isomorphism_search_matches_the_reference_order(field):
                if not found and note != "hom dimension mismatch") >= 1
 
 
-def test_an_invertible_first_basis_element_costs_one_hom_solve(hom_space_calls):
+def test_an_invertible_first_basis_element_costs_one_hom_solve(hom_space_calls, equation_calls):
     rng = random.Random(3)
     checked = 0
     for M in sweep_modules(QQ, per_stratum=1, seed=5):
-        N = rebased(M, rng)
-        first = hom_basis(M, N)[0]
-        if rank(first.matrix) != M.dim:
+        N, t = rebased(M, rng), M.top_dim()
+        first = presentation_basis(M, N)[0]
+        if not modules._invertible(modules._top(N, t, first)):
             continue
-        hom_space_calls.clear()
+        hom_space_calls.clear(), equation_calls.clear()
         iso = find_isomorphism(fresh(M), N)
-        assert iso.found and iso.witness.matrix == first.matrix
-        assert len(hom_space_calls) == 1
+        # One Hom system, for Hom(M, N); no hom_space and no Hom(N, M).
+        assert iso.found and hom_space_calls == []
+        assert equation_calls == [N]
+        # The witness sends each top lift m_k to the first element's n_k.
+        for k, c in enumerate(M.lift_columns()):
+            assert iso.witness.matrix.col(c) == tuple(first.get(s * t + k, 0)
+                                                      for s in range(N.dim))
+        assert_a_witness_in_hom(iso, M, N)
         checked += 1
     assert checked >= 5
 
@@ -338,8 +373,9 @@ def test_quotient_actions_match_the_dense_formula(field, monkeypatch):
 
 # -- the guard: one sweep-shaped job, counted ----------------------------------
 
-def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_calls):
-    built, syzygies, columns, typed_rows = [], [], [], []
+def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_calls,
+                                                     equation_calls):
+    built, syzygies, columns, typed_rows, fallbacks, covers = [], [], [], [], [], []
 
     def counted(M, space, _original=modules.module_from_subspace):
         built.append(space.dim)
@@ -353,8 +389,13 @@ def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_cal
                         columns.append(syz) or _original(syz))
     monkeypatch.setattr(Subspace, "sparse_rows", lambda space, _original=Subspace.sparse_rows:
                         typed_rows.append(space) or _original(space))
+    # Each Hom(N, M) dimension the search falls back on, and each cover kernel found.
+    monkeypatch.setattr(modules, "hom_dim", lambda A, B, _original=modules.hom_dim:
+                        fallbacks.append((A, B)) or _original(A, B))
+    monkeypatch.setattr(homology, "top_kernel", lambda *args, _original=homology.top_kernel:
+                        covers.append(args) or _original(*args))
     rng = random.Random(7)
-    one_solve = 0
+    on_basis = 0
     for M in sweep_modules(QQ, per_stratum=1, seed=9):
         partner = mod_j_squared(random_module(M.algebra, 1 + rng.randrange(2), rng.randrange(4),
                                               rng.randrange(2**31)))
@@ -365,16 +406,23 @@ def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_cal
         o2 = syzygy(o1)
         is_bipartite(o1), is_bipartite(o2)
         assert hom_decomposition_check(M, partner)
+        equation_calls.clear(), fallbacks.clear(), covers.clear()
         iso = find_isomorphism(M, N, seed=3)
         assert iso.found and built == []
         # The syzygies' socles and tops are read off Φ: no syzygy builds its
         # action columns or reads its shadow's typed rows.
         assert len(syzygies) >= 2 and columns == []
         assert not any(space is syz.space for space in typed_rows for syz in syzygies)
-        # Hom(M, N) is the one basis solved; Hom(N, M) is only ever a rank.
-        assert len(hom_space_calls) == 1
-        one_solve += any(h.matrix == iso.witness.matrix for h in hom_basis(M, N))
-    assert one_solve >= 20
+        # No Hom basis is solved.  Hom(M, N) is one system over the cover
+        # kernel that main_lemma_witness found; Hom(N, M) is a second system,
+        # and N's cover kernel the one cover found, only on the fallback.
+        assert hom_space_calls == []
+        assert fallbacks in ([], [(N, M)])
+        assert equation_calls == [N] + [M] * len(fallbacks)
+        assert len(covers) == len(fallbacks)
+        on_basis += not fallbacks
+        assert_a_witness_in_hom(iso, M, N)
+    assert on_basis >= 20
 
 
 def test_a_socle_is_ranked_once_and_a_zero_top_never(monkeypatch):

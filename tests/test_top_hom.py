@@ -2,8 +2,9 @@
 
 ``hom_space`` solves only the equations at the top lifts of M,
 F(b·m_k) = b·F(m_k); ``hom_dim`` is t·dim N less the rank of M's cover
-kernel acting on N; the isomorphism search tests each Hom basis element
-on tops, a t x t matrix, and builds only the witness's matrix.  The whole
+kernel acting on N; the isomorphism search solves that presentation
+kernel, tests each basis element (n_1..n_t) on tops, a t x t matrix read
+off n_k mod JN, and builds only the witness's matrix.  The whole
 intertwining system, one equation per generator and matrix entry, is kept
 here as the reference: over Q, F_7 and F_32003 its kernel basis must be
 the engine's, pivots, values and scalar types alike, and its rank must
@@ -24,7 +25,7 @@ from shortloc.modules import (end_dim, find_isomorphism, free_module, hom_dim, h
 from shortloc.presets import preset
 
 from references import scalars
-from test_sweep_solves import fresh, rebased, sweep_modules, sweep_pairs
+from test_sweep_solves import fresh, presentation_basis, rebased, sweep_modules, sweep_pairs
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -108,9 +109,12 @@ def test_top_lift_hom_space_is_the_intertwining_kernel(field):
 def test_the_top_test_is_invertibility(field):
     checked = {True: 0, False: 0}
     for _, M, N in sweep_pairs(field):
-        homs = hom_space(M, N)
-        for h, top in zip(homs.maps, modules._tops(homs)):
-            invertible = rank(h.matrix) == M.dim
+        for images in presentation_basis(M, N):
+            top = modules._top(N, M.top_dim(), images)
+            # The map built from the element's (n_k) is an A-map.
+            F = modules._witness(M, N, images)
+            assert F.is_intertwiner()
+            invertible = rank(F.matrix) == M.dim
             assert modules._invertible(top) == invertible
             checked[invertible] += 1
     assert checked[True] >= 20 and checked[False] >= 20
@@ -199,26 +203,25 @@ def test_hom_space_builds_its_equations_once_as_integer_rows(monkeypatch, field)
 
 
 def test_an_invertible_basis_element_builds_one_map_matrix(monkeypatch):
-    solved = []
+    eliminations = []
 
-    def counted(M, N, _original=modules.hom_space):
-        solved.append(_original(M, N))
-        return solved[-1]
-    monkeypatch.setattr(modules, "hom_space", counted)
+    def refused(*_):
+        raise AssertionError("the search solved a Hom basis of maps")
+    monkeypatch.setattr(modules, "hom_space", refused)
+    monkeypatch.setattr(linalg, "_echelon", lambda *args, _original=linalg._echelon:
+                        eliminations.append(args) or _original(*args))
     rng = random.Random(3)
     checked = 0
     for M in sweep_modules(QQ, per_stratum=1, seed=5):
-        solved.clear()
         iso = find_isomorphism(fresh(M), rebased(M, rng))
-        assert iso.found and len(solved) == 1
-        maps = solved[0].maps
-        if not any(iso.witness is h for h in maps):
-            continue
-        # The search read the basis on tops; reading the witness builds its matrix alone.
-        assert not any("matrix" in vars(h) for h in maps)
+        assert iso.found
+        # The search read the basis on tops and built no map; reading the
+        # witness builds its matrix alone, by one elimination of its graph.
+        assert "matrix" not in vars(iso.witness)
+        eliminations.clear()
         assert iso.witness.matrix.rows == M.dim
-        built = [h for h in maps if "matrix" in vars(h)]
-        assert len(built) == 1 and built[0] is iso.witness
+        assert len(eliminations) == 1 and "matrix" in vars(iso.witness)
+        assert iso.witness.is_isomorphism() and iso.witness.is_intertwiner()
         checked += 1
     assert checked >= 5
 
