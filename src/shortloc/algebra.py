@@ -49,7 +49,6 @@ class ShortAlgebra:
         self._report = None
         self._product_kernel = None
         self._sections = None
-        self._regular = None
         self._regular_rows = None
         self._structure_table = None
         self._regular_columns = None
@@ -152,13 +151,6 @@ class ShortAlgebra:
         """Matrix of x -> u*x in the fixed basis."""
         cols = [self.mul(u, self.basis_vector(k)) for k in range(self.dim)]
         return Matrix.from_columns(self.field, cols, self.dim)
-
-    def regular_actions(self) -> tuple[Matrix, ...]:
-        """Left multiplications by v_1..v_e: :meth:`regular_columns` as matrices, built once."""
-        if self._regular is None:
-            self._regular = tuple(Matrix.from_sparse_columns(self.field, self.dim, cols)
-                                  for cols in self.regular_columns())
-        return self._regular
 
     def regular_columns(self) -> tuple:
         """Per generator, the non-zeros (row, value) of each column of its regular action.

@@ -11,9 +11,10 @@ ints (:func:`_hom_complex_matrix`), so no boundary row becomes a scalar.
 :class:`DualData` is the single engine of
 the dual side: it solves Hom(M, A) once and serves the dual module, the
 torsionless and reflexive verdicts, the evaluation map and the minimal left
-approximation with its cokernel (the cosyzygy), each built on first read;
-the stable Hom reads its maps too, composing them with each block of the
-target's cover as (block ⊗ 1) on their flattenings, with no product.
+approximation with its cokernel (the cosyzygy), each built on first read
+from the sparse rows of the maps' flattenings, with no map matrix; the
+stable Hom reads those rows too, composing them with each block of the
+target's cover as (block ⊗ 1), with no product.
 
 A minimal cover A^t -> N has its kernel in JA^t: ker(Φ: JA^t -> JN), Φ
 sending copy k's radical basis to its images at the top lift m_k
@@ -73,9 +74,9 @@ from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import (IntRows, Matrix, Subspace, integer_values, kernel_subspace, rank,
                      typed_values)
-from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_basis, hom_dim,
-                      hom_space, left_regular_module, module_from_columns, pivot_columns,
-                      quotient, relation_equations, vector_images, zero_module)
+from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_dim, hom_space,
+                      left_regular_module, module_from_columns, pivot_columns, quotient,
+                      relation_equations, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -637,26 +638,36 @@ class DualData:
     """Hom(M, A) with its right A-action: the one engine of the dual side.
 
     ``homs`` is Hom(M, A), solved once by :func:`dual_data`; the dual
-    module's coordinates refer to its basis.  The dual module, the
-    torsionless and reflexive verdicts, the evaluation map and the minimal
-    left approximation with its cokernel are built on first read.
+    module's coordinates refer to its basis.  Every route reads the maps
+    as the sparse rows of ``homs.flat``, their row-major flattenings, so
+    no map matrix is built.  The dual module, the torsionless and
+    reflexive verdicts, the evaluation map and the minimal left
+    approximation with its cokernel are built on first read.
     """
 
     homs: HomSpace
 
     @cached_property
+    def _right(self) -> list:
+        """Right multiplication by v_1..v_e as columns on a map's row-major flattening.
+
+        It is the regular action R of v_i in A^op, which acts on the
+        flattening of a dim A x dim M matrix as R ⊗ 1: column s·dim M + c
+        holds (r·dim M + c, x) for each (r, x) in R's column s.
+        """
+        d = self.homs.source.dim
+        return [[[(r * d + c, x) for r, x in col] for col in cols for c in range(d)]
+                for cols in self.homs.source.algebra.opposite().regular_columns()]
+
+    @cached_property
     def module(self) -> AModule:
         """M* = Hom(M, A) as a left module over the opposite algebra.
 
-        Right multiplication by v_i is the regular action R of v_i in A^op,
-        which acts on a map's row-major flattening as R ⊗ 1; the images of
-        the basis rows of ``homs.flat`` give the columns at its pivots.
+        The images of the basis rows of ``homs.flat`` along :attr:`_right`
+        (:func:`vector_images`) give the columns at its pivots.
         """
-        op = self.homs.source.algebra.opposite()
-        flat, d = self.homs.flat, self.homs.source.dim
-        columns = [[[(r * d + c, x) for r, x in col] for col in cols for c in range(d)]
-                   for cols in left_regular_module(op).action_columns()]
-        images = vector_images(columns, flat.sparse_rows().values())
+        op, flat = self.homs.source.algebra.opposite(), self.homs.flat
+        images = vector_images(self._right, flat.sparse_rows().values())
         return module_from_columns(op, flat.dim, pivot_columns(flat, images, op.e))
 
     @cached_property
@@ -671,15 +682,25 @@ class DualData:
 
     @cached_property
     def evaluation(self) -> ModuleMap:
-        """The evaluation map M -> M**, ev(m)(f) = f(m)."""
-        M = self.homs.source
+        """The evaluation map M -> M**, ev(m)(f) = f(m).
+
+        ev(e_c) is the map M* -> A^op sending the j-th basis map f_j to
+        f_j(e_c), so entry s·h + j of its flattening (h = dim M*) is entry
+        s·dim M + c of the j-th row of ``homs.flat``.  It must lie in the
+        bidual's ``flat``; its coordinates are its entries at the pivots.
+        """
+        M, flat = self.homs.source, self.homs.flat
+        d, h, zero = M.dim, flat.dim, M.field.zero()
         bidual = dual_data(self.module)
-        cols = []
-        for c in range(M.dim):
-            # ev(basis_c) in Hom(M*, A^op-regular): the matrix whose column
-            # j is f_j(basis_c).
-            mat_cols = [f.matrix.col(c) for f in self.homs.maps]
-            cols.append(bidual.homs.flat.coords(tuple(x for row in zip(*mat_cols) for x in row)))
+        evs: list[dict] = [{} for _ in range(d)]
+        for j, (idx, vals) in enumerate(flat.sparse_rows().values()):
+            for i, x in zip(idx, vals):
+                s, c = divmod(i, d)
+                evs[c][s * h + j] = x
+        space = bidual.homs.flat
+        if not all(space.contains(ev) for ev in evs):
+            raise InvariantViolation("the evaluation of M leaves Hom(M*, A)")
+        cols = [[ev.get(p, zero) for p in space.pivots] for ev in evs]
         target = AModule(M.algebra, bidual.module.dim, bidual.module.actions, check=False)
         return ModuleMap(M, target, Matrix.from_columns(M.field, cols, target.dim))
 
@@ -698,29 +719,33 @@ class DualData:
     def approximation(self) -> ApproximationData:
         """The minimal left approximation u: M -> A^z and its cokernel.
 
-        The rank z is the dimension of the top of M*; u stacks lifts of a
-        basis of that top.  A factoring certificate checks that every
-        homomorphism M -> A factors through u.
+        The rank z is the dimension of the top of M*, whose top lifts are
+        unit vectors, so u stacks the basis maps g_k at its lift columns:
+        entry s·dim M + c of g_k's flat row is entry (k·dim A + s, c) of u.
+        A factoring certificate checks that every map M -> A factors
+        through u: the closure g_k, g_k·J, g_k·J^2 along :attr:`_right`
+        (J^3 = 0 ends it, as in :func:`~shortloc.modules.generated_submodule`)
+        spans the g_k·b for b in A, and must hold every row of ``homs.flat``.
         """
-        M = self.homs.source
-        alg = M.algebra
-        z = self.module.top_dim()
-        P = free_module(alg, z)
-        # The top lifts of M* are unit vectors: the basis maps at its lift columns.
-        gs = [self.homs.maps[c].matrix for c in self.module.lift_columns()]
-        u = ModuleMap(M, P, Matrix.vstack(gs) if gs else Matrix(M.field, [], cols=M.dim))
-        # Certificate: each f in the hom basis solves f = sum_k r(b) g_k, and
-        # the right multiplications r(b) are the regular action of A^op, whose
-        # sparse rows combine the rows of g_k.
-        zero, right = M.field.zero(), alg.opposite().regular_rows()
-        factor_cols = [[sum((x * g.data[l][c] for l, x in row), zero)
-                        for row in rows for c in range(M.dim)] for g in gs for rows in right]
-        factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)
-        if not factor_space.contains_space(self.homs.flat):
+        M, flat = self.homs.source, self.homs.flat
+        n, d, rows = M.algebra.dim, M.dim, flat.sparse_rows()
+        gs = [rows[flat.pivots[q]] for q in self.module.lift_columns()]
+        columns: list[list] = [[] for _ in range(d)]
+        for k, (idx, vals) in enumerate(gs):
+            for i, x in zip(idx, vals):
+                s, c = divmod(i, d)
+                columns[c].append((k * n + s, x))
+        P = free_module(M.algebra, len(gs))
+        u = ModuleMap(M, P, Matrix.from_sparse_columns(M.field, P.dim, columns))
+        once = [v for row in vector_images(self._right, gs) for v in row]
+        twice = [v for row in vector_images(self._right, [(v, v.values()) for v in once])
+                 for v in row]
+        closure = Subspace.from_vectors(M.field, n * d, [dict(zip(*g)) for g in gs] + once + twice)
+        if not all(closure.contains(dict(zip(*row))) for row in rows.values()):
             raise InvariantViolation("left approximation fails its factoring certificate")
-        img = u.image()
-        return ApproximationData(approximation=u, rank=z, cokernel=quotient(P, img)[0],
-                                 injective=img.dim == M.dim)
+        img = Subspace.from_vectors(M.field, P.dim, map(dict, columns))
+        return ApproximationData(approximation=u, rank=len(gs), cokernel=quotient(P, img)[0],
+                                 injective=img.dim == d)
 
 
 def dual_data(M: AModule) -> DualData:
@@ -803,23 +828,25 @@ def stable_hom_dim(M: AModule, N: AModule, cap: int = DEFAULT_CAP) -> int:
     projective cover A^t -> N, so the factoring subspace is the image of
     composition with that cover; a map into A^t is t maps into A, so the
     basis of Hom(M, A) composed with each column block of the cover spans it.
-    Composing with a block B acts on a map's row-major flattening as B ⊗ 1,
-    so the images of the rows of ``homs.flat`` are read along the block's
-    columns (:func:`vector_images`), as :attr:`DualData.module` reads R.
+    dim Hom(M, N) is a rank (:func:`hom_dim`), so Hom(M, A) is the one Hom
+    basis solved.  Composing with a block B acts on a map's row-major
+    flattening as B ⊗ 1, so the images of the rows of ``homs.flat`` are
+    read along the block's columns (:func:`vector_images`), as
+    :class:`DualData` reads the right action.
     Block k sends 1 to the top lift m_k and the radical basis to its images
     at m_k, the cover's sparse columns (:func:`_cover_columns`), so no
     cover matrix and no cover kernel is formed; the cap on t·dim A is the
     one :func:`projective_cover` checks (:func:`_cover_rank`).
     """
-    hb = hom_basis(M, N)
-    if not hb:
+    dim = hom_dim(M, N)
+    if not dim:
         return 0
     n, d, t, cover = M.algebra.dim, M.dim, _cover_rank(N, cap), _cover_columns(N)
     blocks = [[[(s * d + c, x) for s, x in cover[k * n + r]] for r in range(n) for c in range(d)]
               for k in range(t)]
     images = vector_images(blocks, dual_data(M).homs.flat.sparse_rows().values())
     factoring = Subspace.from_vectors(M.field, N.dim * d, (img for row in images for img in row))
-    return len(hb) - factoring.dim
+    return dim - factoring.dim
 
 
 def is_semi_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -> BoundedVerdict:

@@ -26,11 +26,11 @@ lead when the rows are read (:func:`typed_values`, :func:`_kernel_rows`),
 with :func:`Rational` over Q; over F_p a pivot row is scaled by its lead's
 inverse.
 
-:meth:`Matrix.__mul__` is the one product kernel: a set of vectors is
-mapped by a single product with the matrix whose columns they are
-(:meth:`Matrix.from_columns`), and :meth:`Matrix.apply` is the product
-with a one-column matrix.  :meth:`Matrix.combination` is the one
-scale-and-add routine: every sum of scaled matrices is a single call.
+No engine path multiplies or combines dense matrices: vectors are mapped
+along sparse action columns (:func:`~shortloc.modules.vector_images`).
+:meth:`Matrix.__mul__` (and :meth:`Matrix.apply`, the product with a
+one-column matrix) and :meth:`Matrix.combination` stay for callers of the
+API and for the dense references that the tests check the engine against.
 A :class:`Subspace` also keeps the non-zeros of its rows, and one
 routine reduces a vector along them (:meth:`Subspace.residue`), walking
 only non-zero entries.  Every subspace an elimination makes is integer
@@ -234,10 +234,10 @@ DEFAULT_POOL = (-2, -1, 0, 1, 2)
 class Matrix:
     """An immutable dense matrix with exact entries.
 
-    Stored row-major as a tuple of row tuples.  Multiplication, the one
-    product kernel, walks only the non-zero entries of each row, so products
-    with the very sparse structural matrices that dominate this package stay
-    cheap; a matrix-vector product is a product with a one-column matrix.
+    Stored row-major as a tuple of row tuples.  Multiplication walks only
+    the non-zero entries of each row, so products with the very sparse
+    structural matrices of this package stay cheap; a matrix-vector product
+    is a product with a one-column matrix.  No engine path multiplies.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -351,13 +351,6 @@ class Matrix:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         return (self * Matrix.from_columns(self.field, [vec], self.cols)).col(0)
-
-    @staticmethod
-    def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        cols = blocks[0].cols
-        if any(b.cols != cols for b in blocks):
-            raise DimensionMismatch("vstack column mismatch")
-        return Matrix(blocks[0].field, [row for b in blocks for row in b.data], cols=cols)
 
     @staticmethod
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -920,29 +913,12 @@ class Subspace:
         _check_vector(v, self.ambient)
         return not any(self.residue(v.items() if isinstance(v, dict) else enumerate(v)).values())
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
     def coords(self, v: Sequence) -> tuple:
         """Coordinates of a member vector, a sequence, in this basis."""
         _check_dense(v, self.ambient)
         if not self.contains(v):
             raise DimensionMismatch("vector is not in the subspace")
         return tuple(v[p] for p in self.pivots)
-
-    def plus(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        cols = list(self.basis) + [[-x for x in row] for row in other.basis]
-        coefs = [kv[:self.dim] for kv in kernel_basis(Matrix.from_columns(self.field, cols,
-                                                                        self.ambient))]
-        vectors = Matrix(self.field, coefs, cols=self.dim) * Matrix(self.field, self.basis)
-        return Subspace.from_vectors(self.field, self.ambient, vectors.data)
 
     def free_columns(self) -> list[int]:
         """The coordinates that are no pivot, in increasing order."""
@@ -958,10 +934,6 @@ class Subspace:
             v[c] = one
             out.append(tuple(v))
         return out
-
-    def _check(self, other: "Subspace"):
-        if self.ambient != other.ambient or self.field != other.field:
-            raise DimensionMismatch("subspaces live in different ambient spaces")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

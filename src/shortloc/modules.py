@@ -38,8 +38,9 @@ basis elements b, (dim A - 1)·t·dim N equations, and builds each basis
 map on first read.  :func:`hom_dim` reads M's presentation: t·dim N less
 the rank of the equations of the cover kernel's integer rows, with no
 kernel basis and no typed kernel row.  A caller that reads dimensions or
-tops searches on the presentation kernel; a caller that reads basis maps
-keeps :func:`hom_space`.  So :func:`find_isomorphism` solves Hom(M, N) as
+tops searches on the presentation kernel; the dual side reads
+:func:`hom_space`'s flattened rows, and :func:`hom_basis` alone its basis
+maps.  So :func:`find_isomorphism` solves Hom(M, N) as
 the kernel of those t·dim N unknowns and reads each basis element's top,
 a t x t matrix, off its images n_k mod JN, since an A-map between modules
 of one dimension is invertible iff it is onto the top (Nakayama); it takes
@@ -351,9 +352,6 @@ class ModuleMap:
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
-
-    def is_surjective(self) -> bool:
-        return self.rank() == self.target.dim
 
     def is_isomorphism(self) -> bool:
         return self.source.dim == self.target.dim and self.is_injective()
@@ -692,10 +690,7 @@ class HomSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.maps)
-
-    def flatten(self, mat: Matrix) -> tuple:
-        return tuple(x for row in mat.data for x in row)
+        return self.flat.dim
 
 
 def hom_space(M: AModule, N: AModule) -> HomSpace:

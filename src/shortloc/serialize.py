@@ -1,4 +1,4 @@
-"""JSON formats for algebras, modules, Kronecker representations, reports.
+"""JSON formats for algebras, modules and reports.
 
 Scalars serialize as strings ("3/2", "-1"), never floats, so files stay
 exact end-to-end.  Emission is deterministic: keys sorted, structure
@@ -13,7 +13,6 @@ from typing import Optional
 
 from .algebra import ShortAlgebra
 from .errors import BadParams, ResourceCapExceeded, SurjectivityViolation
-from .kronecker import KroneckerRep
 from .linalg import Field, Matrix
 from .modules import AModule
 
@@ -136,23 +135,6 @@ def module_from_dict(d: dict, base_dir: str = ".", cap: Optional[int] = None) ->
     actions = [_matrix(alg.field, X, dim, "module action")
                for X in _typed(d["actions"], (list,), "module 'actions'")]
     return AModule(alg, dim, actions)
-
-
-def kronecker_to_dict(rep: KroneckerRep) -> dict:
-    return {
-        "e": rep.e,
-        "dim0": rep.dim0,
-        "dim1": rep.dim1,
-        "maps": [matrix_to_lists(phi) for phi in rep.maps],
-    }
-
-
-def kronecker_from_dict(d: dict, field: Field) -> KroneckerRep:
-    _require(d, "Kronecker representation", "e", "dim0", "dim1", "maps")
-    e, dim0, dim1 = (_typed(d[k], (int,), f"representation {k!r}") for k in ("e", "dim0", "dim1"))
-    maps = tuple(_matrix(field, rows, dim0, "representation map")
-                 for rows in _typed(d["maps"], (list,), "representation 'maps'"))
-    return KroneckerRep(e=e, dim0=dim0, dim1=dim1, maps=maps)
 
 
 def report(op: str, inputs: dict, *, bound: Optional[int] = None,

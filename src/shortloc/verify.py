@@ -369,9 +369,3 @@ def run_suite(suite: str = "all", seed: int = 0, cap: int = DEFAULT_CAP) -> list
     ctx = Context(seed=seed, cap=cap, fast=(suite == "fast"))
     return [run_claim(claim, ctx) for claim in CLAIMS]
 
-
-def claim_by_id(claim_id: str) -> Claim:
-    for claim in CLAIMS:
-        if claim.claim_id == claim_id:
-            return claim
-    raise KeyError(claim_id)

@@ -35,15 +35,22 @@ The module axioms on dense matrices (``dense_validate``) are the check
 that reading them along the action columns replaced: the e^2 products of
 the generator actions, combined along the algebra's product kernel, then
 every triple product.
+
+The dual side's dense routes are what reading Hom(M, A)'s flat rows
+replaced: the minimal left approximation stacked from the basis map
+matrices at M*'s lift columns, certified by a triple loop over A^op's
+regular rows (``dense_approximation``), and the evaluation map read off
+the columns of every basis map matrix (``dense_evaluation``).
 """
 
 from collections import defaultdict
 from itertools import compress, count
 
-from shortloc.errors import BadParams
+from shortloc.errors import BadParams, InvariantViolation
+from shortloc.homology import ApproximationData, dual_data
 from shortloc.linalg import (Fp, IntRows, Matrix, Rational, Subspace, integer_values,
                              kernel_basis, kernel_subspace, solve)
-from shortloc.modules import pivot_columns
+from shortloc.modules import AModule, ModuleMap, free_module, pivot_columns, quotient
 
 
 def plain_apply(X, v):
@@ -298,7 +305,12 @@ def vstack_torsionless(homs):
     """M is torsionless iff the stacked matrices of a basis of Hom(M, A) have no kernel."""
     if not homs.maps:
         return homs.source.dim == 0
-    return not kernel_basis(Matrix.vstack([f.matrix for f in homs.maps]))
+    return not kernel_basis(stack_rows([f.matrix for f in homs.maps]))
+
+
+def stack_rows(mats):
+    """The matrices of one width stacked, the rows of the first on top."""
+    return Matrix(mats[0].field, [row for X in mats for row in X.data], cols=mats[0].cols)
 
 
 # -- the algebra's dense routes ------------------------------------------------
@@ -307,7 +319,7 @@ def vstack_socle(alg):
     """{z in A : J z = 0}: the kernel of the stacked left multiplications by v_1..v_e."""
     if alg.e == 0:
         return Subspace.full(alg.field, alg.dim)
-    stacked = Matrix.vstack([alg.left_mult_matrix(alg.generator(i)) for i in range(1, alg.e + 1)])
+    stacked = stack_rows([alg.left_mult_matrix(alg.generator(i)) for i in range(1, alg.e + 1)])
     return Subspace.from_vectors(alg.field, alg.dim, kernel_basis(stacked))
 
 
@@ -368,3 +380,41 @@ def dense_validate(M):
         for X in M.actions:
             if not (P * X).is_zero():
                 raise BadParams("triple product of generator actions is non-zero")
+
+
+# -- the dual side's dense routes ------------------------------------------------
+
+def dense_approximation(data):
+    """u: M -> A^z stacked from the basis map matrices at M*'s lift columns, with its cokernel.
+
+    Each f in the Hom(M, A) basis must solve f = sum_k r(b)·g_k: the
+    right multiplications r(b) are A^op's regular rows, which combine the
+    rows of each g_k, and their span must contain ``homs.flat``.
+    """
+    M = data.homs.source
+    alg = M.algebra
+    z = data.module.top_dim()
+    P = free_module(alg, z)
+    gs = [data.homs.maps[c].matrix for c in data.module.lift_columns()]
+    u = ModuleMap(M, P, stack_rows(gs) if gs else Matrix(M.field, [], cols=M.dim))
+    zero, right = M.field.zero(), alg.opposite().regular_rows()
+    factor_cols = [[sum((x * g.data[l][c] for l, x in row), zero)
+                    for row in rows for c in range(M.dim)] for g in gs for rows in right]
+    factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)
+    if not all(factor_space.contains(row) for row in data.homs.flat.basis):
+        raise InvariantViolation("left approximation fails its factoring certificate")
+    img = u.image()
+    return ApproximationData(approximation=u, rank=z, cokernel=quotient(P, img)[0],
+                             injective=img.dim == M.dim)
+
+
+def dense_evaluation(data):
+    """M -> M**: column c holds the bidual coordinates of the n x h matrix (f_j(e_c))_j."""
+    M = data.homs.source
+    bidual = dual_data(data.module)
+    cols = []
+    for c in range(M.dim):
+        mat_cols = [f.matrix.col(c) for f in data.homs.maps]
+        cols.append(bidual.homs.flat.coords(tuple(x for row in zip(*mat_cols) for x in row)))
+    target = AModule(M.algebra, bidual.module.dim, bidual.module.actions, check=False)
+    return ModuleMap(M, target, Matrix.from_columns(M.field, cols, target.dim))

@@ -150,7 +150,7 @@ def test_each_input_takes_its_cover_route(field, products, monkeypatch):
         routes.append(set())
         projective_cover(M)
         assert len(M.int_action_rows()) == M.algebra.dim and M.free_rank is None
-    # The approximation's factoring certificate reads A^op's sparse rows.
+    # The approximation's factoring certificate closes its maps along the right action.
     certified = [mho_step(M).rank for M in loewy3]
     assert len(products) == made and sum(certified) > 0
     assert all(M.loewy_length() <= 2 for M in loewy2) and len(loewy2) >= 40

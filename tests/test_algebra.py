@@ -98,8 +98,9 @@ def test_opposite_is_involution():
 def test_opposite_and_regular_action_are_built_once():
     alg = preset("ex5_5")
     assert alg.opposite() is alg.opposite()
-    assert alg.regular_actions() is alg.regular_actions()
-    assert left_regular_module(alg).actions == alg.regular_actions()
+    assert alg.regular_columns() is alg.regular_columns()
+    assert left_regular_module(alg).actions == tuple(alg.left_mult_matrix(alg.generator(i))
+                                                     for i in range(1, alg.e + 1))
 
 
 def test_commutative_algebras_equal_their_opposite():

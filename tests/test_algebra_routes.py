@@ -44,7 +44,7 @@ def test_no_engine_path_multiplies_algebra_elements(field, monkeypatch):
         alg.product_kernel()
         alg.structure_table()
         alg.regular_columns()
-        alg.regular_actions()
+        left_regular_module(alg).actions
         alg.left_socle()
         alg.right_socle()
         free_module(alg, 2).socle()

@@ -4,13 +4,11 @@ import pytest
 
 from shortloc.algebra import ShortAlgebra
 from shortloc.errors import BadParams, ResourceCapExceeded, SurjectivityViolation
-from shortloc.kronecker import tilde
 from shortloc.linalg import Field
 from shortloc.modules import left_regular_module, m_alpha, radical_module
 from shortloc.presets import preset
 from shortloc.serialize import (algebra_from_dict, algebra_to_dict, dumps,
-                                field_from_dict, field_to_dict, kronecker_from_dict,
-                                kronecker_to_dict, load_module, module_from_dict,
+                                field_from_dict, field_to_dict, load_module, module_from_dict,
                                 module_to_dict, save_json)
 
 
@@ -55,25 +53,6 @@ def test_module_file_reference(tmp_path, lam0):
     save_json(str(mod_path), module_to_dict(M, algebra="alg.json"))
     back = load_module(str(mod_path))
     assert back.dim == M.dim and back.algebra == lam0
-
-
-def test_kronecker_roundtrip(qext):
-    rep = tilde(radical_module(qext))
-    d = kronecker_to_dict(rep)
-    back = kronecker_from_dict(d, qext.field)
-    assert back == rep
-
-
-def test_a_malformed_kronecker_dict_is_refused(qext):
-    # Each of these raised KeyError or TypeError, or was read silently
-    # (dim0 1.5 as 1, e true as 1).
-    d = kronecker_to_dict(tilde(radical_module(qext)))
-    bad = [{k: v for k, v in d.items() if k != "dim1"}, [d], None, dict(d, dim0=1.5),
-           dict(d, e=True), dict(d, dim0="1"), dict(d, maps=None), dict(d, maps=[None] * d["e"])]
-    for case in bad:
-        with pytest.raises(BadParams):
-            kronecker_from_dict(case, qext.field)
-    assert kronecker_from_dict(json.loads(dumps(d)), qext.field) == tilde(radical_module(qext))
 
 
 def test_dumps_is_canonical(L2):

@@ -161,7 +161,8 @@ def test_action_rows_are_the_rows_of_the_element_actions(field):
     # typed element actions.
     for seed, (name, params) in enumerate(ALGEBRAS):
         alg = preset(name, field=field, **params)
-        reader_of_basis_matrices = AModule(alg, alg.dim, alg.regular_actions(), check=False)
+        reader_of_basis_matrices = AModule(alg, alg.dim, left_regular_module(alg).actions,
+                                           check=False)
         for M in targets(alg, seed) + [free_module(alg, 2), reader_of_basis_matrices]:
             rows = action_rows_over_scale(M)
             assert len(rows) == alg.dim

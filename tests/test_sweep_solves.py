@@ -32,6 +32,8 @@ from shortloc.modules import (AModule, IsoSearch, ModuleMap, end_dim, find_isomo
 from shortloc.numerics import main_lemma_witness
 from shortloc.presets import preset
 
+from references import stack_rows
+
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
 
@@ -175,7 +177,7 @@ def assert_a_witness_in_hom(iso, M, N):
     """The witness is invertible and lies in Hom(M, N) as ``hom_space`` solves it."""
     homs = modules.hom_space(M, N)
     assert iso.witness.is_isomorphism()
-    assert homs.flat.contains(homs.flatten(iso.witness.matrix))
+    assert homs.flat.contains(tuple(x for row in iso.witness.matrix.data for x in row))
 
 
 # -- the isomorphism search ----------------------------------------------------
@@ -283,7 +285,7 @@ def dense_socle(M):
     """The kernel of the stacked dense actions, reduced: the formula the socle replaced."""
     if M.algebra.e == 0 or M.dim == 0:
         return Subspace.full(M.field, M.dim)
-    return Subspace.from_vectors(M.field, M.dim, kernel_basis(Matrix.vstack(M.actions)))
+    return Subspace.from_vectors(M.field, M.dim, kernel_basis(stack_rows(M.actions)))
 
 
 def subspace_signature(space):
