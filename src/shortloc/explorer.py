@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from ._record import record
 from .errors import BadParams, InvariantViolation, LoewyTooLong, ResourceCapExceeded
-from .homology import DEFAULT_CAP, MinimalResolution, dual_data, is_torsionless
+from .homology import DEFAULT_CAP, MinimalResolution, dual_data
 from .modules import AModule, dim_vector, find_isomorphism, is_bipartite, simple_multiplicity
 from .numerics import defect
 
@@ -196,7 +196,8 @@ def classify_complex(M: AModule, back: int, fwd: int, seed: int = 0,
         raise BadParams(f"back and fwd must be at least 0, got {back}, {fwd}")
     if M.loewy_length() > 2:
         raise LoewyTooLong("complex classification needs Loewy length <= 2")
-    if not is_torsionless(M):
+    data = dual_data(M)  # Hom(M, A) serves the check and the first forward step
+    if not data.torsionless:
         raise BadParams("complex classification needs a torsionless module")
     alg = M.algebra
     a_defects = alg.a == alg.e - 1
@@ -217,8 +218,9 @@ def classify_complex(M: AModule, back: int, fwd: int, seed: int = 0,
         else:
             cur = M
             for j in range(1, fwd + 1):
+                if j > 1:
+                    data = dual_data(cur)
                 # Reflexive implies torsionless, so the approximation is injective.
-                data = dual_data(cur)
                 if not data.reflexive:
                     forward_verified = False
                     if obstruction is None:

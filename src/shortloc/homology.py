@@ -74,8 +74,8 @@ from .algebra import ShortAlgebra
 from .errors import BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import (IntRows, Matrix, Subspace, integer_values, kernel_subspace, rank,
                      typed_values)
-from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, hom_dim, hom_space,
-                      left_regular_module, module_from_columns, pivot_columns, quotient,
+from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, generated_span, hom_dim,
+                      hom_space, left_regular_module, module_from_columns, pivot_columns, quotient,
                       relation_equations, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
@@ -723,9 +723,9 @@ class DualData:
         unit vectors, so u stacks the basis maps g_k at its lift columns:
         entry s·dim M + c of g_k's flat row is entry (k·dim A + s, c) of u.
         A factoring certificate checks that every map M -> A factors
-        through u: the closure g_k, g_k·J, g_k·J^2 along :attr:`_right`
-        (J^3 = 0 ends it, as in :func:`~shortloc.modules.generated_submodule`)
-        spans the g_k·b for b in A, and must hold every row of ``homs.flat``.
+        through u: the closure of the g_k along :attr:`_right`
+        (:func:`~shortloc.modules.generated_span`) spans the g_k·b for b in
+        A, and must hold every row of ``homs.flat``.
         """
         M, flat = self.homs.source, self.homs.flat
         n, d, rows = M.algebra.dim, M.dim, flat.sparse_rows()
@@ -737,10 +737,7 @@ class DualData:
                 columns[c].append((k * n + s, x))
         P = free_module(M.algebra, len(gs))
         u = ModuleMap(M, P, Matrix.from_sparse_columns(M.field, P.dim, columns))
-        once = [v for row in vector_images(self._right, gs) for v in row]
-        twice = [v for row in vector_images(self._right, [(v, v.values()) for v in once])
-                 for v in row]
-        closure = Subspace.from_vectors(M.field, n * d, [dict(zip(*g)) for g in gs] + once + twice)
+        closure = generated_span(M.field, n * d, self._right, gs)
         if not all(closure.contains(dict(zip(*row))) for row in rows.values()):
             raise InvariantViolation("left approximation fails its factoring certificate")
         img = Subspace.from_vectors(M.field, P.dim, map(dict, columns))

@@ -352,21 +352,6 @@ class Matrix:
             raise DimensionMismatch("vector length mismatch")
         return (self * Matrix.from_columns(self.field, [vec], self.cols)).col(0)
 
-    @staticmethod
-    def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
-        field = blocks[0].field
-        zero = field.zero()
-        total_r = sum(b.rows for b in blocks)
-        total_c = sum(b.cols for b in blocks)
-        out = [[zero] * total_c for _ in range(total_r)]
-        r0 = c0 = 0
-        for b in blocks:
-            for i, row in enumerate(b.data):
-                out[r0 + i][c0:c0 + b.cols] = row
-            r0 += b.rows
-            c0 += b.cols
-        return Matrix(field, out, cols=total_c)
-
 
 class IntRows:
     """A matrix in the elimination's own form: rows {column: int}, column scales.

@@ -41,12 +41,13 @@ kernel basis and no typed kernel row.  A caller that reads dimensions or
 tops searches on the presentation kernel; the dual side reads
 :func:`hom_space`'s flattened rows, and :func:`hom_basis` alone its basis
 maps.  So :func:`find_isomorphism` solves Hom(M, N) as
-the kernel of those t·dim N unknowns and reads each basis element's top,
-a t x t matrix, off its images n_k mod JN, since an A-map between modules
-of one dimension is invertible iff it is onto the top (Nakayama); it takes
-dim Hom(N, M) only when no basis element is invertible, and solves for
-one witness matrix only when the witness is read.  Socle dimensions, and
-with them the bipartite test and the multiplicity of S, are ranks.
+the kernel of those t·dim N unknowns and reads each basis element's top
+once, sparse, off its images n_k mod JN, since an A-map between modules of
+one dimension is invertible iff it is onto the top (Nakayama); a
+combination's top is that combination of the tops.  It takes dim Hom(N, M)
+only when no basis element is invertible, and solves for one witness
+matrix only when the witness is read.  Socle dimensions, and with them
+the bipartite test and the multiplicity of S, are ranks.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from ._record import record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
-from .linalg import (DEFAULT_POOL, IntRows, Matrix, Subspace, integer_values, kernel_subspace,
-                     rank)
+from .linalg import (DEFAULT_POOL, Field, IntRows, Matrix, Subspace, integer_values,
+                     kernel_subspace, rank)
 
 
 class DimVec(tuple):
@@ -502,17 +503,23 @@ def submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleM
 
 
 def generated_submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
-    """The submodule generated by the vectors: their span closed under A.
-
-    The closure is v, Jv and J(Jv), which spans J^2 v; J^3 = 0 ends it.
-    """
+    """The submodule the vectors generate: their span closed under A (:func:`generated_span`)."""
     vecs = [tuple(v) for v in vectors]
     if any(len(v) != M.dim for v in vecs):
         raise DimensionMismatch("vector has wrong ambient dimension")
-    columns = M.action_columns()
-    jv = [img for row in vector_images(columns, [(range(M.dim), v) for v in vecs]) for img in row]
-    jjv = [img for row in vector_images(columns, [(v, v.values()) for v in jv]) for img in row]
-    return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim, vecs + jv + jjv))
+    span = generated_span(M.field, M.dim, M.action_columns(), [(range(M.dim), v) for v in vecs])
+    return module_from_subspace(M, span)
+
+
+def generated_span(field: Field, ambient: int, columns: list, vectors: Sequence) -> Subspace:
+    """The span of the x, the v_i·x and the v_i·(v_j·x) along ``columns``, x as (indices, values).
+
+    It is closed under A: the v_i v_j span J^2, and J^3 = 0 ends it.
+    """
+    once = [v for row in vector_images(columns, vectors) for v in row]
+    twice = [v for row in vector_images(columns, [(v.keys(), v.values()) for v in once])
+             for v in row]
+    return Subspace.from_vectors(field, ambient, [dict(zip(*x)) for x in vectors] + once + twice)
 
 
 def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
@@ -548,8 +555,10 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
 def direct_sum(M: AModule, N: AModule) -> AModule:
     if M.algebra != N.algebra:
         raise AlgebraMismatch("direct sum over different algebras")
-    acts = [Matrix.block_diag([X, Y]) for X, Y in zip(M.actions, N.actions)]
-    return AModule(M.algebra, M.dim + N.dim, acts, check=False)
+    d = M.dim
+    return module_from_columns(M.algebra, d + N.dim, [
+        cm + [[(d + i, x) for i, x in col] for col in cn]
+        for cm, cn in zip(M.action_columns(), N.action_columns())])
 
 
 def radical_module(alg: ShortAlgebra) -> AModule:
@@ -837,31 +846,39 @@ class IsoSearch:
 _ISO_TRIES = 64
 
 
-def _invertible(mat: Matrix) -> bool:
-    """True iff ``mat`` is square of full rank; a zero matrix, unless 0 x 0, is not eliminated."""
-    return mat.rows == mat.cols and (not mat.rows or any(map(any, mat.data))
-                                     and rank(mat) == mat.rows)
+def _invertible(N: AModule, t: int, top: dict) -> bool:
+    """True iff ``top`` (:func:`_top`) is square, N's top having t rows, and of rank t.
+
+    A zero top is not eliminated; any other is ranked as sparse rows.
+    """
+    if N.top_dim() != t or not any(top.values()):
+        return False
+    rows: list[dict] = [{} for _ in range(t)]
+    for q, x in top.items():
+        f, k = divmod(q, t)
+        rows[f][k] = x
+    return rank(IntRows.from_scalars(N.field, rows, t)) == t
 
 
-def _top(N: AModule, t: int, images: dict) -> Matrix:
-    """The A-map given by images n_1..n_t in N, on tops: each n_k mod JN at N's free columns.
+def _top(N: AModule, t: int, images: dict) -> dict:
+    """The A-map given by images n_1..n_t in N, on tops: {f·t + k: entry f of n_k mod JN}.
 
     ``images`` holds the non-zero entries of (n_1..n_t) in the unknowns of
     :func:`presentation_equations`, {s·t + k: entry s of n_k}.  Column k is
-    n_k's residue (:meth:`~shortloc.linalg.Subspace.residue`) modulo JN;
-    the map sends the top lift m_k to n_k, so this is its matrix on tops,
-    and an A-map between modules of one dimension is invertible iff this
-    matrix is (Nakayama: F is onto iff F(M) + JN = N).
+    n_k's residue (:meth:`~shortloc.linalg.Subspace.residue`) modulo JN,
+    row f its entry at N's f-th free column; the map sends the top lift
+    m_k to n_k, so this is its matrix on tops, and an A-map between modules
+    of one dimension is invertible iff this matrix is (Nakayama: F is onto
+    iff F(M) + JN = N).
     """
     radical = N.radical()
     at = {f: i for i, f in enumerate(radical.free_columns())}
-    zero = N.field.zero()
-    top = [[zero] * t for _ in at]
+    top = {}
     for k, n_k in enumerate(_copies(images, t)):
         if n_k:
             for j, x in radical.residue(n_k.items()).items():
-                top[at[j]][k] = x
-    return Matrix(N.field, top, cols=t)
+                top[at[j] * t + k] = x
+    return top
 
 
 def _copies(images: dict, t: int) -> list[dict]:
@@ -911,15 +928,15 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     A search reads tops, not basis maps, so it solves Hom(M, N) as the
     kernel of :func:`presentation_equations`, t·dim N unknowns, and never
     calls :func:`hom_space`.  Each basis element (n_1..n_t) is tried on
-    tops (:func:`_top`).  Only when none is invertible is dim Hom(N, M)
-    taken, by rank (:func:`hom_dim`): an isomorphism makes the two Hom
-    dimensions equal, so a mismatch certifies that there is none.
-    Otherwise seeded random combinations with small coefficients are
-    tried, and over Q also a generic combination evaluated at the integer
-    points 1, 2, ..., 2 dim Hom + 8, each on tops, which are read off the
-    combined images; any hit certifies the isomorphism.  The witness is
-    the map of the invertible images (:func:`_witness`), one solve on
-    first read of its matrix.
+    its top (:func:`_top`), read once.  Only when none is invertible is
+    dim Hom(N, M) taken, by rank (:func:`hom_dim`): an isomorphism makes
+    the two Hom dimensions equal, so a mismatch certifies that there is
+    none.  Otherwise seeded random combinations with small coefficients
+    are tried, and over Q also a generic combination evaluated at the
+    integer points 1, 2, ..., 2 dim Hom + 8, each on the same combination
+    of the tops; any hit certifies the isomorphism.  The witness is the
+    map of the combined images (:func:`_witness`), the one matrix built,
+    by one solve on first read.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism between modules over different algebras")
@@ -930,15 +947,13 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
     rows = homs.sparse_rows()
     basis = [dict(zip(*rows[p])) for p in homs.pivots]
-    # The top is linear in the images, so a combination's top is read off
-    # the combined images of the live elements, those whose top is not zero.
-    live = []
-    for i, images in enumerate(basis):
-        top = _top(N, t, images)
-        if _invertible(top):
+    # The top is linear in the images, so a combination's top is the same
+    # combination of the basis elements' tops, each read once here.
+    tops = []
+    for images in basis:
+        tops.append(_top(N, t, images))
+        if _invertible(N, t, tops[-1]):
             return IsoSearch(True, True, witness=_witness(M, N, images))
-        if any(map(any, top.data)):
-            live.append(i)
     if homs.dim != hom_dim(N, M):
         return IsoSearch(False, True, note="hom dimension mismatch")
     if not basis:
@@ -954,7 +969,7 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
                 x = M.field.of(point)
                 yield [x ** k for k in range(len(basis))]
     for coefs in coefficients():
-        if _invertible(_top(N, t, _combine([coefs[i] for i in live], [basis[i] for i in live]))):
+        if _invertible(N, t, _combine(coefs, tops)):
             return IsoSearch(True, True, witness=_witness(M, N, _combine(coefs, basis)))
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
 

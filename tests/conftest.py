@@ -1,6 +1,25 @@
+import sys
+from collections import Counter
+
 import pytest
 
+from shortloc import linalg
 from shortloc.presets import preset
+
+
+@pytest.fixture
+def matrix_builds(monkeypatch):
+    """Each ``Matrix`` built, counted by the name of the calling function outside ``linalg``."""
+    builds = Counter()
+
+    def counted(self, *args, _original=linalg.Matrix.__init__, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == linalg.__file__:
+            frame = frame.f_back
+        builds[frame.f_code.co_name] += 1
+        _original(self, *args, **kwargs)
+    monkeypatch.setattr(linalg.Matrix, "__init__", counted)
+    return builds
 
 
 @pytest.fixture(scope="session")

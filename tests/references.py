@@ -41,16 +41,25 @@ replaced: the minimal left approximation stacked from the basis map
 matrices at M*'s lift columns, certified by a triple loop over A^op's
 regular rows (``dense_approximation``), and the evaluation map read off
 the columns of every basis map matrix (``dense_evaluation``).
+
+The isomorphism search with dense tops (``dense_top_find_isomorphism``)
+is what ranking sparse tops replaced: each top laid out as a dense
+dim top N x t matrix, a zero one skipped, and each combination's top
+read off the combined images of the basis elements whose top is not zero.
 """
+
+import random
 
 from collections import defaultdict
 from itertools import compress, count
 
 from shortloc.errors import BadParams, InvariantViolation
 from shortloc.homology import ApproximationData, dual_data
-from shortloc.linalg import (Fp, IntRows, Matrix, Rational, Subspace, integer_values,
-                             kernel_basis, kernel_subspace, solve)
-from shortloc.modules import AModule, ModuleMap, free_module, pivot_columns, quotient
+from shortloc import modules
+from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace,
+                             integer_values, kernel_basis, kernel_subspace, rank, solve)
+from shortloc.modules import (AModule, IsoSearch, ModuleMap, free_module, hom_dim, pivot_columns,
+                              presentation_equations, quotient)
 
 
 def plain_apply(X, v):
@@ -418,3 +427,62 @@ def dense_evaluation(data):
         cols.append(bidual.homs.flat.coords(tuple(x for row in zip(*mat_cols) for x in row)))
     target = AModule(M.algebra, bidual.module.dim, bidual.module.actions, check=False)
     return ModuleMap(M, target, Matrix.from_columns(M.field, cols, target.dim))
+
+
+# -- the search on dense tops ------------------------------------------------------
+
+def dense_top(N, t, images):
+    """The top of the map with images n_1..n_t as a dense matrix: n_k mod JN at N's free columns."""
+    radical = N.radical()
+    at = {f: i for i, f in enumerate(radical.free_columns())}
+    zero = N.field.zero()
+    top = [[zero] * t for _ in at]
+    for k, n_k in enumerate(modules._copies(images, t)):
+        if n_k:
+            for j, x in radical.residue(n_k.items()).items():
+                top[at[j]][k] = x
+    return Matrix(N.field, top, cols=t)
+
+
+def dense_invertible(mat):
+    """True iff ``mat`` is square of full rank; a zero matrix, unless 0 x 0, is not eliminated."""
+    return mat.rows == mat.cols and (not mat.rows or any(map(any, mat.data))
+                                     and rank(mat) == mat.rows)
+
+
+def dense_top_find_isomorphism(M, N, seed=0):
+    """``find_isomorphism`` on dense tops, each combination's read off its live combined images."""
+    if M.dim != N.dim:
+        return IsoSearch(False, True, note="dimension mismatch")
+    if M.dim == 0:
+        return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.zeros(M.field, 0, 0)))
+    homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
+    rows = homs.sparse_rows()
+    basis = [dict(zip(*rows[p])) for p in homs.pivots]
+    live = []
+    for i, images in enumerate(basis):
+        top = dense_top(N, t, images)
+        if dense_invertible(top):
+            return IsoSearch(True, True, witness=modules._witness(M, N, images))
+        if any(map(any, top.data)):
+            live.append(i)
+    if homs.dim != hom_dim(N, M):
+        return IsoSearch(False, True, note="hom dimension mismatch")
+    if not basis:
+        return IsoSearch(False, True, note="no non-zero homomorphisms")
+    rng = random.Random(seed)
+    elems = [M.field.of(x) for x in DEFAULT_POOL]
+
+    def coefficients():
+        for _ in range(64):
+            yield [rng.choice(elems) for _ in basis]
+        if M.field.is_rationals:
+            for point in range(1, 2 * len(basis) + 9):
+                x = M.field.of(point)
+                yield [x ** k for k in range(len(basis))]
+    for coefs in coefficients():
+        combined = modules._combine([coefs[i] for i in live], [basis[i] for i in live])
+        if dense_invertible(dense_top(N, t, combined)):
+            return IsoSearch(True, True,
+                             witness=modules._witness(M, N, modules._combine(coefs, basis)))
+    return IsoSearch(False, False, note="no isomorphism found (probabilistic)")

@@ -1,5 +1,6 @@
 import pytest
 
+from shortloc import homology
 from shortloc.errors import BadParams, LoewyTooLong
 from shortloc.explorer import (classify_complex, cv_sequence_check, mho_path,
                                omega_path, periodicity_detect)
@@ -113,6 +114,18 @@ def test_classify_not_extendable_over_truncated_tensor():
     assert cls.obstruction
     # Backward ranks blow up e-fold every two steps.
     assert cls.ranks[-1] > cls.ranks[cls.module_index]
+
+
+@pytest.mark.parametrize("e, a", [(2, 1), (3, 2)])
+def test_classify_solves_hom_into_a_once_for_its_module(monkeypatch, e, a):
+    # Hom(N, A) serves the torsionless check and the first forward step.
+    sources = []
+    monkeypatch.setattr(homology, "hom_space", lambda M, A, _original=homology.hom_space:
+                        sources.append(M) or _original(M, A))
+    N = cyclic_x(preset("ex14_1", e=e, a=a))
+    cls = classify_complex(N, 3, 2)
+    assert cls.period is None and cls.kind == "NotAcyclicExtendable"
+    assert sum(M is N for M in sources) == 1
 
 
 def test_classify_self_injective_regime(qext):

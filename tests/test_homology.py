@@ -681,12 +681,13 @@ def test_stable_hom_solves_no_hom_into_a_free_module_of_rank_two(hom_targets, la
 
 
 def test_forward_walk_solves_one_dual_per_step(hom_into_a, qext):
-    # One solve for the torsionless check on J, then Hom(M, A) for each
-    # module the forward walk steps through; reflexivity takes
+    # Hom(M, A) once for each module the forward walk steps through, the
+    # first, J, serving the torsionless check too; reflexivity takes
     # dim Hom(M*, A^op) by rank, with no basis solved.
-    cls = classify_complex(radical_module(qext), 1, 3)
+    J = radical_module(qext)
+    cls = classify_complex(J, 1, 3)
     assert cls.forward_verified and cls.period is None
-    assert len(hom_into_a) == 1 + 3
+    assert len(hom_into_a) == 3 and hom_into_a[0] is J
 
 
 # -- vectors are mapped by matrix products ------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from shortloc.errors import BadParams, LoewyTooLong, ZeroModule
-from shortloc.homology import betti, projective_cover
+from shortloc.homology import projective_cover
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
                               end_dim, find_isomorphism, free_module, hom_basis,
@@ -354,13 +354,15 @@ def _free_spaces(alg, t, seed):
     yield Subspace.from_vectors(alg.field, alg.dim * t, vecs)
 
 
+def typed(mats):
+    return [[[(type(x), x) for x in row] for row in X.data] for X in mats]
+
+
 @pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 def test_free_module_actions_are_block_diagonals(field):
     # A^t is held by its columns; the matrices built from them on first read
     # are the block diagonals of the regular action, entry by entry and type
     # by type, and A^1's are the regular action itself.
-    def typed(mats):
-        return [[[(type(x), x) for x in row] for row in X.data] for X in mats]
     for name, kw in _FREE_CASES + [("qexterior", {}), ("ex14_1", {"e": 2, "a": 2})]:
         alg = preset(name, field=field, **kw)
         A = left_regular_module(alg)
@@ -369,8 +371,40 @@ def test_free_module_actions_are_block_diagonals(field):
                                   for i in range(1, alg.e + 1))
         for t in range(1, 5):
             F = free_module(alg, t)
-            assert typed(F.actions) == typed(Matrix.block_diag([R] * t) for R in A.actions)
-            assert F.actions == tuple(plain_block_diagonal(R, t) for R in A.actions)
+            assert typed(F.actions) == typed(plain_block_diagonal(R, t) for R in A.actions)
+
+
+def plain_direct_sum(X, Y):
+    """The block diagonal of X and Y entry by entry, Y's block at rows and columns m..
+
+    Every zero is the field's zero, as in a matrix built from sparse columns
+    (a quotient's actions may hold a zero residue of another type).
+    """
+    m, d, zero = X.rows, X.rows + Y.rows, X.field.zero()
+    entries = [[X.data[i][j] if i < m and j < m else
+                Y.data[i - m][j - m] if i >= m and j >= m else zero
+                for j in range(d)] for i in range(d)]
+    return Matrix(X.field, [[x if x else zero for x in row] for row in entries], cols=d)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_direct_sum_actions_are_block_diagonals(field):
+    # The sum is built from M's action columns and N's shifted by dim M; its
+    # matrices are the dense block diagonals, entry by entry and type by type.
+    checked = 0
+    for name, kw in _FREE_CASES + [("qexterior", {})]:
+        alg = preset(name, field=field, **kw)
+        M = random_module(alg, 2, 1, seed=3)
+        mods = [zero_module(alg), simple_module(alg), left_regular_module(alg), M,
+                quotient(M, M.socle())[0], radical_module(alg)]
+        for A in mods:
+            for B in mods:
+                S = direct_sum(A, B)
+                assert S.dim == A.dim + B.dim
+                assert typed(S.actions) == typed(plain_direct_sum(X, Y)
+                                                 for X, Y in zip(A.actions, B.actions))
+                checked += 1
+    assert checked == 4 * 36
 
 
 @FIELDS
@@ -406,16 +440,6 @@ def test_explicit_copy_of_a_free_module_reads_as_the_free_module(field):
                 assert via_copy == module_from_subspace(F, space)[0].actions
             assert copy.action_columns() == F.action_columns()
             assert copy.int_action_rows() == F.int_action_rows()
-
-
-def test_resolution_never_builds_block_diagonals(monkeypatch):
-    calls = []
-    block_diag = Matrix.block_diag
-    monkeypatch.setattr(Matrix, "block_diag",
-                        staticmethod(lambda blocks: calls.append(len(blocks)) or block_diag(blocks)))
-    alg = preset("ex15_1", e=3, a=2)
-    assert betti(simple_module(alg), 6).values == (1, 3, 7, 15, 31, 63, 127)
-    assert calls == []
 
 
 def test_unstable_subspace_of_a_free_module_is_refused(conca32):

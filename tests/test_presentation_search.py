@@ -7,13 +7,17 @@ top-lift relations, and the search order it served
 (``reference_find_isomorphism``) stay the references.  Over Q, F_7 and
 F_32003 the two Hom routes must give one dimension, the search the
 reference's verdict, and every witness must be an isomorphism of modules,
-which one mutated entry breaks.
+which one mutated entry breaks.  The search on dense tops
+(``references.dense_top_find_isomorphism``) must give the same verdicts
+and the same witness matrices, type by type, and a counting guard keeps
+the search from building a matrix or reading a top twice.
 """
 
 import random
 
 import pytest
 
+from shortloc import modules
 from shortloc.homology import MinimalResolution
 from shortloc.linalg import QQ, Field, Matrix, kernel_subspace
 from shortloc.modules import (ModuleMap, find_isomorphism, free_module, hom_dim, hom_space,
@@ -21,8 +25,9 @@ from shortloc.modules import (ModuleMap, find_isomorphism, free_module, hom_dim,
                               simple_module)
 from shortloc.presets import preset, preset_names
 
-from test_sweep_solves import (SWEEP_PRESETS, fresh, rebased, reference_find_isomorphism,
-                               sweep_pairs)
+from references import dense_top_find_isomorphism
+from test_sweep_solves import (SWEEP_PRESETS, fresh, presentation_basis, rebased,
+                               reference_find_isomorphism, sweep_pairs)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -32,6 +37,10 @@ _PRESET_PARAMS = {"L": {"e": 2}, "ex14_1": {"e": 2, "a": 1}, "ex15_1": {"e": 3, 
 #: reference, which solves two Hom bases of dim^2 unknowns each; the larger
 #: ones are the self-pairs of Ω^3 S and Ω^4 S (dimensions 35 to 91).
 REFERENCE_DIM = 30
+
+#: The dense-top search is compared on modules up to this dimension, which
+#: takes in Ω^4 S over ex5_4a (91) and leaves out larger syzygies.
+DENSE_TOP_DIM = 100
 
 
 def is_module_isomorphism(F: ModuleMap) -> bool:
@@ -122,3 +131,61 @@ def test_a_mutated_witness_is_refused(field):
         assert not is_module_isomorphism(ModuleMap(M, N, Matrix(field, data, cols=M.dim)))
         mutated += 1
     assert mutated >= 60
+
+
+# -- sparse tops against the dense-top search ----------------------------------
+
+def typed_matrix(F):
+    return [[(type(x), x) for x in row] for row in F.matrix.data]
+
+
+def search_pairs(field):
+    """(M, N, seed) for each sweep pair and each equal-dimension (Ω^i S, Ω^j S), i, j <= 4."""
+    pairs = [(fresh(M), fresh(N), M.dim * 7 + N.dim) for _, M, N in sweep_pairs(field)]
+    for _, ladder in syzygy_ladders(field):
+        pairs += [(M, N, 5 * i + j) for i, M in enumerate(ladder) for j, N in enumerate(ladder)
+                  if M.dim == N.dim <= DENSE_TOP_DIM]
+    return pairs
+
+
+@FIELDS
+def test_sparse_tops_match_the_dense_top_search(field):
+    verdicts = set()
+    for M, N, seed in search_pairs(field):
+        got = find_isomorphism(M, N, seed=seed)
+        want = dense_top_find_isomorphism(M, N, seed=seed)
+        assert verdict(got) == verdict(want)
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert typed_matrix(got.witness) == typed_matrix(want.witness)
+        verdicts.add(verdict(got))
+    assert verdicts >= {(True, True, ""), (False, True, "hom dimension mismatch"),
+                        (False, False, "no isomorphism found (probabilistic)")}
+
+
+def test_a_search_builds_no_matrix_and_reads_each_top_once(monkeypatch, matrix_builds):
+    events = []
+    for name in ("_top", "_invertible", "hom_dim"):
+        monkeypatch.setattr(modules, name, lambda *args, _name=name,
+                            _original=getattr(modules, name): events.append(_name)
+                            or _original(*args))
+    searched = combined = 0
+    for M, N, seed in search_pairs(QQ):
+        if M.dim == 0:
+            continue  # the zero map is the witness, built as the search returns
+        basis = presentation_basis(M, N)
+        events.clear(), matrix_builds.clear()
+        iso = find_isomorphism(M, N, seed=seed)
+        # Each scanned basis element's top is read once and tested; a
+        # combination's top is the combination of those tops, read again nowhere.
+        scan = events[:events.index("hom_dim")] if "hom_dim" in events else events
+        assert scan == ["_top", "_invertible"] * (len(scan) // 2)
+        assert set(events[len(scan):]) <= {"hom_dim", "_invertible"}
+        assert len(scan) // 2 == len(basis) or "hom_dim" not in events
+        # No matrix is built before the witness's is read, and then one.
+        assert not matrix_builds
+        if iso.witness is not None:
+            assert iso.witness.matrix.rows == M.dim and matrix_builds == {"build": 1}
+            combined += "hom_dim" in events
+        searched += 1
+    assert searched >= 200 and combined >= 40

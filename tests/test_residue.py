@@ -120,9 +120,11 @@ def test_quotients_and_tops_match_the_walks(field):
                 for N in (M, Q):
                     homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
                     rows = homs.sparse_rows()
-                    got = [_top(N, t, dict(zip(*rows[p]))) for p in homs.pivots]
-                    ref = walk_tops(N, t, homs)
-                    assert [list(map(scalars, X.data)) for X in got] == \
-                        [list(map(scalars, X.data)) for X in ref]
+                    got = [{q: (type(x), x) for q, x in _top(N, t, dict(zip(*rows[p]))).items()
+                            if x} for p in homs.pivots]
+                    # The walk's dense tops, read as {f·t + k: entry (f, k)}.
+                    ref = [{f * t + k: (type(x), x) for f, row in enumerate(X.data)
+                            for k, x in enumerate(row) if x} for X in walk_tops(N, t, homs)]
+                    assert got == ref
                     maps += len(got)
     assert quotients == 64 and maps >= 100

@@ -214,7 +214,7 @@ def test_an_invertible_first_basis_element_costs_one_hom_solve(hom_space_calls, 
     for M in sweep_modules(QQ, per_stratum=1, seed=5):
         N, t = rebased(M, rng), M.top_dim()
         first = presentation_basis(M, N)[0]
-        if not modules._invertible(modules._top(N, t, first)):
+        if not modules._invertible(N, t, modules._top(N, t, first)):
             continue
         hom_space_calls.clear(), equation_calls.clear()
         iso = find_isomorphism(fresh(M), N)
@@ -432,7 +432,15 @@ def test_a_socle_is_ranked_once_and_a_zero_top_never(monkeypatch):
     rank_of, invertible = modules.rank, modules._invertible
     for mod in (modules, homology):
         monkeypatch.setattr(mod, "rank", lambda m: ranked.append(m) or rank_of(m))
-    monkeypatch.setattr(modules, "_invertible", lambda top: tested.append(top) or invertible(top))
+
+    def counted(N, t, top):
+        # (square, non-zero, what the call ranked) for each top tested.
+        before = len(ranked)
+        out = invertible(N, t, top)
+        tested.append((N.top_dim() == t, any(top.values()),
+                       [(type(m), m.cols) for m in ranked[before:]]))
+        return out
+    monkeypatch.setattr(modules, "_invertible", counted)
     for M in sweep_modules(QQ, per_stratum=1, seed=9):
         omega = syzygy(M)
         ranked.clear()
@@ -447,10 +455,10 @@ def test_a_socle_is_ranked_once_and_a_zero_top_never(monkeypatch):
     for _, M, N in sweep_pairs(QQ):
         ranked.clear(), tested.clear()
         find_isomorphism(fresh(M), fresh(N), seed=3)
-        square = [top for top in tested if top.rows == top.cols]
-        nonzero = [top for top in square if not top.is_zero()]
-        assert [m for m in ranked if any(m is top for top in tested)] == nonzero
-        zero_tops += len(square) - len(nonzero)
-        nonzero_tops += len(nonzero)
+        # A square non-zero top is ranked once, as t integer columns; any other never.
+        t = M.top_dim()
+        for square, nonzero, seen in tested:
+            assert seen == ([(IntRows, t)] if square and nonzero else [])
+            zero_tops += square and not nonzero
+            nonzero_tops += square and nonzero
     assert zero_tops >= 500 and nonzero_tops >= 100
-    assert modules._invertible(Matrix.zeros(QQ, 0, 0))

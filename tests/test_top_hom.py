@@ -109,13 +109,14 @@ def test_top_lift_hom_space_is_the_intertwining_kernel(field):
 def test_the_top_test_is_invertibility(field):
     checked = {True: 0, False: 0}
     for _, M, N in sweep_pairs(field):
+        t = M.top_dim()
         for images in presentation_basis(M, N):
-            top = modules._top(N, M.top_dim(), images)
+            top = modules._top(N, t, images)
             # The map built from the element's (n_k) is an A-map.
             F = modules._witness(M, N, images)
             assert F.is_intertwiner()
             invertible = rank(F.matrix) == M.dim
-            assert modules._invertible(top) == invertible
+            assert modules._invertible(N, t, top) == invertible
             checked[invertible] += 1
     assert checked[True] >= 20 and checked[False] >= 20
 
