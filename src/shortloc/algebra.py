@@ -49,7 +49,7 @@ class ShortAlgebra:
         self._report = None
         self._product_kernel = None
         self._sections = None
-        self._regular_rows = None
+        self._regular_module = None
         self._structure_table = None
         self._regular_columns = None
         self._opposite = None
@@ -155,10 +155,10 @@ class ShortAlgebra:
     def regular_columns(self) -> tuple:
         """Per generator, the non-zeros (row, value) of each column of its regular action.
 
-        Read off the structure constants and built once, as
-        :meth:`regular_rows` is: v_j sends 1 to v_j and v_i to
-        sum_m c_{jim} w_m, and kills J^2.  A^t shifts them copy by copy
-        (:func:`~shortloc.modules.free_module`).
+        Read off the structure constants and built once: v_j sends 1 to
+        v_j and v_i to sum_m c_{jim} w_m, and kills J^2.  A^t shifts them
+        copy by copy (:func:`~shortloc.modules.free_module`), and every
+        module view of A, its integer rows among them, is read off them.
         """
         if self._regular_columns is None:
             e, one = self.e, self.field.one()
@@ -167,25 +167,6 @@ class ShortAlgebra:
                 cols[j - 1][i].append((e + m, c))
             self._regular_columns = tuple(cols)
         return self._regular_columns
-
-    def regular_rows(self) -> tuple:
-        """Per basis element b, the non-zeros (column, value) of each row of x -> b*x.
-
-        Read off the structure constants and built once: 1 acts as the
-        identity, v_j sends 1 to v_j and v_i to sum_m c_{jim} w_m, and w_m
-        sends 1 to w_m.
-        """
-        if self._regular_rows is None:
-            e, n, one = self.e, self.dim, self.field.one()
-            rows = [[[] for _ in range(n)] for _ in range(n)]
-            for r in range(n):
-                rows[0][r].append((r, one))
-            for b in range(1, n):
-                rows[b][b].append((0, one))
-            for (j, i, m), c in sorted(self.structure.items()):
-                rows[j][e + m].append((i, c))
-            self._regular_rows = tuple(tuple(map(tuple, b)) for b in rows)
-        return self._regular_rows
 
     def structure_table(self) -> tuple[tuple, int]:
         """The structure constants in integer form, per coordinate of A, and their scale T.
@@ -225,25 +206,21 @@ class ShortAlgebra:
 
     # -- validation ----------------------------------------------------
 
-    def left_socle(self) -> Subspace:
-        """{z in A : J z = 0}, the socle of A as a left module over itself."""
-        from .modules import left_regular_module
-        return left_regular_module(self).socle()
-
-    def right_socle(self) -> Subspace:
-        """{z in A : z J = 0}, the left socle of the opposite algebra."""
-        return self.opposite().left_socle()
-
     def validate(self) -> "AlgebraReport":
-        """Check the structural invariants and summarize the algebra."""
+        """Check the structural invariants and summarize the algebra.
+
+        The socle dimensions are ranks, read off A^1 over A and over the
+        opposite algebra (:func:`~shortloc.modules.left_regular_module`).
+        """
         if self._report is not None:
             return self._report
         rk = rank(self.structure_matrix())
         if rk < self.a:
             raise SurjectivityViolation(
                 f"degree-two products span only {rk} of {self.a} dimensions")
-        left = self.left_socle().dim
-        right = self.right_socle().dim
+        from .modules import left_regular_module
+        left = left_regular_module(self).socle_dim()
+        right = left_regular_module(self.opposite()).socle_dim()
         report = AlgebraReport(
             name=self.name,
             hilbert_type=(self.e, self.a),

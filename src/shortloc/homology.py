@@ -71,7 +71,7 @@ from typing import Iterator, Optional, Sequence
 
 from ._record import record
 from .algebra import ShortAlgebra
-from .errors import BadParams, InvariantViolation, ResourceCapExceeded
+from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import (IntRows, Matrix, Subspace, integer_values, kernel_subspace, rank,
                      typed_values)
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, generated_span, hom_dim,
@@ -609,7 +609,7 @@ def ext_dims(M: AModule, N: AModule, imax: int, cap: int = DEFAULT_CAP) -> list[
     if imax < 0:
         raise BadParams(f"Ext index must be at least 0, got {imax}")
     if M.algebra != N.algebra:
-        raise InvariantViolation("Ext requires modules over the same algebra")
+        raise AlgebraMismatch("Ext requires modules over the same algebra")
     if M.dim == 0 or N.dim == 0:
         return [0] * (imax + 1)
     return list(islice(_ext_sequence(MinimalResolution(M, cap=cap), N), imax + 1))

@@ -88,8 +88,8 @@ class AModule:
     A module is held by its action matrices or by its sparse action
     columns (:meth:`action_columns`), as A^t and a syzygy are, and builds
     the other form on first read.  ``free_rank`` is t when the module is
-    A^t in the coordinates of :func:`free_module`; :meth:`int_action_rows`
-    then reads its rows off the algebra's regular rows, copy by copy.
+    A^t in the coordinates of :func:`free_module`; no engine route reads
+    it, but copies of a module carry it (``_fresh`` in ``bench/workload.py``).
     """
 
     free_rank: Optional[int] = None
@@ -137,30 +137,24 @@ class AModule:
         The ints are :func:`~shortloc.linalg.integer_values` of all the
         values together, over one scale, the value on the identity rows
         (b = 0): residues over F_p, and over Q the values themselves when
-        every one is an ``int``.  On A^t copy k's rows are
-        the algebra's regular rows (:meth:`ShortAlgebra.regular_rows`, built
-        once per algebra) shifted by k·dim A.  Any other module transposes
-        its action columns: v_j's are :meth:`action_columns`, w_m's are
+        every one is an ``int``.  Every module, A^t included, transposes its
+        action columns: v_j's are :meth:`action_columns`, w_m's are
         :func:`square_images` of the unit vectors, formed only when J^2 M is
-        not zero, so no product is formed.
+        not zero, so no product is formed.  A^1 is shared per algebra
+        (:func:`left_regular_module`), so its rows are built once.
         """
         if self._int_action_rows is None:
-            if self.free_rank is None:
-                d, one, columns = self.dim, self.field.one(), self.action_columns()
-                images = [[dict(cols[c]) for cols in columns] for c in range(d)]
-                act: list = [[[] for _ in range(d)] for _ in range(self.algebra.dim)]
-                if self._square_zero or self.loewy_length() < 3:
-                    squares: list = [()] * d
-                else:
-                    squares = square_images(self.algebra, columns, images)
-                for c, (vs, ws) in enumerate(zip(images, squares)):
-                    for b, image in enumerate([{c: one}, *vs, *ws]):
-                        for r, x in image.items():
-                            act[b][r].append((c, x))
+            d, one, columns = self.dim, self.field.one(), self.action_columns()
+            images = [[dict(cols[c]) for cols in columns] for c in range(d)]
+            act: list = [[[] for _ in range(d)] for _ in range(self.algebra.dim)]
+            if self._square_zero or self.loewy_length() < 3:
+                squares: list = [()] * d
             else:
-                n = self.algebra.dim
-                act = [[[(k * n + c, x) for c, x in row] for k in range(self.free_rank)
-                        for row in rows] for rows in self.algebra.regular_rows()]
+                squares = square_images(self.algebra, columns, images)
+            for c, (vs, ws) in enumerate(zip(images, squares)):
+                for b, image in enumerate([{c: one}, *vs, *ws]):
+                    for r, x in image.items():
+                        act[b][r].append((c, x))
             p = self.field.characteristic
             values = [y for b in act for row in b for _, y in row]
             if p or any(type(y) is not int for y in values):
@@ -394,8 +388,14 @@ def zero_module(alg: ShortAlgebra) -> AModule:
 
 
 def left_regular_module(alg: ShortAlgebra) -> AModule:
-    """A as a left module over itself, in the basis (1, v_1.., w_1..): A^1."""
-    return free_module(alg, 1)
+    """A as a left module over itself, in the basis (1, v_1.., w_1..): A^1.
+
+    It is built once per algebra object and shared, so every system solved
+    into A reads one set of its radical, socle and integer rows.
+    """
+    if alg._regular_module is None:
+        alg._regular_module = free_module(alg, 1)
+    return alg._regular_module
 
 
 def free_module(alg: ShortAlgebra, t: int) -> AModule:
@@ -403,7 +403,9 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
 
     Coordinate k·dim A + u is the basis element b_u of copy k.  The regular
     columns are read once per algebra (:meth:`ShortAlgebra.regular_columns`),
-    and no step of a resolution reads the matrices.  The zero module for t = 0.
+    and no step of a resolution reads the matrices.  The Loewy length is
+    read off the structure constants (J^2 = 0 iff there are none), so no
+    radical row is typed to find it.  The zero module for t = 0.
     """
     if t < 0:
         raise BadParams("free rank must be natural")
@@ -411,6 +413,7 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
         return zero_module(alg)
     n, F = alg.dim, AModule.__new__(AModule)
     F.algebra, F.dim, F.free_rank = alg, n * t, t
+    F._loewy = 3 if alg.structure else 2 if alg.e else 1
     F._action_columns = [[[(k * n + i, x) for i, x in col] for k in range(t) for col in cols]
                          for cols in alg.regular_columns()]
     return F
@@ -545,8 +548,8 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
         # Column c is e_c's residue at the free columns.
         one = M.field.one()
         return Matrix.from_sparse_columns(M.field, len(free), [
-            [(at[j], x) for j, x in sub.residue([(c, one)]).items()] for c in range(M.dim)])
-    acts = [[[(at[j], x) for j, x in sub.residue(cols[f]).items()] for f in free]
+            [(at[j], x) for j, x in sub.residue([(c, one)]).items() if x] for c in range(M.dim)])
+    acts = [[[(at[j], x) for j, x in sub.residue(cols[f]).items() if x] for f in free]
             for cols in columns]
     Q = module_from_columns(M.algebra, len(free), acts)
     return Q, _LazyMap(M, Q, projection)

@@ -31,6 +31,11 @@ the products reduced as dense vectors (``dense_reduce_structure``), and a
 quotient's projection walked along the dense basis rows
 (``walk_projection``).
 
+A's regular rows read off ``left_mult_matrix`` (``regular_rows``), and
+A^t's integer rows as copies of them shifted by k·dim A and converted
+over one scale (``regular_int_rows``), are what A^t read before its
+integer rows came off its action columns as every module's do.
+
 The module axioms on dense matrices (``dense_validate``) are the check
 that reading them along the action columns replaced: the e^2 products of
 the generator actions, combined along the algebra's product kernel, then
@@ -239,7 +244,8 @@ def walk_quotient_columns(M, sub):
     """Per generator, column f of M/sub's action as {quotient index: value}.
 
     X e_f is reduced along sub's rows and read at the free columns: each
-    entry x at a pivot subtracts x times its row.
+    entry x at a pivot subtracts x times its row.  Zero residues are
+    dropped, as a matrix's sparse columns drop zeros.
     """
     rows, free = sub.sparse_rows(), sub.free_columns()
     at, zero = {f: b for b, f in enumerate(free)}, M.field.zero()
@@ -255,7 +261,7 @@ def walk_quotient_columns(M, sub):
                     for j, y in zip(*rows[i]):
                         if j in at:
                             col[at[j]] = col.get(at[j], zero) - x * y
-            act.append(col)
+            act.append({b: x for b, x in col.items() if x})
         acts.append(act)
     return acts
 
@@ -332,6 +338,29 @@ def vstack_socle(alg):
     return Subspace.from_vectors(alg.field, alg.dim, kernel_basis(stacked))
 
 
+def regular_rows(alg):
+    """Per basis element b of A, the non-zeros (column, value) of each row of x -> b·x."""
+    return [[[(c, x) for c, x in enumerate(row) if x]
+             for row in alg.left_mult_matrix(alg.basis_vector(b)).data] for b in range(alg.dim)]
+
+
+def regular_int_rows(alg, t):
+    """A^t's ``int_action_rows``: copy k's rows are A's regular rows shifted by k·dim A.
+
+    The values are converted together, as the engine converts them: left
+    as they are over Q when every one is an ``int``, else
+    ``integer_values`` over one scale.
+    """
+    n, p = alg.dim, alg.field.characteristic
+    act = [[[(k * n + c, x) for c, x in row] for k in range(t) for row in rows]
+           for rows in regular_rows(alg)]
+    values = [y for b in act for row in b for _, y in row]
+    if p or any(type(y) is not int for y in values):
+        ints = iter(integer_values(values, p)[0])
+        act = [[[(c, next(ints)) for c, _ in row] for row in b] for b in act]
+    return tuple(tuple(map(tuple, b)) for b in act)
+
+
 def per_m_sections(alg):
     """For each m, the solution s of sum_ij s_ij v_i v_j = w_m, one solve per m (None if none)."""
     ct, zero, one = alg.structure_matrix().transpose(), alg.field.zero(), alg.field.one()
@@ -406,7 +435,7 @@ def dense_approximation(data):
     P = free_module(alg, z)
     gs = [data.homs.maps[c].matrix for c in data.module.lift_columns()]
     u = ModuleMap(M, P, stack_rows(gs) if gs else Matrix(M.field, [], cols=M.dim))
-    zero, right = M.field.zero(), alg.opposite().regular_rows()
+    zero, right = M.field.zero(), regular_rows(alg.opposite())
     factor_cols = [[sum((x * g.data[l][c] for l, x in row), zero)
                     for row in rows for c in range(M.dim)] for g in gs for rows in right]
     factor_space = Subspace.from_vectors(M.field, alg.dim * M.dim, factor_cols)

@@ -99,6 +99,8 @@ def test_opposite_and_regular_action_are_built_once():
     alg = preset("ex5_5")
     assert alg.opposite() is alg.opposite()
     assert alg.regular_columns() is alg.regular_columns()
+    assert left_regular_module(alg) is left_regular_module(alg)
+    assert left_regular_module(alg.opposite()) is left_regular_module(alg.opposite())
     assert left_regular_module(alg).actions == tuple(alg.left_mult_matrix(alg.generator(i))
                                                      for i in range(1, alg.e + 1))
 

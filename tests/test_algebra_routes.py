@@ -2,9 +2,9 @@
 
 No engine path multiplies algebra elements (``ShortAlgebra.mul``) or
 builds a left multiplication matrix; the socles, the sections, the
-structure dict of ``algebra_from_relations`` and a quotient's projection
-are checked, with the type of every scalar, against the dense routes in
-``references``.
+structure dict of ``algebra_from_relations``, a quotient's projection and
+A^t's integer rows are checked, with the type of every scalar, against
+the dense routes in ``references``.
 """
 
 import pytest
@@ -12,11 +12,11 @@ import pytest
 from shortloc import presets
 from shortloc.algebra import ShortAlgebra, algebra_from_relations
 from shortloc.linalg import QQ, Field
-from shortloc.modules import free_module, left_regular_module, quotient, random_module
+from shortloc.modules import AModule, free_module, left_regular_module, quotient, random_module
 from shortloc.presets import preset, preset_names
 
-from references import (dense_reduce_structure, per_m_sections, scalars, typed, vstack_socle,
-                        walk_projection)
+from references import (dense_reduce_structure, per_m_sections, regular_int_rows, scalars, typed,
+                        vstack_socle, walk_projection)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
@@ -45,8 +45,9 @@ def test_no_engine_path_multiplies_algebra_elements(field, monkeypatch):
         alg.structure_table()
         alg.regular_columns()
         left_regular_module(alg).actions
-        alg.left_socle()
-        alg.right_socle()
+        for side in (alg, alg.opposite()):
+            left_regular_module(side).socle()
+            left_regular_module(side).int_action_rows()
         free_module(alg, 2).socle()
 
 
@@ -54,8 +55,22 @@ def test_no_engine_path_multiplies_algebra_elements(field, monkeypatch):
 def test_socles_match_the_stacked_regular_matrices(field):
     for alg in algebras(field):
         for side in (alg, alg.opposite()):
-            assert typed(side.left_socle()) == typed(vstack_socle(side)), side.name
-        assert typed(alg.right_socle()) == typed(vstack_socle(alg.opposite()))
+            assert typed(left_regular_module(side).socle()) == typed(vstack_socle(side)), side.name
+        report = alg.validate()
+        assert (report.left_socle_dim, report.right_socle_dim) == \
+            (vstack_socle(alg).dim, vstack_socle(alg.opposite()).dim), alg.name
+
+
+@FIELDS
+def test_free_module_integer_rows_match_the_regular_rows(field):
+    # A^t reads its integer rows off its action columns, as every module
+    # does; they are A's regular rows off left_mult_matrix, copy by copy.
+    # Its recorded Loewy length is the one a copy reads off its matrices.
+    for alg in algebras(field):
+        for t in (1, 2, 3):
+            F = free_module(alg, t)
+            assert F.int_action_rows() == regular_int_rows(alg, t), (alg.name, t)
+            assert F.loewy_length() == AModule(alg, F.dim, F.actions, check=False).loewy_length()
 
 
 @FIELDS

@@ -4,14 +4,13 @@ The minimal left approximation, its factoring certificate and the
 evaluation map are read off the flat rows and the right action on them
 (``DualData._right``).  They are checked against the dense routes they
 replaced (``references.dense_approximation``, ``references.dense_evaluation``),
-which build every basis map matrix and read A^op's regular rows, over Q,
-F_7 and F_32003.
+which build every basis map matrix and read A^op's dense regular rows,
+over Q, F_7 and F_32003.
 """
 
 import pytest
 
 from shortloc import homology, modules
-from shortloc.algebra import ShortAlgebra
 from shortloc.homology import dual_data, syzygy_power
 from shortloc.linalg import QQ, Field
 from shortloc.modules import left_regular_module, random_module, simple_module
@@ -67,9 +66,10 @@ def test_the_approximation_and_evaluation_read_no_regular_rows_and_build_no_map(
                                                                                  monkeypatch):
     # Hom(M, A) and the bidual Hom(M*, A^op) are solved first, and dual_data
     # then hands back that bidual: past the two solves, neither route reads
-    # the regular rows of any algebra (A^op's included) or builds a map matrix.
-    def refuse(alg):
-        raise AssertionError(f"regular rows of {alg.name} read")
+    # the integer rows of any module (A's and A^op's included), so it solves
+    # no Hom system, nor builds a map matrix.
+    def refuse(M):
+        raise AssertionError(f"integer rows of {M} read")
 
     built, original = [], modules._LazyMap.matrix
     cases = 0
@@ -77,7 +77,7 @@ def test_the_approximation_and_evaluation_read_no_regular_rows_and_build_no_map(
         data = dual_data(M)
         bidual = dual_data(data.module)
         with monkeypatch.context() as patch:
-            patch.setattr(ShortAlgebra, "regular_rows", refuse)
+            patch.setattr(modules.AModule, "int_action_rows", refuse)
             patch.setattr(modules._LazyMap, "matrix",
                           property(lambda f: built.append(f) or original.func(f)))
             patch.setattr(homology, "dual_data", lambda X: bidual)

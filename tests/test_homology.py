@@ -4,7 +4,7 @@ import pytest
 
 from shortloc import homology, modules
 from shortloc.algebra import ShortAlgebra
-from shortloc.errors import ResourceCapExceeded
+from shortloc.errors import AlgebraMismatch, ResourceCapExceeded
 from shortloc.explorer import classify_complex, mho_path
 from shortloc.homology import (BoundedVerdict, MinimalResolution, a_dual, betti,
                                dual_data, eval_map, ext_dim, ext_dims, is_gp,
@@ -381,6 +381,12 @@ def test_ext0_is_hom(lam0):
     M, N = m_alpha(lam0, 0), m_alpha(lam0, 1)
     assert ext_dim(M, N, 0) == hom_dim(M, N)
     assert ext_dim(M, M, 0) == hom_dim(M, M)
+
+
+def test_ext_refuses_modules_over_different_algebras(lam0, L2):
+    for fn in (ext_dims, ext_dim):
+        with pytest.raises(AlgebraMismatch):
+            fn(simple_module(lam0), simple_module(L2), 1)
 
 
 def test_ext_of_simple_against_simple_equals_betti(conca32):

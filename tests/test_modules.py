@@ -162,6 +162,22 @@ def test_submodule_and_quotient_roundtrip(lam0):
     assert Q.dim == 1 and proj.is_intertwiner() and proj.rank() == Q.dim
 
 
+def test_quotients_hold_no_typed_zero():
+    # Zero residues are dropped from a quotient's columns, as sparse_columns
+    # drops zeros, so over Q each zero of its actions and projection is an int.
+    typed_zeros = []
+    for name, kw in [("ex15_1", {"e": 3, "a": 2}), ("lambda_c", {"c": 1}), ("qexterior", {})]:
+        alg = preset(name, **kw)
+        for M in (random_module(alg, 2, 1, seed=3), random_module(alg, 1, 2, seed=4),
+                  free_module(alg, 2)):
+            for sub in (M.socle(), M.radical()):
+                Q, proj = quotient(M, sub)
+                rows = [row for X in Q.actions for row in X.data] + list(proj.matrix.data)
+                typed_zeros += [(name, x) for row in rows for x in row
+                                if not x and type(x) is not int]
+    assert typed_zeros == []
+
+
 def test_submodule_rejects_unstable_span(L2):
     reg = left_regular_module(L2)
     # The unit line is not J-stable.

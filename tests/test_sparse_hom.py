@@ -5,15 +5,15 @@ The Hom-complex of a minimal resolution and the intertwining equations of
 actions.  The dense builders they replaced are kept here as references
 only: over Q, F_7 and F_32003 the ranks of the d_j^*, the Ext dimensions,
 the transposes and the Hom spaces must agree exactly.  A guard counts that
-Ext over A forms no dense action, and that the regular module's sparse
-action is built once per algebra.
+Ext over A forms no dense action, and that the regular module A^1, with
+its integer rows, is built once per algebra.
 """
 
 from functools import lru_cache
 
 import pytest
 
-from shortloc.algebra import ShortAlgebra
+from shortloc import homology, modules
 from shortloc.homology import (MinimalResolution, _hom_complex_matrix, ext_dims, is_semi_gp,
                                transpose)
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace, rank
@@ -204,17 +204,26 @@ def test_ext_over_a_forms_no_dense_action(monkeypatch, field, name, params):
 
 
 def test_the_regular_sparse_action_is_built_once_per_algebra(monkeypatch):
+    # A^1 is one module per algebra: two scans build it, and its integer
+    # rows, once between them.
     alg = preset("ex15_1", e=3, a=2)
-    builds = []
-    original = ShortAlgebra.regular_rows
+    builds, rows, original = [], [], modules.free_module
+    original_rows = AModule.int_action_rows
 
-    def counting(self):
-        if self._regular_rows is None:
-            builds.append(self)
-        return original(self)
-    monkeypatch.setattr(ShortAlgebra, "regular_rows", counting)
+    def counting(A, t):
+        builds.append((A, t))
+        return original(A, t)
+
+    def counting_rows(M):
+        if M._int_action_rows is None and M.free_rank == 1:
+            rows.append(M)
+        return original_rows(M)
+    for mod in (modules, homology):
+        monkeypatch.setattr(mod, "free_module", counting)
+    monkeypatch.setattr(AModule, "int_action_rows", counting_rows)
     is_semi_gp(radical_module(alg), bound=3)
     is_semi_gp(simple_module(alg), bound=3)
     monkeypatch.undo()
-    assert builds == [alg]
+    assert [b for b in builds if b[1] == 1] == [(alg, 1)]
+    assert rows == [left_regular_module(alg)]
 
