@@ -193,7 +193,8 @@ class ShortAlgebra:
     def opposite(self) -> "ShortAlgebra":
         """The opposite algebra: c'_{ijm} = c_{jim}.
 
-        Right A-modules are exactly left modules over the opposite; it is built once.
+        Right A-modules are exactly left modules over the opposite.  It is
+        built once and points back: A^op^op is A itself, tags and caches too.
         """
         if self._opposite is None:
             struct = {(j, i, m): c for (i, j, m), c in self.structure.items()}
@@ -202,6 +203,7 @@ class ShortAlgebra:
             tags = {k: v for k, v in self.tags.items() if k == "generators"}
             self._opposite = ShortAlgebra(self.field, self.e, self.a, struct, name=name,
                                           tags=tags)
+            self._opposite._opposite = self
         return self._opposite
 
     # -- validation ----------------------------------------------------

@@ -8,8 +8,8 @@ the transpose (the cokernel of d_1^* into A) come from the Hom-complex of its
 boundaries, handed to the elimination as integer rows built from the top
 lifts' integer shadow rows, over one scale, and the target's action rows as
 ints (:func:`_hom_complex_matrix`), so no boundary row becomes a scalar.
-:class:`DualData` is the single engine of
-the dual side: it solves Hom(M, A) once and serves the dual module, the
+:class:`DualData` is the single engine of the
+dual side: Hom(M, A), solved once per module, serves the dual module, the
 torsionless and reflexive verdicts, the evaluation map and the minimal left
 approximation with its cokernel (the cosyzygy), each built on first read
 from the sparse rows of the maps' flattenings, with no map matrix; the
@@ -160,8 +160,7 @@ def top_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
     """ker Φ from the images at the top lifts as dicts {index: scalar} (:meth:`AModule.top_images`).
 
     ``images[k]`` is v_1 m_k .. v_e m_k, then w_1 m_k .. w_a m_k, for the
-    k-th top lift m_k, in any coordinates of JN; a list that stops after
-    the e generators says the w_m m_k are zero.  Column k·(dim A - 1) + u
+    k-th top lift m_k, in any coordinates of JN.  Column k·(dim A - 1) + u
     of Φ is ``images[k][u]``.  The values are converted to integers once,
     over one scale for all of them (:func:`~shortloc.linalg.integer_values`),
     which scales Φ as a whole and leaves its kernel as it is.
@@ -186,8 +185,9 @@ def phi_kernel(alg: ShortAlgebra, rows: dict, scales: Sequence[int]) -> Subspace
     column k·(dim A - 1) + u, the image of radical coordinate
     k·dim A + 1 + u of A^t, is ``scales[k]`` times the column meant.  The
     scales ride on Φ's columns (:class:`~shortloc.linalg.IntRows`) and are
-    folded back only when the kernel's rows are built.  A w-image not
-    formed is an empty column, free with its unit vector as kernel vector.
+    folded back only when the kernel's rows are built.  A zero image, as
+    every w-image is when J^2 N = 0, is an empty column, free with its unit
+    vector as kernel vector.
     This is the whole cover's kernel: a reduced basis depends only on the
     subspace and the column order, and the columns of the m_k are
     independent of the rest.  Φ is eliminated at once; the rows are
@@ -453,11 +453,11 @@ def _cover_columns(M: AModule) -> list:
 
     Copy k sends 1 to the top lift m_k, the unit vector at the k-th free
     column of JM, and the radical basis to its images at m_k
-    (:meth:`AModule.top_images`); a w_m m_k that is not formed is zero.
+    (:meth:`AModule.top_images`).
     """
-    one, n = M.field.one(), M.algebra.dim
+    one = M.field.one()
     return [col for c, imgs in zip(M.lift_columns(), M.top_images())
-            for col in [[(c, one)], *(img.items() for img in imgs), *[[]] * (n - 1 - len(imgs))]]
+            for col in [[(c, one)], *(img.items() for img in imgs)]]
 
 
 def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
@@ -637,7 +637,7 @@ class ApproximationData:
 class DualData:
     """Hom(M, A) with its right A-action: the one engine of the dual side.
 
-    ``homs`` is Hom(M, A), solved once by :func:`dual_data`; the dual
+    ``homs`` is Hom(M, A), solved once per module (:func:`dual_data`); the dual
     module's coordinates refer to its basis.  Every route reads the maps
     as the sparse rows of ``homs.flat``, their row-major flattenings, so
     no map matrix is built.  The dual module, the torsionless and
@@ -701,8 +701,7 @@ class DualData:
         if not all(space.contains(ev) for ev in evs):
             raise InvariantViolation("the evaluation of M leaves Hom(M*, A)")
         cols = [[ev.get(p, zero) for p in space.pivots] for ev in evs]
-        target = AModule(M.algebra, bidual.module.dim, bidual.module.actions, check=False)
-        return ModuleMap(M, target, Matrix.from_columns(M.field, cols, target.dim))
+        return ModuleMap(M, bidual.module, Matrix.from_columns(M.field, cols, bidual.module.dim))
 
     @property
     def reflexive(self) -> bool:
@@ -746,8 +745,15 @@ class DualData:
 
 
 def dual_data(M: AModule) -> DualData:
-    """Solve Hom(M, A) once; everything on the dual side reads the result."""
-    return DualData(hom_space(M, left_regular_module(M.algebra)))
+    """Hom(M, A), solved once per module; everything on the dual side reads it.
+
+    M keeps only the solved flat rows (``AModule._dual_flat``), since a
+    DualData refers back to M; each call wraps them in a new DualData.
+    """
+    A = left_regular_module(M.algebra)
+    if M._dual_flat is None:
+        M._dual_flat = hom_space(M, A).flat
+    return DualData(HomSpace(M, A, M._dual_flat))
 
 
 def a_dual(M: AModule) -> AModule:

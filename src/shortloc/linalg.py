@@ -31,9 +31,9 @@ along sparse action columns (:func:`~shortloc.modules.vector_images`).
 :meth:`Matrix.__mul__` (and :meth:`Matrix.apply`, the product with a
 one-column matrix) and :meth:`Matrix.combination` stay for callers of the
 API and for the dense references that the tests check the engine against.
-A :class:`Subspace` also keeps the non-zeros of its rows, and one
-routine reduces a vector along them (:meth:`Subspace.residue`), walking
-only non-zero entries.  Every subspace an elimination makes is integer
+A :class:`Subspace` also keeps the non-zeros of its rows, and one routine
+reduces a vector along them (:meth:`Subspace.residue`), walking only
+non-zero entries.  Every subspace is an elimination's output, integer
 first: a span keeps the elimination's pivot rows, which over their leads
 are its integer rows (:meth:`Subspace.int_rows`), and a kernel keeps the
 pivot rows of its matrix (:meth:`Subspace.pivot_form`) and writes its
@@ -656,34 +656,35 @@ def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
 
 
 class Subspace:
-    """A subspace of k^n held as a row-reduced basis.
+    """A subspace of k^n held as a row-reduced basis, as an elimination gives it.
 
     The rows have unit pivots and vanish at every other row's pivot (the
     rref of the spanning vectors, or the pseudo-reduced basis of
     :func:`kernel_subspace`), so v reduces to v - sum_p v[p]·row_p and
-    the coordinates of a member are its entries at the pivots.  The
-    non-zero (index, value) pairs of each row are cached, keyed by the
-    row's pivot (:meth:`sparse_rows`).  A span (:meth:`from_vectors`,
-    :meth:`_span`) or a kernel (:func:`kernel_subspace`,
-    :meth:`from_pivot_rows`) holds integer rows (:meth:`int_rows`) and
-    builds its typed rows from them on first read; a subspace made from a
-    dense basis reads its rows off that basis.  :meth:`residue`, the one
-    reduction behind :meth:`reduce`, :meth:`contains` and :meth:`coords`,
-    and :meth:`contains_ints` walk only non-zeros, so checking a vector
-    with few non-zeros costs what its support and the rows at its pivots
-    cost, not the ambient dimension.
+    the coordinates of a member are its entries at the pivots.  It comes
+    out of :func:`_echelon` only: a span (:meth:`from_vectors`,
+    :meth:`_span`) keeps the pivot rows, a kernel (:func:`kernel_subspace`,
+    :meth:`from_pivot_rows`) its pivot form.  Either holds integer rows
+    (:meth:`int_rows`) and types them on first read, as the non-zero
+    (index, value) pairs of each row keyed by its pivot
+    (:meth:`sparse_rows`).  :meth:`residue`, the one reduction behind
+    :meth:`reduce`, :meth:`contains` and :meth:`coords`, and
+    :meth:`contains_ints` walk only non-zeros, so checking a vector with
+    few non-zeros costs what its support and the rows at its pivots cost,
+    not the ambient dimension.
     """
 
     __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse", "_ints", "_pivot_rows")
 
-    def __init__(self, field: Field, ambient: int, basis: Sequence[Sequence], pivots: Sequence[int]):
+    def __init__(self, field: Field, ambient: int, pivots: Sequence[int],
+                 ints: Optional[dict] = None, pivot_rows: Optional[tuple] = None):
         self.field = field
         self.ambient = ambient
-        self._basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
+        self._basis: Optional[tuple] = None
         self._sparse: Optional[dict] = None
-        self._ints: Optional[dict] = None
-        self._pivot_rows: Optional[tuple] = None
+        self._ints = ints
+        self._pivot_rows = pivot_rows
 
     @staticmethod
     def _span(field: Field, ambient: int, piv: dict[int, dict]) -> "Subspace":
@@ -692,10 +693,8 @@ class Subspace:
         Its integer rows are those pivot rows over their leads, in pivot order.
         """
         pivots = sorted(piv)
-        space = Subspace(field, ambient, [], pivots)
-        space._basis = None
-        space._ints = {c: (tuple(piv[c]), tuple(piv[c].values()), piv[c][c]) for c in pivots}
-        return space
+        ints = {c: (tuple(piv[c]), tuple(piv[c].values()), piv[c][c]) for c in pivots}
+        return Subspace(field, ambient, pivots, ints=ints)
 
     @staticmethod
     def from_pivot_rows(field: Field, ambient: int, piv: dict[int, dict], free: list[int],
@@ -707,10 +706,7 @@ class Subspace:
         pivots are the ``at[f]``; the rows are built on first read
         (:func:`_kernel_rows`).
         """
-        space = Subspace(field, ambient, [], [at[f] for f in free])
-        space._basis = None
-        space._pivot_rows = (piv, free, at, scales)
-        return space
+        return Subspace(field, ambient, [at[f] for f in free], pivot_rows=(piv, free, at, scales))
 
     @property
     def basis(self) -> tuple[tuple, ...]:
@@ -731,19 +727,12 @@ class Subspace:
 
         Over F_p the values are residues and the scale is 1.  A span's rows
         are its pivot rows over their leads.  A kernel's are written from
-        its pivot rows (:meth:`pivot_form`), over Q over the least positive
-        int that makes the row integral.  A subspace made from a dense basis
-        reads them off that basis (:func:`integer_values`).  The indices are
+        its pivot rows (:meth:`pivot_form`) on first read, over Q over the
+        least positive int that makes the row integral.  The indices are
         those of :meth:`sparse_rows`, in the same order.
         """
         if self._ints is None:
-            if self._pivot_rows is not None:
-                self._ints = _kernel_rows(self.field, *self._pivot_rows)
-            else:
-                p, self._ints = self.field.characteristic, {}
-                for q, (idx, vals) in self.sparse_rows().items():
-                    ints, scale = integer_values(vals, p)
-                    self._ints[q] = (idx, tuple(ints), scale)
+            self._ints = _kernel_rows(self.field, *self._pivot_rows)
         return self._ints
 
     def contains_ints(self, v: dict) -> bool:
@@ -799,17 +788,13 @@ class Subspace:
     def sparse_rows(self) -> dict[int, tuple[tuple, tuple]]:
         """Pivot -> (indices, values) of the non-zero entries of that pivot's row.
 
-        An eliminated subspace types its integer rows (:meth:`int_rows`,
-        :func:`typed_values`); one made from a dense basis reads them off it.
+        They are the integer rows (:meth:`int_rows`) typed once
+        (:func:`typed_values`).
         """
         if self._sparse is None:
             p = self.field.characteristic
-            if self._basis is None:
-                self._sparse = {q: (idx, typed_values(vals, scale, p))
-                                for q, (idx, vals, scale) in self.int_rows().items()}
-            else:
-                self._sparse = {q: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
-                                for q, row in zip(self.pivots, self._basis)}
+            self._sparse = {q: (idx, typed_values(vals, scale, p))
+                            for q, (idx, vals, scale) in self.int_rows().items()}
         return self._sparse
 
     @staticmethod
@@ -842,15 +827,6 @@ class Subspace:
         else:
             rows = map(checked, vectors)
         return Subspace._span(field, ambient, _echelon(field, rows, ambient))
-
-    @staticmethod
-    def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, [], [])
-
-    @staticmethod
-    def full(field: Field, ambient: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient)
-        return Subspace(field, ambient, eye.data, range(ambient))
 
     @property
     def dim(self) -> int:

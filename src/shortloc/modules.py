@@ -34,20 +34,21 @@ gives the dim N equations ρ·(n_1..n_t) = 0.  A Hom system is sized by
 the top of its source, since the top lifts m_1..m_t generate M.
 :func:`hom_space` reads M as a quotient of A^{dim M}, whose copy c maps
 to e_c, by the relations b·m_k = sum_c (b m_k)[c] e_c for the radical
-basis elements b, (dim A - 1)·t·dim N equations, and builds each basis
-map on first read.  :func:`hom_dim` reads M's presentation: t·dim N less
-the rank of the equations of the cover kernel's integer rows, with no
-kernel basis and no typed kernel row.  A caller that reads dimensions or
-tops searches on the presentation kernel; the dual side reads
-:func:`hom_space`'s flattened rows, and :func:`hom_basis` alone its basis
-maps.  So :func:`find_isomorphism` solves Hom(M, N) as
-the kernel of those t·dim N unknowns and reads each basis element's top
-once, sparse, off its images n_k mod JN, since an A-map between modules of
-one dimension is invertible iff it is onto the top (Nakayama); a
-combination's top is that combination of the tops.  It takes dim Hom(N, M)
-only when no basis element is invertible, and solves for one witness
-matrix only when the witness is read.  Socle dimensions, and with them
-the bipartite test and the multiplicity of S, are ranks.
+basis elements b, (dim A - 1)·t·dim N equations, and keeps only their
+kernel, the maps' flat rows (:class:`HomSpace`).  :func:`hom_dim` reads
+M's presentation: t·dim N less the rank of the equations of the cover
+kernel's integer rows, with no kernel basis and no typed kernel row.  A
+caller that reads dimensions or tops searches on the presentation
+kernel; the dual side reads :func:`hom_space`'s flat rows, and
+:func:`hom_basis` alone builds maps from them.  So
+:func:`find_isomorphism` solves Hom(M, N) as the kernel of those t·dim N
+unknowns and reads each basis element's top once, sparse, off its images
+n_k mod JN, since an A-map between modules of one dimension is
+invertible iff it is onto the top (Nakayama); a combination's top is
+that combination of the tops.  It takes dim Hom(N, M) only when no basis
+element is invertible, and solves for one witness matrix only when the
+witness is read.  Socle dimensions, and with them the bipartite test and
+the multiplicity of S, are ranks.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class AModule:
     _int_action_rows: Optional[tuple] = None
     _action_columns: Optional[list] = None
     _loewy: Optional[int] = None
+    _dual_flat: Optional[Subspace] = None
     #: Set when J^2 M = 0 is known, as for a syzygy: then no image decides it.
     _square_zero = False
 
@@ -256,14 +258,13 @@ class AModule:
 
         m_k is the unit vector at c_k (:meth:`lift_columns`), so v_j m_k is
         column c_k of v_j's action, read off :meth:`action_columns`.
-        w_1 m_k .. w_a m_k follow (:func:`square_images`) only when J^2 M
-        is not zero; otherwise they are zero and the list stops after the e
-        generators.
+        w_1 m_k .. w_a m_k follow (:func:`square_images`); when J^2 M is
+        zero they are empty and no square is formed.
         """
         columns = self.action_columns()
         images = [[dict(cols[c]) for cols in columns] for c in self.lift_columns()]
         if self.loewy_length() < 3:
-            return images
+            return [vs + [{} for _ in range(self.algebra.a)] for vs in images]
         return [vs + ws for vs, ws in zip(images, square_images(self.algebra, columns, images))]
 
     @cached_property
@@ -688,16 +689,15 @@ def simple_multiplicity(M: AModule) -> int:
 
 @record
 class HomSpace:
-    """A basis of Hom_A(M, N) with coordinates on flattened matrices.
+    """Hom_A(M, N) as its flat rows: the kernel of :func:`hom_space`'s system.
 
-    ``flat`` spans the row-major flattenings of the basis matrices; its
+    ``flat`` spans the row-major flattenings of the basis maps; its
     pseudo-reduced form makes expressing a given homomorphism in the basis
-    a coordinate lookup.
+    a coordinate lookup.  The maps themselves are built by :func:`hom_basis`.
     """
 
     source: AModule
     target: AModule
-    maps: tuple[ModuleMap, ...]
     flat: Subspace
 
     @property
@@ -706,7 +706,7 @@ class HomSpace:
 
 
 def hom_space(M: AModule, N: AModule) -> HomSpace:
-    """A basis of Hom_A(M, N), solved at the top lifts of M.
+    """Hom_A(M, N) as the flat rows of its reduced basis, solved at the top lifts of M.
 
     A linear F: M -> N is the map A^{dim M} -> N that sends unit_c to
     F(e_c), so column s·dim M + c of :func:`relation_equations` is F[s,c]
@@ -717,13 +717,12 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
         b·unit_{c_k} - sum_c (b m_k)[c]·unit_c
 
     for every radical basis element b and every k, read off the image
-    b m_k (:meth:`AModule.top_images`, zero past the generators when J^2 M
-    is zero) as ints over its own scale (:func:`~shortloc.linalg.integer_values`).
-    A relation with image zero whose b kills N is skipped, and no empty row
-    is handed over, so at most (dim A - 1)·t·dim N rows, as :class:`~shortloc.linalg.IntRows`,
-    meet the dim M·dim N unknowns.  Their kernel is Hom(M, N), so its
-    reduced basis is the one the whole intertwining system gives.  Each
-    map's matrix is built from its flattening on first read.
+    b m_k (:meth:`AModule.top_images`) as ints over its own scale
+    (:func:`~shortloc.linalg.integer_values`).  A relation with image zero
+    whose b kills N is skipped, and no empty row is handed over, so at
+    most (dim A - 1)·t·dim N rows, as :class:`~shortloc.linalg.IntRows`,
+    meet the dim M·dim N unknowns.  Their kernel is Hom(M, N), its reduced
+    basis the one the whole intertwining system gives, and no map is built.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
@@ -732,28 +731,27 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
     kills = [not any(rows) for rows in N.int_action_rows()]
     relations = []
     for c_k, images in zip(M.lift_columns(), M.top_images()):
-        for b in range(1, n):
-            image = images[b - 1] if b <= len(images) else {}
+        for b, image in enumerate(images, 1):
             if not image and kills[b]:
                 continue
             (lead, *ints), _ = integer_values([one, *image.values()], p)
             relations.append(((c_k * n + b, *(c * n for c in image)),
                               (lead, *(-x for x in ints))))
     equations = relation_equations(N, relations, dm)
-    space = kernel_subspace(IntRows(N.field, list(filter(None, equations.data)), dn * dm))
-
-    def matrix(q: int) -> Matrix:
-        flat = [M.field.zero()] * (dn * dm)
-        for j, x in zip(*space.sparse_rows()[q]):
-            flat[j] = x
-        return Matrix(M.field, [flat[k * dm:(k + 1) * dm] for k in range(dn)], cols=dm)
-    maps = tuple(_LazyMap(M, N, lambda q=q: matrix(q)) for q in space.pivots)
-    return HomSpace(M, N, maps, space)
+    rows = IntRows(N.field, list(filter(None, equations.data)), dn * dm)
+    return HomSpace(M, N, kernel_subspace(rows))
 
 
 def hom_basis(M: AModule, N: AModule) -> list[ModuleMap]:
-    """A basis of Hom_A(M, N)."""
-    return list(hom_space(M, N).maps)
+    """A basis of Hom_A(M, N): a map per row of :func:`hom_space`'s ``flat``, built on first read."""
+    dm, dn, flat = M.dim, N.dim, hom_space(M, N).flat
+
+    def matrix(q: int) -> Matrix:
+        entries = [M.field.zero()] * (dn * dm)
+        for j, x in zip(*flat.sparse_rows()[q]):
+            entries[j] = x
+        return Matrix(M.field, [entries[k * dm:(k + 1) * dm] for k in range(dn)], cols=dm)
+    return [_LazyMap(M, N, lambda q=q: matrix(q)) for q in flat.pivots]
 
 
 def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> IntRows:

@@ -10,10 +10,10 @@ backs the ``verify-paper`` CLI command and the acceptance test module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Callable
 
+from ._record import record
 from .errors import InvariantViolation, ResourceCapExceeded, ShortlocError
 from .explorer import classify_complex, mho_path, periodicity_detect
 from .homology import (DEFAULT_CAP, MinimalResolution, _ext_sequence, a_dual, betti, ext_dim,
@@ -28,7 +28,7 @@ from .numerics import b_closed_form, b_sequence, main_lemma_witness
 from .presets import preset
 
 
-@dataclass
+@record
 class Context:
     seed: int = 0
     cap: int = DEFAULT_CAP
@@ -38,13 +38,13 @@ class Context:
         return fast if self.fast else full
 
 
-@dataclass
+@record
 class ClaimResult:
     claim_id: str
     tag: str
     title: str
     ok: bool
-    details: list[str] = dc_field(default_factory=list)
+    details: list[str]
 
 
 class _Check:
@@ -313,7 +313,7 @@ def _claim_constant_rank_instances(ctx: Context, ck: _Check):
                       f"c={c}: Ext^i({label},{label}) non-zero for 1<=i<=6")
 
 
-@dataclass(frozen=True)
+@record
 class Claim:
     claim_id: str
     tag: str

@@ -19,6 +19,10 @@ membership and dense reduction along a subspace's typed sparse rows
 (``walk_quotient_columns``) and the tops of a Hom basis on M's presentation
 (``walk_tops``).
 
+The sparse rows read off a dense basis (``dense_sparse_rows``) are what a
+subspace held by a dense basis gave before every subspace came out of an
+elimination.
+
 The row converter with a branch per row kind (``reference_sparse``) and
 the torsionless test on the stacked map matrices (``vstack_torsionless``)
 are what the one-loop ``_sparse`` and the rank of a dual's integer rows
@@ -43,7 +47,7 @@ every triple product.
 
 The dual side's dense routes are what reading Hom(M, A)'s flat rows
 replaced: the minimal left approximation stacked from the basis map
-matrices at M*'s lift columns, certified by a triple loop over A^op's
+matrices (``hom_basis``) at M*'s lift columns, certified by a triple loop over A^op's
 regular rows (``dense_approximation``), and the evaluation map read off
 the columns of every basis map matrix (``dense_evaluation``).
 
@@ -63,8 +67,8 @@ from shortloc.homology import ApproximationData, dual_data
 from shortloc import modules
 from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace,
                              integer_values, kernel_basis, kernel_subspace, rank, solve)
-from shortloc.modules import (AModule, IsoSearch, ModuleMap, free_module, hom_dim, pivot_columns,
-                              presentation_equations, quotient)
+from shortloc.modules import (AModule, IsoSearch, ModuleMap, free_module, hom_basis, hom_dim,
+                              pivot_columns, presentation_equations, quotient)
 
 
 def plain_apply(X, v):
@@ -318,9 +322,16 @@ def reference_sparse(row, p):
 
 def vstack_torsionless(homs):
     """M is torsionless iff the stacked matrices of a basis of Hom(M, A) have no kernel."""
-    if not homs.maps:
+    maps = hom_basis(homs.source, homs.target)
+    if not maps:
         return homs.source.dim == 0
-    return not kernel_basis(stack_rows([f.matrix for f in homs.maps]))
+    return not kernel_basis(stack_rows([f.matrix for f in maps]))
+
+
+def dense_sparse_rows(basis, pivots):
+    """Pivot -> (indices, values) of the non-zero entries of each dense basis row."""
+    return {q: tuple(zip(*[(j, x) for j, x in enumerate(row) if x]))
+            for q, row in zip(pivots, basis)}
 
 
 def stack_rows(mats):
@@ -333,7 +344,7 @@ def stack_rows(mats):
 def vstack_socle(alg):
     """{z in A : J z = 0}: the kernel of the stacked left multiplications by v_1..v_e."""
     if alg.e == 0:
-        return Subspace.full(alg.field, alg.dim)
+        return Subspace.from_vectors(alg.field, alg.dim, Matrix.identity(alg.field, alg.dim).data)
     stacked = stack_rows([alg.left_mult_matrix(alg.generator(i)) for i in range(1, alg.e + 1)])
     return Subspace.from_vectors(alg.field, alg.dim, kernel_basis(stacked))
 
@@ -433,7 +444,8 @@ def dense_approximation(data):
     alg = M.algebra
     z = data.module.top_dim()
     P = free_module(alg, z)
-    gs = [data.homs.maps[c].matrix for c in data.module.lift_columns()]
+    maps = hom_basis(M, data.homs.target)
+    gs = [maps[c].matrix for c in data.module.lift_columns()]
     u = ModuleMap(M, P, stack_rows(gs) if gs else Matrix(M.field, [], cols=M.dim))
     zero, right = M.field.zero(), regular_rows(alg.opposite())
     factor_cols = [[sum((x * g.data[l][c] for l, x in row), zero)
@@ -449,10 +461,10 @@ def dense_approximation(data):
 def dense_evaluation(data):
     """M -> M**: column c holds the bidual coordinates of the n x h matrix (f_j(e_c))_j."""
     M = data.homs.source
-    bidual = dual_data(data.module)
+    bidual, maps = dual_data(data.module), hom_basis(M, data.homs.target)
     cols = []
     for c in range(M.dim):
-        mat_cols = [f.matrix.col(c) for f in data.homs.maps]
+        mat_cols = [f.matrix.col(c) for f in maps]
         cols.append(bidual.homs.flat.coords(tuple(x for row in zip(*mat_cols) for x in row)))
     target = AModule(M.algebra, bidual.module.dim, bidual.module.actions, check=False)
     return ModuleMap(M, target, Matrix.from_columns(M.field, cols, target.dim))

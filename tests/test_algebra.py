@@ -95,6 +95,14 @@ def test_opposite_is_involution():
         assert op.opposite() == alg
 
 
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
+def test_the_opposite_of_the_opposite_is_the_algebra_itself(field):
+    for (name, params), _ in EXPECTED_HILBERT.items():
+        alg = preset(name, field=field, **dict(params))
+        op = alg.opposite()
+        assert op.opposite() is alg and alg.opposite() is op, alg.name
+
+
 def test_opposite_and_regular_action_are_built_once():
     alg = preset("ex5_5")
     assert alg.opposite() is alg.opposite()

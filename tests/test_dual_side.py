@@ -4,8 +4,9 @@ The minimal left approximation, its factoring certificate and the
 evaluation map are read off the flat rows and the right action on them
 (``DualData._right``).  They are checked against the dense routes they
 replaced (``references.dense_approximation``, ``references.dense_evaluation``),
-which build every basis map matrix and read A^op's dense regular rows,
-over Q, F_7 and F_32003.
+which build every basis map matrix (``hom_basis``) and read A^op's dense
+regular rows, over Q, F_7 and F_32003.  The evaluation's target is the
+bidual module, over A itself, since A^op^op is A.
 """
 
 import pytest
@@ -44,8 +45,8 @@ def _typed_rows(mat):
 
 @FIELDS
 def test_the_dual_routes_match_the_dense_references(field):
-    # Each DualData is solved twice, so the reference builds its own map
-    # matrices: u in value and type, z, injectivity, the cokernel's actions
+    # The reference builds its own map matrices (hom_basis, a second
+    # solve): u in value and type, z, injectivity, the cokernel's actions
     # and the evaluation matrix in value and type all agree.
     kinds, mods = set(), _dual_inputs(field)
     assert len(mods) >= 60
@@ -87,3 +88,22 @@ def test_the_approximation_and_evaluation_read_no_regular_rows_and_build_no_map(
             step.rank * M.algebra.dim
         cases += step.rank > 0
     assert cases >= 50
+
+
+@FIELDS
+def test_the_evaluation_lands_in_the_bidual_over_the_algebra_itself(field, monkeypatch):
+    # A^op^op is A, so the bidual module is over M's own algebra and is the
+    # evaluation's target as it is, with no module re-wrapped, over A and
+    # over A^op alike.
+    checked = 0
+    for M in _dual_inputs(field)[::5]:
+        for X in (M, dual_data(M).module):
+            data = dual_data(X)
+            bidual = dual_data(data.module)
+            with monkeypatch.context() as patch:
+                patch.setattr(homology, "dual_data", lambda Y: bidual)
+                ev = data.evaluation
+            assert ev.target is bidual.module and ev.target.algebra is X.algebra, X
+            assert ev.matrix.rows == bidual.homs.dim, X
+            checked += X.dim > 0
+    assert checked >= 20

@@ -306,17 +306,20 @@ def test_torsionless_is_a_rank_and_builds_no_map_matrix(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
-def test_the_approximation_builds_only_its_z_maps(field):
+def test_the_approximation_builds_only_its_z_maps(field, monkeypatch):
     # u stacks the basis maps at the lift columns of M*, read off their flat
     # rows: no map matrix is built, and u is, in value and type, the stack of
-    # the combinations of all basis maps by the top lifts of M*.
+    # the combinations of all basis maps (hom_basis) by the top lifts of M*.
+    built, original = [], modules._LazyMap.matrix
+    monkeypatch.setattr(modules._LazyMap, "matrix",
+                        property(lambda f: built.append(f) or original.func(f)))
     cases = 0
     for M in _cover_inputs(field):
         data = dual_data(M)
+        built.clear()
         step = data.approximation
-        built = [f for f in data.homs.maps if "matrix" in vars(f)]
         assert built == []
-        homs = [f.matrix for f in data.homs.maps]
+        homs = [f.matrix for f in hom_basis(M, data.homs.target)]
         combined = [Matrix.combination(lam, homs) for lam in data.module.top_lift()]
         assert list(map(scalars, step.approximation.matrix.data)) == \
             [scalars(row) for g in combined for row in g.data]
@@ -439,11 +442,11 @@ def product_stable_hom_dim(M, N):
         return 0
     pres = projective_cover(N)
     n = M.algebra.dim
-    homs = dual_data(M).homs
+    homs = hom_basis(M, left_regular_module(M.algebra))
     vecs = []
     for k in range(pres.cover_rank):
         block = Matrix(M.field, [row[k * n:(k + 1) * n] for row in pres.cover_map.matrix.data])
-        vecs += [tuple(x for row in (block * f.matrix).data for x in row) for f in homs.maps]
+        vecs += [tuple(x for row in (block * f.matrix).data for x in row) for f in homs]
     return len(hb) - Subspace.from_vectors(M.field, N.dim * M.dim, vecs).dim
 
 
@@ -677,13 +680,25 @@ def hom_targets(monkeypatch):
 
 
 def test_stable_hom_solves_no_hom_into_a_free_module_of_rank_two(hom_targets, lam0):
-    # The maps through the cover A^2 -> N come from Hom(M, A), solved once.
+    # The maps through the cover A^2 -> N come from Hom(M, A), solved once
+    # for all three targets.
     M = m_alpha(lam0, 0)
     N = direct_sum(M, m_alpha(lam0, 1))
     assert projective_cover(N).cover_rank == 2
     hom_targets.clear()
     assert stable_hom_dim(M, N) == stable_hom_dim(M, M) + stable_hom_dim(M, m_alpha(lam0, 1))
-    assert [T.free_rank for T in hom_targets] == [1] * 3
+    assert [T.free_rank for T in hom_targets] == [1]
+
+
+def test_stable_homs_from_one_module_solve_hom_into_a_once(hom_into_a, lam0):
+    # M keeps Hom(M, A)'s flat rows, so five targets cost one solve.
+    M = m_alpha(lam0, 0)
+    targets = [M, m_alpha(lam0, 1), m_alpha(lam0, 2), simple_module(lam0),
+               direct_sum(M, m_alpha(lam0, 1))]
+    assert all(hom_dim(M, N) for N in targets)
+    values = [stable_hom_dim(M, N) for N in targets]
+    assert hom_into_a == [M]
+    assert values == [stable_hom_dim(m_alpha(lam0, 0), N) for N in targets]
 
 
 def test_forward_walk_solves_one_dual_per_step(hom_into_a, qext):

@@ -14,7 +14,7 @@ from shortloc.linalg import (QQ, Field, Fp, IntRows, Matrix, Rational, Subspace,
 from shortloc.modules import random_module, simple_module
 from shortloc.presets import preset
 
-from references import reference_sparse, typed as typed_space
+from references import dense_sparse_rows, reference_sparse, typed as typed_space
 
 F5 = Field.prime(5)
 
@@ -304,10 +304,8 @@ def test_kernel_subspace_fills_the_sparse_rows_it_would_compute(field):
     for seed in range(10):
         m = random_matrix(field, 3 + seed % 3, 5 + seed % 4, seed=seed)
         sp = kernel_subspace(m)
-        fresh = Subspace(field, sp.ambient, sp.basis, sp.pivots)
-        as_dicts = [{p: dict(zip(*rows)) for p, rows in s.sparse_rows().items()}
-                    for s in (sp, fresh)]
-        assert as_dicts[0] == as_dicts[1]
+        dense = dense_sparse_rows(sp.basis, sp.pivots)
+        assert sparse_dicts(sp.sparse_rows()) == sparse_dicts(dense)
 
 
 # -- the sparse elimination against a dense Gauss-Jordan reference --------
@@ -415,8 +413,9 @@ ELIM_FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(
                                       ids=["Q", "F7", "F32003"])
 
 
-def sparse_dicts(space):
-    return {p: dict(zip(*rows)) for p, rows in space.sparse_rows().items()}
+def sparse_dicts(rows):
+    """Sparse rows, pivot -> (indices, values), as pivot -> {index: value}."""
+    return {p: dict(zip(*row)) for p, row in rows.items()}
 
 
 @ELIM_FIELDS
@@ -436,7 +435,7 @@ def test_kernel_subspace_matches_the_dense_reference(field):
         sp = kernel_subspace(m)
         assert sp.basis == tuple(basis) and sp.pivots == tuple(free)
         assert_exact_scalars(field, sp.basis)
-        assert sparse_dicts(sp) == sparse_dicts(Subspace(field, sp.ambient, basis, free))
+        assert sparse_dicts(sp.sparse_rows()) == sparse_dicts(dense_sparse_rows(basis, free))
         assert kernel_basis(m) == basis
 
 
@@ -448,8 +447,8 @@ def test_from_vectors_matches_the_dense_reference(field):
         assert sp.basis == tuple(tuple(r) for r in rows[:len(pivots)])
         assert sp.pivots == tuple(pivots)
         assert_exact_scalars(field, sp.basis)
-        fresh = Subspace(field, sp.ambient, sp.basis, sp.pivots)
-        assert sparse_dicts(sp) == sparse_dicts(fresh)
+        assert sparse_dicts(sp.sparse_rows()) == sparse_dicts(dense_sparse_rows(sp.basis,
+                                                                              sp.pivots))
 
 
 @ELIM_FIELDS
@@ -766,12 +765,13 @@ def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
 
 def test_only_a_kernel_has_integer_pivot_rows():
     span = Subspace.from_vectors(QQ, 3, [[1, Fraction(1, 2), 0]])
+    full, zero = Subspace.from_vectors(QQ, 2, [[1, 0], [0, 1]]), Subspace.from_vectors(QQ, 2, [])
     # Every subspace has integer rows: a span's are its pivot rows over
-    # their leads, here (2, 1) over 2; a dense basis gives its own.
+    # their leads, here (2, 1) over 2.
     assert span.int_rows() == {0: ((0, 1), (2, 1), 2)}
-    assert Subspace.full(QQ, 2).int_rows() == {0: ((0,), (1,), 1), 1: ((1,), (1,), 1)}
-    assert Subspace.zero(QQ, 2).int_rows() == {}
-    for space in (span, Subspace.full(QQ, 2), Subspace.zero(QQ, 2)):
+    assert full.int_rows() == {0: ((0,), (1,), 1), 1: ((1,), (1,), 1)}
+    assert zero.int_rows() == {}
+    for space in (span, full, zero):
         for read in (Subspace.pivot_form, Subspace.support):
             with pytest.raises(BadParams, match="no kernel: only a kernel has a pivot form"):
                 read(space)

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from shortloc import algebra, explorer, homology, kronecker, linalg, modules, numerics
+from shortloc import algebra, explorer, homology, kronecker, linalg, modules, numerics, verify
 from shortloc.errors import AlgebraMismatch, BadParams, DimensionMismatch
 from shortloc.homology import dual_data, projective_cover
 from shortloc.linalg import QQ, Field, Matrix
@@ -28,7 +28,7 @@ RECORDS = [algebra.AlgebraReport, explorer.PathStep, explorer.PathRecord,
            homology.BoundedVerdict, homology.ApproximationData, homology.DualData,
            kronecker.KroneckerRep, linalg.Field, modules.ModuleMap, modules.HomSpace,
            modules.IsoSearch, numerics.MainLemmaWitness, numerics.RecursionCheck,
-           numerics.BSequence]
+           numerics.BSequence, verify.Context, verify.ClaimResult, verify.Claim]
 
 BY_NAME = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 
@@ -82,7 +82,7 @@ def test_every_record_is_checked():
             decorated |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                           and any(isinstance(d, ast.Name) and d.id == "record"
                                   for d in node.decorator_list)}
-    assert decorated == {cls.__name__ for cls in RECORDS} and len(RECORDS) == 17
+    assert decorated == {cls.__name__ for cls in RECORDS} and len(RECORDS) == 20
 
 
 @BY_NAME

@@ -3,8 +3,7 @@
 ``contains``, ``coords`` and ``reduce`` read the residue, and so do a
 quotient's action columns and the tops that ``find_isomorphism`` tests.
 Each is compared in value and scalar type with its walk in
-``references.py``, over Q, F_7 and F_32003, on spans, kernels and
-subspaces made from a dense basis.
+``references.py``, over Q, F_7 and F_32003, on spans and kernels.
 """
 
 import random
@@ -28,11 +27,10 @@ def typed_entries(d):
 
 
 def subspaces(field):
-    """The span and the kernel of each elimination input, each also from its dense basis."""
+    """The span and the kernel of each elimination input."""
     for m in elimination_inputs(field):
-        for space in (Subspace.from_vectors(field, m.cols, m.data), kernel_subspace(m)):
-            yield space
-            yield Subspace(field, space.ambient, space.basis, space.pivots)
+        yield Subspace.from_vectors(field, m.cols, m.data)
+        yield kernel_subspace(m)
 
 
 def vectors(field, space, rng):
@@ -109,7 +107,7 @@ def test_quotients_and_tops_match_the_walks(field):
             _, emb = generated_submodule(M, [[field.of(rng.choice((-1, 0, 1, 2, 5)))
                                               for _ in range(M.dim)]])
             radical = M.radical()
-            for sub in (radical, M.socle(), Subspace(field, M.dim, radical.basis, radical.pivots),
+            for sub in (radical, M.socle(),
                         Subspace.from_vectors(field, M.dim, emb.matrix.transpose().data)):
                 Q, _ = quotient(M, sub)
                 want = [Matrix.from_sparse_columns(field, Q.dim, [col.items() for col in act])
@@ -127,4 +125,4 @@ def test_quotients_and_tops_match_the_walks(field):
                             for k, x in enumerate(row) if x} for X in walk_tops(N, t, homs)]
                     assert got == ref
                     maps += len(got)
-    assert quotients == 64 and maps >= 100
+    assert quotients == 48 and maps >= 100

@@ -17,8 +17,8 @@ from shortloc import homology, modules
 from shortloc.homology import (MinimalResolution, _hom_complex_matrix, ext_dims, is_semi_gp,
                                transpose)
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace, rank
-from shortloc.modules import (AModule, free_module, hom_space, left_regular_module, m_alpha,
-                              mod_j_squared, quotient, radical_module, random_module,
+from shortloc.modules import (AModule, free_module, hom_basis, hom_space, left_regular_module,
+                              m_alpha, mod_j_squared, quotient, radical_module, random_module,
                               simple_module, zero_module)
 from shortloc.presets import preset
 
@@ -148,7 +148,7 @@ def test_hom_space_matches_the_dense_reference(field):
             for src, tgt in ((M, N), (N, M)):
                 hs = hom_space(src, tgt)
                 maps, flat = dense_hom_space(src, tgt)
-                assert [f.matrix for f in hs.maps] == maps, label
+                assert [f.matrix for f in hom_basis(src, tgt)] == maps, label
                 assert hs.flat.basis == flat.basis and hs.flat.pivots == flat.pivots, label
                 assert sparse_dicts(hs.flat) == sparse_dicts(flat), label
                 nonzero += hs.dim > 0

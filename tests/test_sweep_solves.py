@@ -284,7 +284,7 @@ def syzygy_inputs(field):
 def dense_socle(M):
     """The kernel of the stacked dense actions, reduced: the formula the socle replaced."""
     if M.algebra.e == 0 or M.dim == 0:
-        return Subspace.full(M.field, M.dim)
+        return Subspace.from_vectors(M.field, M.dim, Matrix.identity(M.field, M.dim).data)
     return Subspace.from_vectors(M.field, M.dim, kernel_basis(stack_rows(M.actions)))
 
 
