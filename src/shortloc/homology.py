@@ -40,18 +40,19 @@ images, read off the same Φ, are checked against the shadow on its
 integer rows, and only those at Φ's pivot columns and those of the
 J^2-rows are eliminated again.  The images are Φ transposed, one pass over
 its entries (:meth:`Syzygy.images`).  Checked against the shadow on its
-integer rows and read at its pivots, they give the columns of its actions
-(:meth:`Syzygy.action_columns`), which its radical, its Hom systems and
-its action matrices read; only the entries read there become scalars.
+integer rows and read at its pivots, they give the integer columns of
+its actions (:meth:`Syzygy.int_columns`), which its radical and its Hom
+systems read with no scalar built; only its typed columns and action
+matrices, built from them on first read, hold scalars.
 Its socle is read off Φ itself: Φ's entries regrouped by J^2-coordinate
 and generator, one column per mapped row, have the rank of the stacked
 actions, so dim soc is dim Ω less that integer rank
 (:meth:`Syzygy.socle_dim`), and no action column is built for the main
 lemma or the bipartite test.  Any
-other module, of any Loewy length, reads Φ off its action columns at the
-free columns of its radical (:meth:`AModule.top_images`), converted to
-integers once (:func:`top_kernel`), so no whole cover matrix is
-eliminated.  Every module keeps its cover kernel
+other module, of any Loewy length, reads Φ off its integer action
+columns at the free columns of its radical (:meth:`AModule.int_images`,
+:func:`top_kernel`), so no value is converted again and no whole cover
+matrix is eliminated.  Every module keeps its cover kernel
 (:attr:`AModule.cover_kernel`, for a syzygy :meth:`Syzygy.cover`'s), so
 its cover, its syzygy and the Hom dimensions from it
 (:func:`~shortloc.modules.hom_dim`) share one :func:`phi_kernel` call; a
@@ -72,8 +73,7 @@ from typing import Iterator, Optional, Sequence
 from ._record import record
 from .algebra import ShortAlgebra
 from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapExceeded
-from .linalg import (IntRows, Matrix, Subspace, integer_values, kernel_subspace, rank,
-                     typed_values)
+from .linalg import IntRows, Matrix, Subspace, kernel_subspace, rank, typed_values
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, generated_span, hom_dim,
                       hom_space, left_regular_module, module_from_columns, pivot_columns, quotient,
                       relation_equations, vector_images, zero_module)
@@ -156,24 +156,19 @@ def lift_rows(rows: dict, order: Sequence[int], lifts: Sequence[int], n: int) ->
     return out
 
 
-def top_kernel(alg: ShortAlgebra, images: Sequence[Sequence[dict]]) -> Subspace:
-    """ker Φ from the images at the top lifts as dicts {index: scalar} (:meth:`AModule.top_images`).
+def top_kernel(alg: ShortAlgebra, images: Sequence[Sequence[Sequence[tuple]]]) -> Subspace:
+    """ker Φ from the images at the top lifts as (index, int) pairs over one scale.
 
     ``images[k]`` is v_1 m_k .. v_e m_k, then w_1 m_k .. w_a m_k, for the
-    k-th top lift m_k, in any coordinates of JN.  Column k·(dim A - 1) + u
-    of Φ is ``images[k][u]``.  The values are converted to integers once,
-    over one scale for all of them (:func:`~shortloc.linalg.integer_values`),
-    which scales Φ as a whole and leaves its kernel as it is.
+    k-th top lift m_k, in any coordinates of JN (:meth:`AModule.int_images`).
+    Column k·(dim A - 1) + u of Φ is ``images[k][u]``.  One scale for all
+    of them scales Φ as a whole and leaves its kernel as it is.
     """
-    n = alg.dim
-    values, _ = integer_values([x for imgs in images for img in imgs for x in img.values()],
-                               alg.field.characteristic)
-    ints = iter(values)
-    rows: dict = defaultdict(dict)
+    n, rows = alg.dim, defaultdict(dict)
     for k, imgs in enumerate(images):
         for c, img in enumerate(imgs, k * (n - 1)):
-            for q in img:
-                rows[q][c] = next(ints)
+            for q, y in img:
+                rows[q][c] = y
     return phi_kernel(alg, rows, [1] * len(images))
 
 
@@ -265,25 +260,41 @@ class Syzygy(AModule):
         images, empty = self._shadow_images, ([{} for _ in range(self.algebra.e)], 1)
         return [images.get(p, empty) for p in pivots]
 
-    def action_columns(self) -> list[list[list[tuple]]]:
-        """The columns of the actions, read off the integer images; no action matrix is built.
+    def int_columns(self) -> tuple[list, int]:
+        """The columns of the actions as ints over one scale, read straight off the integer images.
 
         v_j sends the basis row x to ψ_j(x), which is checked against the
         shadow on its integer rows (:meth:`_check_stable`); the shadow is
         row reduced, so x's column is the image's non-zero entries at the
-        pivots, and only those are converted to scalars.  So the radical
-        and the Hom systems of a syzygy read the same columns as its built
+        pivots.  Over Q each row's images are put over the lcm of the rows'
+        scales; over F_p they are residues over 1.  No value is typed.
+        """
+        if self._int_columns is None:
+            self._check_stable()
+            p, at = self.field.characteristic, {q: r for r, q in enumerate(self.space.pivots)}
+            images = self.images(self.space.pivots)
+            scale = 1 if p else lcm(*[s for _, s in images])
+            columns: list[list] = [[] for _ in range(self.algebra.e)]
+            for imgs, s in images:
+                m = scale // s
+                for cols, img in zip(columns, imgs):
+                    cols.append([(at[q], y % p if p else y * m) for q, y in img.items()
+                                 if q in at and (y % p if p else y)])
+            self._int_columns = (columns, scale)
+        return self._int_columns
+
+    def action_columns(self) -> list[list[list[tuple]]]:
+        """The columns of the actions, :meth:`int_columns` typed; no action matrix is built.
+
+        So the Hom systems of a syzygy read the same columns as its built
         actions would give.
         """
         if self._action_columns is None:
-            self._check_stable()
-            p, at = self.field.characteristic, {q: r for r, q in enumerate(self.space.pivots)}
-            columns: list[list] = [[] for _ in range(self.algebra.e)]
-            for imgs, scale in self.images(self.space.pivots):
-                for cols, img in zip(columns, imgs):
-                    hits = {at[q]: y for q, y in img.items() if q in at and (y % p if p else y)}
-                    cols.append(list(zip(hits, typed_values(hits.values(), scale, p))))
-            self._action_columns = columns
+            columns, scale = self.int_columns()
+            p = self.field.characteristic
+            self._action_columns = [[list(zip([r for r, _ in col],
+                                              typed_values([y for _, y in col], scale, p)))
+                                     for col in cols] for cols in columns]
         return self._action_columns
 
     def socle_dim(self) -> int:
@@ -642,7 +653,8 @@ class DualData:
     as the sparse rows of ``homs.flat``, their row-major flattenings, so
     no map matrix is built.  The dual module, the torsionless and
     reflexive verdicts, the evaluation map and the minimal left
-    approximation with its cokernel are built on first read.
+    approximation with its cokernel are built on first read; M* and the
+    torsionless verdict are kept on M, so each is built once per module.
     """
 
     homs: HomSpace
@@ -659,26 +671,35 @@ class DualData:
         return [[[(r * d + c, x) for r, x in col] for col in cols for c in range(d)]
                 for cols in self.homs.source.algebra.opposite().regular_columns()]
 
-    @cached_property
+    @property
     def module(self) -> AModule:
-        """M* = Hom(M, A) as a left module over the opposite algebra.
+        """M* = Hom(M, A) as a left module over the opposite algebra, kept on M.
 
         The images of the basis rows of ``homs.flat`` along :attr:`_right`
         (:func:`vector_images`) give the columns at its pivots.
         """
-        op, flat = self.homs.source.algebra.opposite(), self.homs.flat
-        images = vector_images(self._right, flat.sparse_rows().values())
-        return module_from_columns(op, flat.dim, pivot_columns(flat, images, op.e))
+        M = self.homs.source
+        if M._dual_module is None:
+            op, flat = M.algebra.opposite(), self.homs.flat
+            images = vector_images(self._right, flat.sparse_rows().values())
+            M._dual_module = module_from_columns(op, flat.dim, pivot_columns(flat, images, op.e))
+        return M._dual_module
 
-    @cached_property
+    @property
     def torsionless(self) -> bool:
-        """The maps into A separate points of M: their int rows (``homs.flat``) have rank dim M."""
-        d, rows = self.homs.source.dim, defaultdict(dict)
-        for q, (idx, vals, _) in self.homs.flat.int_rows().items():
-            for j, x in zip(idx, vals):
-                s, c = divmod(j, d)
-                rows[q, s][c] = x
-        return rank(IntRows(self.homs.source.field, list(rows.values()), d)) == d
+        """The maps into A separate points of M: their int rows (``homs.flat``) have rank dim M.
+
+        The verdict is kept on M.
+        """
+        M = self.homs.source
+        if M._torsionless is None:
+            d, rows = M.dim, defaultdict(dict)
+            for q, (idx, vals, _) in self.homs.flat.int_rows().items():
+                for j, x in zip(idx, vals):
+                    s, c = divmod(j, d)
+                    rows[q, s][c] = x
+            M._torsionless = rank(IntRows(M.field, list(rows.values()), d)) == d
+        return M._torsionless
 
     @cached_property
     def evaluation(self) -> ModuleMap:
@@ -747,8 +768,9 @@ class DualData:
 def dual_data(M: AModule) -> DualData:
     """Hom(M, A), solved once per module; everything on the dual side reads it.
 
-    M keeps only the solved flat rows (``AModule._dual_flat``), since a
-    DualData refers back to M; each call wraps them in a new DualData.
+    M keeps the solved flat rows (``AModule._dual_flat``), M* and the
+    torsionless verdict, none of which refers back to M, but not a DualData,
+    which does; each call wraps the rows in a new DualData.
     """
     A = left_regular_module(M.algebra)
     if M._dual_flat is None:
@@ -801,12 +823,14 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     gives d_1^*: Hom(A^{t_0}, A) -> Hom(A^{t_1}, A) of the Hom-complex; the
     transpose is its cokernel, realized as a module over the opposite algebra.
     """
-    alg = M.algebra
+    return _transpose(MinimalResolution(M, cap=cap))
+
+
+def _transpose(res: MinimalResolution) -> AModule:
+    """The transpose of the resolved module, read off the resolution's first two steps."""
+    alg = res.module.algebra
     op = alg.opposite()
-    if M.dim == 0:
-        return zero_module(op)
-    res = MinimalResolution(M, cap=cap)
-    t1 = res.rank(1)
+    t1 = res.module.dim and res.rank(1)
     if t1 == 0:
         return zero_module(op)
     # The image of d_1^* is spanned by the columns of its integer rows, one
@@ -816,8 +840,8 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
         for c, x in row.items():
             columns[c][r] = x
     F1 = free_module(op, t1)
-    image = IntRows(M.field, list(columns.values()), F1.dim)
-    tr, _ = quotient(F1, Subspace.from_vectors(M.field, F1.dim, image))
+    image = IntRows(alg.field, list(columns.values()), F1.dim)
+    tr, _ = quotient(F1, Subspace.from_vectors(alg.field, F1.dim, image))
     return tr
 
 
@@ -858,11 +882,16 @@ def is_semi_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -
     The scan stops at the first non-vanishing group, so modules that fail
     early never build the deep (often exponentially large) resolution.
     """
+    return _semi_gp_scan(MinimalResolution(M, cap=cap), bound)
+
+
+def _semi_gp_scan(res: MinimalResolution, bound: int) -> BoundedVerdict:
+    """Ext^i(M, A) = 0 for 1 <= i <= bound along ``res``, stopping at the first that is not."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if M.dim == 0:
+    if res.module.dim == 0:
         return BoundedVerdict(True, bound)
-    exts = _ext_sequence(MinimalResolution(M, cap=cap), left_regular_module(M.algebra))
+    exts = _ext_sequence(res, left_regular_module(res.module.algebra))
     for i, val in enumerate(islice(exts, bound + 1)):
         if i and val:
             return BoundedVerdict(False, bound, failed_at=i)
@@ -881,8 +910,10 @@ def is_inf_torsionfree(M: AModule, bound: int = DEFAULT_BOUND,
 
 
 def is_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -> BoundedVerdict:
-    """Bounded Gorenstein-projectivity: semi-GP and infinity-torsionfree."""
-    semi = is_semi_gp(M, bound=bound, cap=cap)
-    if not semi:
-        return semi
-    return is_inf_torsionfree(M, bound=bound, cap=cap)
+    """Bounded Gorenstein-projectivity: semi-GP and infinity-torsionfree.
+
+    One resolution of M serves the semi-GP scan and then the transpose.
+    """
+    res = MinimalResolution(M, cap=cap)
+    semi = _semi_gp_scan(res, bound)
+    return is_semi_gp(_transpose(res), bound=bound, cap=cap) if semi else semi

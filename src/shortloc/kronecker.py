@@ -15,9 +15,8 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
 from .homology import DEFAULT_CAP, Syzygy, syzygy, top_kernel
-from .linalg import IntRows, Matrix, rank, typed_values
-from .modules import (AModule, find_isomorphism, hom_dim, module_from_columns, pivot_columns,
-                      simple_multiplicity)
+from .linalg import IntRows, Matrix, integer_pairs, rank, typed_values
+from .modules import AModule, find_isomorphism, hom_dim, module_from_columns, simple_multiplicity
 
 
 @record
@@ -44,15 +43,18 @@ class KroneckerRep:
 def tilde(M: AModule) -> KroneckerRep:
     """The Kronecker representation (top M, JM; induced actions).
 
-    phi_j sends the k-th top lift to the coordinates of v_j m_k in JM, read
-    off the action columns (:meth:`AModule.top_images`, :func:`pivot_columns`).
+    phi_j sends the k-th top lift m_k to the coordinates of v_j m_k in JM.
+    v_j m_k is column c_k of v_j's action (:meth:`AModule.action_columns`,
+    :meth:`AModule.lift_columns`), a member of JM, whose basis is row
+    reduced, so its coordinates are its entries at the pivots.
     """
     if M.loewy_length() > 2:
         raise LoewyTooLong("the Kronecker shadow needs Loewy length <= 2")
-    rad, images = M.radical(), M.top_images()
-    maps = tuple(Matrix.from_sparse_columns(M.field, rad.dim, cols)
-                 for cols in pivot_columns(rad, images, M.algebra.e))
-    return KroneckerRep(e=M.algebra.e, dim0=len(images), dim1=rad.dim, maps=maps)
+    rad, lifts = M.radical(), M.lift_columns()
+    at = {q: r for r, q in enumerate(rad.pivots)}
+    maps = tuple(Matrix.from_sparse_columns(M.field, rad.dim, [
+        [(at[q], x) for q, x in cols[c] if q in at] for c in lifts]) for cols in M.action_columns())
+    return KroneckerRep(e=M.algebra.e, dim0=len(lifts), dim1=rad.dim, maps=maps)
 
 
 def rep_as_module(rep: KroneckerRep, alg: ShortAlgebra) -> AModule:
@@ -97,15 +99,22 @@ def kronecker_hom_dim(repA: KroneckerRep, repB: KroneckerRep) -> int:
     n1 = repB.dim1 * repA.dim1
     if n0 + n1 == 0 or not repA.maps:
         return n0 + n1  # no unknown, or no arrow and so no equation
-    rows = []
-    # Unknowns: g0 flattened row-major first, then g1.
+    field, rows = repA.maps[0].field, []
+    # Unknowns: g0 flattened row-major first, then g1.  Each arrow's
+    # equations are read off phiA's columns and phiB's rows, each read once
+    # as its non-zeros, and both converted to ints over one scale, which
+    # scales the arrow's equations together.
     for phiA, phiB in zip(repA.maps, repB.maps):
-        for r in range(repB.dim1):
-            for c in range(repA.dim0):
-                row = {k * repA.dim0 + c: x for k, x in enumerate(phiB.data[r]) if x}
-                row.update((n0 + r * repA.dim1 + k, -x) for k, x in enumerate(phiA.col(c)) if x)
+        (columns, b_rows), _ = integer_pairs(
+            (phiA.sparse_columns(), [[(k, x) for k, x in enumerate(row) if x]
+                                     for row in phiB.data]), field.characteristic)
+        for r, b_row in enumerate(b_rows):
+            g0 = [(k * repA.dim0, x) for k, x in b_row]
+            for c, col in enumerate(columns):
+                row = {k + c: x for k, x in g0}
+                row.update((n0 + r * repA.dim1 + k, -x) for k, x in col)
                 rows.append(row)
-    return n0 + n1 - rank(IntRows.from_scalars(repA.maps[0].field, rows, n0 + n1))
+    return n0 + n1 - rank(IntRows(field, rows, n0 + n1))
 
 
 def hom_decomposition_check(M: AModule, N: AModule) -> bool:
@@ -142,7 +151,8 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
     phi_i(u), and the new maps are the generator actions on the V-rows of
     the cover's kernel, which land in J^2 A^{dim V_0} = V_0 through the
     multiplication form.  The kernel is a syzygy's shadow, so it goes the
-    way of a resolution rung: Phi's columns are converted to integers once
+    way of a resolution rung: Phi's columns, the maps', are converted to
+    integers once (:func:`~shortloc.linalg.integer_pairs`) and eliminated
     (:func:`top_kernel`), the actions are read off the integer images
     (:meth:`Syzygy.images`), and only the w-entries read become scalars.  On
     dimension vectors (without simple projective summands) this acts as
@@ -158,9 +168,8 @@ def sigma_reflection(alg: ShortAlgebra, rep: KroneckerRep) -> KroneckerRep:
         raise InvariantViolation("multiplication form is degenerate")
     e, d0, n = rep.e, rep.dim0, alg.dim
     field = alg.field
-    columns = [[{r: x for r, x in enumerate(phi.col(u)) if x} for phi in rep.maps]
-               for u in range(d0)]
-    syz = Syzygy(alg, top_kernel(alg, columns))
+    maps, _ = integer_pairs([phi.sparse_columns() for phi in rep.maps], field.characteristic)
+    syz = Syzygy(alg, top_kernel(alg, [[cols[u] for cols in maps] for u in range(d0)]))
     images, p = syz.images([q for q in syz.space.pivots if q % n <= e]), field.characteristic
     maps = tuple(Matrix.from_columns(field, [typed_values([imgs[j].get(u * n + n - 1, 0)
                                                            for u in range(d0)], scale, p)

@@ -17,9 +17,12 @@ sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
 scaled by the lcm of their denominators, over F_p on plain residues.  It
 reads a dense :class:`Matrix` through :func:`_sparse`, or an
 :class:`IntRows`, never laid out densely: built in integers (Φ, the
-Hom-complex, the relation equations), its column scales folded back only
-into the kernel rows, or converted row by row from typed sparse rows
-(:meth:`IntRows.from_scalars`: radicals, stacked actions, Kronecker Homs).
+Hom-complex, the relation equations, the Kronecker Homs, an isomorphism's
+witness graph, and a module's radical and stacked actions from its action
+columns, converted once per module,
+:meth:`~shortloc.modules.AModule.int_columns`), its column scales folded
+back only into the kernel rows, or converted row by row from typed sparse
+rows (:meth:`IntRows.from_scalars`: a search's tops).
 The reduced row echelon form is unique, so its rows and pivots do not
 depend on how they are found.  Its only division is by each pivot row's
 lead when the rows are read (:func:`typed_values`, :func:`_kernel_rows`),
@@ -40,8 +43,8 @@ pivot rows of its matrix (:meth:`Subspace.pivot_form`) and writes its
 integer rows from them in one pass.  Typed rows are built from the
 integer rows on first read, so a caller that needs only a rank, a
 dimension or free columns pays for the elimination alone.  Scalars and
-ints cross over at one pair of converters, :func:`integer_values` and
-:func:`typed_values`.
+ints cross over at one pair of converters, :func:`integer_values` (with
+:func:`integer_pairs` for sparse columns) and :func:`typed_values`.
 """
 
 from __future__ import annotations
@@ -300,7 +303,12 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def sparse_columns(self) -> list[list[tuple]]:
-        """The non-zero (row, value) pairs of each column, an Fp tested by its residue."""
+        """The non-zero (row, value) pairs of each column, an Fp tested by its residue.
+
+        A matrix with no rows has ``cols`` empty columns.
+        """
+        if not self.data:
+            return [[] for _ in range(self.cols)]
         p = self.field.characteristic
         return [[(i, x) for i, x in enumerate(col) if (x.v if p else x)] for col in zip(*self.data)]
 
@@ -386,14 +394,29 @@ def integer_values(values: Sequence, p: int) -> tuple[list, int]:
     """Scalars as ints over one scale d, each scalar its int over d.
 
     Over F_p the ints are the residues and d is 1; over Q d is the lcm of
-    the denominators (1 when every scalar is an ``int``).
+    the denominators, and when every scalar is an ``int`` d is 1 and the
+    ints are ``values`` itself.
     """
     if p:
         return [x.v for x in values], 1
     if _INTS.issuperset(map(type, values)):
-        return list(values), 1
+        return values, 1
     d = lcm(*[int(x.denominator) for x in values])
     return [int(x.numerator) * (d // int(x.denominator)) for x in values], d
+
+
+def integer_pairs(groups: Sequence[Sequence[Sequence[tuple]]], p: int) -> tuple[Sequence, int]:
+    """Groups of lists of (index, scalar) pairs as (index, int) pairs over one scale d.
+
+    All the scalars are converted together (:func:`integer_values`); when
+    they are all ``int`` already, ``groups`` itself is returned, over 1.
+    """
+    flat = [x for group in groups for pairs in group for _, x in pairs]
+    values, scale = integer_values(flat, p)
+    if values is flat:
+        return groups, 1
+    ints = iter(values)
+    return [[list(zip([i for i, _ in pairs], ints)) for pairs in group] for group in groups], scale
 
 
 def typed_values(values: Sequence[int], scale: int, p: int) -> tuple:

@@ -7,25 +7,35 @@ valid module iff it satisfies the linear relations among the products
 v_i v_j and kills all triple products.
 
 :meth:`AModule.action_columns` is the one way a module's actions are
-read and built: each generator's action as sparse columns.  A^t is held
-by them (:func:`free_module`), as a syzygy is by those read off its Φ's
-integer rows (:meth:`~shortloc.homology.Syzygy.action_columns`); either
-builds its matrices only when they are read (:attr:`AModule.actions`).
-:func:`vector_images` maps vectors along them, :func:`pivot_columns`
-turns the images of a subspace's basis rows into the columns of the
-induced actions, checked for stability, and :func:`module_from_columns`
-builds the module.  Submodules and closures, quotients, J^2 M, the Loewy
-length, the radical, the dual module and the Kronecker shadow go this
-way, and the socle and the Hom equations read the columns, so none of
-them multiplies action matrices; a syzygy's socle is read off its Φ's
-integer rows instead (:meth:`~shortloc.homology.Syzygy.socle_dim`).  w_m
-acts as sum s_ij v_i v_j, so w_m·x sums the images v_i·(v_j·x) read
-along the columns (:func:`square_images`); the module axioms are read
-off those images (:func:`validate_module`).  :meth:`AModule.top_images`
-maps the radical basis at the top lifts, the images every cover is read
-off (its kernel, :attr:`AModule.cover_kernel`, is found once per
-module), and :meth:`AModule.int_action_rows` holds each basis element's
-action as sparse rows of ints over one scale, for the Hom systems.
+read and built: each generator's action as sparse columns.  A module is
+held in one typed form: one built from matrices keeps them, and every
+module the engine builds is held by its columns, built by
+:func:`module_from_columns` (A^t by :func:`free_module`, a syzygy by
+those read off its Φ's integer rows,
+:meth:`~shortloc.homology.Syzygy.action_columns`); such a module builds
+its matrices only when they are read (:attr:`AModule.actions`), and is
+held by them from then on.  Its action values are converted to ints once,
+over one scale (:meth:`AModule.int_columns`; a syzygy reads them straight
+off its Φ images), and the radical, the socle, the Loewy length and the
+integer action rows read only those ints.  :func:`vector_images` maps
+vectors along the columns, :func:`pivot_columns` turns the images of a
+subspace's basis rows into the columns of the induced actions, checked
+for stability, and :func:`module_from_columns` builds the module.
+Submodules and closures, quotients, J^2 M, the dual module and the
+Kronecker shadow go this way, and the Hom equations read the columns, so
+none of them multiplies action matrices; a syzygy's socle dimension is
+read off its Φ's integer rows instead
+(:meth:`~shortloc.homology.Syzygy.socle_dim`).  w_m acts as sum s_ij
+v_i v_j, so w_m·x sums the images v_i·(v_j·x) read along the columns
+(:func:`square_images`); the module axioms are read off those images
+(:func:`validate_module`).  :meth:`AModule.int_images` maps the radical
+basis at unit vectors in integers, so the images every cover kernel
+(:attr:`AModule.cover_kernel`, found once per module) and every Hom
+relation are read off at the top lifts hold no scalar, and
+:meth:`AModule.int_action_rows` holds each basis element's action as
+sparse rows of ints over one scale, for the Hom systems;
+:meth:`AModule.top_images`, their typed twins, serve the cover's typed
+columns.
 
 Every Hom system is built one way, :func:`relation_equations`: a map
 A^t -> N is its images n_1..n_t, column s·t + k is entry s of n_k (the
@@ -45,24 +55,25 @@ kernel; the dual side reads :func:`hom_space`'s flat rows, and
 unknowns and reads each basis element's top once, sparse, off its images
 n_k mod JN, since an A-map between modules of one dimension is
 invertible iff it is onto the top (Nakayama); a combination's top is
-that combination of the tops.  It takes dim Hom(N, M) only when no basis
-element is invertible, and solves for one witness matrix only when the
-witness is read.  Socle dimensions, and with them the bipartite test and
-the multiplicity of S, are ranks.
+that combination of the tops.  It takes dim Hom(N, M) only when neither a
+basis element nor a seeded combination is invertible, and solves for one
+witness matrix only when the witness is read.  Socle dimensions, and with
+them the bipartite test and the multiplicity of S, are ranks.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
-from .linalg import (DEFAULT_POOL, Field, IntRows, Matrix, Subspace, integer_values,
-                     kernel_subspace, rank)
+from .linalg import (DEFAULT_POOL, Field, IntRows, Matrix, Subspace, integer_pairs,
+                     integer_values, kernel_subspace, rank)
 
 
 class DimVec(tuple):
@@ -86,11 +97,16 @@ class DimVec(tuple):
 class AModule:
     """A finite-length left module over a :class:`ShortAlgebra`.
 
-    A module is held by its action matrices or by its sparse action
-    columns (:meth:`action_columns`), as A^t and a syzygy are, and builds
-    the other form on first read.  ``free_rank`` is t when the module is
-    A^t in the coordinates of :func:`free_module`; no engine route reads
-    it, but copies of a module carry it (``_fresh`` in ``bench/workload.py``).
+    A module is held in one typed form.  One built from matrices keeps
+    them; one the engine builds (:func:`module_from_columns`, A^t, a
+    syzygy) is held by its sparse action columns (:meth:`action_columns`)
+    and builds its matrices only when :attr:`actions` is read, from then
+    on held by them.  Either way its action values are converted to ints
+    once, over one scale (:meth:`int_columns`), and the radical, the socle,
+    the Loewy length and the integer action rows read only those ints.
+    ``free_rank`` is t when the module is A^t in the coordinates of
+    :func:`free_module`; no engine route reads it, but copies of a module
+    carry it (``_fresh`` in ``bench/workload.py``).
     """
 
     free_rank: Optional[int] = None
@@ -99,8 +115,12 @@ class AModule:
     _socle_dim: Optional[int] = None
     _int_action_rows: Optional[tuple] = None
     _action_columns: Optional[list] = None
+    _int_columns: Optional[tuple] = None
     _loewy: Optional[int] = None
+    #: Hom(M, A)'s flat rows, M* and the torsionless verdict (:func:`~shortloc.homology.dual_data`).
     _dual_flat: Optional[Subspace] = None
+    _dual_module: Optional["AModule"] = None
+    _torsionless: Optional[bool] = None
     #: Set when J^2 M = 0 is known, as for a syzygy: then no image decides it.
     _square_zero = False
 
@@ -119,9 +139,15 @@ class AModule:
 
     @cached_property
     def actions(self) -> tuple[Matrix, ...]:
-        """The generator action matrices of a module held by its columns, built on first read."""
-        return tuple(Matrix.from_sparse_columns(self.field, self.dim, cols)
-                     for cols in self.action_columns())
+        """The generator action matrices of a module held by its columns, built on first read.
+
+        The module is held by them from then on: its columns are dropped,
+        and a later :meth:`action_columns` reads them off the matrices.
+        """
+        actions = tuple(Matrix.from_sparse_columns(self.field, self.dim, cols)
+                        for cols in self.action_columns())
+        self._action_columns = None
+        return actions
 
     def __repr__(self) -> str:
         return f"AModule(dim {self.dim} over {self.algebra.name or self.algebra!r})"
@@ -136,34 +162,55 @@ class AModule:
     def int_action_rows(self) -> tuple:
         """Per basis element b of A, each row of b's action as its non-zeros (column, int).
 
-        The ints are :func:`~shortloc.linalg.integer_values` of all the
-        values together, over one scale, the value on the identity rows
-        (b = 0): residues over F_p, and over Q the values themselves when
-        every one is an ``int``.  Every module, A^t included, transposes its
-        action columns: v_j's are :meth:`action_columns`, w_m's are
-        :func:`square_images` of the unit vectors, formed only when J^2 M is
-        not zero, so no product is formed.  A^1 is shared per algebra
-        (:func:`left_regular_module`), so its rows are built once.
+        The ints are over one scale, the value on the identity rows (b = 0),
+        the least that makes every value integral: 1 over F_p, whose ints
+        are residues.  They are the images of all unit vectors
+        (:meth:`int_images`) transposed, so no product is formed.  A^1 is
+        shared per algebra (:func:`left_regular_module`), so its rows are
+        built once.
         """
         if self._int_action_rows is None:
-            d, one, columns = self.dim, self.field.one(), self.action_columns()
-            images = [[dict(cols[c]) for cols in columns] for c in range(d)]
+            d = self.dim
+            images, scale = self.int_images(range(d))
             act: list = [[[] for _ in range(d)] for _ in range(self.algebra.dim)]
-            if self._square_zero or self.loewy_length() < 3:
-                squares: list = [()] * d
-            else:
-                squares = square_images(self.algebra, columns, images)
-            for c, (vs, ws) in enumerate(zip(images, squares)):
-                for b, image in enumerate([{c: one}, *vs, *ws]):
-                    for r, x in image.items():
-                        act[b][r].append((c, x))
-            p = self.field.characteristic
-            values = [y for b in act for row in b for _, y in row]
-            if p or any(type(y) is not int for y in values):
-                ints = iter(integer_values(values, p)[0])
-                act = [[[(c, next(ints)) for c, _ in row] for row in b] for b in act]
+            for c, imgs in enumerate(images):
+                act[0][c].append((c, scale))
+                for b, image in enumerate(imgs, 1):
+                    for r, y in image:
+                        act[b][r].append((c, y))
             self._int_action_rows = tuple(tuple(map(tuple, b)) for b in act)
         return self._int_action_rows
+
+    def int_images(self, at: Sequence[int]) -> tuple[list[list[list]], int]:
+        """(images, d): v_1·e_c .. v_e·e_c, w_1·e_c .. w_a·e_c for c in ``at``, ints over d.
+
+        Each image is its (row, int) pairs, and d is the least scale over
+        which all these images are integral (1 over F_p).  The v-images are
+        the columns of :meth:`int_columns`.  Only when J^2 M is not zero are
+        the w-images formed, as :func:`square_images` of the typed columns,
+        converted together and folded into the scale of the v-images;
+        otherwise they are empty, and no square is formed.
+        """
+        columns, scale = self.int_columns()
+        images = [[cols[c] for cols in columns] for c in at]
+        if self._square_zero or self.loewy_length() < 3:
+            images = [vs + [[]] * self.algebra.a for vs in images]
+        else:
+            typed = self.action_columns()
+            squares = square_images(self.algebra, typed,
+                                    [[dict(cols[c]) for cols in typed] for c in at])
+            values, w_scale = integer_values(
+                [y for ws in squares for w in ws for y in w.values()], self.field.characteristic)
+            total, ints = lcm(scale, w_scale), iter(values)
+            fold, lift = total // scale, total // w_scale
+            images = [[[(r, y * fold) for r, y in v] for v in vs] +
+                      [[(r, next(ints) * lift) for r in w] for w in ws]
+                      for vs, ws in zip(images, squares)]
+            scale = total
+        g = gcd(scale, *(y for imgs in images for img in imgs for _, y in img)) if scale > 1 else 1
+        if g > 1:
+            images = [[[(r, y // g) for r, y in img] for img in imgs] for imgs in images]
+        return images, scale // g
 
     def action_columns(self) -> list[list[list[tuple]]]:
         """Per generator, the non-zero (row, value) pairs of each column of its action.
@@ -176,26 +223,44 @@ class AModule:
             self._action_columns = [X.sparse_columns() for X in self.actions]
         return self._action_columns
 
+    def int_columns(self) -> tuple[list, int]:
+        """(columns, d): :meth:`action_columns` with every value an int over the one scale d.
+
+        The values are converted together, once per module
+        (:func:`~shortloc.linalg.integer_pairs`): residues over d = 1 on
+        F_p; on Q the values themselves over 1 when each is an ``int``,
+        else ints over the lcm of the denominators.  A syzygy reads them
+        off its Φ images instead (:meth:`~shortloc.homology.Syzygy.int_columns`).
+        """
+        if self._int_columns is None:
+            self._int_columns = integer_pairs(self.action_columns(), self.field.characteristic)
+        return self._int_columns
+
     # -- structural subspaces -------------------------------------------
 
     def radical(self) -> Subspace:
-        """JM, the span of the columns of the generator actions (:meth:`action_columns`).
+        """JM, the span of the columns of the generator actions, read off :meth:`int_columns`.
 
-        The sparse columns go to the elimination as the rows of one
-        :class:`~shortloc.linalg.IntRows` (:meth:`~shortloc.linalg.IntRows.from_scalars`),
-        so no action matrix is read, on A^t nor on a syzygy, and no column is bounds-checked.
+        The columns go to the elimination as the rows of one
+        :class:`~shortloc.linalg.IntRows`, each over the least scale of its
+        own (the scale d over the gcd of d and its ints), as a typed row
+        converts, so no typed value is read, on A^t nor on a syzygy.
         """
         if self._radical is None:
-            images = [dict(col) for cols in self.action_columns() for col in cols]
-            self._radical = Subspace.from_vectors(
-                self.field, self.dim, IntRows.from_scalars(self.field, images, self.dim))
+            columns, scale = self.int_columns()
+            rows = [dict(col) for cols in columns for col in cols]
+            if scale != 1:
+                rows = [{r: y // g for r, y in row.items()} if (g := gcd(scale, *row.values())) > 1
+                        else row for row in rows]
+            self._radical = Subspace.from_vectors(self.field, self.dim,
+                                                  IntRows(self.field, rows, self.dim))
         return self._radical
 
     def socle(self) -> Subspace:
         """{m in M : Jm = 0}, the largest semisimple submodule.
 
         It is the kernel of the stacked actions, whose rows are read off
-        :meth:`action_columns` as sparse rows, then reduced as integer rows.
+        :meth:`int_columns`, then reduced as integer rows.
         """
         if self._socle is None:
             kernel = kernel_subspace(self._stacked_actions()).int_rows().values()
@@ -214,14 +279,14 @@ class AModule:
         return self._socle_dim
 
     def _stacked_actions(self) -> IntRows:
-        """The generator actions stacked, as sparse rows read off :meth:`action_columns`."""
+        """The generator actions stacked, as integer rows read off :meth:`int_columns`."""
         d = self.dim
         rows: list[dict] = [{} for _ in range(self.algebra.e * d)]
-        for j, cols in enumerate(self.action_columns()):
+        for j, cols in enumerate(self.int_columns()[0]):
             for c, col in enumerate(cols):
                 for r, x in col:
                     rows[j * d + r][c] = x
-        return IntRows.from_scalars(self.field, rows, d)
+        return IntRows(self.field, rows, d)
 
     def top_dim(self) -> int:
         return self.dim - self.radical().dim
@@ -229,8 +294,10 @@ class AModule:
     def loewy_length(self) -> int:
         """Least n with J^n M = 0 (0 for the zero module, at most 3).
 
-        J^2 M = 0 iff the generators kill the basis rows of JM, whose
-        images are read along the action columns (:func:`vector_images`).
+        J^2 M = 0 iff the generators kill the basis rows of JM: the
+        radical's integer rows (:meth:`~shortloc.linalg.Subspace.int_rows`)
+        are mapped along :meth:`int_columns` (:func:`vector_images`), so no
+        typed row is built.
         """
         if self._loewy is None:
             if self.dim == 0:
@@ -240,9 +307,11 @@ class AModule:
             elif self._square_zero:
                 self._loewy = 2
             else:
-                rows = self.radical().sparse_rows().values()
-                images = vector_images(self.action_columns(), rows)
-                self._loewy = 3 if any(any(img.values()) for row in images for img in row) else 2
+                p, rows = self.field.characteristic, self.radical().int_rows().values()
+                images = vector_images(self.int_columns()[0],
+                                       [(idx, vals) for idx, vals, _ in rows])
+                hit = (y % p if p else y for row in images for img in row for y in img.values())
+                self._loewy = 3 if any(hit) else 2
         return self._loewy
 
     def top_lift(self) -> list[tuple]:
@@ -254,12 +323,14 @@ class AModule:
         return self.radical().free_columns()
 
     def top_images(self) -> list[list[dict]]:
-        """The images of the radical basis at each top lift m_k, as {index: value}.
+        """The images of the radical basis at each top lift m_k, as {index: value}: typed.
 
         m_k is the unit vector at c_k (:meth:`lift_columns`), so v_j m_k is
         column c_k of v_j's action, read off :meth:`action_columns`.
         w_1 m_k .. w_a m_k follow (:func:`square_images`); when J^2 M is
-        zero they are empty and no square is formed.
+        zero they are empty and no square is formed.  The cover's typed
+        columns read them; the cover kernel and the Hom systems read their
+        ints (:meth:`int_images`).
         """
         columns = self.action_columns()
         images = [[dict(cols[c]) for cols in columns] for c in self.lift_columns()]
@@ -269,14 +340,15 @@ class AModule:
 
     @cached_property
     def cover_kernel(self) -> Subspace:
-        """The kernel of the cover A^t -> M in A^t, ker Φ of :meth:`top_images`, found once.
+        """The kernel of the cover A^t -> M in A^t, found once.
 
-        The images are converted to integers once and Φ is eliminated
-        (:func:`~shortloc.homology.top_kernel`); the cover, the syzygy and
+        Φ's columns are the integer images at the top lifts
+        (:meth:`int_images` at :meth:`lift_columns`), eliminated by
+        :func:`~shortloc.homology.top_kernel`; the cover, the syzygy and
         :func:`hom_dim` from M read the one kernel.
         """
         from . import homology
-        return homology.top_kernel(self.algebra, self.top_images())
+        return homology.top_kernel(self.algebra, self.int_images(self.lift_columns())[0])
 
 
 def validate_module(M: AModule) -> None:
@@ -412,11 +484,11 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
         raise BadParams("free rank must be natural")
     if t == 0:
         return zero_module(alg)
-    n, F = alg.dim, AModule.__new__(AModule)
-    F.algebra, F.dim, F.free_rank = alg, n * t, t
-    F._loewy = 3 if alg.structure else 2 if alg.e else 1
-    F._action_columns = [[[(k * n + i, x) for i, x in col] for k in range(t) for col in cols]
-                         for cols in alg.regular_columns()]
+    n = alg.dim
+    F = module_from_columns(alg, n * t, [[[(k * n + i, x) for i, x in col]
+                                          for k in range(t) for col in cols]
+                                         for cols in alg.regular_columns()])
+    F.free_rank, F._loewy = t, 3 if alg.structure else 2 if alg.e else 1
     return F
 
 
@@ -483,9 +555,13 @@ def pivot_columns(space: Subspace, images: Sequence[Sequence[dict]], e: int) -> 
 
 
 def module_from_columns(alg: ShortAlgebra, dim: int, columns: Sequence[Sequence]) -> AModule:
-    """The module whose generator v_{j+1} acts by the sparse columns ``columns[j]``."""
-    return AModule(alg, dim, [Matrix.from_sparse_columns(alg.field, dim, cols) for cols in columns],
-                   check=False)
+    """The module whose generator v_{j+1} acts by the sparse columns ``columns[j]``, held by them.
+
+    Its matrices are built only when :attr:`AModule.actions` is read.
+    """
+    M = AModule.__new__(AModule)
+    M.algebra, M.dim, M._action_columns = alg, dim, list(columns)
+    return M
 
 
 def module_from_subspace(M: AModule, space: Subspace) -> tuple[AModule, ModuleMap]:
@@ -717,8 +793,8 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
         b·unit_{c_k} - sum_c (b m_k)[c]·unit_c
 
     for every radical basis element b and every k, read off the image
-    b m_k (:meth:`AModule.top_images`) as ints over its own scale
-    (:func:`~shortloc.linalg.integer_values`).  A relation with image zero
+    b m_k as ints (:meth:`AModule.int_images`), each relation over the
+    least scale of its own.  A relation with image zero
     whose b kills N is skipped, and no empty row is handed over, so at
     most (dim A - 1)·t·dim N rows, as :class:`~shortloc.linalg.IntRows`,
     meet the dim M·dim N unknowns.  Their kernel is Hom(M, N), its reduced
@@ -727,16 +803,16 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
     dm, dn, n = M.dim, N.dim, M.algebra.dim
-    one, p = M.field.one(), M.field.characteristic
     kills = [not any(rows) for rows in N.int_action_rows()]
-    relations = []
-    for c_k, images in zip(M.lift_columns(), M.top_images()):
-        for b, image in enumerate(images, 1):
+    lifts, relations = M.lift_columns(), []
+    images, scale = M.int_images(lifts)
+    for c_k, imgs in zip(lifts, images):
+        for b, image in enumerate(imgs, 1):
             if not image and kills[b]:
                 continue
-            (lead, *ints), _ = integer_values([one, *image.values()], p)
-            relations.append(((c_k * n + b, *(c * n for c in image)),
-                              (lead, *(-x for x in ints))))
+            g = gcd(scale, *(y for _, y in image))
+            relations.append(((c_k * n + b, *(c * n for c, _ in image)),
+                              (scale // g, *(-y // g for _, y in image))))
     equations = relation_equations(N, relations, dm)
     rows = IntRows(N.field, list(filter(None, equations.data)), dn * dm)
     return HomSpace(M, N, kernel_subspace(rows))
@@ -896,29 +972,48 @@ def _witness(M: AModule, N: AModule, images: dict) -> ModuleMap:
 
     ``images`` are (n_1..n_t) as :func:`_top` reads them, a solution of
     :func:`presentation_equations`.  The unit vectors at the free columns
-    (k, b) of M's cover kernel complement it in A^t, so the b·m_k there
-    (:meth:`AModule.top_images`) are a basis of M, and F(b·m_k) = b·n_k
-    fixes F.  Its graph is the span of the pairs (b·m_k, b·n_k), one
-    elimination whose pivot row c is (e_c, F(e_c)).  A free column with
-    b = w_m occurs only when J^2 M is not zero; only then are the
-    w_m·n_k formed (:func:`square_images`).
+    (k, b) of M's cover kernel complement it in A^t, so the b·m_k there are
+    a basis of M, and F(b·m_k) = b·n_k fixes F.  Its graph is spanned by
+    any pairs (x, F(x)) whose x span M; it is one elimination whose pivot
+    row c is (e_c, F(e_c)).  The pairs are read in integers: the n_k are
+    converted once, and the b·m_k and b·n_k are mapped along the integer
+    columns of M and N (:meth:`AModule.int_columns`), each pair over the
+    least common multiple of its two scales.  A free column with b = w_m
+    occurs only when J^2 M is not zero; only then are the pairs at the
+    v_i·(v_j·m_k) formed, which span the w_m·m_k, so no section is read.
     """
     t, n, e = M.top_dim(), M.algebra.dim, M.algebra.e
 
     def build() -> Matrix:
-        dm, one, copies = M.dim, M.field.one(), _copies(images, t)
-        columns = N.action_columns()
+        dm, dn = M.dim, N.dim
+        (cols_m, s_m), (cols_n, s_n) = M.int_columns(), N.int_columns()
+        typed = _copies(images, t)
+        values, s = integer_values([x for n_k in typed for x in n_k.values()],
+                                   M.field.characteristic)
+        ints = iter(values)
+        copies = [dict(zip(n_k, ints)) for n_k in typed]
+        ms = [[{c: 1}] + [dict(cols[c]) for cols in cols_m] for c in M.lift_columns()]
+        ns = [[x, *v] for x, v in zip(copies, vector_images(cols_n, [(x.keys(), x.values())
+                                                                       for x in copies]))]
         free = [divmod(q, n) for q in M.cover_kernel.free_columns()]
-        vs = vector_images(columns, [(x.keys(), x.values()) for x in copies])
-        if any(b > e for _, b in free):
-            vs = [v + w for v, w in zip(vs, square_images(N.algebra, columns, vs))]
-        source = [[{c: one}, *imgs] for c, imgs in zip(M.lift_columns(), M.top_images())]
-        target = [[x, *v] for x, v in zip(copies, vs)]
-        graph = Subspace.from_vectors(M.field, dm + N.dim, IntRows.from_scalars(M.field, [
-            {**source[k][b], **{dm + s: y for s, y in target[k][b].items()}} for k, b in free],
-            dm + N.dim))
+        pairs = [(ms[k][b], ns[k][b], *((1, s) if b == 0 else (s_m, s * s_n)))
+                 for k, b in free if b <= e]
+        deep = sorted({k for k, b in free if b > e})
+        if deep:
+            twice_m = vector_images(cols_m, [(v.keys(), v.values())
+                                             for k in deep for v in ms[k][1:]])
+            twice_n = vector_images(cols_n, [(v.keys(), v.values())
+                                             for k in deep for v in ns[k][1:]])
+            pairs += [(x, y, s_m * s_m, s * s_n * s_n)
+                      for xs, ys in zip(twice_m, twice_n) for x, y in zip(xs, ys)]
+        rows = []
+        for x, y, sx, sy in pairs:
+            scale = lcm(sx, sy)
+            rows.append({**{c: v * (scale // sx) for c, v in x.items()},
+                         **{dm + r: v * (scale // sy) for r, v in y.items()}})
+        graph = Subspace.from_vectors(M.field, dm + dn, IntRows(M.field, rows, dm + dn))
         rows = graph.sparse_rows()
-        return Matrix.from_sparse_columns(N.field, N.dim, [
+        return Matrix.from_sparse_columns(N.field, dn, [
             [(j - dm, x) for j, x in zip(*rows[c]) if j >= dm] for c in range(dm)])
     return _LazyMap(M, N, build)
 
@@ -929,15 +1024,15 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     A search reads tops, not basis maps, so it solves Hom(M, N) as the
     kernel of :func:`presentation_equations`, t·dim N unknowns, and never
     calls :func:`hom_space`.  Each basis element (n_1..n_t) is tried on
-    its top (:func:`_top`), read once.  Only when none is invertible is
-    dim Hom(N, M) taken, by rank (:func:`hom_dim`): an isomorphism makes
-    the two Hom dimensions equal, so a mismatch certifies that there is
-    none.  Otherwise seeded random combinations with small coefficients
-    are tried, and over Q also a generic combination evaluated at the
-    integer points 1, 2, ..., 2 dim Hom + 8, each on the same combination
-    of the tops; any hit certifies the isomorphism.  The witness is the
-    map of the combined images (:func:`_witness`), the one matrix built,
-    by one solve on first read.
+    its top (:func:`_top`), read once.  When none is invertible, seeded
+    random combinations with small coefficients are tried, and over Q
+    also a generic combination evaluated at the integer points 1, 2, ...,
+    2 dim Hom + 8, each on the same combination of the tops; any hit
+    certifies the isomorphism.  Only when they fail too is dim Hom(N, M)
+    taken, by rank (:func:`hom_dim`): an isomorphism makes the two Hom
+    dimensions equal, so a mismatch certifies that there is none.  The
+    witness is the map of the combined images (:func:`_witness`), the one
+    matrix built, by one solve on first read.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism between modules over different algebras")
@@ -955,10 +1050,6 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
         tops.append(_top(N, t, images))
         if _invertible(N, t, tops[-1]):
             return IsoSearch(True, True, witness=_witness(M, N, images))
-    if homs.dim != hom_dim(N, M):
-        return IsoSearch(False, True, note="hom dimension mismatch")
-    if not basis:
-        return IsoSearch(False, True, note="no non-zero homomorphisms")
     rng = random.Random(seed)
     elems = [M.field.of(x) for x in DEFAULT_POOL]
 
@@ -969,9 +1060,14 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
             for point in range(1, 2 * len(basis) + 9):
                 x = M.field.of(point)
                 yield [x ** k for k in range(len(basis))]
-    for coefs in coefficients():
+    for coefs in coefficients() if basis else ():
         if _invertible(N, t, _combine(coefs, tops)):
             return IsoSearch(True, True, witness=_witness(M, N, _combine(coefs, basis)))
+    # Nothing invertible was found: an isomorphism would make the Hom dimensions equal.
+    if homs.dim != hom_dim(N, M):
+        return IsoSearch(False, True, note="hom dimension mismatch")
+    if not basis:
+        return IsoSearch(False, True, note="no non-zero homomorphisms")
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
 
 

@@ -55,6 +55,19 @@ The isomorphism search with dense tops (``dense_top_find_isomorphism``)
 is what ranking sparse tops replaced: each top laid out as a dense
 dim top N x t matrix, a zero one skipped, and each combination's top
 read off the combined images of the basis elements whose top is not zero.
+
+A module's typed routes are what reading its integer columns replaced:
+the radical as the typed action columns converted row by row
+(``typed_radical``), the socle as the kernel of the typed stacked actions
+(``typed_socle``), the Loewy test on the typed radical rows
+(``typed_loewy_length``), and the integer action rows of the typed
+columns and w-images, converted together (``typed_int_action_rows``).
+
+The Kronecker Hom equations with each column of a map rebuilt per
+equation (``reference_kronecker_hom_dim``), and Gorenstein projectivity
+with one resolution for the semi-GP scan and another for the transpose
+(``two_resolution_is_gp``), are what reading each map once and sharing
+one resolution replaced.
 """
 
 import random
@@ -63,7 +76,7 @@ from collections import defaultdict
 from itertools import compress, count
 
 from shortloc.errors import BadParams, InvariantViolation
-from shortloc.homology import ApproximationData, dual_data
+from shortloc.homology import ApproximationData, dual_data, is_semi_gp, transpose
 from shortloc import modules
 from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace,
                              integer_values, kernel_basis, kernel_subspace, rank, solve)
@@ -527,3 +540,92 @@ def dense_top_find_isomorphism(M, N, seed=0):
             return IsoSearch(True, True,
                              witness=modules._witness(M, N, modules._combine(coefs, basis)))
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
+
+
+# -- a module's typed routes ---------------------------------------------------------
+
+def typed_radical(M):
+    """JM: the span of the typed action columns, each converted as a row (``from_scalars``)."""
+    rows = [dict(col) for cols in M.action_columns() for col in cols]
+    return Subspace.from_vectors(M.field, M.dim, IntRows.from_scalars(M.field, rows, M.dim))
+
+
+def typed_stacked_actions(M):
+    """The generator actions stacked, typed sparse rows converted one by one."""
+    d = M.dim
+    rows = [{} for _ in range(M.algebra.e * d)]
+    for j, cols in enumerate(M.action_columns()):
+        for c, col in enumerate(cols):
+            for r, x in col:
+                rows[j * d + r][c] = x
+    return IntRows.from_scalars(M.field, rows, d)
+
+
+def typed_socle(M):
+    """soc M: the kernel of :func:`typed_stacked_actions`, its integer rows spanned again."""
+    kernel = kernel_subspace(typed_stacked_actions(M)).int_rows().values()
+    rows = IntRows(M.field, [dict(zip(idx, vals)) for idx, vals, _ in kernel], M.dim)
+    return Subspace.from_vectors(M.field, M.dim, rows)
+
+
+def typed_loewy_length(M):
+    """The Loewy length: J^2 M = 0 tested on the typed radical rows mapped along typed columns."""
+    if M.dim == 0:
+        return 0
+    radical = typed_radical(M)
+    if radical.dim == 0:
+        return 1
+    images = modules.vector_images(M.action_columns(), radical.sparse_rows().values())
+    return 3 if any(any(img.values()) for row in images for img in row) else 2
+
+
+def typed_int_action_rows(M):
+    """``int_action_rows`` of the typed columns and w-images, all values converted together.
+
+    The identity rows hold the field's one; over Q every value is left as
+    it is when each is an ``int``, else all go through ``integer_values``
+    over one scale.
+    """
+    d, one, columns = M.dim, M.field.one(), M.action_columns()
+    images = [[dict(cols[c]) for cols in columns] for c in range(d)]
+    act = [[[] for _ in range(d)] for _ in range(M.algebra.dim)]
+    if typed_loewy_length(M) < 3:
+        squares = [()] * d
+    else:
+        squares = modules.square_images(M.algebra, columns, images)
+    for c, (vs, ws) in enumerate(zip(images, squares)):
+        for b, image in enumerate([{c: one}, *vs, *ws]):
+            for r, x in image.items():
+                act[b][r].append((c, x))
+    p = M.field.characteristic
+    values = [y for b in act for row in b for _, y in row]
+    if p or any(type(y) is not int for y in values):
+        ints = iter(integer_values(values, p)[0])
+        act = [[[(c, next(ints)) for c, _ in row] for row in b] for b in act]
+    return tuple(tuple(map(tuple, b)) for b in act)
+
+
+# -- the replaced Kronecker equations and GP route ------------------------------------
+
+def reference_kronecker_hom_dim(repA, repB):
+    """dim Hom of Kronecker representations, each column of phiA rebuilt per equation."""
+    n0 = repB.dim0 * repA.dim0
+    n1 = repB.dim1 * repA.dim1
+    if n0 + n1 == 0 or not repA.maps:
+        return n0 + n1
+    rows = []
+    for phiA, phiB in zip(repA.maps, repB.maps):
+        for r in range(repB.dim1):
+            for c in range(repA.dim0):
+                row = {k * repA.dim0 + c: x for k, x in enumerate(phiB.data[r]) if x}
+                row.update((n0 + r * repA.dim1 + k, -x) for k, x in enumerate(phiA.col(c)) if x)
+                rows.append(row)
+    return n0 + n1 - rank(IntRows.from_scalars(repA.maps[0].field, rows, n0 + n1))
+
+
+def two_resolution_is_gp(M, bound):
+    """Bounded GP: the semi-GP scan of M, then of its transpose, each on a resolution of its own."""
+    semi = is_semi_gp(M, bound=bound)
+    if not semi:
+        return semi
+    return is_semi_gp(transpose(M), bound=bound)

@@ -6,15 +6,18 @@ evaluation map are read off the flat rows and the right action on them
 replaced (``references.dense_approximation``, ``references.dense_evaluation``),
 which build every basis map matrix (``hom_basis``) and read A^op's dense
 regular rows, over Q, F_7 and F_32003.  The evaluation's target is the
-bidual module, over A itself, since A^op^op is A.
+bidual module, over A itself, since A^op^op is A.  M* and the torsionless
+verdict are kept on M, so the public calls build each once.
 """
+
+from collections import Counter
 
 import pytest
 
 from shortloc import homology, modules
-from shortloc.homology import dual_data, syzygy_power
+from shortloc.homology import a_dual, dual_data, is_reflexive, is_torsionless, syzygy_power
 from shortloc.linalg import QQ, Field
-from shortloc.modules import left_regular_module, random_module, simple_module
+from shortloc.modules import cyclic_submodule, left_regular_module, random_module, simple_module
 from shortloc.presets import preset
 
 from references import dense_approximation, dense_evaluation, scalars
@@ -107,3 +110,19 @@ def test_the_evaluation_lands_in_the_bidual_over_the_algebra_itself(field, monke
             assert ev.matrix.rows == bidual.homs.dim, X
             checked += X.dim > 0
     assert checked >= 20
+
+
+def test_the_dual_module_and_the_torsionless_verdict_are_built_once_per_module(lam0, monkeypatch):
+    # M* and the torsionless verdict are kept on M beside Hom(M, A)'s rows:
+    # over M = A·(v_1 - v_2), a_dual, is_torsionless and is_reflexive solve
+    # Hom(M, A) once, build M* once and take the torsionless rank once.
+    counts = Counter()
+    for name in ("hom_space", "module_from_columns", "rank"):
+        monkeypatch.setattr(homology, name, lambda *args, _name=name,
+                            _original=getattr(homology, name): counts.update([_name])
+                            or _original(*args))
+    M = cyclic_submodule(lam0, [0, 1, -1] + [0] * (lam0.dim - 3))
+    dual = a_dual(M)
+    assert is_torsionless(M) and not is_reflexive(M)
+    assert a_dual(M) is dual and dual_data(M).module is dual
+    assert counts == {"hom_space": 1, "module_from_columns": 1, "rank": 1}

@@ -21,7 +21,8 @@ from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
                               zero_module)
 from shortloc.presets import preset
 
-from references import plain_cover_columns, scalars, typed, vstack_torsionless
+from references import (plain_cover_columns, scalars, two_resolution_is_gp, typed,
+                        vstack_torsionless)
 
 
 def cyclic_x(alg):
@@ -535,6 +536,34 @@ def test_simple_is_not_semi_gp(L2):
 def test_inf_torsionfree_fails_for_m_q(lam0):
     # M(q) is semi-GP but not torsionless, hence not GP.
     assert not is_gp(m_alpha(lam0, 2), 4).holds
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
+def test_gp_reads_one_resolution_for_both_scans(field, monkeypatch):
+    # The transpose is read off the resolution the semi-GP scan walked, so
+    # is_gp makes no cover beyond the two scans'; its verdicts are those of
+    # the route with a resolution of its own for the transpose.
+    covers = []
+    monkeypatch.setattr(homology, "projective_cover", lambda M, cap=homology.DEFAULT_CAP,
+                        _original=homology.projective_cover: covers.append(M) or _original(M, cap))
+    verdicts = set()
+    for c in range(3):
+        alg = preset("lambda_c", field=field, c=c)
+        for alpha in (0, 1, 2, -1, 3, "1/2" if field == QQ else 5):
+            M = m_alpha(alg, alpha)
+            want, tr = two_resolution_is_gp(M, 4), transpose(M)
+            covers.clear()
+            semi = is_semi_gp(M, 4)
+            if semi:
+                is_semi_gp(tr, 4)
+            scans = len(covers)
+            covers.clear()
+            got = is_gp(M, 4)
+            assert got == want, (c, alpha)
+            assert len(covers) == scans, (c, alpha)
+            verdicts.add((bool(semi), got.holds))
+    # Over F_7, q = 2 has finite order and M(q) fails the semi-GP scan too.
+    assert verdicts == {(True, True), (False, False)} | ({(True, False)} if field == QQ else set())
 
 
 def test_boundedness_is_recorded(lam0):

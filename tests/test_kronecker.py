@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,12 @@ from shortloc.kronecker import (KroneckerRep, hom_decomposition_check,
                                 verify_sigma_omega)
 from shortloc.linalg import QQ, Field, Fp, Matrix
 from shortloc.modules import (cyclic_submodule, dim_vector, end_dim, is_isomorphic,
-                              left_regular_module, mod_j_squared, radical_module,
+                              left_regular_module, mod_j_squared, pivot_columns, radical_module,
                               random_module, simple_module, simple_multiplicity)
 from shortloc.numerics import q_form
 from shortloc.presets import preset
 
-from references import scalars, typed_images, typed_phi_kernel
+from references import reference_kronecker_hom_dim, scalars, typed_images, typed_phi_kernel
 
 
 def rep_S0(e):
@@ -55,6 +57,23 @@ def test_tilde_dim_matches_dim_vector(conca32):
         if M.dim == 0:
             continue
         assert tilde(M).dim_vector == tuple(dim_vector(M))
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
+def test_tilde_reads_the_coordinates_at_the_pivots(field):
+    # The maps' columns are the top images' entries at the radical's pivots,
+    # value and type, as the stability-checked route (pivot_columns) gives them.
+    checked = 0
+    for name, kw in [("L", {"e": 3}), ("ex15_1", {"e": 3, "a": 2}), ("lambda_c", {"c": 1})]:
+        alg = preset(name, field=field, **kw)
+        for seed in range(8):
+            M = mod_j_squared(random_module(alg, 1 + seed % 2, seed % 4, seed=seed))
+            want = [Matrix.from_sparse_columns(field, M.radical().dim, cols)
+                    for cols in pivot_columns(M.radical(), M.top_images(), alg.e)]
+            assert [list(map(scalars, X.data)) for X in tilde(M).maps] == \
+                [list(map(scalars, X.data)) for X in want]
+            checked += M.radical().dim > 0
+    assert checked >= 20
 
 
 # -- push-down ----------------------------------------------------------------
@@ -133,6 +152,36 @@ def test_hom_decomposition_without_arrows(field):
     two = KroneckerRep(e=0, dim0=2, dim1=3, maps=())
     assert kronecker_hom_dim(two, two) == 2 * 2 + 3 * 3
     assert kronecker_hom_dim(two, rep_dual(two)) == 2 * 3 + 3 * 2
+
+
+def random_rep(rng, field, e, dim0, dim1):
+    pool = [field.of(x) for x in (-2, -1, 0, 0, 0, 1, 2)]
+    return KroneckerRep(e=e, dim0=dim0, dim1=dim1, maps=tuple(
+        Matrix(field, [[rng.choice(pool) for _ in range(dim0)] for _ in range(dim1)], cols=dim0)
+        for _ in range(e)))
+
+
+def test_kronecker_hom_dim_reads_maps_with_no_rows():
+    # (k^2, 0) has maps with no rows but two columns each: g0 must still be
+    # killed by phiB on the arrow where phiB is 1, so there is no Hom.
+    two = KroneckerRep(e=2, dim0=2, dim1=0, maps=(Matrix.zeros(QQ, 0, 2),) * 2)
+    target = KroneckerRep(e=2, dim0=1, dim1=1, maps=(Matrix.identity(QQ, 1),
+                                                      Matrix.zeros(QQ, 1, 1)))
+    assert kronecker_hom_dim(two, target) == reference_kronecker_hom_dim(two, target) == 0
+    assert kronecker_hom_dim(target, two) == reference_kronecker_hom_dim(target, two) == 2
+    assert kronecker_hom_dim(two, two) == 4
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
+def test_kronecker_hom_dim_matches_the_equations_it_replaced(field):
+    rng, no_rows = random.Random(23), 0
+    for _ in range(300):
+        e = rng.randint(1, 3)
+        A = random_rep(rng, field, e, rng.randint(0, 3), rng.randint(0, 3))
+        B = random_rep(rng, field, e, rng.randint(0, 3), rng.randint(0, 3))
+        assert kronecker_hom_dim(A, B) == reference_kronecker_hom_dim(A, B), (A, B)
+        no_rows += A.dim1 == 0 < A.dim0
+    assert no_rows >= 20
 
 
 # -- reflection -------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Lint: a subspace is only an elimination's output, and a Hom space only its flat rows.
+"""Lint: a subspace is only an elimination's output, a Hom space only its flat rows,
+and an engine-built module only its columns.
 
 ``Subspace`` has two origins, both of ``_echelon``: ``Subspace._span``, a
 span's pivot rows, and ``Subspace.from_pivot_rows``, a kernel's pivot
 form.  Nothing else in the package calls ``Subspace(...)``, so no subspace
 is held by a dense basis.  ``HomSpace`` is the record (source, target,
-flat); its maps are built only by ``hom_basis``.
+flat); its maps are built only by ``hom_basis``.  ``module_from_columns``
+names no ``Matrix``.
 """
 
 import ast
@@ -85,3 +87,20 @@ def test_a_hom_space_is_its_flat_rows():
                and node.name == "HomSpace")
     fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
     assert fields == ["source", "target", "flat"]
+
+
+def matrix_names(source: str, function: str) -> list[int]:
+    """The lines at which the top-level ``function`` of ``source`` names ``Matrix``."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Name)
+            and node.id == "Matrix"]
+
+
+def test_module_from_columns_builds_no_matrix():
+    # An engine-built module is held by its columns; its matrices are built
+    # only when AModule.actions is read.
+    with open(os.path.join(SRC, "modules.py")) as fh:
+        assert not matrix_names(fh.read(), "module_from_columns")
+    assert matrix_names("def f(alg, cols):\n    return Matrix.from_sparse_columns(alg, cols)\n",
+                        "f") == [2]

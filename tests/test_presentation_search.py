@@ -178,14 +178,18 @@ def test_a_search_builds_no_matrix_and_reads_each_top_once(monkeypatch, matrix_b
         iso = find_isomorphism(M, N, seed=seed)
         # Each scanned basis element's top is read once and tested; a
         # combination's top is the combination of those tops, read again nowhere.
-        scan = events[:events.index("hom_dim")] if "hom_dim" in events else events
-        assert scan == ["_top", "_invertible"] * (len(scan) // 2)
-        assert set(events[len(scan):]) <= {"hom_dim", "_invertible"}
-        assert len(scan) // 2 == len(basis) or "hom_dim" not in events
+        tops = events.count("_top")
+        scan, rest = events[:2 * tops], events[2 * tops:]
+        assert scan == ["_top", "_invertible"] * tops
+        assert set(rest) <= {"hom_dim", "_invertible"}
+        assert tops == len(basis) or (iso.found and not rest)
+        # dim Hom(N, M) is taken last, and only when nothing invertible was found.
+        assert rest.count("hom_dim") == (not iso.found)
+        assert "hom_dim" not in rest[:-1]
         # No matrix is built before the witness's is read, and then one.
         assert not matrix_builds
         if iso.witness is not None:
             assert iso.witness.matrix.rows == M.dim and matrix_builds == {"build": 1}
-            combined += "hom_dim" in events
+            combined += bool(rest)
         searched += 1
     assert searched >= 200 and combined >= 40
