@@ -74,8 +74,9 @@ def parse_module_source(src: str, alg: Optional[ShortAlgebra], seed: int, cap: i
     """A constructor spec or a JSON file path.
 
     Specs: simple | regular | radical | cyclic:<coords> | malpha:<alpha>
-    | random:<g>,<r>.  ``random`` builds A^g, so g·dim A is checked against
-    ``cap`` before anything is built.
+    | random:<g>,<r>.  ``random`` builds A^g and draws r relations in it,
+    so g·dim A and r·g·dim A are checked against ``cap`` before anything is
+    built or drawn.
     """
     if src.endswith(".json") or os.path.exists(src):
         return serialize.load_module(src, cap)
@@ -97,8 +98,9 @@ def parse_module_source(src: str, alg: Optional[ShortAlgebra], seed: int, cap: i
     if kind == "random":
         g, _, r = arg.partition(",")
         g, r = int(g), int(r)
-        if g * alg.dim > cap:
-            raise ResourceCapExceeded(g * alg.dim, cap)
+        size = g * alg.dim * max(r, 1)
+        if g > 0 and size > cap:
+            raise ResourceCapExceeded(size, cap)
         return random_module(alg, g, r, seed)
     raise BadParams(f"unknown module spec {src!r}")
 

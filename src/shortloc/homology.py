@@ -76,7 +76,7 @@ from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapE
 from .linalg import IntRows, Matrix, Subspace, kernel_subspace, rank, typed_values
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, generated_span, hom_dim,
                       hom_space, left_regular_module, module_from_columns, pivot_columns, quotient,
-                      relation_equations, vector_images, zero_module)
+                      relation_equations, square_images, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -460,15 +460,20 @@ def _cover_rank(M: AModule, cap: int) -> int:
 
 
 def _cover_columns(M: AModule) -> list:
-    """The columns of the cover A^t -> M as (row, value) pairs, copy by copy.
+    """The columns of the cover A^t -> M as typed (row, value) pairs, copy by copy.
 
-    Copy k sends 1 to the top lift m_k, the unit vector at the k-th free
-    column of JM, and the radical basis to its images at m_k
-    (:meth:`AModule.top_images`).
+    Copy k sends 1 to the top lift m_k, the unit vector at c_k
+    (:meth:`AModule.lift_columns`), and the radical basis to its images at
+    m_k: v_j m_k is column c_k of v_j's action, read off
+    :meth:`AModule.action_columns`, and w_1 m_k .. w_a m_k follow
+    (:func:`square_images`), empty when J^2 M is zero.  They are typed as
+    the action columns are, so an integral ``Fraction`` stays one; only
+    :attr:`Presentation.cover_map` reads them, when its matrix is read.
     """
-    one = M.field.one()
-    return [col for c, imgs in zip(M.lift_columns(), M.top_images())
-            for col in [[(c, one)], *(img.items() for img in imgs)]]
+    one, columns, lifts = M.field.one(), M.action_columns(), M.lift_columns()
+    images = [[dict(cols[c]) for cols in columns] for c in lifts]
+    return [col for c, vs, ws in zip(lifts, images, square_images(M.algebra, columns, images))
+            for col in [[(c, one)], *(img.items() for img in vs + ws)]]
 
 
 def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
@@ -477,8 +482,8 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     The kernel is ker Φ, the cover restricted to JA^t (:func:`phi_kernel`),
     which the module keeps (:attr:`AModule.cover_kernel`).  A
     :class:`Syzygy` reads it off its shadow (:meth:`Syzygy.cover`); any
-    other module maps its radical basis at the top lifts along its action
-    columns (:meth:`AModule.top_images`).  Minimality is checked on the
+    other module maps its radical basis at the top lifts along its integer
+    action columns (:meth:`AModule.int_images`).  Minimality is checked on the
     kernel's integer pivot rows (:meth:`~shortloc.linalg.Subspace.support`):
     no kernel vector reaches a coordinate of an m_k, so the kernel lies in
     JP.
@@ -857,22 +862,27 @@ def stable_hom_dim(M: AModule, N: AModule, cap: int = DEFAULT_CAP) -> int:
     basis of Hom(M, A) composed with each column block of the cover spans it.
     dim Hom(M, N) is a rank (:func:`hom_dim`), so Hom(M, A) is the one Hom
     basis solved.  Composing with a block B acts on a map's row-major
-    flattening as B ⊗ 1, so the images of the rows of ``homs.flat`` are
-    read along the block's columns (:func:`vector_images`), as
-    :class:`DualData` reads the right action.
-    Block k sends 1 to the top lift m_k and the radical basis to its images
-    at m_k, the cover's sparse columns (:func:`_cover_columns`), so no
-    cover matrix and no cover kernel is formed; the cap on t·dim A is the
-    one :func:`projective_cover` checks (:func:`_cover_rank`).
+    flattening as B ⊗ 1, so the integer rows of ``homs.flat`` are mapped
+    along the block's columns (:func:`vector_images`), as
+    :class:`DualData` reads the right action.  Block k sends 1 to the top
+    lift m_k, the unit column at c_k, and the radical basis to its images
+    at m_k, the cover's integer columns (:meth:`AModule.int_images`), all
+    over one scale, so the images are multiples of the composites and span
+    what they span as :class:`~shortloc.linalg.IntRows`: no scalar, cover
+    matrix or cover kernel is formed.  The cap on t·dim A is the one
+    :func:`projective_cover` checks (:func:`_cover_rank`).
     """
     dim = hom_dim(M, N)
     if not dim:
         return 0
-    n, d, t, cover = M.algebra.dim, M.dim, _cover_rank(N, cap), _cover_columns(N)
+    n, d, t, lifts = M.algebra.dim, M.dim, _cover_rank(N, cap), N.lift_columns()
+    images, scale = N.int_images(lifts)
+    cover = [col for c, imgs in zip(lifts, images) for col in [[(c, scale)], *imgs]]
     blocks = [[[(s * d + c, x) for s, x in cover[k * n + r]] for r in range(n) for c in range(d)]
               for k in range(t)]
-    images = vector_images(blocks, dual_data(M).homs.flat.sparse_rows().values())
-    factoring = Subspace.from_vectors(M.field, N.dim * d, (img for row in images for img in row))
+    rows = ((idx, vals) for idx, vals, _ in dual_data(M).homs.flat.int_rows().values())
+    composites = [img for row in vector_images(blocks, rows) for img in row]
+    factoring = Subspace.from_vectors(M.field, N.dim * d, IntRows(M.field, composites, N.dim * d))
     return dim - factoring.dim
 
 

@@ -16,13 +16,12 @@ and :meth:`Subspace.from_vectors`.  It reduces the rows one at a time as
 sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
 scaled by the lcm of their denominators, over F_p on plain residues.  It
 reads a dense :class:`Matrix` through :func:`_sparse`, or an
-:class:`IntRows`, never laid out densely: built in integers (Φ, the
-Hom-complex, the relation equations, the Kronecker Homs, an isomorphism's
-witness graph, and a module's radical and stacked actions from its action
-columns, converted once per module,
-:meth:`~shortloc.modules.AModule.int_columns`), its column scales folded
-back only into the kernel rows, or converted row by row from typed sparse
-rows (:meth:`IntRows.from_scalars`: a search's tops).
+:class:`IntRows`, never laid out densely, built in integers: Φ, the
+Hom-complex, the relation equations, the Kronecker Homs, a search's tops,
+an isomorphism's witness graph, a stable Hom's composites, and a module's
+radical and stacked actions from its action columns, converted once per
+module (:meth:`~shortloc.modules.AModule.int_columns`).  Its column
+scales are folded back only into the kernel rows.
 The reduced row echelon form is unique, so its rows and pivots do not
 depend on how they are found.  Its only division is by each pivot row's
 lead when the rows are read (:func:`typed_values`, :func:`_kernel_rows`),
@@ -383,12 +382,6 @@ class IntRows:
     def rows(self) -> int:
         return len(self.data)
 
-    @staticmethod
-    def from_scalars(field: Field, rows: Iterable[dict], cols: int) -> "IntRows":
-        """Rows {column: scalar} as ints, each over its own scale (:func:`_sparse`)."""
-        p = field.characteristic
-        return IntRows(field, [_sparse(row.items(), p) for row in rows], cols)
-
 
 def integer_values(values: Sequence, p: int) -> tuple[list, int]:
     """Scalars as ints over one scale d, each scalar its int over d.
@@ -691,8 +684,8 @@ class Subspace:
     (:meth:`int_rows`) and types them on first read, as the non-zero
     (index, value) pairs of each row keyed by its pivot
     (:meth:`sparse_rows`).  :meth:`residue`, the one reduction behind
-    :meth:`reduce`, :meth:`contains` and :meth:`coords`, and
-    :meth:`contains_ints` walk only non-zeros, so checking a vector with
+    :meth:`reduce`, :meth:`contains` and :meth:`coords`, and its integer
+    form :meth:`int_residue` walk only non-zeros, so checking a vector with
     few non-zeros costs what its support and the rows at its pivots cost,
     not the ambient dimension.
     """
@@ -758,31 +751,37 @@ class Subspace:
             self._ints = _kernel_rows(self.field, *self._pivot_rows)
         return self._ints
 
+    def int_residue(self, v: Iterable[tuple], m: int) -> dict:
+        """m·v modulo this subspace, read at the free columns, for v as (index, int) entries.
+
+        ``m`` is a multiple of the scale of each integer row (:meth:`int_rows`)
+        at v's pivots, so the residue is integral: an entry x at a free
+        column adds m·x there, and one at a pivot q takes
+        x·(m / scale)·values_q away at the row's other columns, all free.  A
+        free column that no entry reaches is absent, and nothing is reduced
+        mod p.  No typed row is built.
+        """
+        rows, out = self.int_rows(), {}
+        for i, x in v:
+            row = rows.get(i)
+            if row is None:
+                out[i] = out[i] + m * x if i in out else m * x
+            elif len(row[0]) > 1:
+                idx, vals, scale = row
+                x *= m // scale
+                for j, y in zip(idx, vals):
+                    if j != i:
+                        out[j] = out[j] - x * y if j in out else -x * y
+        return out
+
     def contains_ints(self, v: dict) -> bool:
         """True iff v, a dict {index: int} over any scale, lies in this subspace.
 
-        It is checked on the integer rows (:meth:`int_rows`), with no typed
-        row built.  A row that is a unit vector takes v's entry at its pivot
-        away; with m the lcm of the scales of the other rows at v's pivots,
-        m·v less v[q]·(m / scale)·values_q for each such pivot q must then
-        be zero (mod p over F_p).
+        Its :meth:`int_residue` over the lcm of the scales of the rows at its
+        pivots must be zero (mod p over F_p).
         """
         rows, p = self.int_rows(), self.field.characteristic
-        hits, rest = [], {}
-        for q, x in v.items():
-            row = rows.get(q)
-            if row is None:
-                rest[q] = x
-            elif len(row[0]) > 1:
-                hits.append((x, row))
-                rest[q] = x
-        if hits:
-            m = lcm(*[scale for _, (_, _, scale) in hits])
-            rest = {j: m * x for j, x in rest.items()}
-            for x, (idx, vals, scale) in hits:
-                x *= m // scale
-                for j, y in zip(idx, vals):
-                    rest[j] = rest.get(j, 0) - x * y
+        rest = self.int_residue(v.items(), lcm(*[row[2] for row in map(rows.get, v) if row]))
         return not any(y % p for y in rest.values()) if p else not any(rest.values())
 
     def pivot_form(self) -> tuple:

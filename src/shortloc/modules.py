@@ -33,9 +33,9 @@ basis at unit vectors in integers, so the images every cover kernel
 (:attr:`AModule.cover_kernel`, found once per module) and every Hom
 relation are read off at the top lifts hold no scalar, and
 :meth:`AModule.int_action_rows` holds each basis element's action as
-sparse rows of ints over one scale, for the Hom systems;
-:meth:`AModule.top_images`, their typed twins, serve the cover's typed
-columns.
+sparse rows of ints over one scale, for the Hom systems.  Only the cover
+map's typed columns (``homology._cover_columns``) and a module's matrices
+read typed images.
 
 Every Hom system is built one way, :func:`relation_equations`: a map
 A^t -> N is its images n_1..n_t, column s·t + k is entry s of n_k (the
@@ -52,12 +52,14 @@ caller that reads dimensions or tops searches on the presentation
 kernel; the dual side reads :func:`hom_space`'s flat rows, and
 :func:`hom_basis` alone builds maps from them.  So
 :func:`find_isomorphism` solves Hom(M, N) as the kernel of those t·dim N
-unknowns and reads each basis element's top once, sparse, off its images
-n_k mod JN, since an A-map between modules of one dimension is
+unknowns and reads each basis element's top once, off the kernel's
+integer rows: n_k mod JN along the radical's integer rows, as ints over
+one scale per N, since an A-map between modules of one dimension is
 invertible iff it is onto the top (Nakayama); a combination's top is
-that combination of the tops.  It takes dim Hom(N, M) only when neither a
-basis element nor a seeded combination is invertible, and solves for one
-witness matrix only when the witness is read.  Socle dimensions, and with
+that combination of the tops, and every top is ranked as integer rows.
+It takes dim Hom(N, M) only when neither a basis element nor a seeded
+combination is invertible, and solves for one witness matrix, from the
+integer images, only when the witness is read.  Socle dimensions, and with
 them the bipartite test and the multiplicity of S, are ranks.
 """
 
@@ -321,22 +323,6 @@ class AModule:
     def lift_columns(self) -> list[int]:
         """The indices c_k of the top lifts m_k, unit vectors: the free columns of JM."""
         return self.radical().free_columns()
-
-    def top_images(self) -> list[list[dict]]:
-        """The images of the radical basis at each top lift m_k, as {index: value}: typed.
-
-        m_k is the unit vector at c_k (:meth:`lift_columns`), so v_j m_k is
-        column c_k of v_j's action, read off :meth:`action_columns`.
-        w_1 m_k .. w_a m_k follow (:func:`square_images`); when J^2 M is
-        zero they are empty and no square is formed.  The cover's typed
-        columns read them; the cover kernel and the Hom systems read their
-        ints (:meth:`int_images`).
-        """
-        columns = self.action_columns()
-        images = [[dict(cols[c]) for cols in columns] for c in self.lift_columns()]
-        if self.loewy_length() < 3:
-            return [vs + [{} for _ in range(self.algebra.a)] for vs in images]
-        return [vs + ws for vs, ws in zip(images, square_images(self.algebra, columns, images))]
 
     @cached_property
     def cover_kernel(self) -> Subspace:
@@ -926,7 +912,7 @@ _ISO_TRIES = 64
 def _invertible(N: AModule, t: int, top: dict) -> bool:
     """True iff ``top`` (:func:`_top`) is square, N's top having t rows, and of rank t.
 
-    A zero top is not eliminated; any other is ranked as sparse rows.
+    A zero top is not eliminated; any other is ranked as integer rows.
     """
     if N.top_dim() != t or not any(top.values()):
         return False
@@ -934,27 +920,30 @@ def _invertible(N: AModule, t: int, top: dict) -> bool:
     for q, x in top.items():
         f, k = divmod(q, t)
         rows[f][k] = x
-    return rank(IntRows.from_scalars(N.field, rows, t)) == t
+    return rank(IntRows(N.field, rows, t)) == t
 
 
 def _top(N: AModule, t: int, images: dict) -> dict:
-    """The A-map given by images n_1..n_t in N, on tops: {f·t + k: entry f of n_k mod JN}.
+    """The A-map given by int images n_1..n_t in N, on tops: {f·t + k: entry f of n_k mod JN}.
 
     ``images`` holds the non-zero entries of (n_1..n_t) in the unknowns of
-    :func:`presentation_equations`, {s·t + k: entry s of n_k}.  Column k is
-    n_k's residue (:meth:`~shortloc.linalg.Subspace.residue`) modulo JN,
-    row f its entry at N's f-th free column; the map sends the top lift
-    m_k to n_k, so this is its matrix on tops, and an A-map between modules
-    of one dimension is invertible iff this matrix is (Nakayama: F is onto
-    iff F(M) + JN = N).
+    :func:`presentation_equations`, {s·t + k: entry s of n_k}, as ints over
+    a scale s.  Column k is L·n_k modulo JN
+    (:meth:`~shortloc.linalg.Subspace.int_residue`), L the lcm of the leads
+    of the radical's pivot rows, so the top is ints over L·s (residues over
+    F_p, where L = s = 1); row f is its entry at N's f-th free column.  The
+    map sends m_k to n_k, so this is its matrix on tops, and an A-map
+    between modules of one dimension is invertible iff this matrix is
+    (Nakayama: F is onto iff F(M) + JN = N).  L is one per N, so the top of
+    a combination of images over one scale is that combination of the tops.
     """
-    radical = N.radical()
+    radical, p = N.radical(), N.field.characteristic
+    L = lcm(*[lead for _, _, lead in radical.int_rows().values()])
     at = {f: i for i, f in enumerate(radical.free_columns())}
     top = {}
     for k, n_k in enumerate(_copies(images, t)):
-        if n_k:
-            for j, x in radical.residue(n_k.items()).items():
-                top[at[j] * t + k] = x
+        for j, x in radical.int_residue(n_k.items(), L).items():
+            top[at[j] * t + k] = x % p if p else x
     return top
 
 
@@ -967,18 +956,18 @@ def _copies(images: dict, t: int) -> list[dict]:
     return copies
 
 
-def _witness(M: AModule, N: AModule, images: dict) -> ModuleMap:
+def _witness(M: AModule, N: AModule, images: dict, scale: int) -> ModuleMap:
     """The A-map F: M -> N with F(m_k) = n_k, its matrix solved for on first read.
 
-    ``images`` are (n_1..n_t) as :func:`_top` reads them, a solution of
-    :func:`presentation_equations`.  The unit vectors at the free columns
-    (k, b) of M's cover kernel complement it in A^t, so the b·m_k there are
-    a basis of M, and F(b·m_k) = b·n_k fixes F.  Its graph is spanned by
-    any pairs (x, F(x)) whose x span M; it is one elimination whose pivot
-    row c is (e_c, F(e_c)).  The pairs are read in integers: the n_k are
-    converted once, and the b·m_k and b·n_k are mapped along the integer
-    columns of M and N (:meth:`AModule.int_columns`), each pair over the
-    least common multiple of its two scales.  A free column with b = w_m
+    ``images`` are (n_1..n_t) as :func:`_top` reads them, ints over
+    ``scale``, a solution of :func:`presentation_equations`.  The unit
+    vectors at the free columns (k, b) of M's cover kernel complement it in
+    A^t, so the b·m_k there are a basis of M, and F(b·m_k) = b·n_k fixes
+    F.  Its graph is spanned by any pairs (x, F(x)) whose x span M; it is
+    one elimination whose pivot row c is (e_c, F(e_c)).  The pairs are read
+    in integers: the n_k as they come, and the b·m_k and b·n_k mapped along
+    the integer columns of M and N (:meth:`AModule.int_columns`), each pair
+    over the least common multiple of its two scales.  A free column with b = w_m
     occurs only when J^2 M is not zero; only then are the pairs at the
     v_i·(v_j·m_k) formed, which span the w_m·m_k, so no section is read.
     """
@@ -987,16 +976,12 @@ def _witness(M: AModule, N: AModule, images: dict) -> ModuleMap:
     def build() -> Matrix:
         dm, dn = M.dim, N.dim
         (cols_m, s_m), (cols_n, s_n) = M.int_columns(), N.int_columns()
-        typed = _copies(images, t)
-        values, s = integer_values([x for n_k in typed for x in n_k.values()],
-                                   M.field.characteristic)
-        ints = iter(values)
-        copies = [dict(zip(n_k, ints)) for n_k in typed]
+        copies = _copies(images, t)
         ms = [[{c: 1}] + [dict(cols[c]) for cols in cols_m] for c in M.lift_columns()]
         ns = [[x, *v] for x, v in zip(copies, vector_images(cols_n, [(x.keys(), x.values())
                                                                        for x in copies]))]
         free = [divmod(q, n) for q in M.cover_kernel.free_columns()]
-        pairs = [(ms[k][b], ns[k][b], *((1, s) if b == 0 else (s_m, s * s_n)))
+        pairs = [(ms[k][b], ns[k][b], *((1, scale) if b == 0 else (s_m, scale * s_n)))
                  for k, b in free if b <= e]
         deep = sorted({k for k, b in free if b > e})
         if deep:
@@ -1004,13 +989,13 @@ def _witness(M: AModule, N: AModule, images: dict) -> ModuleMap:
                                              for k in deep for v in ms[k][1:]])
             twice_n = vector_images(cols_n, [(v.keys(), v.values())
                                              for k in deep for v in ns[k][1:]])
-            pairs += [(x, y, s_m * s_m, s * s_n * s_n)
+            pairs += [(x, y, s_m * s_m, scale * s_n * s_n)
                       for xs, ys in zip(twice_m, twice_n) for x, y in zip(xs, ys)]
         rows = []
         for x, y, sx, sy in pairs:
-            scale = lcm(sx, sy)
-            rows.append({**{c: v * (scale // sx) for c, v in x.items()},
-                         **{dm + r: v * (scale // sy) for r, v in y.items()}})
+            m = lcm(sx, sy)
+            rows.append({**{c: v * (m // sx) for c, v in x.items()},
+                         **{dm + r: v * (m // sy) for r, v in y.items()}})
         graph = Subspace.from_vectors(M.field, dm + dn, IntRows(M.field, rows, dm + dn))
         rows = graph.sparse_rows()
         return Matrix.from_sparse_columns(N.field, dn, [
@@ -1023,9 +1008,11 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
 
     A search reads tops, not basis maps, so it solves Hom(M, N) as the
     kernel of :func:`presentation_equations`, t·dim N unknowns, and never
-    calls :func:`hom_space`.  Each basis element (n_1..n_t) is tried on
-    its top (:func:`_top`), read once.  When none is invertible, seeded
-    random combinations with small coefficients are tried, and over Q
+    calls :func:`hom_space`.  The basis elements (n_1..n_t) are the
+    kernel's integer rows (:meth:`~shortloc.linalg.Subspace.int_rows`), put
+    over one scale, and each is tried on its integer top (:func:`_top`),
+    read once.  When none is invertible, seeded random combinations with
+    small int coefficients (reduced mod p over F_p) are tried, and over Q
     also a generic combination evaluated at the integer points 1, 2, ...,
     2 dim Hom + 8, each on the same combination of the tops; any hit
     certifies the isomorphism.  Only when they fail too is dim Hom(N, M)
@@ -1041,28 +1028,28 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     if M.dim == 0:
         return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.zeros(M.field, 0, 0)))
     homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
-    rows = homs.sparse_rows()
-    basis = [dict(zip(*rows[p])) for p in homs.pivots]
+    rows = homs.int_rows()
+    scale = lcm(*[s for _, _, s in rows.values()])
+    basis = [dict(zip(idx, vals if s == scale else [x * (scale // s) for x in vals]))
+             for idx, vals, s in rows.values()]
     # The top is linear in the images, so a combination's top is the same
     # combination of the basis elements' tops, each read once here.
     tops = []
     for images in basis:
         tops.append(_top(N, t, images))
         if _invertible(N, t, tops[-1]):
-            return IsoSearch(True, True, witness=_witness(M, N, images))
-    rng = random.Random(seed)
-    elems = [M.field.of(x) for x in DEFAULT_POOL]
+            return IsoSearch(True, True, witness=_witness(M, N, images, scale))
+    rng, p = random.Random(seed), M.field.characteristic
 
     def coefficients():
         for _ in range(_ISO_TRIES):
-            yield [rng.choice(elems) for _ in basis]
-        if M.field.is_rationals:
+            yield [rng.choice(DEFAULT_POOL) for _ in basis]
+        if not p:
             for point in range(1, 2 * len(basis) + 9):
-                x = M.field.of(point)
-                yield [x ** k for k in range(len(basis))]
+                yield [point ** k for k in range(len(basis))]
     for coefs in coefficients() if basis else ():
-        if _invertible(N, t, _combine(coefs, tops)):
-            return IsoSearch(True, True, witness=_witness(M, N, _combine(coefs, basis)))
+        if _invertible(N, t, _combine(coefs, tops, p)):
+            return IsoSearch(True, True, witness=_witness(M, N, _combine(coefs, basis, p), scale))
     # Nothing invertible was found: an isomorphism would make the Hom dimensions equal.
     if homs.dim != hom_dim(N, M):
         return IsoSearch(False, True, note="hom dimension mismatch")
@@ -1071,14 +1058,14 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
 
 
-def _combine(coefs: Sequence, vectors: Sequence[dict]) -> dict:
-    """sum_i coefs[i]·vectors[i] over vectors held as {index: value}."""
+def _combine(coefs: Sequence[int], vectors: Sequence[dict], p: int) -> dict:
+    """sum_i coefs[i]·vectors[i] over int vectors held as {index: int}, reduced mod p over F_p."""
     out: dict = {}
     for c, vector in zip(coefs, vectors):
         if c:
             for q, x in vector.items():
                 out[q] = out[q] + c * x if q in out else c * x
-    return out
+    return {q: x % p for q, x in out.items()} if p else out
 
 
 def is_isomorphic(M: AModule, N: AModule, seed: int = 0) -> bool:

@@ -63,6 +63,16 @@ the radical as the typed action columns converted row by row
 (``typed_loewy_length``), and the integer action rows of the typed
 columns and w-images, converted together (``typed_int_action_rows``).
 
+The search's typed twins are what reading the kernel's integer rows
+replaced: each basis element's top as typed residues along the radical's
+typed rows (``typed_top``), ranked after converting each row on its own
+(``typed_invertible``, through ``from_scalars``), and typed combinations
+(``typed_combine``); so are the typed images of the radical basis at the
+top lifts (``top_images``) and the stable Hom that composed Hom(M, A)'s
+typed rows with the cover's typed columns (``typed_stable_hom_dim``).
+``from_scalars`` is the row converter the engine no longer has: typed
+rows {column: scalar}, each as ints over its own scale.
+
 The Kronecker Hom equations with each column of a map rebuilt per
 equation (``reference_kronecker_hom_dim``), and Gorenstein projectivity
 with one resolution for the semi-GP scan and another for the transpose
@@ -76,12 +86,19 @@ from collections import defaultdict
 from itertools import compress, count
 
 from shortloc.errors import BadParams, InvariantViolation
-from shortloc.homology import ApproximationData, dual_data, is_semi_gp, transpose
+from shortloc.homology import (DEFAULT_CAP, ApproximationData, _cover_rank, dual_data,
+                               is_semi_gp, transpose)
 from shortloc import modules
-from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace,
+from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace, _sparse,
                              integer_values, kernel_basis, kernel_subspace, rank, solve)
 from shortloc.modules import (AModule, IsoSearch, ModuleMap, free_module, hom_basis, hom_dim,
-                              pivot_columns, presentation_equations, quotient)
+                              pivot_columns, presentation_equations, quotient, square_images,
+                              vector_images)
+
+
+def from_scalars(field, rows, cols):
+    """Typed rows {column: scalar} as :class:`IntRows`, each row over its own scale."""
+    return IntRows(field, [_sparse(row.items(), field.characteristic) for row in rows], cols)
 
 
 def plain_apply(X, v):
@@ -184,7 +201,7 @@ def typed_phi_kernel(alg, images):
             for q, y in img.items():
                 phi_rows[q][c] = y
     at = [k * n + u for k in range(len(images)) for u in range(1, n)]
-    return kernel_subspace(IntRows.from_scalars(alg.field, list(phi_rows.values()), len(at)),
+    return kernel_subspace(from_scalars(alg.field, list(phi_rows.values()), len(at)),
                            at=at, ambient=n * len(images))
 
 
@@ -215,8 +232,8 @@ def typed_cover(alg, space):
         span = [cols[row[p]] for k, p in enumerate(lifts)
                 for j, cols in enumerate(columns) if k * n + 1 + j not in free]
         span += [cols[r] for r in outer for cols in columns]
-        radical = IntRows.from_scalars(alg.field, [{at[s]: y for s, y in col} for col in span],
-                                         len(outer))
+        radical = from_scalars(alg.field, [{at[s]: y for s, y in col} for col in span],
+                               len(outer))
         lifts = sorted(lifts + [space.pivots[outer[c]]
                                 for c in kernel_subspace(radical).pivots])
         kernel = typed_phi_kernel(alg, [images.get(p, empty) for p in lifts])
@@ -229,7 +246,7 @@ def typed_ladder(M, depth):
     Rung 0 reads Φ off M's typed top images, and its lifts are None; each
     later rung is the typed cover of the kernel before it.
     """
-    rungs = [(None, typed_phi_kernel(M.algebra, M.top_images()))]
+    rungs = [(None, typed_phi_kernel(M.algebra, top_images(M)))]
     while len(rungs) <= depth:
         rungs.append(typed_cover(M.algebra, rungs[-1][1]))
     return rungs
@@ -517,7 +534,7 @@ def dense_top_find_isomorphism(M, N, seed=0):
     for i, images in enumerate(basis):
         top = dense_top(N, t, images)
         if dense_invertible(top):
-            return IsoSearch(True, True, witness=modules._witness(M, N, images))
+            return IsoSearch(True, True, witness=typed_witness(M, N, images))
         if any(map(any, top.data)):
             live.append(i)
     if homs.dim != hom_dim(N, M):
@@ -535,11 +552,88 @@ def dense_top_find_isomorphism(M, N, seed=0):
                 x = M.field.of(point)
                 yield [x ** k for k in range(len(basis))]
     for coefs in coefficients():
-        combined = modules._combine([coefs[i] for i in live], [basis[i] for i in live])
+        combined = typed_combine([coefs[i] for i in live], [basis[i] for i in live])
         if dense_invertible(dense_top(N, t, combined)):
-            return IsoSearch(True, True,
-                             witness=modules._witness(M, N, modules._combine(coefs, basis)))
+            return IsoSearch(True, True, witness=typed_witness(M, N, typed_combine(coefs, basis)))
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
+
+
+def typed_witness(M, N, images):
+    """``modules._witness`` of typed images, converted to ints over one scale first."""
+    values, scale = integer_values(list(images.values()), M.field.characteristic)
+    return modules._witness(M, N, dict(zip(images, values)), scale)
+
+
+# -- the search's and the stable Hom's typed twins ----------------------------------
+
+def typed_top(N, t, images):
+    """The top of the map with typed images n_1..n_t: {f·t + k: entry f of n_k mod JN}, typed.
+
+    Column k is n_k's residue modulo JN (``Subspace.residue``), row f its
+    entry at N's f-th free column.
+    """
+    radical = N.radical()
+    at = {f: i for i, f in enumerate(radical.free_columns())}
+    top = {}
+    for k, n_k in enumerate(modules._copies(images, t)):
+        if n_k:
+            for j, x in radical.residue(n_k.items()).items():
+                top[at[j] * t + k] = x
+    return top
+
+
+def typed_invertible(N, t, top):
+    """True iff the typed ``top`` is square, N's top having t rows, and of rank t.
+
+    A zero top is not eliminated; any other is ranked as its typed rows,
+    each converted on its own (``from_scalars``).
+    """
+    if N.top_dim() != t or not any(top.values()):
+        return False
+    rows = [{} for _ in range(t)]
+    for q, x in top.items():
+        f, k = divmod(q, t)
+        rows[f][k] = x
+    return rank(from_scalars(N.field, rows, t)) == t
+
+
+def typed_combine(coefs, vectors):
+    """sum_i coefs[i]·vectors[i] over typed vectors held as {index: value}."""
+    out = {}
+    for c, vector in zip(coefs, vectors):
+        if c:
+            for q, x in vector.items():
+                out[q] = out[q] + c * x if q in out else c * x
+    return out
+
+
+def top_images(M):
+    """The images of the radical basis at each top lift m_k, as typed {index: value}.
+
+    m_k is the unit vector at c_k (``lift_columns``), so v_j m_k is column
+    c_k of v_j's action; w_1 m_k .. w_a m_k follow (``square_images``),
+    empty when J^2 M is zero.
+    """
+    columns = M.action_columns()
+    images = [[dict(cols[c]) for cols in columns] for c in M.lift_columns()]
+    if M.loewy_length() < 3:
+        return [vs + [{} for _ in range(M.algebra.a)] for vs in images]
+    return [vs + ws for vs, ws in zip(images, square_images(M.algebra, columns, images))]
+
+
+def typed_stable_hom_dim(M, N, cap=DEFAULT_CAP):
+    """The stable Hom with Hom(M, A)'s typed rows composed with the cover's typed columns."""
+    dim = hom_dim(M, N)
+    if not dim:
+        return 0
+    n, d, t, one = M.algebra.dim, M.dim, _cover_rank(N, cap), N.field.one()
+    cover = [col for c, imgs in zip(N.lift_columns(), top_images(N))
+             for col in [[(c, one)], *(img.items() for img in imgs)]]
+    blocks = [[[(s * d + c, x) for s, x in cover[k * n + r]] for r in range(n) for c in range(d)]
+              for k in range(t)]
+    images = vector_images(blocks, dual_data(M).homs.flat.sparse_rows().values())
+    factoring = Subspace.from_vectors(M.field, N.dim * d, (img for row in images for img in row))
+    return dim - factoring.dim
 
 
 # -- a module's typed routes ---------------------------------------------------------
@@ -547,7 +641,7 @@ def dense_top_find_isomorphism(M, N, seed=0):
 def typed_radical(M):
     """JM: the span of the typed action columns, each converted as a row (``from_scalars``)."""
     rows = [dict(col) for cols in M.action_columns() for col in cols]
-    return Subspace.from_vectors(M.field, M.dim, IntRows.from_scalars(M.field, rows, M.dim))
+    return Subspace.from_vectors(M.field, M.dim, from_scalars(M.field, rows, M.dim))
 
 
 def typed_stacked_actions(M):
@@ -558,7 +652,7 @@ def typed_stacked_actions(M):
         for c, col in enumerate(cols):
             for r, x in col:
                 rows[j * d + r][c] = x
-    return IntRows.from_scalars(M.field, rows, d)
+    return from_scalars(M.field, rows, d)
 
 
 def typed_socle(M):
@@ -575,7 +669,7 @@ def typed_loewy_length(M):
     radical = typed_radical(M)
     if radical.dim == 0:
         return 1
-    images = modules.vector_images(M.action_columns(), radical.sparse_rows().values())
+    images = vector_images(M.action_columns(), radical.sparse_rows().values())
     return 3 if any(any(img.values()) for row in images for img in row) else 2
 
 
@@ -592,7 +686,7 @@ def typed_int_action_rows(M):
     if typed_loewy_length(M) < 3:
         squares = [()] * d
     else:
-        squares = modules.square_images(M.algebra, columns, images)
+        squares = square_images(M.algebra, columns, images)
     for c, (vs, ws) in enumerate(zip(images, squares)):
         for b, image in enumerate([{c: one}, *vs, *ws]):
             for r, x in image.items():
@@ -620,7 +714,7 @@ def reference_kronecker_hom_dim(repA, repB):
                 row = {k * repA.dim0 + c: x for k, x in enumerate(phiB.data[r]) if x}
                 row.update((n0 + r * repA.dim1 + k, -x) for k, x in enumerate(phiA.col(c)) if x)
                 rows.append(row)
-    return n0 + n1 - rank(IntRows.from_scalars(repA.maps[0].field, rows, n0 + n1))
+    return n0 + n1 - rank(from_scalars(repA.maps[0].field, rows, n0 + n1))
 
 
 def two_resolution_is_gp(M, bound):

@@ -317,6 +317,20 @@ def test_random_spec_is_capped_before_the_free_module_is_built():
     assert res.returncode == 3 and "dimension 12 exceeds cap 11" in res.stderr
 
 
+def test_random_spec_caps_its_relations_before_drawing_them():
+    # The r relations are vectors of A^g: r·g·dim A is checked too, 4 per
+    # relation over qexterior, so a huge r exits 3 instead of growing memory.
+    res = run_cli("compute", "syzygy", "random:1,20000", "--algebra", "qexterior")
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == "error: intermediate module of dimension 80000 exceeds cap 5000\n"
+    res = run_cli("module", "make", "random:2,3", "--algebra", "L:e=2",
+                  env_extra={"SHORTLOC_CAP": "17"})
+    assert res.returncode == 3 and "dimension 18 exceeds cap 17" in res.stderr
+    res = run_cli("module", "make", "random:2,3", "--algebra", "L:e=2",
+                  env_extra={"SHORTLOC_CAP": "18"})
+    assert res.returncode == 0
+
+
 @pytest.mark.parametrize("literal", ["nan", "inf", "", "abc"])
 def test_non_numeric_literal_is_a_usage_error(literal):
     res = run_cli("compute", "syzygy", f"cyclic:{literal},1,0,0", "--algebra", "qexterior")

@@ -1,7 +1,7 @@
 """The one cover route against the dense whole-cover elimination.
 
 Every cover kernel is the kernel of the cover restricted to JA^t, read off
-the images of the radical basis at the top lifts (``top_images``, then
+the images of the radical basis at the top lifts (``int_images``, then
 ``phi_kernel``), whatever the module's Loewy length.  The reference kept
 here is the route Loewy-length-3 inputs took before: the whole cover
 matrix, built from the dense basis images of the top lifts, eliminated at
@@ -22,12 +22,12 @@ import pytest
 
 from shortloc import homology
 from shortloc.homology import betti, projective_cover, syzygy_power
-from shortloc.linalg import QQ, Field, IntRows, Matrix, Subspace, kernel_subspace
+from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (free_module, mod_j_squared, random_module, semisimple_module,
                               simple_module)
 from shortloc.presets import preset
 
-from references import plain_cover_columns, scalars, typed
+from references import from_scalars, plain_cover_columns, scalars, typed
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -79,7 +79,7 @@ def reference_phi_kernel(alg, images):
     for c, img in enumerate([img for imgs in images for img in imgs]):
         for q, y in img.items():
             phi_rows[q][c] = y
-    phi = kernel_subspace(IntRows.from_scalars(alg.field, list(phi_rows.values()), len(at)))
+    phi = kernel_subspace(from_scalars(alg.field, list(phi_rows.values()), len(at)))
     unread = [q for k, imgs in enumerate(images) for q in range(k * n + 1 + len(imgs), (k + 1) * n)]
     pivots = sorted([at[c] for c in phi.pivots] + unread)
     vrows = {at[c]: (tuple(at[i] for i in idx), vals)

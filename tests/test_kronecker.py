@@ -18,7 +18,8 @@ from shortloc.modules import (cyclic_submodule, dim_vector, end_dim, is_isomorph
 from shortloc.numerics import q_form
 from shortloc.presets import preset
 
-from references import reference_kronecker_hom_dim, scalars, typed_images, typed_phi_kernel
+from references import (reference_kronecker_hom_dim, scalars, top_images, typed_images,
+                        typed_phi_kernel)
 
 
 def rep_S0(e):
@@ -69,7 +70,7 @@ def test_tilde_reads_the_coordinates_at_the_pivots(field):
         for seed in range(8):
             M = mod_j_squared(random_module(alg, 1 + seed % 2, seed % 4, seed=seed))
             want = [Matrix.from_sparse_columns(field, M.radical().dim, cols)
-                    for cols in pivot_columns(M.radical(), M.top_images(), alg.e)]
+                    for cols in pivot_columns(M.radical(), top_images(M), alg.e)]
             assert [list(map(scalars, X.data)) for X in tilde(M).maps] == \
                 [list(map(scalars, X.data)) for X in want]
             checked += M.radical().dim > 0

@@ -14,7 +14,7 @@ from shortloc.linalg import (QQ, Field, Fp, IntRows, Matrix, Rational, Subspace,
 from shortloc.modules import random_module, simple_module
 from shortloc.presets import preset
 
-from references import dense_sparse_rows, reference_sparse, typed as typed_space
+from references import dense_sparse_rows, from_scalars, reference_sparse, typed as typed_space
 
 F5 = Field.prime(5)
 
@@ -508,8 +508,8 @@ def test_sparse_rows_match_the_dense_reference(field):
         mixed += len({type(x) for row in rows for x in row.values()}) > 1
         ref_rows, pivots = reference_rref_rows(field, m.data, m.cols)
         basis, free = reference_kernel(m)
-        assert rank(IntRows.from_scalars(field, rows, m.cols)) == len(pivots)
-        sp = kernel_subspace(IntRows.from_scalars(field, rows, m.cols))
+        assert rank(from_scalars(field, rows, m.cols)) == len(pivots)
+        sp = kernel_subspace(from_scalars(field, rows, m.cols))
         assert sp.basis == tuple(basis) and sp.pivots == tuple(free)
         assert_exact_scalars(field, sp.basis)
         span = Subspace.from_vectors(field, m.cols, rows)
@@ -621,7 +621,7 @@ def test_lazy_kernel_rows_equal_the_eager_construction(field, kernel_rows_built)
     special = [Matrix(field, [[zero, one, zero, field.of(2)], [zero, field.of(3), zero, one]]),
                Matrix.zeros(field, 2, 3), Matrix.identity(field, 3)]
     inputs = [(m, m) for m in elimination_inputs(field) + special]
-    inputs += [(m, IntRows.from_scalars(field, as_dict_rows(m, seed), m.cols))
+    inputs += [(m, from_scalars(field, as_dict_rows(m, seed), m.cols))
                for seed, m in enumerate(elimination_inputs(field) + special)]
     for reads in ("sparse_rows", "basis"):
         for m, given_as in inputs:
@@ -646,7 +646,7 @@ def test_a_kernel_placed_by_at_is_the_kernel_rekeyed(field, kernel_rows_built):
     special = [Matrix(field, [[zero, one, zero, zero, field.of(2)], [zero] * 5,
                               [zero, field.of(3), zero, one, zero]]), Matrix.zeros(field, 2, 3)]
     inputs = [(m, m) for m in elimination_inputs(field) + special]
-    inputs += [(m, IntRows.from_scalars(field, as_dict_rows(m, seed), m.cols))
+    inputs += [(m, from_scalars(field, as_dict_rows(m, seed), m.cols))
                for seed, m in enumerate(elimination_inputs(field) + special)]
     rng = random.Random(19)
     for m, given_as in inputs:
@@ -703,7 +703,7 @@ def test_a_span_of_int_rows_is_the_span_of_their_scalars(field):
 
 def test_a_span_of_int_rows_checks_their_columns():
     for cols in (2, 4):
-        for rows in (IntRows(QQ, [{0: 1}], cols), IntRows.from_scalars(QQ, [{0: 1}], cols)):
+        for rows in (IntRows(QQ, [{0: 1}], cols), from_scalars(QQ, [{0: 1}], cols)):
             with pytest.raises(DimensionMismatch):
                 Subspace.from_vectors(QQ, 3, rows)
 
@@ -744,8 +744,8 @@ def test_reduce_and_coords_refuse_a_dict():
 @ELIM_FIELDS
 def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
     # Rows {column: scalar} converted where they are built
-    # (IntRows.from_scalars) are read as the elimination reads them, with
-    # one width check: pivots and rows, scalar types included, are those of
+    # (from_scalars) are read as the elimination reads them, with one
+    # width check: pivots and rows, scalar types included, are those of
     # the dicts handed over one at a time, as for the radicals of these
     # modules.  A dense row is handed over whole, its zeros included.
     cases = [(m.cols, [dict(enumerate(row)) for row in m.data])
@@ -759,7 +759,7 @@ def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
             span = Subspace.from_vectors(field, M.dim, columns)
             assert typed_space(M.radical()) == typed_space(span)
     for cols, rows in cases:
-        got = Subspace.from_vectors(field, cols, IntRows.from_scalars(field, rows, cols))
+        got = Subspace.from_vectors(field, cols, from_scalars(field, rows, cols))
         assert typed_space(got) == typed_space(Subspace.from_vectors(field, cols, rows))
 
 

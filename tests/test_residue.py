@@ -1,13 +1,16 @@
 """The one reduction routine, ``Subspace.residue``, against the walks it replaced.
 
 ``contains``, ``coords`` and ``reduce`` read the residue, and so do a
-quotient's action columns and the tops that ``find_isomorphism`` tests.
-Each is compared in value and scalar type with its walk in
-``references.py``, over Q, F_7 and F_32003, on spans and kernels.
+quotient's action columns.  Each is compared in value and scalar type
+with its walk in ``references.py``, over Q, F_7 and F_32003, on spans and
+kernels.  The tops that ``find_isomorphism`` tests are the same reduction
+along the radical's integer rows: each is compared in value with the
+walk's typed top, times the scale it is read over.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -117,12 +120,15 @@ def test_quotients_and_tops_match_the_walks(field):
                 quotients += 1
                 for N in (M, Q):
                     homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
-                    rows = homs.sparse_rows()
-                    got = [{q: (type(x), x) for q, x in _top(N, t, dict(zip(*rows[p]))).items()
-                            if x} for p in homs.pivots]
-                    # The walk's dense tops, read as {f·t + k: entry (f, k)}.
-                    ref = [{f * t + k: (type(x), x) for f, row in enumerate(X.data)
-                            for k, x in enumerate(row) if x} for X in walk_tops(N, t, homs)]
+                    rows = [homs.int_rows()[p] for p in homs.pivots]
+                    L = lcm(*[lead for _, _, lead in N.radical().int_rows().values()])
+                    got = [{q: x for q, x in _top(N, t, dict(zip(idx, vals))).items() if x}
+                           for idx, vals, _ in rows]
+                    # The walk's dense tops, read as {f·t + k: entry (f, k)}: the
+                    # integer top is the typed one times L·s, s the row's scale.
+                    ref = [{f * t + k: x * field.of(L * s) for f, row in enumerate(X.data)
+                            for k, x in enumerate(row) if x}
+                           for X, (_, _, s) in zip(walk_tops(N, t, homs), rows)]
                     assert got == ref
                     maps += len(got)
     assert quotients == 48 and maps >= 100

@@ -32,7 +32,7 @@ from shortloc.modules import (AModule, IsoSearch, ModuleMap, end_dim, find_isomo
 from shortloc.numerics import main_lemma_witness
 from shortloc.presets import preset
 
-from references import stack_rows
+from references import from_scalars, stack_rows, typed_invertible, typed_top
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
@@ -173,6 +173,13 @@ def presentation_basis(M, N):
     return [dict(zip(*rows[p])) for p in homs.pivots]
 
 
+def presentation_int_basis(M, N):
+    """The basis elements (n_1..n_t) of Hom(M, N) on M's presentation, as (dict of ints, scale)."""
+    homs = kernel_subspace(modules.presentation_equations(M, N))
+    rows = homs.int_rows()
+    return [(dict(zip(idx, vals)), scale) for idx, vals, scale in map(rows.get, homs.pivots)]
+
+
 def assert_a_witness_in_hom(iso, M, N):
     """The witness is invertible and lies in Hom(M, N) as ``hom_space`` solves it."""
     homs = modules.hom_space(M, N)
@@ -214,7 +221,7 @@ def test_an_invertible_first_basis_element_costs_one_hom_solve(hom_space_calls, 
     for M in sweep_modules(QQ, per_stratum=1, seed=5):
         N, t = rebased(M, rng), M.top_dim()
         first = presentation_basis(M, N)[0]
-        if not modules._invertible(N, t, modules._top(N, t, first)):
+        if not typed_invertible(N, t, typed_top(N, t, first)):
             continue
         hom_space_calls.clear(), equation_calls.clear()
         iso = find_isomorphism(fresh(M), N)
@@ -315,7 +322,7 @@ def unit_span(field, ambient, coordinates):
     It is the kernel of the unit rows at every other coordinate.
     """
     missed = [{c: field.one()} for c in range(ambient) if c not in coordinates]
-    return kernel_subspace(IntRows.from_scalars(field, missed, ambient))
+    return kernel_subspace(from_scalars(field, missed, ambient))
 
 
 def test_an_unstable_shadow_is_refused(conca32):

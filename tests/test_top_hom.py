@@ -24,8 +24,8 @@ from shortloc.modules import (end_dim, find_isomorphism, free_module, hom_basis,
                               semisimple_module, simple_module, zero_module)
 from shortloc.presets import preset
 
-from references import scalars
-from test_sweep_solves import fresh, presentation_basis, rebased, sweep_modules, sweep_pairs
+from references import from_scalars, scalars
+from test_sweep_solves import fresh, presentation_int_basis, rebased, sweep_modules, sweep_pairs
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -55,7 +55,7 @@ def reference_hom_equations(M, N):
                     eq[q] = eq[q] - x if q in eq else -x
                 if eq:
                     rows.append(eq)
-    return IntRows.from_scalars(M.field, rows, dn * dm)
+    return from_scalars(M.field, rows, dn * dm)
 
 
 def signature(space):
@@ -110,10 +110,10 @@ def test_the_top_test_is_invertibility(field):
     checked = {True: 0, False: 0}
     for _, M, N in sweep_pairs(field):
         t = M.top_dim()
-        for images in presentation_basis(M, N):
+        for images, scale in presentation_int_basis(M, N):
             top = modules._top(N, t, images)
             # The map built from the element's (n_k) is an A-map.
-            F = modules._witness(M, N, images)
+            F = modules._witness(M, N, images, scale)
             assert F.is_intertwiner()
             invertible = rank(F.matrix) == M.dim
             assert modules._invertible(N, t, top) == invertible
