@@ -152,20 +152,20 @@ class ShortAlgebra:
         cols = [self.mul(u, self.basis_vector(k)) for k in range(self.dim)]
         return Matrix.from_columns(self.field, cols, self.dim)
 
-    def regular_columns(self) -> tuple:
-        """Per generator, the non-zeros (row, value) of each column of its regular action.
+    def regular_columns(self) -> tuple[tuple, int]:
+        """(columns, T): per generator, each column of its regular action as (row, int) pairs.
 
-        Read off the structure constants and built once: v_j sends 1 to
-        v_j and v_i to sum_m c_{jim} w_m, and kills J^2.  A^t shifts them
-        copy by copy (:func:`~shortloc.modules.free_module`), and every
-        module view of A, its integer rows among them, is read off them.
+        Read off the integer structure constants (:meth:`structure_table`),
+        over their scale T, and built once: v_j sends 1 to v_j and v_i to
+        sum_m c_{jim} w_m, and kills J^2.  A^t shifts them copy by copy
+        (:func:`~shortloc.modules.free_module`), and every module view of
+        A, its integer rows among them, is read off them.
         """
         if self._regular_columns is None:
-            e, one = self.e, self.field.one()
-            cols = [[[(j, one)]] + [[] for _ in range(self.a + e)] for j in range(1, e + 1)]
-            for (j, i, m), c in sorted(self.structure.items()):
-                cols[j - 1][i].append((e + m, c))
-            self._regular_columns = tuple(cols)
+            table, scale = self.structure_table()
+            self._regular_columns = (tuple(
+                [[(j + 1, scale)]] + [sorted((w, x) for k, w, x in row if k == j)
+                                      for row in table[1:]] for j in range(self.e)), scale)
         return self._regular_columns
 
     def structure_table(self) -> tuple[tuple, int]:

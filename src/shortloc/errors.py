@@ -42,10 +42,13 @@ class HypothesisNotMet(ShortlocError):
 
 
 class ResourceCapExceeded(ShortlocError):
-    """An intermediate module grew past the configured dimension cap."""
+    """An intermediate module grew past the configured dimension cap, or a result past a size bound.
 
-    def __init__(self, dim: int, cap: int):
-        super().__init__(f"intermediate module of dimension {dim} exceeds cap {cap}")
+    ``what`` names the size: a module's dimension unless another is given.
+    """
+
+    def __init__(self, dim: int, cap: int, what: str = "intermediate module of dimension"):
+        super().__init__(f"{what} {dim} exceeds cap {cap}")
         self.dim = dim
         self.cap = cap
 

@@ -39,11 +39,9 @@ rows feed the next step.  When the V-rows do not lift the whole top, the
 images, read off the same Φ, are checked against the shadow on its
 integer rows, and only those at Φ's pivot columns and those of the
 J^2-rows are eliminated again.  The images are Φ transposed, one pass over
-its entries (:meth:`Syzygy.images`).  Checked against the shadow on its
-integer rows and read at its pivots, they give the integer columns of
-its actions (:meth:`Syzygy.int_columns`), which its radical and its Hom
-systems read with no scalar built; only its typed columns and action
-matrices, built from them on first read, hold scalars.
+its entries (:meth:`Syzygy.images`), and give the integer columns of its
+actions (:meth:`Syzygy.int_columns`), by which it is held as every
+engine-built module is.
 Its socle is read off Φ itself: Φ's entries regrouped by J^2-coordinate
 and generator, one column per mapped row, have the rank of the stacked
 actions, so dim soc is dim Ω less that integer rank
@@ -57,9 +55,9 @@ matrix is eliminated.  Every module keeps its cover kernel
 its cover, its syzygy and the Hom dimensions from it
 (:func:`~shortloc.modules.hom_dim`) share one :func:`phi_kernel` call; a
 syzygy's top lifts, which its Hom systems read, come off the same cover,
-with no radical eliminated.  A syzygy's action matrices, a cover's matrix
-(from the same sparse columns, :func:`_cover_columns`) and a kernel's
-embedding are built only when a caller reads them.
+with no radical eliminated.  A syzygy's action matrices and a cover's
+matrix (from the integer images, :func:`_cover_columns`) are built only
+when a caller reads them.
 """
 
 from __future__ import annotations
@@ -74,9 +72,9 @@ from ._record import record
 from .algebra import ShortAlgebra
 from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import IntRows, Matrix, Subspace, kernel_subspace, rank, typed_values
-from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, free_module, generated_span, hom_dim,
-                      hom_space, left_regular_module, module_from_columns, pivot_columns, quotient,
-                      relation_equations, square_images, vector_images, zero_module)
+from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _row_images, free_module,
+                      generated_span, hom_dim, hom_space, left_regular_module, module_from_columns,
+                      pivot_columns, quotient, relation_equations, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -205,15 +203,15 @@ class Syzygy(AModule):
     coordinates of A^t, which fix the module's basis.  J^2 kills the kernel
     (minimality), so the images ψ_j(x) of its basis rows give its top and
     its own cover, one kernel of the big Φ (:meth:`cover`), its socle
-    (:meth:`socle_dim`, a rank of Φ's entries), and the columns of its
-    actions (:meth:`action_columns`), which its radical and Hom systems
+    (:meth:`socle_dim`, a rank of Φ's entries), and the integer columns of
+    its actions (:meth:`int_columns`), which its radical and Hom systems
     read.  The cover keeps the top lifts with Φ's kernel, eliminated once:
     the top is read off it with no kernel row built, and the rows are built,
     in A^t, when first read.  A ladder reads only the shadow's integer pivot
     rows, mapped once into Φ over all its rows (:func:`shadow_rows`), which
-    the cover, the socle and the action columns share; the images are Φ
-    transposed (:meth:`images`), and the action matrices are built from the
-    action columns when a caller reads them.
+    the cover, the socle and the integer columns share; the images are Φ
+    transposed (:meth:`images`), and the typed columns and action matrices
+    are made from the integer columns only when a caller reads them.
     """
 
     _square_zero = True
@@ -263,39 +261,16 @@ class Syzygy(AModule):
     def int_columns(self) -> tuple[list, int]:
         """The columns of the actions as ints over one scale, read straight off the integer images.
 
-        v_j sends the basis row x to ψ_j(x), which is checked against the
-        shadow on its integer rows (:meth:`_check_stable`); the shadow is
-        row reduced, so x's column is the image's non-zero entries at the
-        pivots.  Over Q each row's images are put over the lcm of the rows'
-        scales; over F_p they are residues over 1.  No value is typed.
+        v_j sends the basis row x to ψ_j(x) (:meth:`images`); the shadow
+        must lie in the radical of its free module, and :func:`pivot_columns`
+        checks each image against the shadow and reads x's column off it.
         """
         if self._int_columns is None:
-            self._check_stable()
-            p, at = self.field.characteristic, {q: r for r, q in enumerate(self.space.pivots)}
-            images = self.images(self.space.pivots)
-            scale = 1 if p else lcm(*[s for _, s in images])
-            columns: list[list] = [[] for _ in range(self.algebra.e)]
-            for imgs, s in images:
-                m = scale // s
-                for cols, img in zip(columns, imgs):
-                    cols.append([(at[q], y % p if p else y * m) for q, y in img.items()
-                                 if q in at and (y % p if p else y)])
-            self._int_columns = (columns, scale)
+            self._check_support()
+            space, p = self.space, self.field.characteristic
+            self._int_columns = pivot_columns(space, self.images(space.pivots), self.algebra.e, p)
+            self._stable = True
         return self._int_columns
-
-    def action_columns(self) -> list[list[list[tuple]]]:
-        """The columns of the actions, :meth:`int_columns` typed; no action matrix is built.
-
-        So the Hom systems of a syzygy read the same columns as its built
-        actions would give.
-        """
-        if self._action_columns is None:
-            columns, scale = self.int_columns()
-            p = self.field.characteristic
-            self._action_columns = [[list(zip([r for r, _ in col],
-                                              typed_values([y for _, y in col], scale, p)))
-                                     for col in cols] for cols in columns]
-        return self._action_columns
 
     def socle_dim(self) -> int:
         """dim soc Ω, read off Φ's integer rows (:attr:`_phi`); no action column is built.
@@ -378,6 +353,11 @@ class Syzygy(AModule):
                                 [scale.get(p, 1) for p in lifts])
         return tuple(lifts), kernel
 
+    def _check_support(self) -> None:
+        """BadParams unless the shadow lies in the radical of its free module."""
+        if not all(map(self.algebra.dim.__rmod__, self.space.support())):
+            raise BadParams("shadow escapes the radical of its free module")
+
     def _check_stable(self) -> None:
         """Check the shadow once, on its pivot and integer rows; no typed row is built.
 
@@ -387,11 +367,9 @@ class Syzygy(AModule):
         """
         if self._stable:
             return
-        space, n = self.space, self.algebra.dim
-        if not all(map(n.__rmod__, space.support())):
-            raise BadParams("shadow escapes the radical of its free module")
+        self._check_support()
         images = (img for imgs, _ in self._shadow_images.values() for img in imgs)
-        if not all(map(space.contains_ints, images)):
+        if not all(map(self.space.contains_ints, images)):
             raise BadParams("subspace is not stable under the module action")
         self._stable = True
 
@@ -401,8 +379,8 @@ class Presentation:
     """A projective cover P -> M together with its kernel (first syzygy).
 
     The kernel is held as a subspace of P, the shadow of the
-    :class:`Syzygy` ``kernel``.  The cover's matrix and the kernel's
-    embedding are built on first read; no resolution step reads them.
+    :class:`Syzygy` ``kernel``.  The cover's matrix is built on first
+    read; no resolution step reads it.
     """
 
     module: AModule
@@ -418,12 +396,6 @@ class Presentation:
         M = self.module
         P = free_module(M.algebra, self.cover_rank)
         return _LazyMap(P, M, lambda: Matrix.from_sparse_columns(M.field, M.dim, _cover_columns(M)))
-
-    @cached_property
-    def kernel_embedding(self) -> ModuleMap:
-        P = self.cover_map.source
-        basis = self._kernel_space.basis
-        return ModuleMap(self.kernel, P, Matrix.from_columns(P.field, basis, P.dim))
 
 
 @record
@@ -464,16 +436,14 @@ def _cover_columns(M: AModule) -> list:
 
     Copy k sends 1 to the top lift m_k, the unit vector at c_k
     (:meth:`AModule.lift_columns`), and the radical basis to its images at
-    m_k: v_j m_k is column c_k of v_j's action, read off
-    :meth:`AModule.action_columns`, and w_1 m_k .. w_a m_k follow
-    (:func:`square_images`), empty when J^2 M is zero.  They are typed as
-    the action columns are, so an integral ``Fraction`` stays one; only
+    m_k, the integer images (:meth:`AModule.int_images`), typed as the
+    action columns are (:func:`~shortloc.linalg.typed_values`).  Only
     :attr:`Presentation.cover_map` reads them, when its matrix is read.
     """
-    one, columns, lifts = M.field.one(), M.action_columns(), M.lift_columns()
-    images = [[dict(cols[c]) for cols in columns] for c in lifts]
-    return [col for c, vs, ws in zip(lifts, images, square_images(M.algebra, columns, images))
-            for col in [[(c, one)], *(img.items() for img in vs + ws)]]
+    one, p, lifts = M.field.one(), M.field.characteristic, M.lift_columns()
+    images, scale = M.int_images(lifts)
+    return [col for c, imgs in zip(lifts, images) for col in [[(c, one)], *(
+        zip([r for r, _ in img], typed_values([y for _, y in img], scale, p)) for img in imgs)]]
 
 
 def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
@@ -560,32 +530,6 @@ class MinimalResolution:
         rows = syz.space.int_rows()
         return [rows[q] for q in syz.cover[0]]
 
-    def boundary_rows(self, j: int) -> list[tuple[tuple, tuple]]:
-        """The map P_j -> P_{j-1} as sparse rows: row l is d(unit_l), as (indices, values).
-
-        Only the top lifts' integer rows (:meth:`boundary_int_rows`) are converted.
-        """
-        p = self.module.field.characteristic
-        return [(idx, typed_values(vals, scale, p))
-                for idx, vals, scale in self.boundary_int_rows(j)]
-
-    def boundary_elements(self, j: int) -> list[list[tuple]]:
-        """The map P_j -> P_{j-1} as a matrix of algebra elements.
-
-        Entry [l][k] is the element g with d(unit_l) having k-th component
-        g (:meth:`boundary_rows`, laid out densely).
-        """
-        rows = self.boundary_rows(j)
-        n, t_prev = self.module.algebra.dim, self.steps[j - 1].cover_rank
-        zero = self.module.field.zero()
-        out = []
-        for idx, vals in rows:
-            elements = [[zero] * n for _ in range(t_prev)]
-            for c, x in zip(idx, vals):
-                elements[c // n][c % n] = x
-            out.append([tuple(g) for g in elements])
-        return out
-
 
 def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> IntRows:
     """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as integer rows.
@@ -665,29 +609,32 @@ class DualData:
     homs: HomSpace
 
     @cached_property
-    def _right(self) -> list:
-        """Right multiplication by v_1..v_e as columns on a map's row-major flattening.
+    def _right(self) -> tuple[list, int]:
+        """(columns, scale): right multiplication by v_1..v_e on a map's row-major flattening.
 
-        It is the regular action R of v_i in A^op, which acts on the
-        flattening of a dim A x dim M matrix as R ⊗ 1: column s·dim M + c
-        holds (r·dim M + c, x) for each (r, x) in R's column s.
+        It is the regular action R of v_i in A^op, as integer columns over
+        one scale, which acts on the flattening of a dim A x dim M matrix as
+        R ⊗ 1: column s·dim M + c holds (r·dim M + c, x) for each (r, x) in
+        R's column s.
         """
         d = self.homs.source.dim
+        columns, scale = self.homs.source.algebra.opposite().regular_columns()
         return [[[(r * d + c, x) for r, x in col] for col in cols for c in range(d)]
-                for cols in self.homs.source.algebra.opposite().regular_columns()]
+                for cols in columns], scale
 
     @property
     def module(self) -> AModule:
         """M* = Hom(M, A) as a left module over the opposite algebra, kept on M.
 
-        The images of the basis rows of ``homs.flat`` along :attr:`_right`
-        (:func:`vector_images`) give the columns at its pivots.
+        The images of the integer rows of ``homs.flat`` along :attr:`_right`
+        give its integer columns at the pivots (:func:`pivot_columns`).
         """
         M = self.homs.source
         if M._dual_module is None:
             op, flat = M.algebra.opposite(), self.homs.flat
-            images = vector_images(self._right, flat.sparse_rows().values())
-            M._dual_module = module_from_columns(op, flat.dim, pivot_columns(flat, images, op.e))
+            columns, scale = pivot_columns(flat, _row_images(*self._right, flat), op.e,
+                                           M.field.characteristic)
+            M._dual_module = module_from_columns(op, flat.dim, columns, scale)
         return M._dual_module
 
     @property
@@ -748,25 +695,26 @@ class DualData:
         unit vectors, so u stacks the basis maps g_k at its lift columns:
         entry s·dim M + c of g_k's flat row is entry (k·dim A + s, c) of u.
         A factoring certificate checks that every map M -> A factors
-        through u: the closure of the g_k along :attr:`_right`
-        (:func:`~shortloc.modules.generated_span`) spans the g_k·b for b in
-        A, and must hold every row of ``homs.flat``.
+        through u: the closure of the g_k's integer rows along
+        :attr:`_right` (:func:`~shortloc.modules.generated_span`) spans the
+        g_k·b for b in A, and must hold every integer row of ``homs.flat``.
         """
         M, flat = self.homs.source, self.homs.flat
         n, d, rows = M.algebra.dim, M.dim, flat.sparse_rows()
-        gs = [rows[flat.pivots[q]] for q in self.module.lift_columns()]
+        lifts = [flat.pivots[q] for q in self.module.lift_columns()]
         columns: list[list] = [[] for _ in range(d)]
-        for k, (idx, vals) in enumerate(gs):
-            for i, x in zip(idx, vals):
+        for k, q in enumerate(lifts):
+            for i, x in zip(*rows[q]):
                 s, c = divmod(i, d)
                 columns[c].append((k * n + s, x))
-        P = free_module(M.algebra, len(gs))
+        P = free_module(M.algebra, len(lifts))
         u = ModuleMap(M, P, Matrix.from_sparse_columns(M.field, P.dim, columns))
-        closure = generated_span(M.field, n * d, self._right, gs)
-        if not all(closure.contains(dict(zip(*row))) for row in rows.values()):
+        ints = flat.int_rows()
+        closure = generated_span(M.field, n * d, self._right[0], [ints[q][:2] for q in lifts])
+        if not all(closure.contains_ints(dict(zip(idx, vals))) for idx, vals, _ in ints.values()):
             raise InvariantViolation("left approximation fails its factoring certificate")
         img = Subspace.from_vectors(M.field, P.dim, map(dict, columns))
-        return ApproximationData(approximation=u, rank=len(gs), cokernel=quotient(P, img)[0],
+        return ApproximationData(approximation=u, rank=len(lifts), cokernel=quotient(P, img)[0],
                                  injective=img.dim == d)
 
 

@@ -16,7 +16,8 @@ from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLon
                      NotSelfInjective, WrongHilbertType)
 from .homology import DEFAULT_CAP, Syzygy, syzygy, top_kernel
 from .linalg import IntRows, Matrix, integer_pairs, rank, typed_values
-from .modules import AModule, find_isomorphism, hom_dim, module_from_columns, simple_multiplicity
+from .modules import (AModule, _typed, find_isomorphism, hom_dim, module_from_columns,
+                      simple_multiplicity)
 
 
 @record
@@ -44,16 +45,17 @@ def tilde(M: AModule) -> KroneckerRep:
     """The Kronecker representation (top M, JM; induced actions).
 
     phi_j sends the k-th top lift m_k to the coordinates of v_j m_k in JM.
-    v_j m_k is column c_k of v_j's action (:meth:`AModule.action_columns`,
+    v_j m_k is column c_k of v_j's action (:meth:`AModule.int_columns`,
     :meth:`AModule.lift_columns`), a member of JM, whose basis is row
-    reduced, so its coordinates are its entries at the pivots.
+    reduced, so its coordinates are its entries at the pivots, typed there.
     """
     if M.loewy_length() > 2:
         raise LoewyTooLong("the Kronecker shadow needs Loewy length <= 2")
-    rad, lifts = M.radical(), M.lift_columns()
-    at = {q: r for r, q in enumerate(rad.pivots)}
+    rad, lifts, (columns, scale) = M.radical(), M.lift_columns(), M.int_columns()
+    at, p = {q: r for r, q in enumerate(rad.pivots)}, M.field.characteristic
     maps = tuple(Matrix.from_sparse_columns(M.field, rad.dim, [
-        [(at[q], x) for q, x in cols[c] if q in at] for c in lifts]) for cols in M.action_columns())
+        _typed([(at[q], x) for q, x in cols[c] if q in at], scale, p) for c in lifts])
+        for cols in columns)
     return KroneckerRep(e=M.algebra.e, dim0=len(lifts), dim1=rad.dim, maps=maps)
 
 
@@ -61,14 +63,17 @@ def rep_as_module(rep: KroneckerRep, alg: ShortAlgebra) -> AModule:
     """The Loewy-length <= 2 module with block actions [[0,0],[phi,0]].
 
     Valid over any short algebra with matching e, since all products of
-    the block matrices vanish.
+    the block matrices vanish.  The maps' columns are converted to ints
+    together (:func:`~shortloc.linalg.integer_pairs`), and the module is
+    held by them.
     """
     if rep.e != alg.e:
         raise AlgebraMismatch("representation and algebra have different e")
     d0 = rep.dim0
-    columns = [[[(d0 + r, x) for r, x in enumerate(phi.col(c)) if x] for c in range(d0)]
-               + [[]] * rep.dim1 for phi in rep.maps]
-    return module_from_columns(alg, d0 + rep.dim1, columns)
+    columns = [[[(d0 + r, x) for r, x in col] for col in phi.sparse_columns()] + [[]] * rep.dim1
+               for phi in rep.maps]
+    columns, scale = integer_pairs(columns, alg.field.characteristic)
+    return module_from_columns(alg, d0 + rep.dim1, columns, scale)
 
 
 def push_down(rep: KroneckerRep, alg: ShortAlgebra) -> AModule:

@@ -18,21 +18,21 @@ scaled by the lcm of their denominators, over F_p on plain residues.  It
 reads a dense :class:`Matrix` through :func:`_sparse`, or an
 :class:`IntRows`, never laid out densely, built in integers: Φ, the
 Hom-complex, the relation equations, the Kronecker Homs, a search's tops,
-an isomorphism's witness graph, a stable Hom's composites, and a module's
-radical and stacked actions from its action columns, converted once per
-module (:meth:`~shortloc.modules.AModule.int_columns`).  Its column
-scales are folded back only into the kernel rows.
+an isomorphism's witness graph, a stable Hom's composites, the spans
+behind engine-built modules, and a module's radical and stacked actions
+from its integer columns (:meth:`~shortloc.modules.AModule.int_columns`).
+Its column scales are folded back only into the kernel rows.
 The reduced row echelon form is unique, so its rows and pivots do not
 depend on how they are found.  Its only division is by each pivot row's
 lead when the rows are read (:func:`typed_values`, :func:`_kernel_rows`),
 with :func:`Rational` over Q; over F_p a pivot row is scaled by its lead's
 inverse.
 
-No engine path multiplies or combines dense matrices: vectors are mapped
-along sparse action columns (:func:`~shortloc.modules.vector_images`).
+No engine path multiplies dense matrices: vectors are mapped along
+integer action columns (:func:`~shortloc.modules.vector_images`).
 :meth:`Matrix.__mul__` (and :meth:`Matrix.apply`, the product with a
-one-column matrix) and :meth:`Matrix.combination` stay for callers of the
-API and for the dense references that the tests check the engine against.
+one-column matrix) stays for callers of the API and for the dense
+references that the tests check the engine against.
 A :class:`Subspace` also keeps the non-zeros of its rows, and one routine
 reduces a vector along them (:meth:`Subspace.residue`), walking only
 non-zero entries.  Every subspace is an elimination's output, integer
@@ -43,13 +43,17 @@ integer rows from them in one pass.  Typed rows are built from the
 integer rows on first read, so a caller that needs only a rank, a
 dimension or free columns pays for the elimination alone.  Scalars and
 ints cross over at one pair of converters, :func:`integer_values` (with
-:func:`integer_pairs` for sparse columns) and :func:`typed_values`.
+:func:`integer_pairs` for sparse columns) and :func:`typed_values`; every
+module the engine builds is held by ints, so its scalars are made by
+:func:`typed_values` alone, and only when its typed columns or matrices
+are read.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -295,9 +299,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 
@@ -319,23 +320,6 @@ class Matrix:
             raise DimensionMismatch("matrix addition shape mismatch")
         return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.data, other.data)], cols=self.cols)
-
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.field, [[c * x for x in row] for row in self.data], cols=self.cols)
-
-    @staticmethod
-    def combination(coefs: Sequence, mats: Sequence["Matrix"]) -> "Matrix":
-        """sum_k coefs[k]·mats[k] over one or more matrices of one shape."""
-        first = mats[0]
-        if any((X.rows, X.cols) != (first.rows, first.cols) for X in mats):
-            raise DimensionMismatch("combination shape mismatch")
-        zero = first.field.zero()
-        out = [[zero] * first.cols for _ in range(first.rows)]
-        for c, X in zip(coefs, mats):
-            if c:
-                out = [[s + c * x if x else s for s, x in zip(acc, row)]
-                       for acc, row in zip(out, X.data)]
-        return Matrix(first.field, out, cols=first.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -496,10 +480,17 @@ def _echelon(field: Field, rows: Iterable[dict], ncols: int) -> dict[int, dict]:
     Over Q no rational is built: the rows hold integers, a row that was
     cleared is divided by its content, and every lead is positive.  Over
     F_p a pivot row is scaled to lead 1 with ``pow(lead, -1, p)``.
+
+    The older pivot rows that hold a new pivot column are found through an
+    index, column -> pivots of the rows that hold it, built at the first
+    back-clear (an elimination with none builds no index) and kept up to
+    date: a cleared row's keys are read before :func:`_clear`, which may
+    add to the row in place.
     """
     p = field.characteristic
     piv: dict[int, dict] = {}
     used: set[int] = set()  # a new pivot column outside it is in no older pivot row
+    held: Optional[defaultdict] = None  # column -> pivots whose rows hold it
     for row in sorted(filter(None, rows), key=len):
         if len(piv) == ncols:
             break
@@ -517,11 +508,23 @@ def _echelon(field: Field, rows: Iterable[dict], ncols: int) -> dict[int, dict]:
         elif row[c] < 0:
             row = {j: -x for j, x in row.items()}
         if c in used:
-            for q, qrow in piv.items():
-                if c in qrow:
-                    piv[q] = _tidy(_clear(qrow, row, c), p)
+            if held is None:
+                held = defaultdict(set)
+                for q, qrow in piv.items():
+                    for j in qrow:
+                        held[j].add(q)
+            for q in list(held[c]):
+                before = set(piv[q])
+                after = piv[q] = _tidy(_clear(piv[q], row, c), p)
+                for j in before - after.keys():
+                    held[j].discard(q)
+                for j in after.keys() - before:
+                    held[j].add(q)
         piv[c] = row
         used.update(row)
+        if held is not None:
+            for j in row:
+                held[j].add(c)
     return piv
 
 
@@ -907,16 +910,6 @@ class Subspace:
         """The coordinates that are no pivot, in increasing order."""
         pivset = set(self.pivots)
         return [c for c in range(self.ambient) if c not in pivset]
-
-    def complement(self) -> list[tuple]:
-        """The unit vectors at the free columns: they extend this basis to k^ambient."""
-        zero, one = self.field.zero(), self.field.one()
-        out = []
-        for c in self.free_columns():
-            v = [zero] * self.ambient
-            v[c] = one
-            out.append(tuple(v))
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

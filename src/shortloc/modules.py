@@ -6,36 +6,25 @@ actions that the algebra's sections give, so a tuple of matrices is a
 valid module iff it satisfies the linear relations among the products
 v_i v_j and kills all triple products.
 
-:meth:`AModule.action_columns` is the one way a module's actions are
-read and built: each generator's action as sparse columns.  A module is
-held in one typed form: one built from matrices keeps them, and every
-module the engine builds is held by its columns, built by
-:func:`module_from_columns` (A^t by :func:`free_module`, a syzygy by
-those read off its Φ's integer rows,
-:meth:`~shortloc.homology.Syzygy.action_columns`); such a module builds
-its matrices only when they are read (:attr:`AModule.actions`), and is
-held by them from then on.  Its action values are converted to ints once,
-over one scale (:meth:`AModule.int_columns`; a syzygy reads them straight
-off its Φ images), and the radical, the socle, the Loewy length and the
-integer action rows read only those ints.  :func:`vector_images` maps
-vectors along the columns, :func:`pivot_columns` turns the images of a
-subspace's basis rows into the columns of the induced actions, checked
-for stability, and :func:`module_from_columns` builds the module.
-Submodules and closures, quotients, J^2 M, the dual module and the
-Kronecker shadow go this way, and the Hom equations read the columns, so
-none of them multiplies action matrices; a syzygy's socle dimension is
-read off its Φ's integer rows instead
-(:meth:`~shortloc.homology.Syzygy.socle_dim`).  w_m acts as sum s_ij
-v_i v_j, so w_m·x sums the images v_i·(v_j·x) read along the columns
-(:func:`square_images`); the module axioms are read off those images
-(:func:`validate_module`).  :meth:`AModule.int_images` maps the radical
-basis at unit vectors in integers, so the images every cover kernel
-(:attr:`AModule.cover_kernel`, found once per module) and every Hom
-relation are read off at the top lifts hold no scalar, and
-:meth:`AModule.int_action_rows` holds each basis element's action as
-sparse rows of ints over one scale, for the Hom systems.  Only the cover
-map's typed columns (``homology._cover_columns``) and a module's matrices
-read typed images.
+:meth:`AModule.int_columns` is the one form in which the engine reads and
+builds a module's actions: each generator's action as sparse columns of
+ints over one scale.  Every module the engine builds is held by them
+(:func:`module_from_columns`): A^t (:func:`free_module`), submodules and
+closures, whose actions :func:`pivot_columns` reads off the images of a
+subspace's integer rows, quotients and J^2 M (:func:`quotient`, by
+integer residues), direct sums, the dual module, the Kronecker shadow and
+a syzygy, which reads them off its Φ.  Scalars are made in one place,
+:func:`~shortloc.linalg.typed_values`, only when a caller reads
+:meth:`AModule.action_columns` or :attr:`AModule.actions`; once its
+matrices are built, a module is held by them alone.  A module built from
+matrices converts its values once.  The radical, the socle, the Loewy
+length, the integer action rows, the cover kernel and the Hom relations
+read only the ints, and vectors are mapped along the columns
+(:func:`vector_images`), so no action matrix is multiplied.  w_m acts as
+sum s_ij v_i v_j, so w_m·x sums the images v_i·(v_j·x): the module axioms
+are read off them (:func:`validate_module`), and so are the integer images
+of a module with J^2 M not zero (:meth:`AModule.int_images`), at which
+every cover kernel (:attr:`AModule.cover_kernel`) and Hom relation is read.
 
 Every Hom system is built one way, :func:`relation_equations`: a map
 A^t -> N is its images n_1..n_t, column s·t + k is entry s of n_k (the
@@ -75,7 +64,7 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
 from .linalg import (DEFAULT_POOL, Field, IntRows, Matrix, Subspace, integer_pairs,
-                     integer_values, kernel_subspace, rank)
+                     integer_values, kernel_subspace, rank, typed_values)
 
 
 class DimVec(tuple):
@@ -99,13 +88,12 @@ class DimVec(tuple):
 class AModule:
     """A finite-length left module over a :class:`ShortAlgebra`.
 
-    A module is held in one typed form.  One built from matrices keeps
-    them; one the engine builds (:func:`module_from_columns`, A^t, a
-    syzygy) is held by its sparse action columns (:meth:`action_columns`)
-    and builds its matrices only when :attr:`actions` is read, from then
-    on held by them.  Either way its action values are converted to ints
-    once, over one scale (:meth:`int_columns`), and the radical, the socle,
-    the Loewy length and the integer action rows read only those ints.
+    A module is held in one form.  One built from matrices keeps them; one
+    the engine builds (:func:`module_from_columns`, A^t, a syzygy) is held
+    by its integer columns (:meth:`int_columns`), typed only when
+    :meth:`action_columns` is read, and builds its matrices only when
+    :attr:`actions` is read, from then on held by them.  The radical, the
+    socle, the Loewy length and the integer action rows read only the ints.
     ``free_rank`` is t when the module is A^t in the coordinates of
     :func:`free_module`; no engine route reads it, but copies of a module
     carry it (``_fresh`` in ``bench/workload.py``).
@@ -143,12 +131,12 @@ class AModule:
     def actions(self) -> tuple[Matrix, ...]:
         """The generator action matrices of a module held by its columns, built on first read.
 
-        The module is held by them from then on: its columns are dropped,
-        and a later :meth:`action_columns` reads them off the matrices.
+        The module is held by them from then on: its typed and its integer
+        columns are dropped, and later reads of either come off the matrices.
         """
         actions = tuple(Matrix.from_sparse_columns(self.field, self.dim, cols)
                         for cols in self.action_columns())
-        self._action_columns = None
+        self._action_columns = self._int_columns = None
         return actions
 
     def __repr__(self) -> str:
@@ -189,26 +177,25 @@ class AModule:
         Each image is its (row, int) pairs, and d is the least scale over
         which all these images are integral (1 over F_p).  The v-images are
         the columns of :meth:`int_columns`.  Only when J^2 M is not zero are
-        the w-images formed, as :func:`square_images` of the typed columns,
-        converted together and folded into the scale of the v-images;
-        otherwise they are empty, and no square is formed.
+        the w-images formed: the sections' ints (over σ) times the
+        v_i·(v_j·x) read along the columns (over s^2, s the columns' scale),
+        into whose scale the v-images are folded; otherwise they are empty.
         """
         columns, scale = self.int_columns()
         images = [[cols[c] for cols in columns] for c in at]
         if self._square_zero or self.loewy_length() < 3:
             images = [vs + [[]] * self.algebra.a for vs in images]
         else:
-            typed = self.action_columns()
-            squares = square_images(self.algebra, typed,
-                                    [[dict(cols[c]) for cols in typed] for c in at])
-            values, w_scale = integer_values(
-                [y for ws in squares for w in ws for y in w.values()], self.field.characteristic)
-            total, ints = lcm(scale, w_scale), iter(values)
-            fold, lift = total // scale, total // w_scale
+            alg, p = self.algebra, self.field.characteristic
+            e2 = alg.e ** 2
+            ints, sigma = integer_values([s for section in alg.sections() for s in section], p)
+            sections, fold = [ints[m * e2:(m + 1) * e2] for m in range(alg.a)], scale * sigma
             images = [[[(r, y * fold) for r, y in v] for v in vs] +
-                      [[(r, next(ints) * lift) for r in w] for w in ws]
-                      for vs, ws in zip(images, squares)]
-            scale = total
+                      [[(r, y) for r, x in w.items() if (y := x % p if p else x)]
+                       for w in _squares(alg.e, sections, vector_images(
+                           columns, [(d.keys(), d.values()) for d in map(dict, vs)]))]
+                      for vs in images]
+            scale *= fold
         g = gcd(scale, *(y for imgs in images for img in imgs for _, y in img)) if scale > 1 else 1
         if g > 1:
             images = [[[(r, y // g) for r, y in img] for img in imgs] for imgs in images]
@@ -217,18 +204,24 @@ class AModule:
     def action_columns(self) -> list[list[list[tuple]]]:
         """Per generator, the non-zero (row, value) pairs of each column of its action.
 
-        A module held by its columns has them from the start; any other
-        module scans its matrices once and keeps the columns.  Every module
-        built or read without products goes through this view.
+        A module built from matrices scans them once and keeps the columns;
+        one held by its integer columns types them on the first read
+        (:func:`~shortloc.linalg.typed_values`).
         """
         if self._action_columns is None:
-            self._action_columns = [X.sparse_columns() for X in self.actions]
+            if "actions" in self.__dict__:
+                self._action_columns = [X.sparse_columns() for X in self.actions]
+            else:
+                columns, scale = self.int_columns()
+                self._action_columns = [[_typed(col, scale, self.field.characteristic)
+                                         for col in cols] for cols in columns]
         return self._action_columns
 
     def int_columns(self) -> tuple[list, int]:
-        """(columns, d): :meth:`action_columns` with every value an int over the one scale d.
+        """(columns, d): the action columns with every value an int over the one scale d.
 
-        The values are converted together, once per module
+        An engine-built module is held by them; one built from matrices
+        converts its values together, once
         (:func:`~shortloc.linalg.integer_pairs`): residues over d = 1 on
         F_p; on Q the values themselves over 1 when each is an ``int``,
         else ints over the lcm of the denominators.  A syzygy reads them
@@ -316,10 +309,6 @@ class AModule:
                 self._loewy = 3 if any(hit) else 2
         return self._loewy
 
-    def top_lift(self) -> list[tuple]:
-        """Deterministic vectors lifting a basis of top M = M/JM."""
-        return self.radical().complement()
-
     def lift_columns(self) -> list[int]:
         """The indices c_k of the top lifts m_k, unit vectors: the free columns of JM."""
         return self.radical().free_columns()
@@ -361,7 +350,7 @@ def validate_module(M: AModule) -> None:
         # twice[j-1][i-1] is v_i·(v_j·x), mapped once for the squares and the relations.
         vs = [dict(cols[x]) for cols in columns]
         twice = vector_images(columns, [(v.keys(), v.values()) for v in vs])
-        ws = _squares(alg, twice)
+        ws = _squares(alg.e, alg.sections(), twice)
         squares.append(ws)
         for (i, j, m), c in alg.structure.items():
             pair = twice[j - 1][i - 1]
@@ -470,10 +459,10 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
         raise BadParams("free rank must be natural")
     if t == 0:
         return zero_module(alg)
-    n = alg.dim
+    n, (columns, scale) = alg.dim, alg.regular_columns()
     F = module_from_columns(alg, n * t, [[[(k * n + i, x) for i, x in col]
                                           for k in range(t) for col in cols]
-                                         for cols in alg.regular_columns()])
+                                         for cols in columns], scale)
     F.free_rank, F._loewy = t, 3 if alg.structure else 2 if alg.e else 1
     return F
 
@@ -481,8 +470,9 @@ def free_module(alg: ShortAlgebra, t: int) -> AModule:
 def vector_images(columns: list, rows: Iterable[tuple]) -> list[list[dict]]:
     """v_1·x .. v_e·x as {index: value} for each x, given as (indices, values).
 
-    ``columns`` is a module's :meth:`AModule.action_columns`, so an image
-    costs what x's support and the columns there cost; no product is formed.
+    ``columns`` are a module's action columns, as ints
+    (:meth:`AModule.int_columns`) or typed, so an image costs what x's
+    support and the columns there cost; no product is formed.
     """
     out = []
     for idx, vals in rows:
@@ -495,22 +485,10 @@ def vector_images(columns: list, rows: Iterable[tuple]) -> list[list[dict]]:
     return out
 
 
-def square_images(alg: ShortAlgebra, columns: list, images: Sequence[Sequence[dict]]
-                  ) -> list[list[dict]]:
-    """w_1·x .. w_a·x for each x, given its images v_1·x .. v_e·x as dicts.
-
-    w_m = sum s_ij v_i v_j for the algebra's sections s, so w_m·x sums the
-    images v_i·(v_j·x), read along the action columns ``columns``
-    (:func:`vector_images`); no product is formed.
-    """
-    return [_squares(alg, vector_images(columns, [(v.keys(), v.values()) for v in vs]))
-            for vs in images]
-
-
-def _squares(alg: ShortAlgebra, twice: Sequence[Sequence[dict]]) -> list[dict]:
-    """w_1·x .. w_a·x from the images twice[j-1][i-1] = v_i·(v_j·x): sum s_ij v_i·(v_j·x)."""
-    e, ws = alg.e, []
-    for section in alg.sections():
+def _squares(e: int, sections: Sequence[Sequence], twice: Sequence[Sequence[dict]]) -> list[dict]:
+    """w_1·x .. w_a·x from twice[j-1][i-1] = v_i·(v_j·x): sum s_ij v_i·(v_j·x), typed or ints."""
+    ws = []
+    for section in sections:
         w: dict = {}
         for ij, s in enumerate(section):
             if s:
@@ -520,46 +498,66 @@ def _squares(alg: ShortAlgebra, twice: Sequence[Sequence[dict]]) -> list[dict]:
     return ws
 
 
-def pivot_columns(space: Subspace, images: Sequence[Sequence[dict]], e: int) -> list[list[list]]:
-    """The columns of the actions induced on a subspace, from the images of its basis rows.
+def _typed(col: Sequence[tuple], scale: int, p: int) -> list[tuple]:
+    """A column's (row, int) pairs over ``scale`` as (row, scalar) pairs (:func:`typed_values`)."""
+    return list(zip([r for r, _ in col], typed_values([y for _, y in col], scale, p)))
 
-    ``images[r][j]`` is v_{j+1} applied to basis row r (as
-    :func:`vector_images` or :meth:`~shortloc.homology.Syzygy.images`
-    give it).  Each image is checked to lie in the subspace, its residue
-    (:meth:`~shortloc.linalg.Subspace.residue`) zero (BadParams
-    otherwise); the basis is row reduced, so its coordinates are its
-    non-zero entries at the pivots, with no system solved.
+
+def _row_images(columns: list, scale: int, space: Subspace) -> list[tuple[list[dict], int]]:
+    """(images, scale·s) of each integer row of ``space`` (over s) along integer ``columns``."""
+    rows = space.int_rows()
+    rows = [rows[q] for q in space.pivots]
+    images = vector_images(columns, [(idx, vals) for idx, vals, _ in rows])
+    return [(imgs, scale * s) for imgs, (_, _, s) in zip(images, rows)]
+
+
+def pivot_columns(space: Subspace, images: Sequence[tuple[Sequence[dict], int]], e: int,
+                  p: int) -> tuple[list[list[list]], int]:
+    """(columns, scale): the integer actions induced on a subspace, from its rows' integer images.
+
+    ``images[r]`` is (v_1·x .. v_e·x, s) for the basis row x at
+    ``space.pivots[r]``, dicts {index: int} over s.  Each image must lie in
+    the subspace (:meth:`~shortloc.linalg.Subspace.contains_ints`;
+    BadParams otherwise); the basis is row reduced, so its coordinates are
+    its entries at the pivots, in increasing row order, over the lcm of the
+    s on Q and as residues over 1 on F_p.
     """
-    at = {p: r for r, p in enumerate(space.pivots)}
+    at = {q: r for r, q in enumerate(space.pivots)}
+    scale = 1 if p else lcm(*[s for _, s in images])
     columns: list[list] = [[] for _ in range(e)]
-    for row_images in images:
+    for row_images, s in images:
+        m = scale // s
         for cols, image in zip(columns, row_images):
-            if any(space.residue(image.items()).values()):
+            if not space.contains_ints(image):
                 raise BadParams("subspace is not stable under the module action")
-            cols.append([(at[q], y) for q, y in image.items() if y and q in at])
-    return columns
+            cols.append(sorted((at[q], y) for q, x in image.items()
+                               if q in at and (y := x % p if p else x * m)))
+    return columns, scale
 
 
-def module_from_columns(alg: ShortAlgebra, dim: int, columns: Sequence[Sequence]) -> AModule:
-    """The module whose generator v_{j+1} acts by the sparse columns ``columns[j]``, held by them.
+def module_from_columns(alg: ShortAlgebra, dim: int, columns: Sequence[Sequence],
+                        scale: int) -> AModule:
+    """The module whose generator v_{j+1} acts by the integer columns ``columns[j]`` over ``scale``.
 
-    Its matrices are built only when :attr:`AModule.actions` is read.
+    Each column is its non-zero (row, int) pairs, x standing for
+    x/``scale`` (a residue on F_p, over 1).  The module is held by them;
+    its typed columns and matrices are made only when read.
     """
     M = AModule.__new__(AModule)
-    M.algebra, M.dim, M._action_columns = alg, dim, list(columns)
+    M.algebra, M.dim, M._int_columns = alg, dim, (list(columns), scale)
     return M
 
 
 def module_from_subspace(M: AModule, space: Subspace) -> tuple[AModule, ModuleMap]:
     """An action-stable subspace as a module, with its embedding into M.
 
-    Each basis row is mapped through each generator along the non-zeros of
-    both (:func:`vector_images`), and the induced actions are read off the
-    images at the pivots (:func:`pivot_columns`).  The embedding's matrix is
-    built on first read.
+    The basis's integer rows are mapped along M's integer columns, and
+    the induced actions read off the images at the pivots
+    (:func:`pivot_columns`).  The embedding's matrix is built on first read.
     """
-    images = vector_images(M.action_columns(), space.sparse_rows().values())
-    sub = module_from_columns(M.algebra, space.dim, pivot_columns(space, images, M.algebra.e))
+    p = M.field.characteristic
+    columns, scale = pivot_columns(space, _row_images(*M.int_columns(), space), M.algebra.e, p)
+    sub = module_from_columns(M.algebra, space.dim, columns, scale)
     return sub, _LazyMap(sub, M, lambda: Matrix.from_columns(M.field, space.basis, M.dim))
 
 
@@ -573,58 +571,67 @@ def generated_submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModul
     vecs = [tuple(v) for v in vectors]
     if any(len(v) != M.dim for v in vecs):
         raise DimensionMismatch("vector has wrong ambient dimension")
-    span = generated_span(M.field, M.dim, M.action_columns(), [(range(M.dim), v) for v in vecs])
-    return module_from_subspace(M, span)
+    ints = [(range(M.dim), integer_values(list(v), M.field.characteristic)[0]) for v in vecs]
+    return module_from_subspace(M, generated_span(M.field, M.dim, M.int_columns()[0], ints))
 
 
 def generated_span(field: Field, ambient: int, columns: list, vectors: Sequence) -> Subspace:
-    """The span of the x, the v_i·x and the v_i·(v_j·x) along ``columns``, x as (indices, values).
+    """The span of the x, the v_i·x and the v_i·(v_j·x) along integer ``columns``.
 
-    It is closed under A: the v_i v_j span J^2, and J^3 = 0 ends it.
+    Each x is given as (indices, ints).  The span is closed under A: the
+    v_i v_j span J^2, and J^3 = 0 ends it.
     """
     once = [v for row in vector_images(columns, vectors) for v in row]
     twice = [v for row in vector_images(columns, [(v.keys(), v.values()) for v in once])
              for v in row]
-    return Subspace.from_vectors(field, ambient, [dict(zip(*x)) for x in vectors] + once + twice)
+    rows = IntRows(field, [dict(zip(*x)) for x in vectors] + once + twice, ambient)
+    return Subspace.from_vectors(field, ambient, rows)
 
 
 def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
     """The quotient of M by an action-stable subspace, with its projection.
 
     Quotient coordinates are the non-pivot coordinates of the canonical
-    representative (reduction modulo the subspace).  The free unit vectors
-    e_f lift the quotient basis, so column f of an action is the residue
-    of the column X e_f at the free columns
-    (:meth:`~shortloc.linalg.Subspace.residue`), and no action matrix of M
-    is multiplied (on A^t the columns come off the regular action).  The
-    projection's matrix is built on first read.
+    representative (reduction modulo the subspace), and stability is
+    checked by :func:`pivot_columns`.  The free unit vectors e_f lift the
+    quotient basis, so column f of an action is the integer column X e_f
+    reduced at the free columns, in ints over L, the lcm of the scales of
+    sub's integer rows (:meth:`~shortloc.linalg.Subspace.int_residue`), in
+    increasing row order.  The projection's typed matrix is built on first
+    read.
     """
     if not isinstance(sub, Subspace):
         sub = Subspace.from_vectors(M.field, M.dim, sub)
-    columns = M.action_columns()
+    columns, scale = M.int_columns()
+    p = M.field.characteristic
     # Raises BadParams unless sub is stable.
-    pivot_columns(sub, vector_images(columns, sub.sparse_rows().values()), M.algebra.e)
+    pivot_columns(sub, _row_images(columns, scale, sub), M.algebra.e, p)
     free = sub.free_columns()
     at = {f: b for b, f in enumerate(free)}
+    L = lcm(*[s for _, _, s in sub.int_rows().values()])
 
     def projection() -> Matrix:
         # Column c is e_c's residue at the free columns.
         one = M.field.one()
         return Matrix.from_sparse_columns(M.field, len(free), [
             [(at[j], x) for j, x in sub.residue([(c, one)]).items() if x] for c in range(M.dim)])
-    acts = [[[(at[j], x) for j, x in sub.residue(cols[f]).items() if x] for f in free]
-            for cols in columns]
-    Q = module_from_columns(M.algebra, len(free), acts)
+    acts = [[[(at[j], y) for j, x in sorted(sub.int_residue(cols[f], L).items())
+              if (y := x % p if p else x)] for f in free] for cols in columns]
+    Q = module_from_columns(M.algebra, len(free), acts, scale * L)
     return Q, _LazyMap(M, Q, projection)
 
 
 def direct_sum(M: AModule, N: AModule) -> AModule:
+    """M ⊕ N, held by the integer columns of both over the lcm of their scales."""
     if M.algebra != N.algebra:
         raise AlgebraMismatch("direct sum over different algebras")
-    d = M.dim
+    d, (cm, sm), (cn, sn) = M.dim, M.int_columns(), N.int_columns()
+    scale = lcm(sm, sn)
+    fm, fn = scale // sm, scale // sn
     return module_from_columns(M.algebra, d + N.dim, [
-        cm + [[(d + i, x) for i, x in col] for col in cn]
-        for cm, cn in zip(M.action_columns(), N.action_columns())])
+        [[(i, x * fm) for i, x in col] for col in colsm] +
+        [[(d + i, x * fn) for i, x in col] for col in colsn]
+        for colsm, colsn in zip(cm, cn)], scale)
 
 
 def radical_module(alg: ShortAlgebra) -> AModule:
@@ -686,28 +693,21 @@ def random_module(alg: ShortAlgebra, n_gens: int, n_rels: int, seed: int) -> AMo
         raise BadParams("need at least one generator")
     if n_rels < 0:
         raise BadParams(f"relation count must be at least 0, got {n_rels}")
-    rng = random.Random(seed)
-    elems = [alg.field.of(x) for x in DEFAULT_POOL]
+    rng, n = random.Random(seed), alg.dim
     F = free_module(alg, n_gens)
-    zero = alg.field.zero()
-    rels = []
-    for _ in range(n_rels):
-        vec = []
-        for _ in range(n_gens):
-            vec.append(zero)
-            vec.extend(rng.choice(elems) for _ in range(alg.dim - 1))
-        rels.append(tuple(vec))
-    images = vector_images(F.action_columns(), [(range(F.dim), r) for r in rels])
-    space = Subspace.from_vectors(alg.field, F.dim, rels + [img for row in images for img in row])
-    Q, _ = quotient(F, space)
+    rels = [{k * n + u: x for k in range(n_gens) for u in range(1, n)
+             if (x := rng.choice(DEFAULT_POOL))} for _ in range(n_rels)]
+    images = vector_images(F.int_columns()[0], [(r.keys(), r.values()) for r in rels])
+    rows = rels + [img for row in images for img in row]
+    Q, _ = quotient(F, Subspace.from_vectors(alg.field, F.dim, IntRows(alg.field, rows, F.dim)))
     return Q
 
 
 def mod_j_squared(M: AModule) -> AModule:
-    """M / J^2 M, the largest Loewy-length <= 2 quotient of M."""
-    images = vector_images(M.action_columns(), M.radical().sparse_rows().values())
-    space = Subspace.from_vectors(M.field, M.dim, (img for row in images for img in row))
-    Q, _ = quotient(M, space)
+    """M / J^2 M, the largest Loewy-length <= 2 quotient: J^2 M spans the radical's images."""
+    rows = [(idx, vals) for idx, vals, _ in M.radical().int_rows().values()]
+    images = [img for row in vector_images(M.int_columns()[0], rows) for img in row]
+    Q, _ = quotient(M, Subspace.from_vectors(M.field, M.dim, IntRows(M.field, images, M.dim)))
     return Q
 
 

@@ -9,11 +9,12 @@ integer (or rational) arithmetic.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional, Sequence
 
 from ._record import record
 from .errors import (BadParams, HypothesisNotMet, InvariantViolation, LoewyTooLong,
-                     WrongHilbertType)
+                     ResourceCapExceeded, WrongHilbertType)
 from .homology import DEFAULT_CAP, syzygy
 from .modules import AModule, DimVec, dim_vector, simple_multiplicity
 
@@ -137,9 +138,37 @@ class BSequence:
         return self.values[n + 1]
 
 
+#: A b-sequence whose values may hold more bits than this (:func:`_sequence_bits`) is refused.
+MAX_SEQUENCE_BITS = 2 ** 28
+
+
+def _ceil_sqrt(x: int) -> int:
+    s = isqrt(x)
+    return s + (s * s < x)
+
+
+def _sequence_bits(e: int, a: int, n: int) -> int:
+    """An upper bound on the bits that b_0..b_n hold, one 64-bit word per value included.
+
+    b_k = sum_{i=0}^{k} r^i s^(k-i) for the roots r, s of x^2 - e x + a, so
+    |b_k| <= (k + 1)·ρ^k for ρ = max(|r|, |s|), and ρ <= R, an int: the
+    ceiling of (|e| + √d)/2 when d = e^2 - 4a >= 0, else of √a.  So b_k
+    holds at most k·⌈log2 R⌉ + bit_length(k + 1) bits.
+    """
+    d = e * e - 4 * a
+    R = _ceil_sqrt(a) if d < 0 else (abs(e) + _ceil_sqrt(d) + 1) // 2
+    w = max(R - 1, 0).bit_length()
+    return w * n * (n + 1) // 2 + (n + 1) * (64 + (n + 1).bit_length())
+
+
 def b_sequence(e: int, a: int, n: int) -> BSequence:
+    """b_{-1}..b_n of the recursion; refused with ResourceCapExceeded, before any value is
+    formed, when they may hold more than :data:`MAX_SEQUENCE_BITS` bits."""
     if n < 0:
         raise BadParams(f"n must be at least 0, got {n}")
+    bits = _sequence_bits(e, a, n)
+    if bits > MAX_SEQUENCE_BITS:
+        raise ResourceCapExceeded(bits, MAX_SEQUENCE_BITS, "b-sequence of bit size")
     vals = [0, 1]
     for _ in range(n):
         vals.append(e * vals[-1] - a * vals[-2])

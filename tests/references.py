@@ -28,6 +28,13 @@ the torsionless test on the stacked map matrices (``vstack_torsionless``)
 are what the one-loop ``_sparse`` and the rank of a dual's integer rows
 replaced.
 
+The dense routes the package dropped for want of a reader are kept here:
+a matrix's scaling, combinations and zero test (``scale``,
+``combination``, ``is_zero``), the unit vectors at a subspace's free
+columns (``complement``, with ``top_lift``), the boundaries as typed rows
+and as algebra elements (``boundary_rows``, ``boundary_elements``), and
+a cover kernel's embedding matrix (``kernel_embedding``).
+
 The algebra's dense routes are what reading the structure constants
 replaced: the socle as the kernel of the stacked regular matrices built
 by ``mul`` (``vstack_socle``), one solve per section (``per_m_sections``),
@@ -73,6 +80,10 @@ typed rows with the cover's typed columns (``typed_stable_hom_dim``).
 ``from_scalars`` is the row converter the engine no longer has: typed
 rows {column: scalar}, each as ints over its own scale.
 
+The elimination that scans every older pivot row at a back-clear
+(``unindexed_echelon``) is what the back-clear index of ``_echelon``
+replaced.
+
 The Kronecker Hom equations with each column of a map rebuilt per
 equation (``reference_kronecker_hom_dim``), and Gorenstein projectivity
 with one resolution for the semi-GP scan and another for the transpose
@@ -88,12 +99,11 @@ from itertools import compress, count
 from shortloc.errors import BadParams, InvariantViolation
 from shortloc.homology import (DEFAULT_CAP, ApproximationData, _cover_rank, dual_data,
                                is_semi_gp, transpose)
-from shortloc import modules
-from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace, _sparse,
-                             integer_values, kernel_basis, kernel_subspace, rank, solve)
+from shortloc import linalg, modules
+from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace, _clear, _sparse,
+                             _tidy, integer_values, kernel_basis, kernel_subspace, rank, solve)
 from shortloc.modules import (AModule, IsoSearch, ModuleMap, free_module, hom_basis, hom_dim,
-                              pivot_columns, presentation_equations, quotient, square_images,
-                              vector_images)
+                              presentation_equations, quotient, vector_images)
 
 
 def from_scalars(field, rows, cols):
@@ -125,20 +135,87 @@ def plain_basis_images(M, v):
 
 def plain_cover_columns(M):
     """The columns of the cover A^t -> M: the basis images at each top lift, copy by copy."""
-    return [img for m in M.top_lift() for img in plain_basis_images(M, m)]
+    return [img for m in top_lift(M) for img in plain_basis_images(M, m)]
 
 
 def scaled_sum_action(M, u):
     """The action of u by scale-and-add over d x d matrices, W_m = sum s_ij X_i X_j."""
     alg, X = M.algebra, M.actions
-    acc = Matrix.identity(M.field, M.dim).scale(u[0])
+    acc = scale(Matrix.identity(M.field, M.dim), u[0])
     for c, Y in zip(u[1:], X):
-        acc = acc + Y.scale(c)
+        acc = acc + scale(Y, c)
     for c, section in zip(u[1 + alg.e:], alg.sections()):
         for idx, s in enumerate(section):
             i, j = divmod(idx, alg.e)
-            acc = acc + (X[i] * X[j]).scale(c * s)
+            acc = acc + scale(X[i] * X[j], c * s)
     return acc
+
+
+# -- the dense routes the package no longer has --------------------------------
+
+def scale(X, c):
+    """c·X, entry by entry."""
+    return Matrix(X.field, [[c * x for x in row] for row in X.data], cols=X.cols)
+
+
+def combination(coefs, mats):
+    """sum_k coefs[k]·mats[k] over one or more matrices of one shape."""
+    first = mats[0]
+    assert all((X.rows, X.cols) == (first.rows, first.cols) for X in mats)
+    out = [[first.field.zero()] * first.cols for _ in range(first.rows)]
+    for c, X in zip(coefs, mats):
+        if c:
+            out = [[s + c * x if x else s for s, x in zip(acc, row)]
+                   for acc, row in zip(out, X.data)]
+    return Matrix(first.field, out, cols=first.cols)
+
+
+def is_zero(X):
+    """True iff every entry of the matrix X is zero."""
+    return all(not x for row in X.data for x in row)
+
+
+def complement(space):
+    """The unit vectors at the free columns of ``space``: they extend its basis to k^ambient."""
+    zero, one = space.field.zero(), space.field.one()
+    return [tuple(one if c == f else zero for c in range(space.ambient))
+            for f in space.free_columns()]
+
+
+def top_lift(M):
+    """Unit vectors lifting a basis of top M = M/JM: the complement of the radical."""
+    return complement(M.radical())
+
+
+def boundary_rows(res, j):
+    """The map P_j -> P_{j-1} as typed sparse rows: row l is d(unit_l), as (indices, values).
+
+    Only the top lifts' integer rows (``boundary_int_rows``) are converted.
+    """
+    p = res.module.field.characteristic
+    return [(idx, linalg.typed_values(vals, s, p)) for idx, vals, s in res.boundary_int_rows(j)]
+
+
+def boundary_elements(res, j):
+    """The map P_j -> P_{j-1} as a matrix of algebra elements, read off ``boundary_rows``.
+
+    Entry [l][k] is the element g with d(unit_l) having k-th component g.
+    """
+    rows = boundary_rows(res, j)
+    n, t_prev = res.module.algebra.dim, res.steps[j - 1].cover_rank
+    zero, out = res.module.field.zero(), []
+    for idx, vals in rows:
+        elements = [[zero] * n for _ in range(t_prev)]
+        for c, x in zip(idx, vals):
+            elements[c // n][c % n] = x
+        out.append([tuple(g) for g in elements])
+    return out
+
+
+def kernel_embedding(pres):
+    """A presentation's kernel embedded in its cover's source: the kernel basis as columns."""
+    P = pres.cover_map.source
+    return ModuleMap(pres.kernel, P, Matrix.from_columns(P.field, pres._kernel_space.basis, P.dim))
 
 
 def action_rows_over_scale(M):
@@ -159,6 +236,12 @@ def action_rows_over_scale(M):
 def scalars(row):
     """A row's entries, each with its type."""
     return tuple((type(x), x) for x in row)
+
+
+def canonical(row):
+    """A row's entries, each with the type :func:`Rational` gives its value: an ``int`` when
+    integral over Q; an ``Fp`` stays as it is."""
+    return scalars(x if isinstance(x, Fp) else Rational(x) for x in row)
 
 
 def typed(space):
@@ -217,7 +300,7 @@ def typed_cover(alg, space):
     """The top lifts and the cover kernel of the syzygy with shadow ``space``, typed.
 
     When the V-rows do not lift the whole top, the typed action columns
-    (checked against the shadow by ``pivot_columns``) are eliminated at
+    (checked against the shadow by ``typed_pivot_columns``) are eliminated at
     Φ's pivot columns and at the J^2-rows, over the J^2-row coordinates.
     """
     n, e = alg.dim, alg.e
@@ -226,7 +309,7 @@ def typed_cover(alg, space):
     kernel = typed_phi_kernel(alg, [images.get(p, empty) for p in lifts])
     outer = [r for r, p in enumerate(space.pivots) if p % n > e]
     if (e + alg.a) * len(lifts) - kernel.dim < len(outer):
-        columns = pivot_columns(space, [images.get(p, empty) for p in space.pivots], e)
+        columns = typed_pivot_columns(space, [images.get(p, empty) for p in space.pivots], e)
         free, at = set(kernel.pivots), {r: c for c, r in enumerate(outer)}
         row = {p: r for r, p in enumerate(space.pivots)}
         span = [cols[row[p]] for k, p in enumerate(lifts)
@@ -451,13 +534,13 @@ def dense_validate(M):
     """The module axioms on dense matrices: the products, the product kernel, the triple loop."""
     products = [X * Y for X in M.actions for Y in M.actions]
     for lam in M.algebra.product_kernel():
-        if not Matrix.combination(lam, products).is_zero():
+        if not is_zero(combination(lam, products)):
             raise BadParams("action matrices violate a product relation")
     for P in products:
-        if P.is_zero():
+        if is_zero(P):
             continue
         for X in M.actions:
-            if not (P * X).is_zero():
+            if not is_zero(P * X):
                 raise BadParams("triple product of generator actions is non-zero")
 
 
@@ -697,6 +780,74 @@ def typed_int_action_rows(M):
         ints = iter(integer_values(values, p)[0])
         act = [[[(c, next(ints)) for c, _ in row] for row in b] for b in act]
     return tuple(tuple(map(tuple, b)) for b in act)
+
+
+# -- the typed module builders -------------------------------------------------------
+
+def typed_pivot_columns(space, images, e):
+    """The typed columns of the actions induced on a subspace, from the typed images of its rows.
+
+    ``images[r][j]`` is v_{j+1} applied to basis row r, a dict {index:
+    scalar}.  Each image must have a zero typed residue
+    (``Subspace.residue``; BadParams otherwise), and its coordinates are its
+    non-zero entries at the pivots, in the image's own order.
+    """
+    at = {p: r for r, p in enumerate(space.pivots)}
+    columns = [[] for _ in range(e)]
+    for row_images in images:
+        for cols, image in zip(columns, row_images):
+            if any(space.residue(image.items()).values()):
+                raise BadParams("subspace is not stable under the module action")
+            cols.append([(at[q], y) for q, y in image.items() if y and q in at])
+    return columns
+
+
+def square_images(alg, columns, images):
+    """w_1·x .. w_a·x for each x, from its typed images v_1·x .. v_e·x as dicts.
+
+    w_m = sum s_ij v_i v_j for the typed sections s, so w_m·x sums the
+    images v_i·(v_j·x) read along the typed ``columns``.
+    """
+    return [modules._squares(alg.e, alg.sections(),
+                             vector_images(columns, [(v.keys(), v.values()) for v in vs]))
+            for vs in images]
+
+
+# -- the elimination without its back-clear index ------------------------------------
+
+def unindexed_echelon(field, rows, ncols, counts=None):
+    """``linalg._echelon`` scanning every older pivot row at each back-clear.
+
+    ``counts``, a list, gains one entry per older row cleared at a new pivot.
+    """
+    p = field.characteristic
+    piv = {}
+    used = set()
+    for row in sorted(filter(None, rows), key=len):
+        if len(piv) == ncols:
+            break
+        hits = row.keys() & piv.keys()
+        if hits:
+            for c in hits:
+                row = _clear(row, piv[c], c)
+            row = _tidy(row, p)
+            if not row:
+                continue
+        c = min(row)
+        if p and row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = {j: x * inv % p for j, x in row.items()}
+        elif row[c] < 0:
+            row = {j: -x for j, x in row.items()}
+        if c in used:
+            for q, qrow in piv.items():
+                if c in qrow:
+                    piv[q] = _tidy(_clear(qrow, row, c), p)
+                    if counts is not None:
+                        counts.append(q)
+        piv[c] = row
+        used.update(row)
+    return piv
 
 
 # -- the replaced Kronecker equations and GP route ------------------------------------

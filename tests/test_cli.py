@@ -564,6 +564,12 @@ def _run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_a_b_sequence_past_its_size_bound_exits_3_naming_the_size():
+    code, out, err = _run_in_process(["bseq", "--e", "2", "--a", "1", "--n", "100000000"])
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: b-sequence of bit size \d+ exceeds cap \d+\n", err)
+
+
 def test_malformed_specs_and_files_keep_the_exit_code_contract(tmp_path):
     # Seeded malformed module and algebra specs and JSON files, run through
     # cli.main: every exit code is 0..3, no exception escapes, exit 1 is only

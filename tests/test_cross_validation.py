@@ -21,8 +21,8 @@ from shortloc.modules import (AModule, cyclic_submodule, dim_vector, hom_basis, 
                               quotient, random_module, simple_module)
 from shortloc.presets import preset, preset_names
 
-from references import (action_rows_over_scale, plain_apply, plain_basis_images,
-                        scaled_sum_action)
+from references import (action_rows_over_scale, boundary_elements, kernel_embedding, plain_apply,
+                        plain_basis_images, scaled_sum_action, top_lift)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
 
@@ -111,7 +111,7 @@ def ext_by_restriction(M, N, i):
     rank of restriction along Omega^i M -> P.  No Hom-complex is formed.
     """
     pres = projective_cover(syzygy_power(M, i - 1))
-    emb = pres.kernel_embedding.matrix
+    emb = kernel_embedding(pres).matrix
     restricted = [f.matrix * emb for f in hom_basis(pres.cover_map.source, N)]
     flat = [tuple(x for row in r.data for x in row) for r in restricted]
     image = Subspace.from_vectors(M.field, N.dim * emb.cols, flat)
@@ -252,7 +252,7 @@ def test_boundaries_compose_to_zero(field):
         for M in mods:
             res = MinimalResolution(M)
             for j in (1, 2):
-                lower, upper = res.boundary_elements(j), res.boundary_elements(j + 1)
+                lower, upper = boundary_elements(res, j), boundary_elements(res, j + 1)
                 for row in upper:
                     for m in range(res.rank(j - 1)):
                         terms = [alg.mul(g, lower[k][m]) for k, g in enumerate(row)]
@@ -280,12 +280,12 @@ def test_products_match_plain_sums(field):
         n = alg.dim
         for M in mods:
             pres = projective_cover(M)
-            assert_induced_actions(pres.cover_map.source, pres.kernel, pres.kernel_embedding)
+            assert_induced_actions(pres.cover_map.source, pres.kernel, kernel_embedding(pres))
             assert_induced_actions(M, *module_from_subspace(M, M.radical()))
             checked["kernel"] += pres.kernel.dim > 0
             checked["radical"] += M.radical().dim > 0
             cover = pres.cover_map.matrix
-            for k, m in enumerate(M.top_lift()):
+            for k, m in enumerate(top_lift(M)):
                 for u, img in enumerate(plain_basis_images(M, m)):
                     assert cover.col(k * n + u) == img, (alg.name, seed, k, u)
             checked["cover"] += pres.cover_rank
@@ -293,15 +293,15 @@ def test_products_match_plain_sums(field):
                 rad = M.radical()
                 maps = tilde(M).maps
                 for X, phi in zip(M.actions, maps):
-                    for c, m in enumerate(M.top_lift()):
+                    for c, m in enumerate(top_lift(M)):
                         assert phi.col(c) == rad.coords(plain_apply(X, m)), (alg.name, seed)
                 checked["tilde"] += 1
             res = MinimalResolution(M)
             for j in (1, 2):
-                rows = res.boundary_elements(j)
+                rows = boundary_elements(res, j)
                 assert len(rows) == res.rank(j)
-                emb = res.steps[j - 1].kernel_embedding.matrix
-                for row, m in zip(rows, res.steps[j].module.top_lift()):
+                emb = kernel_embedding(res.steps[j - 1]).matrix
+                for row, m in zip(rows, top_lift(res.steps[j].module)):
                     col = plain_apply(emb, m)
                     assert row == [col[k * n:(k + 1) * n] for k in range(res.rank(j - 1))]
                     checked["boundary"] += 1

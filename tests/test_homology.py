@@ -21,7 +21,8 @@ from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
                               zero_module)
 from shortloc.presets import preset
 
-from references import (plain_cover_columns, scalars, two_resolution_is_gp, typed,
+from references import (boundary_elements, canonical, combination, is_zero, kernel_embedding,
+                        plain_cover_columns, scalars, scale, top_lift, two_resolution_is_gp, typed,
                         vstack_torsionless)
 
 
@@ -61,8 +62,9 @@ def test_cover_kernel_is_inside_radical(conca32):
         pres = projective_cover(M)
         P = pres.cover_map.source
         rad = P.radical()
-        for col in range(pres.kernel_embedding.matrix.cols):
-            assert rad.contains(pres.kernel_embedding.matrix.col(col))
+        emb = kernel_embedding(pres).matrix
+        for col in range(emb.cols):
+            assert rad.contains(emb.col(col))
 
 
 def _cover_inputs(field):
@@ -81,14 +83,15 @@ def _cover_inputs(field):
 @pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 def test_cover_kernel_is_the_kernel_of_the_whole_cover(field):
     # A syzygy's cover is read off its actions; every cover must equal the
-    # one built by mapping the top lifts through the dense basis images,
-    # scalar types included, and its kernel must be the kernel of that
-    # matrix: the same basis, pivots, sparse rows and induced actions.
+    # one built by mapping the top lifts through the dense basis images, in
+    # value, each entry of the type Rational gives it, and its kernel must be
+    # the kernel of that matrix: the same basis, pivots, sparse rows and
+    # induced actions.
     loewy, read = [], 0
     for M in _cover_inputs(field):
         pres = projective_cover(M)
         columns = plain_cover_columns(M)
-        assert list(map(scalars, pres.cover_map.matrix.data)) == list(map(scalars, zip(*columns)))
+        assert list(map(scalars, pres.cover_map.matrix.data)) == list(map(canonical, zip(*columns)))
         ref = kernel_subspace(Matrix.from_columns(field, columns, M.dim))
         assert typed(pres._kernel_space) == typed(ref), (M, M.loewy_length())
         expected = module_from_subspace(pres.cover_map.source, ref)[0]
@@ -321,7 +324,7 @@ def test_the_approximation_builds_only_its_z_maps(field, monkeypatch):
         step = data.approximation
         assert built == []
         homs = [f.matrix for f in hom_basis(M, data.homs.target)]
-        combined = [Matrix.combination(lam, homs) for lam in data.module.top_lift()]
+        combined = [combination(lam, homs) for lam in top_lift(data.module)]
         assert list(map(scalars, step.approximation.matrix.data)) == \
             [scalars(row) for g in combined for row in g.data]
         cases += 0 < step.rank < data.homs.dim
@@ -370,8 +373,8 @@ def _simple_self_extension_count(alg):
             for idx, coef in enumerate(lam):
                 if coef:
                     i, j = divmod(idx, alg.e)
-                    acc = acc + (acts[i] * acts[j]).scale(coef)
-            assert acc.is_zero()
+                    acc = acc + scale(acts[i] * acts[j], coef)
+            assert is_zero(acc)
     return alg.e
 
 
@@ -575,7 +578,7 @@ def test_boundedness_is_recorded(lam0):
 
 def test_boundary_elements_lie_in_radical(conca32):
     res = MinimalResolution(cyclic_x(conca32))
-    D = res.boundary_elements(1)
+    D = boundary_elements(res, 1)
     for row in D:
         for elt in row:
             assert not elt[0]

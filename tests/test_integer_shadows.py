@@ -9,7 +9,8 @@ row (``Subspace.int_rows``), and its typed rows are built from them.  The
 typed route it replaced (``references.typed_ladder``) builds typed images
 from typed rows and hands Φ over as typed sparse rows.  Per rung, over Q,
 F_7 and F_32003, the two must agree in pivots, sparse rows and basis, with
-the type of every scalar, in the top lifts and in ``boundary_rows``.  A
+the type of every scalar, in the top lifts and in their typed rows
+(``references.boundary_rows``).  A
 syzygy's socle is read off the integer Φ; it must agree with the socle of
 the module built from its shadow, by rank and densely.
 """
@@ -26,7 +27,7 @@ from shortloc.modules import (free_module, is_bipartite, m_alpha, module_from_su
                               random_module, simple_module, simple_multiplicity)
 from shortloc.presets import preset, preset_names
 
-from references import scalars, typed, typed_ladder
+from references import boundary_rows, scalars, typed, typed_ladder
 from test_sweep_solves import dense_socle, sweep_modules
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
@@ -76,7 +77,7 @@ def test_integer_shadows_match_the_typed_route(field):
                 syz = res.syzygy_module(i)
                 assert syz.cover[0] == lifts, (M, i)
                 rows = rungs[i - 1][1].sparse_rows()
-                assert [(idx, scalars(vals)) for idx, vals in res.boundary_rows(i)] == \
+                assert [(idx, scalars(vals)) for idx, vals in boundary_rows(res, i)] == \
                     [(rows[p][0], scalars(rows[p][1])) for p in lifts], (M, i)
                 top_lift_branch += any(p % M.algebra.dim > M.algebra.e for p in lifts)
         assert [res.rank(i) for i in range(depth + 1)] == \
@@ -188,7 +189,7 @@ def test_boundary_rows_convert_only_the_lift_rows(field, monkeypatch):
         res.extend_to(depth)
         converted.clear()
         for j in range(1, depth + 1):
-            rows = res.boundary_rows(j)
+            rows = boundary_rows(res, j)
             assert len(converted) == len(rows), (M, j)
             returned += len(rows)
             shadow_rows += res.steps[j - 1]._kernel_space.dim
@@ -214,7 +215,7 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
               for seed in range(4)]
     for M, N in cases:
         M.algebra.sections(), M.loewy_length(), N.loewy_length()
-    counts, matrices, in_span = {"boundary_rows": 0, "typed": 0, "span_typed": 0}, [], []
+    counts, matrices, in_span = {"typed": 0, "span_typed": 0}, [], []
 
     def counting(key, original):
         def counted(*args, **kwargs):
@@ -231,8 +232,6 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
     def hom_complex(res, N, j, _original=homology._hom_complex_matrix):
         matrices.append(_original(res, N, j))
         return matrices[-1]
-    monkeypatch.setattr(homology.MinimalResolution, "boundary_rows",
-                        counting("boundary_rows", homology.MinimalResolution.boundary_rows))
     monkeypatch.setattr(linalg, "typed_values", counting("typed", linalg.typed_values))
     monkeypatch.setattr(homology, "typed_values", linalg.typed_values)
     monkeypatch.setattr(homology, "_hom_complex_matrix", hom_complex)
@@ -244,7 +243,7 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
         homology.is_semi_gp(M, 3), homology.transpose(M)
         res = MinimalResolution(M)
         scaled += any(scale != 1 for j in range(1, 4) for *_, scale in res.boundary_int_rows(j))
-    assert (counts["boundary_rows"], counts["typed"]) == (0, 0) and counts["span_typed"] > 0
+    assert counts["typed"] == 0 and counts["span_typed"] > 0
     assert len(matrices) >= 40 and all(type(m) is linalg.IntRows for m in matrices)
     assert scaled > 0 if field == QQ else scaled == 0
 

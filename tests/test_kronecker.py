@@ -13,13 +13,13 @@ from shortloc.kronecker import (KroneckerRep, hom_decomposition_check,
                                 verify_sigma_omega)
 from shortloc.linalg import QQ, Field, Fp, Matrix
 from shortloc.modules import (cyclic_submodule, dim_vector, end_dim, is_isomorphic,
-                              left_regular_module, mod_j_squared, pivot_columns, radical_module,
+                              left_regular_module, mod_j_squared, radical_module,
                               random_module, simple_module, simple_multiplicity)
 from shortloc.numerics import q_form
 from shortloc.presets import preset
 
-from references import (reference_kronecker_hom_dim, scalars, top_images, typed_images,
-                        typed_phi_kernel)
+from references import (is_zero, reference_kronecker_hom_dim, scalars, top_images, typed_images,
+                        typed_phi_kernel, typed_pivot_columns)
 
 
 def rep_S0(e):
@@ -37,7 +37,7 @@ def rep_S1(e):
 def test_tilde_of_simple(L2):
     rep = tilde(simple_module(L2))
     assert rep.dim_vector == (1, 0)
-    assert all(phi.is_zero() for phi in rep.maps)
+    assert all(is_zero(phi) for phi in rep.maps)
 
 
 def test_tilde_of_regular_L2(L2):
@@ -63,14 +63,14 @@ def test_tilde_dim_matches_dim_vector(conca32):
 @pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
 def test_tilde_reads_the_coordinates_at_the_pivots(field):
     # The maps' columns are the top images' entries at the radical's pivots,
-    # value and type, as the stability-checked route (pivot_columns) gives them.
+    # value and type, as the stability-checked typed route (typed_pivot_columns) gives them.
     checked = 0
     for name, kw in [("L", {"e": 3}), ("ex15_1", {"e": 3, "a": 2}), ("lambda_c", {"c": 1})]:
         alg = preset(name, field=field, **kw)
         for seed in range(8):
             M = mod_j_squared(random_module(alg, 1 + seed % 2, seed % 4, seed=seed))
             want = [Matrix.from_sparse_columns(field, M.radical().dim, cols)
-                    for cols in pivot_columns(M.radical(), top_images(M), alg.e)]
+                    for cols in typed_pivot_columns(M.radical(), top_images(M), alg.e)]
             assert [list(map(scalars, X.data)) for X in tilde(M).maps] == \
                 [list(map(scalars, X.data)) for X in want]
             checked += M.radical().dim > 0

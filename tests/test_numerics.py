@@ -1,8 +1,12 @@
+import random
+import tracemalloc
 from math import comb
 
 import pytest
 
-from shortloc.errors import HypothesisNotMet, InvariantViolation, LoewyTooLong, WrongHilbertType
+from shortloc import numerics
+from shortloc.errors import (HypothesisNotMet, InvariantViolation, LoewyTooLong,
+                             ResourceCapExceeded, WrongHilbertType)
 from shortloc.homology import betti, syzygy
 from shortloc.modules import (dim_vector, is_bipartite, left_regular_module, m_alpha,
                               mod_j_squared, radical_module, random_module,
@@ -145,6 +149,33 @@ def test_b_sequence_even_index_fibonacci():
 
 def test_b_sequence_powers(L3):
     assert b_sequence(3, 0, 5).values == (0, 1, 3, 9, 27, 81, 243)
+
+
+def test_b_sequence_refuses_a_size_past_its_bound_before_forming_a_value():
+    # 10^8 + 1 values of (2, 1) are refused on their size alone: the check
+    # allocates next to nothing, and no value is formed.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded) as info:
+            b_sequence(2, 1, 10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = numerics.MAX_SEQUENCE_BITS
+    assert info.value.dim > bound and info.value.cap == bound and peak < 2 ** 16
+    assert str(info.value) == f"b-sequence of bit size {info.value.dim} exceeds cap {bound}"
+    # The longest tested request is admitted.
+    assert numerics._sequence_bits(3, 1, 10400) <= bound
+
+
+def test_the_size_bound_covers_every_value():
+    # The bound holds every value's bits plus one 64-bit word per value, on
+    # real, repeated and complex roots, a < 0 included.
+    rng = random.Random(5)
+    for _ in range(400):
+        e, a, n = rng.randint(-9, 9), rng.randint(-25, 25), rng.randint(0, 200)
+        held = sum(64 + abs(b).bit_length() for b in b_sequence(e, a, n).values[1:])
+        assert held <= numerics._sequence_bits(e, a, n), (e, a, n)
 
 
 def test_b_closed_form_values():

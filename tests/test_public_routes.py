@@ -7,7 +7,9 @@ attribute in the package (the CLI included), in ``demos/`` or in
 ``bench/``, or named in ``README.md`` or in a string of ``bench/`` (the
 tracer names ``"linalg:Subspace.reduce"``, and ``"numerics:*"`` names
 every top-level function of ``numerics``).  Otherwise it is on
-``KEEP`` with its reason.  Readers are matched by name, so a name read for
+``KEEP`` with its reason, and no reason may be that a test reference reads
+it: such a route belongs in ``tests/references.py``.  Readers are matched
+by name, so a name read for
 one route counts for every route of that name; dunder methods are read
 by operators and are not scanned.  Being imported by ``__init__`` reads
 nothing: an export is no reader.
@@ -25,15 +27,9 @@ WORD = re.compile(r"[A-Za-z_]\w*")
 
 #: Routes that nothing outside the tests reads, each with the reason it stays.
 KEEP = {
-    "Matrix.scale": "reference: dense scale-and-add, the references' action sums",
-    "Matrix.combination": "reference: dense combinations of basis maps in the differential tests",
-    "Matrix.is_zero": "reference: the dense module axioms (references.dense_validate)",
-    "AModule.top_lift": "reference: the dense cover columns (references.plain_cover_columns)",
     "ModuleMap.is_intertwiner": "independent checker that every map test reads",
     "ModuleMap.is_isomorphism": "independent checker of the isomorphism search's witnesses",
-    "MinimalResolution.boundary_elements": "reference: boundaries as dense elements",
-    "Presentation.kernel_embedding": "reference: the cover kernel's embedding matrix",
-    "AModule.is_zero": "public API: the zero-module test beside Matrix.is_zero",
+    "AModule.is_zero": "public API: the zero-module test",
     "hom_basis": "public API: the one route that reads Hom(M, N)'s basis maps",
     "minimal_left_approximation": "public API: the paper's approximation as (u, z)",
     "submodule": "public API: the span of action-stable vectors as a module",
@@ -102,6 +98,11 @@ def test_every_kept_route_exists():
     _, routes = unread_routes()
     defined = {route.partition(":")[2] for route in routes}
     assert sorted(set(KEEP) - defined) == []
+
+
+def test_no_route_is_kept_only_as_a_reference():
+    # A route that only the tests' references read belongs in tests/references.py.
+    assert [route for route, why in KEEP.items() if why.startswith("reference")] == []
 
 
 def test_the_lint_sees_functions_methods_and_their_readers():

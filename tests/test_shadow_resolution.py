@@ -16,10 +16,11 @@ from shortloc.errors import ResourceCapExceeded
 from shortloc.homology import MinimalResolution, Syzygy, betti
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (free_module, m_alpha, mod_j_squared, module_from_subspace,
-                              pivot_columns, random_module, simple_module)
+                              random_module, simple_module)
 from shortloc.presets import preset
 
-from references import generator_images, plain_cover_columns, scalars, typed, typed_phi_kernel
+from references import (boundary_elements, generator_images, plain_cover_columns, scalars,
+                        top_lift, typed, typed_phi_kernel, typed_pivot_columns)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -52,7 +53,7 @@ class WholeCoverResolution:
         self.extend_to(j)
         n = self.modules[0].algebra.dim
         emb = self.embeddings[j - 1].matrix
-        lifts = Matrix.from_columns(emb.field, self.modules[j].top_lift(), emb.cols)
+        lifts = Matrix.from_columns(emb.field, top_lift(self.modules[j]), emb.cols)
         return [[col[k * n:(k + 1) * n] for k in range(self.rank(j - 1))]
                 for col in (emb * lifts).transpose().data]
 
@@ -83,7 +84,7 @@ def test_shadow_steps_match_the_whole_cover_route(field):
         assert [res.rank(i) for i in range(DEPTH + 1)] == \
             [ref.rank(i) for i in range(DEPTH + 1)], M
         for j in range(1, DEPTH + 1):
-            rows, expected = res.boundary_elements(j), ref.boundary_elements(j)
+            rows, expected = boundary_elements(res, j), ref.boundary_elements(j)
             assert [list(map(scalars, r)) for r in rows] == \
                 [list(map(scalars, r)) for r in expected], (M, j)
         for i in range(DEPTH):
@@ -91,7 +92,7 @@ def test_shadow_steps_match_the_whole_cover_route(field):
             syz = res.syzygy_module(i + 1)
             assert typed(syz.space) == typed(ref.kernels[i])
             assert _typed_actions(syz) == _typed_actions(ref.modules[i + 1]), (M, i)
-            assert syz.top_lift() == ref.modules[i + 1].top_lift()
+            assert top_lift(syz) == top_lift(ref.modules[i + 1])
             n, e = M.algebra.dim, M.algebra.e
             outer_lifts += sum(p % n > e for p in syz.cover[0])
             sparse = syz.space.sparse_rows()
@@ -193,7 +194,7 @@ def all_rows_route(alg, space):
     n, e = alg.dim, alg.e
     rows = space.sparse_rows()
     images = dict(zip(space.pivots, generator_images(alg, [rows[p] for p in space.pivots])))
-    columns = pivot_columns(space, list(images.values()), e)
+    columns = typed_pivot_columns(space, list(images.values()), e)
     lifts = [p for p in space.pivots if p % n <= e]
     kernel = typed_phi_kernel(alg, [images[p] for p in lifts])
     if (e + alg.a) * len(lifts) - kernel.dim < space.dim - len(lifts):

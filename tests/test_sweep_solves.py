@@ -32,7 +32,8 @@ from shortloc.modules import (AModule, IsoSearch, ModuleMap, end_dim, find_isomo
 from shortloc.numerics import main_lemma_witness
 from shortloc.presets import preset
 
-from references import from_scalars, stack_rows, typed_invertible, typed_top
+from references import (combination, complement, from_scalars, stack_rows, typed_invertible,
+                        typed_top)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
@@ -70,7 +71,7 @@ def reference_find_isomorphism(M, N, seed=0):
                 x = M.field.of(point)
                 yield [x ** k for k in range(len(mats))]
     for coefs in coefficients():
-        acc = Matrix.combination(coefs, mats)
+        acc = combination(coefs, mats)
         if rank(acc) == M.dim:
             return IsoSearch(True, True, witness=ModuleMap(M, N, acc))
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
@@ -87,7 +88,7 @@ def dense_quotient_actions(M, sub):
             row[p] = -basis_row[f]
         proj_rows.append(row)
     proj = Matrix(M.field, proj_rows, cols=M.dim)
-    incl = Matrix.from_columns(M.field, sub.complement(), M.dim)
+    incl = Matrix.from_columns(M.field, complement(sub), M.dim)
     return tuple(proj * (X * incl) for X in M.actions)
 
 
