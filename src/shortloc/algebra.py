@@ -49,6 +49,7 @@ class ShortAlgebra:
         self._report = None
         self._product_kernel = None
         self._sections = None
+        self._int_sections = None
         self._regular_module = None
         self._structure_table = None
         self._regular_columns = None
@@ -104,6 +105,14 @@ class ShortAlgebra:
                 raise SurjectivityViolation("products do not span the degree-two part")
             self._sections = [x.col(m) for m in range(self.a)]
         return self._sections
+
+    def int_sections(self) -> tuple[list, int]:
+        """(sections, σ): :meth:`sections` as ints over one scale σ (``integer_values``), once."""
+        if self._int_sections is None:
+            e2, flat = self.e ** 2, [s for section in self.sections() for s in section]
+            ints, sigma = integer_values(flat, self.field.characteristic)
+            self._int_sections = ([ints[m * e2:(m + 1) * e2] for m in range(self.a)], sigma)
+        return self._int_sections
 
     def unit(self) -> tuple:
         z, o = self.field.zero(), self.field.one()

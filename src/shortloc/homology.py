@@ -72,7 +72,7 @@ from ._record import record
 from .algebra import ShortAlgebra
 from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import IntRows, Matrix, Subspace, kernel_subspace, rank, typed_values
-from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _row_images, free_module,
+from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _row_images, _typed, free_module,
                       generated_span, hom_dim, hom_space, left_regular_module, module_from_columns,
                       pivot_columns, quotient, relation_equations, vector_images, zero_module)
 
@@ -210,8 +210,8 @@ class Syzygy(AModule):
     in A^t, when first read.  A ladder reads only the shadow's integer pivot
     rows, mapped once into Φ over all its rows (:func:`shadow_rows`), which
     the cover, the socle and the integer columns share; the images are Φ
-    transposed (:meth:`images`), and the typed columns and action matrices
-    are made from the integer columns only when a caller reads them.
+    transposed (:meth:`images`), and the action matrices are made from the
+    integer columns only when a caller reads them.
     """
 
     _square_zero = True
@@ -437,7 +437,7 @@ def _cover_columns(M: AModule) -> list:
     Copy k sends 1 to the top lift m_k, the unit vector at c_k
     (:meth:`AModule.lift_columns`), and the radical basis to its images at
     m_k, the integer images (:meth:`AModule.int_images`), typed as the
-    action columns are (:func:`~shortloc.linalg.typed_values`).  Only
+    action matrices are (:func:`~shortloc.linalg.typed_values`).  Only
     :attr:`Presentation.cover_map` reads them, when its matrix is read.
     """
     one, p, lifts = M.field.one(), M.field.characteristic, M.lift_columns()
@@ -694,26 +694,32 @@ class DualData:
         The rank z is the dimension of the top of M*, whose top lifts are
         unit vectors, so u stacks the basis maps g_k at its lift columns:
         entry s·dim M + c of g_k's flat row is entry (k·dim A + s, c) of u.
-        A factoring certificate checks that every map M -> A factors
-        through u: the closure of the g_k's integer rows along
-        :attr:`_right` (:func:`~shortloc.modules.generated_span`) spans the
-        g_k·b for b in A, and must hold every integer row of ``homs.flat``.
+        Its columns u(e_c) are read off the lift rows' integer rows
+        (``homs.flat.int_rows()``), put over the lcm of their scales, and
+        span u's image as one :class:`~shortloc.linalg.IntRows`; u's matrix
+        is typed from them on first read.  A factoring certificate checks
+        that every map M -> A factors through u: the closure of the g_k's
+        integer rows along :attr:`_right`
+        (:func:`~shortloc.modules.generated_span`) spans the g_k·b for b in
+        A, and must hold every integer row of ``homs.flat``.
         """
         M, flat = self.homs.source, self.homs.flat
-        n, d, rows = M.algebra.dim, M.dim, flat.sparse_rows()
+        n, d, ints = M.algebra.dim, M.dim, flat.int_rows()
         lifts = [flat.pivots[q] for q in self.module.lift_columns()]
-        columns: list[list] = [[] for _ in range(d)]
+        scale = lcm(*[ints[q][2] for q in lifts])
+        columns: list[dict] = [{} for _ in range(d)]
         for k, q in enumerate(lifts):
-            for i, x in zip(*rows[q]):
+            idx, vals, sq = ints[q]
+            for i, x in zip(idx, vals):
                 s, c = divmod(i, d)
-                columns[c].append((k * n + s, x))
-        P = free_module(M.algebra, len(lifts))
-        u = ModuleMap(M, P, Matrix.from_sparse_columns(M.field, P.dim, columns))
-        ints = flat.int_rows()
+                columns[c][k * n + s] = x * (scale // sq)
+        P, p = free_module(M.algebra, len(lifts)), M.field.characteristic
+        u = _LazyMap(M, P, lambda: Matrix.from_sparse_columns(
+            M.field, P.dim, [_typed(col.items(), scale, p) for col in columns]))
         closure = generated_span(M.field, n * d, self._right[0], [ints[q][:2] for q in lifts])
         if not all(closure.contains_ints(dict(zip(idx, vals))) for idx, vals, _ in ints.values()):
             raise InvariantViolation("left approximation fails its factoring certificate")
-        img = Subspace.from_vectors(M.field, P.dim, map(dict, columns))
+        img = Subspace.from_vectors(M.field, P.dim, IntRows(M.field, columns, P.dim))
         return ApproximationData(approximation=u, rank=len(lifts), cokernel=quotient(P, img)[0],
                                  injective=img.dim == d)
 

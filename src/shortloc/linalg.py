@@ -34,19 +34,20 @@ integer action columns (:func:`~shortloc.modules.vector_images`).
 one-column matrix) stays for callers of the API and for the dense
 references that the tests check the engine against.
 A :class:`Subspace` also keeps the non-zeros of its rows, and one routine
-reduces a vector along them (:meth:`Subspace.residue`), walking only
-non-zero entries.  Every subspace is an elimination's output, integer
-first: a span keeps the elimination's pivot rows, which over their leads
-are its integer rows (:meth:`Subspace.int_rows`), and a kernel keeps the
-pivot rows of its matrix (:meth:`Subspace.pivot_form`) and writes its
-integer rows from them in one pass.  Typed rows are built from the
+reduces a vector along its integer rows (:meth:`Subspace.int_residue`),
+walking only non-zero entries; :meth:`Subspace.residue` is its typed view.
+Every subspace is an elimination's output, integer first: a span keeps
+the elimination's pivot rows, which over their leads are its integer
+rows (:meth:`Subspace.int_rows`), and a kernel keeps the pivot rows of
+its matrix (:meth:`Subspace.pivot_form`) and writes its integer rows from
+them in one pass.  Typed rows are built from the
 integer rows on first read, so a caller that needs only a rank, a
 dimension or free columns pays for the elimination alone.  Scalars and
 ints cross over at one pair of converters, :func:`integer_values` (with
-:func:`integer_pairs` for sparse columns) and :func:`typed_values`; every
-module the engine builds is held by ints, so its scalars are made by
-:func:`typed_values` alone, and only when its typed columns or matrices
-are read.
+:func:`integer_pairs` for sparse columns) and :func:`typed_values`, and
+scalars are made only where a caller reads a typed output: matrices,
+bases, maps and the public :meth:`Subspace.reduce`, ``contains`` and
+``coords``.
 """
 
 from __future__ import annotations
@@ -686,11 +687,11 @@ class Subspace:
     :meth:`from_pivot_rows`) its pivot form.  Either holds integer rows
     (:meth:`int_rows`) and types them on first read, as the non-zero
     (index, value) pairs of each row keyed by its pivot
-    (:meth:`sparse_rows`).  :meth:`residue`, the one reduction behind
-    :meth:`reduce`, :meth:`contains` and :meth:`coords`, and its integer
-    form :meth:`int_residue` walk only non-zeros, so checking a vector with
-    few non-zeros costs what its support and the rows at its pivots cost,
-    not the ambient dimension.
+    (:meth:`sparse_rows`).  :meth:`int_residue` is the one reduction: it
+    walks only non-zeros, so checking a vector with few non-zeros costs
+    what its support and the rows at its pivots cost, not the ambient
+    dimension.  :meth:`residue`, its typed view, serves :meth:`reduce`,
+    :meth:`contains` and :meth:`coords`.
     """
 
     __slots__ = ("field", "ambient", "_basis", "pivots", "_sparse", "_ints", "_pivot_rows")
@@ -860,22 +861,18 @@ class Subspace:
     def residue(self, v: Iterable[tuple]) -> dict:
         """v modulo this subspace, read at the free columns: {column: value}.
 
-        ``v`` is given as (index, value) entries, read in order.  An entry
-        at a free column adds its value there; a non-zero entry x at a pivot
-        p takes x times row p away, and row p is 1 at p and 0 at the other
-        pivots, so only its entries at free columns are read.  A free column
-        that no entry reaches is absent.
+        ``v`` is given as (index, value) entries, read in order.  It is the
+        typed view of :meth:`int_residue`: the values are coerced
+        (:meth:`Field.of`) and converted once (ints over d), reduced over m,
+        the lcm of the scales of the rows at v's pivots, and the result,
+        over m·d, is typed once.  A free column that no entry reaches is
+        absent.
         """
-        rows, out = self.sparse_rows(), {}
-        for i, x in v:
-            row = rows.get(i)
-            if row is None:
-                out[i] = out[i] + x if i in out else x
-            elif x:
-                for j, y in zip(*row):
-                    if j != i:
-                        out[j] = out[j] - x * y if j in out else -(x * y)
-        return out
+        entries, rows = list(v), self.int_rows()
+        ints, d = integer_values([self.field.of(x) for _, x in entries], self.field.characteristic)
+        m = lcm(*[rows[i][2] for i, _ in entries if i in rows])
+        res = self.int_residue(zip([i for i, _ in entries], ints), m)
+        return dict(zip(res, typed_values(list(res.values()), m * d, self.field.characteristic)))
 
     def reduce(self, v: Sequence) -> tuple:
         """Canonical representative of v modulo this subspace: v - sum_p v[p]·row_p.

@@ -15,13 +15,13 @@ subspace's integer rows, quotients and J^2 M (:func:`quotient`, by
 integer residues), direct sums, the dual module, the Kronecker shadow and
 a syzygy, which reads them off its Φ.  Scalars are made in one place,
 :func:`~shortloc.linalg.typed_values`, only when a caller reads
-:meth:`AModule.action_columns` or :attr:`AModule.actions`; once its
-matrices are built, a module is held by them alone.  A module built from
-matrices converts its values once.  The radical, the socle, the Loewy
-length, the integer action rows, the cover kernel and the Hom relations
-read only the ints, and vectors are mapped along the columns
-(:func:`vector_images`), so no action matrix is multiplied.  w_m acts as
-sum s_ij v_i v_j, so w_m·x sums the images v_i·(v_j·x): the module axioms
+:attr:`AModule.actions`, which types the ints straight into the matrices
+and drops them.  A module built from matrices converts its values once.
+The radical, the socle, the Loewy length, the integer action rows, the
+cover kernel, the Hom relations and the module axioms read only the ints,
+and vectors are mapped along the columns (:func:`vector_images`), so no
+action matrix is multiplied.  w_m acts as sum s_ij v_i v_j, so w_m·x sums
+the images v_i·(v_j·x) with the sections' ints: the module axioms
 are read off them (:func:`validate_module`), and so are the integer images
 of a module with J^2 M not zero (:meth:`AModule.int_images`), at which
 every cover kernel (:attr:`AModule.cover_kernel`) and Hom relation is read.
@@ -90,10 +90,10 @@ class AModule:
 
     A module is held in one form.  One built from matrices keeps them; one
     the engine builds (:func:`module_from_columns`, A^t, a syzygy) is held
-    by its integer columns (:meth:`int_columns`), typed only when
-    :meth:`action_columns` is read, and builds its matrices only when
-    :attr:`actions` is read, from then on held by them.  The radical, the
-    socle, the Loewy length and the integer action rows read only the ints.
+    by its integer columns (:meth:`int_columns`) and builds its matrices
+    from them only when :attr:`actions` is read, from then on held by them.
+    The radical, the socle, the Loewy length, the integer action rows and
+    the module axioms read only the ints.
     ``free_rank`` is t when the module is A^t in the coordinates of
     :func:`free_module`; no engine route reads it, but copies of a module
     carry it (``_fresh`` in ``bench/workload.py``).
@@ -104,7 +104,6 @@ class AModule:
     _socle: Optional[Subspace] = None
     _socle_dim: Optional[int] = None
     _int_action_rows: Optional[tuple] = None
-    _action_columns: Optional[list] = None
     _int_columns: Optional[tuple] = None
     _loewy: Optional[int] = None
     #: Hom(M, A)'s flat rows, M* and the torsionless verdict (:func:`~shortloc.homology.dual_data`).
@@ -131,13 +130,13 @@ class AModule:
     def actions(self) -> tuple[Matrix, ...]:
         """The generator action matrices of a module held by its columns, built on first read.
 
-        The module is held by them from then on: its typed and its integer
-        columns are dropped, and later reads of either come off the matrices.
+        The integer columns are typed into them (:func:`_typed`) and dropped;
+        later reads of them come off the matrices.
         """
-        actions = tuple(Matrix.from_sparse_columns(self.field, self.dim, cols)
-                        for cols in self.action_columns())
-        self._action_columns = self._int_columns = None
-        return actions
+        columns, scale = self.int_columns()
+        self._int_columns = None
+        return tuple(Matrix.from_sparse_columns(self.field, self.dim, [
+            _typed(col, scale, self.field.characteristic) for col in cols]) for cols in columns)
 
     def __repr__(self) -> str:
         return f"AModule(dim {self.dim} over {self.algebra.name or self.algebra!r})"
@@ -187,48 +186,30 @@ class AModule:
             images = [vs + [[]] * self.algebra.a for vs in images]
         else:
             alg, p = self.algebra, self.field.characteristic
-            e2 = alg.e ** 2
-            ints, sigma = integer_values([s for section in alg.sections() for s in section], p)
-            sections, fold = [ints[m * e2:(m + 1) * e2] for m in range(alg.a)], scale * sigma
-            images = [[[(r, y * fold) for r, y in v] for v in vs] +
-                      [[(r, y) for r, x in w.items() if (y := x % p if p else x)]
-                       for w in _squares(alg.e, sections, vector_images(
-                           columns, [(d.keys(), d.values()) for d in map(dict, vs)]))]
+            sections, sigma = alg.int_sections()
+            images = [[[(r, y * scale * sigma) for r, y in v] for v in vs] +
+                      [list(w.items()) for w in _squares(alg.e, sections, vector_images(
+                          columns, [(d.keys(), d.values()) for d in map(dict, vs)]), p)]
                       for vs in images]
-            scale *= fold
+            scale *= scale * sigma
         g = gcd(scale, *(y for imgs in images for img in imgs for _, y in img)) if scale > 1 else 1
         if g > 1:
             images = [[[(r, y // g) for r, y in img] for img in imgs] for imgs in images]
         return images, scale // g
 
-    def action_columns(self) -> list[list[list[tuple]]]:
-        """Per generator, the non-zero (row, value) pairs of each column of its action.
-
-        A module built from matrices scans them once and keeps the columns;
-        one held by its integer columns types them on the first read
-        (:func:`~shortloc.linalg.typed_values`).
-        """
-        if self._action_columns is None:
-            if "actions" in self.__dict__:
-                self._action_columns = [X.sparse_columns() for X in self.actions]
-            else:
-                columns, scale = self.int_columns()
-                self._action_columns = [[_typed(col, scale, self.field.characteristic)
-                                         for col in cols] for cols in columns]
-        return self._action_columns
-
     def int_columns(self) -> tuple[list, int]:
         """(columns, d): the action columns with every value an int over the one scale d.
 
         An engine-built module is held by them; one built from matrices
-        converts its values together, once
+        converts its matrices' non-zeros together, once
         (:func:`~shortloc.linalg.integer_pairs`): residues over d = 1 on
         F_p; on Q the values themselves over 1 when each is an ``int``,
         else ints over the lcm of the denominators.  A syzygy reads them
         off its Φ images instead (:meth:`~shortloc.homology.Syzygy.int_columns`).
         """
         if self._int_columns is None:
-            self._int_columns = integer_pairs(self.action_columns(), self.field.characteristic)
+            self._int_columns = integer_pairs([X.sparse_columns() for X in self.actions],
+                                              self.field.characteristic)
         return self._int_columns
 
     # -- structural subspaces -------------------------------------------
@@ -327,15 +308,16 @@ class AModule:
 
 
 def validate_module(M: AModule) -> None:
-    """Check the module axioms along the action columns; raises BadParams when they fail.
+    """Check the module axioms along the integer columns; raises BadParams when they fail.
 
-    At each basis vector x, v_j·x is column x of v_j's action, v_i·(v_j·x)
-    its image (:func:`vector_images`, one pass per x) and w_m·x = sum
-    s_ij v_i·(v_j·x) is formed from those images as :func:`square_images`
-    forms it, so no action matrix is multiplied and no image is mapped
-    twice.  Every
-    v_i·(v_j·x) must be sum_m c_ijm w_m·x; only then is every v_k·(w_m·x)
-    checked to be zero.
+    At each basis vector x, v_j·x is column x of v_j's action (ints over
+    s), v_i·(v_j·x) its image (:func:`vector_images`, one pass per x) and
+    w_m·x = sum s_ij v_i·(v_j·x) is formed from those images as
+    :meth:`AModule.int_images` forms it, so no action matrix is multiplied,
+    no image is mapped twice and no scalar is made.  Every v_i·(v_j·x),
+    scaled once by T·σ (the scales of the structure constants and the
+    sections), less the T·c_ijm·w_m·x, must be zero (mod p on F_p); only
+    then is every v_k·(w_m·x) checked to be zero.
 
     That is the whole check.  With C the e^2 x a structure matrix (rank a)
     and S the sections (C^T S = I), P(x) = (v_i v_j x) meets every relation
@@ -345,21 +327,27 @@ def validate_module(M: AModule) -> None:
     does.  Without sections (products not spanning J^2),
     :meth:`ShortAlgebra.sections` raises SurjectivityViolation.
     """
-    alg, columns, squares = M.algebra, M.action_columns(), []
+    if not M.dim:
+        return
+    alg, p, columns, squares = M.algebra, M.field.characteristic, M.int_columns()[0], []
+    (sections, sigma), (table, T) = alg.int_sections(), alg.structure_table()
     for x in range(M.dim):
         # twice[j-1][i-1] is v_i·(v_j·x), mapped once for the squares and the relations.
         vs = [dict(cols[x]) for cols in columns]
         twice = vector_images(columns, [(v.keys(), v.values()) for v in vs])
-        ws = _squares(alg.e, alg.sections(), twice)
+        ws = _squares(alg.e, sections, twice, p)
         squares.append(ws)
-        for (i, j, m), c in alg.structure.items():
-            pair = twice[j - 1][i - 1]
-            for q, y in ws[m - 1].items():
-                pair[q] = pair[q] - c * y if q in pair else -c * y
-        if any(any(pair.values()) for row in twice for pair in row):
+        twice = [[{q: y * T * sigma for q, y in pair.items()} for pair in row] for row in twice]
+        # table[i] lists (j - 1, e + m, T·c_jim): v_j·(v_i·x) takes T·c_jim·w_m·x away.
+        for i, entries in enumerate(table[1:alg.e + 1]):
+            for j, m, c in entries:
+                pair = twice[i][j]
+                for q, y in ws[m - alg.e - 1].items():
+                    pair[q] = pair[q] - c * y if q in pair else -c * y
+        if any(y % p if p else y for row in twice for pair in row for y in pair.values()):
             raise BadParams("action matrices violate a product relation")
     cubes = vector_images(columns, [(w.keys(), w.values()) for ws in squares for w in ws])
-    if any(any(image.values()) for row in cubes for image in row):
+    if any(y % p if p else y for row in cubes for image in row for y in image.values()):
         raise BadParams("triple product of generator actions is non-zero")
 
 
@@ -485,8 +473,12 @@ def vector_images(columns: list, rows: Iterable[tuple]) -> list[list[dict]]:
     return out
 
 
-def _squares(e: int, sections: Sequence[Sequence], twice: Sequence[Sequence[dict]]) -> list[dict]:
-    """w_1·x .. w_a·x from twice[j-1][i-1] = v_i·(v_j·x): sum s_ij v_i·(v_j·x), typed or ints."""
+def _squares(e: int, sections: Sequence[Sequence[int]], twice: Sequence[Sequence[dict]],
+             p: int) -> list[dict]:
+    """w_1·x .. w_a·x from twice[j-1][i-1] = v_i·(v_j·x): sum s_ij v_i·(v_j·x), in ints.
+
+    The s_ij are the sections' ints (:meth:`ShortAlgebra.int_sections`); the non-zeros mod p.
+    """
     ws = []
     for section in sections:
         w: dict = {}
@@ -494,7 +486,7 @@ def _squares(e: int, sections: Sequence[Sequence], twice: Sequence[Sequence[dict
             if s:
                 for q, y in twice[ij % e][ij // e].items():
                     w[q] = w[q] + s * y if q in w else s * y
-        ws.append({q: y for q, y in w.items() if y})
+        ws.append({q: y for q, x in w.items() if (y := x % p if p else x)})
     return ws
 
 
@@ -541,7 +533,7 @@ def module_from_columns(alg: ShortAlgebra, dim: int, columns: Sequence[Sequence]
 
     Each column is its non-zero (row, int) pairs, x standing for
     x/``scale`` (a residue on F_p, over 1).  The module is held by them;
-    its typed columns and matrices are made only when read.
+    its matrices are made only when read.
     """
     M = AModule.__new__(AModule)
     M.algebra, M.dim, M._int_columns = alg, dim, (list(columns), scale)
@@ -561,14 +553,25 @@ def module_from_subspace(M: AModule, space: Subspace) -> tuple[AModule, ModuleMa
     return sub, _LazyMap(sub, M, lambda: Matrix.from_columns(M.field, space.basis, M.dim))
 
 
+def _scalars(field: Field, vectors: Iterable[Sequence | dict]) -> list:
+    """The vectors, each entry coerced by :meth:`~shortloc.linalg.Field.of`; a dict stays a dict.
+
+    So ints, strings and rationals are read over F_p too, and a float
+    raises BadParams.
+    """
+    return [{j: field.of(x) for j, x in v.items()} if isinstance(v, dict)
+            else tuple(map(field.of, v)) for v in vectors]
+
+
 def submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
     """The submodule spanned by the given vectors (must be action-stable)."""
-    return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim, vectors))
+    return module_from_subspace(M, Subspace.from_vectors(M.field, M.dim,
+                                                         _scalars(M.field, vectors)))
 
 
 def generated_submodule(M: AModule, vectors: Sequence[Sequence]) -> tuple[AModule, ModuleMap]:
     """The submodule the vectors generate: their span closed under A (:func:`generated_span`)."""
-    vecs = [tuple(v) for v in vectors]
+    vecs = _scalars(M.field, vectors)
     if any(len(v) != M.dim for v in vecs):
         raise DimensionMismatch("vector has wrong ambient dimension")
     ints = [(range(M.dim), integer_values(list(v), M.field.characteristic)[0]) for v in vecs]
@@ -601,7 +604,7 @@ def quotient(M: AModule, sub: Subspace | Sequence[Sequence]) -> tuple[AModule, M
     read.
     """
     if not isinstance(sub, Subspace):
-        sub = Subspace.from_vectors(M.field, M.dim, sub)
+        sub = Subspace.from_vectors(M.field, M.dim, _scalars(M.field, sub))
     columns, scale = M.int_columns()
     p = M.field.characteristic
     # Raises BadParams unless sub is stable.

@@ -48,7 +48,7 @@ over one scale (``regular_int_rows``), are what A^t read before its
 integer rows came off its action columns as every module's do.
 
 The module axioms on dense matrices (``dense_validate``) are the check
-that reading them along the action columns replaced: the e^2 products of
+that reading them along the integer action columns replaced: the e^2 products of
 the generator actions, combined along the algebra's product kernel, then
 every triple product.
 
@@ -64,7 +64,9 @@ dim top N x t matrix, a zero one skipped, and each combination's top
 read off the combined images of the basis elements whose top is not zero.
 
 A module's typed routes are what reading its integer columns replaced:
-the radical as the typed action columns converted row by row
+its typed action columns, the third form a module kept beside its
+matrices and its integer columns (``typed_columns``), the radical as the
+typed action columns converted row by row
 (``typed_radical``), the socle as the kernel of the typed stacked actions
 (``typed_socle``), the Loewy test on the typed radical rows
 (``typed_loewy_length``), and the integer action rows of the typed
@@ -367,7 +369,7 @@ def walk_quotient_columns(M, sub):
     rows, free = sub.sparse_rows(), sub.free_columns()
     at, zero = {f: b for b, f in enumerate(free)}, M.field.zero()
     acts = []
-    for cols in M.action_columns():
+    for cols in typed_columns(M):
         act = []
         for f in free:
             col = {}
@@ -697,7 +699,7 @@ def top_images(M):
     c_k of v_j's action; w_1 m_k .. w_a m_k follow (``square_images``),
     empty when J^2 M is zero.
     """
-    columns = M.action_columns()
+    columns = typed_columns(M)
     images = [[dict(cols[c]) for cols in columns] for c in M.lift_columns()]
     if M.loewy_length() < 3:
         return [vs + [{} for _ in range(M.algebra.a)] for vs in images]
@@ -721,9 +723,22 @@ def typed_stable_hom_dim(M, N, cap=DEFAULT_CAP):
 
 # -- a module's typed routes ---------------------------------------------------------
 
+def typed_columns(M):
+    """Per generator, the non-zero (row, value) pairs of each column of its action.
+
+    A module with matrices scans them; one held by its integer columns
+    types them (``modules._typed``), as ``AModule.actions`` does.
+    """
+    if "actions" in M.__dict__:
+        return [X.sparse_columns() for X in M.actions]
+    columns, scale = M.int_columns()
+    return [[modules._typed(col, scale, M.field.characteristic) for col in cols]
+            for cols in columns]
+
+
 def typed_radical(M):
     """JM: the span of the typed action columns, each converted as a row (``from_scalars``)."""
-    rows = [dict(col) for cols in M.action_columns() for col in cols]
+    rows = [dict(col) for cols in typed_columns(M) for col in cols]
     return Subspace.from_vectors(M.field, M.dim, from_scalars(M.field, rows, M.dim))
 
 
@@ -731,7 +746,7 @@ def typed_stacked_actions(M):
     """The generator actions stacked, typed sparse rows converted one by one."""
     d = M.dim
     rows = [{} for _ in range(M.algebra.e * d)]
-    for j, cols in enumerate(M.action_columns()):
+    for j, cols in enumerate(typed_columns(M)):
         for c, col in enumerate(cols):
             for r, x in col:
                 rows[j * d + r][c] = x
@@ -752,7 +767,7 @@ def typed_loewy_length(M):
     radical = typed_radical(M)
     if radical.dim == 0:
         return 1
-    images = vector_images(M.action_columns(), radical.sparse_rows().values())
+    images = vector_images(typed_columns(M), radical.sparse_rows().values())
     return 3 if any(any(img.values()) for row in images for img in row) else 2
 
 
@@ -763,7 +778,7 @@ def typed_int_action_rows(M):
     it is when each is an ``int``, else all go through ``integer_values``
     over one scale.
     """
-    d, one, columns = M.dim, M.field.one(), M.action_columns()
+    d, one, columns = M.dim, M.field.one(), typed_columns(M)
     images = [[dict(cols[c]) for cols in columns] for c in range(d)]
     act = [[[] for _ in range(d)] for _ in range(M.algebra.dim)]
     if typed_loewy_length(M) < 3:
@@ -806,11 +821,20 @@ def square_images(alg, columns, images):
     """w_1·x .. w_a·x for each x, from its typed images v_1·x .. v_e·x as dicts.
 
     w_m = sum s_ij v_i v_j for the typed sections s, so w_m·x sums the
-    images v_i·(v_j·x) read along the typed ``columns``.
+    images v_i·(v_j·x) read along the typed ``columns``, in typed sums.
     """
-    return [modules._squares(alg.e, alg.sections(),
-                             vector_images(columns, [(v.keys(), v.values()) for v in vs]))
-            for vs in images]
+    out = []
+    for vs in images:
+        twice, ws = vector_images(columns, [(v.keys(), v.values()) for v in vs]), []
+        for section in alg.sections():
+            w = {}
+            for ij, s in enumerate(section):
+                if s:
+                    for q, y in twice[ij % alg.e][ij // alg.e].items():
+                        w[q] = w[q] + s * y if q in w else s * y
+            ws.append({q: y for q, y in w.items() if y})
+        out.append(ws)
+    return out
 
 
 # -- the elimination without its back-clear index ------------------------------------

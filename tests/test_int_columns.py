@@ -12,18 +12,20 @@ columns and builds no matrix until ``actions`` is read.
 """
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from shortloc import linalg, modules
+from shortloc import algebra, linalg, modules
 from shortloc.homology import MinimalResolution, Syzygy, a_dual, transpose
 from shortloc.linalg import QQ, Field, rank
 from shortloc.modules import (AModule, direct_sum, free_module, m_alpha, module_from_subspace,
                               quotient, random_module, simple_module, submodule)
 from shortloc.presets import preset, preset_names
 
-from references import (typed, typed_int_action_rows, typed_loewy_length, typed_radical,
-                        typed_socle, typed_stacked_actions)
+from references import (typed, typed_columns, typed_int_action_rows, typed_loewy_length,
+                        typed_radical, typed_socle, typed_stacked_actions)
 from test_sweep_solves import fresh, rebased, sweep_pairs
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
@@ -96,16 +98,23 @@ def test_the_integer_routes_match_the_typed_routes(field):
 @FIELDS
 def test_a_module_converts_its_action_values_once(field, monkeypatch):
     # One integer_values call for the action values (integer_pairs), whatever
-    # reads them and in whichever order; a module with J^2 M not zero makes
-    # one more, for the w-images of its integer action rows.
-    calls = []
+    # reads them and in whichever order.  The w-images of a module with J^2 M
+    # not zero read the algebra's integer sections, converted once per algebra.
+    calls, sections = [], []
 
     def counted(values, p, _original=linalg.integer_values):
         calls.append(len(values))
         return _original(values, p)
+
+    def counted_sections(values, p, _original=linalg.integer_values):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "int_sections":
+            sections.append(id(caller.f_locals["self"]))
+        return _original(values, p)
     for mod in (linalg, modules):
         monkeypatch.setattr(mod, "integer_values", counted)
-    checked = 0
+    monkeypatch.setattr(algebra, "integer_values", counted_sections)
+    checked = loewy_3 = 0
     for k, M in enumerate(preset_modules(field)):
         E = fresh(M)
         calls.clear()
@@ -113,9 +122,13 @@ def test_a_module_converts_its_action_values_once(field, monkeypatch):
         for read in reads[k % 5:] + reads[:k % 5]:
             read()
         E.radical(), E.loewy_length(), E.int_action_rows()
-        assert len(calls) == (2 if E.loewy_length() == 3 else 1), M
+        assert len(calls) == 1, M
+        if E.loewy_length() == 3:
+            assert id(E.algebra) in sections, M
+            loewy_3 += 1
         checked += 1
-    assert checked >= 60
+    assert checked >= 60 and loewy_3 >= 10
+    assert set(Counter(sections).values()) == {1} and len(sections) >= 5
 
 
 def test_engine_built_modules_build_no_matrix_until_their_actions_are_read(matrix_builds, lam1):
@@ -130,14 +143,14 @@ def test_engine_built_modules_build_no_matrix_until_their_actions_are_read(matri
         before = sorted_columns(X)
         assert len(X.actions) == X.algebra.e
         # From then on the module is held by its matrices alone.
-        assert X._action_columns is None
+        assert X._int_columns is None
         assert sorted_columns(X) == before
     # One matrix per generator, and nothing else.
     assert sum(matrix_builds.values()) == sum(X.algebra.e for X in built)
 
 
 def sorted_columns(M):
-    return [[sorted(col) for col in cols] for cols in M.action_columns()]
+    return [[sorted(col) for col in cols] for cols in typed_columns(M)]
 
 
 def test_a_module_built_from_matrices_keeps_them_and_its_columns(L2):
@@ -145,4 +158,4 @@ def test_a_module_built_from_matrices_keeps_them_and_its_columns(L2):
     E = AModule(L2, M.dim, M.actions, check=True)
     actions = E.actions
     E.radical(), E.int_action_rows()
-    assert E.actions is actions and E._action_columns is not None
+    assert E.actions is actions and E._int_columns is not None

@@ -1,11 +1,11 @@
 """Every engine-built module is built on integer columns; scalars are made only when read.
 
 ``module_from_columns`` holds a module by its integer columns over one
-scale, and ``AModule.action_columns`` and ``AModule.actions`` are the only
-reads that type them.  A counting guard, over Q, F_7 and F_32003, checks
-that the constructors call no ``typed_values``, ``integer_pairs``,
-``Subspace.residue`` or ``Subspace.sparse_rows`` until one of those reads,
-and that a module whose matrices are built drops both column forms.
+scale, and ``AModule.actions`` is the only read that types them.  A
+counting guard, over Q, F_7 and F_32003, checks that the constructors call
+no ``typed_values``, ``integer_pairs``, ``Subspace.residue`` or
+``Subspace.sparse_rows`` until ``actions`` is read, and that a module whose
+matrices are built drops its integer columns.
 The integer ``pivot_columns`` is checked against its typed reference
 (``references.typed_pivot_columns``), value, type and order, on the
 presets' modules, the sweep pairs, halved modules and Ω¹ to Ω³.
@@ -22,6 +22,7 @@ from shortloc.modules import (_row_images, direct_sum, generated_submodule, m_al
 from shortloc.presets import preset
 
 from references import canonical, scalars, typed_images, typed_pivot_columns
+from references import typed_columns as module_columns
 from test_int_columns import preset_modules
 from test_residue import halved
 from test_sweep_solves import sweep_pairs
@@ -63,13 +64,11 @@ def test_engine_built_modules_make_no_scalar_until_they_are_read(field, typed_re
              mod_j_squared(S), mod_j_squared(random_module(lam, 1, 0, seed=1))]
     assert typed_reads == []
     assert S.loewy_length() == 3 and all(X.dim for X in built)
-    for X in built:
-        X.action_columns()
-    assert typed_reads.count("typed_values") >= sum(X.algebra.e for X in built)
     # Once its matrices are built, a module is held by them alone.
     for X in built:
         assert len(X.actions) == X.algebra.e
-        assert X._action_columns is None and X._int_columns is None
+        assert X._int_columns is None
+    assert typed_reads.count("typed_values") >= sum(X.algebra.e for X in built)
 
 
 def typed_columns(columns, scale, p):
@@ -89,7 +88,7 @@ def induced_routes(M, space):
     """The actions M induces on ``space``: the integer route typed, and the typed reference."""
     p, e = M.field.characteristic, M.algebra.e
     got = pivot_columns(space, _row_images(*M.int_columns(), space), e, p)
-    images = vector_images(M.action_columns(), space.sparse_rows().values())
+    images = vector_images(module_columns(M), space.sparse_rows().values())
     return typed_columns(*got, p), reference_columns(space, images, e)
 
 

@@ -27,7 +27,7 @@ from shortloc.modules import (free_module, is_bipartite, m_alpha, module_from_su
                               random_module, simple_module, simple_multiplicity)
 from shortloc.presets import preset, preset_names
 
-from references import boundary_rows, scalars, typed, typed_ladder
+from references import boundary_rows, scalars, typed, typed_columns, typed_ladder
 from test_sweep_solves import dense_socle, sweep_modules
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
@@ -272,8 +272,8 @@ def test_a_syzygy_socle_read_off_phi_matches_the_typed_route(field):
         for i in range(1, 4):
             syz = res.syzygy_module(i)
             got = (syz.socle_dim(), simple_multiplicity(syz), is_bipartite(syz))
-            # No action column was built for them.
-            assert syz._action_columns is None
+            # No action matrix was built for them.
+            assert "actions" not in syz.__dict__
             P = free_module(M.algebra, syz.space.ambient // n)
             built = module_from_subspace(P, syz.space)[0]
             socle, radical = built.socle_dim(), built.dim - built.top_dim()
@@ -282,7 +282,7 @@ def test_a_syzygy_socle_read_off_phi_matches_the_typed_route(field):
             # The built actions' sums may hold Fraction(-1, 1) where the shadow
             # has -1, so values are compared here; the types of the columns are
             # checked against the typed images in test_shadow_resolution.py.
-            assert [[sorted(col) for col in cols] for cols in syz.action_columns()] == \
+            assert [[sorted(col) for col in cols] for cols in typed_columns(syz)] == \
                 [X.sparse_columns() for X in built.actions], (M, i)
             seen.add((got[1] > 0, got[2]))
             odd = any(scale != 1 for scale in syz._phi[2])

@@ -15,7 +15,7 @@ from shortloc.modules import random_module, simple_module
 from shortloc.presets import preset
 
 from references import (complement, dense_sparse_rows, from_scalars, is_zero, reference_sparse,
-                        typed as typed_space)
+                        typed as typed_space, typed_columns)
 
 F5 = Field.prime(5)
 
@@ -755,7 +755,7 @@ def test_a_span_of_sparse_rows_is_the_span_of_their_dicts(field):
         alg = preset(name, field=field, **kw)
         for seed in range(3):
             M = random_module(alg, 1 + seed % 2, seed % 3, seed=seed)
-            columns = [dict(col) for cols in M.action_columns() for col in cols]
+            columns = [dict(col) for cols in typed_columns(M) for col in cols]
             cases.append((M.dim, columns))
             span = Subspace.from_vectors(field, M.dim, columns)
             assert typed_space(M.radical()) == typed_space(span)

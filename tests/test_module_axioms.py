@@ -1,16 +1,19 @@
-"""The module axioms are checked along the action columns.
+"""The module axioms are checked along the integer action columns.
 
-``validate_module`` reads v_i·(v_j·x) and w_m·x off the sparse action
-columns, with no product of action matrices and no product kernel, and
-maps each v_j·x once for both; its
-verdict and message are checked against the dense route kept in
-``references`` (``dense_validate``) on seeded mutated modules over every
-preset.
+``validate_module`` reads v_i·(v_j·x) and w_m·x off the integer action
+columns, with no product of action matrices, no product kernel and no
+scalar, and maps each v_j·x once for both; its verdict and message are
+checked against the dense route kept in ``references`` (``dense_validate``)
+on seeded mutated modules over every preset.  No preset product has two
+w-terms, so the scale T·σ that each v_i·(v_j·x) takes once is checked on a
+hand-built algebra whose products have two w-terms and non-integral
+constants.
 """
 
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +59,35 @@ def mutants(alg, seed):
         yield AModule(alg, M.dim, [Matrix(alg.field, X, cols=M.dim) for X in data], check=False)
 
 
+#: v_1 v_1 = w_1 + w_2/2, v_1 v_2 = w_2, v_2 v_1 = 3 w_1 - w_2, v_2 v_2 = w_1/3.
+TWO_TERMS = {(1, 1, 1): 1, (1, 1, 2): Fraction(1, 2), (1, 2, 2): 1, (2, 1, 1): 3,
+             (2, 1, 2): -1, (2, 2, 1): Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+def test_products_with_two_w_terms_give_the_dense_verdict(field):
+    # Over Q the structure constants are over T = 6 and the sections over
+    # σ = 2, so a v_i·(v_j·x) scaled by T·σ once per w-term of v_i v_j, not
+    # once in all, changes the verdict.
+    alg = ShortAlgebra(field, 2, 2, TWO_TERMS)
+    alg.validate()
+    values = [field.of(x) for x in (Fraction(1, 2), Fraction(-3, 2), 2)]
+    bases = [left_regular_module(alg)] + [random_module(alg, 1 + seed % 2, seed % 3, seed)
+                                          for seed in range(12)]
+    seen = Counter()
+    for seed, M in enumerate(bases):
+        rng = random.Random(seed)
+        for _ in range(4):
+            data = [[list(row) for row in X.data] for X in M.actions]
+            for _ in range(rng.randint(0, 2)):
+                rng.choice(data)[rng.randrange(M.dim)][rng.randrange(M.dim)] = rng.choice(values)
+            X = AModule(alg, M.dim, [Matrix(field, X, cols=M.dim) for X in data], check=False)
+            got = outcome(validate_module, X)
+            assert got == outcome(dense_validate, X), (seed, data)
+            seen[got] += 1
+    assert seen["valid"] >= 15 and seen[RELATION] >= 20, seen
+
+
 def test_the_axioms_give_the_dense_verdict_and_message():
     seen = Counter()
     for field in FIELDS:
@@ -99,7 +131,7 @@ def test_each_basis_vector_is_mapped_once_for_the_relations(monkeypatch):
     modules = [left_regular_module(alg) for field in FIELDS for alg in algebras(field)]
     modules += [m_alpha(lam, 2), syzygy(simple_module(lam)), syzygy(m_alpha(lam, 1))]
     for M in modules:
-        M.action_columns()
+        M.int_columns()
         passes.clear()
         validate_module(M)
         e, a = M.algebra.e, M.algebra.a

@@ -5,7 +5,7 @@ import pytest
 from shortloc.errors import BadParams, LoewyTooLong, ZeroModule
 from shortloc.homology import projective_cover
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
-from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
+from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum, generated_submodule,
                               end_dim, find_isomorphism, free_module, hom_basis,
                               hom_dim, is_bipartite, is_isomorphic, is_solid,
                               left_regular_module, m_alpha, mod_j_squared, quotient,
@@ -13,6 +13,8 @@ from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
                               simple_multiplicity, submodule, validate_module,
                               zero_module, module_from_subspace)
 from shortloc.presets import preset
+
+from references import typed_columns
 
 
 def cyclic_x(alg, coeffs=None):
@@ -454,7 +456,7 @@ def test_explicit_copy_of_a_free_module_reads_as_the_free_module(field):
             for space in _free_spaces(alg, t, seed=t):
                 via_copy = module_from_subspace(copy, space)[0].actions
                 assert via_copy == module_from_subspace(F, space)[0].actions
-            assert copy.action_columns() == F.action_columns()
+            assert typed_columns(copy) == typed_columns(F)
             assert copy.int_action_rows() == F.int_action_rows()
 
 
@@ -498,3 +500,29 @@ def test_radical_reads_residues_without_fp_truth_tests(monkeypatch):
     assert truth_tests == []
     assert radical == omega.radical() and radical.dim == omega.dim - omega.top_dim()
     assert fresh.top_dim() == 7
+
+
+@pytest.mark.parametrize("field", [Field.prime(7), Field.prime(32003)], ids=str)
+def test_vectors_of_plain_ints_are_read_over_fp(field):
+    # submodule, generated_submodule and quotient coerce each entry through
+    # Field.of, as cyclic_submodule does: plain ints give what residues give.
+    lam = preset("lambda_c", field=field, c=1)
+    p = field.characteristic
+    for M in (m_alpha(lam, 2), random_module(lam, 2, 1, seed=3), left_regular_module(lam)):
+        radical = [[x.v for x in v] for v in M.radical().basis]
+        socle = [[x.v for x in v] for v in M.socle().basis]
+        seed = [[0, 1, p - 1] + [2] * (M.dim - 3)]
+        for build, ints in [(submodule, radical), (generated_submodule, seed),
+                            (quotient, socle)]:
+            got, got_map = build(M, ints)
+            want, want_map = build(M, [[field.of(x) for x in v] for v in ints])
+            assert got.actions == want.actions and got_map.matrix == want_map.matrix, build
+            assert got.dim == want.dim and got.dim > 0
+
+
+def test_a_float_entry_is_refused(lam1):
+    M = m_alpha(lam1, 2)
+    vector = [0.0, 1.0] + [0] * (M.dim - 2)
+    for build in (submodule, generated_submodule, quotient):
+        with pytest.raises(BadParams, match="float"):
+            build(M, [vector])

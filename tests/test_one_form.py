@@ -6,7 +6,10 @@ span's pivot rows, and ``Subspace.from_pivot_rows``, a kernel's pivot
 form.  Nothing else in the package calls ``Subspace(...)``, so no subspace
 is held by a dense basis.  ``HomSpace`` is the record (source, target,
 flat); its maps are built only by ``hom_basis``.  ``module_from_columns``
-names no ``Matrix``.
+names no ``Matrix``.  A module has two forms, its matrices and its integer
+columns: ``AModule`` defines no typed ``action_columns`` or
+``_action_columns``.  ``Subspace.residue`` is the typed view of
+``int_residue`` and reads no typed row (``sparse_rows``).
 """
 
 import ast
@@ -104,3 +107,48 @@ def test_module_from_columns_builds_no_matrix():
         assert not matrix_names(fh.read(), "module_from_columns")
     assert matrix_names("def f(alg, cols):\n    return Matrix.from_sparse_columns(alg, cols)\n",
                         "f") == [2]
+
+
+def class_body(source: str, name: str) -> list:
+    """The statements of the top-level class ``name`` in ``source``."""
+    return next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == name).body
+
+
+def defined_names(body: list) -> set[str]:
+    """The names a class body defines: its methods and its assigned attributes."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def attributes_read(body: list, method: str) -> set[str]:
+    """The attribute and plain names that ``method`` of a class body reads."""
+    fn = next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == method)
+    return {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)} | \
+        {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+
+
+def test_a_module_has_no_typed_columns():
+    with open(os.path.join(SRC, "modules.py")) as fh:
+        names = defined_names(class_body(fh.read(), "AModule"))
+    assert {"actions", "int_columns", "_int_columns"} <= names
+    assert not names & {"action_columns", "_action_columns"}
+    assert defined_names(class_body("class AModule:\n    _action_columns = None\n"
+                                    "    def action_columns(self):\n        pass\n",
+                                    "AModule")) == {"_action_columns", "action_columns"}
+
+
+def test_the_residue_reads_no_typed_row():
+    with open(os.path.join(SRC, "linalg.py")) as fh:
+        read = attributes_read(class_body(fh.read(), "Subspace"), "residue")
+    assert "int_residue" in read and "sparse_rows" not in read
+    body = class_body("class Subspace:\n    def residue(self, v):\n"
+                      "        rows = self.sparse_rows()\n", "Subspace")
+    assert "sparse_rows" in attributes_read(body, "residue")

@@ -3,7 +3,8 @@
 ``contains``, ``coords`` and ``reduce`` read the residue, and so do a
 quotient's action columns.  Each is compared in value and scalar type
 with its walk in ``references.py``, over Q, F_7 and F_32003, on spans and
-kernels.  The tops that ``find_isomorphism`` tests are the same reduction
+kernels; the residue is typed once from ints, so its values have the
+canonical type (``references.canonical``).  The tops that ``find_isomorphism`` tests are the same reduction
 along the radical's integer rows: each is compared in value with the
 walk's typed top, times the scale it is read over.
 """
@@ -14,19 +15,21 @@ from math import lcm
 
 import pytest
 
-from shortloc.errors import DimensionMismatch
-from shortloc.linalg import Matrix, Subspace, kernel_subspace
+from shortloc.errors import BadParams, DimensionMismatch
+from shortloc.linalg import Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (AModule, _top, generated_submodule, presentation_equations,
                               quotient, random_module)
 from shortloc.presets import preset
 
-from references import scalars, walk_quotient_columns, walk_reduce, walk_rest, walk_tops
+from references import (canonical, scalars, walk_quotient_columns, walk_reduce, walk_rest,
+                        walk_tops)
 from test_linalg import ELIM_FIELDS, elimination_inputs, reference_rref_rows
 
 
-def typed_entries(d):
-    """A dict's entries in index order, each value with its type."""
-    return [(j, type(x), x) for j, x in sorted(d.items(), key=lambda item: item[0])]
+def typed_entries(d, types=scalars):
+    """A dict's entries in index order, each value with its type (``types`` of the values)."""
+    keys = sorted(d)
+    return list(zip(keys, types(d[j] for j in keys)))
 
 
 def subspaces(field):
@@ -58,9 +61,16 @@ def test_the_residue_and_its_readers_match_the_walks(field):
             for entries in (dict(enumerate(v)), {j: x for j, x in enumerate(v) if x}):
                 rest = walk_rest(space, entries)
                 want = {j: x for j, x in rest.items() if j in free}
-                assert typed_entries(space.residue(entries.items())) == typed_entries(want)
+                # The residue is typed once from ints: the walk's values, each
+                # of the canonical type.
+                assert typed_entries(space.residue(entries.items())) == \
+                    typed_entries(want, canonical)
                 assert space.contains(entries) == (not any(rest.values()))
-            assert scalars(space.reduce(v)) == scalars(walk_reduce(space, v))
+            # At the free columns the reduced vector is the residue, of the
+            # canonical type; at a pivot a zero of the entry's own type.
+            assert scalars(space.reduce(v)) == tuple(
+                canonical([x])[0] if j in free else (type(x), x)
+                for j, x in enumerate(walk_reduce(space, v)))
             if space.contains(v):
                 assert scalars(space.coords(v)) == scalars(tuple(v[p] for p in space.pivots))
                 members += 1
@@ -132,3 +142,24 @@ def test_quotients_and_tops_match_the_walks(field):
                     assert got == ref
                     maps += len(got)
     assert quotients == 48 and maps >= 100
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_the_public_reductions_read_plain_ints_over_fp(p):
+    # The residue coerces each entry through Field.of: a vector of plain ints
+    # reduces, is tested and is read in coordinates as its residues are.
+    field, rng, checked = Field.prime(p), random.Random(p), 0
+    for space in subspaces(field):
+        for _ in range(3):
+            ints = [rng.choice((0, 1, 2, p - 1)) for _ in range(space.ambient)]
+            typed = [field.of(x) for x in ints]
+            assert space.reduce(ints) == space.reduce(typed)
+            assert space.contains(ints) == space.contains(typed)
+            assert space.contains(dict(enumerate(ints))) == space.contains(typed)
+        if space.dim:
+            member = [x.v for x in space.basis[0]]
+            assert space.coords(member) == space.coords(list(space.basis[0]))
+            checked += 1
+    assert checked >= 20
+    with pytest.raises(BadParams, match="float"):
+        Subspace.from_vectors(field, 2, [[field.of(1), field.of(0)]]).contains([0.5, 1])

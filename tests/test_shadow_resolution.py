@@ -20,7 +20,8 @@ from shortloc.modules import (free_module, m_alpha, mod_j_squared, module_from_s
 from shortloc.presets import preset
 
 from references import (boundary_elements, generator_images, plain_cover_columns, scalars,
-                        top_lift, typed, typed_phi_kernel, typed_pivot_columns)
+                        top_lift, typed, typed_columns, typed_phi_kernel,
+                        typed_pivot_columns)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -230,7 +231,7 @@ def test_the_shadow_images_skip_only_rows_that_map_to_zero(field):
                        for img in imgs for y in img.values())
             assert not any(any(images[p]) for p in images if p not in mapped), (M, i)
             skipped += len(images) - len(mapped)
-            assert _typed_columns(syz.action_columns()) == _typed_columns(columns), (M, i)
+            assert _typed_columns(typed_columns(syz)) == _typed_columns(columns), (M, i)
             assert syz.cover[0] == lifts, (M, i)
             assert typed(syz.cover[1]) == typed(kernel), (M, i)
     assert skipped >= 500

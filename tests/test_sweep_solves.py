@@ -32,8 +32,8 @@ from shortloc.modules import (AModule, IsoSearch, ModuleMap, end_dim, find_isomo
 from shortloc.numerics import main_lemma_witness
 from shortloc.presets import preset
 
-from references import (combination, complement, from_scalars, stack_rows, typed_invertible,
-                        typed_top)
+from references import (combination, complement, from_scalars, stack_rows, typed_columns,
+                        typed_invertible, typed_top)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
@@ -330,14 +330,14 @@ def test_an_unstable_shadow_is_refused(conca32):
     alg, n = conca32, conca32.dim
     field = alg.field
     # v_1 alone: v_j v_1 reaches J^2, which the span misses.
-    for read in (Syzygy.radical, Syzygy.socle, Syzygy.action_columns, Syzygy.socle_dim,
+    for read in (Syzygy.radical, Syzygy.socle, typed_columns, Syzygy.socle_dim,
                  is_bipartite):
         with pytest.raises(BadParams, match="not stable"):
             read(Syzygy(alg, unit_span(field, n, [1])))
     # With the J^2-rows of two more copies the V-row lifts only part of the
     # top, so the cover takes its top-lift branch, which checks the images too.
     coordinates = [1] + [k * n + i for k in (1, 2) for i in range(1 + alg.e, n)]
-    for read in (lambda syz: syz.cover, Syzygy.top_dim, Syzygy.action_columns, Syzygy.socle_dim,
+    for read in (lambda syz: syz.cover, Syzygy.top_dim, typed_columns, Syzygy.socle_dim,
                  is_bipartite):
         with pytest.raises(BadParams, match="not stable"):
             read(Syzygy(alg, unit_span(field, 3 * n, coordinates)))
@@ -385,18 +385,15 @@ def test_quotient_actions_match_the_dense_formula(field, monkeypatch):
 
 def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_calls,
                                                      equation_calls):
-    built, syzygies, columns, typed_rows, fallbacks, covers = [], [], [], [], [], []
+    built, syzygies, typed_rows, fallbacks, covers = [], [], [], [], []
 
     def counted(M, space, _original=modules.module_from_subspace):
         built.append(space.dim)
         return _original(M, space)
     monkeypatch.setattr(modules, "module_from_subspace", counted)
-    # Every syzygy made, each read of a syzygy's action columns, which its
-    # actions are built from, and each subspace whose typed rows are read.
+    # Every syzygy made, and each subspace whose typed rows are read.
     monkeypatch.setattr(Syzygy, "__init__", lambda syz, alg, space, _original=Syzygy.__init__:
                         syzygies.append(syz) or _original(syz, alg, space))
-    monkeypatch.setattr(Syzygy, "action_columns", lambda syz, _original=Syzygy.action_columns:
-                        columns.append(syz) or _original(syz))
     monkeypatch.setattr(Subspace, "sparse_rows", lambda space, _original=Subspace.sparse_rows:
                         typed_rows.append(space) or _original(space))
     # Each Hom(N, M) dimension the search falls back on, and each cover kernel found.
@@ -420,8 +417,8 @@ def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_cal
         iso = find_isomorphism(M, N, seed=3)
         assert iso.found and built == []
         # The syzygies' socles and tops are read off Φ: no syzygy builds its
-        # action columns or reads its shadow's typed rows.
-        assert len(syzygies) >= 2 and columns == []
+        # action matrices or reads its shadow's typed rows.
+        assert len(syzygies) >= 2 and not any("actions" in syz.__dict__ for syz in syzygies)
         assert not any(space is syz.space for space in typed_rows for syz in syzygies)
         # No Hom basis is solved.  Hom(M, N) is one system over the cover
         # kernel that main_lemma_witness found; Hom(N, M) is a second system,

@@ -24,7 +24,7 @@ from shortloc.modules import (end_dim, find_isomorphism, free_module, hom_basis,
                               semisimple_module, simple_module, zero_module)
 from shortloc.presets import preset
 
-from references import from_scalars, scalars
+from references import from_scalars, scalars, typed_columns
 from test_sweep_solves import fresh, presentation_int_basis, rebased, sweep_modules, sweep_pairs
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
@@ -42,7 +42,7 @@ def reference_hom_equations(M, N):
     """
     dm, dn = M.dim, N.dim
     rows = []
-    for source_cols, target_cols in zip(M.action_columns(), N.action_columns()):
+    for source_cols, target_cols in zip(typed_columns(M), typed_columns(N)):
         target_rows = [[] for _ in range(dn)]
         for k, col in enumerate(target_cols):
             for r, x in col:
