@@ -7,8 +7,8 @@ defaults, then ``__post_init__`` when the class defines one), field-wise
 ``__setattr__``/``__delattr__`` and ``as_dict``, the fields in order as
 plain data (:func:`_plain`).  Fields are set one by one with
 ``object.__setattr__``, as a frozen dataclass sets them, so an instance
-keeps CPython's compact attribute storage until a
-``functools.cached_property`` writes to its ``__dict__``.
+keeps CPython's compact attribute storage until a :class:`cached_property`
+writes to its ``__dict__``.
 """
 
 from operator import attrgetter
@@ -19,6 +19,22 @@ def _plain(value):
     if isinstance(value, (tuple, list)):
         return [_plain(x) for x in value]
     return value.as_dict() if hasattr(value, "as_dict") else value
+
+
+class cached_property:
+    """``functools.cached_property`` with no lock, as in 3.12: the value shadows it in ``__dict__``."""
+
+    def __init__(self, func):
+        self.func, self.attrname, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def record(cls):

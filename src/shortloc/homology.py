@@ -3,11 +3,13 @@
 Everything here works with minimal constructions: projective covers lift a
 basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
 is the single engine that walks syzygies: Betti numbers are the tops of its
-syzygies, syzygy powers and orbit walks read its modules, and Ext groups and
-the transpose (the cokernel of d_1^* into A) come from the Hom-complex of its
-boundaries, handed to the elimination as integer rows built from the top
-lifts' integer shadow rows, over one scale, and the target's action rows as
-ints (:func:`_hom_complex_matrix`), so no boundary row becomes a scalar.
+syzygies, syzygy powers and orbit walks read its modules, and Ext groups are
+read off the Homs out of its syzygies, which land in ann_N(J^2) as J^2 kills
+a syzygy (:func:`_ext_sequence`).  Only the transpose, the cokernel of d_1^*
+into A, reads the Hom-complex, handed to the elimination as integer rows
+built from the top lifts' integer shadow rows, over one scale, and A's
+action rows as ints (:func:`_hom_complex_matrix`), so no boundary row
+becomes a scalar.
 :class:`DualData` is the single engine of the
 dual side: Hom(M, A), solved once per module, serves the dual module, the
 torsionless and reflexive verdicts, the evaluation map and the minimal left
@@ -63,18 +65,18 @@ when a caller reads them.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 from itertools import count, islice
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from ._record import record
+from ._record import cached_property, record
 from .algebra import ShortAlgebra
 from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import IntRows, Matrix, Subspace, kernel_subspace, rank, typed_values
-from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _row_images, _typed, free_module,
-                      generated_span, hom_dim, hom_space, left_regular_module, module_from_columns,
-                      pivot_columns, quotient, relation_equations, vector_images, zero_module)
+from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _kronecker_data, _kronecker_equations,
+                      _row_images, _typed, free_module, generated_span, hom_dim, hom_space,
+                      left_regular_module, module_from_columns, pivot_columns, quotient,
+                      relation_equations, vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -532,7 +534,7 @@ class MinimalResolution:
 
 
 def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> IntRows:
-    """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as integer rows.
+    """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as integer rows (d_1^* for Tr).
 
     Row l·dim N + r is row r of the action of d_j(unit_l), the l-th top
     lift of the j-th syzygy, on N^{t_{j-1}} (:func:`relation_equations`),
@@ -549,19 +551,32 @@ def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> IntRows:
 
 
 def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
-    """dim Ext^0(M, N), dim Ext^1(M, N), ... from the Hom-complex of ``res``.
+    """dim Ext^0(M, N), dim Ext^1(M, N), ... from h_i = dim Hom(Ω^i M, N).
 
-    Ext^i = t_i dim N - rank d_{i+1}* - rank d_i*, so Ext^i reads the
-    resolution up to the cover of the (i+1)-st syzygy and no further.
+    Hom(-, N) is left exact on P_i -> P_{i-1} -> Ω^{i-1} -> 0, and
+    Ext^i(M, N) = Ext^1(Ω^{i-1}, N), so Ext^0 = h_0 (:func:`hom_dim`) and
+    Ext^i = h_i + h_{i-1} - t_{i-1}·dim N for i >= 1.  Then J^2 kills
+    Ω = Ω^i M, so every map Ω -> N lands in N' = ann_N(J^2), and J^2 N' = 0:
+    the map's parts in JN' at the top lifts m_k are free, and its parts
+    g0(m_k) in top N' must meet Σ λ_{k,j}·v_j·g0(m_k) = 0 for every relation
+    λ among the v_j·m_k (:func:`_kronecker_equations`), the V-rows of Ω's
+    cover kernel, read off its pivot form.  So h_i is t_i·dim N' less a
+    rank, and Ext^i reads the covers of Ω^0..Ω^i and no further.
     """
-    prev = 0
-    for i in count():
-        cur = rank(_hom_complex_matrix(res, N, i + 1))
-        val = res.rank(i) * N.dim - cur - prev
+    res.extend_to(0)
+    h = hom_dim(res.module, N)
+    yield h
+    kron, stride = _kronecker_data(N), N.algebra.dim - 1
+    for i in count(1):
+        res.extend_to(i)
+        step, prev = res.steps[i], h
+        equations = _kronecker_equations(N.field, step._kernel_space.pivot_form(), stride,
+                                         step.cover_rank, kron)
+        h = step.cover_rank * (kron[0] + kron[1]) - rank(equations)
+        val = h + prev - res.steps[i - 1].cover_rank * N.dim
         if val < 0:
             raise InvariantViolation("negative Ext dimension; resolution is inconsistent")
         yield val
-        prev = cur
 
 
 def ext_dims(M: AModule, N: AModule, imax: int, cap: int = DEFAULT_CAP) -> list[int]:
@@ -852,7 +867,7 @@ def is_semi_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -
 def _semi_gp_scan(res: MinimalResolution, bound: int) -> BoundedVerdict:
     """Ext^i(M, A) = 0 for 1 <= i <= bound along ``res``, stopping at the first that is not."""
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise BadParams(f"bound must be at least 1, got {bound}")
     if res.module.dim == 0:
         return BoundedVerdict(True, bound)
     exts = _ext_sequence(res, left_regular_module(res.module.algebra))
@@ -869,8 +884,9 @@ def is_inf_torsionfree(M: AModule, bound: int = DEFAULT_BOUND,
     The transpose lives over the opposite algebra; the Ext-vanishing is
     checked there.
     """
-    tr = transpose(M, cap=cap)
-    return is_semi_gp(tr, bound=bound, cap=cap)
+    if bound < 1:  # refused before the transpose's cover, as the scan refuses it
+        raise BadParams(f"bound must be at least 1, got {bound}")
+    return is_semi_gp(transpose(M, cap=cap), bound=bound, cap=cap)
 
 
 def is_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -> BoundedVerdict:

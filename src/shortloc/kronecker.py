@@ -15,9 +15,9 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
 from .homology import DEFAULT_CAP, Syzygy, syzygy, top_kernel
-from .linalg import IntRows, Matrix, integer_pairs, rank, typed_values
-from .modules import (AModule, _typed, find_isomorphism, hom_dim, module_from_columns,
-                      simple_multiplicity)
+from .linalg import IntRows, Matrix, integer_pairs, kernel_subspace, rank, typed_values
+from .modules import (AModule, _kronecker_data, _kronecker_equations, _typed, find_isomorphism,
+                      hom_dim, module_from_columns, simple_multiplicity)
 
 
 @record
@@ -44,19 +44,17 @@ class KroneckerRep:
 def tilde(M: AModule) -> KroneckerRep:
     """The Kronecker representation (top M, JM; induced actions).
 
-    phi_j sends the k-th top lift m_k to the coordinates of v_j m_k in JM.
-    v_j m_k is column c_k of v_j's action (:meth:`AModule.int_columns`,
-    :meth:`AModule.lift_columns`), a member of JM, whose basis is row
-    reduced, so its coordinates are its entries at the pivots, typed there.
+    phi_j sends the k-th top lift m_k to the coordinates of v_j m_k in JM,
+    read as ints off M's Kronecker data (:func:`~shortloc.modules._kronecker_data`,
+    M itself at Loewy length <= 2) and typed there.
     """
     if M.loewy_length() > 2:
         raise LoewyTooLong("the Kronecker shadow needs Loewy length <= 2")
-    rad, lifts, (columns, scale) = M.radical(), M.lift_columns(), M.int_columns()
-    at, p = {q: r for r, q in enumerate(rad.pivots)}, M.field.characteristic
-    maps = tuple(Matrix.from_sparse_columns(M.field, rad.dim, [
-        _typed([(at[q], x) for q, x in cols[c] if q in at], scale, p) for c in lifts])
-        for cols in columns)
-    return KroneckerRep(e=M.algebra.e, dim0=len(lifts), dim1=rad.dim, maps=maps)
+    dim0, dim1, arrows, scale = _kronecker_data(M)
+    p = M.field.characteristic
+    maps = tuple(Matrix.from_sparse_columns(M.field, dim1, [_typed(col, scale, p) for col in cols])
+                 for cols in arrows)
+    return KroneckerRep(e=M.algebra.e, dim0=dim0, dim1=dim1, maps=maps)
 
 
 def rep_as_module(rep: KroneckerRep, alg: ShortAlgebra) -> AModule:
@@ -93,33 +91,31 @@ def rep_dual(rep: KroneckerRep) -> KroneckerRep:
 
 
 def kronecker_hom_dim(repA: KroneckerRep, repB: KroneckerRep) -> int:
-    """dim Hom of Kronecker representations: the unknowns less the rank of the equations.
+    """dim Hom of Kronecker representations: b1·(a1 - rank Φ_A) + b0·a0 less a rank.
 
     A homomorphism is a pair (g0: A_0 -> B_0, g1: A_1 -> B_1) with
-    phiB_i g0 = g1 phiA_i for every arrow.
+    phiB_i g0 = g1 phiA_i for every arrow, so g1 is fixed by g0 on the image
+    of Φ_A: v_i⊗a -> phiA_i(a) and free off it, and g0 must meet the
+    equations of ker Φ_A against B's arrows (:func:`_kronecker_equations`).
     """
     if repA.e != repB.e:
         raise AlgebraMismatch("representations of different Kronecker quivers")
-    n0 = repB.dim0 * repA.dim0
-    n1 = repB.dim1 * repA.dim1
-    if n0 + n1 == 0 or not repA.maps:
-        return n0 + n1  # no unknown, or no arrow and so no equation
-    field, rows = repA.maps[0].field, []
-    # Unknowns: g0 flattened row-major first, then g1.  Each arrow's
-    # equations are read off phiA's columns and phiB's rows, each read once
-    # as its non-zeros, and both converted to ints over one scale, which
-    # scales the arrow's equations together.
-    for phiA, phiB in zip(repA.maps, repB.maps):
-        (columns, b_rows), _ = integer_pairs(
-            (phiA.sparse_columns(), [[(k, x) for k, x in enumerate(row) if x]
-                                     for row in phiB.data]), field.characteristic)
-        for r, b_row in enumerate(b_rows):
-            g0 = [(k * repA.dim0, x) for k, x in b_row]
-            for c, col in enumerate(columns):
-                row = {k + c: x for k, x in g0}
-                row.update((n0 + r * repA.dim1 + k, -x) for k, x in col)
-                rows.append(row)
-    return n0 + n1 - rank(IntRows(field, rows, n0 + n1))
+    e, a0, b0 = repA.e, repA.dim0, repB.dim0
+    if not repA.maps:
+        return b0 * a0 + repB.dim1 * repA.dim1  # no arrow and so no equation
+    field = repA.maps[0].field
+    maps, scale = integer_pairs([phi.sparse_columns() for phi in repA.maps + repB.maps],
+                                field.characteristic)
+    columns, arrows = maps[:e], maps[e:]
+    rows: list[dict] = [{} for _ in range(repA.dim1)]
+    for j, cols in enumerate(columns):
+        for k, col in enumerate(cols):
+            for r, x in col:
+                rows[r][k * e + j] = x
+    kernel = kernel_subspace(IntRows(field, rows, e * a0))
+    equations = _kronecker_equations(field, kernel.pivot_form(), e, a0,
+                                     (b0, repB.dim1, arrows, scale))
+    return repB.dim1 * (repA.dim1 - e * a0 + kernel.dim) + b0 * a0 - rank(equations)
 
 
 def hom_decomposition_check(M: AModule, N: AModule) -> bool:

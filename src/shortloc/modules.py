@@ -26,11 +26,15 @@ are read off them (:func:`validate_module`), and so are the integer images
 of a module with J^2 M not zero (:meth:`AModule.int_images`), at which
 every cover kernel (:attr:`AModule.cover_kernel`) and Hom relation is read.
 
-Every Hom system is built one way, :func:`relation_equations`: a map
-A^t -> N is its images n_1..n_t, column s·t + k is entry s of n_k (the
-row-major flattening of a dim N x t matrix), and each relation ρ in A^t
-gives the dim N equations ρ·(n_1..n_t) = 0.  A Hom system is sized by
-the top of its source, since the top lifts m_1..m_t generate M.
+Every Hom system on a presentation is built one way,
+:func:`relation_equations`: a map A^t -> N is its images n_1..n_t,
+column s·t + k is entry s of n_k (the row-major flattening of a dim N x t
+matrix), and each relation ρ in A^t gives the dim N equations
+ρ·(n_1..n_t) = 0.  A Hom system is sized by the top of its source, since
+the top lifts m_1..m_t generate M.  A Hom out of a syzygy, which J^2
+kills, and the Kronecker Hom are read off Kronecker relations instead
+(:func:`_kronecker_equations`), the first into N' = ann_N(J^2)
+(:func:`_kronecker_data`).
 :func:`hom_space` reads M as a quotient of A^{dim M}, whose copy c maps
 to e_c, by the relations b·m_k = sum_c (b m_k)[c] e_c for the radical
 basis elements b, (dim A - 1)·t·dim N equations, and keeps only their
@@ -55,11 +59,10 @@ them the bipartite test and the multiplicity of S, are ranks.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from ._record import record
+from ._record import cached_property, record
 from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
@@ -110,6 +113,8 @@ class AModule:
     _dual_flat: Optional[Subspace] = None
     _dual_module: Optional["AModule"] = None
     _torsionless: Optional[bool] = None
+    #: ann_M(J^2) as ints (:func:`_kronecker_data`), read by every Ext into M.
+    _kronecker: Optional[tuple] = None
     #: Set when J^2 M = 0 is known, as for a syzygy: then no image decides it.
     _square_zero = False
 
@@ -845,6 +850,61 @@ def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> IntRow
                     row[col] = row[col] + x * y if col in row else x * y
         out += rows
     return IntRows(N.field, out, t * d)
+
+
+def _kronecker_equations(field: Field, form: tuple, stride: int, t: int,
+                         target: tuple) -> IntRows:
+    """The equations on g0: top A -> top B of the relations ker Φ, read off its pivot form.
+
+    Column k·``stride`` + j of Φ is φ_{j+1}(a_k), for the t tops a_k of A;
+    with j >= e (= number of arrows) it is a cover's empty J^2-column and
+    is left out.  The relation of a free column f is read as
+    :func:`~shortloc.homology.shadow_rows` reads a shadow row, with no
+    kernel row built.  ``target`` is B's (b0, b1, arrows, scale)
+    (:func:`_kronecker_data`).  g0 must meet Σ λ_{k,j}·φ_j(g0(a_k)) = 0 for
+    every relation λ: b1 rows per λ, column s·t + k entry s of g0(a_k).
+    """
+    (piv, free, _, sigma), (b0, _, arrows, _) = form, target
+    mult: dict = {}
+    for c, row in piv.items():
+        if row[c] != 1:
+            for f in row:
+                mult[f] = lcm(mult.get(f, 1), row[c])
+    relations = {f: {f: mult.get(f, 1) * (sigma[f] if sigma else 1)}
+                 for f in free if f % stride < len(arrows)}
+    for c, row in piv.items():
+        for f, y in row.items():
+            if f != c and f in relations:
+                relations[f][c] = -y * (sigma[c] if sigma else 1) * (mult.get(f, 1) // row[c])
+    rows: dict = {}
+    for f, relation in relations.items():
+        for q, x in relation.items():
+            k, j = divmod(q, stride)
+            for s, image in enumerate(arrows[j]):
+                for r, y in image:
+                    row, c = rows.setdefault((f, r), {}), s * t + k
+                    row[c] = row[c] + x * y if c in row else x * y
+    return IntRows(field, list(rows.values()), t * b0)
+
+
+def _kronecker_data(N: AModule) -> tuple[int, int, list, int]:
+    """N' = ann_N(J^2) as a Kronecker representation (b0, b1, arrows, scale) in ints, kept on N.
+
+    N' is N when J^2 N = 0, else the kernel of the stacked w-actions.  b0
+    and b1 are dim top N' and dim JN'; arrows[j][k] is v_{j+1}·m_k for the
+    k-th top lift of N', as (r, int) pairs over ``scale`` at its entries r
+    at the radical's pivots, which are its coordinates in JN'.
+    """
+    if N._kronecker is None:
+        sub, e = N, N.algebra.e
+        if N.loewy_length() > 2:
+            rows = [dict(row) for b in N.int_action_rows()[e + 1:] for row in b]
+            sub = module_from_subspace(N, kernel_subspace(IntRows(N.field, rows, N.dim)))[0]
+        rad, lifts, (columns, scale) = sub.radical(), sub.lift_columns(), sub.int_columns()
+        at = {q: r for r, q in enumerate(rad.pivots)}
+        N._kronecker = (len(lifts), rad.dim, [[[(at[q], x) for q, x in cols[c] if q in at]
+                                              for c in lifts] for cols in columns], scale)
+    return N._kronecker
 
 
 def hom_dim(M: AModule, N: AModule) -> int:

@@ -86,6 +86,11 @@ The elimination that scans every older pivot row at a back-clear
 (``unindexed_echelon``) is what the back-clear index of ``_echelon``
 replaced.
 
+Ext from the Hom-complex (``hom_complex_ext_dims``) is what reading
+Hom(Ω^i M, N) off each syzygy's Kronecker relations replaced:
+Ext^i = t_i·dim N - rank d_{i+1}^* - rank d_i^*, which covers one syzygy
+more than Ext^i reads.
+
 The Kronecker Hom equations with each column of a map rebuilt per
 equation (``reference_kronecker_hom_dim``), and Gorenstein projectivity
 with one resolution for the semi-GP scan and another for the transpose
@@ -99,8 +104,8 @@ from collections import defaultdict
 from itertools import compress, count
 
 from shortloc.errors import BadParams, InvariantViolation
-from shortloc.homology import (DEFAULT_CAP, ApproximationData, _cover_rank, dual_data,
-                               is_semi_gp, transpose)
+from shortloc.homology import (DEFAULT_CAP, ApproximationData, MinimalResolution, _cover_rank,
+                               _hom_complex_matrix, dual_data, is_semi_gp, transpose)
 from shortloc import linalg, modules
 from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace, _clear, _sparse,
                              _tidy, integer_values, kernel_basis, kernel_subspace, rank, solve)
@@ -890,6 +895,18 @@ def reference_kronecker_hom_dim(repA, repB):
                 row.update((n0 + r * repA.dim1 + k, -x) for k, x in enumerate(phiA.col(c)) if x)
                 rows.append(row)
     return n0 + n1 - rank(from_scalars(repA.maps[0].field, rows, n0 + n1))
+
+
+def hom_complex_ext_dims(M, N, imax, cap=DEFAULT_CAP):
+    """dim Ext^0..Ext^imax(M, N) from the ranks of the Hom-complex maps d_1^*..d_{imax+1}^*."""
+    if M.dim == 0 or N.dim == 0:
+        return [0] * (imax + 1)
+    res, out, prev = MinimalResolution(M, cap=cap), [], 0
+    for i in range(imax + 1):
+        cur = rank(_hom_complex_matrix(res, N, i + 1))
+        out.append(res.rank(i) * N.dim - cur - prev)
+        prev = cur
+    return out
 
 
 def two_resolution_is_gp(M, bound):

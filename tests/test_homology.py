@@ -4,7 +4,7 @@ import pytest
 
 from shortloc import homology, modules
 from shortloc.algebra import ShortAlgebra
-from shortloc.errors import AlgebraMismatch, ResourceCapExceeded
+from shortloc.errors import AlgebraMismatch, BadParams, ResourceCapExceeded, ShortlocError
 from shortloc.explorer import classify_complex, mho_path
 from shortloc.homology import (BoundedVerdict, MinimalResolution, a_dual, betti,
                                dual_data, eval_map, ext_dim, ext_dims, is_gp,
@@ -627,9 +627,9 @@ def test_betti_covers_exactly_n_syzygies(calls, conca32, qext):
 
 
 def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
-    # Ext^i reads d_{i+1}: the covers of Omega^0..Omega^{i+1}, never the
-    # cover of Omega^{i+2}; the boundaries are read off the shadows, so no
-    # syzygy module is built.
+    # Ext^i reads Hom(Omega^i, N), whose relations are the shadow of
+    # Omega^{i+1}: the covers of Omega^0..Omega^i, never the cover of
+    # Omega^{i+1}; no syzygy module is built.
     S = simple_module(conca32)
     cases = [(S, left_regular_module(conca32)), (cyclic_x(conca32), S),
              (m_alpha(lam0, 2), m_alpha(lam0, 1))]
@@ -639,8 +639,8 @@ def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
         for i in range(4):
             ext_dims(M, N, i)
             covered = [X.dim for X, in calls["projective_cover"][1:]]
-            assert covered == syzygy_dims[:i + 1]
-            assert _take(calls) == (i + 2, 0, 0)
+            assert covered == syzygy_dims[:i]
+            assert _take(calls) == (i + 1, 0, 0)
 
 
 def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
@@ -648,13 +648,23 @@ def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
     # non-zero Ext^i; the transpose reads d_1; stable Hom reads only the
     # rank of N's cover, so it forms no cover.
     assert is_semi_gp(m_alpha(lam0, 2), 4).holds
-    assert _take(calls) == (6, 0, 0)
+    assert _take(calls) == (5, 0, 0)
     assert is_semi_gp(simple_module(L2), 5).failed_at == 1
-    assert _take(calls) == (3, 0, 0)
+    assert _take(calls) == (2, 0, 0)
     transpose(m_alpha(lam0, 1))
     assert _take(calls) == (2, 0, 0)
     stable_hom_dim(m_alpha(lam0, 0), m_alpha(lam0, 1))
     assert _take(calls) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_bounded_predicates_refuse_a_bound_below_one_before_any_cover(calls, lam0, bound):
+    M = m_alpha(lam0, 2)
+    for predicate in (is_semi_gp, is_gp, is_inf_torsionfree):
+        with pytest.raises(BadParams, match="bound must be at least 1") as refused:
+            predicate(M, bound)
+        assert isinstance(refused.value, ShortlocError), predicate
+        assert _take(calls) == (0, 0, 0), predicate
 
 
 def test_resolution_reuses_its_steps(calls, conca32, monkeypatch):

@@ -200,13 +200,14 @@ def test_boundary_rows_convert_only_the_lift_rows(field, monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=str)
 def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
-    # The Hom-complex reads the lifts' integer rows: no typed boundary row and
-    # no typed value is built, and it reaches the elimination as IntRows.
-    # The transpose's quotient types the rows of its span, as a quotient
-    # does for every subspace; only conversions outside that span count.
-    # An algebra's sections are typed solutions, solved once per algebra,
-    # and an input module's Loewy length maps its radical's typed rows,
-    # once per module: both are read before counting starts.
+    # The Ext route builds no typed value and hands the elimination only
+    # IntRows: Hom(M, N) and the Kronecker equations of each syzygy.  Only
+    # the transpose reads the Hom-complex, d_1^* into A, from the lifts'
+    # integer rows.  The transpose's quotient types the rows of its span,
+    # as a quotient does for every subspace; only conversions outside that
+    # span count.  An algebra's sections are typed solutions, solved once
+    # per algebra, and an input module's Loewy length maps its radical's
+    # typed rows, once per module: both are read before counting starts.
     lam, c32 = preset("lambda_c", field=field, c=1), preset("ex15_1", field=field, e=3, a=2)
     e53 = preset("ex5_3", field=field)
     cases = [(m_alpha(lam, 2), simple_module(lam)),
@@ -215,7 +216,7 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
               for seed in range(4)]
     for M, N in cases:
         M.algebra.sections(), M.loewy_length(), N.loewy_length()
-    counts, matrices, in_span = {"typed": 0, "span_typed": 0}, [], []
+    counts, read, eliminated, in_span = {"typed": 0, "span_typed": 0}, [], [], []
 
     def counting(key, original):
         def counted(*args, **kwargs):
@@ -230,21 +231,29 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
         return _original(F, span)
 
     def hom_complex(res, N, j, _original=homology._hom_complex_matrix):
-        matrices.append(_original(res, N, j))
-        return matrices[-1]
+        read.append(j)
+        return _original(res, N, j)
+
+    def integer_rows(m, _original=linalg._integer_rows):
+        eliminated.append(type(m))
+        return _original(m)
     monkeypatch.setattr(linalg, "typed_values", counting("typed", linalg.typed_values))
     monkeypatch.setattr(homology, "typed_values", linalg.typed_values)
     monkeypatch.setattr(homology, "_hom_complex_matrix", hom_complex)
     monkeypatch.setattr(homology, "quotient", quotient)
-    scaled = 0
+    monkeypatch.setattr(linalg, "_integer_rows", integer_rows)
+    scaled = transposed = 0
     for M, N in cases:
         A = homology.left_regular_module(M.algebra)
-        homology.ext_dims(M, N, 3), homology.ext_dims(M, A, 3)
-        homology.is_semi_gp(M, 3), homology.transpose(M)
+        homology.ext_dims(M, N, 3), homology.ext_dims(M, A, 3), homology.is_semi_gp(M, 3)
+        assert read == [], M
+        transposed += homology.transpose(M).dim > 0
+        assert read in ([], [1]) and len(read) == (MinimalResolution(M).rank(1) > 0), M
+        read.clear()
         res = MinimalResolution(M)
         scaled += any(scale != 1 for j in range(1, 4) for *_, scale in res.boundary_int_rows(j))
-    assert counts["typed"] == 0 and counts["span_typed"] > 0
-    assert len(matrices) >= 40 and all(type(m) is linalg.IntRows for m in matrices)
+    assert counts["typed"] == 0 and counts["span_typed"] > 0 and transposed >= 4
+    assert len(eliminated) >= 100 and set(eliminated) == {linalg.IntRows}
     assert scaled > 0 if field == QQ else scaled == 0
 
 

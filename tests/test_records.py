@@ -16,7 +16,8 @@ import os
 
 import pytest
 
-from shortloc import algebra, explorer, homology, kronecker, linalg, modules, numerics, verify
+from shortloc import (_record, algebra, explorer, homology, kronecker, linalg, modules,
+                      numerics, verify)
 from shortloc.errors import AlgebraMismatch, BadParams, DimensionMismatch
 from shortloc.homology import dual_data, projective_cover
 from shortloc.linalg import QQ, Field, Matrix
@@ -222,3 +223,25 @@ def test_cached_properties_are_computed_once(lam0, monkeypatch):
     # M* is kept on M, which both wrap, so it is built once between them.
     assert dual.module is ref_dual.module
     assert built == {"kernel": 2, "module": 1}
+
+
+def test_cached_property_reads_its_function_once_and_takes_no_lock():
+    # The value lands in the instance's __dict__ and shadows the descriptor,
+    # so a second read calls nothing; the class attribute is the descriptor.
+    calls = []
+
+    class Box:
+        @_record.cached_property
+        def value(self):
+            """The number of reads that reached the function."""
+            calls.append(self)
+            return len(calls)
+    box = Box()
+    assert box.value == 1 and box.value == 1 and calls == [box]
+    assert box.__dict__ == {"value": 1}
+    assert isinstance(Box.value, _record.cached_property) and Box.value.attrname == "value"
+    assert Box.value.__doc__ == "The number of reads that reached the function."
+    assert not hasattr(Box.value, "lock")
+    for prop in (modules.AModule.actions, modules.AModule.cover_kernel, homology.Syzygy.cover,
+                 homology.Presentation.kernel, homology.DualData.approximation):
+        assert type(prop) is _record.cached_property
