@@ -73,10 +73,10 @@ from ._record import cached_property, record
 from .algebra import ShortAlgebra
 from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapExceeded
 from .linalg import IntRows, Matrix, Subspace, kernel_subspace, rank, typed_values
-from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _kronecker_data, _kronecker_equations,
-                      _row_images, _typed, free_module, generated_span, hom_dim, hom_space,
-                      left_regular_module, module_from_columns, pivot_columns, quotient,
-                      relation_equations, vector_images, zero_module)
+from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _row_images, _typed, free_module,
+                      generated_span, hom_dim, hom_space, left_regular_module,
+                      module_from_columns, pivot_columns, quotient, relation_equations,
+                      vector_images, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -559,20 +559,17 @@ def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
     Ω = Ω^i M, so every map Ω -> N lands in N' = ann_N(J^2), and J^2 N' = 0:
     the map's parts in JN' at the top lifts m_k are free, and its parts
     g0(m_k) in top N' must meet Σ λ_{k,j}·v_j·g0(m_k) = 0 for every relation
-    λ among the v_j·m_k (:func:`_kronecker_equations`), the V-rows of Ω's
-    cover kernel, read off its pivot form.  So h_i is t_i·dim N' less a
-    rank, and Ext^i reads the covers of Ω^0..Ω^i and no further.
+    λ among the v_j·m_k, the V-rows of Ω's cover kernel, read off its pivot
+    form.  So h_i is t_i·dim N' less a rank (:func:`hom_dim`, by
+    :func:`~shortloc.modules._top_equations`), and Ext^i reads the covers of
+    Ω^0..Ω^i and no further.
     """
     res.extend_to(0)
     h = hom_dim(res.module, N)
     yield h
-    kron, stride = _kronecker_data(N), N.algebra.dim - 1
     for i in count(1):
         res.extend_to(i)
-        step, prev = res.steps[i], h
-        equations = _kronecker_equations(N.field, step._kernel_space.pivot_form(), stride,
-                                         step.cover_rank, kron)
-        h = step.cover_rank * (kron[0] + kron[1]) - rank(equations)
+        prev, h = h, hom_dim(res.steps[i].module, N)
         val = h + prev - res.steps[i - 1].cover_rank * N.dim
         if val < 0:
             raise InvariantViolation("negative Ext dimension; resolution is inconsistent")

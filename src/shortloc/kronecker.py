@@ -17,7 +17,7 @@ from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLon
 from .homology import DEFAULT_CAP, Syzygy, syzygy, top_kernel
 from .linalg import IntRows, Matrix, integer_pairs, kernel_subspace, rank, typed_values
 from .modules import (AModule, _kronecker_data, _kronecker_equations, _typed, find_isomorphism,
-                      hom_dim, module_from_columns, simple_multiplicity)
+                      module_from_columns, presentation_equations, simple_multiplicity)
 
 
 @record
@@ -126,7 +126,9 @@ def hom_decomposition_check(M: AModule, N: AModule) -> bool:
     """
     if M.loewy_length() > 2 or N.loewy_length() > 2:
         raise LoewyTooLong("hom decomposition needs Loewy length <= 2")
-    lhs = hom_dim(M, N)
+    # The left side is ranked on M's presentation, not by hom_dim, which reads the g0 system.
+    equations = presentation_equations(M, N)
+    lhs = equations.cols - rank(equations)
     rhs = kronecker_hom_dim(tilde(M), tilde(N)) + M.top_dim() * N.radical().dim
     return lhs == rhs
 

@@ -31,29 +31,28 @@ Every Hom system on a presentation is built one way,
 column s·t + k is entry s of n_k (the row-major flattening of a dim N x t
 matrix), and each relation ρ in A^t gives the dim N equations
 ρ·(n_1..n_t) = 0.  A Hom system is sized by the top of its source, since
-the top lifts m_1..m_t generate M.  A Hom out of a syzygy, which J^2
-kills, and the Kronecker Hom are read off Kronecker relations instead
-(:func:`_kronecker_equations`), the first into N' = ann_N(J^2)
-(:func:`_kronecker_data`).
+the top lifts m_1..m_t generate M.  A Hom out of a module that J^2 kills,
+as a syzygy, and the Kronecker Hom are read off Kronecker relations
+instead (:func:`_kronecker_equations`), the first into N' = ann_N(J^2)
+(:func:`_kronecker_data`): such a map is its top g0: top M -> top N' and
+a free part in Hom_k(top M, JN') (:func:`_top_equations`).
 :func:`hom_space` reads M as a quotient of A^{dim M}, whose copy c maps
 to e_c, by the relations b·m_k = sum_c (b m_k)[c] e_c for the radical
 basis elements b, (dim A - 1)·t·dim N equations, and keeps only their
-kernel, the maps' flat rows (:class:`HomSpace`).  :func:`hom_dim` reads
-M's presentation: t·dim N less the rank of the equations of the cover
-kernel's integer rows, with no kernel basis and no typed kernel row.  A
-caller that reads dimensions or tops searches on the presentation
-kernel; the dual side reads :func:`hom_space`'s flat rows, and
-:func:`hom_basis` alone builds maps from them.  So
-:func:`find_isomorphism` solves Hom(M, N) as the kernel of those t·dim N
-unknowns and reads each basis element's top once, off the kernel's
-integer rows: n_k mod JN along the radical's integer rows, as ints over
-one scale per N, since an A-map between modules of one dimension is
-invertible iff it is onto the top (Nakayama); a combination's top is
-that combination of the tops, and every top is ranked as integer rows.
-It takes dim Hom(N, M) only when neither a basis element nor a seeded
-combination is invertible, and solves for one witness matrix, from the
-integer images, only when the witness is read.  Socle dimensions, and with
-them the bipartite test and the multiplicity of S, are ranks.
+kernel, the maps' flat rows (:class:`HomSpace`).  :func:`hom_dim` is a
+nullity with no kernel basis and no typed kernel row: of the g0 system
+when J^2 M = 0, else of M's presentation, over its cover kernel's integer
+rows.  The dual side reads :func:`hom_space`'s flat rows, and
+:func:`hom_basis` alone builds maps from them.  :func:`find_isomorphism`
+reads tops, as an A-map between modules of one dimension is invertible
+iff it is onto the top (Nakayama): the g0 rows when J^2 kills both
+modules, else each presentation basis element's top, read once, n_k mod
+JN along the radical's integer rows, as ints over one scale per N.  A
+combination's top is that combination of the tops, and every top is
+ranked as integer rows.  It takes dim Hom(N, M) only when nothing is
+invertible, and solves for one witness matrix, from the integer images,
+only when the witness is read.  Socle dimensions, and with them the
+bipartite test and the multiplicity of S, are ranks.
 """
 
 from __future__ import annotations
@@ -893,29 +892,45 @@ def _kronecker_data(N: AModule) -> tuple[int, int, list, int]:
     N' is N when J^2 N = 0, else the kernel of the stacked w-actions.  b0
     and b1 are dim top N' and dim JN'; arrows[j][k] is v_{j+1}·m_k for the
     k-th top lift of N', as (r, int) pairs over ``scale`` at its entries r
-    at the radical's pivots, which are its coordinates in JN'.
+    at the radical's pivots, which are its coordinates in JN'.  The top lifts
+    are the radical's free columns, so a syzygy's cover is not found.
     """
     if N._kronecker is None:
         sub, e = N, N.algebra.e
-        if N.loewy_length() > 2:
+        if not N._square_zero and N.loewy_length() > 2:
             rows = [dict(row) for b in N.int_action_rows()[e + 1:] for row in b]
             sub = module_from_subspace(N, kernel_subspace(IntRows(N.field, rows, N.dim)))[0]
-        rad, lifts, (columns, scale) = sub.radical(), sub.lift_columns(), sub.int_columns()
-        at = {q: r for r, q in enumerate(rad.pivots)}
+        rad, (columns, scale) = sub.radical(), sub.int_columns()
+        lifts, at = rad.free_columns(), {q: r for r, q in enumerate(rad.pivots)}
         N._kronecker = (len(lifts), rad.dim, [[[(at[q], x) for q, x in cols[c] if q in at]
                                               for c in lifts] for cols in columns], scale)
     return N._kronecker
 
 
-def hom_dim(M: AModule, N: AModule) -> int:
-    """dim Hom_A(M, N): t·dim N less the rank of :func:`presentation_equations`.
+def _top_equations(M: AModule, N: AModule) -> tuple[IntRows, int]:
+    """(equations, t·b1): the g0 system of Hom(M, N) for J^2 M = 0, and its free part's size.
 
-    No kernel basis, no typed kernel row and no map is formed.
+    A map lands in N' = ann_N(J^2), where v_j kills JN', so it is a free part in
+    Hom_k(top M, JN'), b1 = dim JN', and its top g0: top M -> top N', which meets M's
+    Kronecker relations, the V-rows of its cover kernel (column s·t + k entry s of g0(m_k)).
+    """
+    kron, t = _kronecker_data(N), M.top_dim()
+    equations = _kronecker_equations(N.field, M.cover_kernel.pivot_form(), M.algebra.dim - 1,
+                                     t, kron)
+    return equations, t * kron[1]
+
+
+def hom_dim(M: AModule, N: AModule) -> int:
+    """dim Hom_A(M, N), a nullity, with no kernel basis, typed row or map formed.
+
+    When J^2 M = 0 it is t·dim JN' plus the nullity of :func:`_top_equations`,
+    else the nullity of :func:`presentation_equations`.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
-    equations = presentation_equations(M, N)
-    return equations.cols - rank(equations)
+    equations, free = (_top_equations(M, N) if M.loewy_length() < 3
+                       else (presentation_equations(M, N), 0))
+    return free + equations.cols - rank(equations)
 
 
 def presentation_equations(M: AModule, N: AModule) -> IntRows:
@@ -1023,7 +1038,7 @@ def _witness(M: AModule, N: AModule, images: dict, scale: int) -> ModuleMap:
     """The A-map F: M -> N with F(m_k) = n_k, its matrix solved for on first read.
 
     ``images`` are (n_1..n_t) as :func:`_top` reads them, ints over
-    ``scale``, a solution of :func:`presentation_equations`.  The unit
+    ``scale``, the images of an A-map at the top lifts.  The unit
     vectors at the free columns (k, b) of M's cover kernel complement it in
     A^t, so the b·m_k there are a basis of M, and F(b·m_k) = b·n_k fixes
     F.  Its graph is spanned by any pairs (x, F(x)) whose x span M; it is
@@ -1067,22 +1082,26 @@ def _witness(M: AModule, N: AModule, images: dict, scale: int) -> ModuleMap:
 
 
 def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
-    """Search for an invertible A-map M -> N on M's presentation.
+    """Search for an invertible A-map M -> N on tops, never calling :func:`hom_space`.
 
-    A search reads tops, not basis maps, so it solves Hom(M, N) as the
-    kernel of :func:`presentation_equations`, t·dim N unknowns, and never
-    calls :func:`hom_space`.  The basis elements (n_1..n_t) are the
-    kernel's integer rows (:meth:`~shortloc.linalg.Subspace.int_rows`), put
-    over one scale, and each is tried on its integer top (:func:`_top`),
-    read once.  When none is invertible, seeded random combinations with
-    small int coefficients (reduced mod p over F_p) are tried, and over Q
-    also a generic combination evaluated at the integer points 1, 2, ...,
-    2 dim Hom + 8, each on the same combination of the tops; any hit
-    certifies the isomorphism.  Only when they fail too is dim Hom(N, M)
-    taken, by rank (:func:`hom_dim`): an isomorphism makes the two Hom
-    dimensions equal, so a mismatch certifies that there is none.  The
-    witness is the map of the combined images (:func:`_witness`), the one
-    matrix built, by one solve on first read.
+    An A-map between modules of one dimension is invertible iff its top is
+    (Nakayama), so nothing is tried when the tops differ.  When J^2 kills M
+    and N, the rows of the g0 system's kernel (:func:`_top_equations`),
+    t·dim top N unknowns, are the tops, and each lifts to the images
+    m_k -> Σ_s g0[s, k]·m'_s, with no part in JN, m'_s N's top lifts (the
+    free columns of its radical).  Any other pair solves Hom(M, N) on M's
+    presentation (:func:`presentation_equations`, t·dim N unknowns), and
+    each basis element (n_1..n_t) is tried on its integer top (:func:`_top`),
+    read once.
+    The rows are the kernel's integer rows, put over one scale.  When none
+    is invertible, seeded random combinations with small int coefficients
+    (reduced mod p over F_p) are tried, and over Q also a generic
+    combination evaluated at the integer points 1, 2, ..., 2·rows + 8, each
+    on the same combination of the tops; any hit certifies the isomorphism.
+    Only when they fail too is dim Hom(N, M) taken (:func:`hom_dim`): an
+    isomorphism makes the two Hom dimensions equal, so a mismatch certifies
+    that there is none.  The witness is the map of the combined images
+    (:func:`_witness`), the one matrix built, by one solve on first read.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism between modules over different algebras")
@@ -1090,17 +1109,29 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
         return IsoSearch(False, True, note="dimension mismatch")
     if M.dim == 0:
         return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.zeros(M.field, 0, 0)))
-    homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
-    rows = homs.int_rows()
-    scale = lcm(*[s for _, _, s in rows.values()])
-    basis = [dict(zip(idx, vals if s == scale else [x * (scale // s) for x in vals]))
-             for idx, vals, s in rows.values()]
+    # N's top lifts are read off its radical, so a syzygy N finds no cover here.
+    t, lifts, basis, tops, scale = M.top_dim(), N.radical().free_columns(), [], [], 1
+    if len(lifts) != t:  # no top is square, so nothing is tried
+        dim = hom_dim(M, N)
+    else:
+        square = M.loewy_length() < 3 and N.loewy_length() < 3
+        equations, free = _top_equations(M, N) if square else (presentation_equations(M, N), 0)
+        homs = kernel_subspace(equations)
+        rows, dim = homs.int_rows(), homs.dim + free
+        scale = lcm(*[s for _, _, s in rows.values()])
+        basis = [dict(zip(idx, vals if s == scale else [x * (scale // s) for x in vals]))
+                 for idx, vals, s in rows.values()]
+        if square:  # the rows are tops g0, lifted to m_k -> Σ_s g0[s, k]·m'_s
+            tops, basis = basis, [{lifts[q // t] * t + q % t: x for q, x in g0.items()}
+                                  for g0 in basis]
+        else:  # each top is read once, as it is tried
+            tops = (_top(N, t, images) for images in basis)
     # The top is linear in the images, so a combination's top is the same
-    # combination of the basis elements' tops, each read once here.
-    tops = []
-    for images in basis:
-        tops.append(_top(N, t, images))
-        if _invertible(N, t, tops[-1]):
+    # combination of the basis elements' tops.
+    tried = []
+    for images, top in zip(basis, tops):
+        tried.append(top)
+        if _invertible(N, t, top):
             return IsoSearch(True, True, witness=_witness(M, N, images, scale))
     rng, p = random.Random(seed), M.field.characteristic
 
@@ -1111,12 +1142,12 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
             for point in range(1, 2 * len(basis) + 9):
                 yield [point ** k for k in range(len(basis))]
     for coefs in coefficients() if basis else ():
-        if _invertible(N, t, _combine(coefs, tops, p)):
+        if _invertible(N, t, _combine(coefs, tried, p)):
             return IsoSearch(True, True, witness=_witness(M, N, _combine(coefs, basis, p), scale))
     # Nothing invertible was found: an isomorphism would make the Hom dimensions equal.
-    if homs.dim != hom_dim(N, M):
+    if dim != hom_dim(N, M):
         return IsoSearch(False, True, note="hom dimension mismatch")
-    if not basis:
+    if not dim:
         return IsoSearch(False, True, note="no non-zero homomorphisms")
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
 

@@ -62,6 +62,12 @@ The isomorphism search with dense tops (``dense_top_find_isomorphism``)
 is what ranking sparse tops replaced: each top laid out as a dense
 dim top N x t matrix, a zero one skipped, and each combination's top
 read off the combined images of the basis elements whose top is not zero.
+It solves Hom(M, N) on M's presentation for every pair, as the search did
+before it read the g0 system of a pair with J^2 = 0 on both sides.
+
+dim Hom(M, N) as t·dim N less the rank of M's presentation equations
+(``presentation_hom_dim``) is what ``hom_dim`` read for every M before it
+read the g0 system of an M with J^2 M = 0.
 
 A module's typed routes are what reading its integer columns replaced:
 its typed action columns, the third form a module kept beside its
@@ -627,7 +633,7 @@ def dense_top_find_isomorphism(M, N, seed=0):
             return IsoSearch(True, True, witness=typed_witness(M, N, images))
         if any(map(any, top.data)):
             live.append(i)
-    if homs.dim != hom_dim(N, M):
+    if homs.dim != presentation_hom_dim(N, M):
         return IsoSearch(False, True, note="hom dimension mismatch")
     if not basis:
         return IsoSearch(False, True, note="no non-zero homomorphisms")
@@ -646,6 +652,12 @@ def dense_top_find_isomorphism(M, N, seed=0):
         if dense_invertible(dense_top(N, t, combined)):
             return IsoSearch(True, True, witness=typed_witness(M, N, typed_combine(coefs, basis)))
     return IsoSearch(False, False, note="no isomorphism found (probabilistic)")
+
+
+def presentation_hom_dim(M, N):
+    """dim Hom(M, N): t·dim N less the rank of ``presentation_equations``, for any M."""
+    equations = presentation_equations(M, N)
+    return equations.cols - rank(equations)
 
 
 def typed_witness(M, N, images):

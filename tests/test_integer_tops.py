@@ -9,9 +9,11 @@ replaced stay in ``references.py`` (``typed_top``, ``typed_invertible``,
 each integer top, of a basis element and of a seeded combination, must
 be the typed top times L·s, s the scale of its images, and have its
 rank; each stable Hom dimension must be the typed route's.  A counting
-guard keeps every typed value out of both routes: no ``typed_values``,
+guard keeps every typed value out of these routes: no ``typed_values``,
 ``Subspace.sparse_rows`` or ``Subspace.residue`` call runs in a search
-before its witness's matrix is read, nor in a stable Hom.
+before its witness's matrix is read, on the g0 system of a J^2-zero pair
+or on M's presentation, nor in ``hom_dim`` on either route, nor in a
+stable Hom.
 """
 
 import random
@@ -22,13 +24,14 @@ import pytest
 from shortloc import homology, kronecker, linalg, modules
 from shortloc.homology import stable_hom_dim, syzygy_power
 from shortloc.linalg import DEFAULT_POOL, QQ, Field, IntRows, Subspace, kernel_subspace, rank
-from shortloc.modules import find_isomorphism, presentation_equations, simple_module
+from shortloc.modules import find_isomorphism, hom_dim, presentation_equations, simple_module
 from shortloc.presets import preset
 
 from references import (from_scalars, typed_combine, typed_invertible, typed_stable_hom_dim,
                         typed_top)
 from test_cross_validation import _random_pairs
-from test_presentation_search import search_pairs, syzygy_ladders
+from test_presentation_search import loewy_length_3_pairs, search_pairs, syzygy_ladders
+from test_square_zero_hom import hom_pairs
 from test_sweep_solves import fresh, sweep_pairs
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
@@ -132,16 +135,30 @@ GUARD_FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
 
 @GUARD_FIELDS
 def test_a_search_reads_no_typed_value_until_its_witness_is_read(field, typed_reads):
-    found = 0
-    for M, N, seed in search_pairs(field):
+    found = {True: 0, False: 0}
+    for M, N, seed in search_pairs(field) + loewy_length_3_pairs(field):
+        M.algebra.sections()  # solved once per algebra, by the typed solve_matrix
         typed_reads.clear()
         iso = find_isomorphism(M, N, seed=seed)
         assert typed_reads == [], (M, N)
         if iso.witness is not None and M.dim:
             # Only the witness's matrix is typed, from its graph's rows.
             assert iso.witness.matrix.rows == M.dim and "sparse_rows" in typed_reads
-            found += 1
-    assert found >= 150
+            found[M.loewy_length() < 3 and N.loewy_length() < 3] += 1
+    # Searches on the g0 system and on M's presentation.
+    assert found[True] >= 150 and found[False] >= 12
+
+
+@GUARD_FIELDS
+def test_hom_dim_reads_no_typed_value(field, typed_reads):
+    routes = {True: 0, False: 0}
+    for M, N in hom_pairs(field):
+        M.algebra.sections()
+        typed_reads.clear()
+        hom_dim(M, N)
+        assert typed_reads == [], (M, N)
+        routes[M.loewy_length() < 3] += 1
+    assert routes[True] >= 500 and routes[False] >= 50
 
 
 @GUARD_FIELDS

@@ -1,16 +1,18 @@
-"""The isomorphism search on M's presentation, cross-checked against the Hom basis route.
+"""The isomorphism search, cross-checked against the Hom basis route.
 
-``find_isomorphism`` solves Hom(M, N) as the kernel of
-``presentation_equations``, t·dim N unknowns over M's cover kernel, and
-never calls ``hom_space``.  ``hom_space``, dim M·dim N unknowns over M's
-top-lift relations, and the search order it served
-(``reference_find_isomorphism``) stay the references.  Over Q, F_7 and
-F_32003 the two Hom routes must give one dimension, the search the
-reference's verdict, and every witness must be an isomorphism of modules,
-which one mutated entry breaks.  The search on dense tops
-(``references.dense_top_find_isomorphism``) must give the same verdicts
-and the same witness matrices, type by type, and a counting guard keeps
-the search from building a matrix or reading a top twice.
+``find_isomorphism`` never calls ``hom_space``.  For J^2 M = J^2 N = 0 it
+solves the g0 system, t·dim top N unknowns whose kernel rows are the tops
+of Hom(M, N); any other pair with equal tops it solves on M's
+presentation, ``presentation_equations``, t·dim N unknowns over M's cover
+kernel.  ``hom_space``, dim M·dim N unknowns over M's top-lift relations,
+and the search order it served (``reference_find_isomorphism``) stay the
+references.  Over Q, F_7 and F_32003 the two Hom routes must give one
+dimension, the search the reference's verdict, and every witness must be
+an isomorphism of modules, which one mutated entry breaks.  The search on
+dense tops over M's presentation (``references.dense_top_find_isomorphism``)
+must give the same verdicts, and on Loewy-3 pairs the same witness
+matrices, type by type; a counting guard keeps the search from building a
+matrix, reading a top twice, or reading one on a J^2-zero pair.
 """
 
 import random
@@ -27,7 +29,8 @@ from shortloc.presets import preset, preset_names
 
 from references import dense_top_find_isomorphism
 from test_sweep_solves import (SWEEP_PRESETS, fresh, presentation_basis, rebased,
-                               reference_find_isomorphism, sweep_pairs)
+                               reference_find_isomorphism, same_up_to_scale, sweep_pairs,
+                               top_basis)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -148,48 +151,107 @@ def search_pairs(field):
     return pairs
 
 
+def loewy_length_3_pairs(field):
+    """(M, N, seed) with J^2 M not zero: A, A^2 and seeded modules against rebased copies and
+    against a J^2-zero module of the same dimension, where there is one."""
+    rng = random.Random(17)
+    pairs = []
+    for name, kw in SWEEP_PRESETS:
+        alg = preset(name, field=field, **kw)
+        mods = [left_regular_module(alg), free_module(alg, 2)]
+        mods += [random_module(alg, gens, rels, seed) for gens, rels, seed in
+                 [(1, 0, 2), (1, 1, 3), (2, 1, 4), (2, 2, 5)]]
+        for M in mods:
+            pairs.append((fresh(M), fresh(rebased(M, rng)), M.dim))
+            squares = [N for N in mods if N.dim == M.dim and N.loewy_length() < 3]
+            pairs += [(fresh(M), fresh(squares[0]), 3)] if squares else []
+            pairs += [(fresh(squares[0]), fresh(M), 5)] if squares else []
+    return pairs
+
+
+def square_zero(M, N):
+    return M.loewy_length() < 3 and N.loewy_length() < 3
+
+
 @FIELDS
 def test_sparse_tops_match_the_dense_top_search(field):
-    verdicts = set()
-    for M, N, seed in search_pairs(field):
+    verdicts, kinds = set(), {True: 0, False: 0}
+    for M, N, seed in search_pairs(field) + loewy_length_3_pairs(field):
         got = find_isomorphism(M, N, seed=seed)
         want = dense_top_find_isomorphism(M, N, seed=seed)
         assert verdict(got) == verdict(want)
         assert (got.witness is None) == (want.witness is None)
-        if got.witness is not None:
-            assert typed_matrix(got.witness) == typed_matrix(want.witness)
         verdicts.add(verdict(got))
+        if got.witness is None:
+            continue
+        if square_zero(M, N):
+            # The witness lifts g0 with no part in JN: each top lift of M goes
+            # into the span of N's top lifts.
+            assert is_module_isomorphism(got.witness)
+            lifts = set(N.radical().free_columns())
+            assert all(r in lifts for c in M.lift_columns() if M.dim
+                       for r, x in enumerate(got.witness.matrix.col(c)) if x)
+        else:
+            assert typed_matrix(got.witness) == typed_matrix(want.witness)
+        kinds[square_zero(M, N)] += 1
     assert verdicts >= {(True, True, ""), (False, True, "hom dimension mismatch"),
                         (False, False, "no isomorphism found (probabilistic)")}
+    assert kinds[True] >= 150 and kinds[False] >= 12
 
 
 def test_a_search_builds_no_matrix_and_reads_each_top_once(monkeypatch, matrix_builds):
-    events = []
-    for name in ("_top", "_invertible", "hom_dim"):
+    events, tested = [], []
+    for name in ("_top", "hom_dim", "_top_equations", "presentation_equations"):
         monkeypatch.setattr(modules, name, lambda *args, _name=name,
                             _original=getattr(modules, name): events.append(_name)
                             or _original(*args))
-    searched = combined = 0
-    for M, N, seed in search_pairs(QQ):
+    invertible = modules._invertible
+    monkeypatch.setattr(modules, "_invertible", lambda N, t, top: events.append("_invertible")
+                        or tested.append(top) or invertible(N, t, top))
+    searched, combined, unequal = {True: 0, False: 0}, 0, 0
+    for M, N, seed in search_pairs(QQ) + loewy_length_3_pairs(QQ):
         if M.dim == 0:
             continue  # the zero map is the witness, built as the search returns
-        basis = presentation_basis(M, N)
-        events.clear(), matrix_builds.clear()
+        if N.top_dim() != M.top_dim():
+            events.clear(), tested.clear(), matrix_builds.clear()
+            iso = find_isomorphism(M, N, seed=seed)
+            # No top is square: none is read or tested, and the two Hom
+            # dimensions are ranks.
+            assert not iso.found and tested == [] and not matrix_builds
+            assert [e for e in events if e in ("_top", "_invertible", "hom_dim")] == ["hom_dim"] * 2
+            unequal += 1
+            continue
+        zero = square_zero(M, N)
+        system = "_top_equations" if zero else "presentation_equations"
+        basis = top_basis(M, N) if zero else presentation_basis(M, N)
+        events.clear(), tested.clear(), matrix_builds.clear()
         iso = find_isomorphism(M, N, seed=seed)
-        # Each scanned basis element's top is read once and tested; a
-        # combination's top is the combination of those tops, read again nowhere.
-        tops = events.count("_top")
-        scan, rest = events[:2 * tops], events[2 * tops:]
-        assert scan == ["_top", "_invertible"] * tops
-        assert set(rest) <= {"hom_dim", "_invertible"}
-        assert tops == len(basis) or (iso.found and not rest)
-        # dim Hom(N, M) is taken last, and only when nothing invertible was found.
-        assert rest.count("hom_dim") == (not iso.found)
-        assert "hom_dim" not in rest[:-1]
+        # One Hom(M, N) system; dim Hom(N, M) is taken last, and only when
+        # nothing invertible was found.
+        assert events[0] == system
+        fallback = events.index("hom_dim") if "hom_dim" in events else len(events)
+        assert system not in events[1:fallback]
+        assert (fallback < len(events)) == (not iso.found)
+        assert "hom_dim" not in events[fallback + 1:]
+        events = events[1:fallback]
+        if zero:
+            # The kernel's rows are the tops: none is read, and each row is
+            # tested in turn, as it stands, until one is invertible.
+            assert set(events) <= {"_invertible"}
+            assert all(same_up_to_scale(QQ, top, row) for top, row in zip(tested, basis))
+            assert iso.found or len(tested) > len(basis) or not basis
+        else:
+            # Each scanned basis element's top is read once and tested; a
+            # combination's top is the combination of those tops, read again nowhere.
+            tops = events.count("_top")
+            scan, rest = events[:2 * tops], events[2 * tops:]
+            assert scan == ["_top", "_invertible"] * tops
+            assert set(rest) <= {"_invertible"}
+            assert tops == len(basis) or (iso.found and not rest)
         # No matrix is built before the witness's is read, and then one.
         assert not matrix_builds
         if iso.witness is not None:
             assert iso.witness.matrix.rows == M.dim and matrix_builds == {"build": 1}
-            combined += bool(rest)
-        searched += 1
-    assert searched >= 200 and combined >= 40
+            combined += len(tested) > len(basis)
+        searched[zero] += 1
+    assert searched[True] >= 200 and searched[False] >= 12 and unequal >= 20 and combined >= 40

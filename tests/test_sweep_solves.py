@@ -1,10 +1,10 @@
 """A sweep job solves only what its answer reads.
 
-The isomorphism search solves Hom(M, N) on M's presentation, t·dim N
-unknowns over the cover kernel that the sweep job has already found, and
-takes dim Hom(N, M) by rank only when no basis element is invertible; it
-never calls ``hom_space``, which stays the independent reference for its
-witnesses; ``hom_dim`` is a rank; a
+The isomorphism search of two modules that J^2 kills solves the g0 system
+of Hom(M, N), t·dim top N unknowns over the cover kernel that the sweep
+job has already found, and takes dim Hom(N, M) by rank only when no
+kernel row is invertible; it never calls ``hom_space``, which stays the
+independent reference for its witnesses; ``hom_dim`` is a rank; a
 syzygy's radical is read off its shadow and its socle off its Φ's integer
 rows, and every other socle off sparse action columns; ``quotient``
 reduces action columns instead of multiplying dense matrices.  The
@@ -33,7 +33,7 @@ from shortloc.numerics import main_lemma_witness
 from shortloc.presets import preset
 
 from references import (combination, complement, from_scalars, stack_rows, typed_columns,
-                        typed_invertible, typed_top)
+                        typed_invertible)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
@@ -174,6 +174,34 @@ def presentation_basis(M, N):
     return [dict(zip(*rows[p])) for p in homs.pivots]
 
 
+def top_basis(M, N):
+    """The g0 rows of Hom(M, N) for J^2 M = 0, the kernel of its top system, as typed dicts."""
+    homs = kernel_subspace(modules._top_equations(M, N)[0])
+    rows = homs.sparse_rows()
+    return [dict(zip(*rows[p])) for p in homs.pivots]
+
+
+def same_up_to_scale(field, top, row):
+    """The int top {q: int} is c times the typed row {q: scalar}, for one c that is not zero."""
+    if top.keys() != row.keys() or not row:
+        return False
+    q0 = next(iter(row))
+    return all(field.of(top[q]) * row[q0] == field.of(top[q0]) * x for q, x in row.items())
+
+
+@pytest.fixture
+def top_systems(monkeypatch):
+    """The (target's Kronecker data, unknowns) of each system ``_kronecker_equations`` builds."""
+    seen = []
+
+    def counted(field, form, stride, t, target, _original=modules._kronecker_equations):
+        equations = _original(field, form, stride, t, target)
+        seen.append((target, equations.cols))
+        return equations
+    monkeypatch.setattr(modules, "_kronecker_equations", counted)
+    return seen
+
+
 def presentation_int_basis(M, N):
     """The basis elements (n_1..n_t) of Hom(M, N) on M's presentation, as (dict of ints, scale)."""
     homs = kernel_subspace(modules.presentation_equations(M, N))
@@ -216,23 +244,29 @@ def test_isomorphism_search_matches_the_reference_order(field):
                if not found and note != "hom dimension mismatch") >= 1
 
 
-def test_an_invertible_first_basis_element_costs_one_hom_solve(hom_space_calls, equation_calls):
+def test_an_invertible_first_basis_element_costs_one_hom_solve(hom_space_calls, equation_calls,
+                                                               top_systems):
     rng = random.Random(3)
     checked = 0
     for M in sweep_modules(QQ, per_stratum=1, seed=5):
         N, t = rebased(M, rng), M.top_dim()
-        first = presentation_basis(M, N)[0]
-        if not typed_invertible(N, t, typed_top(N, t, first)):
+        first = top_basis(M, N)[0]
+        if not typed_invertible(N, t, first):
             continue
-        hom_space_calls.clear(), equation_calls.clear()
+        hom_space_calls.clear(), equation_calls.clear(), top_systems.clear()
         iso = find_isomorphism(fresh(M), N)
-        # One Hom system, for Hom(M, N); no hom_space and no Hom(N, M).
-        assert iso.found and hom_space_calls == []
-        assert equation_calls == [N]
-        # The witness sends each top lift m_k to the first element's n_k.
+        # One Hom system, the g0 system of Hom(M, N) in t·dim top N unknowns:
+        # no presentation system, no hom_space and no Hom(N, M).
+        assert iso.found and hom_space_calls == [] and equation_calls == []
+        assert top_systems == [(N._kronecker, t * N.top_dim())]
+        # The witness sends each top lift m_k to sum_s g0[s, k]·m'_s, the
+        # first row's g0 on N's top lifts m'_s, with no part in JN.
+        lifts = N.radical().free_columns()
         for k, c in enumerate(M.lift_columns()):
-            assert iso.witness.matrix.col(c) == tuple(first.get(s * t + k, 0)
-                                                      for s in range(N.dim))
+            want = [0] * N.dim
+            for s, r in enumerate(lifts):
+                want[r] = first.get(s * t + k, 0)
+            assert iso.witness.matrix.col(c) == tuple(want)
         assert_a_witness_in_hom(iso, M, N)
         checked += 1
     assert checked >= 5
@@ -384,7 +418,7 @@ def test_quotient_actions_match_the_dense_formula(field, monkeypatch):
 # -- the guard: one sweep-shaped job, counted ----------------------------------
 
 def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_calls,
-                                                     equation_calls):
+                                                     equation_calls, top_systems):
     built, syzygies, typed_rows, fallbacks, covers = [], [], [], [], []
 
     def counted(M, space, _original=modules.module_from_subspace):
@@ -413,19 +447,21 @@ def test_a_sweep_shaped_job_solves_only_what_it_reads(monkeypatch, hom_space_cal
         o2 = syzygy(o1)
         is_bipartite(o1), is_bipartite(o2)
         assert hom_decomposition_check(M, partner)
-        equation_calls.clear(), fallbacks.clear(), covers.clear()
+        equation_calls.clear(), top_systems.clear(), fallbacks.clear(), covers.clear()
         iso = find_isomorphism(M, N, seed=3)
         assert iso.found and built == []
         # The syzygies' socles and tops are read off Φ: no syzygy builds its
         # action matrices or reads its shadow's typed rows.
         assert len(syzygies) >= 2 and not any("actions" in syz.__dict__ for syz in syzygies)
         assert not any(space is syz.space for space in typed_rows for syz in syzygies)
-        # No Hom basis is solved.  Hom(M, N) is one system over the cover
-        # kernel that main_lemma_witness found; Hom(N, M) is a second system,
-        # and N's cover kernel the one cover found, only on the fallback.
-        assert hom_space_calls == []
+        # No Hom basis and no presentation system is solved.  Hom(M, N) is
+        # one g0 system over the cover kernel that main_lemma_witness found,
+        # in t·t unknowns; Hom(N, M) is a second one, and N's cover kernel
+        # the one cover found, only on the fallback.
+        assert hom_space_calls == [] and equation_calls == []
         assert fallbacks in ([], [(N, M)])
-        assert equation_calls == [N] + [M] * len(fallbacks)
+        t = M.top_dim()
+        assert top_systems == [(N._kronecker, t * t)] + [(M._kronecker, t * t)] * len(fallbacks)
         assert len(covers) == len(fallbacks)
         on_basis += not fallbacks
         assert_a_witness_in_hom(iso, M, N)
@@ -456,14 +492,17 @@ def test_a_socle_is_ranked_once_and_a_zero_top_never(monkeypatch):
         radical_dim = omega.dim - omega.top_dim()
         assert w == dense_socle(omega).dim - radical_dim
         assert bipartite == (omega.dim > 0 and w == 0)
-    zero_tops = nonzero_tops = 0
+    read = []
+    monkeypatch.setattr(modules, "_top", lambda *args: read.append(args))
+    nonzero_tops = 0
     for _, M, N in sweep_pairs(QQ):
         ranked.clear(), tested.clear()
         find_isomorphism(fresh(M), fresh(N), seed=3)
-        # A square non-zero top is ranked once, as t integer columns; any other never.
+        # J^2 kills M and N: the g0 rows are the tops, so no top is read.  A
+        # top is tried only when it is square, and a non-zero one is ranked
+        # once, as t integer columns; a zero one never.
         t = M.top_dim()
         for square, nonzero, seen in tested:
-            assert seen == ([(IntRows, t)] if square and nonzero else [])
-            zero_tops += square and not nonzero
-            nonzero_tops += square and nonzero
-    assert zero_tops >= 500 and nonzero_tops >= 100
+            assert square and seen == ([(IntRows, t)] if nonzero else [])
+            nonzero_tops += nonzero
+    assert read == [] and nonzero_tops >= 100

@@ -2,9 +2,11 @@
 
 ``hom_space`` solves only the equations at the top lifts of M,
 F(b·m_k) = b·F(m_k); ``hom_dim`` is t·dim N less the rank of M's cover
-kernel acting on N; the isomorphism search solves that presentation
-kernel, tests each basis element (n_1..n_t) on tops, a t x t matrix read
-off n_k mod JN, and builds only the witness's matrix.  The whole
+kernel acting on N, or, when J^2 M = 0, t·dim N' less the rank of the g0
+system into N' = ann_N(J^2); the isomorphism search of a Loewy-3 pair
+solves that presentation kernel, tests each basis element (n_1..n_t) on
+tops, a t x t matrix read off n_k mod JN, and builds only the witness's
+matrix.  The whole
 intertwining system, one equation per generator and matrix entry, is kept
 here as the reference: over Q, F_7 and F_32003 its kernel basis must be
 the engine's, pivots, values and scalar types alike, and its rank must
@@ -144,11 +146,27 @@ def test_hom_systems_are_sized_by_the_top(systems):
         [(rows, cols)] = systems["kernel"]
         assert rows <= (alg.dim - 1) * t * N.dim and cols == M.dim * N.dim
         checked += t < M.dim
+        # J^2 kills M and N: hom_dim ranks the g0 system, t·dim top N unknowns.
         systems["rank"].clear()
         hom_dim(M, N)
         [(_, cols)] = systems["rank"]
-        assert cols == t * N.dim
+        assert cols == t * N.top_dim()
     assert checked >= 20
+    # J^2 M is not zero: hom_dim ranks M's presentation, t·dim N unknowns.
+    # J^2 M is zero and J^2 N is not: the g0 system into ann_N(J^2).
+    for alg, mods in hom_inputs(QQ):
+        for M in mods:
+            for N in mods:
+                systems["rank"].clear()
+                hom_dim(M, N)
+                [(_, cols)] = systems["rank"]
+                t = M.top_dim()
+                if M.loewy_length() == 3:
+                    assert cols == t * N.dim
+                else:
+                    assert cols == t * modules._kronecker_data(N)[0]
+                checked += M.loewy_length() == 3 and N.dim > 0
+    assert checked >= 100
 
 
 @FIELDS
@@ -238,6 +256,11 @@ def test_the_cover_kernel_is_found_once_per_module(monkeypatch):
         assert hom_dim(M, M) == end_dim(M) and hom_dim(M, omega) >= 0
         homology.projective_cover(M)
         assert len(calls) == 1
+        # Hom(M, Ω) and a search into Ω read Ω's top lifts off its radical,
+        # not its cover; Ω's cover is found once, whichever route reads it first.
+        assert find_isomorphism(omega, omega).found and len(calls) == 2
+        hom_dim(omega, M), hom_dim(M, omega), homology.projective_cover(omega)
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=str)
