@@ -2,14 +2,14 @@
 
 Everything here works with minimal constructions: projective covers lift a
 basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
-is the single engine that walks syzygies: Betti numbers are the tops of its
-syzygies, syzygy powers and orbit walks read its modules, and Ext groups are
-read off the Homs out of its syzygies, which land in ann_N(J^2) as J^2 kills
-a syzygy (:func:`_ext_sequence`).  Only the transpose, the cokernel of d_1^*
-into A, reads the Hom-complex, handed to the elimination as integer rows
-built from the top lifts' integer shadow rows, over one scale, and A's
-action rows as ints (:func:`_hom_complex_matrix`), so no boundary row
-becomes a scalar.
+is the single engine that keeps syzygies: syzygy powers and orbit walks read
+its modules, and Ext groups are read off the Homs out of its syzygies, which
+land in ann_N(J^2) as J^2 kills a syzygy (:func:`_ext_sequence`).  Betti
+numbers are read along a walk that keeps one rung and splits S off S's rungs
+(:func:`betti`).  Only the transpose, the cokernel of d_1^* into A, reads
+the Hom-complex, handed to the elimination as integer rows built from the
+top lifts' integer shadow rows, over one scale, and A's action rows as ints
+(:func:`_hom_complex_matrix`), so no boundary row becomes a scalar.
 :class:`DualData` is the single engine of the
 dual side: Hom(M, A), solved once per module, serves the dual module, the
 torsionless and reflexive verdicts, the evaluation map and the minimal left
@@ -39,11 +39,11 @@ elimination of the big Φ with no typed scalar: its rank settles the
 syzygy's top, its free columns are the kernel's pivots, and its pivot
 rows feed the next step.  When the V-rows do not lift the whole top, the
 images, read off the same Φ, are checked against the shadow on its
-integer rows, and only those at Φ's pivot columns and those of the
-J^2-rows are eliminated again.  The images are Φ transposed, one pass over
-its entries (:meth:`Syzygy.images`), and give the integer columns of its
-actions (:meth:`Syzygy.int_columns`), by which it is held as every
-engine-built module is.
+integer rows, unless the shadow holds J^2 A^t, and only those at Φ's
+pivot columns and those of the J^2-rows are eliminated again.  The images
+are Φ transposed, one pass over its entries (:meth:`Syzygy.images`), and
+give the integer columns of its actions (:meth:`Syzygy.int_columns`), by
+which it is held as every engine-built module is.
 Its socle is read off Φ itself: Φ's entries regrouped by J^2-coordinate
 and generator, one column per mapped row, have the rank of the stacked
 actions, so dim soc is dim Ω less that integer rank
@@ -366,14 +366,23 @@ class Syzygy(AModule):
         The shadow must lie in the radical of its free module and hold the
         image of each of its rows (BadParams otherwise), each image checked
         on the integer rows (:meth:`~shortloc.linalg.Subspace.contains_ints`).
+        No image is mapped when the shadow holds J^2 A^t (:meth:`_holds_j2`).
         """
         if self._stable:
             return
         self._check_support()
-        images = (img for imgs, _ in self._shadow_images.values() for img in imgs)
-        if not all(map(self.space.contains_ints, images)):
+        if not self._holds_j2() and not all(self.space.contains_ints(img) for imgs, _
+                                            in self._shadow_images.values() for img in imgs):
             raise BadParams("subspace is not stable under the module action")
         self._stable = True
+
+    def _holds_j2(self) -> bool:
+        """The shadow holds J^2 A^t, so every image of its rows, in JA^t: each W-coordinate
+        is a pivot whose row is its unit vector, its free column in no pivot row."""
+        (piv, free, at, _), alg = self.space.pivot_form(), self.algebra
+        units = {f for f in free if at[f] % alg.dim > alg.e}
+        return len(units) == alg.a * (self.space.ambient // alg.dim) and \
+            all(map(units.isdisjoint, piv.values()))
 
 
 @record
@@ -480,15 +489,60 @@ def syzygy_power(M: AModule, n: int, cap: int = DEFAULT_CAP) -> AModule:
 
 
 def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
-    """Betti numbers t_0..t_n of M along the minimal resolution."""
+    """Betti numbers t_0..t_n of M, along a walk X_0 = M, X_{i+1} = Ω(X_i') that keeps one rung.
+
+    Rungs 0..n-1 get one :func:`projective_cover` each, after the full
+    t_i·dim A is checked against ``cap``.  For M simple and i >= 1,
+    X_i = X_i' ⊕ S^{w_i} (:func:`_split`), so t_i = top X_i + Σ_j w_j·t_{i-j}.
+    Any other M walks unsplit: its S summands would need S's own covers.
+    """
     if n < 0:
         raise BadParams(f"n must be at least 0, got {n}")
-    res = MinimalResolution(M, cap=cap)
-    return BettiTable(module=M, values=tuple(res.rank(i) for i in range(n + 1)))
+    alg, X, values, split = M.algebra, M, [], []
+    scan = M.dim == 1 and left_regular_module(alg).socle_dim() > alg.a  # some x in V has Jx = 0
+    for i in range(n + 1):
+        values.append(X.top_dim() + sum(w * values[i - j] for j, w in split))
+        if i == n:
+            break
+        if values[i] * alg.dim > cap:
+            raise ResourceCapExceeded(values[i] * alg.dim, cap)
+        kernel = projective_cover(X, cap=cap)._kernel_space
+        copies, kernel = _split(X, scan) if i and M.dim == 1 else ([], kernel)
+        split += [(i, len(copies))] if copies else []
+        X = Syzygy(alg, kernel)
+    return BettiTable(module=M, values=tuple(values))
+
+
+def _split(X: Syzygy, scan: bool) -> tuple[list[int], Subspace]:
+    """The copies k of X's cover split off as S, and Ω(X') for X' what is left.
+
+    They are the top lifts m_k with an empty block of Φ, so J m_k = 0 and
+    k·m_k is a summand (Nakayama): those absent from Φ's ``order`` and, as J
+    kills a V-part only if A's socle exceeds J^2 (``scan``), those whose
+    block no kernel pivot row holds.  Ω(X') is the kernel, re-indexed.
+    """
+    alg, (lifts, kernel) = X.algebra, X.cover
+    (piv, free, at, scales), n, m = kernel.pivot_form(), alg.dim, alg.dim - 1
+    if scan:
+        kept = sorted({c // m for row in piv.values() for c in row})
+    elif list(lifts) == X._phi[1][:len(lifts)]:  # the V-rows, all reached, lift the top
+        return [], kernel
+    else:
+        reached = set(X._phi[1])
+        kept = [k for k, p in enumerate(lifts) if p in reached]
+    if len(kept) == len(lifts):
+        return [], kernel
+    copies, moved = sorted(set(range(len(lifts))).difference(kept)), [None] * len(at)
+    for i, k in enumerate(kept):
+        moved[k * m:(k + 1) * m] = range(i * n + 1, (i + 1) * n)
+    free = [f for f in free if moved[f] is not None]
+    if kernel.dim - len(free) != len(copies) * m:
+        raise InvariantViolation("a simple copy's columns are not all free")
+    return copies, Subspace.from_pivot_rows(alg.field, n * len(kept), piv, free, moved, scales)
 
 
 class MinimalResolution:
-    """Lazily extended minimal projective resolution of a module.
+    """Lazily extended minimal projective resolution of a module, every step kept.
 
     Step i is the projective cover of the i-th syzygy.  A syzygy's top is
     read off its shadow (:meth:`Syzygy.cover`): t_n costs one elimination
@@ -506,10 +560,6 @@ class MinimalResolution:
         while len(self.steps) <= depth:
             cur = self.syzygy_module(len(self.steps))
             self.steps.append(projective_cover(cur, cap=self.cap))
-
-    def rank(self, i: int) -> int:
-        """t_i, the top dimension of the i-th syzygy (no presentation of it needed)."""
-        return self.syzygy_module(i).top_dim()
 
     def syzygy_module(self, i: int) -> AModule:
         if i == 0:
@@ -801,7 +851,7 @@ def _transpose(res: MinimalResolution) -> AModule:
     """The transpose of the resolved module, read off the resolution's first two steps."""
     alg = res.module.algebra
     op = alg.opposite()
-    t1 = res.module.dim and res.rank(1)
+    t1 = res.module.dim and res.syzygy_module(1).top_dim()
     if t1 == 0:
         return zero_module(op)
     # The image of d_1^* is spanned by the columns of its integer rows, one

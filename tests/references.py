@@ -102,6 +102,10 @@ equation (``reference_kronecker_hom_dim``), and Gorenstein projectivity
 with one resolution for the semi-GP scan and another for the transpose
 (``two_resolution_is_gp``), are what reading each map once and sharing
 one resolution replaced.
+
+The unsplit ladder (``unsplit_ladder``), the tops of the syzygies that
+``MinimalResolution`` keeps, is what ``betti`` read before it split the
+copies of S off the rungs of S's ladder.
 """
 
 import random
@@ -916,9 +920,16 @@ def hom_complex_ext_dims(M, N, imax, cap=DEFAULT_CAP):
     res, out, prev = MinimalResolution(M, cap=cap), [], 0
     for i in range(imax + 1):
         cur = rank(_hom_complex_matrix(res, N, i + 1))
-        out.append(res.rank(i) * N.dim - cur - prev)
+        out.append(res.syzygy_module(i).top_dim() * N.dim - cur - prev)
         prev = cur
     return out
+
+
+def unsplit_ladder(M, cap=DEFAULT_CAP):
+    """t_0, t_1, .. of M: the tops of the syzygies of one ``MinimalResolution``, which keeps
+    every rung; it raises ResourceCapExceeded where the resolution's cover of a rung does."""
+    res = MinimalResolution(M, cap=cap)
+    return (res.syzygy_module(i).top_dim() for i in count())
 
 
 def two_resolution_is_gp(M, bound):

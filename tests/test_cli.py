@@ -411,6 +411,15 @@ def test_json_output_is_deterministic():
       "--back", "3", "--fwd", "3", "--format", "json")),
     ("dual_malpha1_lambda.json",
      ("compute", "dual", "malpha:1", "--algebra", "lambda_c", "--format", "json")),
+    ("betti_ex5_3_n12.json",
+     ("betti", "simple", "--algebra", "ex5_3", "--n", "12", "--cap", "100000", "--format", "json")),
+    ("betti_ex9_4_n12.json",
+     ("betti", "simple", "--algebra", "ex9_4", "--n", "12", "--cap", "100000", "--format", "json")),
+    ("betti_L_e_3_n8.json",
+     ("betti", "simple", "--algebra", "L:e=3", "--n", "8", "--cap", "100000", "--format", "json")),
+    ("betti_ex9_3_n30.json",
+     ("betti", "simple", "--algebra", "ex9_3", "--n", "30", "--format", "json")),
+    ("verify_paper_all_verbose.txt", ("verify-paper", "--suite", "all", "--verbose")),
 ])
 def test_golden_files(name, args):
     with open(os.path.join(GOLDEN, name)) as fh:
@@ -418,6 +427,14 @@ def test_golden_files(name, args):
     res = run_cli(*args)
     assert res.returncode == 0
     assert res.stdout == expected
+
+
+@pytest.mark.parametrize("algebra, n, dim", [("ex5_3", 12, 5120), ("ex9_4", 12, 6138),
+                                             ("L:e=3", 8, 8748)])
+def test_a_golden_ladder_meets_the_default_cap_at_the_same_rung(algebra, n, dim):
+    res = run_cli("betti", "simple", "--algebra", algebra, "--n", str(n))
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == f"error: intermediate module of dimension {dim} exceeds cap 5000\n"
 
 
 def test_module_make_random_is_deterministic(tmp_path):

@@ -676,7 +676,7 @@ def test_resolution_reuses_its_steps(calls, conca32, monkeypatch):
     res = MinimalResolution(S)
     first = [res.syzygy_module(i) for i in range(4)]
     assert [res.syzygy_module(i) for i in range(4)] == first
-    assert [res.rank(i) for i in range(4)] == list(betti(S, 3).values)
+    assert [res.syzygy_module(i).top_dim() for i in range(4)] == list(betti(S, 3).values)
     # Three covers for ``res``, three more for ``betti``'s own; no module.
     assert _take(calls) == (6, 0, 0)
     # A syzygy's actions are built once, on first read: e matrices of its dimension.
@@ -803,7 +803,7 @@ def test_syzygy_covers_form_no_square_products_of_their_size(monkeypatch):
     assert shapes == [(alg.dim,) * 4]  # the patched product records
     shapes.clear()
     res = MinimalResolution(simple_module(alg))
-    assert [res.rank(i) for i in range(6)] == [1, 3, 7, 15, 31, 63]
+    assert [res.syzygy_module(i).top_dim() for i in range(6)] == [1, 3, 7, 15, 31, 63]
     dims = {res.syzygy_module(i).dim for i in range(1, 6)}
     assert shapes == [] and dims == {5, 13, 29, 61, 125}
     assert [s for s in shapes if len(set(s)) == 1 and s[0] in dims] == []

@@ -80,7 +80,7 @@ def test_integer_shadows_match_the_typed_route(field):
                 assert [(idx, scalars(vals)) for idx, vals in boundary_rows(res, i)] == \
                     [(rows[p][0], scalars(rows[p][1])) for p in lifts], (M, i)
                 top_lift_branch += any(p % M.algebra.dim > M.algebra.e for p in lifts)
-        assert [res.rank(i) for i in range(depth + 1)] == \
+        assert [res.syzygy_module(i).top_dim() for i in range(depth + 1)] == \
             [M.top_dim()] + [len(rungs[i][0]) for i in range(1, depth + 1)]
         loewy3 += M.loewy_length() == 3
     # Loewy-length-3 inputs, rungs whose lifts reach the J^2-rows, and over
@@ -108,7 +108,8 @@ def test_m2_over_lambda_c1_eliminates_non_unit_leads(monkeypatch):
 # -- the work of a ladder, counted -------------------------------------------------
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=str)
-@pytest.mark.parametrize("name, kw, n", [("ex15_1", {"e": 3, "a": 2}, 8), ("ex5_3", {}, 6)])
+@pytest.mark.parametrize("name, kw, n", [("ex15_1", {"e": 3, "a": 2}, 8), ("ex5_3", {}, 6),
+                                         ("ex9_4", {}, 9), ("L", {"e": 3}, 7)])
 def test_after_rung_0_a_ladder_builds_no_typed_row_and_converts_no_phi_row(
         field, name, kw, n, monkeypatch):
     # "typed" counts conversions of ints to scalars, of rows and of images alike.
@@ -138,7 +139,8 @@ def test_after_rung_0_a_ladder_builds_no_typed_row_and_converts_no_phi_row(
     assert len(values) == n + 1 and values[-1] > values[1]
     # One cover per rung; one Φ per rung and for the top of rung n, and one
     # more, after an elimination of the radical, per rung whose lifts reach
-    # the J^2-rows (over ex5_3).
+    # the J^2-rows (over ex5_3).  A rung that sheds copies of S (over ex5_3,
+    # ex9_4 and L) eliminates nothing more.
     assert counts["cover"] == n
     assert counts["phi"] == n + 1 + counts["radical"]
     assert (counts["radical"] > 0) == (name == "ex5_3")
@@ -248,7 +250,8 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
         homology.ext_dims(M, N, 3), homology.ext_dims(M, A, 3), homology.is_semi_gp(M, 3)
         assert read == [], M
         transposed += homology.transpose(M).dim > 0
-        assert read in ([], [1]) and len(read) == (MinimalResolution(M).rank(1) > 0), M
+        t1 = MinimalResolution(M).syzygy_module(1).top_dim()
+        assert read in ([], [1]) and len(read) == (t1 > 0), M
         read.clear()
         res = MinimalResolution(M)
         scaled += any(scale != 1 for j in range(1, 4) for *_, scale in res.boundary_int_rows(j))

@@ -53,13 +53,13 @@ def dense_hom_complex(res, N, j):
 def dense_ext_dims(M, N, imax):
     res = MinimalResolution(M)
     ranks = [0] + [rank(dense_hom_complex(res, N, i + 1)) for i in range(imax + 1)]
-    return [res.rank(i) * N.dim - ranks[i + 1] - ranks[i] for i in range(imax + 1)]
+    return [res.steps[i].cover_rank * N.dim - ranks[i + 1] - ranks[i] for i in range(imax + 1)]
 
 
 def dense_transpose(M):
     op = M.algebra.opposite()
     res = MinimalResolution(M)
-    t1 = res.rank(1)
+    t1 = res.syzygy_module(1).top_dim()
     if t1 == 0:
         return zero_module(op)
     big = dense_hom_complex(res, left_regular_module(M.algebra), 1)
