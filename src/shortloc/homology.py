@@ -39,11 +39,11 @@ elimination of the big Φ with no typed scalar: its rank settles the
 syzygy's top, its free columns are the kernel's pivots, and its pivot
 rows feed the next step.  When the V-rows do not lift the whole top, the
 images, read off the same Φ, are checked against the shadow on its
-integer rows, unless the shadow holds J^2 A^t, and only those at Φ's
-pivot columns and those of the J^2-rows are eliminated again.  The images
-are Φ transposed, one pass over its entries (:meth:`Syzygy.images`), and
-give the integer columns of its actions (:meth:`Syzygy.int_columns`), by
-which it is held as every engine-built module is.
+integer rows, and only those at Φ's pivot columns and those of the
+J^2-rows are eliminated again.  The images are Φ transposed, one pass over
+its entries (:meth:`Syzygy.images`), and give the integer columns of its
+actions (:meth:`Syzygy.int_columns`), by which it is held as every
+engine-built module is.
 Its socle is read off Φ itself: Φ's entries regrouped by J^2-coordinate
 and generator, one column per mapped row, have the rank of the stacked
 actions, so dim soc is dim Ω less that integer rank
@@ -366,23 +366,14 @@ class Syzygy(AModule):
         The shadow must lie in the radical of its free module and hold the
         image of each of its rows (BadParams otherwise), each image checked
         on the integer rows (:meth:`~shortloc.linalg.Subspace.contains_ints`).
-        No image is mapped when the shadow holds J^2 A^t (:meth:`_holds_j2`).
         """
         if self._stable:
             return
         self._check_support()
-        if not self._holds_j2() and not all(self.space.contains_ints(img) for imgs, _
-                                            in self._shadow_images.values() for img in imgs):
+        images = (img for imgs, _ in self._shadow_images.values() for img in imgs)
+        if not all(map(self.space.contains_ints, images)):
             raise BadParams("subspace is not stable under the module action")
         self._stable = True
-
-    def _holds_j2(self) -> bool:
-        """The shadow holds J^2 A^t, so every image of its rows, in JA^t: each W-coordinate
-        is a pivot whose row is its unit vector, its free column in no pivot row."""
-        (piv, free, at, _), alg = self.space.pivot_form(), self.algebra
-        units = {f for f in free if at[f] % alg.dim > alg.e}
-        return len(units) == alg.a * (self.space.ambient // alg.dim) and \
-            all(map(units.isdisjoint, piv.values()))
 
 
 @record
@@ -525,8 +516,6 @@ def _split(X: Syzygy, scan: bool) -> tuple[list[int], Subspace]:
     (piv, free, at, scales), n, m = kernel.pivot_form(), alg.dim, alg.dim - 1
     if scan:
         kept = sorted({c // m for row in piv.values() for c in row})
-    elif list(lifts) == X._phi[1][:len(lifts)]:  # the V-rows, all reached, lift the top
-        return [], kernel
     else:
         reached = set(X._phi[1])
         kept = [k for k, p in enumerate(lifts) if p in reached]
