@@ -20,11 +20,11 @@ from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, HypothesisNo
                      WrongHilbertType, ZeroModule)
 from .explorer import (ComplexClassification, PathRecord, PathStep, classify_complex,
                        cv_sequence_check, mho_path, omega_path, periodicity_detect)
-from .homology import (BettiTable, BoundedVerdict, MinimalResolution, Presentation,
-                       a_dual, betti, dual_data, eval_map, ext_dim, ext_dims, is_gp,
-                       is_inf_torsionfree, is_reflexive, is_semi_gp, is_torsionless,
-                       mho_step, minimal_left_approximation, projective_cover,
-                       stable_hom_dim, syzygy, syzygy_power, transpose)
+from .homology import (BettiTable, BoundedVerdict, Presentation, a_dual, betti, dual_data,
+                       eval_map, ext_dim, ext_dims, is_gp, is_inf_torsionfree, is_reflexive,
+                       is_semi_gp, is_torsionless, mho_step, minimal_left_approximation,
+                       projective_cover, resolution, stable_hom_dim, syzygy, syzygy_power,
+                       transpose)
 from .kronecker import (KroneckerRep, hom_decomposition_check, kronecker_hom_dim,
                         multiplication_form, push_down, rep_as_module, rep_dual,
                         sigma_reflection, tilde, verify_sigma_omega)

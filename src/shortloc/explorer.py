@@ -11,11 +11,12 @@ certification, except when periodicity closes the complex.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Optional
 
 from ._record import record
 from .errors import BadParams, InvariantViolation, LoewyTooLong, ResourceCapExceeded
-from .homology import DEFAULT_CAP, MinimalResolution, dual_data
+from .homology import DEFAULT_CAP, dual_data, resolution
 from .modules import AModule, dim_vector, find_isomorphism, is_bipartite, simple_multiplicity
 from .numerics import defect
 
@@ -69,11 +70,10 @@ def _syzygy_walk(M: AModule, n: int, cap: int) -> tuple[list[AModule], Optional[
     The walk stops after the first zero module ("projective_reached") or
     before the first syzygy whose cover exceeds the cap ("resource_cap").
     """
-    res = MinimalResolution(M, cap=cap)
-    mods = [M]
+    mods, steps = [M], resolution(M, cap=cap)
     while len(mods) <= n and mods[-1].dim:
         try:
-            mods.append(res.syzygy_module(len(mods)))
+            mods.append(next(steps).kernel)
         except ResourceCapExceeded:
             return mods, "resource_cap"
     return mods, "projective_reached" if n and not mods[-1].dim else None
@@ -135,8 +135,8 @@ def periodicity_detect(M: AModule, bound: int, seed: int = 0,
     """
     if bound < 1:
         raise BadParams("bound must be at least 1")
-    res = MinimalResolution(M, cap=cap)
-    return _first_period(M, (res.syzygy_module(p) for p in range(1, bound + 1)), seed)
+    syzygies = (step.kernel for step in islice(resolution(M, cap=cap), bound))
+    return _first_period(M, syzygies, seed)
 
 
 @record

@@ -1,10 +1,11 @@
 """Projective covers, syzygies, approximations, duals, transpose and Ext.
 
 Everything here works with minimal constructions: projective covers lift a
-basis of the top, so kernels are first syzygies.  :class:`MinimalResolution`
-is the single engine that keeps syzygies: syzygy powers and orbit walks read
-its modules, and Ext groups are read off the Homs out of its syzygies, which
-land in ann_N(J^2) as J^2 kills a syzygy (:func:`_ext_sequence`).  Betti
+basis of the top, so kernels are first syzygies.  :func:`resolution` is
+the single engine that walks syzygies, one step at a time and keeping none
+it has passed: syzygy powers and orbit walks read its modules, and Ext
+groups are read off the Homs out of its syzygies, which land in
+ann_N(J^2) as J^2 kills a syzygy (:func:`_ext_sequence`).  Betti
 numbers are read along a walk that keeps one rung and splits S off S's rungs
 (:func:`betti`).  Only the transpose, the cokernel of d_1^* into A, reads
 the Hom-complex, handed to the elimination as integer rows built from the
@@ -65,9 +66,9 @@ when a caller reads them.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import count, islice
+from itertools import chain, islice
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import cached_property, record
 from .algebra import ShortAlgebra
@@ -476,7 +477,22 @@ def syzygy(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
 
 
 def syzygy_power(M: AModule, n: int, cap: int = DEFAULT_CAP) -> AModule:
-    return MinimalResolution(M, cap=cap).syzygy_module(n)
+    """Ω^n M, the kernel of step n - 1 of M's resolution; Ω^0 M is M."""
+    if n < 0:
+        raise BadParams(f"n must be at least 0, got {n}")
+    return next(islice(resolution(M, cap=cap), n - 1, None)).kernel if n else M
+
+
+def resolution(M: AModule, cap: int = DEFAULT_CAP) -> Iterator[Presentation]:
+    """The minimal resolution of M, one step at a time: step i is the cover of Ω^i M.
+
+    Ω^{i+1} M is step i's kernel.  A step is formed only when it is read,
+    and the walk holds no step before the last one it formed.
+    """
+    while True:
+        step = projective_cover(M, cap=cap)
+        yield step
+        M = step.kernel
 
 
 def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
@@ -486,11 +502,11 @@ def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
     t_i·dim A is checked against ``cap``.  For M simple and i >= 1,
     X_i = X_i' ⊕ S^{w_i} (:func:`_split`), so t_i = top X_i + Σ_j w_j·t_{i-j}.
     Any other M walks unsplit: its S summands would need S's own covers.
+    Not :func:`resolution`: this walk sheds S's copies, caps the full t_i and covers no rung n.
     """
     if n < 0:
         raise BadParams(f"n must be at least 0, got {n}")
     alg, X, values, split = M.algebra, M, [], []
-    scan = M.dim == 1 and left_regular_module(alg).socle_dim() > alg.a  # some x in V has Jx = 0
     for i in range(n + 1):
         values.append(X.top_dim() + sum(w * values[i - j] for j, w in split))
         if i == n:
@@ -498,27 +514,23 @@ def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
         if values[i] * alg.dim > cap:
             raise ResourceCapExceeded(values[i] * alg.dim, cap)
         kernel = projective_cover(X, cap=cap)._kernel_space
-        copies, kernel = _split(X, scan) if i and M.dim == 1 else ([], kernel)
+        copies, kernel = _split(X) if i and M.dim == 1 else ([], kernel)
         split += [(i, len(copies))] if copies else []
         X = Syzygy(alg, kernel)
     return BettiTable(module=M, values=tuple(values))
 
 
-def _split(X: Syzygy, scan: bool) -> tuple[list[int], Subspace]:
+def _split(X: Syzygy) -> tuple[list[int], Subspace]:
     """The copies k of X's cover split off as S, and Ω(X') for X' what is left.
 
     They are the top lifts m_k with an empty block of Φ, so J m_k = 0 and
-    k·m_k is a summand (Nakayama): those absent from Φ's ``order`` and, as J
-    kills a V-part only if A's socle exceeds J^2 (``scan``), those whose
-    block no kernel pivot row holds.  Ω(X') is the kernel, re-indexed.
+    k·m_k is a summand (Nakayama): the blocks that no pivot row of the
+    cover kernel reaches, so all their columns are free.  Ω(X') is the
+    kernel, re-indexed.
     """
     alg, (lifts, kernel) = X.algebra, X.cover
     (piv, free, at, scales), n, m = kernel.pivot_form(), alg.dim, alg.dim - 1
-    if scan:
-        kept = sorted({c // m for row in piv.values() for c in row})
-    else:
-        reached = set(X._phi[1])
-        kept = [k for k, p in enumerate(lifts) if p in reached]
+    kept = sorted({c // m for row in piv.values() for c in row})
     if len(kept) == len(lifts):
         return [], kernel
     copies, moved = sorted(set(range(len(lifts))).difference(kept)), [None] * len(at)
@@ -530,71 +542,33 @@ def _split(X: Syzygy, scan: bool) -> tuple[list[int], Subspace]:
     return copies, Subspace.from_pivot_rows(alg.field, n * len(kept), piv, free, moved, scales)
 
 
-class MinimalResolution:
-    """Lazily extended minimal projective resolution of a module, every step kept.
-
-    Step i is the projective cover of the i-th syzygy.  A syzygy's top is
-    read off its shadow (:meth:`Syzygy.cover`): t_n costs one elimination
-    of the n-th syzygy's Φ, with no :func:`projective_cover` of it and no
-    row of its kernel built, and no step builds a syzygy's action matrices.
-    """
-
-    def __init__(self, M: AModule, cap: int = DEFAULT_CAP):
-        self.module = M
-        self.cap = cap
-        self.steps: list[Presentation] = []
-
-    def extend_to(self, depth: int) -> None:
-        """Ensure presentations of the syzygies up to index ``depth``."""
-        while len(self.steps) <= depth:
-            cur = self.syzygy_module(len(self.steps))
-            self.steps.append(projective_cover(cur, cap=self.cap))
-
-    def syzygy_module(self, i: int) -> AModule:
-        if i == 0:
-            return self.module
-        self.extend_to(i - 1)
-        return self.steps[i - 1].kernel
-
-    def boundary_int_rows(self, j: int) -> list[tuple[tuple, tuple, int]]:
-        """The map P_j -> P_{j-1} as integer rows: row l is d(unit_l), (indices, values, scale).
-
-        The cover P_j -> Omega^j sends unit_l to the l-th top lift, a row of
-        the shadow of Omega^j in P_{j-1}, read off the shadow's integer rows
-        (:meth:`~shortloc.linalg.Subspace.int_rows`) with no scalar built.
-        Their entries lie in the radical (minimality).
-        """
-        if j < 1:
-            raise ValueError("boundaries start at index 1")
-        self.extend_to(j)
-        syz = self.steps[j - 1].kernel
-        rows = syz.space.int_rows()
-        return [rows[q] for q in syz.cover[0]]
-
-
-def _hom_complex_matrix(res: MinimalResolution, N: AModule, j: int) -> IntRows:
-    """Hom(P_{j-1}, N) -> Hom(P_j, N) under Hom(A^t, N) = N^t, as integer rows (d_1^* for Tr).
+def _hom_complex_matrix(syz: Syzygy, N: AModule) -> IntRows:
+    """Hom(P_{j-1}, N) -> Hom(P_j, N) for Ω^j = ``syz``, under Hom(A^t, N) = N^t, as integer rows.
 
     Row l·dim N + r is row r of the action of d_j(unit_l), the l-th top
-    lift of the j-th syzygy, on N^{t_{j-1}} (:func:`relation_equations`),
-    and column s·t_{j-1} + k is entry s of the image of copy k.
-    The lifts' integer rows (:meth:`MinimalResolution.boundary_int_rows`)
-    are put over the lcm of their scales, so the whole matrix is one
-    multiple of the one meant: it has the same rank and column span.
+    lift of Ω^j, on N^{t_{j-1}} (:func:`relation_equations`), and column
+    s·t_{j-1} + k is entry s of the image of copy k.  The lifts are rows of
+    Ω^j's shadow in P_{j-1} = A^{t_{j-1}}, read off its integer rows
+    (:meth:`~shortloc.linalg.Subspace.int_rows`) with no scalar built and
+    put over the lcm of their scales, so the whole matrix is one multiple of
+    the one meant: it has the same rank and column span.  d_1^* serves the
+    transpose.
     """
-    lifts = res.boundary_int_rows(j)
+    rows = syz.space.int_rows()
+    lifts = [rows[q] for q in syz.cover[0]]
     scale = lcm(*[s for _, _, s in lifts])
     relations = [(idx, vals if s == scale else [x * (scale // s) for x in vals])
                  for idx, vals, s in lifts]
-    return relation_equations(N, relations, res.steps[j - 1].cover_rank)
+    return relation_equations(N, relations, syz.space.ambient // syz.algebra.dim)
 
 
-def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
-    """dim Ext^0(M, N), dim Ext^1(M, N), ... from h_i = dim Hom(Ω^i M, N).
+def _ext_sequence(steps: Iterable[Presentation], N: AModule) -> Iterator[int]:
+    """dim Ext^0(M, N), dim Ext^1(M, N), ... from h_i = dim Hom(Ω^i M, N), along M's ``steps``.
 
     Hom(-, N) is left exact on P_i -> P_{i-1} -> Ω^{i-1} -> 0, and
     Ext^i(M, N) = Ext^1(Ω^{i-1}, N), so Ext^0 = h_0 (:func:`hom_dim`) and
-    Ext^i = h_i + h_{i-1} - t_{i-1}·dim N for i >= 1.  Then J^2 kills
+    Ext^i = h_i + h_{i-1} - t_{i-1}·dim N for i >= 1: only (h_{i-1}, t_{i-1})
+    is kept from the step before.  Then J^2 kills
     Ω = Ω^i M, so every map Ω -> N lands in N' = ann_N(J^2), and J^2 N' = 0:
     the map's parts in JN' at the top lifts m_k are free, and its parts
     g0(m_k) in top N' must meet Σ λ_{k,j}·v_j·g0(m_k) = 0 for every relation
@@ -603,16 +577,13 @@ def _ext_sequence(res: MinimalResolution, N: AModule) -> Iterator[int]:
     :func:`~shortloc.modules._top_equations`), and Ext^i reads the covers of
     Ω^0..Ω^i and no further.
     """
-    res.extend_to(0)
-    h = hom_dim(res.module, N)
-    yield h
-    for i in count(1):
-        res.extend_to(i)
-        prev, h = h, hom_dim(res.steps[i].module, N)
-        val = h + prev - res.steps[i - 1].cover_rank * N.dim
-        if val < 0:
+    h = t = 0
+    for step in steps:
+        prev, h = h, hom_dim(step.module, N)
+        if h + prev < t * N.dim:
             raise InvariantViolation("negative Ext dimension; resolution is inconsistent")
-        yield val
+        yield h + prev - t * N.dim
+        t = step.cover_rank
 
 
 def ext_dims(M: AModule, N: AModule, imax: int, cap: int = DEFAULT_CAP) -> list[int]:
@@ -623,7 +594,7 @@ def ext_dims(M: AModule, N: AModule, imax: int, cap: int = DEFAULT_CAP) -> list[
         raise AlgebraMismatch("Ext requires modules over the same algebra")
     if M.dim == 0 or N.dim == 0:
         return [0] * (imax + 1)
-    return list(islice(_ext_sequence(MinimalResolution(M, cap=cap), N), imax + 1))
+    return list(islice(_ext_sequence(resolution(M, cap=cap), N), imax + 1))
 
 
 def ext_dim(M: AModule, N: AModule, i: int, cap: int = DEFAULT_CAP) -> int:
@@ -833,20 +804,25 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     gives d_1^*: Hom(A^{t_0}, A) -> Hom(A^{t_1}, A) of the Hom-complex; the
     transpose is its cokernel, realized as a module over the opposite algebra.
     """
-    return _transpose(MinimalResolution(M, cap=cap))
+    return _transpose(M, resolution(M, cap=cap))
 
 
-def _transpose(res: MinimalResolution) -> AModule:
-    """The transpose of the resolved module, read off the resolution's first two steps."""
-    alg = res.module.algebra
+def _transpose(M: AModule, steps: Iterator[Presentation]) -> AModule:
+    """The transpose of M, read off the first two of M's resolution ``steps``.
+
+    The second step, Ω^1's cover, is read only when t_1 > 0: it checks t_1·dim A
+    against the cap.
+    """
+    alg = M.algebra
     op = alg.opposite()
-    t1 = res.module.dim and res.syzygy_module(1).top_dim()
+    t1 = M.dim and (syz := next(steps).kernel).top_dim()
     if t1 == 0:
         return zero_module(op)
+    next(steps)
     # The image of d_1^* is spanned by the columns of its integer rows, one
     # multiple of the map's.
     columns: dict = defaultdict(dict)
-    for r, row in enumerate(_hom_complex_matrix(res, left_regular_module(alg), 1).data):
+    for r, row in enumerate(_hom_complex_matrix(syz, left_regular_module(alg)).data):
         for c, x in row.items():
             columns[c][r] = x
     F1 = free_module(op, t1)
@@ -897,16 +873,16 @@ def is_semi_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -
     The scan stops at the first non-vanishing group, so modules that fail
     early never build the deep (often exponentially large) resolution.
     """
-    return _semi_gp_scan(MinimalResolution(M, cap=cap), bound)
+    return _semi_gp_scan(M, resolution(M, cap=cap), bound)
 
 
-def _semi_gp_scan(res: MinimalResolution, bound: int) -> BoundedVerdict:
-    """Ext^i(M, A) = 0 for 1 <= i <= bound along ``res``, stopping at the first that is not."""
+def _semi_gp_scan(M: AModule, steps: Iterable[Presentation], bound: int) -> BoundedVerdict:
+    """Ext^i(M, A) = 0 for 1 <= i <= bound along M's ``steps``, up to the first that is not."""
     if bound < 1:
         raise BadParams(f"bound must be at least 1, got {bound}")
-    if res.module.dim == 0:
+    if M.dim == 0:
         return BoundedVerdict(True, bound)
-    exts = _ext_sequence(res, left_regular_module(res.module.algebra))
+    exts = _ext_sequence(steps, left_regular_module(M.algebra))
     for i, val in enumerate(islice(exts, bound + 1)):
         if i and val:
             return BoundedVerdict(False, bound, failed_at=i)
@@ -928,8 +904,11 @@ def is_inf_torsionfree(M: AModule, bound: int = DEFAULT_BOUND,
 def is_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -> BoundedVerdict:
     """Bounded Gorenstein-projectivity: semi-GP and infinity-torsionfree.
 
-    One resolution of M serves the semi-GP scan and then the transpose.
+    One resolution of M serves the semi-GP scan and then the transpose: the
+    scan reads at least two steps of it, and those two are kept for the
+    transpose, so Ω^1's Φ is eliminated once.
     """
-    res = MinimalResolution(M, cap=cap)
-    semi = _semi_gp_scan(res, bound)
-    return is_semi_gp(_transpose(res), bound=bound, cap=cap) if semi else semi
+    steps = resolution(M, cap=cap)
+    head = list(islice(steps, 2)) if M.dim and bound >= 1 else []
+    semi = _semi_gp_scan(M, chain(head, steps), bound)
+    return is_semi_gp(_transpose(M, iter(head)), bound=bound, cap=cap) if semi else semi

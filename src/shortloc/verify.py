@@ -16,9 +16,9 @@ from typing import Callable
 from ._record import record
 from .errors import InvariantViolation, ResourceCapExceeded, ShortlocError
 from .explorer import classify_complex, mho_path, periodicity_detect
-from .homology import (DEFAULT_CAP, MinimalResolution, _ext_sequence, a_dual, betti, ext_dim,
-                       ext_dims, is_gp, is_inf_torsionfree, is_reflexive, is_semi_gp,
-                       is_torsionless, left_regular_module, syzygy, syzygy_power)
+from .homology import (DEFAULT_CAP, _ext_sequence, a_dual, betti, ext_dim, ext_dims, is_gp,
+                       is_inf_torsionfree, is_reflexive, is_semi_gp, is_torsionless,
+                       left_regular_module, resolution, syzygy, syzygy_power)
 from .kronecker import hom_decomposition_check, verify_sigma_omega
 from .modules import (cyclic_submodule, dim_vector, direct_sum, end_dim, is_bipartite,
                       is_isomorphic, is_solid, m_alpha, mod_j_squared, radical_module,
@@ -209,9 +209,8 @@ def _claim_conca_family(ctx: Context, ck: _Check):
         coords[1 + a] = 1
         My = cyclic_submodule(alg, coords)
         for label, M in [("Ax", Ax), ("A(x+y)", My)]:
-            res = MinimalResolution(M, cap=ctx.cap)
-            ck.expect(is_isomorphic(res.syzygy_module(3), res.syzygy_module(1),
-                                    seed=ctx.seed),
+            syz = [step.kernel for step in islice(resolution(M, cap=ctx.cap), 3)]
+            ck.expect(is_isomorphic(syz[2], syz[0], seed=ctx.seed),
                       f"(e,a)=({e},{a}): third syzygy of {label} matches first")
         walk = mho_path(Ax, 2)
         ck.expect(walk.terminated_reason is None and
@@ -305,9 +304,9 @@ def _claim_constant_rank_instances(ctx: Context, ck: _Check):
         for label, alpha in [("M(0)", 0), ("M(q)", 2)]:
             M = m_alpha(alg, alpha)
             t = M.top_dim()
-            res = MinimalResolution(M, cap=ctx.cap)
-            exts = list(islice(_ext_sequence(res, M), 7))
-            ok = all(tuple(dim_vector(res.syzygy_module(i))) == (t, a * t) for i in range(7))
+            steps = list(islice(resolution(M, cap=ctx.cap), 7))
+            exts = list(_ext_sequence(steps, M))
+            ok = all(tuple(dim_vector(step.module)) == (t, a * t) for step in steps)
             ck.expect(ok, f"c={c}: dim of syzygies of {label} stay ({t},{a * t})")
             ck.expect(all(exts[i] >= 1 for i in range(1, 7)),
                       f"c={c}: Ext^i({label},{label}) non-zero for 1<=i<=6")

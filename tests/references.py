@@ -103,19 +103,19 @@ with one resolution for the semi-GP scan and another for the transpose
 (``two_resolution_is_gp``), are what reading each map once and sharing
 one resolution replaced.
 
-The unsplit ladder (``unsplit_ladder``), the tops of the syzygies that
-``MinimalResolution`` keeps, is what ``betti`` read before it split the
-copies of S off the rungs of S's ladder.
+The unsplit ladder (``unsplit_ladder``), the tops of the syzygies along
+``resolution``, is what ``betti`` read before it split the copies of S off
+the rungs of S's ladder.
 """
 
 import random
 
 from collections import defaultdict
-from itertools import compress, count
+from itertools import compress, count, islice
 
 from shortloc.errors import BadParams, InvariantViolation
-from shortloc.homology import (DEFAULT_CAP, ApproximationData, MinimalResolution, _cover_rank,
-                               _hom_complex_matrix, dual_data, is_semi_gp, transpose)
+from shortloc.homology import (DEFAULT_CAP, ApproximationData, _cover_rank, _hom_complex_matrix,
+                               dual_data, is_semi_gp, resolution, transpose)
 from shortloc import linalg, modules
 from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace, _clear, _sparse,
                              _tidy, integer_values, kernel_basis, kernel_subspace, rank, solve)
@@ -204,23 +204,26 @@ def top_lift(M):
     return complement(M.radical())
 
 
-def boundary_rows(res, j):
-    """The map P_j -> P_{j-1} as typed sparse rows: row l is d(unit_l), as (indices, values).
+def boundary_rows(syz):
+    """The map P_j -> P_{j-1}, for Ω^j = ``syz``, as typed sparse rows: row l is d(unit_l).
 
-    Only the top lifts' integer rows (``boundary_int_rows``) are converted.
+    d(unit_l) is the l-th top lift of Ω^j, a row of its shadow in P_{j-1}, as
+    (indices, values).  Only the top lifts' integer rows are converted.
     """
-    p = res.module.field.characteristic
-    return [(idx, linalg.typed_values(vals, s, p)) for idx, vals, s in res.boundary_int_rows(j)]
+    p, rows = syz.field.characteristic, syz.space.int_rows()
+    return [(rows[q][0], linalg.typed_values(rows[q][1], rows[q][2], p)) for q in syz.cover[0]]
 
 
-def boundary_elements(res, j):
-    """The map P_j -> P_{j-1} as a matrix of algebra elements, read off ``boundary_rows``.
+def boundary_elements(syz):
+    """The map P_j -> P_{j-1}, for Ω^j = ``syz``, as a matrix of algebra elements.
 
-    Entry [l][k] is the element g with d(unit_l) having k-th component g.
+    Entry [l][k] is the element g with d(unit_l) having k-th component g,
+    read off ``boundary_rows``.
     """
-    rows = boundary_rows(res, j)
-    n, t_prev = res.module.algebra.dim, res.steps[j - 1].cover_rank
-    zero, out = res.module.field.zero(), []
+    rows = boundary_rows(syz)
+    n = syz.algebra.dim
+    t_prev = syz.space.ambient // n
+    zero, out = syz.field.zero(), []
     for idx, vals in rows:
         elements = [[zero] * n for _ in range(t_prev)]
         for c, x in zip(idx, vals):
@@ -917,19 +920,26 @@ def hom_complex_ext_dims(M, N, imax, cap=DEFAULT_CAP):
     """dim Ext^0..Ext^imax(M, N) from the ranks of the Hom-complex maps d_1^*..d_{imax+1}^*."""
     if M.dim == 0 or N.dim == 0:
         return [0] * (imax + 1)
-    res, out, prev = MinimalResolution(M, cap=cap), [], 0
-    for i in range(imax + 1):
-        cur = rank(_hom_complex_matrix(res, N, i + 1))
-        out.append(res.syzygy_module(i).top_dim() * N.dim - cur - prev)
+    # Step i's kernel is Ω^{i+1}, the source of d_{i+1}; its cover is checked too.
+    steps, out, prev = list(islice(resolution(M, cap=cap), imax + 2)), [], 0
+    for step in steps[:-1]:
+        cur = rank(_hom_complex_matrix(step.kernel, N))
+        out.append(step.cover_rank * N.dim - cur - prev)
         prev = cur
     return out
 
 
 def unsplit_ladder(M, cap=DEFAULT_CAP):
-    """t_0, t_1, .. of M: the tops of the syzygies of one ``MinimalResolution``, which keeps
-    every rung; it raises ResourceCapExceeded where the resolution's cover of a rung does."""
-    res = MinimalResolution(M, cap=cap)
-    return (res.syzygy_module(i).top_dim() for i in count())
+    """t_0, t_1, .. of M: the top of M, then the top of each step's kernel along ``resolution``,
+    which splits nothing off; it raises ResourceCapExceeded where the cover of a rung does."""
+    yield M.top_dim()
+    for step in resolution(M, cap=cap):
+        yield step.kernel.top_dim()
+
+
+def omegas(M, k, cap=DEFAULT_CAP):
+    """Ω^0 M .. Ω^k M: M, then the kernels of the first k steps of one ``resolution``."""
+    return [M] + [step.kernel for step in islice(resolution(M, cap=cap), k)]
 
 
 def two_resolution_is_gp(M, bound):

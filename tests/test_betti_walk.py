@@ -3,9 +3,10 @@
 ``betti`` walks X_0 = M, X_{i+1} = Ω(X_i').  For M simple each rung X_i,
 i >= 1, sheds the copies of S at its top lifts with an empty block of Φ,
 and t_i adds w_j·t_{i-j} for each earlier rung j that shed w_j copies.
-The oracle is the unsplit ladder: the tops of the syzygies that one
-``MinimalResolution`` keeps (``references.unsplit_ladder``).  Values and
-cap outcomes must agree rung by rung, over Q, F_7 and F_32003.
+The oracle is the unsplit ladder: the tops of the syzygies along one
+``resolution`` (``references.unsplit_ladder``).  Values and cap outcomes
+must agree rung by rung, over Q, F_7 and F_32003.  Ext and the semi-GP
+scan walk ``resolution`` and, as ``betti`` does, hold one rung.
 """
 
 import weakref
@@ -15,10 +16,10 @@ import pytest
 
 from shortloc import homology
 from shortloc.errors import BadParams, ResourceCapExceeded
-from shortloc.homology import betti, syzygy
-from shortloc.linalg import QQ, Field
-from shortloc.modules import (free_module, left_regular_module, random_module, semisimple_module,
-                              simple_module, zero_module)
+from shortloc.homology import betti, ext_dims, is_semi_gp, syzygy
+from shortloc.linalg import QQ, Field, Subspace
+from shortloc.modules import (free_module, left_regular_module, m_alpha, random_module,
+                              semisimple_module, simple_module, zero_module)
 from shortloc.presets import preset, preset_names
 
 from references import generator_images, unsplit_ladder
@@ -131,12 +132,12 @@ def test_the_copies_split_off_are_exactly_the_lifts_that_j_kills(field, monkeypa
     # densely off the lift's typed row; its copy of S shows in the ladder.
     rungs = []
 
-    def recording(X, scan, _original=homology._split):
-        copies, kernel = _original(X, scan)
+    def recording(X, _original=homology._split):
+        copies, kernel = _original(X)
         rungs.append((X, copies))
         return copies, kernel
     monkeypatch.setattr(homology, "_split", recording)
-    shed, scanned = {}, set()
+    shed = {}
     for name, alg in _algebras(field):
         betti(simple_module(alg), 7)
         for X, copies in rungs:
@@ -146,26 +147,27 @@ def test_the_copies_split_off_are_exactly_the_lifts_that_j_kills(field, monkeypa
                       if not any(x for img in imgs for x in img.values())]
             assert copies == killed, (name, X.dim)
             shed[name] = shed.get(name, 0) + len(copies)
-            if left_regular_module(alg).socle_dim() > alg.a:
-                scanned.add(name)
         rungs.clear()
     # Copies of S are shed off the rungs over these five algebras and no others
-    # among those named; over four of them the cover kernel's rows are scanned.
+    # among those named.
     assert all(shed[name] for name in ("ex5_3", "ex9_4", "ex9_3", "ex8_3", "L")), shed
     assert not any(shed[name] for name in ("ex15_1", "ex5_5", "qexterior", "lambda_c")), shed
-    assert scanned == {"L", "ex9_3", "ex9_4", "ex14_1"}
 
 
 def test_a_dropped_copy_whose_columns_are_not_all_free_is_refused():
     # Copy 0 of Ω^2 S over ex15_1(3,2) has a non-empty block of Φ; planted
-    # as a lift that reaches no V-coordinate, it is split off and refused.
+    # as a block that no kernel pivot row reaches, as a scan that missed
+    # the rows holding it would see it, it is split off and refused.
     alg = preset("ex15_1", e=3, a=2)
     X = syzygy(syzygy(simple_module(alg)))
-    lifts, _ = X.cover
-    rows, order, scales = X._phi
-    X.__dict__["_phi"] = (rows, [p for p in order if p != lifts[0]], scales)
+    lifts, kernel = X.cover
+    (piv, free, at, scales), m = kernel.pivot_form(), alg.dim - 1
+    assert any(c < m for row in piv.values() for c in row)
+    planted = {c: {f: y for f, y in row.items() if f >= m} for c, row in piv.items() if c >= m}
+    X.__dict__["cover"] = (lifts, Subspace.from_pivot_rows(alg.field, kernel.ambient, planted,
+                                                           free, at, scales))
     with pytest.raises(homology.InvariantViolation, match="not all free"):
-        homology._split(X, False)
+        homology._split(X)
 
 
 # -- the work of a walk, counted ----------------------------------------------
@@ -191,8 +193,8 @@ def test_a_walk_covers_each_rung_once_and_keeps_no_presentation(name, kw, n, mon
         counts["phi" if "at" in embedding else "radical"] += 1
         return _original(m, **embedding)
 
-    def split(X, scan, _original=homology._split):
-        copies, kernel = _original(X, scan)
+    def split(X, _original=homology._split):
+        copies, kernel = _original(X)
         counts["split"] += len(copies) > 0
         return copies, kernel
     monkeypatch.setattr(homology, "projective_cover", cover)
@@ -206,3 +208,29 @@ def test_a_walk_covers_each_rung_once_and_keeps_no_presentation(name, kw, n, mon
     monkeypatch.undo()
     assert values == tuple(islice(unsplit_ladder(S), n + 1))
 
+
+@pytest.mark.parametrize("name, kw", [("lambda_c", {"c": 1}), ("ex9_4", {})])
+def test_ext_and_the_semi_gp_scan_hold_one_step(name, kw, monkeypatch):
+    # Step i's presentation is gone once step i + 2 is formed, and every
+    # step once the call returns; M(0) over lambda_c is semi-GP, so its
+    # scan walks every step up to the bound.
+    presentations = []  # weak references: a presentation kept would stay alive
+
+    def cover(M, cap=homology.DEFAULT_CAP, _original=homology.projective_cover):
+        pres = _original(M, cap=cap)
+        presentations.append(weakref.ref(pres))
+        assert not any(ref() for ref in presentations[:-2]), len(presentations)
+        return pres
+    monkeypatch.setattr(homology, "projective_cover", cover)
+    alg = preset(name, **kw)
+    S, A = simple_module(alg), left_regular_module(alg)
+    scans = [lambda: ext_dims(S, A, 8, cap=10**6), lambda: is_semi_gp(S, 8)]
+    if name == "lambda_c":
+        scans.append(lambda: is_semi_gp(m_alpha(alg, 0), 8))
+    steps = []
+    for scan in scans:
+        presentations.clear()
+        scan()
+        steps.append(len(presentations))
+        assert not any(ref() for ref in presentations)
+    assert steps == [9, 2, 9][:len(scans)]

@@ -6,14 +6,15 @@ the cokernel of restriction to a syzygy, and the main constructions are
 exercised over a prime field as well as over Q.
 """
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortloc.homology import (MinimalResolution, a_dual, betti, ext_dim, ext_dims,
-                               is_reflexive, is_torsionless, left_regular_module, mho_step,
-                               projective_cover, stable_hom_dim, syzygy, syzygy_power,
-                               transpose)
+from shortloc.homology import (a_dual, betti, ext_dim, ext_dims, is_reflexive, is_torsionless,
+                               left_regular_module, mho_step, projective_cover, resolution,
+                               stable_hom_dim, syzygy, syzygy_power, transpose)
 from shortloc.kronecker import tilde
 from shortloc.linalg import QQ, Field, Fp, Matrix, Rational, Subspace, kernel_basis
 from shortloc.modules import (AModule, cyclic_submodule, dim_vector, hom_basis, hom_dim,
@@ -21,8 +22,8 @@ from shortloc.modules import (AModule, cyclic_submodule, dim_vector, hom_basis, 
                               quotient, random_module, simple_module)
 from shortloc.presets import preset, preset_names
 
-from references import (action_rows_over_scale, boundary_elements, kernel_embedding, plain_apply,
-                        plain_basis_images, scaled_sum_action, top_lift)
+from references import (action_rows_over_scale, boundary_elements, kernel_embedding, omegas,
+                        plain_apply, plain_basis_images, scaled_sum_action, top_lift)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(32003)], ids=["Q", "F32003"])
 
@@ -238,8 +239,7 @@ def test_transpose_dimension_from_the_dual_sequence(field):
     # 0 -> M* -> P_0* -> P_1* -> Tr M -> 0 is exact.
     for alg, seed, *mods in _random_pairs(field, seeds=5):
         for M in mods:
-            res = MinimalResolution(M)
-            expected = (res.syzygy_module(1).top_dim() - M.top_dim()) * alg.dim + a_dual(M).dim
+            expected = (syzygy(M).top_dim() - M.top_dim()) * alg.dim + a_dual(M).dim
             assert transpose(M).dim == expected, (alg.name, seed)
 
 
@@ -250,11 +250,11 @@ def test_boundaries_compose_to_zero(field):
     checks = cancelled = 0
     for alg, seed, *mods in _random_pairs(field, seeds=3):
         for M in mods:
-            res = MinimalResolution(M)
+            ladder = omegas(M, 3)
             for j in (1, 2):
-                lower, upper = boundary_elements(res, j), boundary_elements(res, j + 1)
+                lower, upper = boundary_elements(ladder[j]), boundary_elements(ladder[j + 1])
                 for row in upper:
-                    for m in range(res.syzygy_module(j - 1).top_dim()):
+                    for m in range(ladder[j - 1].top_dim()):
                         terms = [alg.mul(g, lower[k][m]) for k, g in enumerate(row)]
                         assert not any(sum(c, alg.field.zero()) for c in zip(*terms)), \
                             (alg.name, seed, j)
@@ -296,14 +296,13 @@ def test_products_match_plain_sums(field):
                     for c, m in enumerate(top_lift(M)):
                         assert phi.col(c) == rad.coords(plain_apply(X, m)), (alg.name, seed)
                 checked["tilde"] += 1
-            res = MinimalResolution(M)
-            for j in (1, 2):
-                rows = boundary_elements(res, j)
-                assert len(rows) == res.syzygy_module(j).top_dim()
-                emb = kernel_embedding(res.steps[j - 1]).matrix
-                for row, m in zip(rows, top_lift(res.steps[j].module)):
+            for step in islice(resolution(M), 2):
+                rows = boundary_elements(step.kernel)
+                assert len(rows) == step.kernel.top_dim()
+                emb = kernel_embedding(step).matrix
+                for row, m in zip(rows, top_lift(step.kernel)):
                     col = plain_apply(emb, m)
-                    t_prev = res.steps[j - 1].cover_rank
+                    t_prev = step.cover_rank
                     assert row == [col[k * n:(k + 1) * n] for k in range(t_prev)]
                     checked["boundary"] += 1
             for space in (M.radical(), M.socle()):

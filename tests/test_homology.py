@@ -1,4 +1,5 @@
 from functools import cached_property
+from itertools import islice
 
 import pytest
 
@@ -6,12 +7,11 @@ from shortloc import homology, modules
 from shortloc.algebra import ShortAlgebra
 from shortloc.errors import AlgebraMismatch, BadParams, ResourceCapExceeded, ShortlocError
 from shortloc.explorer import classify_complex, mho_path
-from shortloc.homology import (BoundedVerdict, MinimalResolution, a_dual, betti,
-                               dual_data, eval_map, ext_dim, ext_dims, is_gp,
-                               is_inf_torsionfree, is_reflexive, is_semi_gp,
-                               is_torsionless, mho_step,
-                               minimal_left_approximation, projective_cover,
-                               stable_hom_dim, syzygy, syzygy_power, transpose)
+from shortloc.homology import (BoundedVerdict, a_dual, betti, dual_data, eval_map, ext_dim,
+                               ext_dims, is_gp, is_inf_torsionfree, is_reflexive, is_semi_gp,
+                               is_torsionless, mho_step, minimal_left_approximation,
+                               projective_cover, resolution, stable_hom_dim, syzygy,
+                               syzygy_power, transpose)
 from shortloc.kronecker import tilde
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
@@ -22,8 +22,8 @@ from shortloc.modules import (AModule, cyclic_submodule, dim_vector, direct_sum,
 from shortloc.presets import preset
 
 from references import (boundary_elements, canonical, combination, is_zero, kernel_embedding,
-                        plain_cover_columns, scalars, scale, top_lift, two_resolution_is_gp, typed,
-                        vstack_torsionless)
+                        omegas, plain_cover_columns, scalars, scale, top_lift,
+                        two_resolution_is_gp, typed, vstack_torsionless)
 
 
 def cyclic_x(alg):
@@ -136,6 +136,8 @@ def test_betti_matches_syzygy_power_tops(conca32):
     table = betti(M, 4)
     for i, t in enumerate(table.values):
         assert t == syzygy_power(M, i).top_dim()
+    with pytest.raises(BadParams, match="n must be at least 0"):
+        syzygy_power(M, -1)
 
 
 def test_resource_cap(L3):
@@ -577,8 +579,7 @@ def test_boundedness_is_recorded(lam0):
 # -- resolution internals -----------------------------------------------------
 
 def test_boundary_elements_lie_in_radical(conca32):
-    res = MinimalResolution(cyclic_x(conca32))
-    D = boundary_elements(res, 1)
+    D = boundary_elements(syzygy(cyclic_x(conca32)))
     for row in D:
         for elt in row:
             assert not elt[0]
@@ -673,11 +674,12 @@ def test_resolution_reuses_its_steps(calls, conca32, monkeypatch):
     monkeypatch.setattr(Matrix, "from_sparse_columns", staticmethod(
         lambda field, rows, columns: built.append(rows) or original(field, rows, columns)))
     S = simple_module(conca32)
-    res = MinimalResolution(S)
-    first = [res.syzygy_module(i) for i in range(4)]
-    assert [res.syzygy_module(i) for i in range(4)] == first
-    assert [res.syzygy_module(i).top_dim() for i in range(4)] == list(betti(S, 3).values)
-    # Three covers for ``res``, three more for ``betti``'s own; no module.
+    steps = list(islice(resolution(S), 3))
+    first = [S] + [step.kernel for step in steps]
+    # Each step covers the kernel of the step before.
+    assert all(step.module is X for step, X in zip(steps, first))
+    assert [M.top_dim() for M in first] == list(betti(S, 3).values)
+    # Three covers for the walk, three more for ``betti``'s own; no module.
     assert _take(calls) == (6, 0, 0)
     # A syzygy's actions are built once, on first read: e matrices of its dimension.
     assert built == []
@@ -802,8 +804,8 @@ def test_syzygy_covers_form_no_square_products_of_their_size(monkeypatch):
     left_regular_module(alg).actions[0] * left_regular_module(alg).actions[1]
     assert shapes == [(alg.dim,) * 4]  # the patched product records
     shapes.clear()
-    res = MinimalResolution(simple_module(alg))
-    assert [res.syzygy_module(i).top_dim() for i in range(6)] == [1, 3, 7, 15, 31, 63]
-    dims = {res.syzygy_module(i).dim for i in range(1, 6)}
+    ladder = omegas(simple_module(alg), 5)
+    assert [M.top_dim() for M in ladder] == [1, 3, 7, 15, 31, 63]
+    dims = {M.dim for M in ladder[1:]}
     assert shapes == [] and dims == {5, 13, 29, 61, 125}
     assert [s for s in shapes if len(set(s)) == 1 and s[0] in dims] == []

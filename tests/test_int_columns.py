@@ -18,13 +18,13 @@ from collections import Counter
 import pytest
 
 from shortloc import algebra, linalg, modules
-from shortloc.homology import MinimalResolution, Syzygy, a_dual, transpose
+from shortloc.homology import Syzygy, a_dual, transpose
 from shortloc.linalg import QQ, Field, rank
 from shortloc.modules import (AModule, direct_sum, free_module, m_alpha, module_from_subspace,
                               quotient, random_module, simple_module, submodule)
 from shortloc.presets import preset, preset_names
 
-from references import (typed, typed_columns, typed_int_action_rows, typed_loewy_length,
+from references import (omegas, typed, typed_columns, typed_int_action_rows, typed_loewy_length,
                         typed_radical, typed_socle, typed_stacked_actions)
 from test_sweep_solves import fresh, rebased, sweep_pairs
 
@@ -54,8 +54,7 @@ def syzygies(field):
     for name in preset_names():
         alg = preset(name, field=field, **_PRESET_PARAMS.get(name, {}))
         for M in (simple_module(alg), random_module(alg, 2, 1, 5)):
-            res = MinimalResolution(M)
-            yield from (res.syzygy_module(i) for i in range(1, 4))
+            yield from omegas(M, 3)[1:]
 
 
 def assert_same_space(got, want):

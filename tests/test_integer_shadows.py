@@ -16,18 +16,19 @@ the module built from its shadow, by rank and densely.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 import pytest
 
 from shortloc import homology, linalg
-from shortloc.homology import MinimalResolution, betti
+from shortloc.homology import betti, resolution, syzygy
 from shortloc.linalg import QQ, Field
 from shortloc.modules import (free_module, is_bipartite, m_alpha, module_from_subspace,
                               random_module, simple_module, simple_multiplicity)
 from shortloc.presets import preset, preset_names
 
-from references import boundary_rows, scalars, typed, typed_columns, typed_ladder
+from references import boundary_rows, omegas, scalars, typed, typed_columns, typed_ladder
 from test_sweep_solves import dense_socle, sweep_modules
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
@@ -60,10 +61,9 @@ def _as_fraction(field, x):
 def test_integer_shadows_match_the_typed_route(field):
     loewy3 = top_lift_branch = unscaled_rows = scaled_rows = 0
     for M, depth in _ladders(field):
-        res, rungs = MinimalResolution(M), typed_ladder(M, depth)
-        res.extend_to(depth - 1)
-        for i in range(depth):
-            got, (lifts, want) = res.steps[i]._kernel_space, rungs[i]
+        steps, rungs = list(islice(resolution(M), depth)), typed_ladder(M, depth)
+        for i, step in enumerate(steps):
+            got, (lifts, want) = step._kernel_space, rungs[i]
             assert (got.ambient, got.pivots) == (want.ambient, want.pivots), (M, i)
             ints = got.int_rows()
             assert typed(got) == typed(want), (M, i)
@@ -74,14 +74,14 @@ def test_integer_shadows_match_the_typed_route(field):
                 scaled_rows += scale != 1
                 unscaled_rows += scale == 1
             if i:
-                syz = res.syzygy_module(i)
+                syz = step.module
                 assert syz.cover[0] == lifts, (M, i)
                 rows = rungs[i - 1][1].sparse_rows()
-                assert [(idx, scalars(vals)) for idx, vals in boundary_rows(res, i)] == \
+                assert [(idx, scalars(vals)) for idx, vals in boundary_rows(syz)] == \
                     [(rows[p][0], scalars(rows[p][1])) for p in lifts], (M, i)
                 top_lift_branch += any(p % M.algebra.dim > M.algebra.e for p in lifts)
-        assert [res.syzygy_module(i).top_dim() for i in range(depth + 1)] == \
-            [M.top_dim()] + [len(rungs[i][0]) for i in range(1, depth + 1)]
+        assert [step.kernel.top_dim() for step in steps] == \
+            [len(rungs[i][0]) for i in range(1, depth + 1)]
         loewy3 += M.loewy_length() == 3
     # Loewy-length-3 inputs, rungs whose lifts reach the J^2-rows, and over
     # Q rows with a scale other than 1 (non-unit leads or scaled columns).
@@ -187,14 +187,13 @@ def test_boundary_rows_convert_only_the_lift_rows(field, monkeypatch):
     returned = shadow_rows = 0
     for M, depth in [(simple_module(preset("ex5_3", field=field)), 5),
                      (m_alpha(preset("lambda_c", field=field, c=1), 2), 6)]:
-        res = MinimalResolution(M)
-        res.extend_to(depth)
+        steps = list(islice(resolution(M), depth + 1))
         converted.clear()
-        for j in range(1, depth + 1):
-            rows = boundary_rows(res, j)
+        for j, step in enumerate(steps[:-1], 1):
+            rows = boundary_rows(step.kernel)
             assert len(converted) == len(rows), (M, j)
             returned += len(rows)
-            shadow_rows += res.steps[j - 1]._kernel_space.dim
+            shadow_rows += step._kernel_space.dim
             converted.clear()
     # The shadows hold more rows than their top lifts, which alone are converted.
     assert shadow_rows > returned > 0
@@ -232,9 +231,9 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
         in_span.clear()
         return _original(F, span)
 
-    def hom_complex(res, N, j, _original=homology._hom_complex_matrix):
-        read.append(j)
-        return _original(res, N, j)
+    def hom_complex(syz, N, _original=homology._hom_complex_matrix):
+        read.append(syz)
+        return _original(syz, N)
 
     def integer_rows(m, _original=linalg._integer_rows):
         eliminated.append(type(m))
@@ -250,11 +249,11 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
         homology.ext_dims(M, N, 3), homology.ext_dims(M, A, 3), homology.is_semi_gp(M, 3)
         assert read == [], M
         transposed += homology.transpose(M).dim > 0
-        t1 = MinimalResolution(M).syzygy_module(1).top_dim()
-        assert read in ([], [1]) and len(read) == (t1 > 0), M
+        omega1 = syzygy(M)
+        assert len(read) == (omega1.top_dim() > 0) and all(x.dim == omega1.dim for x in read), M
         read.clear()
-        res = MinimalResolution(M)
-        scaled += any(scale != 1 for j in range(1, 4) for *_, scale in res.boundary_int_rows(j))
+        scaled += any(syz.space.int_rows()[q][2] != 1 for syz in omegas(M, 3)[1:]
+                      for q in syz.cover[0])
     assert counts["typed"] == 0 and counts["span_typed"] > 0 and transposed >= 4
     assert len(eliminated) >= 100 and set(eliminated) == {linalg.IntRows}
     assert scaled > 0 if field == QQ else scaled == 0
@@ -280,9 +279,8 @@ def _socle_inputs(field):
 def test_a_syzygy_socle_read_off_phi_matches_the_typed_route(field):
     seen, scaled, top_lift_branch, both = set(), 0, 0, 0
     for M in _socle_inputs(field):
-        res, n, e = MinimalResolution(M), M.algebra.dim, M.algebra.e
-        for i in range(1, 4):
-            syz = res.syzygy_module(i)
+        n, e = M.algebra.dim, M.algebra.e
+        for i, syz in enumerate(omegas(M, 3)[1:], 1):
             got = (syz.socle_dim(), simple_multiplicity(syz), is_bipartite(syz))
             # No action matrix was built for them.
             assert "actions" not in syz.__dict__

@@ -9,7 +9,9 @@ flat); its maps are built only by ``hom_basis``.  ``module_from_columns``
 names no ``Matrix``.  A module has two forms, its matrices and its integer
 columns: ``AModule`` defines no typed ``action_columns`` or
 ``_action_columns``.  ``Subspace.residue`` is the typed view of
-``int_residue`` and reads no typed row (``sparse_rows``).
+``int_residue`` and reads no typed row (``sparse_rows``).  Only the
+resolution walks, ``syzygy``, ``resolution`` and ``betti``, call
+``projective_cover``, so no third walk appears.
 """
 
 import ast
@@ -22,11 +24,15 @@ SRC = os.path.dirname(shortloc.__file__)
 #: The only functions that may call ``Subspace(...)``.
 ORIGINS = {"Subspace._span", "Subspace.from_pivot_rows"}
 
+#: The only functions that may call ``projective_cover``: the resolution walks.
+WALKS = {"syzygy", "resolution", "betti"}
+
 SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def subspace_calls(source: str) -> list[str]:
-    """Each call of ``Subspace(...)`` in ``source`` outside :data:`ORIGINS`, as "scope (line n)"."""
+def calls_outside(source: str, callee: str, allowed: set[str]) -> list[str]:
+    """Each call of ``callee(...)`` in ``source`` outside the scopes ``allowed``, as
+    "scope (line n)"."""
     found = []
 
     def visit(node, scope):
@@ -34,25 +40,31 @@ def subspace_calls(source: str) -> list[str]:
             if isinstance(child, SCOPES):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call) and scope not in ORIGINS:
+            if isinstance(child, ast.Call) and scope not in allowed:
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "Subspace":
+                if name == callee:
                     found.append(f"{scope or '<module>'} (line {child.lineno})")
             visit(child, scope)
     visit(ast.parse(source), "")
     return found
 
 
-def test_only_the_two_origins_construct_a_subspace():
+def package_calls(callee: str, allowed: set[str]) -> list[str]:
+    """Each call of ``callee(...)`` in the package outside ``allowed``: "file: scope (line n)"."""
     problems, scanned = [], 0
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             with open(os.path.join(SRC, name)) as fh:
-                problems += [f"{name}: {call}" for call in subspace_calls(fh.read())]
+                found = calls_outside(fh.read(), callee, allowed)
+            problems += [f"{name}: {call}" for call in found]
             scanned += 1
-    assert not problems
     assert scanned >= 12
+    return problems
+
+
+def test_only_the_two_origins_construct_a_subspace():
+    assert not package_calls("Subspace", ORIGINS)
 
 
 def test_the_origins_exist_and_call_the_constructor():
@@ -78,9 +90,37 @@ def test_the_lint_sees_every_kind_of_call():
               "def g(f):\n"
               "    return linalg.Subspace(f)\n"
               "zero = Subspace(None)\n")
-    assert subspace_calls(source) == ["Subspace.full (line 7)", "g (line 9)",
-                                      "<module> (line 10)"]
-    assert not subspace_calls("x = Subspace.from_vectors(f, 2, [])\nSubspace._span(f, 2, {})\n")
+    assert calls_outside(source, "Subspace", ORIGINS) == [
+        "Subspace.full (line 7)", "g (line 9)", "<module> (line 10)"]
+    assert not calls_outside("x = Subspace.from_vectors(f, 2, [])\nSubspace._span(f, 2, {})\n",
+                             "Subspace", ORIGINS)
+
+
+def test_only_the_resolution_walks_call_projective_cover():
+    assert not package_calls("projective_cover", WALKS)
+    with open(os.path.join(SRC, "homology.py")) as fh:
+        tree = ast.parse(fh.read())
+    callers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "projective_cover"
+                       for c in ast.walk(node))}
+    assert callers == WALKS
+
+
+def test_the_cover_lint_sees_a_third_walk():
+    source = ("from . import homology\n"
+              "def syzygy(M):\n"
+              "    return projective_cover(M).kernel\n"
+              "def walk(M):\n"
+              "    while True:\n"
+              "        yield homology.projective_cover(M)\n"
+              "class Ladder:\n"
+              "    def step(self, M):\n"
+              "        return projective_cover(M, cap=9)\n"
+              "first = projective_cover(None)\n")
+    assert calls_outside(source, "projective_cover", WALKS) == [
+        "walk (line 6)", "Ladder.step (line 9)", "<module> (line 10)"]
+    assert not calls_outside("def betti(M):\n    return projective_cover(M)\n",
+                             "projective_cover", WALKS)
 
 
 def test_a_hom_space_is_its_flat_rows():

@@ -20,14 +20,13 @@ import random
 import pytest
 
 from shortloc import modules
-from shortloc.homology import MinimalResolution
 from shortloc.linalg import QQ, Field, Matrix, kernel_subspace
 from shortloc.modules import (ModuleMap, find_isomorphism, free_module, hom_dim, hom_space,
                               left_regular_module, presentation_equations, random_module,
                               simple_module)
 from shortloc.presets import preset, preset_names
 
-from references import dense_top_find_isomorphism
+from references import dense_top_find_isomorphism, omegas
 from test_sweep_solves import (SWEEP_PRESETS, fresh, presentation_basis, rebased,
                                reference_find_isomorphism, same_up_to_scale, sweep_pairs,
                                top_basis)
@@ -70,8 +69,7 @@ def syzygy_ladders(field):
     """Ω^0 S .. Ω^4 S over every preset."""
     for name in preset_names():
         alg = preset(name, field=field, **_PRESET_PARAMS.get(name, {}))
-        res = MinimalResolution(simple_module(alg))
-        yield name, [res.syzygy_module(i) for i in range(5)]
+        yield name, omegas(simple_module(alg), 4)
 
 
 @FIELDS

@@ -8,19 +8,20 @@ lifts through the dense basis images, and builds each kernel module with
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from shortloc import homology
 from shortloc.errors import ResourceCapExceeded
-from shortloc.homology import MinimalResolution, Syzygy, betti
+from shortloc.homology import Syzygy, betti, resolution
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace
 from shortloc.modules import (free_module, m_alpha, mod_j_squared, module_from_subspace,
                               random_module, simple_module)
 from shortloc.presets import preset
 
-from references import (boundary_elements, generator_images, plain_cover_columns, scalars,
-                        top_lift, typed, typed_columns, typed_phi_kernel,
+from references import (boundary_elements, generator_images, omegas, plain_cover_columns,
+                        scalars, top_lift, typed, typed_columns, typed_phi_kernel,
                         typed_pivot_columns)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
@@ -81,16 +82,16 @@ def _inputs(field):
 def test_shadow_steps_match_the_whole_cover_route(field):
     loewy, outer_lifts, mixed_rows = [], 0, 0
     for M in _inputs(field):
-        res, ref = MinimalResolution(M), WholeCoverResolution(M)
-        assert [res.syzygy_module(i).top_dim() for i in range(DEPTH + 1)] == \
-            [ref.rank(i) for i in range(DEPTH + 1)], M
+        steps, ref = list(islice(resolution(M), DEPTH)), WholeCoverResolution(M)
+        ladder = [M] + [step.kernel for step in steps]
+        assert [X.top_dim() for X in ladder] == [ref.rank(i) for i in range(DEPTH + 1)], M
         for j in range(1, DEPTH + 1):
-            rows, expected = boundary_elements(res, j), ref.boundary_elements(j)
+            rows, expected = boundary_elements(ladder[j]), ref.boundary_elements(j)
             assert [list(map(scalars, r)) for r in rows] == \
                 [list(map(scalars, r)) for r in expected], (M, j)
         for i in range(DEPTH):
-            assert typed(res.steps[i]._kernel_space) == typed(ref.kernels[i]), (M, i)
-            syz = res.syzygy_module(i + 1)
+            assert typed(steps[i]._kernel_space) == typed(ref.kernels[i]), (M, i)
+            syz = ladder[i + 1]
             assert typed(syz.space) == typed(ref.kernels[i])
             assert _typed_actions(syz) == _typed_actions(ref.modules[i + 1]), (M, i)
             assert top_lift(syz) == top_lift(ref.modules[i + 1])
@@ -164,9 +165,7 @@ def _takes_the_fallback(syz):
 def test_the_cover_fallback_matches_the_radical_route(field):
     fallbacks = 0
     for M in _inputs(field):
-        res = MinimalResolution(M)
-        for i in range(1, DEPTH + 1):
-            syz = res.syzygy_module(i)
+        for i, syz in enumerate(omegas(M, DEPTH)[1:], 1):
             lifts, kernel = radical_route_cover(M.algebra, syz.space)
             assert syz.cover[0] == lifts, (M, i)
             assert typed(syz.cover[1]) == typed(kernel), (M, i)
@@ -176,11 +175,10 @@ def test_the_cover_fallback_matches_the_radical_route(field):
 
 @FIELDS
 def test_an_ex5_3_ladder_takes_the_fallback_without_the_radical(field):
-    res = MinimalResolution(simple_module(preset("ex5_3", field=field)))
-    res.extend_to(6)
-    fallbacks = [i for i in range(1, 7) if _takes_the_fallback(res.syzygy_module(i))]
-    assert fallbacks
-    assert all(res.syzygy_module(i)._radical is None for i in range(1, 7))
+    S = simple_module(preset("ex5_3", field=field))
+    ladder = [step.module for step in islice(resolution(S), 7)][1:]  # Ω^1 .. Ω^6, each covered
+    assert [X for X in ladder if _takes_the_fallback(X)]
+    assert all(X._radical is None for X in ladder)
 
 
 # -- the shadow images, against mapping every row ------------------------------
@@ -220,9 +218,7 @@ def _scalar_images(field, imgs, scale):
 def test_the_shadow_images_skip_only_rows_that_map_to_zero(field):
     skipped = 0
     for M in _inputs(field):
-        res = MinimalResolution(M)
-        for i in range(1, DEPTH + 1):
-            syz = res.syzygy_module(i)
+        for i, syz in enumerate(omegas(M, DEPTH)[1:], 1):
             images, columns, (lifts, kernel) = all_rows_route(M.algebra, syz.space)
             mapped = syz._shadow_images
             assert all(_scalar_images(field, *syz.images([p])[0]) == images[p]

@@ -10,11 +10,12 @@ its integer rows, is built once per algebra.
 """
 
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 
 from shortloc import homology, modules
-from shortloc.homology import (MinimalResolution, _hom_complex_matrix, ext_dims, is_semi_gp,
+from shortloc.homology import (_hom_complex_matrix, ext_dims, is_semi_gp, resolution, syzygy,
                                transpose)
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace, rank
 from shortloc.modules import (AModule, free_module, hom_basis, hom_space, left_regular_module,
@@ -22,7 +23,8 @@ from shortloc.modules import (AModule, free_module, hom_basis, hom_space, left_r
                               simple_module, zero_module)
 from shortloc.presets import preset
 
-from references import action_rows_over_scale, boundary_elements, combination, scaled_sum_action
+from references import (action_rows_over_scale, boundary_elements, combination, omegas,
+                        scaled_sum_action)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
@@ -38,10 +40,10 @@ def dense_basis_actions(N):
     return [scaled_sum_action(N, N.algebra.basis_vector(b)) for b in range(N.algebra.dim)]
 
 
-def dense_hom_complex(res, N, j):
-    """Hom(P_{j-1}, N) -> Hom(P_j, N) as a dense matrix of element actions."""
-    D = boundary_elements(res, j)
-    t_prev = res.steps[j - 1].cover_rank
+def dense_hom_complex(syz, N):
+    """Hom(P_{j-1}, N) -> Hom(P_j, N), for Ω^j = ``syz``, as a dense matrix of element actions."""
+    D = boundary_elements(syz)
+    t_prev = syz.space.ambient // syz.algebra.dim
     actions = dense_basis_actions(N)
     rows = []
     for row in D:
@@ -51,18 +53,18 @@ def dense_hom_complex(res, N, j):
 
 
 def dense_ext_dims(M, N, imax):
-    res = MinimalResolution(M)
-    ranks = [0] + [rank(dense_hom_complex(res, N, i + 1)) for i in range(imax + 1)]
-    return [res.steps[i].cover_rank * N.dim - ranks[i + 1] - ranks[i] for i in range(imax + 1)]
+    steps = list(islice(resolution(M), imax + 1))
+    ranks = [0] + [rank(dense_hom_complex(step.kernel, N)) for step in steps]
+    return [step.cover_rank * N.dim - ranks[i + 1] - ranks[i] for i, step in enumerate(steps)]
 
 
 def dense_transpose(M):
     op = M.algebra.opposite()
-    res = MinimalResolution(M)
-    t1 = res.syzygy_module(1).top_dim()
+    omega1 = syzygy(M)
+    t1 = omega1.top_dim()
     if t1 == 0:
         return zero_module(op)
-    big = dense_hom_complex(res, left_regular_module(M.algebra), 1)
+    big = dense_hom_complex(omega1, left_regular_module(M.algebra))
     F1 = free_module(op, t1)
     return quotient(F1, Subspace.from_vectors(M.field, F1.dim, big.transpose().data))[0]
 
@@ -121,10 +123,10 @@ def sparse_dicts(space):
 def test_hom_complex_ranks_and_ext_match_the_dense_reference(field):
     compared = 0
     for seed, (label, M) in enumerate(sources(field)):
-        res = MinimalResolution(M)
+        ladder = omegas(M, 4)
         for N in targets(M.algebra, seed):
             for j in range(1, 5):
-                sparse, dense = _hom_complex_matrix(res, N, j), dense_hom_complex(res, N, j)
+                sparse, dense = _hom_complex_matrix(ladder[j], N), dense_hom_complex(ladder[j], N)
                 assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols), (label, j)
                 assert rank(sparse) == rank(dense), (label, j)
                 compared += any(sparse.data)
