@@ -66,7 +66,7 @@ when a caller reads them.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, islice
+from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -803,17 +803,10 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     From the minimal presentation A^{t_1} -> A^{t_0} -> M -> 0, dualizing
     gives d_1^*: Hom(A^{t_0}, A) -> Hom(A^{t_1}, A) of the Hom-complex; the
     transpose is its cokernel, realized as a module over the opposite algebra.
+    It reads the first two steps of M's resolution; the second, Ω^1's cover,
+    only when t_1 > 0, as it checks t_1·dim A against the cap.
     """
-    return _transpose(M, resolution(M, cap=cap))
-
-
-def _transpose(M: AModule, steps: Iterator[Presentation]) -> AModule:
-    """The transpose of M, read off the first two of M's resolution ``steps``.
-
-    The second step, Ω^1's cover, is read only when t_1 > 0: it checks t_1·dim A
-    against the cap.
-    """
-    alg = M.algebra
+    alg, steps = M.algebra, resolution(M, cap=cap)
     op = alg.opposite()
     t1 = M.dim and (syz := next(steps).kernel).top_dim()
     if t1 == 0:
@@ -873,16 +866,11 @@ def is_semi_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -
     The scan stops at the first non-vanishing group, so modules that fail
     early never build the deep (often exponentially large) resolution.
     """
-    return _semi_gp_scan(M, resolution(M, cap=cap), bound)
-
-
-def _semi_gp_scan(M: AModule, steps: Iterable[Presentation], bound: int) -> BoundedVerdict:
-    """Ext^i(M, A) = 0 for 1 <= i <= bound along M's ``steps``, up to the first that is not."""
     if bound < 1:
         raise BadParams(f"bound must be at least 1, got {bound}")
     if M.dim == 0:
         return BoundedVerdict(True, bound)
-    exts = _ext_sequence(steps, left_regular_module(M.algebra))
+    exts = _ext_sequence(resolution(M, cap=cap), left_regular_module(M.algebra))
     for i, val in enumerate(islice(exts, bound + 1)):
         if i and val:
             return BoundedVerdict(False, bound, failed_at=i)
@@ -902,13 +890,6 @@ def is_inf_torsionfree(M: AModule, bound: int = DEFAULT_BOUND,
 
 
 def is_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -> BoundedVerdict:
-    """Bounded Gorenstein-projectivity: semi-GP and infinity-torsionfree.
-
-    One resolution of M serves the semi-GP scan and then the transpose: the
-    scan reads at least two steps of it, and those two are kept for the
-    transpose, so Ω^1's Φ is eliminated once.
-    """
-    steps = resolution(M, cap=cap)
-    head = list(islice(steps, 2)) if M.dim and bound >= 1 else []
-    semi = _semi_gp_scan(M, chain(head, steps), bound)
-    return is_semi_gp(_transpose(M, iter(head)), bound=bound, cap=cap) if semi else semi
+    """Bounded Gorenstein-projectivity: semi-GP, then infinity-torsionfree."""
+    semi = is_semi_gp(M, bound=bound, cap=cap)
+    return is_inf_torsionfree(M, bound=bound, cap=cap) if semi else semi

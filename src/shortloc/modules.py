@@ -42,17 +42,17 @@ basis elements b, (dim A - 1)·t·dim N equations, and keeps only their
 kernel, the maps' flat rows (:class:`HomSpace`).  :func:`hom_dim` is a
 nullity with no kernel basis and no typed kernel row: of the g0 system
 when J^2 M = 0, else of M's presentation, over its cover kernel's integer
-rows.  The dual side reads :func:`hom_space`'s flat rows, and
-:func:`hom_basis` alone builds maps from them.  :func:`find_isomorphism`
-reads tops, as an A-map between modules of one dimension is invertible
-iff it is onto the top (Nakayama): the g0 rows when J^2 kills both
-modules, else each presentation basis element's top, read once, n_k mod
-JN along the radical's integer rows, as ints over one scale per N.  A
-combination's top is that combination of the tops, and every top is
-ranked as integer rows.  It takes dim Hom(N, M) only when nothing is
-invertible, and solves for one witness matrix, from the integer images,
-only when the witness is read.  Socle dimensions, and with them the
-bipartite test and the multiplicity of S, are ranks.
+rows.  The dual side reads :func:`hom_space`'s flat rows, and so does
+:func:`find_isomorphism` of a pair that J^2 does not kill; a map is laid
+out from a flat row by one helper (:func:`_flat_map`), which
+:func:`hom_basis` shares.  The search ranks integer rows over one scale:
+the g0 rows when J^2 kills both modules, as an A-map between modules of
+one dimension is invertible iff its top is (Nakayama), else the flat rows
+as dim N x dim M matrices.  Tops of different dimensions end it before any
+Hom system is built.  It takes dim Hom(N, M) only when nothing is
+invertible, and builds one witness matrix only when the witness is read.
+Socle dimensions, and with them the bipartite test and the multiplicity
+of S, are ranks.
 """
 
 from __future__ import annotations
@@ -588,9 +588,9 @@ def generated_span(field: Field, ambient: int, columns: list, vectors: Sequence)
     Each x is given as (indices, ints).  The span is closed under A: the
     v_i v_j span J^2, and J^3 = 0 ends it.
     """
-    once = [v for row in vector_images(columns, vectors) for v in row]
+    once = [v for row in vector_images(columns, vectors) for v in row if v]
     twice = [v for row in vector_images(columns, [(v.keys(), v.values()) for v in once])
-             for v in row]
+             for v in row if v]
     rows = IntRows(field, [dict(zip(*x)) for x in vectors] + once + twice, ambient)
     return Subspace.from_vectors(field, ambient, rows)
 
@@ -704,9 +704,8 @@ def random_module(alg: ShortAlgebra, n_gens: int, n_rels: int, seed: int) -> AMo
     F = free_module(alg, n_gens)
     rels = [{k * n + u: x for k in range(n_gens) for u in range(1, n)
              if (x := rng.choice(DEFAULT_POOL))} for _ in range(n_rels)]
-    images = vector_images(F.int_columns()[0], [(r.keys(), r.values()) for r in rels])
-    rows = rels + [img for row in images for img in row]
-    Q, _ = quotient(F, Subspace.from_vectors(alg.field, F.dim, IntRows(alg.field, rows, F.dim)))
+    Q, _ = quotient(F, generated_span(alg.field, F.dim, F.int_columns()[0],
+                                      [(r.keys(), r.values()) for r in rels]))
     return Q
 
 
@@ -813,14 +812,20 @@ def hom_space(M: AModule, N: AModule) -> HomSpace:
 
 def hom_basis(M: AModule, N: AModule) -> list[ModuleMap]:
     """A basis of Hom_A(M, N): a map per row of :func:`hom_space`'s ``flat``, built on first read."""
-    dm, dn, flat = M.dim, N.dim, hom_space(M, N).flat
+    flat = hom_space(M, N).flat
+    return [_flat_map(M, N, lambda q=q: flat.sparse_rows()[q]) for q in flat.pivots]
 
-    def matrix(q: int) -> Matrix:
+
+def _flat_map(M: AModule, N: AModule, row: Callable[[], tuple]) -> ModuleMap:
+    """The map whose row-major flattening is ``row()``, typed (indices, values), built when read."""
+    dm, dn = M.dim, N.dim
+
+    def build() -> Matrix:
         entries = [M.field.zero()] * (dn * dm)
-        for j, x in zip(*flat.sparse_rows()[q]):
+        for j, x in zip(*row()):
             entries[j] = x
         return Matrix(M.field, [entries[k * dm:(k + 1) * dm] for k in range(dn)], cols=dm)
-    return [_LazyMap(M, N, lambda q=q: matrix(q)) for q in flat.pivots]
+    return _LazyMap(M, N, build)
 
 
 def relation_equations(N: AModule, relations: Iterable[tuple], t: int) -> IntRows:
@@ -940,7 +945,9 @@ def presentation_equations(M: AModule, N: AModule) -> IntRows:
     that kills the cover kernel (:attr:`AModule.cover_kernel`), so these
     are :func:`relation_equations` of that kernel's integer rows
     (:meth:`~shortloc.linalg.Subspace.int_rows`): column s·t + k is entry
-    s of n_k, and their kernel is Hom(M, N).
+    s of n_k, and their kernel is Hom(M, N).  Only their rank is read: by
+    :func:`hom_dim` of an M with J^2 M not zero, and by
+    :func:`~shortloc.kronecker.hom_decomposition_check`.
     """
     kernel = ((idx, vals) for idx, vals, _ in M.cover_kernel.int_rows().values())
     return relation_equations(N, kernel, M.top_dim())
@@ -971,7 +978,8 @@ class IsoSearch:
     """Outcome of an isomorphism search.
 
     A negative answer is certified only when a dimension obstruction
-    exists; otherwise it means "no isomorphism found (probabilistic)".
+    exists: of the modules, of their tops or of the two Hom spaces, or
+    Hom(M, N) = 0; otherwise it means "no isomorphism found (probabilistic)".
     """
 
     found: bool
@@ -988,11 +996,12 @@ _ISO_TRIES = 64
 
 
 def _invertible(N: AModule, t: int, top: dict) -> bool:
-    """True iff ``top`` (:func:`_top`) is square, N's top having t rows, and of rank t.
+    """True iff ``top``, a t x t matrix of ints held as {f·t + k: entry (f, k)}, has rank t.
 
-    A zero top is not eliminated; any other is ranked as integer rows.
+    It is a top g0 or a map's flat row (:func:`find_isomorphism`).  A zero
+    one is not eliminated; any other is ranked as integer rows.
     """
-    if N.top_dim() != t or not any(top.values()):
+    if not any(top.values()):
         return False
     rows: list[dict] = [{} for _ in range(t)]
     for q, x in top.items():
@@ -1001,79 +1010,39 @@ def _invertible(N: AModule, t: int, top: dict) -> bool:
     return rank(IntRows(N.field, rows, t)) == t
 
 
-def _top(N: AModule, t: int, images: dict) -> dict:
-    """The A-map given by int images n_1..n_t in N, on tops: {f·t + k: entry f of n_k mod JN}.
+def _witness(M: AModule, N: AModule, g0: dict, lifts: Sequence[int], scale: int) -> ModuleMap:
+    """The A-map F: M -> N with top ``g0``, for J^2 M = 0, its matrix solved for on first read.
 
-    ``images`` holds the non-zero entries of (n_1..n_t) in the unknowns of
-    :func:`presentation_equations`, {s·t + k: entry s of n_k}, as ints over
-    a scale s.  Column k is L·n_k modulo JN
-    (:meth:`~shortloc.linalg.Subspace.int_residue`), L the lcm of the leads
-    of the radical's pivot rows, so the top is ints over L·s (residues over
-    F_p, where L = s = 1); row f is its entry at N's f-th free column.  The
-    map sends m_k to n_k, so this is its matrix on tops, and an A-map
-    between modules of one dimension is invertible iff this matrix is
-    (Nakayama: F is onto iff F(M) + JN = N).  L is one per N, so the top of
-    a combination of images over one scale is that combination of the tops.
+    ``g0`` is {s·t + k: int over ``scale``}, and F sends the top lift m_k to
+    n_k = Σ_s g0[s, k]·m'_s, m'_s the unit vector at ``lifts[s]``, with no
+    part in JN.  The unit vectors at the free columns (k, b) of M's cover
+    kernel complement it in A^t, so the b·m_k there are a basis of M, and
+    F(b·m_k) = b·n_k fixes F; as J^2 M = 0 the kernel holds every
+    w_m-column, so each such b is 1 or a v_j.  F's graph is spanned by any
+    pairs (x, F(x)) whose x span M; it is one elimination whose pivot row c
+    is (e_c, F(e_c)).  The pairs are read in integers: the n_k as they come,
+    and the v_j·m_k and v_j·n_k along the integer columns of M and N
+    (:meth:`AModule.int_columns`), each pair over the least common multiple
+    of its two scales.
     """
-    radical, p = N.radical(), N.field.characteristic
-    L = lcm(*[lead for _, _, lead in radical.int_rows().values()])
-    at = {f: i for i, f in enumerate(radical.free_columns())}
-    top = {}
-    for k, n_k in enumerate(_copies(images, t)):
-        for j, x in radical.int_residue(n_k.items(), L).items():
-            top[at[j] * t + k] = x % p if p else x
-    return top
-
-
-def _copies(images: dict, t: int) -> list[dict]:
-    """n_1..n_t as {s: entry s of n_k}, from their entries {s·t + k: entry s of n_k}."""
-    copies: list[dict] = [{} for _ in range(t)]
-    for q, x in images.items():
-        s, k = divmod(q, t)
-        copies[k][s] = x
-    return copies
-
-
-def _witness(M: AModule, N: AModule, images: dict, scale: int) -> ModuleMap:
-    """The A-map F: M -> N with F(m_k) = n_k, its matrix solved for on first read.
-
-    ``images`` are (n_1..n_t) as :func:`_top` reads them, ints over
-    ``scale``, the images of an A-map at the top lifts.  The unit
-    vectors at the free columns (k, b) of M's cover kernel complement it in
-    A^t, so the b·m_k there are a basis of M, and F(b·m_k) = b·n_k fixes
-    F.  Its graph is spanned by any pairs (x, F(x)) whose x span M; it is
-    one elimination whose pivot row c is (e_c, F(e_c)).  The pairs are read
-    in integers: the n_k as they come, and the b·m_k and b·n_k mapped along
-    the integer columns of M and N (:meth:`AModule.int_columns`), each pair
-    over the least common multiple of its two scales.  A free column with b = w_m
-    occurs only when J^2 M is not zero; only then are the pairs at the
-    v_i·(v_j·m_k) formed, which span the w_m·m_k, so no section is read.
-    """
-    t, n, e = M.top_dim(), M.algebra.dim, M.algebra.e
+    t, n = M.top_dim(), M.algebra.dim
 
     def build() -> Matrix:
         dm, dn = M.dim, N.dim
         (cols_m, s_m), (cols_n, s_n) = M.int_columns(), N.int_columns()
-        copies = _copies(images, t)
+        copies: list[dict] = [{} for _ in range(t)]
+        for q, x in g0.items():
+            s, k = divmod(q, t)
+            copies[k][lifts[s]] = x
         ms = [[{c: 1}] + [dict(cols[c]) for cols in cols_m] for c in M.lift_columns()]
         ns = [[x, *v] for x, v in zip(copies, vector_images(cols_n, [(x.keys(), x.values())
                                                                        for x in copies]))]
-        free = [divmod(q, n) for q in M.cover_kernel.free_columns()]
-        pairs = [(ms[k][b], ns[k][b], *((1, scale) if b == 0 else (s_m, scale * s_n)))
-                 for k, b in free if b <= e]
-        deep = sorted({k for k, b in free if b > e})
-        if deep:
-            twice_m = vector_images(cols_m, [(v.keys(), v.values())
-                                             for k in deep for v in ms[k][1:]])
-            twice_n = vector_images(cols_n, [(v.keys(), v.values())
-                                             for k in deep for v in ns[k][1:]])
-            pairs += [(x, y, s_m * s_m, scale * s_n * s_n)
-                      for xs, ys in zip(twice_m, twice_n) for x, y in zip(xs, ys)]
         rows = []
-        for x, y, sx, sy in pairs:
+        for k, b in (divmod(q, n) for q in M.cover_kernel.free_columns()):
+            sx, sy = (1, scale) if b == 0 else (s_m, scale * s_n)
             m = lcm(sx, sy)
-            rows.append({**{c: v * (m // sx) for c, v in x.items()},
-                         **{dm + r: v * (m // sy) for r, v in y.items()}})
+            rows.append({**{c: v * (m // sx) for c, v in ms[k][b].items()},
+                         **{dm + r: v * (m // sy) for r, v in ns[k][b].items()}})
         graph = Subspace.from_vectors(M.field, dm + dn, IntRows(M.field, rows, dm + dn))
         rows = graph.sparse_rows()
         return Matrix.from_sparse_columns(N.field, dn, [
@@ -1082,26 +1051,26 @@ def _witness(M: AModule, N: AModule, images: dict, scale: int) -> ModuleMap:
 
 
 def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
-    """Search for an invertible A-map M -> N on tops, never calling :func:`hom_space`.
+    """Search the integer rows of Hom(M, N) for an invertible A-map M -> N.
 
-    An A-map between modules of one dimension is invertible iff its top is
-    (Nakayama), so nothing is tried when the tops differ.  When J^2 kills M
-    and N, the rows of the g0 system's kernel (:func:`_top_equations`),
-    t·dim top N unknowns, are the tops, and each lifts to the images
-    m_k -> Σ_s g0[s, k]·m'_s, with no part in JN, m'_s N's top lifts (the
-    free columns of its radical).  Any other pair solves Hom(M, N) on M's
-    presentation (:func:`presentation_equations`, t·dim N unknowns), and
-    each basis element (n_1..n_t) is tried on its integer top (:func:`_top`),
-    read once.
-    The rows are the kernel's integer rows, put over one scale.  When none
-    is invertible, seeded random combinations with small int coefficients
-    (reduced mod p over F_p) are tried, and over Q also a generic
-    combination evaluated at the integer points 1, 2, ..., 2·rows + 8, each
-    on the same combination of the tops; any hit certifies the isomorphism.
-    Only when they fail too is dim Hom(N, M) taken (:func:`hom_dim`): an
-    isomorphism makes the two Hom dimensions equal, so a mismatch certifies
-    that there is none.  The witness is the map of the combined images
-    (:func:`_witness`), the one matrix built, by one solve on first read.
+    An isomorphism maps top M onto top N, so tops of different dimensions
+    certify that there is none before any Hom system is built.  When J^2
+    kills M and N, the rows are those of the g0 system's kernel
+    (:func:`_top_equations`), t·dim top N unknowns: they are the tops, and
+    an A-map between modules of one dimension is invertible iff its top is
+    (Nakayama).  Any other pair reads the flat rows of :func:`hom_space`,
+    each a dim N x dim M matrix.  Each row is ranked
+    (:func:`_invertible`) as the kernel's integer row, put over one scale.
+    When none is invertible, seeded random combinations with small int
+    coefficients (reduced mod p over F_p) are tried, and over Q also a
+    generic combination evaluated at the integer points 1, 2, ...,
+    2·rows + 8; any hit certifies the isomorphism.  Only when they fail too
+    is dim Hom(N, M) taken (:func:`hom_dim`): an isomorphism makes the two
+    Hom dimensions equal, so a mismatch certifies that there is none.  The
+    witness is the row or combination that hit, its one matrix built on
+    first read: a top lifted to m_k -> Σ_s g0[s, k]·m'_s, m'_s N's top lifts
+    (:func:`_witness`), or a flat row typed and laid out
+    (:func:`_flat_map`).
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism between modules over different algebras")
@@ -1110,30 +1079,27 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
     if M.dim == 0:
         return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.zeros(M.field, 0, 0)))
     # N's top lifts are read off its radical, so a syzygy N finds no cover here.
-    t, lifts, basis, tops, scale = M.top_dim(), N.radical().free_columns(), [], [], 1
-    if len(lifts) != t:  # no top is square, so nothing is tried
-        dim = hom_dim(M, N)
+    t, lifts, p = M.top_dim(), N.radical().free_columns(), M.field.characteristic
+    if len(lifts) != t:
+        return IsoSearch(False, True, note="top dimension mismatch")
+    square = M.loewy_length() < 3 and N.loewy_length() < 3
+    if square:
+        equations, free = _top_equations(M, N)
+        homs, size = kernel_subspace(equations), t
     else:
-        square = M.loewy_length() < 3 and N.loewy_length() < 3
-        equations, free = _top_equations(M, N) if square else (presentation_equations(M, N), 0)
-        homs = kernel_subspace(equations)
-        rows, dim = homs.int_rows(), homs.dim + free
-        scale = lcm(*[s for _, _, s in rows.values()])
-        basis = [dict(zip(idx, vals if s == scale else [x * (scale // s) for x in vals]))
-                 for idx, vals, s in rows.values()]
-        if square:  # the rows are tops g0, lifted to m_k -> Σ_s g0[s, k]·m'_s
-            tops, basis = basis, [{lifts[q // t] * t + q % t: x for q, x in g0.items()}
-                                  for g0 in basis]
-        else:  # each top is read once, as it is tried
-            tops = (_top(N, t, images) for images in basis)
-    # The top is linear in the images, so a combination's top is the same
-    # combination of the basis elements' tops.
-    tried = []
-    for images, top in zip(basis, tops):
-        tried.append(top)
-        if _invertible(N, t, top):
-            return IsoSearch(True, True, witness=_witness(M, N, images, scale))
-    rng, p = random.Random(seed), M.field.characteristic
+        homs, free, size = hom_space(M, N).flat, 0, M.dim
+    rows, dim = homs.int_rows(), homs.dim + free
+    scale = lcm(*[s for _, _, s in rows.values()])
+    basis = [dict(zip(idx, vals if s == scale else [x * (scale // s) for x in vals]))
+             for idx, vals, s in rows.values()]
+
+    def found(row: dict) -> IsoSearch:
+        return IsoSearch(True, True, witness=_witness(M, N, row, lifts, scale) if square else
+                         _flat_map(M, N, lambda: (row, typed_values(row.values(), scale, p))))
+    for row in basis:
+        if _invertible(N, size, row):
+            return found(row)
+    rng = random.Random(seed)
 
     def coefficients():
         for _ in range(_ISO_TRIES):
@@ -1142,8 +1108,8 @@ def find_isomorphism(M: AModule, N: AModule, seed: int = 0) -> IsoSearch:
             for point in range(1, 2 * len(basis) + 9):
                 yield [point ** k for k in range(len(basis))]
     for coefs in coefficients() if basis else ():
-        if _invertible(N, t, _combine(coefs, tried, p)):
-            return IsoSearch(True, True, witness=_witness(M, N, _combine(coefs, basis, p), scale))
+        if _invertible(N, size, row := _combine(coefs, basis, p)):
+            return found(row)
     # Nothing invertible was found: an isomorphism would make the Hom dimensions equal.
     if dim != hom_dim(N, M):
         return IsoSearch(False, True, note="hom dimension mismatch")

@@ -59,11 +59,15 @@ regular rows (``dense_approximation``), and the evaluation map read off
 the columns of every basis map matrix (``dense_evaluation``).
 
 The isomorphism search with dense tops (``dense_top_find_isomorphism``)
-is what ranking sparse tops replaced: each top laid out as a dense
-dim top N x t matrix, a zero one skipped, and each combination's top
-read off the combined images of the basis elements whose top is not zero.
-It solves Hom(M, N) on M's presentation for every pair, as the search did
-before it read the g0 system of a pair with J^2 = 0 on both sides.
+is the top route that ``find_isomorphism`` took before it ranked the flat
+rows of ``hom_space`` for a pair that J^2 does not kill: Hom(M, N) solved
+on M's presentation for every pair, each top laid out as a dense
+dim top N x t matrix, a zero one skipped, and each combination's top read
+off the combined images of the basis elements whose top is not zero.
+Its witness (``presentation_witness``) solves the map from its images
+n_1..n_t at the top lifts (``image_copies``), forming the pairs at the
+v_i·(v_j·m_k) when J^2 M is not zero.  The integer top that route read
+(``integer_top``) is n_k mod JN along the radical's integer rows.
 
 dim Hom(M, N) as t·dim N less the rank of M's presentation equations
 (``presentation_hom_dim``) is what ``hom_dim`` read for every M before it
@@ -98,10 +102,10 @@ Ext^i = t_i·dim N - rank d_{i+1}^* - rank d_i^*, which covers one syzygy
 more than Ext^i reads.
 
 The Kronecker Hom equations with each column of a map rebuilt per
-equation (``reference_kronecker_hom_dim``), and Gorenstein projectivity
-with one resolution for the semi-GP scan and another for the transpose
-(``two_resolution_is_gp``), are what reading each map once and sharing
-one resolution replaced.
+equation (``reference_kronecker_hom_dim``) are what reading each map once
+replaced.  Gorenstein projectivity as the semi-GP scans of M and of its
+transpose, each on a resolution of its own (``two_resolution_is_gp``), is
+``is_gp`` spelled out from the public scans.
 
 The unsplit ladder (``unsplit_ladder``), the tops of the syzygies along
 ``resolution``, is what ``betti`` read before it split the copies of S off
@@ -112,6 +116,7 @@ import random
 
 from collections import defaultdict
 from itertools import compress, count, islice
+from math import lcm
 
 from shortloc.errors import BadParams, InvariantViolation
 from shortloc.homology import (DEFAULT_CAP, ApproximationData, _cover_rank, _hom_complex_matrix,
@@ -605,13 +610,81 @@ def dense_evaluation(data):
 
 # -- the search on dense tops ------------------------------------------------------
 
+def image_copies(images, t):
+    """n_1..n_t as {s: entry s of n_k}, from their entries {s·t + k: entry s of n_k}."""
+    copies = [{} for _ in range(t)]
+    for q, x in images.items():
+        s, k = divmod(q, t)
+        copies[k][s] = x
+    return copies
+
+
+def integer_top(N, t, images):
+    """The A-map given by int images n_1..n_t in N, on tops: {f·t + k: entry f of n_k mod JN}.
+
+    ``images`` are ints over a scale s, {s·t + k: entry s of n_k}.  Column k
+    is L·n_k modulo JN (``Subspace.int_residue``), L the lcm of the leads of
+    the radical's pivot rows, so the top is ints over L·s (residues over
+    F_p); row f is its entry at N's f-th free column.
+    """
+    radical, p = N.radical(), N.field.characteristic
+    L = lcm(*[lead for _, _, lead in radical.int_rows().values()])
+    at = {f: i for i, f in enumerate(radical.free_columns())}
+    top = {}
+    for k, n_k in enumerate(image_copies(images, t)):
+        for j, x in radical.int_residue(n_k.items(), L).items():
+            top[at[j] * t + k] = x % p if p else x
+    return top
+
+
+def presentation_witness(M, N, images, scale):
+    """The A-map F: M -> N with F(m_k) = n_k, for int images (n_1..n_t) over ``scale``.
+
+    The b·m_k at the free columns (k, b) of M's cover kernel are a basis of
+    M, and F(b·m_k) = b·n_k; F is read off one elimination of its graph,
+    whose pivot row c is (e_c, F(e_c)).  A free column with b = w_m occurs
+    only when J^2 M is not zero; then the pairs at the v_i·(v_j·m_k), which
+    span the w_m·m_k, are formed too.
+    """
+    t, n, e = M.top_dim(), M.algebra.dim, M.algebra.e
+
+    def build():
+        dm, dn = M.dim, N.dim
+        (cols_m, s_m), (cols_n, s_n) = M.int_columns(), N.int_columns()
+        copies = image_copies(images, t)
+        ms = [[{c: 1}] + [dict(cols[c]) for cols in cols_m] for c in M.lift_columns()]
+        ns = [[x, *v] for x, v in zip(copies, vector_images(cols_n, [(x.keys(), x.values())
+                                                                       for x in copies]))]
+        free = [divmod(q, n) for q in M.cover_kernel.free_columns()]
+        pairs = [(ms[k][b], ns[k][b], *((1, scale) if b == 0 else (s_m, scale * s_n)))
+                 for k, b in free if b <= e]
+        deep = sorted({k for k, b in free if b > e})
+        if deep:
+            twice_m = vector_images(cols_m, [(v.keys(), v.values())
+                                             for k in deep for v in ms[k][1:]])
+            twice_n = vector_images(cols_n, [(v.keys(), v.values())
+                                             for k in deep for v in ns[k][1:]])
+            pairs += [(x, y, s_m * s_m, scale * s_n * s_n)
+                      for xs, ys in zip(twice_m, twice_n) for x, y in zip(xs, ys)]
+        rows = []
+        for x, y, sx, sy in pairs:
+            m = lcm(sx, sy)
+            rows.append({**{c: v * (m // sx) for c, v in x.items()},
+                         **{dm + r: v * (m // sy) for r, v in y.items()}})
+        graph = Subspace.from_vectors(M.field, dm + dn, IntRows(M.field, rows, dm + dn))
+        rows = graph.sparse_rows()
+        return Matrix.from_sparse_columns(N.field, dn, [
+            [(j - dm, x) for j, x in zip(*rows[c]) if j >= dm] for c in range(dm)])
+    return modules._LazyMap(M, N, build)
+
+
 def dense_top(N, t, images):
     """The top of the map with images n_1..n_t as a dense matrix: n_k mod JN at N's free columns."""
     radical = N.radical()
     at = {f: i for i, f in enumerate(radical.free_columns())}
     zero = N.field.zero()
     top = [[zero] * t for _ in at]
-    for k, n_k in enumerate(modules._copies(images, t)):
+    for k, n_k in enumerate(image_copies(images, t)):
         if n_k:
             for j, x in radical.residue(n_k.items()).items():
                 top[at[j]][k] = x
@@ -630,6 +703,8 @@ def dense_top_find_isomorphism(M, N, seed=0):
         return IsoSearch(False, True, note="dimension mismatch")
     if M.dim == 0:
         return IsoSearch(True, True, witness=ModuleMap(M, N, Matrix.zeros(M.field, 0, 0)))
+    if M.top_dim() != N.top_dim():
+        return IsoSearch(False, True, note="top dimension mismatch")
     homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
     rows = homs.sparse_rows()
     basis = [dict(zip(*rows[p])) for p in homs.pivots]
@@ -668,9 +743,9 @@ def presentation_hom_dim(M, N):
 
 
 def typed_witness(M, N, images):
-    """``modules._witness`` of typed images, converted to ints over one scale first."""
+    """``presentation_witness`` of typed images, converted to ints over one scale first."""
     values, scale = integer_values(list(images.values()), M.field.characteristic)
-    return modules._witness(M, N, dict(zip(images, values)), scale)
+    return presentation_witness(M, N, dict(zip(images, values)), scale)
 
 
 # -- the search's and the stable Hom's typed twins ----------------------------------
@@ -684,7 +759,7 @@ def typed_top(N, t, images):
     radical = N.radical()
     at = {f: i for i, f in enumerate(radical.free_columns())}
     top = {}
-    for k, n_k in enumerate(modules._copies(images, t)):
+    for k, n_k in enumerate(image_copies(images, t)):
         if n_k:
             for j, x in radical.residue(n_k.items()).items():
                 top[at[j] * t + k] = x

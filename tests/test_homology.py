@@ -545,9 +545,10 @@ def test_inf_torsionfree_fails_for_m_q(lam0):
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
 def test_gp_reads_one_resolution_for_both_scans(field, monkeypatch):
-    # The transpose is read off the resolution the semi-GP scan walked, so
-    # is_gp makes no cover beyond the two scans'; its verdicts are those of
-    # the route with a resolution of its own for the transpose.
+    # is_gp is the semi-GP scan of M, then, if it holds, that of the
+    # transpose, each on a resolution of its own: beyond the two scans'
+    # covers it makes only the transpose's, Ω^0's and, when t_1 > 0, Ω^1's.
+    # Its verdicts are those of the two scans spelled out.
     covers = []
     monkeypatch.setattr(homology, "projective_cover", lambda M, cap=homology.DEFAULT_CAP,
                         _original=homology.projective_cover: covers.append(M) or _original(M, cap))
@@ -565,7 +566,7 @@ def test_gp_reads_one_resolution_for_both_scans(field, monkeypatch):
             covers.clear()
             got = is_gp(M, 4)
             assert got == want, (c, alpha)
-            assert len(covers) == scans, (c, alpha)
+            assert len(covers) == scans + (1 + (tr.dim > 0)) * bool(semi), (c, alpha)
             verdicts.add((bool(semi), got.holds))
     # Over F_7, q = 2 has finite order and M(q) fails the semi-GP scan too.
     assert verdicts == {(True, True), (False, False)} | ({(True, False)} if field == QQ else set())

@@ -1,19 +1,22 @@
-"""The isomorphism search and the stable Hom on integer rows, against their typed twins.
+"""Integer tops, the isomorphism search and the stable Hom, against their typed twins.
 
-``find_isomorphism`` reads Hom(M, N)'s basis as the kernel's integer rows
-and each top as an integer residue along N's radical rows, over L, the
-lcm of the radical's leads; ``stable_hom_dim`` composes Hom(M, A)'s
-integer rows with the cover's integer columns.  The typed routes they
-replaced stay in ``references.py`` (``typed_top``, ``typed_invertible``,
+The integer top of a Hom basis element on M's presentation
+(``references.integer_top``) is an integer residue along N's radical
+rows, over L, the lcm of the radical's leads; ``find_isomorphism`` ranks
+integer rows (``modules._invertible``) and combines them
+(``modules._combine``); ``stable_hom_dim`` composes Hom(M, A)'s integer
+rows with the cover's integer columns.  The typed routes stay in
+``references.py`` (``typed_top``, ``typed_invertible``,
 ``typed_combine``, ``typed_stable_hom_dim``).  Over Q, F_7 and F_32003
 each integer top, of a basis element and of a seeded combination, must
 be the typed top times L·s, s the scale of its images, and have its
-rank; each stable Hom dimension must be the typed route's.  A counting
-guard keeps every typed value out of these routes: no ``typed_values``,
+rank, and a square one be ranked invertible as the typed one is; each
+stable Hom dimension must be the typed route's.  A counting guard keeps
+every typed value out of these routes: no ``typed_values``,
 ``Subspace.sparse_rows`` or ``Subspace.residue`` call runs in a search
 before its witness's matrix is read, on the g0 system of a J^2-zero pair
-or on M's presentation, nor in ``hom_dim`` on either route, nor in a
-stable Hom.
+or on the flat rows of ``hom_space``, nor in ``hom_dim`` on either
+route, nor in a stable Hom.
 """
 
 import random
@@ -27,8 +30,8 @@ from shortloc.linalg import DEFAULT_POOL, QQ, Field, IntRows, Subspace, kernel_s
 from shortloc.modules import find_isomorphism, hom_dim, presentation_equations, simple_module
 from shortloc.presets import preset
 
-from references import (from_scalars, typed_combine, typed_invertible, typed_stable_hom_dim,
-                        typed_top)
+from references import (from_scalars, integer_top, typed_combine, typed_invertible,
+                        typed_stable_hom_dim, typed_top)
 from test_cross_validation import _random_pairs
 from test_presentation_search import loewy_length_3_pairs, search_pairs, syzygy_ladders
 from test_square_zero_hom import hom_pairs
@@ -79,14 +82,17 @@ def test_integer_tops_are_the_typed_tops_times_l_s(field):
         L = lcm(*[lead for _, _, lead in N.radical().int_rows().values()])
         scale = lcm(*[s for _, _, s in ints.values()])
         tops, typed_tops = [], []
+        # The search ranks a top only when it is square.
+        square = N.top_dim() == t
         for q in homs.pivots:
             idx, vals, s = ints[q]
-            got = modules._top(N, t, dict(zip(idx, vals)))
+            got = integer_top(N, t, dict(zip(idx, vals)))
             want = typed_top(N, t, dict(zip(*typed[q])))
             assert {q: x for q, x in got.items() if x} == times(field, want, L * s)
             assert same_rank(field, got, want, t)
-            assert modules._invertible(N, t, got) == typed_invertible(N, t, want)
-            invertible += modules._invertible(N, t, got)
+            if square:
+                assert modules._invertible(N, t, got) == typed_invertible(N, t, want)
+                invertible += modules._invertible(N, t, got)
             tops.append({q: x * (scale // s) for q, x in got.items()})
             typed_tops.append(want)
             elements += 1
@@ -98,7 +104,8 @@ def test_integer_tops_are_the_typed_tops_times_l_s(field):
             want = typed_combine([field.of(c) for c in coefs], typed_tops)
             assert {q: x for q, x in got.items() if x} == times(field, want, L * scale)
             assert same_rank(field, got, want, t)
-            assert modules._invertible(N, t, got) == typed_invertible(N, t, want)
+            if square:
+                assert modules._invertible(N, t, got) == typed_invertible(N, t, want)
             combinations += 1
     assert elements >= 20000 and combinations >= 3000 and invertible >= 150
 
@@ -123,7 +130,7 @@ def typed_reads(monkeypatch):
     def counted(name, original):
         return lambda *args: seen.append(name) or original(*args)
     typed_values = counted("typed_values", linalg.typed_values)
-    for mod in (linalg, homology, kronecker):
+    for mod in (linalg, modules, homology, kronecker):
         monkeypatch.setattr(mod, "typed_values", typed_values)
     for name in ("sparse_rows", "residue"):
         monkeypatch.setattr(Subspace, name, counted(name, getattr(Subspace, name)))
@@ -142,10 +149,17 @@ def test_a_search_reads_no_typed_value_until_its_witness_is_read(field, typed_re
         iso = find_isomorphism(M, N, seed=seed)
         assert typed_reads == [], (M, N)
         if iso.witness is not None and M.dim:
-            # Only the witness's matrix is typed, from its graph's rows.
-            assert iso.witness.matrix.rows == M.dim and "sparse_rows" in typed_reads
-            found[M.loewy_length() < 3 and N.loewy_length() < 3] += 1
-    # Searches on the g0 system and on M's presentation.
+            # Only the witness's matrix is typed: from its graph's rows when
+            # J^2 kills M and N, else by one typing of the flat row or
+            # combination that hit.
+            square = M.loewy_length() < 3 and N.loewy_length() < 3
+            assert iso.witness.matrix.rows == M.dim
+            if square:
+                assert typed_reads[0] == "sparse_rows"
+            else:
+                assert typed_reads == ["typed_values"]
+            found[square] += 1
+    # Searches on the g0 system and on the flat rows of hom_space.
     assert found[True] >= 150 and found[False] >= 12
 
 

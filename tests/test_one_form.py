@@ -5,7 +5,10 @@ and an engine-built module only its columns.
 span's pivot rows, and ``Subspace.from_pivot_rows``, a kernel's pivot
 form.  Nothing else in the package calls ``Subspace(...)``, so no subspace
 is held by a dense basis.  ``HomSpace`` is the record (source, target,
-flat); its maps are built only by ``hom_basis``.  ``module_from_columns``
+flat); its maps are laid out only by ``modules._flat_map``.  Only
+``hom_dim`` and ``hom_decomposition_check`` solve M's presentation
+(``presentation_equations``), and only ``dual_data``, ``hom_basis`` and
+``find_isomorphism`` call ``hom_space``.  ``module_from_columns``
 names no ``Matrix``.  A module has two forms, its matrices and its integer
 columns: ``AModule`` defines no typed ``action_columns`` or
 ``_action_columns``.  ``Subspace.residue`` is the typed view of
@@ -26,6 +29,14 @@ ORIGINS = {"Subspace._span", "Subspace.from_pivot_rows"}
 
 #: The only functions that may call ``projective_cover``: the resolution walks.
 WALKS = {"syzygy", "resolution", "betti"}
+
+#: The only functions that may call ``presentation_equations``: the Hom
+#: dimension of a Loewy-3 source and C11's left side.
+PRESENTATION_READERS = {"hom_dim", "hom_decomposition_check"}
+
+#: The only functions that may call ``hom_space``: the dual side, the Hom
+#: basis and the isomorphism search of a pair that J^2 does not kill.
+HOM_SPACE_READERS = {"dual_data", "hom_basis", "find_isomorphism"}
 
 SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -121,6 +132,31 @@ def test_the_cover_lint_sees_a_third_walk():
         "walk (line 6)", "Ladder.step (line 9)", "<module> (line 10)"]
     assert not calls_outside("def betti(M):\n    return projective_cover(M)\n",
                              "projective_cover", WALKS)
+
+
+def test_only_their_readers_call_the_hom_systems():
+    for callee, readers in (("presentation_equations", PRESENTATION_READERS),
+                            ("hom_space", HOM_SPACE_READERS)):
+        assert not package_calls(callee, readers)
+        # Each reader calls it: no name on the list is left over.
+        assert {call.split(": ")[1].split(" (")[0]
+                for call in package_calls(callee, set())} == readers
+
+
+def test_the_hom_system_lint_sees_a_third_reader():
+    source = ("from . import modules\n"
+              "def hom_dim(M, N):\n"
+              "    return presentation_equations(M, N)\n"
+              "def find_isomorphism(M, N):\n"
+              "    return modules.presentation_equations(M, N), hom_space(M, N)\n"
+              "class Search:\n"
+              "    def step(self, M, N):\n"
+              "        return hom_space(M, N)\n"
+              "flat = modules.hom_space(None, None).flat\n")
+    assert calls_outside(source, "presentation_equations", PRESENTATION_READERS) == [
+        "find_isomorphism (line 5)"]
+    assert calls_outside(source, "hom_space", HOM_SPACE_READERS) == [
+        "Search.step (line 8)", "<module> (line 9)"]
 
 
 def test_a_hom_space_is_its_flat_rows():

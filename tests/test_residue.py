@@ -4,9 +4,11 @@
 quotient's action columns.  Each is compared in value and scalar type
 with its walk in ``references.py``, over Q, F_7 and F_32003, on spans and
 kernels; the residue is typed once from ints, so its values have the
-canonical type (``references.canonical``).  The tops that ``find_isomorphism`` tests are the same reduction
-along the radical's integer rows: each is compared in value with the
-walk's typed top, times the scale it is read over.
+canonical type (``references.canonical``).  The integer tops of a Hom
+basis on M's presentation (``references.integer_top``) are the same
+reduction along the radical's integer rows (``Subspace.int_residue``):
+each is compared in value with the walk's typed top, times the scale it is
+read over.
 """
 
 import random
@@ -17,12 +19,12 @@ import pytest
 
 from shortloc.errors import BadParams, DimensionMismatch
 from shortloc.linalg import Field, Matrix, Subspace, kernel_subspace
-from shortloc.modules import (AModule, _top, generated_submodule, presentation_equations,
-                              quotient, random_module)
+from shortloc.modules import (AModule, generated_submodule, presentation_equations, quotient,
+                              random_module)
 from shortloc.presets import preset
 
-from references import (canonical, scalars, walk_quotient_columns, walk_reduce, walk_rest,
-                        walk_tops)
+from references import (canonical, integer_top, scalars, walk_quotient_columns, walk_reduce,
+                        walk_rest, walk_tops)
 from test_linalg import ELIM_FIELDS, elimination_inputs, reference_rref_rows
 
 
@@ -132,7 +134,7 @@ def test_quotients_and_tops_match_the_walks(field):
                     homs, t = kernel_subspace(presentation_equations(M, N)), M.top_dim()
                     rows = [homs.int_rows()[p] for p in homs.pivots]
                     L = lcm(*[lead for _, _, lead in N.radical().int_rows().values()])
-                    got = [{q: x for q, x in _top(N, t, dict(zip(idx, vals))).items() if x}
+                    got = [{q: x for q, x in integer_top(N, t, dict(zip(idx, vals))).items() if x}
                            for idx, vals, _ in rows]
                     # The walk's dense tops, read as {f·t + k: entry (f, k)}: the
                     # integer top is the typed one times L·s, s the row's scale.

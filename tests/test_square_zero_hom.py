@@ -8,16 +8,17 @@ system; the presentation route it read for every M stays the reference
 must agree on the sweep pairs, on every (Ω^i S, Ω^j S), i, j <= 4, over
 every preset, and with S, J, A, M(α) and the zero module as targets,
 Loewy-3 ones included.  A search whose two tops differ tries nothing: it
-reads no top, tests none, and takes both Hom dimensions by ``hom_dim``,
-with the dense-top search's verdict.
+builds no Hom system, tests no row, takes no Hom dimension, and certifies
+that there is no isomorphism, as the dense-top search does.
 """
 
 import pytest
 
 from shortloc import modules
 from shortloc.linalg import QQ, Field
-from shortloc.modules import (find_isomorphism, hom_dim, left_regular_module, m_alpha,
-                              radical_module, simple_module, zero_module)
+from shortloc.modules import (find_isomorphism, hom_dim, left_regular_module, m_alpha, quotient,
+                              radical_module, semisimple_module, simple_module, zero_module)
+from shortloc.presets import preset
 
 from references import dense_top_find_isomorphism, presentation_hom_dim
 from test_presentation_search import search_pairs, syzygy_ladders
@@ -67,7 +68,8 @@ def two_top_pairs(field):
 
 def test_a_search_with_two_tops_tries_nothing(monkeypatch):
     events = []
-    for name in ("_top", "_invertible", "_top_equations", "presentation_equations", "hom_dim"):
+    for name in ("_invertible", "_top_equations", "presentation_equations", "hom_space",
+                 "hom_dim"):
         monkeypatch.setattr(modules, name, lambda *args, _name=name,
                             _original=getattr(modules, name): events.append(_name)
                             or _original(*args))
@@ -75,10 +77,24 @@ def test_a_search_with_two_tops_tries_nothing(monkeypatch):
     for M, N, seed in two_top_pairs(QQ):
         events.clear()
         got = find_isomorphism(M, N, seed=seed)
-        # dim Hom(M, N), then dim Hom(N, M), each one g0 system inside hom_dim.
-        assert events == ["hom_dim", "_top_equations"] * 2
+        assert events == []
         want = dense_top_find_isomorphism(M, N, seed=seed)
         assert (got.found, got.certified, got.note) == (want.found, want.certified, want.note)
+        assert (got.found, got.certified, got.note) == (False, True, "top dimension mismatch")
         assert got.witness is None
         searched += 1
     assert searched >= 40
+
+
+@FIELDS
+def test_two_tops_with_one_hom_dimension_are_certified(field):
+    # A/(J^2, w) over L(2), of dimension 2 and top 1, and S^2 have Hom
+    # spaces of dimension 2 both ways, so the Hom dimensions settle nothing;
+    # the tops do.
+    alg = preset("L", field=field, e=2)
+    M, N = quotient(left_regular_module(alg), [[0, 0, 1]])[0], semisimple_module(alg, 2)
+    assert (M.dim, M.top_dim(), N.top_dim()) == (2, 1, 2)
+    assert hom_dim(M, N) == hom_dim(N, M) == 2
+    for X, Y in ((M, N), (N, M)):
+        got = find_isomorphism(X, Y)
+        assert (got.found, got.certified, got.note) == (False, True, "top dimension mismatch")

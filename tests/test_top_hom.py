@@ -3,9 +3,9 @@
 ``hom_space`` solves only the equations at the top lifts of M,
 F(b·m_k) = b·F(m_k); ``hom_dim`` is t·dim N less the rank of M's cover
 kernel acting on N, or, when J^2 M = 0, t·dim N' less the rank of the g0
-system into N' = ann_N(J^2); the isomorphism search of a Loewy-3 pair
-solves that presentation kernel, tests each basis element (n_1..n_t) on
-tops, a t x t matrix read off n_k mod JN, and builds only the witness's
+system into N' = ann_N(J^2); the isomorphism search ranks each g0 row of a
+J^2-zero pair as a t x t top, and each flat row of ``hom_space`` of any
+other pair as a dim N x dim M matrix, and builds only the witness's
 matrix.  The whole
 intertwining system, one equation per generator and matrix entry, is kept
 here as the reference: over Q, F_7 and F_32003 its kernel basis must be
@@ -20,14 +20,15 @@ import pytest
 from shortloc import homology, linalg, modules
 from shortloc.homology import syzygy, syzygy_power
 from shortloc.errors import DimensionMismatch
-from shortloc.linalg import QQ, Field, IntRows, kernel_subspace, rank
+from shortloc.linalg import QQ, Field, IntRows, kernel_subspace, rank, typed_values
 from shortloc.modules import (end_dim, find_isomorphism, free_module, hom_basis, hom_dim,
                               hom_space, left_regular_module, mod_j_squared, random_module,
                               semisimple_module, simple_module, zero_module)
 from shortloc.presets import preset
 
 from references import from_scalars, scalars, typed_columns
-from test_sweep_solves import fresh, presentation_int_basis, rebased, sweep_modules, sweep_pairs
+from test_presentation_search import loewy_length_3_pairs
+from test_sweep_solves import fresh, rebased, sweep_modules, sweep_pairs
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
 
@@ -109,18 +110,31 @@ def test_top_lift_hom_space_is_the_intertwining_kernel(field):
 
 @FIELDS
 def test_the_top_test_is_invertibility(field):
-    checked = {True: 0, False: 0}
-    for _, M, N in sweep_pairs(field):
-        t = M.top_dim()
-        for images, scale in presentation_int_basis(M, N):
-            top = modules._top(N, t, images)
-            # The map built from the element's (n_k) is an A-map.
-            F = modules._witness(M, N, images, scale)
+    # A g0 row of a J^2-zero pair, lifted with no part in JN, and a flat row
+    # of any other pair are A-maps, and _invertible, ranking the one as a top
+    # and the other as the map's matrix, says whether the map is invertible.
+    checked, p = {}, field.characteristic
+    pairs = [(M, N) for _, M, N in sweep_pairs(field)]
+    pairs += [(M, N) for M, N, _ in loewy_length_3_pairs(field)]
+    for M, N in pairs:
+        t, lifts = M.top_dim(), N.radical().free_columns()
+        if len(lifts) != t:
+            continue  # the search ranks no row of such a pair
+        square = M.loewy_length() < 3 and N.loewy_length() < 3
+        if square:
+            homs, size = kernel_subspace(modules._top_equations(M, N)[0]), t
+        else:
+            homs, size = hom_space(M, N).flat, M.dim
+        for idx, vals, scale in homs.int_rows().values():
+            row = dict(zip(idx, vals))
+            F = (modules._witness(M, N, row, lifts, scale) if square else modules._flat_map(
+                M, N, lambda: (idx, typed_values(vals, scale, p))))
             assert F.is_intertwiner()
             invertible = rank(F.matrix) == M.dim
-            assert modules._invertible(N, t, top) == invertible
-            checked[invertible] += 1
-    assert checked[True] >= 20 and checked[False] >= 20
+            assert modules._invertible(N, size, row) == invertible
+            checked[square, invertible] = checked.get((square, invertible), 0) + 1
+    assert checked[True, True] >= 150 and checked[True, False] >= 90
+    assert checked[False, True] >= 10 and checked[False, False] >= 100
 
 
 # -- counting guards -----------------------------------------------------------
