@@ -39,12 +39,14 @@ and no image built.  So from step 1 on a resolution step is one
 elimination of the big Φ with no typed scalar: its rank settles the
 syzygy's top, its free columns are the kernel's pivots, and its pivot
 rows feed the next step.  When the V-rows do not lift the whole top, the
-images, read off the same Φ, are checked against the shadow on its
-integer rows, and only those at Φ's pivot columns and those of the
-J^2-rows are eliminated again.  The images are Φ transposed, one pass over
-its entries (:meth:`Syzygy.images`), and give the integer columns of its
-actions (:meth:`Syzygy.int_columns`), by which it is held as every
-engine-built module is.
+shadow is checked stable, and only the images at Φ's pivot columns and
+those of the J^2-rows are eliminated again.  The check maps no image
+when the shadow holds J^2 A^t, read off its pivot form: every image lies
+in J·JA^t = J^2 A^t.  Any other shadow has its images, read off the same
+Φ, checked against it on its integer rows.  The images are Φ transposed,
+one pass over its entries (:meth:`Syzygy.images`), and give the integer
+columns of its actions (:meth:`Syzygy.int_columns`), by which it is held
+as every engine-built module is.
 Its socle is read off Φ itself: Φ's entries regrouped by J^2-coordinate
 and generator, one column per mapped row, have the rank of the stacked
 actions, so dim soc is dim Ω less that integer rank
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import cached_property, record
@@ -180,8 +182,10 @@ def phi_kernel(alg: ShortAlgebra, rows: dict, scales: Sequence[int]) -> Subspace
     each of the t top lifts (:func:`shadow_rows`, :func:`top_kernel`):
     column k·(dim A - 1) + u, the image of radical coordinate
     k·dim A + 1 + u of A^t, is ``scales[k]`` times the column meant.  The
-    scales ride on Φ's columns (:class:`~shortloc.linalg.IntRows`) and are
-    folded back only when the kernel's rows are built.  A zero image, as
+    scales, divided by their gcd, which moves no kernel, ride on Φ's
+    columns (:class:`~shortloc.linalg.IntRows`) and are folded back only
+    when the kernel's rows are built; so a ladder's column scales do not
+    compound from rung to rung.  A zero image, as
     every w-image is when J^2 N = 0, is an empty column, free with its unit
     vector as kernel vector.
     This is the whole cover's kernel: a reduced basis depends only on the
@@ -190,11 +194,11 @@ def phi_kernel(alg: ShortAlgebra, rows: dict, scales: Sequence[int]) -> Subspace
     embedded in A^t as they are built (:func:`kernel_subspace` with
     ``at``), on first read.
     """
-    n, t = alg.dim, len(scales)
+    n, t, g = alg.dim, len(scales), gcd(*scales)
     at = [k * n + u for k in range(t) for u in range(1, n)]
     column_scales = None
-    if any(scale != 1 for scale in scales):
-        column_scales = [scale for scale in scales for _ in range(1, n)]
+    if any(scale != g for scale in scales):
+        column_scales = [scale // g for scale in scales for _ in range(1, n)]
     return kernel_subspace(IntRows(alg.field, list(rows.values()), len(at), column_scales),
                            at=at, ambient=n * t)
 
@@ -284,7 +288,8 @@ class Syzygy(AModule):
         rows have zero images.  So Φ's entries, regrouped into rows keyed
         (q, j) with one column per row in ``order``, have the rank of the
         stacked actions, as Ω embeds in A^t, and the socle has dim Ω less
-        that rank.  The shadow is checked first (:meth:`_check_stable`).
+        that rank.  The shadow is checked first (:meth:`_check_stable`),
+        which maps no image when the shadow holds J^2 A^t.
         """
         if self._socle_dim is None:
             self._check_stable()
@@ -325,8 +330,9 @@ class Syzygy(AModule):
         J^2-coordinates, those rows span JΩ and the V-rows are all the top
         lifts.  Otherwise JΩ is spanned by the images at Φ's pivot columns
         and those of the J^2-rows, whose coordinates are their entries at
-        the J^2-rows' pivots once each image is checked against the shadow
-        (:meth:`_check_stable`); the free columns of their elimination,
+        the J^2-rows' pivots once the shadow is checked stable
+        (:meth:`_check_stable`, by its pivot form alone when it holds
+        J^2 A^t); the free columns of their elimination,
         integer images as they stand, are the J^2-rows that lift the top,
         and Φ is taken again over all the lifts.  The kernel is
         :func:`phi_kernel`'s: its rows are built when first read, so the top
@@ -365,16 +371,29 @@ class Syzygy(AModule):
         """Check the shadow once, on its pivot and integer rows; no typed row is built.
 
         The shadow must lie in the radical of its free module and hold the
-        image of each of its rows (BadParams otherwise), each image checked
-        on the integer rows (:meth:`~shortloc.linalg.Subspace.contains_ints`).
+        image of each of its rows (BadParams otherwise).  No image is mapped
+        when the shadow holds J^2 A^t (:meth:`_holds_j2`): it lies in JA^t,
+        so every image lies in J·JA^t = J^2 A^t.  Any other shadow has each
+        image checked on the integer rows
+        (:meth:`~shortloc.linalg.Subspace.contains_ints`).
         """
         if self._stable:
             return
         self._check_support()
-        images = (img for imgs, _ in self._shadow_images.values() for img in imgs)
-        if not all(map(self.space.contains_ints, images)):
-            raise BadParams("subspace is not stable under the module action")
+        if not self._holds_j2():
+            images = (img for imgs, _ in self._shadow_images.values() for img in imgs)
+            if not all(map(self.space.contains_ints, images)):
+                raise BadParams("subspace is not stable under the module action")
         self._stable = True
+
+    def _holds_j2(self) -> bool:
+        """The shadow holds J^2 A^t, read off its pivot form: each W-coordinate of A^t
+        is a kernel pivot whose column lies in no pivot row of Φ, so its row is the unit
+        vector there."""
+        (piv, free, at, _), alg = self.space.pivot_form(), self.algebra
+        units = {f for f in free if at[f] % alg.dim > alg.e}
+        return len(units) == alg.a * (self.space.ambient // alg.dim) and \
+            all(map(units.isdisjoint, piv.values()))
 
 
 @record

@@ -15,7 +15,7 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, InvariantViolation, LoewyTooLong,
                      NotSelfInjective, WrongHilbertType)
 from .homology import DEFAULT_CAP, Syzygy, syzygy, top_kernel
-from .linalg import IntRows, Matrix, integer_pairs, kernel_subspace, rank, typed_values
+from .linalg import Field, IntRows, Matrix, integer_pairs, kernel_subspace, rank, typed_values
 from .modules import (AModule, _kronecker_data, _kronecker_equations, _typed, find_isomorphism,
                       module_from_columns, presentation_equations, simple_multiplicity)
 
@@ -91,46 +91,63 @@ def rep_dual(rep: KroneckerRep) -> KroneckerRep:
 
 
 def kronecker_hom_dim(repA: KroneckerRep, repB: KroneckerRep) -> int:
-    """dim Hom of Kronecker representations: b1·(a1 - rank Φ_A) + b0·a0 less a rank.
+    """dim Hom of Kronecker representations, on their maps converted to ints once.
 
-    A homomorphism is a pair (g0: A_0 -> B_0, g1: A_1 -> B_1) with
-    phiB_i g0 = g1 phiA_i for every arrow, so g1 is fixed by g0 on the image
-    of Φ_A: v_i⊗a -> phiA_i(a) and free off it, and g0 must meet the
-    equations of ker Φ_A against B's arrows (:func:`_kronecker_equations`).
+    The maps of both go through :func:`~shortloc.linalg.integer_pairs`
+    together, and the integer core (:func:`_int_hom_dim`) does the rest.
     """
     if repA.e != repB.e:
         raise AlgebraMismatch("representations of different Kronecker quivers")
-    e, a0, b0 = repA.e, repA.dim0, repB.dim0
+    e, (a0, a1), (b0, b1) = repA.e, repA.dim_vector, repB.dim_vector
     if not repA.maps:
-        return b0 * a0 + repB.dim1 * repA.dim1  # no arrow and so no equation
+        return b0 * a0 + b1 * a1  # no arrow, so no field to read and no equation
     field = repA.maps[0].field
     maps, scale = integer_pairs([phi.sparse_columns() for phi in repA.maps + repB.maps],
                                 field.characteristic)
-    columns, arrows = maps[:e], maps[e:]
-    rows: list[dict] = [{} for _ in range(repA.dim1)]
+    return _int_hom_dim(field, (a0, a1, maps[:e], scale), (b0, b1, maps[e:], scale))
+
+
+def _int_hom_dim(field: Field, source: tuple, target: tuple) -> int:
+    """dim Hom of Kronecker representations in ints: b1·(a1 - rank Φ_A) + b0·a0 less a rank.
+
+    Each representation is (dim0, dim1, arrows, scale), arrows[j][k] the
+    column of arrow j at basis vector k of V_0 as (row, int) pairs over the
+    scale, as :func:`~shortloc.modules._kronecker_data` gives a module's.
+    A homomorphism is a pair (g0: A_0 -> B_0, g1: A_1 -> B_1) with
+    phiB_i g0 = g1 phiA_i for every arrow, so g1 is fixed by g0 on the image
+    of Φ_A: v_i⊗a -> phiA_i(a) (column k·e + j) and free off it, and g0 must
+    meet the equations of ker Φ_A against B's arrows
+    (:func:`_kronecker_equations`).  Neither scale moves a rank.
+    """
+    (a0, a1, columns, _), (b0, b1, _, _) = source, target
+    e = len(columns)
+    rows: list[dict] = [{} for _ in range(a1)]
     for j, cols in enumerate(columns):
         for k, col in enumerate(cols):
             for r, x in col:
                 rows[r][k * e + j] = x
     kernel = kernel_subspace(IntRows(field, rows, e * a0))
-    equations = _kronecker_equations(field, kernel.pivot_form(), e, a0,
-                                     (b0, repB.dim1, arrows, scale))
-    return repB.dim1 * (repA.dim1 - e * a0 + kernel.dim) + b0 * a0 - rank(equations)
+    equations = _kronecker_equations(field, kernel.pivot_form(), e, a0, target)
+    return b1 * (a1 - e * a0 + kernel.dim) + b0 * a0 - rank(equations)
 
 
 def hom_decomposition_check(M: AModule, N: AModule) -> bool:
     """Check dim Hom(M, N) = dim Hom(tilde M, tilde N) + t(M) * |JN|.
 
     This is the hom decomposition along the push-down: module maps split
-    into graded Kronecker maps and arbitrary top-to-radical maps.
+    into graded Kronecker maps and arbitrary top-to-radical maps.  The
+    right side is the integer core (:func:`_int_hom_dim`) on the modules'
+    Kronecker data (:func:`~shortloc.modules._kronecker_data`), with no
+    typed representation built, plus dim top M · dim JN read off the same
+    data.
     """
     if M.loewy_length() > 2 or N.loewy_length() > 2:
         raise LoewyTooLong("hom decomposition needs Loewy length <= 2")
     # The left side is ranked on M's presentation, not by hom_dim, which reads the g0 system.
     equations = presentation_equations(M, N)
     lhs = equations.cols - rank(equations)
-    rhs = kronecker_hom_dim(tilde(M), tilde(N)) + M.top_dim() * N.radical().dim
-    return lhs == rhs
+    source, target = _kronecker_data(M), _kronecker_data(N)
+    return lhs == _int_hom_dim(M.field, source, target) + source[0] * target[1]
 
 
 def multiplication_form(alg: ShortAlgebra) -> Matrix:

@@ -14,7 +14,8 @@ floating point anywhere in this package.
 :func:`rank`, :func:`kernel_subspace`, :func:`solve`, :func:`solve_matrix`
 and :meth:`Subspace.from_vectors`.  It reduces the rows one at a time as
 sparse ``{column: int}`` dicts: over Q fraction-free, with integer rows
-scaled by the lcm of their denominators, over F_p on plain residues.  It
+scaled by the lcm of their denominators and every pivot row primitive
+(the gcd of its entries is 1), over F_p on plain residues.  It
 reads a dense :class:`Matrix` through :func:`_sparse`, or an
 :class:`IntRows`, never laid out densely, built in integers: Φ, the
 Hom-complex, the relation equations, the Kronecker Homs, a search's tops,
@@ -478,8 +479,9 @@ def _echelon(field: Field, rows: Iterable[dict], ncols: int) -> dict[int, dict]:
     the older pivot rows are then cleared at that column.  So the pivot
     rows stay reduced, a row is cleared at each pivot column once, and
     the result is the reduced row echelon form up to the scale of each row.
-    Over Q no rational is built: the rows hold integers, a row that was
-    cleared is divided by its content, and every lead is positive.  Over
+    Over Q no rational is built: the rows hold integers, every pivot row
+    is primitive (a row that was cleared, or one whose lead is not ±1, is
+    divided by its content), and every lead is positive.  Over
     F_p a pivot row is scaled to lead 1 with ``pow(lead, -1, p)``.
 
     The older pivot rows that hold a new pivot column are found through an
@@ -506,8 +508,11 @@ def _echelon(field: Field, rows: Iterable[dict], ncols: int) -> dict[int, dict]:
         if p and row[c] != 1:
             inv = pow(row[c], -1, p)
             row = {j: x * inv % p for j, x in row.items()}
-        elif row[c] < 0:
-            row = {j: -x for j, x in row.items()}
+        elif row[c] != 1:  # over Q; a cleared row is primitive (_tidy), as is one led by ±1
+            g = 1 if hits or row[c] == -1 else gcd(*row.values())
+            g = -g if row[c] < 0 else g
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
         if c in used:
             if held is None:
                 held = defaultdict(set)

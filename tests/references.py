@@ -116,7 +116,7 @@ import random
 
 from collections import defaultdict
 from itertools import compress, count, islice
-from math import lcm
+from math import gcd, lcm
 
 from shortloc.errors import BadParams, InvariantViolation
 from shortloc.homology import (DEFAULT_CAP, ApproximationData, _cover_rank, _hom_complex_matrix,
@@ -960,8 +960,11 @@ def unindexed_echelon(field, rows, ncols, counts=None):
         if p and row[c] != 1:
             inv = pow(row[c], -1, p)
             row = {j: x * inv % p for j, x in row.items()}
-        elif row[c] < 0:
-            row = {j: -x for j, x in row.items()}
+        elif row[c] != 1:
+            g = 1 if hits or row[c] == -1 else gcd(*row.values())
+            g = -g if row[c] < 0 else g
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
         if c in used:
             for q, qrow in piv.items():
                 if c in qrow:

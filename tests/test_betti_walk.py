@@ -6,7 +6,10 @@ and t_i adds w_j·t_{i-j} for each earlier rung j that shed w_j copies.
 The oracle is the unsplit ladder: the tops of the syzygies along one
 ``resolution`` (``references.unsplit_ladder``).  Values and cap outcomes
 must agree rung by rung, over Q, F_7 and F_32003.  Ext and the semi-GP
-scan walk ``resolution`` and, as ``betti`` does, hold one rung.
+scan walk ``resolution`` and, as ``betti`` does, hold one rung.  A shadow
+that holds J^2 A^t is stable with no image mapped (``Syzygy._holds_j2``):
+every shadow so certified must pass the full image check, and a shadow
+whose W-row is no unit vector is checked in full.
 """
 
 import weakref
@@ -16,8 +19,8 @@ import pytest
 
 from shortloc import homology
 from shortloc.errors import BadParams, ResourceCapExceeded
-from shortloc.homology import betti, ext_dims, is_semi_gp, syzygy
-from shortloc.linalg import QQ, Field, Subspace
+from shortloc.homology import Syzygy, betti, ext_dims, is_semi_gp, resolution, syzygy
+from shortloc.linalg import QQ, Field, IntRows, Subspace, kernel_subspace
 from shortloc.modules import (free_module, left_regular_module, m_alpha, random_module,
                               semisimple_module, simple_module, zero_module)
 from shortloc.presets import preset, preset_names
@@ -234,3 +237,44 @@ def test_ext_and_the_semi_gp_scan_hold_one_step(name, kw, monkeypatch):
         steps.append(len(presentations))
         assert not any(ref() for ref in presentations)
     assert steps == [9, 2, 9][:len(scans)]
+
+
+# -- the stability certificate -------------------------------------------------
+
+def _shadows(M, depth, limit=4000):
+    """Ω^1 M .. Ω^depth M along one walk, stopping before the first larger than ``limit``."""
+    for _, step in zip(range(depth), resolution(M, cap=10**6)):
+        if step.kernel.dim > limit:
+            return
+        yield step.kernel
+
+
+@FIELDS
+def test_every_shadow_the_certificate_passes_is_stable(field):
+    # A shadow holding J^2 A^t skips mapping its images; each such shadow
+    # must pass the full check, every image inside the shadow.
+    certified = refused = 0
+    for name, alg in _algebras(field):
+        for M in (simple_module(alg), random_module(alg, 2, 1, 1), random_module(alg, 1, 0, 2)):
+            for i, X in enumerate(_shadows(M, 6), 1):
+                if X._holds_j2():
+                    images = [img for imgs, _ in X._shadow_images.values() for img in imgs]
+                    assert all(map(X.space.contains_ints, images)), (name, i)
+                    certified += 1
+                else:
+                    refused += 1
+    assert certified >= 200 and refused >= 20
+
+
+@FIELDS
+def test_a_shadow_whose_w_row_is_no_unit_vector_is_checked_in_full(field):
+    # The shadow spanned by v_1 + w_1 in A has its one W-coordinate as a
+    # pivot, but its row reaches v_1: it does not hold J^2 A, and
+    # v_2·(v_1 + w_1) = v_2 v_1 = w_1 lies outside it.
+    alg = preset("ex9_3", field=field)
+    kernel = kernel_subspace(IntRows(field, [{0: 1, 2: -1}, {1: 1}], 3), at=[1, 2, 3],
+                             ambient=alg.dim)
+    X = Syzygy(alg, kernel)
+    assert kernel.pivots == (3,) and not X._holds_j2()
+    with pytest.raises(BadParams, match="not stable"):
+        X.socle_dim()

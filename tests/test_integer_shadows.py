@@ -12,7 +12,9 @@ F_7 and F_32003, the two must agree in pivots, sparse rows and basis, with
 the type of every scalar, in the top lifts and in their typed rows
 (``references.boundary_rows``).  A
 syzygy's socle is read off the integer Φ; it must agree with the socle of
-the module built from its shadow, by rank and densely.
+the module built from its shadow, by rank and densely.  Over Q a ladder's
+pivot form, its pivot rows and column scales, must stay within a few bits
+of its rows over their least scales.
 """
 
 from fractions import Fraction
@@ -103,6 +105,30 @@ def test_m2_over_lambda_c1_eliminates_non_unit_leads(monkeypatch):
     monkeypatch.setattr(homology, "shadow_rows", recording)
     betti(m_alpha(preset("lambda_c", c=1), 2), 10)
     assert any(lead != 1 for lead in leads)
+
+
+def _widths(shadow):
+    """(held, canonical): the widest int, in bits, of the shadow's pivot form (its pivot
+    rows and column scales) and of its rows over their least scales (``int_rows``)."""
+    piv, _, _, sigma = shadow.pivot_form()
+    held = [x for row in piv.values() for x in row.values()] + list(sigma or [])
+    canonical = [x for _, vals, scale in shadow.int_rows().values() for x in (*vals, scale)]
+    return max(abs(x).bit_length() for x in held), max(abs(x).bit_length() for x in canonical)
+
+
+@pytest.mark.parametrize("c, alpha, steps, widest", [
+    (0, 2, 14, lambda bits: bits + 2), (1, 2, 14, lambda bits: bits + 2),
+    (1, 1, 10, lambda bits: 2 * bits + 8)], ids=["M2-c0", "M2-c1", "M1-c1"])
+def test_a_ladder_over_q_holds_its_pivot_form_near_its_canonical_rows(c, alpha, steps, widest):
+    # A pivot row led by no ±1 is divided by its content, and Φ's lift scales
+    # by their gcd.  Without either, M(2)'s pivot form doubled in bit length
+    # at every rung (8,193 bits at rung 14) while its canonical rows grew by
+    # one bit a rung.
+    M = m_alpha(preset("lambda_c", c=c), alpha)
+    for i, step in zip(range(1, steps + 1), resolution(M, cap=200_000)):
+        held, canonical = _widths(step.kernel.space)
+        assert held <= widest(canonical), (i, held, canonical)
+    assert i == steps and canonical >= 15
 
 
 # -- the work of a ladder, counted -------------------------------------------------
@@ -266,11 +292,17 @@ PRESET_PARAMS = {"L": {"e": 3}, "ex14_1": {"e": 2, "a": 1}, "ex15_1": {"e": 3, "
 
 
 def _socle_inputs(field):
-    """S and a seeded module over every preset, M(2) over lambda_c(c=1), the sweep modules."""
+    """S and a seeded module over every preset, M(2) over lambda_c(c=1), the sweep modules.
+
+    Over ex3_4, ex5_3 and ex9_4 a second seeded module adds a shadow with
+    scales other than 1, the first two on the top-lift branch too.
+    """
     for name in preset_names():
         alg = preset(name, field=field, **PRESET_PARAMS.get(name, {}))
         yield simple_module(alg)
         yield random_module(alg, 2, 1, 3)
+        if name in ("ex3_4", "ex5_3", "ex9_4"):
+            yield random_module(alg, 2, 1, 4)
     yield m_alpha(preset("lambda_c", field=field, c=1), 2)
     yield from sweep_modules(field, per_stratum=1, seed=9)
 

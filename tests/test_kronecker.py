@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 from shortloc.algebra import ShortAlgebra
 from shortloc.errors import AlgebraMismatch, BadParams, NotSelfInjective
 from shortloc.homology import ext_dim
-from shortloc.kronecker import (KroneckerRep, hom_decomposition_check,
+from shortloc.kronecker import (KroneckerRep, _int_hom_dim, hom_decomposition_check,
                                 kronecker_hom_dim, multiplication_form, push_down,
                                 rep_as_module, rep_dual, sigma_reflection, tilde,
                                 verify_sigma_omega)
-from shortloc.linalg import QQ, Field, Fp, Matrix
-from shortloc.modules import (cyclic_submodule, dim_vector, end_dim, is_isomorphic,
-                              left_regular_module, mod_j_squared, radical_module,
-                              random_module, simple_module, simple_multiplicity)
+from shortloc.linalg import QQ, Field, Fp, Matrix, rank
+from shortloc.modules import (_kronecker_data, cyclic_submodule, dim_vector, end_dim,
+                              is_isomorphic, left_regular_module, mod_j_squared,
+                              presentation_equations, radical_module, random_module,
+                              simple_module, simple_multiplicity)
 from shortloc.numerics import q_form
-from shortloc.presets import preset
+from shortloc.presets import preset, preset_names
 
 from references import (is_zero, reference_kronecker_hom_dim, scalars, top_images, typed_images,
                         typed_phi_kernel, typed_pivot_columns)
+from test_sweep_solves import sweep_modules
 
 
 def rep_S0(e):
@@ -183,6 +185,52 @@ def test_kronecker_hom_dim_matches_the_equations_it_replaced(field):
         assert kronecker_hom_dim(A, B) == reference_kronecker_hom_dim(A, B), (A, B)
         no_rows += A.dim1 == 0 < A.dim0
     assert no_rows >= 20
+
+
+# -- C11's integer core ------------------------------------------------------------
+
+FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
+
+#: The parameters of the presets that need some.
+PRESET_PARAMS = {"L": {"e": 3}, "ex14_1": {"e": 2, "a": 1}, "ex15_1": {"e": 3, "a": 2}}
+
+
+def reference_hom_decomposition_check(M, N):
+    """C11 with its right side on the typed representations tilde M and tilde N."""
+    equations = presentation_equations(M, N)
+    lhs = equations.cols - rank(equations)
+    return lhs == kronecker_hom_dim(tilde(M), tilde(N)) + M.top_dim() * N.radical().dim
+
+
+def c11_pairs(field):
+    """Pairs of Loewy length <= 2: S, J, A (A/J^2 A when J^2 is not 0) and two seeded
+    modules over every preset, each against each, then the sweep modules and their
+    partners, both ways round."""
+    for name in preset_names():
+        alg = preset(name, field=field, **PRESET_PARAMS.get(name, {}))
+        mods = [simple_module(alg), radical_module(alg), mod_j_squared(left_regular_module(alg))]
+        mods += [mod_j_squared(random_module(alg, gens, rels, seed))
+                 for gens, rels, seed in ((1, 1, 5), (2, 2, 6))]
+        yield from ((M, N) for M in mods for N in mods)
+    rng = random.Random(7)
+    for M in sweep_modules(field, per_stratum=1, seed=9):
+        partner = mod_j_squared(random_module(M.algebra, 1 + rng.randrange(2), rng.randrange(4),
+                                              rng.randrange(2**31)))
+        yield M, partner
+        yield partner, M
+
+
+@FIELDS
+def test_the_integer_core_matches_the_typed_route_and_the_reference(field):
+    pairs = arrows = 0
+    for M, N in c11_pairs(field):
+        got = _int_hom_dim(field, _kronecker_data(M), _kronecker_data(N))
+        A, B = tilde(M), tilde(N)
+        assert got == kronecker_hom_dim(A, B) == reference_kronecker_hom_dim(A, B), (M, N)
+        assert hom_decomposition_check(M, N) == reference_hom_decomposition_check(M, N), (M, N)
+        pairs += 1
+        arrows += M.dim > M.top_dim() and N.dim > N.top_dim()
+    assert pairs >= 400 and arrows >= 250
 
 
 # -- reflection -------------------------------------------------------------------

@@ -8,8 +8,10 @@ is held by a dense basis.  ``HomSpace`` is the record (source, target,
 flat); its maps are laid out only by ``modules._flat_map``.  Only
 ``hom_dim`` and ``hom_decomposition_check`` solve M's presentation
 (``presentation_equations``), and only ``dual_data``, ``hom_basis`` and
-``find_isomorphism`` call ``hom_space``.  ``module_from_columns``
-names no ``Matrix``.  A module has two forms, its matrices and its integer
+``find_isomorphism`` call ``hom_space``.  Only ``verify_sigma_omega``
+calls ``tilde``, so C11 (``hom_decomposition_check``) reads its modules'
+integer Kronecker data and builds no typed representation.
+``module_from_columns`` names no ``Matrix``.  A module has two forms, its matrices and its integer
 columns: ``AModule`` defines no typed ``action_columns`` or
 ``_action_columns``.  ``Subspace.residue`` is the typed view of
 ``int_residue`` and reads no typed row (``sparse_rows``).  Only the
@@ -37,6 +39,10 @@ PRESENTATION_READERS = {"hom_dim", "hom_decomposition_check"}
 #: The only functions that may call ``hom_space``: the dual side, the Hom
 #: basis and the isomorphism search of a pair that J^2 does not kill.
 HOM_SPACE_READERS = {"dual_data", "hom_basis", "find_isomorphism"}
+
+#: The only function that may call ``tilde``: the reflection check, which
+#: reflects a typed representation.
+TILDE_READERS = {"verify_sigma_omega"}
 
 SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -157,6 +163,26 @@ def test_the_hom_system_lint_sees_a_third_reader():
         "find_isomorphism (line 5)"]
     assert calls_outside(source, "hom_space", HOM_SPACE_READERS) == [
         "Search.step (line 8)", "<module> (line 9)"]
+
+
+def test_only_the_reflection_check_builds_a_typed_representation():
+    assert not package_calls("tilde", TILDE_READERS)
+    assert {call.split(": ")[1].split(" (")[0]
+            for call in package_calls("tilde", set())} == TILDE_READERS
+
+
+def test_the_tilde_lint_sees_a_second_reader():
+    source = ("from . import kronecker\n"
+              "def verify_sigma_omega(alg, M):\n"
+              "    return tilde(M)\n"
+              "def hom_decomposition_check(M, N):\n"
+              "    return kronecker_hom_dim(tilde(M), kronecker.tilde(N))\n"
+              "class Reps:\n"
+              "    def of(self, M):\n"
+              "        return tilde(M)\n")
+    assert calls_outside(source, "tilde", TILDE_READERS) == [
+        "hom_decomposition_check (line 5)", "hom_decomposition_check (line 5)",
+        "Reps.of (line 8)"]
 
 
 def test_a_hom_space_is_its_flat_rows():

@@ -21,7 +21,7 @@ from shortloc.modules import (find_isomorphism, hom_dim, left_regular_module, m_
 from shortloc.presets import preset
 
 from references import dense_top_find_isomorphism, presentation_hom_dim
-from test_presentation_search import search_pairs, syzygy_ladders
+from test_presentation_search import syzygy_ladders
 from test_sweep_solves import fresh, sweep_modules, sweep_pairs
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)], ids=str)
