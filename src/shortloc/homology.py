@@ -3,7 +3,8 @@
 Everything here works with minimal constructions: projective covers lift a
 basis of the top, so kernels are first syzygies.  :func:`resolution` is
 the single engine that walks syzygies, one step at a time and keeping none
-it has passed: syzygy powers and orbit walks read its modules, and Ext
+it has passed, yielding a step whose kernel repeats its module again with
+no new cover (:func:`_repeats`): syzygy powers and orbit walks read its modules, and Ext
 groups are read off the Homs out of its syzygies, which land in
 ann_N(J^2) as J^2 kills a syzygy (:func:`_ext_sequence`).  Betti
 numbers are read along a walk that keeps one rung and splits S off S's rungs
@@ -68,7 +69,7 @@ when a caller reads them.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -502,15 +503,31 @@ def syzygy_power(M: AModule, n: int, cap: int = DEFAULT_CAP) -> AModule:
     return next(islice(resolution(M, cap=cap), n - 1, None)).kernel if n else M
 
 
+def _repeats(X: AModule, kernel: Subspace) -> bool:
+    """X is a syzygy whose cover kernel is its own shadow: Ω X = X, so every later step is X's.
+
+    Both must lie in one A^t with one pivot form (piv, free, at, scales):
+    then they are one submodule of one A^t, and each later step is a
+    function of it.  So a fixed point whose pivot form moves is missed, and
+    none is invented.  This is the one test of a repeated rung.
+    """
+    return isinstance(X, Syzygy) and kernel.ambient == X.space.ambient and \
+        kernel.pivot_form() == X.space.pivot_form()
+
+
 def resolution(M: AModule, cap: int = DEFAULT_CAP) -> Iterator[Presentation]:
     """The minimal resolution of M, one step at a time: step i is the cover of Ω^i M.
 
     Ω^{i+1} M is step i's kernel.  A step is formed only when it is read,
-    and the walk holds no step before the last one it formed.
+    and the walk holds no step before the last one it formed.  A step
+    whose kernel repeats its module (:func:`_repeats`) is yielded again,
+    the same object, from then on, with no new cover.
     """
     while True:
         step = projective_cover(M, cap=cap)
         yield step
+        if _repeats(M, step._kernel_space):
+            yield from repeat(step)
         M = step.kernel
 
 
@@ -521,7 +538,10 @@ def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
     t_i·dim A is checked against ``cap``.  For M simple and i >= 1,
     X_i = X_i' ⊕ S^{w_i} (:func:`_split`), so t_i = top X_i + Σ_j w_j·t_{i-j}.
     Any other M walks unsplit: its S summands would need S's own covers.
-    Not :func:`resolution`: this walk sheds S's copies, caps the full t_i and covers no rung n.
+    An unsplit rung whose cover kernel repeats it (:func:`_repeats`) is
+    every later rung, so t_{i+1} .. t_n are t_i and no further cover is
+    formed.  Not :func:`resolution`: this walk sheds S's copies, caps the
+    full t_i and covers no rung n.
     """
     if n < 0:
         raise BadParams(f"n must be at least 0, got {n}")
@@ -533,6 +553,9 @@ def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
         if values[i] * alg.dim > cap:
             raise ResourceCapExceeded(values[i] * alg.dim, cap)
         kernel = projective_cover(X, cap=cap)._kernel_space
+        if M.dim != 1 and _repeats(X, kernel):
+            values += [values[i]] * (n - i)
+            break
         copies, kernel = _split(X) if i and M.dim == 1 else ([], kernel)
         split += [(i, len(copies))] if copies else []
         X = Syzygy(alg, kernel)
@@ -594,15 +617,18 @@ def _ext_sequence(steps: Iterable[Presentation], N: AModule) -> Iterator[int]:
     λ among the v_j·m_k, the V-rows of Ω's cover kernel, read off its pivot
     form.  So h_i is t_i·dim N' less a rank (:func:`hom_dim`, by
     :func:`~shortloc.modules._top_equations`), and Ext^i reads the covers of
-    Ω^0..Ω^i and no further.
+    Ω^0..Ω^i and no further.  A step read again, as :func:`resolution`
+    yields a repeated rung, keeps its Hom dimension: h_i is h_{i-1} and
+    no system is ranked.
     """
     h = t = 0
+    last = None
     for step in steps:
-        prev, h = h, hom_dim(step.module, N)
+        prev, h = h, h if step is last else hom_dim(step.module, N)
         if h + prev < t * N.dim:
             raise InvariantViolation("negative Ext dimension; resolution is inconsistent")
         yield h + prev - t * N.dim
-        t = step.cover_rank
+        t, last = step.cover_rank, step
 
 
 def ext_dims(M: AModule, N: AModule, imax: int, cap: int = DEFAULT_CAP) -> list[int]:

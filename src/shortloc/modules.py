@@ -894,17 +894,30 @@ def _kronecker_equations(field: Field, form: tuple, stride: int, t: int,
 def _kronecker_data(N: AModule) -> tuple[int, int, list, int]:
     """N' = ann_N(J^2) as a Kronecker representation (b0, b1, arrows, scale) in ints, kept on N.
 
-    N' is N when J^2 N = 0, else the kernel of the stacked w-actions.  b0
-    and b1 are dim top N' and dim JN'; arrows[j][k] is v_{j+1}·m_k for the
-    k-th top lift of N', as (r, int) pairs over ``scale`` at its entries r
-    at the radical's pivots, which are its coordinates in JN'.  The top lifts
-    are the radical's free columns, so a syzygy's cover is not found.
+    N' is N when J^2 N = 0.  Else N' = JN + K, K the combinations
+    Σ c_k·m_k of N's top lifts with Σ c_k·w·m_k = 0 for every w in J^2:
+    x = Σ c_k·m_k + y with y in JN, and w·y lies in J^3 N = 0.  So N' is
+    spanned by the radical's integer rows and K's, the kernel of the
+    lifts' w-images (:meth:`AModule.int_images` at the lifts alone), and
+    no image of another basis vector is formed.  b0 and b1 are dim top N'
+    and dim JN'; arrows[j][k] is v_{j+1}·m_k for the k-th top lift of N',
+    as (r, int) pairs over ``scale`` at its entries r at the radical's
+    pivots, which are its coordinates in JN'.  The top lifts are the
+    radical's free columns, so a syzygy's cover is not found.
     """
     if N._kronecker is None:
         sub, e = N, N.algebra.e
         if not N._square_zero and N.loewy_length() > 2:
-            rows = [dict(row) for b in N.int_action_rows()[e + 1:] for row in b]
-            sub = module_from_subspace(N, kernel_subspace(IntRows(N.field, rows, N.dim)))[0]
+            tops, w = N.lift_columns(), {}
+            for k, imgs in enumerate(N.int_images(tops)[0]):
+                for m, img in enumerate(imgs[e:]):
+                    for r, y in img:
+                        w.setdefault((m, r), {})[k] = y
+            K = kernel_subspace(IntRows(N.field, list(w.values()), len(tops))).int_rows()
+            rows = [dict(zip(idx, vals)) for idx, vals, _ in N.radical().int_rows().values()]
+            rows += [{tops[k]: y for k, y in zip(idx, vals)} for idx, vals, _ in K.values()]
+            span = Subspace.from_vectors(N.field, N.dim, IntRows(N.field, rows, N.dim))
+            sub = module_from_subspace(N, span)[0]
         rad, (columns, scale) = sub.radical(), sub.int_columns()
         lifts, at = rad.free_columns(), {q: r for r, q in enumerate(rad.pivots)}
         N._kronecker = (len(lifts), rad.dim, [[[(at[q], x) for q, x in cols[c] if q in at]

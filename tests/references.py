@@ -103,13 +103,23 @@ more than Ext^i reads.
 
 The Kronecker Hom equations with each column of a map rebuilt per
 equation (``reference_kronecker_hom_dim``) are what reading each map once
-replaced.  Gorenstein projectivity as the semi-GP scans of M and of its
+replaced.  ann_N(J^2) as the kernel of the stacked w-actions, read off the
+integer action rows of every basis vector (``reference_kronecker_data``),
+is what spanning JN and the kernel of the top lifts' w-images replaced;
+``reference_top_hom_dim`` reads the g0 system of a J^2-zero M against it.  Gorenstein projectivity as the semi-GP scans of M and of its
 transpose, each on a resolution of its own (``two_resolution_is_gp``), is
 ``is_gp`` spelled out from the public scans.
 
 The unsplit ladder (``unsplit_ladder``), the tops of the syzygies along
-``resolution``, is what ``betti`` read before it split the copies of S off
+a resolution, is what ``betti`` read before it split the copies of S off
 the rungs of S's ladder.
+
+The walk that covers every rung (``covering_resolution``) is what
+``resolution`` was before it yielded a rung that repeats its predecessor
+again with no new cover; the unsplit ladder walks it, and so do Ext and
+the bounded predicates read along it (``covering_ext_dims``,
+``covering_is_semi_gp``, ``covering_is_inf_torsionfree``,
+``covering_is_gp``), which rank every rung's Hom system.
 """
 
 import random
@@ -119,8 +129,9 @@ from itertools import compress, count, islice
 from math import gcd, lcm
 
 from shortloc.errors import BadParams, InvariantViolation
-from shortloc.homology import (DEFAULT_CAP, ApproximationData, _cover_rank, _hom_complex_matrix,
-                               dual_data, is_semi_gp, resolution, transpose)
+from shortloc.homology import (DEFAULT_CAP, ApproximationData, BoundedVerdict, _cover_rank,
+                               _ext_sequence, _hom_complex_matrix, dual_data, is_semi_gp,
+                               projective_cover, resolution, transpose)
 from shortloc import linalg, modules
 from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace, _clear, _sparse,
                              _tidy, integer_values, kernel_basis, kernel_subspace, rank, solve)
@@ -994,6 +1005,28 @@ def reference_kronecker_hom_dim(repA, repB):
     return n0 + n1 - rank(from_scalars(repA.maps[0].field, rows, n0 + n1))
 
 
+def reference_kronecker_data(N):
+    """N' = ann_N(J^2) as (b0, b1, arrows, scale): N itself when J^2 N = 0, else the kernel
+    of N's stacked w-action rows; not kept on N."""
+    sub, e = N, N.algebra.e
+    if N.loewy_length() > 2:
+        rows = [dict(row) for b in N.int_action_rows()[e + 1:] for row in b]
+        sub = modules.module_from_subspace(N, kernel_subspace(IntRows(N.field, rows, N.dim)))[0]
+    rad, (columns, scale) = sub.radical(), sub.int_columns()
+    lifts, at = rad.free_columns(), {q: r for r, q in enumerate(rad.pivots)}
+    return (len(lifts), rad.dim, [[[(at[q], x) for q, x in cols[c] if q in at] for c in lifts]
+                                  for cols in columns], scale)
+
+
+def reference_top_hom_dim(M, N):
+    """dim Hom(M, N) for J^2 M = 0: t·dim JN' plus the nullity of M's g0 system against
+    ``reference_kronecker_data(N)``."""
+    kron, t = reference_kronecker_data(N), M.top_dim()
+    equations = modules._kronecker_equations(N.field, M.cover_kernel.pivot_form(),
+                                             M.algebra.dim - 1, t, kron)
+    return t * kron[1] + equations.cols - rank(equations)
+
+
 def hom_complex_ext_dims(M, N, imax, cap=DEFAULT_CAP):
     """dim Ext^0..Ext^imax(M, N) from the ranks of the Hom-complex maps d_1^*..d_{imax+1}^*."""
     if M.dim == 0 or N.dim == 0:
@@ -1007,12 +1040,44 @@ def hom_complex_ext_dims(M, N, imax, cap=DEFAULT_CAP):
     return out
 
 
+def covering_resolution(M, cap=DEFAULT_CAP):
+    """M's resolution with one new cover per step, however its rungs repeat."""
+    while True:
+        step = projective_cover(M, cap=cap)
+        yield step
+        M = step.kernel
+
+
 def unsplit_ladder(M, cap=DEFAULT_CAP):
-    """t_0, t_1, .. of M: the top of M, then the top of each step's kernel along ``resolution``,
-    which splits nothing off; it raises ResourceCapExceeded where the cover of a rung does."""
+    """t_0, t_1, .. of M: the top of M, then the top of each step's kernel along
+    ``covering_resolution``, which splits nothing off; it raises ResourceCapExceeded where
+    the cover of a rung does."""
     yield M.top_dim()
-    for step in resolution(M, cap=cap):
+    for step in covering_resolution(M, cap=cap):
         yield step.kernel.top_dim()
+
+
+def covering_ext_dims(M, N, imax):
+    """dim Ext^0..Ext^imax(M, N) along ``covering_resolution``: a Hom system ranked per step."""
+    if M.dim == 0 or N.dim == 0:
+        return [0] * (imax + 1)
+    return list(islice(_ext_sequence(covering_resolution(M), N), imax + 1))
+
+
+def covering_is_semi_gp(M, bound):
+    """The bounded semi-GP scan: Ext^1..Ext^bound(M, A) along ``covering_resolution``."""
+    exts = covering_ext_dims(M, modules.left_regular_module(M.algebra), bound)[1:]
+    failed = next((i for i, x in enumerate(exts, 1) if x), None)
+    return BoundedVerdict(failed is None, bound, failed)
+
+
+def covering_is_inf_torsionfree(M, bound):
+    return covering_is_semi_gp(transpose(M), bound)
+
+
+def covering_is_gp(M, bound):
+    semi = covering_is_semi_gp(M, bound)
+    return covering_is_inf_torsionfree(M, bound) if semi else semi
 
 
 def omegas(M, k, cap=DEFAULT_CAP):

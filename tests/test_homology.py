@@ -621,28 +621,31 @@ def _take(calls) -> tuple[int, int, int]:
 
 def test_betti_covers_exactly_n_syzygies(calls, conca32, qext):
     # t_n is read off the shadow of Omega^n: n covers, and no syzygy's
-    # action matrices are built.
-    for M in (simple_module(conca32), cyclic_x(conca32), simple_module(qext)):
+    # action matrices are built; Omega^1 of cyclic_x repeats itself, so its
+    # walk stops after two covers.
+    for M, stop in ((simple_module(conca32), 6), (cyclic_x(conca32), 2),
+                    (simple_module(qext), 6)):
         for n in range(6):
             betti(M, n)
-            assert _take(calls) == (n, 0, 0)
+            assert _take(calls) == (min(n, stop), 0, 0)
 
 
 def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
     # Ext^i reads Hom(Omega^i, N), whose relations are the shadow of
     # Omega^{i+1}: the covers of Omega^0..Omega^i, never the cover of
-    # Omega^{i+1}; no syzygy module is built.
+    # Omega^{i+1}; no syzygy module is built.  Omega^1 of cyclic_x repeats
+    # itself, so its scan covers Omega^0 and Omega^1 alone.
     S = simple_module(conca32)
-    cases = [(S, left_regular_module(conca32)), (cyclic_x(conca32), S),
-             (m_alpha(lam0, 2), m_alpha(lam0, 1))]
-    for M, N in cases:
+    cases = [(S, left_regular_module(conca32), 5), (cyclic_x(conca32), S, 2),
+             (m_alpha(lam0, 2), m_alpha(lam0, 1), 5)]
+    for M, N, stop in cases:
         syzygy_dims = [syzygy_power(M, k).dim for k in range(1, 6)]
         _take(calls)
         for i in range(4):
             ext_dims(M, N, i)
             covered = [X.dim for X, in calls["projective_cover"][1:]]
-            assert covered == syzygy_dims[:i]
-            assert _take(calls) == (i + 1, 0, 0)
+            assert covered == syzygy_dims[:min(i, stop - 1)]
+            assert _take(calls) == (min(i + 1, stop), 0, 0)
 
 
 def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):

@@ -12,15 +12,17 @@ from shortloc.kronecker import (KroneckerRep, _int_hom_dim, hom_decomposition_ch
                                 rep_as_module, rep_dual, sigma_reflection, tilde,
                                 verify_sigma_omega)
 from shortloc.linalg import QQ, Field, Fp, Matrix, rank
-from shortloc.modules import (_kronecker_data, cyclic_submodule, dim_vector, end_dim,
-                              is_isomorphic, left_regular_module, mod_j_squared,
+from shortloc.homology import syzygy_power
+from shortloc.modules import (_kronecker_data, cyclic_submodule, dim_vector, direct_sum, end_dim,
+                              hom_dim, is_isomorphic, left_regular_module, mod_j_squared,
                               presentation_equations, radical_module, random_module,
                               simple_module, simple_multiplicity)
 from shortloc.numerics import q_form
 from shortloc.presets import preset, preset_names
 
-from references import (is_zero, reference_kronecker_hom_dim, scalars, top_images, typed_images,
-                        typed_phi_kernel, typed_pivot_columns)
+from references import (is_zero, presentation_hom_dim, reference_kronecker_data,
+                        reference_kronecker_hom_dim, reference_top_hom_dim, scalars, top_images,
+                        typed_images, typed_phi_kernel, typed_pivot_columns)
 from test_sweep_solves import sweep_modules
 
 
@@ -231,6 +233,32 @@ def test_the_integer_core_matches_the_typed_route_and_the_reference(field):
         pairs += 1
         arrows += M.dim > M.top_dim() and N.dim > N.top_dim()
     assert pairs >= 400 and arrows >= 250
+
+
+@FIELDS
+def test_ann_j2_from_the_top_lifts_matches_the_stacked_w_actions(field):
+    # N' = JN + K, K the top-lift combinations that J^2 kills: the same
+    # (b0, b1) and the same Hom dimensions out of J^2-zero modules as the
+    # kernel of N's stacked w-actions, over A and A^op.  A ⊕ S has K ≠ 0.
+    targets = kernel_lifts = 0
+    for name in preset_names():
+        base = preset(name, field=field, **PRESET_PARAMS.get(name, {}))
+        if base.a == 0:
+            continue
+        for alg in (base, base.opposite()):
+            S, A = simple_module(alg), left_regular_module(alg)
+            sources = [S, mod_j_squared(random_module(alg, 2, 1, 3)), syzygy_power(S, 2),
+                       syzygy_power(random_module(alg, 1, 1, 4), 1)]
+            Ns = [A, direct_sum(A, S), random_module(alg, 2, 1, 5), random_module(alg, 1, 2, 8)]
+            for N in (N for N in Ns if N.loewy_length() == 3):
+                got, want = _kronecker_data(N), reference_kronecker_data(N)
+                assert got[:2] == want[:2], (name, N)
+                for M in sources:
+                    assert hom_dim(M, N) == reference_top_hom_dim(M, N) == \
+                        presentation_hom_dim(M, N), (name, M, N)
+                targets += 1
+                kernel_lifts += got[0] + got[1] > N.radical().dim
+    assert targets >= 60 and kernel_lifts >= 30
 
 
 # -- reflection -------------------------------------------------------------------

@@ -16,7 +16,10 @@ columns: ``AModule`` defines no typed ``action_columns`` or
 ``_action_columns``.  ``Subspace.residue`` is the typed view of
 ``int_residue`` and reads no typed row (``sparse_rows``).  Only the
 resolution walks, ``syzygy``, ``resolution`` and ``betti``, call
-``projective_cover``, so no third walk appears.
+``projective_cover``, so no third walk appears.  Only ``_repeats``
+compares pivot forms, so a repeated rung has one definition, and
+``_kronecker_data`` reads no ``int_action_rows``: ann_N(J^2) is read off
+the top lifts' images, never off every basis vector's.
 """
 
 import ast
@@ -43,6 +46,9 @@ HOM_SPACE_READERS = {"dual_data", "hom_basis", "find_isomorphism"}
 #: The only function that may call ``tilde``: the reflection check, which
 #: reflects a typed representation.
 TILDE_READERS = {"verify_sigma_omega"}
+
+#: The only function that may compare pivot forms: the repeated-rung test.
+PIVOT_FORM_COMPARERS = {"_repeats"}
 
 SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -254,3 +260,62 @@ def test_the_residue_reads_no_typed_row():
     body = class_body("class Subspace:\n    def residue(self, v):\n"
                       "        rows = self.sparse_rows()\n", "Subspace")
     assert "sparse_rows" in attributes_read(body, "residue")
+
+
+def pivot_form_comparisons(source: str, allowed: set[str]) -> list[str]:
+    """Each ``==`` or ``!=`` with a ``pivot_form()`` call in either side, outside the
+    top-level functions ``allowed``, as "scope (line n)"."""
+    found = []
+    for node in ast.parse(source).body:
+        scope = getattr(node, "name", "<module>")
+        if scope in allowed:
+            continue
+        for cmp in ast.walk(node):
+            if isinstance(cmp, ast.Compare) and \
+                    any(isinstance(op, (ast.Eq, ast.NotEq)) for op in cmp.ops) and \
+                    any(isinstance(call, ast.Call) and getattr(call.func, "attr", None) ==
+                        "pivot_form" for side in (cmp.left, *cmp.comparators)
+                        for call in ast.walk(side)):
+                found.append(f"{scope} (line {cmp.lineno})")
+    return found
+
+
+def test_only_the_repeated_rung_test_compares_pivot_forms():
+    compared = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                source = fh.read()
+            assert not pivot_form_comparisons(source, PIVOT_FORM_COMPARERS), name
+            compared += [f"{name}: {c}" for c in pivot_form_comparisons(source, set())]
+    assert [c.split(" (")[0] for c in compared] == ["homology.py: _repeats"]
+
+
+def test_the_pivot_form_lint_sees_a_second_comparison():
+    source = ("def _repeats(X, k):\n"
+              "    return k.pivot_form() == X.space.pivot_form()\n"
+              "def same(a, b):\n"
+              "    return a.pivot_form()[1:3] == b.pivot_form()[1:3]\n"
+              "class Walk:\n"
+              "    def step(self, a, b):\n"
+              "        return b != a.space.pivot_form()\n"
+              "near = len(x.pivot_form()[0]) < 2\n")
+    assert pivot_form_comparisons(source, PIVOT_FORM_COMPARERS) == [
+        "same (line 4)", "Walk (line 7)"]
+
+
+def calls_in(source: str, function: str, callee: str) -> list[int]:
+    """The lines at which the top-level ``function`` of ``source`` calls ``callee``."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee]
+
+
+def test_ann_j2_reads_no_action_rows():
+    with open(os.path.join(SRC, "modules.py")) as fh:
+        source = fh.read()
+    assert not calls_in(source, "_kronecker_data", "int_action_rows")
+    assert calls_in(source, "_kronecker_data", "int_images")
+    assert calls_in("def _kronecker_data(N):\n    rows = N.int_action_rows()[3:]\n",
+                    "_kronecker_data", "int_action_rows") == [2]
