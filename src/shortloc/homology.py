@@ -3,10 +3,10 @@
 Everything here works with minimal constructions: projective covers lift a
 basis of the top, so kernels are first syzygies.  :func:`resolution` is
 the single engine that walks syzygies, one step at a time and keeping none
-it has passed, yielding a step whose kernel repeats its module again with
-no new cover (:func:`_repeats`): syzygy powers and orbit walks read its modules, and Ext
-groups are read off the Homs out of its syzygies, which land in
-ann_N(J^2) as J^2 kills a syzygy (:func:`_ext_sequence`).  Betti
+it has passed, yielding a step whose kernel repeats its module again
+with no new cover (:func:`_repeats`): syzygy powers and orbit walks read
+its modules, and Ext groups are read off the Homs out of its syzygies,
+which land in ann_N(J^2) as J^2 kills a syzygy (:func:`_ext_sequence`).  Betti
 numbers are read along a walk that keeps one rung and splits S off S's rungs
 (:func:`betti`).  Only the transpose, the cokernel of d_1^* into A, reads
 the Hom-complex, handed to the elimination as integer rows built from the
@@ -538,10 +538,7 @@ def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
     t_i·dim A is checked against ``cap``.  For M simple and i >= 1,
     X_i = X_i' ⊕ S^{w_i} (:func:`_split`), so t_i = top X_i + Σ_j w_j·t_{i-j}.
     Any other M walks unsplit: its S summands would need S's own covers.
-    An unsplit rung whose cover kernel repeats it (:func:`_repeats`) is
-    every later rung, so t_{i+1} .. t_n are t_i and no further cover is
-    formed.  Not :func:`resolution`: this walk sheds S's copies, caps the
-    full t_i and covers no rung n.
+    Not :func:`resolution`: this walk sheds S's copies, caps the full t_i and covers no rung n.
     """
     if n < 0:
         raise BadParams(f"n must be at least 0, got {n}")
@@ -553,9 +550,6 @@ def betti(M: AModule, n: int, cap: int = DEFAULT_CAP) -> BettiTable:
         if values[i] * alg.dim > cap:
             raise ResourceCapExceeded(values[i] * alg.dim, cap)
         kernel = projective_cover(X, cap=cap)._kernel_space
-        if M.dim != 1 and _repeats(X, kernel):
-            values += [values[i]] * (n - i)
-            break
         copies, kernel = _split(X) if i and M.dim == 1 else ([], kernel)
         split += [(i, len(copies))] if copies else []
         X = Syzygy(alg, kernel)

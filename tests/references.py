@@ -106,9 +106,11 @@ equation (``reference_kronecker_hom_dim``) are what reading each map once
 replaced.  ann_N(J^2) as the kernel of the stacked w-actions, read off the
 integer action rows of every basis vector (``reference_kronecker_data``),
 is what spanning JN and the kernel of the top lifts' w-images replaced;
-``reference_top_hom_dim`` reads the g0 system of a J^2-zero M against it.  Gorenstein projectivity as the semi-GP scans of M and of its
-transpose, each on a resolution of its own (``two_resolution_is_gp``), is
-``is_gp`` spelled out from the public scans.
+``reference_top_hom_dim`` reads the g0 system of a J^2-zero M against it.
+
+Gorenstein projectivity as the semi-GP scans of M and of its transpose,
+each on a resolution of its own (``two_resolution_is_gp``), is ``is_gp``
+spelled out from the public scans.
 
 The unsplit ladder (``unsplit_ladder``), the tops of the syzygies along
 a resolution, is what ``betti`` read before it split the copies of S off

@@ -2,10 +2,11 @@
 
 When the cover of Ω^j returns its own shadow, the same pivot form in the
 same A^t, every later step is that step (``homology._repeats``):
-``resolution`` yields it again with no new cover, Ext reads its Hom
-dimension again, and ``betti``'s unsplit walk copies t_j to the end.  The
-oracle is the walk that covers every rung (``references.covering_resolution``)
-with Ext, the bounded predicates and the ladder read along it.  M(0) over
+``resolution`` yields it again with no new cover, and Ext reads its Hom
+dimension again.  ``betti`` walks its own rungs and covers each of them.
+The oracle is the walk that covers every rung
+(``references.covering_resolution``) with Ext, the bounded predicates and
+the ladder read along it.  M(0) over
 ``lambda_c`` and ``cyclic_x`` over ``ex15_1(3,2)`` and ``ex9_3`` repeat from
 Ω^1; M(2) over ``lambda_c`` is the near miss, whose consecutive shadows share
 their ambient, free columns and ``at`` but not their pivot rows, and must
@@ -94,9 +95,10 @@ def test_ext_predicates_and_ladders_match_the_covering_walk(field):
 @FIELDS
 def test_a_fixed_orbit_is_covered_twice(field, counts):
     # Ω^0 and Ω^1 are covered and their two Hom systems ranked; every later
-    # step is step 1 read again.  The transpose of M(0) and of cyclic_x over
-    # ex15_1(3,2) repeats from its Ω^1 too: two covers for the transpose's
-    # d_1, two for its scan.  cyclic_x over ex9_3 has Ext^1(M, A) = 2.
+    # step is step 1 read again.  betti covers each of rungs 0..BOUND-1.
+    # The transpose of M(0) and of cyclic_x over ex15_1(3,2) repeats from
+    # its Ω^1 too: two covers for the transpose's d_1, two for its scan.
+    # cyclic_x over ex9_3 has Ext^1(M, A) = 2.
     for name, M in fixed_orbits(field):
         A = left_regular_module(M.algebra)
         ext_dims(M, A, BOUND)
@@ -104,7 +106,7 @@ def test_a_fixed_orbit_is_covered_twice(field, counts):
         assert bool(is_semi_gp(M, BOUND)) == (name != "cyclic_x ex9_3")
         assert _take(counts) == (2, 2), name
         betti(M, BOUND)
-        assert _take(counts) == (2, 0), name
+        assert _take(counts) == (BOUND, 0), name
         if name != "cyclic_x ex9_3":
             is_inf_torsionfree(M, BOUND)
             assert _take(counts) == (4, 2), name
