@@ -8,17 +8,16 @@ with no new cover (:func:`_repeats`): syzygy powers and orbit walks read
 its modules, and Ext groups are read off the Homs out of its syzygies,
 which land in ann_N(J^2) as J^2 kills a syzygy (:func:`_ext_sequence`).  Betti
 numbers are read along a walk that keeps one rung and splits S off S's rungs
-(:func:`betti`).  Only the transpose, the cokernel of d_1^* into A, reads
-the Hom-complex, handed to the elimination as integer rows built from the
-top lifts' integer shadow rows, over one scale, and A's action rows as ints
-(:func:`_hom_complex_matrix`), so no boundary row becomes a scalar.
-:class:`DualData` is the single engine of the
+(:func:`betti`).  No Hom-complex is built: the image of the transpose's
+d_1^* is the right submodule generated by the components of Ω^1's top
+lifts, read off its integer shadow rows over one scale and spanned as
+every generated submodule is (:func:`~shortloc.modules.generated_span`),
+and the stable Hom is three Hom dimensions, read off the target's cover
+(:func:`stable_hom_dim`).  :class:`DualData` is the single engine of the
 dual side: Hom(M, A), solved once per module, serves the dual module, the
 torsionless and reflexive verdicts, the evaluation map and the minimal left
 approximation with its cokernel (the cosyzygy), each built on first read
-from the sparse rows of the maps' flattenings, with no map matrix; the
-stable Hom reads those rows too, composing them with each block of the
-target's cover as (block ⊗ 1), with no product.
+from the sparse rows of the maps' flattenings, with no map matrix.
 
 A minimal cover A^t -> N has its kernel in JA^t: ker(Φ: JA^t -> JN), Φ
 sending copy k's radical basis to its images at the top lift m_k
@@ -79,8 +78,7 @@ from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapE
 from .linalg import IntRows, Matrix, Subspace, kernel_subspace, rank, typed_values
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _row_images, _typed, free_module,
                       generated_span, hom_dim, hom_space, left_regular_module,
-                      module_from_columns, pivot_columns, quotient, relation_equations,
-                      vector_images, zero_module)
+                      module_from_columns, pivot_columns, quotient, zero_module)
 
 #: Dimension cap for intermediate modules; Betti numbers grow exponentially
 #: in general, so resolutions abort cleanly instead of thrashing.
@@ -446,14 +444,6 @@ class BoundedVerdict:
         return self.holds
 
 
-def _cover_rank(M: AModule, cap: int) -> int:
-    """t = dim top M, the rank of M's cover, after checking t·dim A against ``cap``."""
-    t = M.top_dim()
-    if t * M.algebra.dim > cap:
-        raise ResourceCapExceeded(t * M.algebra.dim, cap)
-    return t
-
-
 def _cover_columns(M: AModule) -> list:
     """The columns of the cover A^t -> M as typed (row, value) pairs, copy by copy.
 
@@ -470,7 +460,7 @@ def _cover_columns(M: AModule) -> list:
 
 
 def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
-    """The projective cover A^t -> M with t = dim top M, and its kernel.
+    """The projective cover A^t -> M with t = dim top M, t·dim A at most ``cap``, and its kernel.
 
     The kernel is ker Φ, the cover restricted to JA^t (:func:`phi_kernel`),
     which the module keeps (:attr:`AModule.cover_kernel`).  A
@@ -481,7 +471,9 @@ def projective_cover(M: AModule, cap: int = DEFAULT_CAP) -> Presentation:
     no kernel vector reaches a coordinate of an m_k, so the kernel lies in
     JP.
     """
-    n, t = M.algebra.dim, _cover_rank(M, cap)
+    n, t = M.algebra.dim, M.top_dim()
+    if t * n > cap:
+        raise ResourceCapExceeded(t * n, cap)
     ker = M.cover_kernel
     if t * n - ker.dim != M.dim:
         raise InvariantViolation("projective cover is not surjective")
@@ -576,26 +568,6 @@ def _split(X: Syzygy) -> tuple[list[int], Subspace]:
     if kernel.dim - len(free) != len(copies) * m:
         raise InvariantViolation("a simple copy's columns are not all free")
     return copies, Subspace.from_pivot_rows(alg.field, n * len(kept), piv, free, moved, scales)
-
-
-def _hom_complex_matrix(syz: Syzygy, N: AModule) -> IntRows:
-    """Hom(P_{j-1}, N) -> Hom(P_j, N) for Ω^j = ``syz``, under Hom(A^t, N) = N^t, as integer rows.
-
-    Row l·dim N + r is row r of the action of d_j(unit_l), the l-th top
-    lift of Ω^j, on N^{t_{j-1}} (:func:`relation_equations`), and column
-    s·t_{j-1} + k is entry s of the image of copy k.  The lifts are rows of
-    Ω^j's shadow in P_{j-1} = A^{t_{j-1}}, read off its integer rows
-    (:meth:`~shortloc.linalg.Subspace.int_rows`) with no scalar built and
-    put over the lcm of their scales, so the whole matrix is one multiple of
-    the one meant: it has the same rank and column span.  d_1^* serves the
-    transpose.
-    """
-    rows = syz.space.int_rows()
-    lifts = [rows[q] for q in syz.cover[0]]
-    scale = lcm(*[s for _, _, s in lifts])
-    relations = [(idx, vals if s == scale else [x * (scale // s) for x in vals])
-                 for idx, vals, s in lifts]
-    return relation_equations(N, relations, syz.space.ambient // syz.algebra.dim)
 
 
 def _ext_sequence(steps: Iterable[Presentation], N: AModule) -> Iterator[int]:
@@ -840,10 +812,16 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     """The transpose: cokernel of the dualized minimal presentation.
 
     From the minimal presentation A^{t_1} -> A^{t_0} -> M -> 0, dualizing
-    gives d_1^*: Hom(A^{t_0}, A) -> Hom(A^{t_1}, A) of the Hom-complex; the
-    transpose is its cokernel, realized as a module over the opposite algebra.
-    It reads the first two steps of M's resolution; the second, Ω^1's cover,
-    only when t_1 > 0, as it checks t_1·dim A against the cap.
+    gives d_1^*: Hom(A^{t_0}, A) -> Hom(A^{t_1}, A), whose cokernel is the
+    transpose, a module over the opposite algebra.  The k-th components of
+    Ω^1's top lifts make x_k in A^{t_1}, and the image of d_1^* is the right
+    submodule the x_k generate: A^op acting on the left is A acting on the
+    right, so it is :func:`~shortloc.modules.generated_span` of the x_k
+    along (A^op)^{t_1}'s integer columns.  The lifts are read off Ω^1's
+    integer shadow rows (:meth:`~shortloc.linalg.Subspace.int_rows`) and put
+    over the lcm of their scales, so no scalar is built.  It reads the first
+    two steps of M's resolution; the second, Ω^1's cover, only when t_1 > 0,
+    as it checks t_1·dim A against the cap.
     """
     alg, steps = M.algebra, resolution(M, cap=cap)
     op = alg.opposite()
@@ -851,16 +829,18 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
     if t1 == 0:
         return zero_module(op)
     next(steps)
-    # The image of d_1^* is spanned by the columns of its integer rows, one
-    # multiple of the map's.
-    columns: dict = defaultdict(dict)
-    for r, row in enumerate(_hom_complex_matrix(syz, left_regular_module(alg)).data):
-        for c, x in row.items():
-            columns[c][r] = x
+    n, rows = alg.dim, syz.space.int_rows()
+    lifts = [rows[q] for q in syz.cover[0]]
+    scale = lcm(*[s for _, _, s in lifts])
+    x: dict = defaultdict(dict)
+    for l, (idx, vals, s) in enumerate(lifts):
+        for i, y in zip(idx, vals):
+            k, b = divmod(i, n)
+            x[k][l * n + b] = y * (scale // s)
     F1 = free_module(op, t1)
-    image = IntRows(alg.field, list(columns.values()), F1.dim)
-    tr, _ = quotient(F1, Subspace.from_vectors(alg.field, F1.dim, image))
-    return tr
+    image = generated_span(alg.field, F1.dim, F1.int_columns()[0],
+                           [(v.keys(), v.values()) for v in x.values()])
+    return quotient(F1, image)[0]
 
 
 # -- stable homs and Gorenstein-style predicates ------------------------
@@ -870,33 +850,18 @@ def stable_hom_dim(M: AModule, N: AModule, cap: int = DEFAULT_CAP) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective.
 
     A map factors through some projective iff it factors through the
-    projective cover A^t -> N, so the factoring subspace is the image of
-    composition with that cover; a map into A^t is t maps into A, so the
-    basis of Hom(M, A) composed with each column block of the cover spans it.
-    dim Hom(M, N) is a rank (:func:`hom_dim`), so Hom(M, A) is the one Hom
-    basis solved.  Composing with a block B acts on a map's row-major
-    flattening as B ⊗ 1, so the integer rows of ``homs.flat`` are mapped
-    along the block's columns (:func:`vector_images`), as
-    :class:`DualData` reads the right action.  Block k sends 1 to the top
-    lift m_k, the unit column at c_k, and the radical basis to its images
-    at m_k, the cover's integer columns (:meth:`AModule.int_images`), all
-    over one scale, so the images are multiples of the composites and span
-    what they span as :class:`~shortloc.linalg.IntRows`: no scalar, cover
-    matrix or cover kernel is formed.  The cap on t·dim A is the one
-    :func:`projective_cover` checks (:func:`_cover_rank`).
+    projective cover A^t -> N, t = dim top N.  Hom(M, -) is left exact on
+    0 -> ΩN -> A^t -> N -> 0, so the maps through the cover, the image of
+    Hom(M, A^t), have dimension t·dim Hom(M, A) - dim Hom(M, ΩN), and the
+    stable Hom is three Hom dimensions (:func:`hom_dim`), with no Hom basis
+    solved and no map composed.  The cap on t·dim A is the one
+    :func:`syzygy` checks.
     """
     dim = hom_dim(M, N)
     if not dim:
         return 0
-    n, d, t, lifts = M.algebra.dim, M.dim, _cover_rank(N, cap), N.lift_columns()
-    images, scale = N.int_images(lifts)
-    cover = [col for c, imgs in zip(lifts, images) for col in [[(c, scale)], *imgs]]
-    blocks = [[[(s * d + c, x) for s, x in cover[k * n + r]] for r in range(n) for c in range(d)]
-              for k in range(t)]
-    rows = ((idx, vals) for idx, vals, _ in dual_data(M).homs.flat.int_rows().values())
-    composites = [img for row in vector_images(blocks, rows) for img in row]
-    factoring = Subspace.from_vectors(M.field, N.dim * d, IntRows(M.field, composites, N.dim * d))
-    return dim - factoring.dim
+    omega = syzygy(N, cap)
+    return dim - N.top_dim() * hom_dim(M, left_regular_module(M.algebra)) + hom_dim(M, omega)
 
 
 def is_semi_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -> BoundedVerdict:

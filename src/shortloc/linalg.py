@@ -18,9 +18,9 @@ scaled by the lcm of their denominators and every pivot row primitive
 (the gcd of its entries is 1), over F_p on plain residues.  It
 reads a dense :class:`Matrix` through :func:`_sparse`, or an
 :class:`IntRows`, never laid out densely, built in integers: Φ, the
-Hom-complex, the relation equations, the Kronecker Homs, a search's tops,
-an isomorphism's witness graph, a stable Hom's composites, the spans
-behind engine-built modules, and a module's radical and stacked actions
+relation equations, the Kronecker Homs, a search's tops, an isomorphism's
+witness graph, the spans behind engine-built modules and the transpose,
+and a module's radical and stacked actions
 from its integer columns (:meth:`~shortloc.modules.AModule.int_columns`).
 Its column scales are folded back only into the kernel rows.
 The reduced row echelon form is unique, so its rows and pivots do not

@@ -99,7 +99,10 @@ replaced.
 Ext from the Hom-complex (``hom_complex_ext_dims``) is what reading
 Hom(Ω^i M, N) off each syzygy's Kronecker relations replaced:
 Ext^i = t_i·dim N - rank d_{i+1}^* - rank d_i^*, which covers one syzygy
-more than Ext^i reads.
+more than Ext^i reads.  Its maps d_j^* as integer rows
+(``hom_complex_matrix``), and the cokernel of d_1^* into A with its image
+spanned by their columns (``hom_complex_transpose``), are what the
+transpose was before it spanned the right submodule Ω^1's lifts generate.
 
 The Kronecker Hom equations with each column of a map rebuilt per
 equation (``reference_kronecker_hom_dim``) are what reading each map once
@@ -131,14 +134,14 @@ from itertools import compress, count, islice
 from math import gcd, lcm
 
 from shortloc.errors import BadParams, InvariantViolation
-from shortloc.homology import (DEFAULT_CAP, ApproximationData, BoundedVerdict, _cover_rank,
-                               _ext_sequence, _hom_complex_matrix, dual_data, is_semi_gp,
-                               projective_cover, resolution, transpose)
+from shortloc.homology import (DEFAULT_CAP, ApproximationData, BoundedVerdict, _ext_sequence,
+                               dual_data, is_semi_gp, projective_cover, resolution, transpose)
 from shortloc import linalg, modules
 from shortloc.linalg import (DEFAULT_POOL, Fp, IntRows, Matrix, Rational, Subspace, _clear, _sparse,
                              _tidy, integer_values, kernel_basis, kernel_subspace, rank, solve)
 from shortloc.modules import (AModule, IsoSearch, ModuleMap, free_module, hom_basis, hom_dim,
-                              presentation_equations, quotient, vector_images)
+                              presentation_equations, quotient, relation_equations,
+                              vector_images)
 
 
 def from_scalars(field, rows, cols):
@@ -823,7 +826,7 @@ def typed_stable_hom_dim(M, N, cap=DEFAULT_CAP):
     dim = hom_dim(M, N)
     if not dim:
         return 0
-    n, d, t, one = M.algebra.dim, M.dim, _cover_rank(N, cap), N.field.one()
+    n, d, t, one = M.algebra.dim, M.dim, projective_cover(N, cap).cover_rank, N.field.one()
     cover = [col for c, imgs in zip(N.lift_columns(), top_images(N))
              for col in [[(c, one)], *(img.items() for img in imgs)]]
     blocks = [[[(s * d + c, x) for s, x in cover[k * n + r]] for r in range(n) for c in range(d)]
@@ -1029,6 +1032,41 @@ def reference_top_hom_dim(M, N):
     return t * kron[1] + equations.cols - rank(equations)
 
 
+def hom_complex_matrix(syz, N):
+    """Hom(P_{j-1}, N) -> Hom(P_j, N) for Ω^j = ``syz``, under Hom(A^t, N) = N^t, as integer rows.
+
+    Row l·dim N + r is row r of the action of d_j(unit_l), the l-th top
+    lift of Ω^j, on N^{t_{j-1}} (``relation_equations``), and column
+    s·t_{j-1} + k is entry s of the image of copy k.  The lifts are rows of
+    Ω^j's shadow in P_{j-1} = A^{t_{j-1}}, read off its integer rows and
+    put over the lcm of their scales, so the whole matrix is one multiple of
+    the one meant: it has the same rank and column span.
+    """
+    rows = syz.space.int_rows()
+    lifts = [rows[q] for q in syz.cover[0]]
+    scale = lcm(*[s for _, _, s in lifts])
+    relations = [(idx, vals if s == scale else [x * (scale // s) for x in vals])
+                 for idx, vals, s in lifts]
+    return relation_equations(N, relations, syz.space.ambient // syz.algebra.dim)
+
+
+def hom_complex_transpose(M):
+    """The transpose as the cokernel of d_1^*, its image spanned by the columns of
+    ``hom_complex_matrix`` into A."""
+    alg = M.algebra
+    op, steps = alg.opposite(), resolution(M)
+    t1 = M.dim and (syz := next(steps).kernel).top_dim()
+    if t1 == 0:
+        return modules.zero_module(op)
+    columns = defaultdict(dict)
+    for r, row in enumerate(hom_complex_matrix(syz, modules.left_regular_module(alg)).data):
+        for c, x in row.items():
+            columns[c][r] = x
+    F1 = free_module(op, t1)
+    image = IntRows(alg.field, list(columns.values()), F1.dim)
+    return quotient(F1, Subspace.from_vectors(alg.field, F1.dim, image))[0]
+
+
 def hom_complex_ext_dims(M, N, imax, cap=DEFAULT_CAP):
     """dim Ext^0..Ext^imax(M, N) from the ranks of the Hom-complex maps d_1^*..d_{imax+1}^*."""
     if M.dim == 0 or N.dim == 0:
@@ -1036,7 +1074,7 @@ def hom_complex_ext_dims(M, N, imax, cap=DEFAULT_CAP):
     # Step i's kernel is Ω^{i+1}, the source of d_{i+1}; its cover is checked too.
     steps, out, prev = list(islice(resolution(M, cap=cap), imax + 2)), [], 0
     for step in steps[:-1]:
-        cur = rank(_hom_complex_matrix(step.kernel, N))
+        cur = rank(hom_complex_matrix(step.kernel, N))
         out.append(step.cover_rank * N.dim - cur - prev)
         prev = cur
     return out

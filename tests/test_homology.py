@@ -464,17 +464,22 @@ def test_stable_hom_matches_the_product_formula_with_no_product(field, monkeypat
             conca: [random_module(conca, 1 + s % 2, s % 3, seed=s) for s in range(3)]}
     for alg in mods:
         mods[alg] += [syzygy(M) for M in mods[alg][:2]] + [mod_j_squared(mods[alg][0])]
+    # Projective targets, whose syzygy is zero, and A ⊕ S.
+    extra = {alg: [free_module(alg, 2), direct_sum(left_regular_module(alg), simple_module(alg))]
+             for alg in mods}
     original = Matrix.__mul__
     nonzero = square_zero = 0
     for alg, group in mods.items():
         for M in group:
-            for N in group:
+            for N in group + extra[alg]:
                 products = []
                 with monkeypatch.context() as patch:
                     patch.setattr(Matrix, "__mul__",
                                   lambda a, b: products.append(a) or original(a, b))
                     value = stable_hom_dim(M, N)
                 assert value == product_stable_hom_dim(M, N), (M, N)
+                if N is extra[alg][0]:
+                    assert value == 0 and syzygy(N).dim == 0, M
                 if N.loewy_length() <= 2:
                     square_zero += 1
                     assert products == [], (M, N)
@@ -484,9 +489,8 @@ def test_stable_hom_matches_the_product_formula_with_no_product(field, monkeypat
 
 
 def test_stable_hom_reads_the_cover_rank_and_forms_no_cover_matrix(monkeypatch):
-    # N has Loewy length 3: the blocks are the cover's sparse columns, so no
-    # cover matrix, no product and no cover kernel of N is formed, since only
-    # the rank t = dim top N is read.
+    # N has Loewy length 3: the stable Hom reads t = dim top N and ΩN off
+    # N's one cover, so no cover matrix and no product is formed.
     alg = preset("ex15_1", e=3, a=2)
     M, N = random_module(alg, 1, 1, seed=1), random_module(alg, 1, 0, seed=0)
     assert N.loewy_length() == 3 and N.top_dim() * alg.dim == 6
@@ -495,10 +499,12 @@ def test_stable_hom_reads_the_cover_rank_and_forms_no_cover_matrix(monkeypatch):
     original = Matrix.from_sparse_columns
     monkeypatch.setattr(Matrix, "from_sparse_columns", staticmethod(
         lambda field, rows, cols: built.append((rows, len(cols))) or original(field, rows, cols)))
-    monkeypatch.setattr(homology, "projective_cover", None)
+    covers = []
+    monkeypatch.setattr(homology, "projective_cover", lambda X, cap=homology.DEFAULT_CAP,
+                        _original=homology.projective_cover: covers.append(X) or _original(X, cap))
     assert stable_hom_dim(M, N) == 0
+    assert covers == [N]
     assert (N.dim, 6) not in built and "product" not in built
-    assert "cover_kernel" not in vars(N)
     # The cap bounds t·dim A, as the cover would: 6 passes a cap of 6, not 5.
     assert stable_hom_dim(M, N, cap=6) == 0
     with pytest.raises(ResourceCapExceeded, match="dimension 6 exceeds cap 5"):
@@ -648,8 +654,8 @@ def test_ext_never_builds_the_syzygy_past_its_last_cover(calls, conca32, lam0):
 
 def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
     # The semi-GP scan reads Ext^0..Ext^bound, or stops at the first
-    # non-zero Ext^i; the transpose reads d_1; stable Hom reads only the
-    # rank of N's cover, so it forms no cover.
+    # non-zero Ext^i; the transpose reads d_1; stable Hom reads N's one
+    # cover, for the rank t and the syzygy ΩN.
     assert is_semi_gp(m_alpha(lam0, 2), 4).holds
     assert _take(calls) == (5, 0, 0)
     assert is_semi_gp(simple_module(L2), 5).failed_at == 1
@@ -657,7 +663,7 @@ def test_predicates_and_transpose_stop_at_what_they_read(calls, lam0, L2):
     transpose(m_alpha(lam0, 1))
     assert _take(calls) == (2, 0, 0)
     stable_hom_dim(m_alpha(lam0, 0), m_alpha(lam0, 1))
-    assert _take(calls) == (0, 0, 0)
+    assert _take(calls) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -726,24 +732,24 @@ def hom_targets(monkeypatch):
 
 
 def test_stable_hom_solves_no_hom_into_a_free_module_of_rank_two(hom_targets, lam0):
-    # The maps through the cover A^2 -> N come from Hom(M, A), solved once
-    # for all three targets.
+    # The maps through the cover A^2 -> N are counted by dim Hom(M, A) and
+    # dim Hom(M, ΩN), two ranks: no Hom basis is solved for any target.
     M = m_alpha(lam0, 0)
     N = direct_sum(M, m_alpha(lam0, 1))
     assert projective_cover(N).cover_rank == 2
     hom_targets.clear()
     assert stable_hom_dim(M, N) == stable_hom_dim(M, M) + stable_hom_dim(M, m_alpha(lam0, 1))
-    assert [T.free_rank for T in hom_targets] == [1]
+    assert hom_targets == []
 
 
 def test_stable_homs_from_one_module_solve_hom_into_a_once(hom_into_a, lam0):
-    # M keeps Hom(M, A)'s flat rows, so five targets cost one solve.
+    # dim Hom(M, A) is a rank, so five targets solve no Hom(M, A) basis.
     M = m_alpha(lam0, 0)
     targets = [M, m_alpha(lam0, 1), m_alpha(lam0, 2), simple_module(lam0),
                direct_sum(M, m_alpha(lam0, 1))]
     assert all(hom_dim(M, N) for N in targets)
     values = [stable_hom_dim(M, N) for N in targets]
-    assert hom_into_a == [M]
+    assert hom_into_a == []
     assert values == [stable_hom_dim(m_alpha(lam0, 0), N) for N in targets]
 
 

@@ -229,8 +229,10 @@ def test_boundary_rows_convert_only_the_lift_rows(field, monkeypatch):
 def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
     # The Ext route builds no typed value and hands the elimination only
     # IntRows: Hom(M, N) and the Kronecker equations of each syzygy.  Only
-    # the transpose reads the Hom-complex, d_1^* into A, from the lifts'
-    # integer rows.  The transpose's quotient types the rows of its span,
+    # the transpose spans a generated submodule, the image of d_1^*, from
+    # one call's integer rows: the components of Ω^1's top lifts, each read
+    # off its integer shadow row over their lcm scale.  Ext and the semi-GP
+    # scan span none.  The transpose's quotient types the rows of its span,
     # as a quotient does for every subspace; only conversions outside that
     # span count.  An algebra's sections are typed solutions, solved once
     # per algebra, and an input module's Loewy length maps its radical's
@@ -257,16 +259,17 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
         in_span.clear()
         return _original(F, span)
 
-    def hom_complex(syz, N, _original=homology._hom_complex_matrix):
-        read.append(syz)
-        return _original(syz, N)
+    def generated_span(field, ambient, columns, vectors, _original=homology.generated_span):
+        vectors = [dict(zip(idx, vals)) for idx, vals in vectors]
+        read.append((ambient, vectors))
+        return _original(field, ambient, columns, [(v.keys(), v.values()) for v in vectors])
 
     def integer_rows(m, _original=linalg._integer_rows):
         eliminated.append(type(m))
         return _original(m)
     monkeypatch.setattr(linalg, "typed_values", counting("typed", linalg.typed_values))
     monkeypatch.setattr(homology, "typed_values", linalg.typed_values)
-    monkeypatch.setattr(homology, "_hom_complex_matrix", hom_complex)
+    monkeypatch.setattr(homology, "generated_span", generated_span)
     monkeypatch.setattr(homology, "quotient", quotient)
     monkeypatch.setattr(linalg, "_integer_rows", integer_rows)
     scaled = transposed = 0
@@ -275,8 +278,15 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
         homology.ext_dims(M, N, 3), homology.ext_dims(M, A, 3), homology.is_semi_gp(M, 3)
         assert read == [], M
         transposed += homology.transpose(M).dim > 0
-        omega1 = syzygy(M)
-        assert len(read) == (omega1.top_dim() > 0) and all(x.dim == omega1.dim for x in read), M
+        omega1, n = syzygy(M), M.algebra.dim
+        rows = omega1.space.int_rows()
+        lifts, want = [rows[q] for q in omega1.cover[0]], {}
+        scale = lcm(*[s for _, _, s in lifts])
+        for l, (idx, vals, s) in enumerate(lifts):
+            for i, y in zip(idx, vals):
+                want.setdefault(i // n, {})[l * n + i % n] = y * (scale // s)
+        assert read == ([(len(lifts) * n, list(want.values()))] if lifts else []), M
+        assert all(type(y) is int for _, vectors in read for v in vectors for y in v.values())
         read.clear()
         scaled += any(syz.space.int_rows()[q][2] != 1 for syz in omegas(M, 3)[1:]
                       for q in syz.cover[0])

@@ -8,7 +8,10 @@ is held by a dense basis.  ``HomSpace`` is the record (source, target,
 flat); its maps are laid out only by ``modules._flat_map``.  Only
 ``hom_dim`` and ``hom_decomposition_check`` solve M's presentation
 (``presentation_equations``), and only ``dual_data``, ``hom_basis`` and
-``find_isomorphism`` call ``hom_space``.  Only ``verify_sigma_omega``
+``find_isomorphism`` call ``hom_space``.  Only ``hom_space`` and
+``presentation_equations`` build ``relation_equations``, so no Hom-complex
+is built, and ``stable_hom_dim`` calls no ``hom_space``, ``dual_data`` or
+``vector_images``: it composes no map.  Only ``verify_sigma_omega``
 calls ``tilde``, so C11 (``hom_decomposition_check``) reads its modules'
 integer Kronecker data and builds no typed representation.
 ``module_from_columns`` names no ``Matrix``.  A module has two forms, its matrices and its integer
@@ -42,6 +45,14 @@ PRESENTATION_READERS = {"hom_dim", "hom_decomposition_check"}
 #: The only functions that may call ``hom_space``: the dual side, the Hom
 #: basis and the isomorphism search of a pair that J^2 does not kill.
 HOM_SPACE_READERS = {"dual_data", "hom_basis", "find_isomorphism"}
+
+#: The only functions that may call ``relation_equations``: the two Hom
+#: systems, so no Hom-complex map d_j^* comes back.
+RELATION_READERS = {"hom_space", "presentation_equations"}
+
+#: What the stable Hom must not call: it is three Hom dimensions, not a span
+#: of composites of Hom(M, A)'s basis with the cover.
+COMPOSITE_ROUTE = ("hom_space", "dual_data", "vector_images")
 
 #: The only function that may call ``tilde``: the reflection check, which
 #: reflects a typed representation.
@@ -148,11 +159,16 @@ def test_the_cover_lint_sees_a_third_walk():
 
 def test_only_their_readers_call_the_hom_systems():
     for callee, readers in (("presentation_equations", PRESENTATION_READERS),
-                            ("hom_space", HOM_SPACE_READERS)):
+                            ("hom_space", HOM_SPACE_READERS),
+                            ("relation_equations", RELATION_READERS)):
         assert not package_calls(callee, readers)
         # Each reader calls it: no name on the list is left over.
         assert {call.split(": ")[1].split(" (")[0]
                 for call in package_calls(callee, set())} == readers
+    with open(os.path.join(SRC, "homology.py")) as fh:
+        source = fh.read()
+    assert not [callee for callee in COMPOSITE_ROUTE if calls_in(source, "stable_hom_dim", callee)]
+    assert calls_in(source, "stable_hom_dim", "hom_dim")
 
 
 def test_the_hom_system_lint_sees_a_third_reader():
@@ -169,6 +185,20 @@ def test_the_hom_system_lint_sees_a_third_reader():
         "find_isomorphism (line 5)"]
     assert calls_outside(source, "hom_space", HOM_SPACE_READERS) == [
         "Search.step (line 8)", "<module> (line 9)"]
+
+
+def test_the_relation_lint_sees_a_third_reader():
+    source = ("from . import modules\n"
+              "def hom_space(M, N):\n"
+              "    return relation_equations(N, [], 1)\n"
+              "def _hom_complex_matrix(syz, N):\n"
+              "    return modules.relation_equations(N, syz.space.int_rows(), 2)\n"
+              "def stable_hom_dim(M, N):\n"
+              "    return vector_images(dual_data(M).homs, modules.hom_space(M, N))\n")
+    assert calls_outside(source, "relation_equations", RELATION_READERS) == [
+        "_hom_complex_matrix (line 5)"]
+    assert [callee for callee in COMPOSITE_ROUTE
+            if calls_in(source, "stable_hom_dim", callee)] == list(COMPOSITE_ROUTE)
 
 
 def test_only_the_reflection_check_builds_a_typed_representation():

@@ -1,10 +1,12 @@
 """The sparse Hom systems against the dense builders they replaced.
 
-The Hom-complex of a minimal resolution and the intertwining equations of
+The Hom-complex of a minimal resolution, now a reference itself
+(``references.hom_complex_matrix``), and the intertwining equations of
 ``hom_space`` go to the elimination as sparse rows built from sparse
 actions.  The dense builders they replaced are kept here as references
 only: over Q, F_7 and F_32003 the ranks of the d_j^*, the Ext dimensions,
-the transposes and the Hom spaces must agree exactly.  A guard counts that
+the transposes (against the Hom-complex's too) and the Hom spaces must
+agree exactly.  A guard counts that
 Ext over A forms no dense action, and that the regular module A^1, with
 its integer rows, is built once per algebra.
 """
@@ -15,7 +17,7 @@ from itertools import islice
 import pytest
 
 from shortloc import homology, modules
-from shortloc.homology import (_hom_complex_matrix, ext_dims, is_semi_gp, resolution, syzygy,
+from shortloc.homology import (ext_dims, is_semi_gp, resolution, syzygy, syzygy_power,
                                transpose)
 from shortloc.linalg import QQ, Field, Matrix, Subspace, kernel_subspace, rank
 from shortloc.modules import (AModule, free_module, hom_basis, hom_space, left_regular_module,
@@ -23,8 +25,8 @@ from shortloc.modules import (AModule, free_module, hom_basis, hom_space, left_r
                               simple_module, zero_module)
 from shortloc.presets import preset
 
-from references import (action_rows_over_scale, boundary_elements, combination, omegas,
-                        scaled_sum_action)
+from references import (action_rows_over_scale, boundary_elements, combination,
+                        hom_complex_matrix, hom_complex_transpose, omegas, scaled_sum_action)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(32003)],
                                  ids=["Q", "F7", "F32003"])
@@ -126,7 +128,7 @@ def test_hom_complex_ranks_and_ext_match_the_dense_reference(field):
         ladder = omegas(M, 4)
         for N in targets(M.algebra, seed):
             for j in range(1, 5):
-                sparse, dense = _hom_complex_matrix(ladder[j], N), dense_hom_complex(ladder[j], N)
+                sparse, dense = hom_complex_matrix(ladder[j], N), dense_hom_complex(ladder[j], N)
                 assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols), (label, j)
                 assert rank(sparse) == rank(dense), (label, j)
                 compared += any(sparse.data)
@@ -136,10 +138,15 @@ def test_hom_complex_ranks_and_ext_match_the_dense_reference(field):
 
 @FIELDS
 def test_transpose_matches_the_dense_reference(field):
-    for label, M in sources(field):
-        tr, ref = transpose(M), dense_transpose(M)
+    # The benchmark's transposes too: M(0), M(1), M(2) over lambda_c(c=1)
+    # (c=0's are among the sources) and Ω^2 S over lambda_c(c=0).
+    lam1, lam0 = preset("lambda_c", field=field, c=1), preset("lambda_c", field=field, c=0)
+    inputs = sources(field) + [(f"lambda_c(c=1) M({a})", m_alpha(lam1, a)) for a in (0, 1, 2)]
+    inputs.append(("lambda_c Ω^2 S", syzygy_power(simple_module(lam0), 2)))
+    for label, M in inputs:
+        tr, ref, hom_complex = transpose(M), dense_transpose(M), hom_complex_transpose(M)
         assert (tr.dim, tr.top_dim()) == (ref.dim, ref.top_dim()), label
-        assert tr.actions == ref.actions, label
+        assert tr.actions == ref.actions == hom_complex.actions, label
 
 
 @FIELDS
