@@ -13,11 +13,14 @@ d_1^* is the right submodule generated by the components of Ω^1's top
 lifts, read off its integer shadow rows over one scale and spanned as
 every generated submodule is (:func:`~shortloc.modules.generated_span`),
 and the stable Hom is three Hom dimensions, read off the target's cover
-(:func:`stable_hom_dim`).  :class:`DualData` is the single engine of the
-dual side: Hom(M, A), solved once per module, serves the dual module, the
-torsionless and reflexive verdicts, the evaluation map and the minimal left
-approximation with its cokernel (the cosyzygy), each built on first read
-from the sparse rows of the maps' flattenings, with no map matrix.
+(:func:`stable_hom_dim`).  The ∞-torsionfree scan starts at Ω^1 Tr M,
+that image (:func:`_transpose_syzygy`), and forms no transpose; over a
+self-injective algebra it and the semi-GP scan hold with no cover.
+:class:`DualData` is the single engine of the dual side: Hom(M, A), solved
+once per module, serves the dual module, the torsionless and reflexive
+verdicts, the evaluation map and the minimal left approximation with its
+cokernel (the cosyzygy), each built on first read from the sparse rows of
+the maps' flattenings, with no map matrix.
 
 A minimal cover A^t -> N has its kernel in JA^t: ker(Φ: JA^t -> JN), Φ
 sending copy k's radical basis to its images at the top lift m_k
@@ -68,7 +71,7 @@ when a caller reads them.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -808,26 +811,19 @@ def mho_step(M: AModule) -> ApproximationData:
     return dual_data(M).approximation
 
 
-def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
-    """The transpose: cokernel of the dualized minimal presentation.
+def _dual_presentation(M: AModule, cap: int) -> Optional[tuple[AModule, int, Subspace]]:
+    """(F_1, dim Ω^1 M, U) for M's minimal presentation A^{t_1} -> A^{t_0} -> M; None if t_1 = 0.
 
-    From the minimal presentation A^{t_1} -> A^{t_0} -> M -> 0, dualizing
-    gives d_1^*: Hom(A^{t_0}, A) -> Hom(A^{t_1}, A), whose cokernel is the
-    transpose, a module over the opposite algebra.  The k-th components of
-    Ω^1's top lifts make x_k in A^{t_1}, and the image of d_1^* is the right
-    submodule the x_k generate: A^op acting on the left is A acting on the
-    right, so it is :func:`~shortloc.modules.generated_span` of the x_k
-    along (A^op)^{t_1}'s integer columns.  The lifts are read off Ω^1's
-    integer shadow rows (:meth:`~shortloc.linalg.Subspace.int_rows`) and put
-    over the lcm of their scales, so no scalar is built.  It reads the first
-    two steps of M's resolution; the second, Ω^1's cover, only when t_1 > 0,
-    as it checks t_1·dim A against the cap.
+    U, the image of d_1^* in F_1 = (A^op)^{t_1}, is the right submodule the
+    k-th components of Ω^1's top lifts (integer shadow rows over their lcm
+    scale) generate, spanned along F_1's integer columns as A^op acts on the
+    left (:func:`~shortloc.modules.generated_span`).  Ω^1's cover checks
+    t_1·dim A against the cap.  Minimality puts U in JF_1.
     """
     alg, steps = M.algebra, resolution(M, cap=cap)
-    op = alg.opposite()
     t1 = M.dim and (syz := next(steps).kernel).top_dim()
     if t1 == 0:
-        return zero_module(op)
+        return None
     next(steps)
     n, rows = alg.dim, syz.space.int_rows()
     lifts = [rows[q] for q in syz.cover[0]]
@@ -837,10 +833,60 @@ def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
         for i, y in zip(idx, vals):
             k, b = divmod(i, n)
             x[k][l * n + b] = y * (scale // s)
-    F1 = free_module(op, t1)
+    F1 = free_module(alg.opposite(), t1)
     image = generated_span(alg.field, F1.dim, F1.int_columns()[0],
                            [(v.keys(), v.values()) for v in x.values()])
-    return quotient(F1, image)[0]
+    if not all(i % n for idx, _, _ in image.int_rows().values() for i in idx):
+        raise InvariantViolation("the image of d_1^* escapes the radical (not minimal)")
+    return F1, syz.dim, image
+
+
+def _transpose_syzygy(F1: AModule, image: Subspace) -> Syzygy:
+    """Ω^1 Tr M, the kernel U = ``image`` of the cover F_1 -> Tr M, in :func:`phi_kernel`'s pivot form.
+
+    Φ's columns are F_1's radical coordinates.  U's rows, eliminated once in
+    reversed column order, give ker Φ's reduced basis u_f, 1 at its last
+    coordinate f; Φ's pivot row at each other column c is
+    e_c - Σ_f u_f[c]·e_f, primitive with a positive lead over Q.
+    """
+    field, n = F1.field, F1.algebra.dim
+    p, at = field.characteristic, [q for q in range(F1.dim) if q % n]
+    last = len(at) - 1  # coordinate i is Φ's column i - i // n - 1, reversed at last - it
+    rows = [{last + 1 - i + i // n: y for i, y in zip(idx, vals)}
+            for idx, vals, _ in image.int_rows().values()]
+    reduced = Subspace.from_vectors(field, len(at), IntRows(field, rows, len(at))).int_rows()
+    entries: dict = defaultdict(list)  # Φ's pivot column c -> (f, y, lead): u_f[c] = y/lead
+    for r, (idx, vals, lead) in reduced.items():
+        for j, y in zip(idx, vals):
+            if j != r:
+                entries[last - j].append((last - r, y, lead))
+    free, piv = sorted(last - r for r in reduced), {}
+    for c in set(range(len(at))).difference(free):
+        L = lcm(*[lead for _, _, lead in entries[c]])  # 1 over F_p
+        row = {c: L, **{f: -y * (L // lead) for f, y, lead in entries[c]}}
+        g = 1 if p else gcd(*row.values())
+        piv[c] = {j: y % p if p else y // g for j, y in row.items()}
+    return Syzygy(F1.algebra, Subspace.from_pivot_rows(field, F1.dim, piv, free, at, None))
+
+
+def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:
+    """The transpose: cokernel of the dualized minimal presentation.
+
+    From the minimal presentation A^{t_1} -> A^{t_0} -> M -> 0, dualizing
+    gives d_1^*: Hom(A^{t_0}, A) -> Hom(A^{t_1}, A), whose cokernel is the
+    transpose, a module over the opposite algebra: the :func:`quotient` of
+    F_1 = (A^op)^{t_1} by the image U (:func:`_dual_presentation`).  U lies
+    in JF_1, so the classes of F_1's radical coordinates span the radical,
+    kept as their unit rows: the top, t_1, is read with no elimination.
+    """
+    dual = _dual_presentation(M, cap)
+    if dual is None:
+        return zero_module(M.algebra.opposite())
+    F1, _, image = dual
+    n, tr = M.algebra.dim, quotient(F1, image)[0]
+    radical = [b for b, q in enumerate(image.free_columns()) if q % n]
+    tr._radical = Subspace._span(tr.field, tr.dim, {b: {b: 1} for b in radical})
+    return tr
 
 
 # -- stable homs and Gorenstein-style predicates ------------------------
@@ -868,29 +914,41 @@ def is_semi_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -
     """Bounded check that Ext^i(M, A) = 0 for 1 <= i <= bound.
 
     The scan stops at the first non-vanishing group, so modules that fail
-    early never build the deep (often exponentially large) resolution.
+    early never build the deep (often exponentially large) resolution.  A
+    self-injective A is injective: the verdict holds at once, with no cover.
     """
     if bound < 1:
         raise BadParams(f"bound must be at least 1, got {bound}")
-    if M.dim == 0:
+    if M.dim == 0 or M.algebra.is_self_injective():
         return BoundedVerdict(True, bound)
     exts = _ext_sequence(resolution(M, cap=cap), left_regular_module(M.algebra))
-    for i, val in enumerate(islice(exts, bound + 1)):
-        if i and val:
-            return BoundedVerdict(False, bound, failed_at=i)
-    return BoundedVerdict(True, bound)
+    failed = next((i for i, val in enumerate(islice(exts, 1, bound + 1), 1) if val), None)
+    return BoundedVerdict(failed is None, bound, failed)
 
 
 def is_inf_torsionfree(M: AModule, bound: int = DEFAULT_BOUND,
                        cap: int = DEFAULT_CAP) -> BoundedVerdict:
-    """Bounded check that the transpose is semi-Gorenstein-projective.
+    """Bounded check that the transpose is semi-Gorenstein-projective, with no transpose formed.
 
-    The transpose lives over the opposite algebra; the Ext-vanishing is
-    checked there.
+    The scan starts at Ω^1 Tr M (:func:`_transpose_syzygy`), as
+    Ext^{i+1}(Tr M, A) = Ext^i(Ω^1 Tr M, A).  Hom(Tr M, A) ≅ ker d_1 = Ω^2 M
+    has dimension t_1·dim A - dim Ω^1 M, and top Tr M = t_1, so
+    Ext^1(Tr M, A) = dim Hom(Ω^1 Tr M, A) - dim Ω^1 M.  A self-injective A,
+    as its opposite, makes the verdict hold at once, with no cover.
     """
-    if bound < 1:  # refused before the transpose's cover, as the scan refuses it
+    if bound < 1:
         raise BadParams(f"bound must be at least 1, got {bound}")
-    return is_semi_gp(transpose(M, cap=cap), bound=bound, cap=cap)
+    dual = None if M.algebra.is_self_injective() else _dual_presentation(M, cap)
+    if dual is None:  # Tr M = 0, or A is injective
+        return BoundedVerdict(True, bound)
+    F1, omega_dim, image = dual
+    exts = _ext_sequence(resolution(_transpose_syzygy(F1, image), cap=cap),
+                         left_regular_module(F1.algebra))
+    ext1 = next(exts) - omega_dim
+    if ext1 < 0:
+        raise InvariantViolation("negative Ext dimension; resolution is inconsistent")
+    failed = next((i for i, val in enumerate(islice(chain([ext1], exts), bound), 1) if val), None)
+    return BoundedVerdict(failed is None, bound, failed)
 
 
 def is_gp(M: AModule, bound: int = DEFAULT_BOUND, cap: int = DEFAULT_CAP) -> BoundedVerdict:

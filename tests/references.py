@@ -1105,8 +1105,12 @@ def covering_ext_dims(M, N, imax):
 
 
 def covering_is_semi_gp(M, bound):
-    """The bounded semi-GP scan: Ext^1..Ext^bound(M, A) along ``covering_resolution``."""
-    exts = covering_ext_dims(M, modules.left_regular_module(M.algebra), bound)[1:]
+    """The bounded semi-GP scan: Ext^1..Ext^bound(M, A) along ``covering_resolution``,
+    read up to the first one that does not vanish."""
+    exts = []
+    if M.dim:
+        exts = islice(_ext_sequence(covering_resolution(M), modules.left_regular_module(M.algebra)),
+                      1, bound + 1)
     failed = next((i for i, x in enumerate(exts, 1) if x), None)
     return BoundedVerdict(failed is None, bound, failed)
 

@@ -552,9 +552,10 @@ def test_inf_torsionfree_fails_for_m_q(lam0):
 @pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
 def test_gp_reads_one_resolution_for_both_scans(field, monkeypatch):
     # is_gp is the semi-GP scan of M, then, if it holds, that of the
-    # transpose, each on a resolution of its own: beyond the two scans'
-    # covers it makes only the transpose's, Ω^0's and, when t_1 > 0, Ω^1's.
-    # Its verdicts are those of the two scans spelled out.
+    # transpose, each on a resolution of its own.  The second scan starts
+    # at Ω^1 Tr M, read off M's presentation: it covers Ω^0 and, when
+    # t_1 > 0, Ω^1, and not Tr M, so beyond the two scans' covers it makes
+    # exactly one.  Its verdicts are those of the two scans spelled out.
     covers = []
     monkeypatch.setattr(homology, "projective_cover", lambda M, cap=homology.DEFAULT_CAP,
                         _original=homology.projective_cover: covers.append(M) or _original(M, cap))
@@ -572,7 +573,7 @@ def test_gp_reads_one_resolution_for_both_scans(field, monkeypatch):
             covers.clear()
             got = is_gp(M, 4)
             assert got == want, (c, alpha)
-            assert len(covers) == scans + (1 + (tr.dim > 0)) * bool(semi), (c, alpha)
+            assert len(covers) == scans + bool(semi), (c, alpha)
             verdicts.add((bool(semi), got.holds))
     # Over F_7, q = 2 has finite order and M(q) fails the semi-GP scan too.
     assert verdicts == {(True, True), (False, False)} | ({(True, False)} if field == QQ else set())

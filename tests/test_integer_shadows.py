@@ -235,8 +235,11 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
     # scan span none.  The transpose's quotient types the rows of its span,
     # as a quotient does for every subspace; only conversions outside that
     # span count.  An algebra's sections are typed solutions, solved once
-    # per algebra, and an input module's Loewy length maps its radical's
-    # typed rows, once per module: both are read before counting starts.
+    # per algebra, its validation report (which the semi-GP scan reads to
+    # know whether A is self-injective) ranks its typed structure matrix,
+    # once per algebra, and an input module's Loewy length maps its
+    # radical's typed rows, once per module: all are read before counting
+    # starts.
     lam, c32 = preset("lambda_c", field=field, c=1), preset("ex15_1", field=field, e=3, a=2)
     e53 = preset("ex5_3", field=field)
     cases = [(m_alpha(lam, 2), simple_module(lam)),
@@ -244,7 +247,7 @@ def test_ext_and_the_transpose_read_integer_boundaries(field, monkeypatch):
     cases += [(random_module(c32, 1 + seed % 2, seed % 3, seed=seed), simple_module(c32))
               for seed in range(4)]
     for M, N in cases:
-        M.algebra.sections(), M.loewy_length(), N.loewy_length()
+        M.algebra.sections(), M.algebra.validate(), M.loewy_length(), N.loewy_length()
     counts, read, eliminated, in_span = {"typed": 0, "span_typed": 0}, [], [], []
 
     def counting(key, original):

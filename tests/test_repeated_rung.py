@@ -97,8 +97,9 @@ def test_a_fixed_orbit_is_covered_twice(field, counts):
     # Ω^0 and Ω^1 are covered and their two Hom systems ranked; every later
     # step is step 1 read again.  betti covers each of rungs 0..BOUND-1.
     # The transpose of M(0) and of cyclic_x over ex15_1(3,2) repeats from
-    # its Ω^1 too: two covers for the transpose's d_1, two for its scan.
-    # cyclic_x over ex9_3 has Ext^1(M, A) = 2.
+    # its Ω^1 too: two covers for d_1, then the scan starts at Ω^1 Tr M,
+    # read off d_1, with one cover and one Hom system; Tr M itself is
+    # neither covered nor ranked.  cyclic_x over ex9_3 has Ext^1(M, A) = 2.
     for name, M in fixed_orbits(field):
         A = left_regular_module(M.algebra)
         ext_dims(M, A, BOUND)
@@ -109,9 +110,9 @@ def test_a_fixed_orbit_is_covered_twice(field, counts):
         assert _take(counts) == (BOUND, 0), name
         if name != "cyclic_x ex9_3":
             is_inf_torsionfree(M, BOUND)
-            assert _take(counts) == (4, 2), name
+            assert _take(counts) == (3, 1), name
             is_gp(M, BOUND)
-            assert _take(counts) == (6, 4), name
+            assert _take(counts) == (5, 3), name
     # A resolution read deep forms no cover past the repeat, and yields one step object.
     M = fixed_orbits(field)[0][1]
     steps = list(islice(resolution(M), 20))
