@@ -78,7 +78,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ._record import cached_property, record
 from .algebra import ShortAlgebra
 from .errors import AlgebraMismatch, BadParams, InvariantViolation, ResourceCapExceeded
-from .linalg import IntRows, Matrix, Subspace, kernel_subspace, rank, typed_values
+from .linalg import IntRows, Matrix, Subspace, kernel_subspace, lead_multiples, rank, typed_values
 from .modules import (AModule, HomSpace, ModuleMap, _LazyMap, _row_images, _typed, free_module,
                       generated_span, hom_dim, hom_space, left_regular_module,
                       module_from_columns, pivot_columns, quotient, zero_module)
@@ -102,10 +102,11 @@ def shadow_rows(alg: ShortAlgebra, form: tuple) -> tuple[dict, list[int], list[i
     a V-coordinate goes through the table straight into Φ's rows,
     {J^2-coordinate: {column: int}}, with no kernel row and no image built.
     Column k·(dim A - 1) + j is ψ_{j+1}(x) for x the row at ``order[k]``,
-    times ``scales[k]`` = L·σ_f, L the lcm of the leads of the pivot rows
-    that reach x, and times the table's scale, which is common to all of Φ
-    and left out.  ``order`` lists the rows at V-coordinates, in increasing
-    order, then the other rows that reach a V-coordinate, as met.
+    times ``scales[k]`` = L·σ_f (:func:`~shortloc.linalg.lead_multiples`),
+    as :func:`~shortloc.linalg.pivot_relations` scales x but inside the one
+    loop, and times the table's scale, common to all of Φ and left out.
+    ``order`` lists the rows at V-coordinates, in increasing order, then
+    the other rows that reach a V-coordinate, as met.
     """
     (table, _), n, e = alg.structure_table(), alg.dim, alg.e
     piv, free, at, sigma = form
@@ -113,11 +114,7 @@ def shadow_rows(alg: ShortAlgebra, form: tuple) -> tuple[dict, list[int], list[i
     for f in free:
         if at[f] % n <= e:
             first[f] = len(first) * (n - 1)
-    mult = {}  # L for each row that a pivot row with a lead other than 1 reaches
-    for c, row in piv.items():
-        if row[c] != 1:
-            for f in row:
-                mult[f] = lcm(mult.get(f, 1), row[c])
+    mult = lead_multiples(piv)
     odd = sigma is not None or mult
     rows: dict = defaultdict(dict)
     for c, pivot_row in piv.items():
@@ -844,29 +841,22 @@ def _dual_presentation(M: AModule, cap: int) -> Optional[tuple[AModule, int, Sub
 def _transpose_syzygy(F1: AModule, image: Subspace) -> Syzygy:
     """Ω^1 Tr M, the kernel U = ``image`` of the cover F_1 -> Tr M, in :func:`phi_kernel`'s pivot form.
 
-    Φ's columns are F_1's radical coordinates.  U's rows, eliminated once in
-    reversed column order, give ker Φ's reduced basis u_f, 1 at its last
-    coordinate f; Φ's pivot row at each other column c is
-    e_c - Σ_f u_f[c]·e_f, primitive with a positive lead over Q.
+    Φ's columns are F_1's radical coordinates, where U lies, and its rows
+    are U's annihilator, read off U's reduced rows u_p: e_j - Σ_p u_p[j]·e_p
+    for each coordinate j that is no pivot of U, over the lcm of the rows'
+    scales.  So ker Φ = U, eliminated as every kernel is
+    (:func:`~shortloc.linalg.kernel_subspace`), and the pivot form is the
+    one the cover of Tr M gives, as a reduced form is unique.
     """
-    field, n = F1.field, F1.algebra.dim
-    p, at = field.characteristic, [q for q in range(F1.dim) if q % n]
-    last = len(at) - 1  # coordinate i is Φ's column i - i // n - 1, reversed at last - it
-    rows = [{last + 1 - i + i // n: y for i, y in zip(idx, vals)}
-            for idx, vals, _ in image.int_rows().values()]
-    reduced = Subspace.from_vectors(field, len(at), IntRows(field, rows, len(at))).int_rows()
-    entries: dict = defaultdict(list)  # Φ's pivot column c -> (f, y, lead): u_f[c] = y/lead
-    for r, (idx, vals, lead) in reduced.items():
+    n, ints = F1.algebra.dim, image.int_rows()
+    at, scale = [q for q in range(F1.dim) if q % n], lcm(*[s for _, _, s in ints.values()])
+    rows = {j: {j - j // n - 1: scale} for j in at if j not in ints}  # column of j: j - j//n - 1
+    for q, (idx, vals, s) in ints.items():
         for j, y in zip(idx, vals):
-            if j != r:
-                entries[last - j].append((last - r, y, lead))
-    free, piv = sorted(last - r for r in reduced), {}
-    for c in set(range(len(at))).difference(free):
-        L = lcm(*[lead for _, _, lead in entries[c]])  # 1 over F_p
-        row = {c: L, **{f: -y * (L // lead) for f, y, lead in entries[c]}}
-        g = 1 if p else gcd(*row.values())
-        piv[c] = {j: y % p if p else y // g for j, y in row.items()}
-    return Syzygy(F1.algebra, Subspace.from_pivot_rows(field, F1.dim, piv, free, at, None))
+            if j != q:
+                rows[j][q - q // n - 1] = -y * (scale // s)
+    phi = IntRows(F1.field, list(rows.values()), len(at))
+    return Syzygy(F1.algebra, kernel_subspace(phi, at=at, ambient=F1.dim))
 
 
 def transpose(M: AModule, cap: int = DEFAULT_CAP) -> AModule:

@@ -40,8 +40,8 @@ walking only non-zero entries; :meth:`Subspace.residue` is its typed view.
 Every subspace is an elimination's output, integer first: a span keeps
 the elimination's pivot rows, which over their leads are its integer
 rows (:meth:`Subspace.int_rows`), and a kernel keeps the pivot rows of
-its matrix (:meth:`Subspace.pivot_form`) and writes its integer rows from
-them in one pass.  Typed rows are built from the
+its matrix (:meth:`Subspace.pivot_form`), whose relations
+(:func:`pivot_relations`) give its integer rows.  Typed rows are built from the
 integer rows on first read, so a caller that needs only a rank, a
 dimension or free columns pays for the elimination alone.  Scalars and
 ints cross over at one pair of converters, :func:`integer_values` (with
@@ -58,7 +58,7 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import record
 from .errors import BadParams, DimensionMismatch
@@ -594,67 +594,62 @@ def kernel_subspace(m: Matrix | IntRows, *, at: Optional[Sequence[int]] = None,
     return Subspace.from_pivot_rows(field, ambient, piv, free, at, scales)
 
 
+def lead_multiples(piv: dict[int, dict]) -> dict[int, int]:
+    """Column f -> L_f, the lcm of the leads other than 1 of the pivot rows holding f, if not 1."""
+    mult: dict = {}
+    for c, row in piv.items():
+        if row[c] != 1:
+            for f in row:
+                mult[f] = lcm(mult.get(f, 1), row[c])
+    return mult
+
+
+def pivot_relations(form: tuple, keep: Optional[Callable[[int], bool]] = None) -> dict:
+    """Free column f -> its kernel vector times L_f·σ_f, {column: int}, read off a pivot form.
+
+    ``form`` is (piv, free, at, σ) (:meth:`Subspace.pivot_form`), σ all 1
+    when None, and only the free columns that ``keep`` accepts are read.
+    The relation is L_f·σ_f at f (:func:`lead_multiples`), then
+    -y·σ_c·L_f/lead_c at each pivot column c whose row holds y at f, c
+    increasing; over F_p it is the unreduced -y.
+    """
+    piv, free, _, sigma = form
+    mult = lead_multiples(piv)
+    relations = {f: {f: mult.get(f, 1) * (sigma[f] if sigma else 1)}
+                 for f in free if keep is None or keep(f)}
+    for c in sorted(piv):
+        row, s = piv[c], sigma[c] if sigma else 1
+        for f, y in row.items():
+            if f != c and f in relations:
+                relations[f][c] = -y * s * (mult.get(f, 1) // row[c])
+    return relations
+
+
 def _kernel_rows(field: Field, piv: dict[int, dict], free: list[int], at: Sequence[int],
                  scales: Optional[Sequence[int]]) -> dict:
     """The kernel vector of each free column f in integer form, (indices, values, scale).
 
-    The vector is values/scale, column c at ``at[c]``.  It is written in
-    one pass over ``piv``'s integer rows: 1 at f, then -x·σ_c/(lead·σ_f)
-    at each pivot column c whose row holds x at f, c increasing, where σ
-    are the column scales (all 1 without ``scales``).  Over F_p the leads
-    and scales are 1, the values the residues -x and the scale 1.  Over Q
-    a row whose leads and scales are all 1 holds the ints -x at scale 1;
-    any other is written over the least scale that makes it integral.
+    The vector is values/scale, column c at ``at[c]``: f's relation
+    (:func:`pivot_relations`) over its least scale.  Over F_p, and over Q
+    when every lead is 1 with no column scales, the values are read off
+    the rows in one pass: the residues p - y, or the ints -y, at scale 1.
     """
     p = field.characteristic
-    idx = {f: [at[f]] for f in free}
-    vals = {f: [1] for f in free}
-    odd = set()  # over Q, free columns met by a lead or a column scale other than 1
-    for c, row in sorted(piv.items()):
-        q, lead = at[c], row[c]
-        if p:
-            for j, x in row.items():
+    if p or scales is None and all(row[c] == 1 for c, row in piv.items()):
+        idx = {f: [at[f]] for f in free}
+        vals = {f: [1] for f in free}
+        for c, row in sorted(piv.items()):
+            for j, y in row.items():
                 if j != c:
-                    idx[j].append(q)
-                    vals[j].append(p - x)
-            continue
-        sc = scales[c] if scales else 1
-        if lead == 1 and sc == 1:
-            for j, x in row.items():
-                if j != c:
-                    idx[j].append(q)
-                    vals[j].append(-x)
-        else:
-            for j, x in row.items():
-                if j != c:
-                    idx[j].append(q)
-                    vals[j].append((-x * sc, lead))
-                    odd.add(j)
-    if scales:
-        odd.update(f for f in free if scales[f] != 1)
-    if not odd:
+                    idx[j].append(at[c])
+                    vals[j].append(p - y)
         return {at[f]: (tuple(idx[f]), tuple(vals[f]), 1) for f in free}
     out = {}
-    for f in free:
-        values, scale = vals[f], 1
-        if f in odd:
-            values, scale = _over_one_scale(values, scales[f] if scales else 1)
-        out[at[f]] = (tuple(idx[f]), tuple(values), scale)
+    for f, relation in pivot_relations((piv, free, at, scales)).items():
+        g = gcd(*relation.values())
+        out[at[f]] = (tuple([at[c] for c in relation]), tuple([y // g for y in relation.values()]),
+                      relation[f] // g)
     return out
-
-
-def _over_one_scale(values: list, sf: int) -> tuple[list, int]:
-    """A kernel row of :func:`_kernel_rows`, its entries ints e or pairs (num, den), over one scale.
-
-    The entry at f is 1 and stands for 1; an int e for e/σ_f and a pair
-    for num/(den·σ_f).  Scaled by σ_f·lcm(den), then by the gcd of the
-    result, the row is integral over the least scale.
-    """
-    dens = [v[1] for v in values if type(v) is tuple]
-    m = lcm(*dens) if dens else 1
-    ints = [sf * m] + [v[0] * (m // v[1]) if type(v) is tuple else v * m for v in values[1:]]
-    g = gcd(*ints)
-    return [v // g for v in ints], sf * m // g
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
@@ -914,9 +909,12 @@ class Subspace:
         return [c for c in range(self.ambient) if c not in pivset]
 
     def __eq__(self, other: object) -> bool:
+        """The same subspace of k^n, kernel or span: equal dimensions, one holding the other."""
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.field, self.ambient, self.basis) == (other.field, other.ambient, other.basis)
+        return ((self.field, self.ambient, self.dim) == (other.field, other.ambient, other.dim)
+                and all(other.contains_ints(dict(zip(idx, vals)))
+                        for idx, vals, _ in self.int_rows().values()))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"

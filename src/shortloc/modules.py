@@ -66,7 +66,7 @@ from .algebra import ShortAlgebra
 from .errors import (AlgebraMismatch, BadParams, DimensionMismatch, InvariantViolation,
                      LoewyTooLong, ZeroModule)
 from .linalg import (DEFAULT_POOL, Field, IntRows, Matrix, Subspace, integer_pairs,
-                     integer_values, kernel_subspace, rank, typed_values)
+                     integer_values, kernel_subspace, pivot_relations, rank, typed_values)
 
 
 class DimVec(tuple):
@@ -862,24 +862,14 @@ def _kronecker_equations(field: Field, form: tuple, stride: int, t: int,
 
     Column k·``stride`` + j of Φ is φ_{j+1}(a_k), for the t tops a_k of A;
     with j >= e (= number of arrows) it is a cover's empty J^2-column and
-    is left out.  The relation of a free column f is read as
-    :func:`~shortloc.homology.shadow_rows` reads a shadow row, with no
-    kernel row built.  ``target`` is B's (b0, b1, arrows, scale)
+    is left out.  The relation λ of each other free column is read off the
+    pivot form (:func:`~shortloc.linalg.pivot_relations`), with no kernel
+    row built.  ``target`` is B's (b0, b1, arrows, scale)
     (:func:`_kronecker_data`).  g0 must meet Σ λ_{k,j}·φ_j(g0(a_k)) = 0 for
     every relation λ: b1 rows per λ, column s·t + k entry s of g0(a_k).
     """
-    (piv, free, _, sigma), (b0, _, arrows, _) = form, target
-    mult: dict = {}
-    for c, row in piv.items():
-        if row[c] != 1:
-            for f in row:
-                mult[f] = lcm(mult.get(f, 1), row[c])
-    relations = {f: {f: mult.get(f, 1) * (sigma[f] if sigma else 1)}
-                 for f in free if f % stride < len(arrows)}
-    for c, row in piv.items():
-        for f, y in row.items():
-            if f != c and f in relations:
-                relations[f][c] = -y * (sigma[c] if sigma else 1) * (mult.get(f, 1) // row[c])
+    b0, _, arrows, _ = target
+    relations = pivot_relations(form, lambda f: f % stride < len(arrows))
     rows: dict = {}
     for f, relation in relations.items():
         for q, x in relation.items():

@@ -220,20 +220,21 @@ def conca_family(e: int, a: int, field: Field = QQ) -> ShortAlgebra:
     return _check_hilbert(alg, (e, a))
 
 
+#: name -> (constructor, parameters, generators: e when None, plus c for lambda_c).
 _PRESETS = {
-    "L": (radical_square_zero, ("e",)),
-    "qexterior": (quantum_exterior, ("q",)),
-    "lambda_c": (lambda_family, ("c", "q")),
-    "ex3_4": (_ex3_4, ()),
-    "ex5_3": (_ex5_3, ()),
-    "ex5_4a": (_ex5_4a, ()),
-    "ex5_4b": (_ex5_4b, ()),
-    "ex5_5": (_ex5_5, ()),
-    "ex8_3": (_ex8_3, ()),
-    "ex9_3": (_ex9_3, ()),
-    "ex9_4": (_ex9_4, ("q",)),
-    "ex14_1": (truncated_tensor, ("e", "a")),
-    "ex15_1": (conca_family, ("e", "a")),
+    "L": (radical_square_zero, ("e",), None),
+    "qexterior": (quantum_exterior, ("q",), 2),
+    "lambda_c": (lambda_family, ("c", "q"), 3),
+    "ex3_4": (_ex3_4, (), 2),
+    "ex5_3": (_ex5_3, (), 2),
+    "ex5_4a": (_ex5_4a, (), 3),
+    "ex5_4b": (_ex5_4b, (), 2),
+    "ex5_5": (_ex5_5, (), 3),
+    "ex8_3": (_ex8_3, (), 2),
+    "ex9_3": (_ex9_3, (), 2),
+    "ex9_4": (_ex9_4, ("q",), 3),
+    "ex14_1": (truncated_tensor, ("e", "a"), None),
+    "ex15_1": (conca_family, ("e", "a"), None),
 }
 
 
@@ -255,7 +256,7 @@ def preset(name: str, field: Field = QQ, *, e: Optional[int] = None,
     """
     if name not in _PRESETS:
         raise BadParams(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    fn, allowed = _PRESETS[name]
+    fn, allowed, count = _PRESETS[name]
     given = {"e": e, "a": a, "c": c, "q": q}
     kwargs = {}
     for key, val in given.items():
@@ -268,8 +269,7 @@ def preset(name: str, field: Field = QQ, *, e: Optional[int] = None,
         raise BadParams("preset 'L' needs e")
     if name in ("ex14_1", "ex15_1") and (e is None or a is None):
         raise BadParams(f"preset {name!r} needs both e and a")
-    # A preset has e generators when it takes e, and at most 3 + c otherwise.
-    gens = max(e if e is not None else 3 + (c or 0), 0)
+    gens = max(e if count is None else count + (c or 0), 0)
     if cap is not None and gens * gens > cap:
         raise ResourceCapExceeded(gens * gens, cap)
     return fn(field=field, **kwargs)

@@ -109,7 +109,9 @@ equation (``reference_kronecker_hom_dim``) are what reading each map once
 replaced.  ann_N(J^2) as the kernel of the stacked w-actions, read off the
 integer action rows of every basis vector (``reference_kronecker_data``),
 is what spanning JN and the kernel of the top lifts' w-images replaced;
-``reference_top_hom_dim`` reads the g0 system of a J^2-zero M against it.
+``reference_top_hom_dim`` reads the g0 system of a J^2-zero M against it,
+its relations M's typed cover-kernel rows, not the pivot form that
+``modules._kronecker_equations`` reads.
 
 Gorenstein projectivity as the semi-GP scans of M and of its transpose,
 each on a resolution of its own (``two_resolution_is_gp``), is ``is_gp``
@@ -1025,11 +1027,28 @@ def reference_kronecker_data(N):
 
 def reference_top_hom_dim(M, N):
     """dim Hom(M, N) for J^2 M = 0: t·dim JN' plus the nullity of M's g0 system against
-    ``reference_kronecker_data(N)``."""
-    kron, t = reference_kronecker_data(N), M.top_dim()
-    equations = modules._kronecker_equations(N.field, M.cover_kernel.pivot_form(),
-                                             M.algebra.dim - 1, t, kron)
-    return t * kron[1] + equations.cols - rank(equations)
+    ``reference_kronecker_data(N)``.
+
+    The relations are the typed basis rows of M's cover kernel in A^t
+    (``sparse_rows``) at the generators' coordinates k·dim A + 1 + j, j < e;
+    one at a w-coordinate is an empty column's unit vector and asks nothing.
+    Each relation λ gives the typed rows Σ λ_{k,j}·v_{j+1}·g0(a_k) = 0, one per
+    coordinate of JN', column s·t + k entry s of g0(a_k).
+    """
+    (b0, b1, arrows, _), t, n = reference_kronecker_data(N), M.top_dim(), M.algebra.dim
+    field, rows = M.field, []
+    for q, (idx, vals) in M.cover_kernel.sparse_rows().items():
+        if q % n > len(arrows):
+            continue
+        equations = defaultdict(dict)
+        for i, x in zip(idx, vals):
+            k, u = divmod(i, n)
+            for s, image in enumerate(arrows[u - 1]):
+                for r, y in image:
+                    row = equations[r]
+                    row[s * t + k] = row.get(s * t + k, field.zero()) + x * field.of(y)
+        rows += equations.values()
+    return t * b1 + t * b0 - rank(from_scalars(field, rows, t * b0))
 
 
 def hom_complex_matrix(syz, N):

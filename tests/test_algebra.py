@@ -1,7 +1,7 @@
 import pytest
 
 from shortloc.algebra import ShortAlgebra
-from shortloc.errors import BadParams, SurjectivityViolation
+from shortloc.errors import BadParams, ResourceCapExceeded, SurjectivityViolation
 from shortloc.homology import ext_dim, left_regular_module
 from shortloc.linalg import QQ, Field
 from shortloc.modules import simple_module
@@ -162,6 +162,20 @@ def test_preset_parameter_validation():
         preset("ex14_1", e=3, a=10)
     with pytest.raises(BadParams):
         preset("nope")
+
+
+def test_the_cap_meets_each_preset_at_its_own_generator_count():
+    # g^2 is checked against the cap: a 2-generator preset builds at cap 4,
+    # lambda_c at (3 + c)^2, and a preset that takes e at e^2.
+    params = {"L": {"e": 3}, "lambda_c": {"c": 1}, "ex14_1": {"e": 2, "a": 1},
+              "ex15_1": {"e": 4, "a": 1}}
+    for name in preset_names():
+        kw = params.get(name, {})
+        g = preset(name, **kw).e
+        assert preset(name, cap=g * g, **kw).e == g
+        with pytest.raises(ResourceCapExceeded) as err:
+            preset(name, cap=g * g - 1, **kw)
+        assert (err.value.dim, err.value.cap) == (g * g, g * g - 1), name
 
 
 def test_prime_field_preset():

@@ -779,3 +779,21 @@ def test_only_a_kernel_has_integer_pivot_rows():
     kernel = kernel_subspace(mat(QQ, [[2, 1, 0]]))
     # Row 1 is (-1/2, 1, 0): 1 at its pivot, then -1/2 at 0, over scale 2.
     assert kernel.int_rows() == {1: ((1, 0), (2, -1), 2), 2: ((2,), (1,), 1)}
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=str)
+def test_a_kernel_equals_the_span_of_the_same_subspace(field):
+    # The kernel's basis is ((-2, 1),), the span's rref ((1, -1/2),): the
+    # same line, so equal in either order; another line, a wider ambient or
+    # another dimension is not.
+    kernel = kernel_subspace(mat(field, [[1, 2]]))
+    span = Subspace.from_vectors(field, 2, [(field.of(-2), field.of(1))])
+    assert kernel.basis != span.basis
+    assert kernel == span and span == kernel
+    other = Subspace.from_vectors(field, 2, [(field.of(1), field.of(2))])
+    assert kernel != other and other != kernel
+    assert kernel != Subspace.from_vectors(field, 3, [(field.of(-2), field.of(1), field.zero())])
+    assert kernel != Subspace.from_vectors(field, 2, [(field.one(), field.zero()),
+                                                      (field.zero(), field.one())])
+    assert kernel_subspace(mat(field, [[1, 2, 3], [0, 1, 1]])) == \
+        Subspace.from_vectors(field, 3, [(field.of(-1), field.of(-1), field.of(1))])

@@ -4,7 +4,11 @@ and an engine-built module only its columns.
 ``Subspace`` has two origins, both of ``_echelon``: ``Subspace._span``, a
 span's pivot rows, and ``Subspace.from_pivot_rows``, a kernel's pivot
 form.  Nothing else in the package calls ``Subspace(...)``, so no subspace
-is held by a dense basis.  ``HomSpace`` is the record (source, target,
+is held by a dense basis.  Only ``kernel_subspace`` and ``_split``, which
+re-indexes a pivot form it was given, call ``Subspace.from_pivot_rows``, so
+there is one kernel routine, and only ``pivot_relations`` and
+``shadow_rows`` call ``lead_multiples``, so a pivot row's scaling has one
+reader besides the ladder's fused loop.  ``HomSpace`` is the record (source, target,
 flat); its maps are laid out only by ``modules._flat_map``.  Only
 ``hom_dim`` and ``hom_decomposition_check`` solve M's presentation
 (``presentation_equations``), and only ``dual_data``, ``hom_basis`` and
@@ -34,6 +38,14 @@ SRC = os.path.dirname(shortloc.__file__)
 
 #: The only functions that may call ``Subspace(...)``.
 ORIGINS = {"Subspace._span", "Subspace.from_pivot_rows"}
+
+#: The only functions that may call ``Subspace.from_pivot_rows``: the kernel
+#: routine, and the split that re-indexes a cover kernel's pivot form.
+PIVOT_FORM_ORIGINS = {"kernel_subspace", "_split"}
+
+#: The only functions that may call ``lead_multiples``: the pivot form's
+#: reader and the ladder's fused loop.
+LEAD_READERS = {"pivot_relations", "shadow_rows"}
 
 #: The only functions that may call ``projective_cover``: the resolution walks.
 WALKS = {"syzygy", "resolution", "betti"}
@@ -128,6 +140,35 @@ def test_the_lint_sees_every_kind_of_call():
         "Subspace.full (line 7)", "g (line 9)", "<module> (line 10)"]
     assert not calls_outside("x = Subspace.from_vectors(f, 2, [])\nSubspace._span(f, 2, {})\n",
                              "Subspace", ORIGINS)
+
+
+def test_one_kernel_routine_and_one_reader_of_the_leads():
+    for callee, callers in (("from_pivot_rows", PIVOT_FORM_ORIGINS),
+                            ("lead_multiples", LEAD_READERS)):
+        assert not package_calls(callee, callers)
+        # Each caller calls it: no name on the list is left over.
+        assert {call.split(": ")[1].split(" (")[0]
+                for call in package_calls(callee, set())} == callers
+
+
+def test_the_pivot_form_lints_see_an_extra_caller():
+    source = ("from . import linalg\n"
+              "def kernel_subspace(m):\n"
+              "    return Subspace.from_pivot_rows(m.field, 2, {}, [0, 1], range(2), None)\n"
+              "def _transpose_syzygy(F1, piv, free, at):\n"
+              "    return Syzygy(F1.algebra, linalg.Subspace.from_pivot_rows(F1.field, 4, piv,\n"
+              "                                                              free, at, None))\n"
+              "def pivot_relations(form):\n"
+              "    return lead_multiples(form[0])\n"
+              "def _kronecker_equations(form):\n"
+              "    mult = linalg.lead_multiples(form[0])\n"
+              "class Kernel:\n"
+              "    def rows(self):\n"
+              "        return lead_multiples(self.piv)\n")
+    assert calls_outside(source, "from_pivot_rows", PIVOT_FORM_ORIGINS) == [
+        "_transpose_syzygy (line 5)"]
+    assert calls_outside(source, "lead_multiples", LEAD_READERS) == [
+        "_kronecker_equations (line 10)", "Kernel.rows (line 13)"]
 
 
 def test_only_the_resolution_walks_call_projective_cover():

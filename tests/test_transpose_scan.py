@@ -162,11 +162,12 @@ def test_the_scan_refuses_a_bound_below_one_before_any_cover(covers):
 
 
 def test_the_cli_answers_a_self_injective_scan_under_a_small_cap():
-    # Cap 9 admits the preset's own size check (3^2) and no cover of J over
-    # qexterior (2·dim A = 8, then 3·dim A = 12); the scan forms none.
+    # Cap 4 admits the preset's own size check (2^2 for both algebras) and no
+    # cover of J (2·dim A = 8 over qexterior, 6 over L(2)); the scan forms none.
     res = run_cli("check", "semigp", "radical", "--algebra", "qexterior", "--bound", "3",
-                  "--cap", "9")
+                  "--cap", "4")
     assert res.returncode == 0 and res.stdout.strip() == "true"
     res = run_cli("check", "semigp", "radical", "--algebra", "L:e=2", "--bound", "3",
-                  "--cap", "9")
-    assert res.returncode == 3 and "exceeds cap 9" in res.stderr
+                  "--cap", "4")
+    assert res.returncode == 3 and res.stderr == ("error: intermediate module of dimension 6 "
+                                                  "exceeds cap 4\n")
